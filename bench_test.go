@@ -300,23 +300,19 @@ func BenchmarkAblationShielding(b *testing.B) {
 // face-to-face time. Rectification restores the agreement.
 func BenchmarkAblationTimesync(b *testing.B) {
 	const days = 9
-	// Two identically seeded missions: rectification rewrites a dataset in
-	// place, so the raw-clock arm needs its own copy that is never
-	// rectified. Both simulations run outside the timer — the benchmark
-	// measures the analysis under each clock regime, not the simulator.
-	mRect, err := Simulate(Options{Seed: 77, Days: days})
+	// Both arms read one raw dataset: the rectified arm fits corrections,
+	// the raw-clock arm passes none. The simulation runs outside the timer
+	// — the benchmark measures the analysis under each clock regime, not
+	// the simulator.
+	m, err := Simulate(Options{Seed: 77, Days: days})
 	if err != nil {
 		b.Fatal(err)
 	}
-	pRect, err := mRect.Pipeline(TrueAssignment)
+	pRect, err := m.Pipeline(TrueAssignment)
 	if err != nil {
 		b.Fatal(err)
 	}
-	mRaw, err := Simulate(Options{Seed: 77, Days: days})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pRaw, err := mRaw.Pipeline(TrueAssignment, sociometry.WithoutRectification())
+	pRaw, err := m.Pipeline(TrueAssignment, sociometry.WithCorrections(nil))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -482,7 +478,7 @@ func BenchmarkIncrementalFold(b *testing.B) {
 
 	src := sociometry.Source{
 		Habitat:       res.Habitat,
-		Dataset:       live,
+		Data:          live,
 		Names:         m.Names(),
 		BadgeFor:      res.Assignment.TrueBadgeFor,
 		VoiceProfiles: m.VoiceProfiles(),

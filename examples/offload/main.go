@@ -54,11 +54,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	sent, retrans := up.Stats()
-	batches, dups := gw.Stats()
+	us, gs := up.StatsSnapshot(), gw.StatsSnapshot()
 	fmt.Printf("drained in %d coverage rounds\n", rounds)
-	fmt.Printf("uploader: %d batches formed, %d retransmissions\n", sent, retrans)
-	fmt.Printf("gateway:  %d batches heard, %d duplicates absorbed\n", batches, dups)
+	fmt.Printf("uploader: %d batches formed, %d retransmissions\n", us.Sent, us.Retransmits)
+	fmt.Printf("gateway:  %d batches heard, %d duplicates absorbed\n", gs.Batches, gs.Duplicates)
 
 	got := serverSide.Series(badgeID).All()
 	fmt.Printf("server received %d records (exactly once: %v)\n",

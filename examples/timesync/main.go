@@ -22,8 +22,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Estimate each badge's correction from its sync records, before any
-	// rectification has touched the dataset.
+	// Estimate each badge's correction from its sync records. The dataset
+	// holds raw device time, as the badges' SD cards did.
 	ds := m.Result().Dataset
 	type row struct {
 		id  store.BadgeID
@@ -56,19 +56,17 @@ func main() {
 			rows[0].id, rows[1].id, shift.Round(time.Millisecond))
 	}
 
-	// Rectification quality: after the pipeline rectifies, re-estimating
-	// must yield near-identity corrections.
+	// Rectification quality: re-estimating on the records the pipeline
+	// reads — rectified to mission time through its views — must yield
+	// near-identity corrections.
 	pipe, err := m.Pipeline(icares.TrueAssignment)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := pipe.RectifyClocks(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("\nafter rectification (re-estimated on the rewritten dataset):")
+	fmt.Println("\nafter rectification (re-estimated on each astronaut's rectified records):")
 	worst := time.Duration(0)
-	for _, id := range ds.Badges() {
-		c, err := timesync.EstimateFromRecords(ds.Series(id).All())
+	for _, name := range m.Names() {
+		c, err := timesync.EstimateFromRecords(pipe.RecordsFor(name))
 		if err != nil {
 			continue
 		}
@@ -79,5 +77,5 @@ func main() {
 			worst = c.Offset
 		}
 	}
-	fmt.Printf("worst residual offset across badges: %v\n", worst.Round(time.Microsecond))
+	fmt.Printf("worst residual offset across astronauts: %v\n", worst.Round(time.Microsecond))
 }

@@ -129,14 +129,14 @@ func (m *Mission) VoiceProfiles() map[string]float64 {
 // Pipeline builds the sociometric analysis pipeline over the mission's
 // dataset under the chosen assignment view.
 //
-// Pipelines are safe for concurrent use, and clock rectification runs
-// exactly once per dataset: building both the TrueAssignment and
-// NominalAssignment views over one Simulate run is supported — the second
-// view adopts the corrections the first one applied instead of
-// re-rectifying already-rectified timestamps.
+// Pipelines are safe for concurrent use and never modify the dataset, which
+// keeps raw device time: each pipeline fits its own clock corrections and
+// reads through rectified views. Building both the TrueAssignment and
+// NominalAssignment views over one Simulate run is supported, and both fit
+// the same corrections.
 //
-// Options (e.g. sociometry.WithoutRectification for the timesync ablation)
-// are passed through to the pipeline.
+// Options (e.g. sociometry.WithCorrections with an empty map for the
+// timesync ablation) are passed through to the pipeline.
 func (m *Mission) Pipeline(view AssignmentView, opts ...sociometry.Option) (*sociometry.Pipeline, error) {
 	badgeFor := m.res.Assignment.TrueBadgeFor
 	if view == NominalAssignment {
@@ -144,7 +144,7 @@ func (m *Mission) Pipeline(view AssignmentView, opts ...sociometry.Option) (*soc
 	}
 	return sociometry.NewPipeline(sociometry.Source{
 		Habitat:       m.res.Habitat,
-		Dataset:       m.res.Dataset,
+		Data:          m.res.Dataset,
 		Names:         mission.Names(),
 		BadgeFor:      badgeFor,
 		VoiceProfiles: m.VoiceProfiles(),

@@ -2,15 +2,18 @@ package icares
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"icares/internal/mission"
 	"icares/internal/record"
+	"icares/internal/sociometry"
 	"icares/internal/store"
 	"icares/internal/support"
 	"icares/internal/survey"
+	"icares/internal/timesync"
 	"icares/internal/uplink"
 )
 
@@ -195,9 +198,10 @@ func TestFailedBadgeStopsRecordingAndReuseContinues(t *testing.T) {
 }
 
 func TestSharedDatasetRectifiedOnceAcrossViews(t *testing.T) {
-	// Regression: building both assignment views over one Simulate run used
-	// to re-apply clock corrections to the already-rectified dataset,
-	// skewing every timestamp of the second view's analyses.
+	// Both assignment views over one Simulate run, rectifying concurrently,
+	// must fit equal corrections and leave the shared dataset on raw device
+	// time: rectification happens in each pipeline's views, never in place,
+	// so a second view cannot apply the corrections a second time.
 	if testing.Short() {
 		t.Skip("mission simulation in -short mode")
 	}
@@ -206,56 +210,58 @@ func TestSharedDatasetRectifiedOnceAcrossViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := m.Result().Dataset
+	type bounds struct {
+		first, last time.Duration
+		n           int
+	}
+	snapshot := func() map[store.BadgeID]bounds {
+		out := make(map[store.BadgeID]bounds)
+		for _, id := range ds.Badges() {
+			f, _ := ds.Series(id).First()
+			l, _ := ds.Series(id).Last()
+			out[id] = bounds{f.Local, l.Local, ds.Series(id).Len()}
+		}
+		return out
+	}
+	raw := snapshot()
 
 	truth, err := m.Pipeline(TrueAssignment)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cors1, err := truth.RectifyClocks()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ds.Rectified() {
-		t.Fatal("dataset not marked rectified after first pipeline")
-	}
-	// Snapshot rectified timestamps of every badge.
-	type bounds struct{ first, last time.Duration }
-	snap := make(map[store.BadgeID]bounds)
-	for _, id := range ds.Badges() {
-		f, _ := ds.Series(id).First()
-		l, _ := ds.Series(id).Last()
-		snap[id] = bounds{f.Local, l.Local}
-	}
-
 	nominal, err := m.Pipeline(NominalAssignment)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cors2, err := nominal.RectifyClocks()
-	if err != nil {
-		t.Fatal(err)
+	const callers = 4
+	cors := make([]map[store.BadgeID]timesync.Correction, 2*callers)
+	var wg sync.WaitGroup
+	for i := range cors {
+		p := truth
+		if i%2 == 1 {
+			p = nominal
+		}
+		wg.Add(1)
+		go func(i int, p *sociometry.Pipeline) {
+			defer wg.Done()
+			cors[i], _ = p.RectifyClocks()
+		}(i, p)
 	}
+	wg.Wait()
 
-	// The second view adopts the first view's corrections verbatim...
-	if len(cors2) != len(cors1) {
-		t.Fatalf("correction sets differ: %d vs %d badges", len(cors2), len(cors1))
+	if len(cors[0]) == 0 {
+		t.Fatal("no corrections fitted")
 	}
-	for id, c1 := range cors1 {
-		if c2 := cors2[id]; c2 != c1 {
-			t.Errorf("badge %d: corrections differ: %+v vs %+v", id, c1, c2)
+	for i := 1; i < len(cors); i++ {
+		if !reflect.DeepEqual(cors[i], cors[0]) {
+			t.Errorf("caller %d corrections differ: %v vs %v", i, cors[i], cors[0])
 		}
 	}
-	// ...and the timestamps are untouched.
-	for id, want := range snap {
-		f, _ := ds.Series(id).First()
-		l, _ := ds.Series(id).Last()
-		if f.Local != want.first || l.Local != want.last {
-			t.Errorf("badge %d timestamps moved: [%v,%v] -> [%v,%v] (double rectification)",
-				id, want.first, want.last, f.Local, l.Local)
-		}
-	}
-	// Both views stay analyzable.
+	// Both views stay analyzable, and the dataset is untouched.
 	if truth.Transitions(nil).Total() == 0 || nominal.Transitions(nil).Total() == 0 {
 		t.Error("a view lost its transitions")
+	}
+	if got := snapshot(); !reflect.DeepEqual(got, raw) {
+		t.Errorf("dataset timestamps moved under analysis: %v -> %v", raw, got)
 	}
 }

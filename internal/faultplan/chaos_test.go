@@ -183,8 +183,8 @@ func TestChaosMission(t *testing.T) {
 	}
 
 	// --- Invariants -------------------------------------------------------
-	// Exactly once, in order, for every badge (compared on the raw record
-	// structs before any pipeline rectifies timestamps in place).
+	// Exactly once, in order, for every badge, compared on the raw record
+	// structs.
 	for _, lg := range legs {
 		want := truth.Series(lg.id).All()
 		got := offloaded.Series(lg.id).All()
@@ -197,8 +197,8 @@ func TestChaosMission(t *testing.T) {
 			}
 		}
 	}
-	if hb, hr := gw.Held(); hb != 0 || hr != 0 {
-		t.Errorf("held state after full drain: %d batches %d records, want 0", hb, hr)
+	if gs := gw.StatsSnapshot(); gs.HeldBatches != 0 || gs.HeldRecords != 0 {
+		t.Errorf("held state after full drain: %d batches %d records, want 0", gs.HeldBatches, gs.HeldRecords)
 	}
 
 	// The plan must actually have engaged: deliveries dropped in fault
@@ -216,13 +216,12 @@ func TestChaosMission(t *testing.T) {
 	if corrupted == 0 {
 		t.Error("corruption windows never touched a frame")
 	}
-	if _, dups := gw.Stats(); dups == 0 {
+	if gw.StatsSnapshot().Duplicates == 0 {
 		t.Error("no duplicates despite lossy retransmission")
 	}
 
 	// The sociometry backend cannot tell the datasets apart: byte-identical
-	// reports. (Both pipelines are built only now — rectification mutates
-	// datasets in place, so the offload comparison above had to run first.)
+	// reports.
 	profiles := make(map[string]float64, len(res.Roster))
 	for _, r := range res.Roster {
 		profiles[r.Name] = r.Traits.F0Hz
@@ -230,7 +229,7 @@ func TestChaosMission(t *testing.T) {
 	report := func(ds *store.Dataset) string {
 		p, err := sociometry.NewPipeline(sociometry.Source{
 			Habitat:       res.Habitat,
-			Dataset:       ds,
+			Data:          ds,
 			Names:         mission.Names(),
 			BadgeFor:      res.Assignment.TrueBadgeFor,
 			VoiceProfiles: profiles,

@@ -242,8 +242,7 @@ func (g *Gateway) holdDelta(batches, records int) {
 }
 
 // StatsSnapshot returns every gateway counter from a single instant. This
-// is the only read path for statistics; the legacy accessors below are
-// views over it.
+// is the only read path for statistics.
 func (g *Gateway) StatsSnapshot() GatewayStats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -254,31 +253,6 @@ func (g *Gateway) StatsSnapshot() GatewayStats {
 		HeldBatches: g.heldBatches,
 		HeldRecords: g.heldRecords,
 	}
-}
-
-// Stats returns receive counters.
-//
-// Deprecated: use StatsSnapshot, which additionally guarantees consistency
-// with Refused and Held.
-func (g *Gateway) Stats() (batches, duplicates int) {
-	s := g.StatsSnapshot()
-	return s.Batches, s.Duplicates
-}
-
-// Refused returns how many out-of-order batches were turned away at the
-// held bound.
-//
-// Deprecated: use StatsSnapshot.
-func (g *Gateway) Refused() int { return g.StatsSnapshot().Refused }
-
-// Held returns the buffered out-of-order state across all badges. With a
-// single well-behaved uploader, held stays within the uploader's
-// MaxPending window and drains to zero once gaps fill.
-//
-// Deprecated: use StatsSnapshot.
-func (g *Gateway) Held() (batches, records int) {
-	s := g.StatsSnapshot()
-	return s.HeldBatches, s.HeldRecords
 }
 
 // Snapshot is the durable part of a gateway's state: the per-badge
@@ -438,20 +412,6 @@ func (u *Uploader) StatsSnapshot() UploaderStats {
 		BackoffUntil: u.backoffUntil,
 	}
 }
-
-// Stats returns send counters.
-//
-// Deprecated: use StatsSnapshot, which additionally guarantees consistency
-// with Skipped, Buffered, and Pending.
-func (u *Uploader) Stats() (sent, retransmits int) {
-	s := u.StatsSnapshot()
-	return s.Sent, s.Retransmits
-}
-
-// Skipped returns how many FlushAt calls backoff suppressed.
-//
-// Deprecated: use StatsSnapshot.
-func (u *Uploader) Skipped() int { return u.StatsSnapshot().Skipped }
 
 // FlushAt is TryFlush with capped exponential backoff on the caller's
 // clock: after a round in which every delivery attempt failed, subsequent

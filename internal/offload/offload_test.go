@@ -69,7 +69,7 @@ func TestLosslessTransfer(t *testing.T) {
 			t.Fatalf("record %d out of order: AX=%d", i, r.AX)
 		}
 	}
-	if _, dups := gw.Stats(); dups != 0 {
+	if dups := gw.StatsSnapshot().Duplicates; dups != 0 {
 		t.Errorf("duplicates on lossless link: %d", dups)
 	}
 }
@@ -106,10 +106,10 @@ func TestLossyTransferIsExactlyOnce(t *testing.T) {
 	}
 	// Lost acks must have caused duplicates at the gateway (absorbed by
 	// dedup) and retransmissions at the uploader.
-	if _, dups := gw.Stats(); dups == 0 {
+	if gw.StatsSnapshot().Duplicates == 0 {
 		t.Error("no duplicates despite 30% ack loss")
 	}
-	if _, retrans := u.Stats(); retrans == 0 {
+	if u.StatsSnapshot().Retransmits == 0 {
 		t.Error("no retransmissions despite 30% loss")
 	}
 }
@@ -237,7 +237,7 @@ func TestGatewayOutOfOrderDedup(t *testing.T) {
 	if len(col.got[4]) != 3 {
 		t.Errorf("delivered %d records, want 3", len(col.got[4]))
 	}
-	if _, dups := gw.Stats(); dups != 3 {
+	if dups := gw.StatsSnapshot().Duplicates; dups != 3 {
 		t.Errorf("duplicates = %d, want 3", dups)
 	}
 }
@@ -266,10 +266,10 @@ func TestGatewayHeldObservableAndBounded(t *testing.T) {
 			}
 		}
 		ok := gw.Offer(b)
-		if hb, hr := gw.Held(); hb > maxHeldBatches {
-			maxHeldBatches = hb
-			if hr != hb*4 {
-				t.Errorf("held records %d for %d held batches of 4", hr, hb)
+		if gs := gw.StatsSnapshot(); gs.HeldBatches > maxHeldBatches {
+			maxHeldBatches = gs.HeldBatches
+			if gs.HeldRecords != gs.HeldBatches*4 {
+				t.Errorf("held records %d for %d held batches of 4", gs.HeldRecords, gs.HeldBatches)
 			}
 		}
 		return ok
@@ -283,8 +283,8 @@ func TestGatewayHeldObservableAndBounded(t *testing.T) {
 	if maxHeldBatches > u.MaxPending {
 		t.Errorf("held %d batches, beyond the MaxPending window %d", maxHeldBatches, u.MaxPending)
 	}
-	if hb, hr := gw.Held(); hb != 0 || hr != 0 {
-		t.Errorf("held state after gap fill: %d batches %d records, want 0", hb, hr)
+	if gs := gw.StatsSnapshot(); gs.HeldBatches != 0 || gs.HeldRecords != 0 {
+		t.Errorf("held state after gap fill: %d batches %d records, want 0", gs.HeldBatches, gs.HeldRecords)
 	}
 	if len(col.got[6]) != 120 {
 		t.Fatalf("delivered %d records, want 120", len(col.got[6]))
@@ -308,17 +308,17 @@ func TestGatewayHeldBoundRefuses(t *testing.T) {
 	// they occupy the bound.
 	gw.Offer(mk(2))
 	gw.Offer(mk(3))
-	if hb, _ := gw.Held(); hb != 2 {
+	if hb := gw.StatsSnapshot().HeldBatches; hb != 2 {
 		t.Fatalf("held %d batches, want bound 2", hb)
 	}
 	// 4 is beyond the bound: refused outright, not buffered.
 	if gw.Offer(mk(4)) {
 		t.Error("batch beyond the held bound was acked")
 	}
-	if gw.Refused() != 1 {
-		t.Errorf("refused = %d, want 1", gw.Refused())
+	if n := gw.StatsSnapshot().Refused; n != 1 {
+		t.Errorf("refused = %d, want 1", n)
 	}
-	if hb, _ := gw.Held(); hb != 2 {
+	if hb := gw.StatsSnapshot().HeldBatches; hb != 2 {
 		t.Errorf("held %d batches after refusal, want still 2", hb)
 	}
 	// Gap fill releases 1..3; the refused 4 arrives as a retransmission.
@@ -383,8 +383,8 @@ func TestGatewaySnapshotRestoreExactlyOnce(t *testing.T) {
 		u.TryFlush(transport)
 	}
 	gw.Restore(gw.Snapshot())
-	if hb, hr := gw.Held(); hb != 0 || hr != 0 {
-		t.Fatalf("held state survived the crash: %d batches %d records", hb, hr)
+	if gs := gw.StatsSnapshot(); gs.HeldBatches != 0 || gs.HeldRecords != 0 {
+		t.Fatalf("held state survived the crash: %d batches %d records", gs.HeldBatches, gs.HeldRecords)
 	}
 	if _, err := Drain(u, transport, 5000); err != nil {
 		t.Fatal(err)
@@ -411,26 +411,26 @@ func TestFlushAtBackoff(t *testing.T) {
 	at := func(sec int) time.Duration { return time.Duration(sec) * time.Second }
 
 	u.FlushAt(at(0), dead) // fails: backoff 10 s
-	sent, retrans := u.Stats()
-	if sent == 0 {
+	first := u.StatsSnapshot()
+	if first.Sent == 0 {
 		t.Fatal("first flush attempted nothing")
 	}
 	u.FlushAt(at(5), dead) // inside backoff: must not touch the radio
-	if _, r2 := u.Stats(); r2 != retrans {
-		t.Errorf("flush inside backoff retransmitted (%d -> %d)", retrans, r2)
+	if r2 := u.StatsSnapshot().Retransmits; r2 != first.Retransmits {
+		t.Errorf("flush inside backoff retransmitted (%d -> %d)", first.Retransmits, r2)
 	}
-	if u.Skipped() != 1 {
-		t.Errorf("skipped = %d, want 1", u.Skipped())
+	if n := u.StatsSnapshot().Skipped; n != 1 {
+		t.Errorf("skipped = %d, want 1", n)
 	}
 	u.FlushAt(at(10), dead) // fails again: backoff 20 s
 	u.FlushAt(at(25), dead) // still inside
-	if u.Skipped() != 2 {
-		t.Errorf("skipped = %d, want 2", u.Skipped())
+	if n := u.StatsSnapshot().Skipped; n != 2 {
+		t.Errorf("skipped = %d, want 2", n)
 	}
 	u.FlushAt(at(30), dead) // fails: backoff caps at 40 s
 	u.FlushAt(at(30+39), dead)
-	if u.Skipped() != 3 {
-		t.Errorf("capped backoff: skipped = %d, want 3", u.Skipped())
+	if n := u.StatsSnapshot().Skipped; n != 3 {
+		t.Errorf("capped backoff: skipped = %d, want 3", n)
 	}
 	// Coverage returns: an ack resets the streak and everything drains.
 	col := newCollector()

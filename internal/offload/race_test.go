@@ -110,8 +110,7 @@ func TestConcurrentScrapeUnderChaos(t *testing.T) {
 						return
 					}
 				}
-				gw.Held()
-				gw.Stats()
+				gw.StatsSnapshot()
 				_ = reg.Write(io.Discard)
 			}
 		}()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"icares/internal/activity"
 	"icares/internal/habitat"
 	"icares/internal/localization"
 	"icares/internal/record"
@@ -43,7 +44,7 @@ func TestUnalignedLocWindowSpansMidnight(t *testing.T) {
 
 	p, err := NewPipeline(Source{
 		Habitat:  h,
-		Dataset:  d,
+		Data:     d,
 		Names:    []string{"X"},
 		BadgeFor: func(string, int) store.BadgeID { return 1 },
 		FirstDay: 2,
@@ -56,11 +57,6 @@ func TestUnalignedLocWindowSpansMidnight(t *testing.T) {
 
 	if p.locAligned() {
 		t.Fatal("7s window reported as day-aligned")
-	}
-	// The activity classifier's default window must stay day-aligned — the
-	// guard exists so this assumption is checked, not baked in.
-	if !activityAligned() {
-		t.Fatal("activity default window reported unaligned; per-day activity folds are now wrong")
 	}
 
 	loc, err := localization.NewLocator(h)
@@ -89,5 +85,16 @@ func TestUnalignedLocWindowSpansMidnight(t *testing.T) {
 	}
 	if reflect.DeepEqual(naive, whole) {
 		t.Fatal("per-day fold equals whole-stream derivation; fixture no longer spans midnight")
+	}
+}
+
+// TestActivityWindowDividesDay pins the assumption the activity fold rests
+// on: the pipeline classifies per-day windows with activity.DefaultConfig,
+// which composes into the whole-mission classification only if its window
+// divides the day (no window may straddle midnight).
+func TestActivityWindowDividesDay(t *testing.T) {
+	w := activity.DefaultConfig().Window
+	if w <= 0 || (24*time.Hour)%w != 0 {
+		t.Fatalf("activity.DefaultConfig().Window = %v does not divide 24h; per-day activity folds are now wrong", w)
 	}
 }

@@ -32,40 +32,53 @@ type staleKey struct {
 	day int
 }
 
-// Follow subscribes the pipeline to its dataset's append notifications so
+// Follow subscribes the pipeline to its source's append notifications so
 // that records arriving after analyses ran are folded in incrementally: an
 // append marks only its (badge, day) window stale, and the next analysis
 // recomputes just the affected windows and the astronaut-level results
-// folding them. The returned stop function cancels the subscription.
+// folding them. The returned stop function cancels the subscription. A
+// source without a Subscribe method (a segment archive) never appends;
+// there is nothing to follow.
 //
-// Call RectifyClocks (or any analysis) before the live records arrive if
-// the dataset needs clock correction: rectification installs per-series
-// rectifiers so late records are rewritten to reference time on ingest.
+// Corrections freeze at the first analysis, fitted on whatever sync records
+// have arrived by then; pass WithCorrections at construction to make live
+// results independent of that timing.
 func (p *Pipeline) Follow() (stop func()) {
-	if p.src.Dataset == nil {
-		// A read-only source (segment archive) never appends; nothing to
-		// follow.
+	src, ok := p.src.Data.(interface {
+		Subscribe(func(store.BadgeID, record.Record, uint64)) (cancel func())
+	})
+	if !ok {
 		return func() {}
 	}
-	return p.src.Dataset.Subscribe(func(id store.BadgeID, r record.Record, seq uint64) {
+	p.following.Store(true)
+	return src.Subscribe(func(id store.BadgeID, r record.Record, seq uint64) {
 		p.markStale(id, r.Local)
 	})
 }
 
-// markStale records that a badge received a record at the given (already
-// rectified) timestamp. Cheap and lock-scoped: safe to call from the
-// dataset's append path.
-func (p *Pipeline) markStale(id store.BadgeID, at time.Duration) {
-	day := simtime.DayOf(at)
-	if day < p.src.FirstDay || day > p.src.LastDay {
-		// Outside the analysis range: no derivation reads it.
-		return
+// markStale records that a badge received a record at the given raw device
+// timestamp. Windows are reference-time days, and personal badges run
+// seconds off, so the day is taken after the badge's frozen correction; a
+// mark arriving before the corrections are frozen marks every day of the
+// badge instead. Cheap and lock-scoped: safe to call from the source's
+// append path.
+func (p *Pipeline) markStale(id store.BadgeID, local time.Duration) {
+	first, last := p.src.FirstDay, p.src.LastDay
+	if p.rectified.Load() {
+		day := simtime.DayOf(p.corrections[id].ToReference(local))
+		if day < first || day > last {
+			// Outside the analysis range: no derivation reads it.
+			return
+		}
+		first, last = day, day
 	}
 	p.staleMu.Lock()
 	if p.stale == nil {
 		p.stale = make(map[staleKey]struct{})
 	}
-	p.stale[staleKey{id, day}] = struct{}{}
+	for day := first; day <= last; day++ {
+		p.stale[staleKey{id, day}] = struct{}{}
+	}
 	p.staleMu.Unlock()
 	p.staleFlag.Store(true)
 }
@@ -124,6 +137,7 @@ func (p *Pipeline) applyStale() {
 			p.winFrames.drop(w)
 			p.winActivity.drop(w)
 			p.winContacts.drop(w)
+			p.winActive.drop(w)
 			affected[name] = struct{}{}
 		}
 	}

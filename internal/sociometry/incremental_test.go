@@ -13,23 +13,25 @@ import (
 	"icares/internal/record"
 	"icares/internal/simtime"
 	"icares/internal/store"
+	"icares/internal/timesync"
 )
 
-// rectifiedFixtureRecords returns the fixture mission's records after clock
-// rectification, per badge in badge order. Parity tests replay these into
-// fresh datasets under WithoutRectification, so fold-order experiments are
-// isolated from correction estimation (which is deliberately frozen at the
-// first fit and therefore depends on which records have arrived).
+// rectifiedFixtureRecords returns the fixture mission's records as the
+// pipeline reads them — through the rectified views — per badge. Parity
+// tests replay these into fresh datasets under an empty WithCorrections, so
+// fold-order experiments are isolated from correction estimation (which is
+// deliberately frozen at the first fit and therefore depends on which
+// records have arrived).
 func rectifiedFixtureRecords(t *testing.T) map[store.BadgeID][]record.Record {
 	t.Helper()
 	p := fixturePipeline(t)
-	if _, err := p.RectifyClocks(); err != nil {
-		t.Fatal(err)
-	}
-	ds := missionFixture(t).Dataset
 	out := make(map[store.BadgeID][]record.Record)
-	for _, id := range ds.Badges() {
-		out[id] = ds.Series(id).All()
+	for _, id := range missionFixture(t).Dataset.Badges() {
+		v, ok := p.view(id)
+		if !ok {
+			t.Fatalf("badge %d has no view", id)
+		}
+		out[id] = v.All()
 	}
 	return out
 }
@@ -41,7 +43,7 @@ func fixtureSource(t *testing.T, ds *store.Dataset) Source {
 	res := missionFixture(t)
 	return Source{
 		Habitat: res.Habitat,
-		Dataset: ds,
+		Data:    ds,
 		Names:   mission.Names(),
 		BadgeFor: func(name string, day int) store.BadgeID {
 			return res.Assignment.TrueBadgeFor(name, day)
@@ -81,7 +83,7 @@ func TestFoldParityRandomChunks(t *testing.T) {
 
 	batchDS := store.NewDataset()
 	loadAll(batchDS, recs)
-	batchP, err := NewPipeline(fixtureSource(t, batchDS), WithoutRectification())
+	batchP, err := NewPipeline(fixtureSource(t, batchDS), WithCorrections(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +92,7 @@ func TestFoldParityRandomChunks(t *testing.T) {
 	property := func(seed uint64) bool {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		ds := store.NewDataset()
-		p, err := NewPipeline(fixtureSource(t, ds), WithoutRectification())
+		p, err := NewPipeline(fixtureSource(t, ds), WithCorrections(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,6 +135,7 @@ func TestFoldParityRandomChunks(t *testing.T) {
 			// windows in without corrupting later results.
 			if ci == len(schedule)/3 || ci == 2*len(schedule)/3 {
 				p.Transitions(nil)
+				p.Wear()
 			}
 		}
 		return p.Report() == want
@@ -152,7 +155,7 @@ func TestFoldWhileReadersQuery(t *testing.T) {
 
 	batchDS := store.NewDataset()
 	loadAll(batchDS, recs)
-	batchP, err := NewPipeline(fixtureSource(t, batchDS), WithoutRectification())
+	batchP, err := NewPipeline(fixtureSource(t, batchDS), WithCorrections(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +173,7 @@ func TestFoldWhileReadersQuery(t *testing.T) {
 		}
 	}
 	loadAll(liveDS, head)
-	p, err := NewPipeline(fixtureSource(t, liveDS), WithoutRectification())
+	p, err := NewPipeline(fixtureSource(t, liveDS), WithCorrections(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +226,7 @@ func TestWindowScopedInvalidation(t *testing.T) {
 
 	ds := store.NewDataset()
 	loadAll(ds, recs)
-	p, err := NewPipeline(fixtureSource(t, ds), WithoutRectification())
+	p, err := NewPipeline(fixtureSource(t, ds), WithCorrections(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +279,7 @@ func syntheticSyncSource(offset time.Duration, skew float64) (Source, *store.Dat
 	}
 	src := Source{
 		Habitat:  habitat.Standard(),
-		Dataset:  ds,
+		Data:     ds,
 		Names:    []string{"A"},
 		BadgeFor: func(string, int) store.BadgeID { return 1 },
 		FirstDay: 2,
@@ -285,74 +288,120 @@ func syntheticSyncSource(offset time.Duration, skew float64) (Source, *store.Dat
 	return src, ds
 }
 
-// TestRectifyOnIngest pins the live-rectification contract: after the first
-// analysis estimates corrections, records appended later are rewritten to
-// reference time individually on ingest, using the frozen correction.
+// TestRectifyOnIngest pins the live-rectification contract: a record
+// appended after the first analysis froze the corrections stays raw in the
+// dataset, reads rectified through the pipeline's view, and invalidates the
+// window of its reference-time day. The record is placed seconds before
+// midnight in reference time, where the badge's fast clock already reads
+// the next day — outside the analysis range — so marking by the raw
+// timestamp would drop the invalidation and leave the stale window cached.
 func TestRectifyOnIngest(t *testing.T) {
 	src, ds := syntheticSyncSource(1500*time.Millisecond, 25e-6)
 	p, err := NewPipeline(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cors, err := p.RectifyClocks()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, ok := cors[1]
+	stop := p.Follow()
+	defer stop()
+	before := len(p.RecordsFor("A"))
+	c, ok := p.corrections[1]
 	if !ok || c.N == 0 {
-		t.Fatalf("no correction estimated: %+v", cors)
+		t.Fatalf("no correction estimated: %+v", p.corrections)
 	}
 
-	local := simtime.StartOfDay(2) + 13*time.Hour + 1234*time.Millisecond
+	ref := simtime.StartOfDay(3) - 2*time.Second
+	local := c.ToLocal(ref)
+	if simtime.DayOf(local) == simtime.DayOf(ref) {
+		t.Fatalf("fixture clock error too small: local %v and reference %v share a day", local, ref)
+	}
 	ds.Series(1).Append(record.Record{Local: local, Kind: record.KindAccel})
-	all := ds.Series(1).All()
-	got := all[len(all)-1]
+
+	if last, _ := ds.Series(1).Last(); last.Local != local {
+		t.Errorf("dataset holds %v, want the raw timestamp %v", last.Local, local)
+	}
+	recs := p.RecordsFor("A")
+	if len(recs) != before+1 {
+		t.Fatalf("records after append = %d, want %d (window not invalidated)", len(recs), before+1)
+	}
+	got := recs[len(recs)-1]
 	if got.Kind != record.KindAccel {
 		t.Fatalf("last record is %v, want the appended accel record", got.Kind)
 	}
 	if want := c.ToReference(local); got.Local != want {
-		t.Errorf("ingested record at %v, want rectified %v", got.Local, want)
+		t.Errorf("ingested record reads at %v, want rectified %v", got.Local, want)
+	}
+
+	// Before the corrections freeze, a mark cannot know its reference day
+	// and marks every analysed day of the badge.
+	src2, ds2 := syntheticSyncSource(1500*time.Millisecond, 25e-6)
+	src2.LastDay = 4
+	p2, err := NewPipeline(src2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop2 := p2.Follow()
+	defer stop2()
+	ds2.Series(1).Append(record.Record{Local: local, Kind: record.KindAccel})
+	for day := 2; day <= 4; day++ {
+		if _, ok := p2.stale[staleKey{1, day}]; !ok {
+			t.Errorf("pre-freeze mark missed day %d: %v", day, p2.stale)
+		}
 	}
 }
 
-// TestWithoutRectificationBothPaths covers both construction paths of the
-// rectification switch: the default pipeline rewrites the dataset, the
-// ablation pipeline leaves it untouched and reports no corrections.
+// TestWithoutRectificationBothPaths covers the rectification switch: the
+// default pipeline fits corrections, WithCorrections(nil) is the timesync
+// ablation and reads local clocks, and an explicit map is used verbatim
+// without a fit. No path writes to the dataset.
 func TestWithoutRectificationBothPaths(t *testing.T) {
-	srcA, dsA := syntheticSyncSource(2*time.Second, 0)
-	before := dsA.Series(1).All()
-	ablated, err := NewPipeline(srcA, WithoutRectification())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cors, err := ablated.RectifyClocks()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cors) != 0 {
-		t.Errorf("ablated pipeline produced corrections: %v", cors)
-	}
-	if dsA.Rectified() {
-		t.Error("ablated pipeline marked the dataset rectified")
-	}
-	if !reflect.DeepEqual(before, dsA.Series(1).All()) {
-		t.Error("ablated pipeline rewrote timestamps")
+	src, ds := syntheticSyncSource(2*time.Second, 0)
+	raw := append([]record.Record(nil), ds.Series(1).All()...)
+	viewOf := func(p *Pipeline) []record.Record {
+		t.Helper()
+		v, ok := p.view(1)
+		if !ok {
+			t.Fatal("badge 1 has no view")
+		}
+		return v.All()
 	}
 
-	srcB, dsB := syntheticSyncSource(2*time.Second, 0)
-	normal, err := NewPipeline(srcB)
+	ablated, err := NewPipeline(src, WithCorrections(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cors, err = normal.RectifyClocks()
+	if cors, _ := ablated.RectifyClocks(); len(cors) != 0 {
+		t.Errorf("ablated pipeline produced corrections: %v", cors)
+	}
+	if !reflect.DeepEqual(viewOf(ablated), raw) {
+		t.Error("ablated pipeline does not read local clocks")
+	}
+
+	normal, err := NewPipeline(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cors) == 0 || !dsB.Rectified() {
-		t.Fatal("default pipeline did not rectify")
+	cors, _ := normal.RectifyClocks()
+	if len(cors) == 0 {
+		t.Fatal("default pipeline did not fit corrections")
 	}
-	if reflect.DeepEqual(before, dsB.Series(1).All()) {
-		t.Error("default pipeline left the skewed timestamps in place")
+	if reflect.DeepEqual(viewOf(normal), raw) {
+		t.Error("default pipeline reads the skewed timestamps")
+	}
+
+	given := timesync.Correction{Offset: time.Second}
+	explicit, err := NewPipeline(src, WithCorrections(map[store.BadgeID]timesync.Correction{1: given}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cors, _ := explicit.RectifyClocks(); len(cors) != 1 || cors[1] != given {
+		t.Errorf("explicit corrections = %v, want exactly {1: %+v}", cors, given)
+	}
+	if got := viewOf(explicit); got[0].Local != given.ToReference(raw[0].Local) {
+		t.Errorf("explicit correction not applied: %v from %v", got[0].Local, raw[0].Local)
+	}
+
+	if !reflect.DeepEqual(ds.Series(1).All(), raw) {
+		t.Error("a pipeline rewrote the dataset")
 	}
 }
 
@@ -361,7 +410,7 @@ func TestWithoutRectificationBothPaths(t *testing.T) {
 // panics instead of silently racing the memo caches.
 func TestSettersPanicMidAnalysis(t *testing.T) {
 	src, _ := syntheticSyncSource(time.Second, 0)
-	p, err := NewPipeline(src, WithoutRectification())
+	p, err := NewPipeline(src, WithCorrections(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

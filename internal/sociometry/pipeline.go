@@ -10,20 +10,32 @@
 // astronaut attribution of badge records via the assignment metadata, then
 // localization, speech, activity, and proximity analyses.
 //
+// # Clock rectification
+//
+// The source always holds raw device time, as the badges' SD cards did.
+// Clock corrections are a value the pipeline owns: fitted once from the
+// source's sync records at the first analysis (or passed in with
+// WithCorrections), then frozen. Every query reads through a per-badge
+// rectified view (rectview.go) that maps timestamps to reference time on
+// the way out — one path for resident datasets and segment archives alike.
+// Nothing is rewritten in place, so any number of pipelines (e.g. the true
+// and nominal assignment views over one simulated mission) can share a
+// source, and nothing can be rectified twice.
+//
 // # Incremental operators
 //
 // Every derivation is folded from per-(astronaut, day) window partials —
-// the day's record slice, raw localization track, raw mic frames, raw
-// activity windows, and IR contacts — memoized independently of the
-// astronaut-level results assembled from them. The batch path is simply
-// "fold everything": deriving over a complete dataset computes each window
-// once and concatenates, byte-identical to deriving from the full record
-// stream (the localization and activity windows are aligned to absolute
-// time and divide the day, so no analysis window ever spans a day
-// boundary).
+// raw localization track, raw mic frames, raw activity windows, IR
+// contacts, and daytime recording coverage — memoized (while following)
+// independently of the astronaut-level results assembled from them. The
+// batch path is simply "fold everything": deriving over a complete dataset
+// computes each window once and concatenates, byte-identical to deriving
+// from the full record stream (the localization and activity windows are
+// aligned to absolute time and divide the day, so no analysis window ever
+// spans a day boundary).
 //
 // The same structure serves live data: Follow subscribes the pipeline to
-// its dataset's append notifications, and each new record marks only its
+// its source's append notifications, and each new record marks only its
 // (badge, day) window stale. The next analysis drops exactly the affected
 // windows and the astronaut-level caches folding them — everything else
 // stays warm. See fold.go for the invalidation machinery and DESIGN.md for
@@ -33,11 +45,7 @@
 //
 // A Pipeline is safe for concurrent use. Every derivation is memoized with
 // compute-once-per-key semantics: concurrent callers of the same derivation
-// block on a single in-flight computation instead of repeating it. Clock
-// rectification runs exactly once per *dataset* (not per pipeline), so any
-// number of pipelines — e.g. the true and nominal assignment views over one
-// simulated mission — can share a dataset without re-applying corrections
-// to already-rectified timestamps.
+// block on a single in-flight computation instead of repeating it.
 //
 // Crew-level analyses (Report, TableI, Transitions, Pairwise, Wear,
 // Timeline, ...) fan their per-astronaut work out across a bounded worker
@@ -56,6 +64,7 @@ package sociometry
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -73,21 +82,14 @@ import (
 	"icares/internal/timesync"
 )
 
-// Source describes a mission dataset to analyze. Exactly one of Dataset and
-// Data must be set: Dataset is the resident, mutable store (records on
-// local clocks until RectifyClocks rewrites them in place); Data is any
-// read-only Viewer — typically a store.SegmentStore reopened from an
-// archive — whose views the pipeline rectifies lazily instead, since an
-// immutable backend cannot rewrite timestamps. Either way every analysis is
-// byte-identical.
+// Source describes a mission dataset to analyze.
 type Source struct {
 	// Habitat is the floor plan the data was collected in.
 	Habitat *habitat.Habitat
-	// Dataset holds the per-badge record series (local clocks until
-	// RectifyClocks is run).
-	Dataset *store.Dataset
-	// Data is the read-only alternative to Dataset: an out-of-core (or
-	// otherwise immutable) record source satisfying store.Viewer.
+	// Data holds the per-badge records on raw device clocks: a resident
+	// *store.Dataset, a store.SegmentStore reopened from an archive, or any
+	// other Viewer. The pipeline only reads it, and every analysis is
+	// byte-identical whichever backend it is.
 	Data store.Viewer
 	// Names lists the astronauts.
 	Names []string
@@ -109,10 +111,8 @@ func (s Source) validate() error {
 	switch {
 	case s.Habitat == nil:
 		return errors.New("sociometry: nil habitat")
-	case s.Dataset == nil && s.Data == nil:
-		return errors.New("sociometry: no record source (set Dataset or Data)")
-	case s.Dataset != nil && s.Data != nil:
-		return errors.New("sociometry: both Dataset and Data set (pick one record source)")
+	case s.Data == nil:
+		return errors.New("sociometry: no record source (nil Data)")
 	case len(s.Names) == 0:
 		return errors.New("sociometry: no astronauts")
 	case s.BadgeFor == nil:
@@ -148,22 +148,22 @@ type Pipeline struct {
 	// 0 means runtime.NumCPU(), 1 forces sequential execution.
 	Parallelism int
 
-	// disableRect skips clock correction (ablation only): all cross-badge
-	// analyses then run on skewed local clocks. Latched at construction via
-	// WithoutRectification — a mutable flag consulted lazily was a footgun
-	// (setting it after the first derivation silently did nothing, and it
-	// raced with concurrent analyses).
-	disableRect bool
-
-	// rectified/corrections memoize this pipeline's view of the
-	// dataset-level rectification (the dataset itself guards against
-	// double application). For a read-only Data source, views holds the
-	// per-badge rectified read views instead — the source's raw views
-	// wrapped to answer in reference time (see rectview.go) — since an
-	// immutable backend cannot be rewritten in place.
-	rectMu      memoOnce
+	// corrections are the frozen per-badge clock corrections: fitted once
+	// by RectifyClocks, or passed in by WithCorrections. rectified is set
+	// once they are final, so the append path (markStale) can read them
+	// without taking part in the fit.
+	rectOnce    sync.Once
 	corrections map[store.BadgeID]timesync.Correction
-	views       map[store.BadgeID]store.View
+	rectified   atomic.Bool
+
+	// views caches each badge's rectified read view, built on first use
+	// from the source's raw view (rectview.go) — the one read path of every
+	// query, whichever backend the source is.
+	viewMu sync.Mutex
+	views  map[store.BadgeID]store.View
+
+	// following is set by Follow; see windowMemo.
+	following atomic.Bool
 
 	// locator is built once per pipeline and shared by every window
 	// computation (it is immutable after construction).
@@ -181,6 +181,7 @@ type Pipeline struct {
 	winFrames   memo[wkey, []speech.Frame]      // raw mic frames (speech config)
 	winActivity memo[wkey, []activity.Sample]   // raw classified activity windows
 	winContacts memo[wkey, []proximity.Contact] // attributed IR contacts
+	winActive   memo[wkey, time.Duration]       // daytime recording coverage (Wear)
 
 	// Memoized per-astronaut derivations, folded from the window partials.
 	// Dependency order matters for invalidation scoping (see invalidate):
@@ -214,24 +215,21 @@ type Pipeline struct {
 	tel *telemetry.Registry
 }
 
-// memoOnce is a tiny once-with-reset used for the rectification handshake.
-type memoOnce struct {
-	m memo[struct{}, struct{}]
-}
-
-func (o *memoOnce) do(fn func()) {
-	o.m.get(struct{}{}, func(struct{}) struct{} { fn(); return struct{}{} })
-}
-
 // Option configures a pipeline at construction.
 type Option func(*Pipeline)
 
-// WithoutRectification builds the pipeline for the timesync ablation: clock
-// corrections are skipped and all cross-badge analyses run on skewed local
-// clocks. Use it on a pipeline that owns its dataset — a dataset already
-// rectified by another pipeline stays rectified.
-func WithoutRectification() Option {
-	return func(p *Pipeline) { p.disableRect = true }
+// WithCorrections builds the pipeline with the given per-badge clock
+// corrections instead of fitting them from the source's sync records.
+// Badges absent from the map read on their local clocks, so an empty map is
+// the timesync ablation: every cross-badge analysis runs on skewed clocks.
+// A live pipeline passes corrections fitted over complete data, so its
+// results do not depend on which sync records had arrived at its first
+// analysis.
+func WithCorrections(c map[store.BadgeID]timesync.Correction) Option {
+	return func(p *Pipeline) {
+		p.corrections = maps.Clone(c)
+		p.rectified.Store(true)
+	}
 }
 
 // NewPipeline validates the source and builds a pipeline with the paper's
@@ -278,59 +276,47 @@ func (p *Pipeline) Horizon() time.Duration {
 	return simtime.StartOfDay(p.src.LastDay + 1)
 }
 
-// RectifyClocks estimates each badge's clock correction from its sync
-// records and rewrites the dataset's timestamps to reference (mission)
-// time. It must run before any cross-badge analysis; every analysis method
-// calls it implicitly. Badges without enough sync observations keep their
-// local clocks (correction identity) — their records remain usable for
-// per-badge analyses.
+// RectifyClocks returns the pipeline's per-badge clock corrections,
+// fitting them on first use: one streaming pass over each badge's sync
+// records. Badges without enough sync observations keep their local clocks
+// (correction identity) — their records remain usable for per-badge
+// analyses. Every analysis calls it implicitly; concurrent callers block
+// until the one fit completes. It never touches the source: queries see
+// reference time through the rectified views.
 //
-// Rectification is idempotent at the dataset level: the first pipeline to
-// rectify a dataset rewrites the timestamps and records the corrections on
-// the dataset itself; later pipelines over the same dataset (e.g. a second
-// assignment view of one Simulate run) adopt those corrections without
-// re-applying them. Concurrent callers block until the one in-flight
-// rectification completes.
-//
-// Rectification also installs each badge's correction as the series'
-// append-time rectifier, so records arriving after this point (a live fold)
-// are rewritten to reference time individually on ingest — the incremental
-// form of the same rewrite, touching only new records. Corrections are
-// frozen once estimated: later sync exchanges do not re-fit (a re-fit would
-// perturb already-rewritten timestamps and break determinism).
+// Corrections are frozen once fitted: sync records arriving later (a live
+// fold) do not re-fit, so memoized windows stay consistent and results
+// deterministic. The returned map is shared; callers must not modify it.
 func (p *Pipeline) RectifyClocks() (map[store.BadgeID]timesync.Correction, error) {
-	p.rectMu.do(func() {
-		if p.src.Dataset == nil {
-			p.rectifyViews()
-			return
+	p.rectOnce.Do(func() {
+		if p.rectified.Load() {
+			return // passed in by WithCorrections
 		}
-		if p.disableRect && !p.src.Dataset.Rectified() {
-			// Ablation: leave the dataset on skewed local clocks, and do
-			// not mark it rectified — the ablation is pipeline-local.
-			p.corrections = make(map[store.BadgeID]timesync.Correction)
-			return
-		}
-		p.corrections = p.src.Dataset.RectifyOnce(func() map[store.BadgeID]timesync.Correction {
-			out := make(map[store.BadgeID]timesync.Correction)
-			for _, id := range p.src.Dataset.Badges() {
-				s := p.src.Dataset.Series(id)
-				var est timesync.Estimator
-				it := s.Iter(minTime, maxTime, record.KindSync)
-				est.ObserveCursor(&it)
-				c, err := est.Fit()
-				if err != nil {
-					// Not enough exchanges: keep local time.
-					out[id] = timesync.Identity()
-					continue
-				}
-				out[id] = c
-				s.Rectify(c.ToReference)
-				s.SetRectifier(c.ToReference)
-			}
-			return out
-		})
+		p.corrections = p.fitCorrections()
+		p.rectified.Store(true)
 	})
 	return p.corrections, nil
+}
+
+// fitCorrections fits each badge's correction from its sync records.
+func (p *Pipeline) fitCorrections() map[store.BadgeID]timesync.Correction {
+	out := make(map[store.BadgeID]timesync.Correction)
+	for _, id := range p.src.Data.Badges() {
+		v, ok := p.src.Data.View(id)
+		if !ok {
+			continue
+		}
+		var est timesync.Estimator
+		it := v.Iter(minTime, maxTime, record.KindSync)
+		est.ObserveCursor(&it)
+		c, err := est.Fit()
+		if err != nil {
+			// Not enough exchanges: keep local time.
+			c = timesync.Identity()
+		}
+		out[id] = c
+	}
+	return out
 }
 
 // minTime/maxTime span the whole timestamp domain for full Iter scans.
@@ -339,86 +325,33 @@ const (
 	maxTime = time.Duration(math.MaxInt64)
 )
 
-// rectifyViews is the read-only-source counterpart of the dataset branch in
-// RectifyClocks: instead of rewriting timestamps in place (impossible on an
-// immutable backend) it builds the per-badge read views every query runs
-// through. If the source records that it was archived after rectification
-// (store.SegmentStore reads this from the segment manifest), the persisted
-// corrections are adopted as-is and the raw views already answer in
-// reference time; otherwise each badge's correction is fitted from one
-// streaming pass over its sync records and the view is wrapped to rectify
-// lazily (rectview.go). Badges whose fit fails keep their local clocks,
-// exactly like the in-place path.
-func (p *Pipeline) rectifyViews() {
-	p.corrections = make(map[store.BadgeID]timesync.Correction)
-	p.views = make(map[store.BadgeID]store.View)
-
-	type rectInfo interface {
-		Rectified() bool
-		Corrections() map[store.BadgeID]timesync.Correction
-	}
-	var persisted map[store.BadgeID]timesync.Correction
-	adopted := false
-	if ri, ok := p.src.Data.(rectInfo); ok && ri.Rectified() {
-		adopted = true
-		persisted = ri.Corrections()
-	}
-
-	for _, id := range p.src.Data.Badges() {
-		v, ok := p.src.Data.View(id)
-		if !ok {
-			continue
-		}
-		switch {
-		case p.disableRect:
-			// Ablation: skewed local clocks, no corrections reported.
-			p.views[id] = v
-		case adopted:
-			// Timestamps were rewritten before the archive was saved; adopt
-			// the persisted correction without re-applying it.
-			c, ok := persisted[id]
-			if !ok {
-				c = timesync.Identity()
-			}
-			p.corrections[id] = c
-			p.views[id] = v
-		default:
-			var est timesync.Estimator
-			it := v.Iter(minTime, maxTime, record.KindSync)
-			est.ObserveCursor(&it)
-			c, err := est.Fit()
-			if err != nil {
-				p.corrections[id] = timesync.Identity()
-				p.views[id] = v
-				continue
-			}
-			p.corrections[id] = c
-			p.views[id] = rectifyView(v, c)
-		}
-	}
-	if p.disableRect {
-		p.corrections = make(map[store.BadgeID]timesync.Correction)
-	}
-}
-
-// view returns the badge's rectified read view from whichever backend the
-// source carries, or ok == false when the badge has no data. Rectification
-// (memoized) runs first so callers always see reference time.
+// view returns the badge's rectified read view, or ok == false when the
+// source holds no data for it. The view wraps the source's raw view with
+// the badge's frozen correction (rectview.go) and is cached; a badge that
+// first appears after the corrections were fitted reads on its local
+// clock, unless the corrections passed to WithCorrections cover it.
 func (p *Pipeline) view(id store.BadgeID) (store.View, bool) {
-	p.RectifyClocks()
-	if p.src.Dataset != nil {
-		return p.src.Dataset.View(id)
+	cors, _ := p.RectifyClocks()
+	p.viewMu.Lock()
+	defer p.viewMu.Unlock()
+	if v, ok := p.views[id]; ok {
+		return v, true
 	}
-	v, ok := p.views[id]
-	return v, ok
+	raw, ok := p.src.Data.View(id)
+	if !ok {
+		return nil, false
+	}
+	if p.views == nil {
+		p.views = make(map[store.BadgeID]store.View)
+	}
+	v := rectifyView(raw, cors[id])
+	p.views[id] = v
+	return v, true
 }
 
 // sourceBytes returns the source's framed-encoding size (the paper's
-// "150 GiB" figure) from whichever backend can answer it; 0 if none can.
+// "150 GiB" figure) if the backend can answer it; 0 otherwise.
 func (p *Pipeline) sourceBytes() int64 {
-	if p.src.Dataset != nil {
-		return p.src.Dataset.EncodedBytes()
-	}
 	if eb, ok := p.src.Data.(interface{ EncodedBytes() int64 }); ok {
 		return eb.EncodedBytes()
 	}
@@ -447,16 +380,6 @@ func (p *Pipeline) locAligned() bool {
 	return p.LocWindow > 0 && (24*time.Hour)%p.LocWindow == 0
 }
 
-// activityAligned is the same guard for the activity classifier's window.
-// The pipeline always classifies with activity.DefaultConfig (10 s, which
-// divides the day), but the guard keeps the per-day fold honest if that
-// default ever changes — activitySamples falls back to a whole-stream
-// classification just like track does for an exotic LocWindow.
-func activityAligned() bool {
-	w := activity.DefaultConfig().Window
-	return w > 0 && (24*time.Hour)%w == 0
-}
-
 // windowIter returns a streaming cursor over one fold window: the day
 // range of the badge the astronaut wore that day, optionally restricted to
 // one kind (empty without an assignment or data).
@@ -475,8 +398,8 @@ func (p *Pipeline) windowIter(name string, day int, k record.Kind) record.Cursor
 
 // crewIter chains the astronaut's per-day windows into one continuous
 // cursor over the data days — the whole-mission stream the astronaut-level
-// scans (worn ranges, whole-stream track/classify fallbacks) fold, without
-// ever materializing it.
+// scans (worn ranges, the whole-stream track fallback) fold, without ever
+// materializing it.
 func (p *Pipeline) crewIter(name string, k record.Kind) record.Cursor {
 	day := p.src.FirstDay
 	var cur record.Cursor
@@ -498,12 +421,13 @@ func (p *Pipeline) crewIter(name string, k record.Kind) record.Cursor {
 	})
 }
 
-// windowMemo reports whether per-window partials should be memoized. Only a
-// mutable Dataset invalidates windows (appends via Follow); a read-only
-// source computes each partial exactly once for the astronaut-level cache
-// folding it, so memoizing would hold every window's slice forever purely
-// as overhead — on paper-scale archives, roughly doubling resident memory.
-func (p *Pipeline) windowMemo() bool { return p.src.Dataset != nil }
+// windowMemo reports whether per-window partials should be memoized: only
+// while the pipeline is following its source (Follow), where an append
+// invalidates one window and the rest must stay warm. Otherwise each
+// partial is computed exactly once for the astronaut-level cache folding
+// it, so memoizing would hold every window's slice forever purely as
+// overhead — on paper-scale archives, roughly doubling resident memory.
+func (p *Pipeline) windowMemo() bool { return p.following.Load() }
 
 // windowTrack returns one fold window's raw localization fixes.
 func (p *Pipeline) windowTrack(name string, day int) []localization.Fix {
@@ -715,16 +639,11 @@ func (p *Pipeline) activitySamples(name string) []activity.Sample {
 	}
 	return p.activityCache.get(name, func(name string) []activity.Sample {
 		defer p.observeStage("activity", time.Now())
+		// activity.DefaultConfig's window divides the day (pinned by a
+		// test), so the per-day windows compose exactly.
 		var raw []activity.Sample
-		if activityAligned() {
-			for day := p.src.FirstDay; day <= p.src.LastDay; day++ {
-				raw = append(raw, p.windowActivity(name, day)...)
-			}
-		} else {
-			// Same midnight-spanning-window concern as track: classify the
-			// continuous stream when the window does not divide the day.
-			it := p.crewIter(name, record.KindAccel)
-			raw = activity.ClassifyCursor(&it, activity.DefaultConfig())
+		for day := p.src.FirstDay; day <= p.src.LastDay; day++ {
+			raw = append(raw, p.windowActivity(name, day)...)
 		}
 		return activity.FilterWorn(raw, p.wornRanges(name))
 	})

@@ -233,7 +233,7 @@ func TestWalkingIgnoresUnwornPeriods(t *testing.T) {
 
 	p, err := NewPipeline(Source{
 		Habitat:  habitat.Standard(),
-		Dataset:  ds,
+		Data:     ds,
 		Names:    []string{"Z"},
 		BadgeFor: func(string, int) store.BadgeID { return 7 },
 		FirstDay: 1, LastDay: 1,

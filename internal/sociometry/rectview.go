@@ -9,13 +9,13 @@ import (
 	"icares/internal/timesync"
 )
 
-// rectifiedView adapts an immutable read view onto reference time: every
-// record comes out with Local rectified by the badge's correction, and
+// rectifiedView adapts a raw-device-time read view onto reference time:
+// every record comes out with Local rectified by the badge's correction, and
 // window queries are answered by inverting the correction over the
-// underlying local-time view. Segment readers cannot Rectify in place (the
-// file is immutable), so this wrapper is the out-of-core counterpart of
-// Series.Rectify — with identical results for the monotone corrections
-// timesync estimates, proven by the parity tests.
+// underlying local-time view. It is the pipeline's only rectification
+// mechanism: stores and archives hold raw time, and every query reads
+// through this wrapper. Its answers equal mapping every record through
+// ToReference and stable-sorting the result (rectview_test.go).
 type rectifiedView struct {
 	v store.View
 	c timesync.Correction
@@ -23,12 +23,16 @@ type rectifiedView struct {
 
 var _ store.View = (*rectifiedView)(nil)
 
-// rectifyView wraps v so its records read in reference time. A degenerate
-// correction (1+Skew <= 0, under which ToReference reverses the time axis)
-// cannot be window-inverted monotonically, so that case materializes the
-// mapped records into an in-memory series — the same stable re-sort
-// Series.Rectify performs; realistic clock skews are parts per million.
+// rectifyView wraps v so its records read in reference time; an identity
+// correction returns v itself. A degenerate correction (1+Skew <= 0, under
+// which ToReference reverses or collapses the time axis) cannot be
+// window-inverted monotonically, so that case materializes a snapshot of
+// the mapped records into an in-memory series, stably re-sorted; realistic
+// clock skews are parts per million.
 func rectifyView(v store.View, c timesync.Correction) store.View {
+	if c.Offset == 0 && c.Skew == 0 {
+		return v
+	}
 	if 1+c.Skew <= 0 {
 		s := new(store.Series)
 		for _, r := range v.All() {
@@ -91,24 +95,33 @@ func (rv *rectifiedView) RangeKind(from, to time.Duration, k record.Kind) []reco
 
 // rectifyBatch is the cursor batch size: large enough to amortize the pull
 // indirection, small enough to stay cache-resident.
-const rectifyBatch = 256
+const rectifyBatch = 64
 
 func (rv *rectifiedView) Iter(from, to time.Duration, k record.Kind) record.Cursor {
 	inner := rv.v.Iter(rv.invertLower(from), rv.invertLower(to), k)
-	buf := make([]record.Record, 0, rectifyBatch)
+	var src, buf []record.Record
 	return record.PullCursor(func() []record.Record {
-		// The buffer is reused between pulls — the documented Cursor
-		// contract (records are read by value; NextBatch slices are copied
-		// before the cursor advances).
-		buf = buf[:0]
-		for len(buf) < rectifyBatch && inner.Next() {
-			r := inner.Record()
-			r.Local = rv.c.ToReference(r.Local)
-			buf = append(buf, r)
+		// src is the inner batch being mapped (zero-copy for a resident
+		// series); it stays valid until the next inner pull. The buffer
+		// grows only to the batch sizes actually seen, so short windows
+		// allocate little, and is reused between pulls — the documented
+		// Cursor contract (records are read by value; NextBatch slices are
+		// copied before the cursor advances).
+		if len(src) == 0 {
+			if src = inner.NextBatch(); src == nil {
+				return nil
+			}
 		}
-		if len(buf) == 0 {
-			return nil
+		n := min(len(src), rectifyBatch)
+		if cap(buf) < n {
+			buf = make([]record.Record, n)
 		}
+		buf = buf[:n]
+		copy(buf, src)
+		for i := range buf {
+			buf[i].Local = rv.c.ToReference(buf[i].Local)
+		}
+		src = src[n:]
 		return buf
 	})
 }

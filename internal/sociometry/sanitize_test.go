@@ -16,7 +16,7 @@ import (
 func TestReportStarvedInput(t *testing.T) {
 	src := Source{
 		Habitat:  habitat.Standard(),
-		Dataset:  store.NewDataset(),
+		Data:     store.NewDataset(),
 		Names:    []string{"A", "B", "C"},
 		BadgeFor: func(name string, day int) store.BadgeID { return 1 },
 		FirstDay: 1,

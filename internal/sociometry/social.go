@@ -11,6 +11,7 @@ import (
 	"icares/internal/simtime"
 	"icares/internal/speech"
 	"icares/internal/stats"
+	"icares/internal/store"
 )
 
 // Presence assembles the proximity input: per astronaut, the worn-time room
@@ -434,7 +435,7 @@ func (p *Pipeline) Wear() WearStats {
 			daytime += dr.Duration()
 			w := worn.Clip(dr).Total()
 			wornT += w
-			activeT += p.activeTimeIn(name, day, dr)
+			activeT += p.activeTimeIn(name, day)
 			dayWorn[day] += w.Seconds() / dr.Duration().Seconds()
 			dayCount[day]++
 		}
@@ -456,16 +457,25 @@ func (p *Pipeline) Wear() WearStats {
 }
 
 // activeTimeIn estimates recording coverage inside one day's daytime
-// window: spans between consecutive records with gaps above 5 minutes
-// treated as inactive. The window lies inside one mission day, so only
-// that day's badge view contributes — streaming its window keeps Wear
-// out-of-core.
-func (p *Pipeline) activeTimeIn(name string, day int, window record.TimeRange) time.Duration {
-	const maxGap = 5 * time.Minute
+// window. Like the other window partials it is memoized while following, so
+// a warm live report does not rescan every record.
+func (p *Pipeline) activeTimeIn(name string, day int) time.Duration {
 	id := p.src.BadgeFor(name, day)
 	if id == 0 {
 		return 0
 	}
+	if !p.windowMemo() {
+		return p.scanActiveTime(id, day)
+	}
+	return p.winActive.get(wkey{name, day}, func(wkey) time.Duration { return p.scanActiveTime(id, day) })
+}
+
+// scanActiveTime sums the spans between consecutive records in the day's
+// daytime window, with gaps above 5 minutes treated as inactive. The window
+// lies inside one mission day, so only that day's badge view contributes —
+// streaming its window keeps Wear out-of-core.
+func (p *Pipeline) scanActiveTime(id store.BadgeID, day int) time.Duration {
+	const maxGap = 5 * time.Minute
 	v, ok := p.view(id)
 	if !ok {
 		return 0
@@ -473,6 +483,7 @@ func (p *Pipeline) activeTimeIn(name string, day int, window record.TimeRange) t
 	var total time.Duration
 	var last time.Duration
 	started := false
+	window := daytimeRange(day)
 	it := v.Iter(window.From, window.To, 0)
 	for it.Next() {
 		r := it.Record()

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -12,7 +13,6 @@ import (
 
 	"icares/internal/record"
 	"icares/internal/segment"
-	"icares/internal/timesync"
 )
 
 // View is the read contract a sociometric query runs against: the
@@ -66,26 +66,21 @@ func segFileName(id BadgeID) string {
 // facts an immutable archive cannot reconstruct from the segments alone.
 const manifestName = "manifest.json"
 
-// manifest is the JSON sidecar written next to the segments. Rectified and
-// the corrections matter most: segment readers cannot Rectify in place, so
-// a reopened archive needs to know whether timestamps were already
-// rewritten to reference time — and with which corrections — to avoid
-// fitting (and applying) them a second time. FramedBytes preserves the
-// dataset's framed-log size for the paper's bytes-per-crew accounting.
+// manifest is the JSON sidecar written next to the segments. FramedBytes
+// preserves the dataset's framed-log size for the paper's bytes-per-crew
+// accounting; it is a cache, recomputable from the segments. Segments hold
+// raw device time, so clock corrections are never persisted: a reopened
+// archive re-fits them from its sync records.
 type manifest struct {
-	Rectified   bool                 `json:"rectified"`
-	FramedBytes int64                `json:"framed_bytes"`
-	Corrections []manifestCorrection `json:"corrections,omitempty"`
+	FramedBytes int64 `json:"framed_bytes"`
 }
 
-// manifestCorrection is one badge's clock correction in the manifest.
-type manifestCorrection struct {
-	Badge      BadgeID `json:"badge"`
-	OffsetNS   int64   `json:"offset_ns"`
-	Skew       float64 `json:"skew"`
-	ResidualNS int64   `json:"residual_ns"`
-	N          int     `json:"n"`
-}
+// ErrRectifiedArchive is returned by OpenSegments for an archive whose
+// manifest says its timestamps were rewritten to reference time before
+// saving — the layout of older builds. Re-fitting clock corrections on
+// reference-time stamps would silently change every result, so such an
+// archive is refused rather than read.
+var ErrRectifiedArchive = errors.New("store: archive holds rectified timestamps (saved by an older build); re-archive from raw data")
 
 // SaveSegments writes the dataset as one compressed, immutable segment
 // file per badge into dir — the persistent form of the sorted-run layout,
@@ -137,19 +132,7 @@ func (d *Dataset) saveSegments(dir string, blockSize int) error {
 		}
 	}
 
-	man := manifest{Rectified: d.Rectified(), FramedBytes: d.EncodedBytes()}
-	for id, c := range d.Corrections() {
-		man.Corrections = append(man.Corrections, manifestCorrection{
-			Badge:      id,
-			OffsetNS:   int64(c.Offset),
-			Skew:       c.Skew,
-			ResidualNS: int64(c.Residual),
-			N:          c.N,
-		})
-	}
-	sort.Slice(man.Corrections, func(i, j int) bool {
-		return man.Corrections[i].Badge < man.Corrections[j].Badge
-	})
+	man := manifest{FramedBytes: d.EncodedBytes()}
 	err := atomicWrite(dir, manifestName, func(f *os.File) error {
 		return json.NewEncoder(f).Encode(man)
 	})
@@ -186,11 +169,9 @@ type SegmentStore struct {
 	dir     string
 	readers map[BadgeID]*segment.Reader
 
-	// Manifest facts (absent or unreadable manifest leaves the zero values:
-	// unrectified, no corrections, framed size unknown).
-	rectified   bool
+	// framedBytes is the manifest's framed size; 0 (manifest absent or
+	// unreadable) means recompute on demand.
 	framedBytes int64
-	corrections map[BadgeID]timesync.Correction
 
 	// Fallback framed-size accounting when the manifest is missing: one
 	// streaming scan over every surviving record, memoized.
@@ -201,8 +182,11 @@ type SegmentStore struct {
 // OpenSegments opens every badge segment in dir for out-of-core reads,
 // with the same salvage semantics and report shape as LoadWithReport: a
 // segment with a damaged index or damaged blocks contributes what is
-// readable and is marked in the report; only an unreadable directory — or
-// one with no usable segment data at all — fails the open.
+// readable and is marked in the report, and so does a manifest that is
+// present but unparseable (under Failed["manifest.json"]; the framed size is
+// then recomputed, so no result moves). Only an unreadable directory, one
+// with no usable segment data at all, or a manifest marking the archive
+// rectified (ErrRectifiedArchive) fails the open.
 func OpenSegments(dir string) (*SegmentStore, *LoadReport, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -267,25 +251,23 @@ func OpenSegments(dir string) (*SegmentStore, *LoadReport, error) {
 	if len(rep.Badges) == 0 {
 		return nil, rep, ErrNoData
 	}
-	// Parse the manifest tolerantly: an archive without one (older layout,
-	// or the sidecar was lost) still opens, just unrectified and with the
-	// framed size recomputed on demand.
+	// An archive without a manifest (older layout, or the sidecar was lost)
+	// still opens, with the framed size recomputed on demand.
 	if data, err := os.ReadFile(filepath.Join(dir, manifestName)); err == nil {
-		var man manifest
-		if json.Unmarshal(data, &man) == nil {
-			ss.rectified = man.Rectified
+		// Rectified is only ever read: older builds set it when they had
+		// rewritten the timestamps before saving.
+		var man struct {
+			manifest
+			Rectified bool `json:"rectified"`
+		}
+		switch err := json.Unmarshal(data, &man); {
+		case err != nil:
+			rep.Failed[manifestName] = fmt.Errorf("store: manifest: %w", err)
+		case man.Rectified:
+			ss.Close()
+			return nil, rep, fmt.Errorf("open segments %s: %w", dir, ErrRectifiedArchive)
+		default:
 			ss.framedBytes = man.FramedBytes
-			if len(man.Corrections) > 0 {
-				ss.corrections = make(map[BadgeID]timesync.Correction, len(man.Corrections))
-				for _, mc := range man.Corrections {
-					ss.corrections[mc.Badge] = timesync.Correction{
-						Offset:   time.Duration(mc.OffsetNS),
-						Skew:     mc.Skew,
-						Residual: time.Duration(mc.ResidualNS),
-						N:        mc.N,
-					}
-				}
-			}
 		}
 	}
 	return ss, rep, nil
@@ -326,23 +308,6 @@ func (ss *SegmentStore) View(id BadgeID) (View, bool) {
 		return nil, false
 	}
 	return rd, true
-}
-
-// Rectified reports whether the archived timestamps were already rewritten
-// to reference time before SaveSegments (recorded in the manifest).
-func (ss *SegmentStore) Rectified() bool { return ss.rectified }
-
-// Corrections returns the per-badge clock corrections recorded at save
-// time, nil when the manifest carried none.
-func (ss *SegmentStore) Corrections() map[BadgeID]timesync.Correction {
-	if ss.corrections == nil {
-		return nil
-	}
-	out := make(map[BadgeID]timesync.Correction, len(ss.corrections))
-	for id, c := range ss.corrections {
-		out[id] = c
-	}
-	return out
 }
 
 // EncodedBytes returns the dataset's framed-log size — the figure

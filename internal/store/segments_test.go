@@ -35,7 +35,6 @@ func fillDataset(t *testing.T, badges, seconds int) *Dataset {
 					PeerID: uint16(b%badges + 1), RSSI: -50})
 			}
 		}
-		s.Rectify(func(d time.Duration) time.Duration { return d })
 	}
 	return d
 }

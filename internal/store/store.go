@@ -11,11 +11,15 @@
 // with a bounded worker pool, salvaging partially written logs (see
 // LoadWithReport) instead of failing the whole dataset.
 //
+// Every series, .icr log and .seg archive holds raw device time — what the
+// badges wrote to their SD cards. Clock corrections are a value the analysis
+// pipeline owns and applies through a read view; the store never rewrites a
+// timestamp, so nothing here can be rectified twice.
+//
 // The store also serves the live path: every series carries a monotone
-// append sequence number (Series.Seq), datasets expose those as high-water
-// marks (Watermark) and publish append notifications (Subscribe), and a
-// series can rectify late-arriving records on ingest (SetRectifier) — the
-// hooks incremental consumers use to fold in only what is new.
+// append sequence number (Series.Seq), and datasets expose those as
+// high-water marks (Watermark) and publish append notifications (Subscribe)
+// — the hooks incremental consumers use to fold in only what is new.
 package store
 
 import (
@@ -26,7 +30,6 @@ import (
 	"sync/atomic"
 
 	"icares/internal/record"
-	"icares/internal/timesync"
 )
 
 // BadgeID identifies a badge (and, via assignment, usually an astronaut).
@@ -37,13 +40,6 @@ type BadgeID uint16
 type Dataset struct {
 	mu     sync.RWMutex
 	series map[BadgeID]*Series
-
-	// Rectification is a dataset-level, compute-once property: timestamps
-	// are rewritten in place, so applying clock corrections twice would
-	// skew every record. RectifyOnce below guards the transition.
-	rectMu      sync.Mutex
-	rectified   bool
-	corrections map[BadgeID]timesync.Correction
 
 	// Append subscriptions (Subscribe). subCount mirrors len(subs) so the
 	// per-append publish path costs one atomic load when nobody listens.
@@ -88,21 +84,6 @@ func (d *Dataset) View(id BadgeID) (View, bool) {
 		return nil, false
 	}
 	return s, true
-}
-
-// Corrections returns the per-badge clock corrections recorded by
-// RectifyOnce, nil before rectification.
-func (d *Dataset) Corrections() map[BadgeID]timesync.Correction {
-	d.rectMu.Lock()
-	defer d.rectMu.Unlock()
-	if d.corrections == nil {
-		return nil
-	}
-	out := make(map[BadgeID]timesync.Correction, len(d.corrections))
-	for id, c := range d.corrections {
-		out[id] = c
-	}
-	return out
 }
 
 // Subscribe registers fn to be called for every record appended to any of
@@ -196,32 +177,6 @@ func (d *Dataset) EncodedBytes() int64 {
 		n += s.EncodedBytes()
 	}
 	return n
-}
-
-// RectifyOnce runs the dataset-wide clock rectification exactly once.
-// The first caller's rectify function is invoked (it should estimate the
-// per-badge corrections and rewrite each series via Series.Rectify) and its
-// corrections are recorded; every later caller — including pipelines built
-// over the same dataset under a different assignment view — gets the
-// recorded corrections back without touching the timestamps again.
-// Concurrent callers block until the first rectification completes.
-func (d *Dataset) RectifyOnce(rectify func() map[BadgeID]timesync.Correction) map[BadgeID]timesync.Correction {
-	d.rectMu.Lock()
-	defer d.rectMu.Unlock()
-	if d.rectified {
-		return d.corrections
-	}
-	d.corrections = rectify()
-	d.rectified = true
-	return d.corrections
-}
-
-// Rectified reports whether the dataset's timestamps have already been
-// rewritten to reference time by RectifyOnce.
-func (d *Dataset) Rectified() bool {
-	d.rectMu.Lock()
-	defer d.rectMu.Unlock()
-	return d.rectified
 }
 
 // ErrNoData is returned when loading an empty or missing dataset.

@@ -4,14 +4,12 @@ import (
 	"errors"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"icares/internal/record"
 	"icares/internal/stats"
-	"icares/internal/timesync"
 )
 
 func mkRec(at time.Duration, k record.Kind) record.Record {
@@ -107,17 +105,6 @@ func TestSeriesFirstLast(t *testing.T) {
 	last, _ := s.Last()
 	if first.Local != 2*time.Second || last.Local != 5*time.Second {
 		t.Errorf("first/last = %v/%v", first.Local, last.Local)
-	}
-}
-
-func TestSeriesRectify(t *testing.T) {
-	var s Series
-	s.Append(mkRec(10*time.Second, record.KindAccel))
-	s.Append(mkRec(20*time.Second, record.KindAccel))
-	s.Rectify(func(d time.Duration) time.Duration { return d - 5*time.Second })
-	all := s.All()
-	if all[0].Local != 5*time.Second || all[1].Local != 15*time.Second {
-		t.Errorf("rectified = %v, %v", all[0].Local, all[1].Local)
 	}
 }
 
@@ -303,50 +290,5 @@ func TestDatasetConcurrentSeriesCreation(t *testing.T) {
 	}
 	if got := len(d.Badges()); got != badges {
 		t.Errorf("badges = %d, want %d", got, badges)
-	}
-}
-
-func TestDatasetRectifyOnce(t *testing.T) {
-	d := NewDataset()
-	s := d.Series(1)
-	s.Append(mkRec(10*time.Second, record.KindAccel))
-	if d.Rectified() {
-		t.Fatal("fresh dataset already rectified")
-	}
-
-	var calls atomic.Int64
-	rectify := func() map[BadgeID]timesync.Correction {
-		calls.Add(1)
-		s.Rectify(func(ts time.Duration) time.Duration { return ts + time.Second })
-		return map[BadgeID]timesync.Correction{1: {Offset: time.Second}}
-	}
-
-	// Concurrent first rectification: exactly one caller runs it, everyone
-	// gets the same corrections back.
-	const goroutines = 8
-	results := make([]map[BadgeID]timesync.Correction, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			results[g] = d.RectifyOnce(rectify)
-		}(g)
-	}
-	wg.Wait()
-
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("rectify ran %d times", n)
-	}
-	for g := 0; g < goroutines; g++ {
-		if results[g][1].Offset != time.Second {
-			t.Errorf("goroutine %d corrections = %v", g, results[g])
-		}
-	}
-	if !d.Rectified() {
-		t.Error("dataset not marked rectified")
-	}
-	if got, _ := s.First(); got.Local != 11*time.Second {
-		t.Errorf("timestamp = %v, want 11s (rectified exactly once)", got.Local)
 	}
 }

@@ -65,44 +65,3 @@ func TestDatasetSubscribeDeliversAppends(t *testing.T) {
 		t.Fatalf("append after cancel still delivered: %v", got)
 	}
 }
-
-// TestSetRectifierMatchesBatchRectify pins the incremental-rectification
-// contract: rectifying a prefix in place and then appending the suffix
-// through an installed rectifier must yield the same series as appending
-// everything raw and rectifying once at the end.
-func TestSetRectifierMatchesBatchRectify(t *testing.T) {
-	fix := func(local time.Duration) time.Duration {
-		return time.Duration(float64(local-2*time.Second) / (1 + 20e-6))
-	}
-	var raw []record.Record
-	for i := 0; i < 1000; i++ {
-		raw = append(raw, record.Record{
-			Local: time.Duration(i)*7*time.Second + 2*time.Second,
-			Kind:  record.KindAccel,
-			AX:    int16(i),
-		})
-	}
-
-	batch := &Series{}
-	for _, r := range raw {
-		batch.Append(r)
-	}
-	batch.Rectify(fix)
-
-	incr := &Series{}
-	for _, r := range raw[:600] {
-		incr.Append(r)
-	}
-	incr.Rectify(fix)
-	incr.SetRectifier(fix)
-	for _, r := range raw[600:] {
-		incr.Append(r)
-	}
-
-	if !reflect.DeepEqual(batch.All(), incr.All()) {
-		t.Fatal("incremental rectify-on-append diverged from batch rectify")
-	}
-	if incr.Seq() != uint64(len(raw)) {
-		t.Fatalf("seq = %d, want %d", incr.Seq(), len(raw))
-	}
-}

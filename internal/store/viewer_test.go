@@ -1,13 +1,14 @@
 package store
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"icares/internal/record"
-	"icares/internal/timesync"
 )
 
 // viewerDataset builds a small two-badge dataset for the Viewer and
@@ -78,70 +79,97 @@ func TestDatasetViewDoesNotCreate(t *testing.T) {
 	}
 }
 
-// TestManifestRoundTrip pins the save-time sidecar: rectification state and
-// corrections survive the archive round trip, and a missing or corrupt
-// manifest degrades to the unrectified zero values with the framed size
-// recomputed from the segments.
+// TestManifestRoundTrip pins the save-time sidecar: it carries only the
+// framed size (segments hold raw device time, so there are no corrections
+// to persist); a missing manifest recomputes the size from the segments; a
+// present but unparseable one is reported in the LoadReport, with the size
+// still recomputed; and a manifest an older build marked rectified refuses
+// to open.
 func TestManifestRoundTrip(t *testing.T) {
 	d := viewerDataset()
-	want := map[BadgeID]timesync.Correction{
-		1: {Offset: 5 * time.Millisecond, Skew: 2e-5, Residual: 40 * time.Microsecond, N: 6},
-		2: {Offset: -3 * time.Millisecond, Skew: -1e-5, Residual: 55 * time.Microsecond, N: 4},
-	}
-	d.RectifyOnce(func() map[BadgeID]timesync.Correction { return want })
 	dir := t.TempDir()
 	if err := d.SaveSegments(dir); err != nil {
 		t.Fatal(err)
 	}
-
-	ss, _, err := OpenSegments(dir)
+	manPath := filepath.Join(dir, manifestName)
+	data, err := os.ReadFile(manPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ss.Rectified() {
-		t.Error("Rectified() = false after rectified save")
-	}
-	got := ss.Corrections()
-	if len(got) != len(want) {
-		t.Fatalf("Corrections() has %d entries, want %d", len(got), len(want))
-	}
-	for id, c := range want {
-		if got[id] != c {
-			t.Errorf("correction badge %d = %+v, want %+v", id, got[id], c)
+	for _, key := range []string{`"rectified"`, `"corrections"`} {
+		if strings.Contains(string(data), key) {
+			t.Errorf("manifest %s still writes %s", data, key)
 		}
+	}
+
+	ss, rep, err := OpenSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() {
+		t.Errorf("fresh archive: dirty load report %+v", rep)
 	}
 	if ss.EncodedBytes() != d.EncodedBytes() {
 		t.Errorf("EncodedBytes() = %d, want framed size %d", ss.EncodedBytes(), d.EncodedBytes())
 	}
 	ss.Close()
 
-	// Lost sidecar: still opens, unrectified, framed size recomputed by
-	// streaming the surviving records — which equals the framed accounting.
-	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
+	// Lost sidecar: still opens cleanly, framed size recomputed by streaming
+	// the surviving records — which equals the framed accounting.
+	if err := os.Remove(manPath); err != nil {
 		t.Fatal(err)
 	}
-	ss2, _, err := OpenSegments(dir)
+	ss2, rep2, err := OpenSegments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ss2.Rectified() || ss2.Corrections() != nil {
-		t.Errorf("manifestless archive: rectified=%v corrections=%v, want zero values", ss2.Rectified(), ss2.Corrections())
+	if !rep2.Clean() {
+		t.Errorf("manifestless archive: dirty load report %+v", rep2)
 	}
 	if ss2.EncodedBytes() != d.EncodedBytes() {
 		t.Errorf("manifestless EncodedBytes() = %d, want %d", ss2.EncodedBytes(), d.EncodedBytes())
 	}
 	ss2.Close()
 
-	// Corrupt sidecar: parsed tolerantly, same fallback.
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("{truncated"), 0o644); err != nil {
+	// Corrupt sidecar: the archive opens, the damage is reported, and the
+	// recomputed framed size keeps results where they were.
+	if err := os.WriteFile(manPath, []byte("{truncated"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ss3, _, err := OpenSegments(dir)
+	ss3, rep3, err := OpenSegments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ss3.Close()
-	if ss3.Rectified() || ss3.Corrections() != nil {
-		t.Errorf("corrupt manifest: rectified=%v corrections=%v, want zero values", ss3.Rectified(), ss3.Corrections())
+	if rep3.Clean() || rep3.Failed[manifestName] == nil {
+		t.Errorf("corrupt manifest not reported: %+v", rep3)
+	}
+	if ss3.EncodedBytes() != d.EncodedBytes() {
+		t.Errorf("corrupt-manifest EncodedBytes() = %d, want %d", ss3.EncodedBytes(), d.EncodedBytes())
+	}
+	ss3.Close()
+
+	// Legacy manifests: an unrectified one still opens and is honoured; a
+	// rectified one holds reference-time stamps and is refused.
+	legacy := `{"rectified":false,"framed_bytes":12345}`
+	if err := os.WriteFile(manPath, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ss4, rep4, err := OpenSegments(dir)
+	if err != nil {
+		t.Fatalf("legacy unrectified manifest: %v", err)
+	}
+	if !rep4.Clean() || ss4.EncodedBytes() != 12345 {
+		t.Errorf("legacy unrectified manifest: clean=%v EncodedBytes()=%d, want true, 12345", rep4.Clean(), ss4.EncodedBytes())
+	}
+	ss4.Close()
+	legacy = `{"rectified":true,"framed_bytes":12345,"corrections":[{"badge":1,"offset_ns":5000000,"skew":2e-05,"residual_ns":40000,"n":6}]}`
+	if err := os.WriteFile(manPath, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ss5, _, err := OpenSegments(dir); !errors.Is(err, ErrRectifiedArchive) {
+		if ss5 != nil {
+			ss5.Close()
+		}
+		t.Fatalf("legacy rectified manifest: err = %v, want ErrRectifiedArchive", err)
 	}
 }

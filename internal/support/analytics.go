@@ -24,13 +24,12 @@ type Analytics struct {
 }
 
 // NewAnalytics builds a live analytics instance for the given source. The
-// source's record source (Dataset or Data) is ignored: analytics own a
-// fresh dataset that fills through Ingest, so the mission's offline store
-// is never mutated by the online path. Options are passed to the pipeline.
+// source's Data is ignored: analytics own a fresh dataset that fills
+// through Ingest, so the mission's offline store is never mutated by the
+// online path. Options are passed to the pipeline.
 func NewAnalytics(src sociometry.Source, opts ...sociometry.Option) (*Analytics, error) {
 	live := store.NewDataset()
-	src.Dataset = live
-	src.Data = nil
+	src.Data = live
 	p, err := sociometry.NewPipeline(src, opts...)
 	if err != nil {
 		return nil, err

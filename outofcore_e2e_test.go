@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -20,18 +21,19 @@ import (
 )
 
 // TestArchiveReportMatchesResident is the acceptance path for out-of-core
-// analytics: a full simulated mission, rectified, archived as segments, and
+// analytics: a full simulated mission, analysed, archived as segments, and
 // reopened must produce a Table I report byte-identical to the resident
-// pipeline's — through the facade a ground analyst would actually use.
+// pipeline's — through the facade a ground analyst would actually use. The
+// resident pipeline rectifies before the save, and the archive must still
+// hold raw device time: the reopened pipeline re-fits the same corrections.
 func TestArchiveReportMatchesResident(t *testing.T) {
 	m := facadeMission(t)
 	pMem, err := m.Pipeline(TrueAssignment)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rectify before saving so the archive carries reference-time segments
-	// plus the manifest corrections — the realistic pull order.
-	if _, err := pMem.RectifyClocks(); err != nil {
+	cors, err := pMem.RectifyClocks()
+	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
@@ -47,12 +49,21 @@ func TestArchiveReportMatchesResident(t *testing.T) {
 	if !rep.Clean() {
 		t.Fatalf("dirty load report: %+v", rep)
 	}
-	if !ss.Rectified() {
-		t.Fatal("archive of a rectified dataset not marked rectified")
+	for _, id := range ss.Badges() {
+		seg, _ := ss.View(id)
+		mem, _ := m.Result().Dataset.View(id)
+		sf, _ := seg.First()
+		mf, _ := mem.First()
+		if sf != mf {
+			t.Fatalf("badge %d: archive starts at %v, want the raw %v", id, sf.Local, mf.Local)
+		}
 	}
 	pSeg, err := m.PipelineOver(ss, TrueAssignment)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if segCors, _ := pSeg.RectifyClocks(); !reflect.DeepEqual(segCors, cors) {
+		t.Errorf("archive corrections %v, want the resident fit %v", segCors, cors)
 	}
 
 	memRep, segRep := pMem.Report(), pSeg.Report()
@@ -169,7 +180,7 @@ func writeSoakArchive(tb testing.TB, dir string) {
 	// A real archiver writes the manifest sidecar; without it, the first
 	// EncodedBytes() call decodes the whole archive just to size it, which
 	// would swamp the soak's memory measurement with fixture artifacts.
-	man := fmt.Sprintf("{\"rectified\":false,\"framed_bytes\":%d}\n", framed)
+	man := fmt.Sprintf("{\"framed_bytes\":%d}\n", framed)
 	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(man), 0o644); err != nil {
 		tb.Fatal(err)
 	}
