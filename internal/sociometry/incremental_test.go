@@ -27,7 +27,7 @@ func rectifiedFixtureRecords(t *testing.T) map[store.BadgeID][]record.Record {
 	p := fixturePipeline(t)
 	out := make(map[store.BadgeID][]record.Record)
 	for _, id := range missionFixture(t).Dataset.Badges() {
-		v, ok := p.view(id)
+		v, ok := p.View(id)
 		if !ok {
 			t.Fatalf("badge %d has no view", id)
 		}
@@ -358,7 +358,7 @@ func TestWithoutRectificationBothPaths(t *testing.T) {
 	raw := append([]record.Record(nil), ds.Series(1).All()...)
 	viewOf := func(p *Pipeline) []record.Record {
 		t.Helper()
-		v, ok := p.view(1)
+		v, ok := p.View(1)
 		if !ok {
 			t.Fatal("badge 1 has no view")
 		}

@@ -325,12 +325,13 @@ const (
 	maxTime = time.Duration(math.MaxInt64)
 )
 
-// view returns the badge's rectified read view, or ok == false when the
+// View returns the badge's rectified read view, or ok == false when the
 // source holds no data for it. The view wraps the source's raw view with
 // the badge's frozen correction (rectview.go) and is cached; a badge that
 // first appears after the corrections were fitted reads on its local
-// clock, unless the corrections passed to WithCorrections cover it.
-func (p *Pipeline) view(id store.BadgeID) (store.View, bool) {
+// clock, unless the corrections passed to WithCorrections cover it. The
+// view is live: records later appended to the source read through it.
+func (p *Pipeline) View(id store.BadgeID) (store.View, bool) {
 	cors, _ := p.RectifyClocks()
 	p.viewMu.Lock()
 	defer p.viewMu.Unlock()
@@ -388,7 +389,7 @@ func (p *Pipeline) windowIter(name string, day int, k record.Kind) record.Cursor
 	if id == 0 {
 		return record.NewCursor(nil)
 	}
-	v, ok := p.view(id)
+	v, ok := p.View(id)
 	if !ok {
 		return record.NewCursor(nil)
 	}

@@ -476,7 +476,7 @@ func (p *Pipeline) activeTimeIn(name string, day int) time.Duration {
 // streaming its window keeps Wear out-of-core.
 func (p *Pipeline) scanActiveTime(id store.BadgeID, day int) time.Duration {
 	const maxGap = 5 * time.Minute
-	v, ok := p.view(id)
+	v, ok := p.View(id)
 	if !ok {
 		return 0
 	}
