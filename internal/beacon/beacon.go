@@ -41,6 +41,7 @@ type Fleet struct {
 	hab     *habitat.Habitat
 	ch      *radio.Channel
 	sites   []habitat.BeaconSite
+	doors   []habitat.Door
 	byRoom  map[habitat.RoomID][]habitat.BeaconSite
 	txPower float64
 }
@@ -57,6 +58,7 @@ func NewFleet(hab *habitat.Habitat, ch *radio.Channel) (*Fleet, error) {
 		hab:     hab,
 		ch:      ch,
 		sites:   hab.Beacons(),
+		doors:   hab.Doors(),
 		byRoom:  make(map[habitat.RoomID][]habitat.BeaconSite),
 		txPower: DefaultTxPowerDBm,
 	}
@@ -91,7 +93,7 @@ func (f *Fleet) Scan(pos geometry.Point) []Obs {
 
 	// Near a doorway, the adjacent room's beacons can bleed through.
 	var extra []habitat.BeaconSite
-	for _, d := range f.hab.Doors() {
+	for _, d := range f.doors {
 		if d.A != room && d.B != room {
 			continue
 		}

@@ -125,6 +125,10 @@ type Habitat struct {
 	doors   []Door
 	beacons []BeaconSite
 	bounds  geometry.Rect
+
+	// wallBoxes[i] is walls[i]'s bounding box padded by wallBoxPad, the
+	// exact prefilter WallLossDB tests before Segment.Intersects.
+	wallBoxes []geometry.Rect
 }
 
 // ErrUnknownRoom is returned for lookups of rooms not in the habitat.
@@ -237,11 +241,20 @@ func (h *Habitat) Path(from, to RoomID) ([]geometry.Point, error) {
 // WallLossDB returns the total wall attenuation along the straight line from
 // p to q, summing the material loss of every crossed wall segment. Doorway
 // gaps contribute nothing, so line-of-sight through an open door is free.
+//
+// A wall whose padded box misses the ray's box is skipped without calling
+// Segment.Intersects; the skip never changes an answer (see wallBoxPad), and
+// the walls left are summed in wall order, so the loss is bit-identical to
+// testing every wall.
 func (h *Habitat) WallLossDB(p, q geometry.Point) float64 {
 	ray := geometry.Segment{A: p, B: q}
+	box := geometry.NewRect(p, q)
 	var loss float64
-	for _, w := range h.walls {
-		if ray.Intersects(w.Seg) {
+	for i, b := range h.wallBoxes {
+		if b.Min.X > box.Max.X || b.Max.X < box.Min.X || b.Min.Y > box.Max.Y || b.Max.Y < box.Min.Y {
+			continue
+		}
+		if w := h.walls[i]; ray.Intersects(w.Seg) {
 			loss += w.Material.AttenuationDB()
 		}
 	}

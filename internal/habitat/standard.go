@@ -73,8 +73,25 @@ func Standard() *Habitat {
 	return h
 }
 
+// wallBoxPad pads each wall's bounding box for the WallLossDB prefilter. The
+// prefilter is exact: whenever a ray's box misses a padded wall box,
+// Segment.Intersects (tolerance 1e-12) would have rejected the wall too.
+//
+//   - Touches: Intersects accepts an endpoint touch only inside a box padded
+//     by its tolerance. Float64 rounding is monotone, so the box padded by
+//     1e-9 contains that box at every magnitude.
+//   - Crossings: walls are axis-aligned, so Intersects' test of the ray's
+//     endpoints against the wall's line is the sign of one exact difference,
+//     and a crossing needs the ray's box to span that line. Past the wall's
+//     end by more than the pad, each wall endpoint's orientation against the
+//     ray is at least 1e-9·Δ (Δ: the ray's extent across the wall), while
+//     its rounding error stays below 1e-12·Δ for coordinates within a
+//     kilometre, so both wall endpoints land on one side of the ray.
+const wallBoxPad = 1e-9
+
 // buildWalls creates metal wall segments for every room boundary, leaving
-// DoorWidth gaps at each door.
+// DoorWidth gaps at each door, and the padded wall boxes WallLossDB
+// prefilters with. Every wall is part of a room edge, so axis-aligned.
 func (h *Habitat) buildWalls() {
 	for _, r := range h.rooms {
 		for _, e := range r.Bounds.Edges() {
@@ -90,6 +107,7 @@ func (h *Habitat) buildWalls() {
 			}
 			for _, seg := range splitAroundGaps(e, gaps, DoorWidth) {
 				h.walls = append(h.walls, Wall{Seg: seg, Material: Metal})
+				h.wallBoxes = append(h.wallBoxes, geometry.NewRect(seg.A, seg.B).Inset(-wallBoxPad))
 			}
 		}
 	}

@@ -220,6 +220,7 @@ func Run(cfg Config) (*Result, error) {
 	sim := &simRun{
 		cfg: cfg, hab: hab, fleet: fleet, net: net, engine: engine,
 		badges: badges, badgeOrder: badgeOrder, ref: ref, station: station, res: res,
+		energy:       energyOf(roster),
 		wearDecision: make(map[string]bool),
 		lastWornPos:  make(map[store.BadgeID]geometry.Point),
 		lastTruth:    -cfg.TruthEvery,
@@ -269,6 +270,10 @@ type simRun struct {
 	ref        *badge.Badge
 	station    geometry.Point
 	res        *Result
+	// energy is each roster member's gesture-energy trait (see energyOf);
+	// the engine reports state only for roster members, so every wearer
+	// has an entry.
+	energy map[string]float64
 
 	wearDecision map[string]bool
 	lastSlot     int
@@ -377,7 +382,7 @@ func (s *simRun) daytimeTick(now time.Duration) {
 			in = badge.Input{
 				Pos: st.Pos, Worn: true, Heading: st.Heading,
 				WearerWalking: st.Walking,
-				WearerEnergy:  energyOf(name),
+				WearerEnergy:  s.energy[name],
 				SpeechLoudDB:  loud, SpeechF0: f0, SpeechOK: okA,
 				TempC:    roomTempC(st.Room),
 				PressHPa: 1004, LightLux: 300,
@@ -460,14 +465,14 @@ func socialActivity(k crew.ActivityKind) bool {
 	}
 }
 
-// energyOf returns the gesture-energy trait for accel synthesis.
-func energyOf(name string) float64 {
-	for _, r := range DefaultRoster() {
-		if r.Name == name {
-			return r.Traits.Energy
-		}
+// energyOf maps each roster member to the gesture-energy trait for accel
+// synthesis.
+func energyOf(roster []crew.Roster) map[string]float64 {
+	out := make(map[string]float64, len(roster))
+	for _, r := range roster {
+		out[r.Name] = r.Traits.Energy
 	}
-	return 0.5
+	return out
 }
 
 // scriptedEvents lists the scenario's notable events for reports.

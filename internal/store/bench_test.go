@@ -139,6 +139,32 @@ func BenchmarkSeriesAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkSeriesAppendInterleaved appends in the badge pattern instead:
+// accel in order, plus every 15 s a mic frame stamped 15 s back (frames are
+// stamped at their start), so almost every append goes through the tail.
+// One op is one second of badge output; a fresh series starts every 36000
+// ops, about one mission data day of one badge (~38k records), so the
+// per-op cost does not grow with b.N.
+func BenchmarkSeriesAppendInterleaved(b *testing.B) {
+	const day = 36000
+	var s *Series
+	accel := record.Record{Kind: record.KindAccel, AZ: 1000}
+	mic := record.Record{Kind: record.KindMic, LoudnessDB: 55}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		if i%day == 1 {
+			s = &Series{}
+		}
+		accel.Local = time.Duration(i) * time.Second
+		s.Append(accel)
+		if i%15 == 0 {
+			mic.Local = accel.Local - 15*time.Second
+			s.Append(mic)
+		}
+	}
+}
+
 func BenchmarkSeedAppend(b *testing.B) {
 	s := &seedSeries{}
 	rec := record.Record{Kind: record.KindAccel, AZ: 1000}

@@ -21,11 +21,12 @@ const (
 )
 
 // Series is the time-ordered record log of one badge, laid out as sorted
-// runs: in-order appends (the overwhelmingly common case — a badge writes
-// its SD card in time order) extend the newest run directly; out-of-order
-// appends accumulate in a small unsorted tail that is sealed into a sorted
-// run of its own, and reads merge the runs — never a full re-sort of the
-// whole series. Per-kind sub-series are indexed lazily so Kind/RangeKind
+// runs: in-order appends extend the newest run directly; an out-of-order
+// append opens a small unsorted tail that takes every append after it
+// until it is sealed into a sorted run of its own, and reads merge the
+// runs — never a full re-sort of the whole series. A badge's mic frames are
+// stamped at the start of their window, so on a badge almost every append
+// goes through a tail (see fullTail for how tails are sized). Per-kind sub-series are indexed lazily so Kind/RangeKind
 // answer from a cached, time-ordered view instead of scanning every record.
 //
 // Concurrency: any number of readers (All, Range, Kind, RangeKind, First,
@@ -53,6 +54,13 @@ type Series struct {
 	runs       [][]record.Record
 	tail       []record.Record
 	tailSorted bool
+	// fullTail records that the last seal was of a tail that reached
+	// maxTail. A tail that filled once fills again, so the next one is
+	// allocated at maxTail capacity in one go and takes in-order appends
+	// too; after an early seal forced by a read, the next tail starts small
+	// and append grows it geometrically, so a reader interleaved with live
+	// ingest does not pay for a full tail per read.
+	fullTail bool
 
 	// kinds caches per-kind, time-ordered sub-views of the merged series,
 	// built lazily per requested kind and dropped on any write.
@@ -94,13 +102,16 @@ func (s *Series) appendLocked(r record.Record) {
 	}
 	s.kinds = nil
 	if len(s.tail) == 0 {
-		if n := len(s.runs); n > 0 {
-			if last := s.runs[n-1]; r.Local >= last[len(last)-1].Local {
-				s.runs[n-1] = append(last, r)
-				return
-			}
-		} else {
+		switch n := len(s.runs); {
+		case s.fullTail:
+			// In-order appends stay in the tail too: extending the sealed
+			// run, whose capacity the tail filled, would copy all of it.
+			s.tail = make([]record.Record, 0, maxTail)
+		case n == 0:
 			s.runs = append(s.runs, []record.Record{r})
+			return
+		case r.Local >= s.runs[n-1][len(s.runs[n-1])-1].Local:
+			s.runs[n-1] = append(s.runs[n-1], r)
 			return
 		}
 		s.tailSorted = true
@@ -110,6 +121,7 @@ func (s *Series) appendLocked(r record.Record) {
 	s.tail = append(s.tail, r)
 	if len(s.tail) >= maxTail {
 		s.sealTailLocked()
+		s.fullTail = true
 	}
 }
 
@@ -135,6 +147,7 @@ func (s *Series) sealTailLocked() {
 	s.runs = append(s.runs, run)
 	s.tail = nil
 	s.tailSorted = true
+	s.fullTail = false
 	for len(s.runs) > maxRuns {
 		best := 0
 		for i := 1; i < len(s.runs)-1; i++ {
