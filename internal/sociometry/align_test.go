@@ -12,14 +12,42 @@ import (
 	"icares/internal/store"
 )
 
-// TestUnalignedLocWindowSpansMidnight pins the satellite-3 fix: a LocWindow
-// that does not divide the day (7 s here — 86400 % 7 != 0) must fall back
-// to the whole-stream derivation, because a per-day fold splits the window
-// straddling midnight and diverges. The fixture puts beacon records on both
-// sides of the day-2/day-3 boundary inside one 7 s window and checks that
-// Track equals the continuous derivation, not the naive per-day
-// concatenation.
-func TestUnalignedLocWindowSpansMidnight(t *testing.T) {
+// TestLocWindowMustDivideDay pins the construction check the per-day track
+// fold rests on: windows are aligned to absolute time, so day-wise folds
+// equal the whole-stream derivation only if the window divides the day.
+func TestLocWindowMustDivideDay(t *testing.T) {
+	src := Source{
+		Habitat:  habitat.Standard(),
+		Data:     store.NewDataset(),
+		Names:    []string{"X"},
+		BadgeFor: func(string, int) store.BadgeID { return 1 },
+		FirstDay: 2,
+		LastDay:  3,
+	}
+	for _, c := range []struct {
+		w  time.Duration
+		ok bool
+	}{
+		{7 * time.Second, false}, // 86400 % 7 != 0
+		{0, false},
+		{-time.Second, false},
+		{48 * time.Hour, false},
+		{60 * time.Second, true},
+	} {
+		p, err := NewPipeline(src, WithLocWindow(c.w))
+		if c.ok && (err != nil || p.locWindow != c.w) {
+			t.Errorf("WithLocWindow(%v): err %v, want the window accepted", c.w, err)
+		}
+		if !c.ok && err == nil {
+			t.Errorf("WithLocWindow(%v) accepted, want an error", c.w)
+		}
+	}
+}
+
+// TestTrackSpansMidnight puts beacon records on both sides of the
+// day-2/day-3 boundary and checks that the per-day track fold at the default
+// window equals the localization track over the continuous beacon stream.
+func TestTrackSpansMidnight(t *testing.T) {
 	h := habitat.Standard()
 	sites := h.Beacons()
 	if len(sites) < 2 {
@@ -53,38 +81,17 @@ func TestUnalignedLocWindowSpansMidnight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.SetLocWindow(7 * time.Second)
-
-	if p.locAligned() {
-		t.Fatal("7s window reported as day-aligned")
-	}
 
 	loc, err := localization.NewLocator(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole := loc.Track(beacons, 7*time.Second)
-	got := p.Track("X")
-	if !reflect.DeepEqual(got, whole) {
+	whole := loc.Track(beacons, p.locWindow)
+	if len(whole) < 2 {
+		t.Fatalf("whole-stream track has %d fixes; fixture no longer spans midnight", len(whole))
+	}
+	if got := p.Track("X"); !reflect.DeepEqual(got, whole) {
 		t.Fatalf("Track diverges from whole-stream derivation:\n got %+v\nwant %+v", got, whole)
-	}
-
-	// The naive per-day fold splits the midnight-spanning window into two
-	// fixes; if it ever agrees, this fixture has stopped exercising the
-	// boundary and the test must be rebuilt.
-	var naive []localization.Fix
-	for day := 2; day <= 3; day++ {
-		from, to := dayRange(day)
-		var dayRecs []record.Record
-		for _, r := range beacons {
-			if r.Local >= from && r.Local < to {
-				dayRecs = append(dayRecs, r)
-			}
-		}
-		naive = append(naive, loc.Track(dayRecs, 7*time.Second)...)
-	}
-	if reflect.DeepEqual(naive, whole) {
-		t.Fatal("per-day fold equals whole-stream derivation; fixture no longer spans midnight")
 	}
 }
 

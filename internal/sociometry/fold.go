@@ -97,15 +97,6 @@ func (p *Pipeline) endAnalysis() {
 	p.inflight.Add(-1)
 }
 
-// checkQuiescent panics if any analysis is in flight — the parameter
-// setters call it so a configure-while-analyzing race fails loudly instead
-// of silently corrupting memo state.
-func (p *Pipeline) checkQuiescent(op string) {
-	if p.inflight.Load() != 0 {
-		panic("sociometry: " + op + " while an analysis is in flight; configure the pipeline before analyzing")
-	}
-}
-
 // applyStale drains the stale set and drops exactly the caches it touches:
 // first every dirty window partial, then the astronaut-level caches folding
 // them (in that order, so a recompute never mixes fresh and stale windows),

@@ -404,35 +404,3 @@ func TestWithoutRectificationBothPaths(t *testing.T) {
 		t.Error("a pipeline rewrote the dataset")
 	}
 }
-
-// TestSettersPanicMidAnalysis pins the loud-failure contract of the
-// parameter setters: changing a parameter while an analysis is in flight
-// panics instead of silently racing the memo caches.
-func TestSettersPanicMidAnalysis(t *testing.T) {
-	src, _ := syntheticSyncSource(time.Second, 0)
-	p, err := NewPipeline(src, WithCorrections(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	expectPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic with an analysis in flight", name)
-			}
-		}()
-		fn()
-	}
-	p.inflight.Add(1)
-	expectPanic("SetMinDwell", func() { p.SetMinDwell(time.Second) })
-	expectPanic("SetLocWindow", func() { p.SetLocWindow(time.Second) })
-	expectPanic("SetSpeechConfig", func() { p.SetSpeechConfig(p.SpeechConfig) })
-	p.inflight.Add(-1)
-
-	// Quiescent setters work.
-	p.SetMinDwell(2 * time.Second)
-	if p.MinDwell != 2*time.Second {
-		t.Error("quiescent SetMinDwell had no effect")
-	}
-}

@@ -62,9 +62,6 @@ func (p *Pipeline) forEachName(fn func(name string)) {
 func (p *Pipeline) Warm() {
 	p.beginAnalysis()
 	defer p.endAnalysis()
-	if _, err := p.RectifyClocks(); err != nil {
-		return
-	}
 	p.forEachName(func(name string) {
 		p.Track(name)
 		p.Frames(name)

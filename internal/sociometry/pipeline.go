@@ -53,12 +53,12 @@
 // deterministic: results are computed into per-astronaut slots and folded
 // in crew order, so equal seeds give byte-identical reports at any width.
 //
-// Queries racing a live fold (records arriving via Follow) are safe and see
-// stale-but-consistent memoized values; once appends quiesce, the next
-// analysis folds everything pending in and is exact. Analysis parameters
-// (SetMinDwell, SetLocWindow, SetSpeechConfig) must not race with in-flight
-// analyses; the setters detect in-flight work and panic instead of
-// corrupting memo state.
+// Analysis parameters (the dwell filter, the localization window, the
+// speech thresholds) are fixed when the pipeline is built, so a memoized
+// value never goes stale because a parameter changed. The only invalidation
+// is the live fold's: queries racing it (records arriving via Follow) are
+// safe and see stale-but-consistent memoized values; once appends quiesce,
+// the next analysis folds everything pending in and is exact.
 package sociometry
 
 import (
@@ -135,15 +135,11 @@ type wkey struct {
 type Pipeline struct {
 	src Source
 
-	// SpeechConfig holds the Fig. 6 thresholds (default: the paper's
-	// 60 dB / 20%). Use SetSpeechConfig to change it after analyses ran.
-	SpeechConfig speech.Config
-	// LocWindow is the localization scan window. Use SetLocWindow to
-	// change it after analyses ran.
-	LocWindow time.Duration
-	// MinDwell is the Fig. 2 dwell filter (default 10 s; 0 disables).
-	// Use SetMinDwell to change it after analyses ran.
-	MinDwell time.Duration
+	// locWindow is the localization scan window (WithLocWindow); it divides
+	// the day, so per-day folds compose exactly.
+	locWindow time.Duration
+	// minDwell is the Fig. 2 dwell filter (WithMinDwell).
+	minDwell time.Duration
 	// Parallelism bounds the worker pool of crew-level analyses:
 	// 0 means runtime.NumCPU(), 1 forces sequential execution.
 	Parallelism int
@@ -177,18 +173,17 @@ type Pipeline struct {
 	// astronaut level. Each partial folds straight off a window cursor
 	// (windowIter) — raw day record slices are never memoized, so resident
 	// memory stays bounded by the source's cache, not the dataset.
-	winTrack    memo[wkey, []localization.Fix]  // raw localization fixes (loc window)
-	winFrames   memo[wkey, []speech.Frame]      // raw mic frames (speech config)
+	winTrack    memo[wkey, []localization.Fix]  // raw localization fixes
+	winFrames   memo[wkey, []speech.Frame]      // raw mic frames
 	winActivity memo[wkey, []activity.Sample]   // raw classified activity windows
 	winContacts memo[wkey, []proximity.Contact] // attributed IR contacts
 	winActive   memo[wkey, time.Duration]       // daytime recording coverage (Wear)
 
-	// Memoized per-astronaut derivations, folded from the window partials.
-	// Dependency order matters for invalidation scoping (see invalidate):
+	// Memoized per-astronaut derivations, folded from the window partials:
 	//
-	//	worn ── frames            (speech config)
-	//	  └─ track (loc window) ── intervals (min dwell) ── presence
-	//	  └─ activity (walking windows)
+	//	worn ── frames
+	//	  └─ track ── intervals ── presence
+	//	  └─ activity
 	//
 	// records backs the public RecordsFor materialization only; no report
 	// derivation reads it (they stream cursors instead).
@@ -232,20 +227,35 @@ func WithCorrections(c map[store.BadgeID]timesync.Correction) Option {
 	}
 }
 
+// WithMinDwell sets the Fig. 2 dwell filter (default
+// localization.DefaultMinDwell, 10 s; 0 disables it).
+func WithMinDwell(d time.Duration) Option {
+	return func(p *Pipeline) { p.minDwell = d }
+}
+
+// WithLocWindow sets the localization scan window (default 15 s). Windows
+// are aligned to absolute time and folded per day, so the window must divide
+// the day; NewPipeline rejects any other value.
+func WithLocWindow(w time.Duration) Option {
+	return func(p *Pipeline) { p.locWindow = w }
+}
+
 // NewPipeline validates the source and builds a pipeline with the paper's
-// default parameters.
+// default parameters, overridden by opts. Parameters are fixed from then on.
 func NewPipeline(src Source, opts ...Option) (*Pipeline, error) {
 	if err := src.validate(); err != nil {
 		return nil, err
 	}
 	p := &Pipeline{
-		src:          src,
-		SpeechConfig: speech.DefaultConfig(),
-		LocWindow:    15 * time.Second,
-		MinDwell:     localization.DefaultMinDwell,
+		src:       src,
+		locWindow: 15 * time.Second,
+		minDwell:  localization.DefaultMinDwell,
 	}
 	for _, opt := range opts {
 		opt(p)
+	}
+	if p.locWindow <= 0 || (24*time.Hour)%p.locWindow != 0 {
+		return nil, fmt.Errorf("sociometry: localization window %v must be positive and divide the day", p.locWindow)
 	}
 	return p, nil
 }
@@ -258,8 +268,8 @@ func (p *Pipeline) Source() Source { return p.src }
 // labelled by stage (records, worn, track, intervals, frames, activity) —
 // the per-stage profile of the analysis engine. Because derivations are
 // compute-once, each (stage, astronaut) contributes one observation per
-// cache fill; invalidation and recomputation contribute again. Set it
-// before the first analysis, like the other pipeline parameters.
+// cache fill; a window the live fold recomputes contributes again. Set it
+// before the first analysis: it is read without synchronization.
 func (p *Pipeline) SetTelemetry(reg *telemetry.Registry) { p.tel = reg }
 
 // observeStage records one stage computation's wall time.
@@ -372,15 +382,6 @@ func (p *Pipeline) sharedLocator() (*localization.Locator, error) {
 	return p.locator, p.locErr
 }
 
-// locAligned reports whether per-day localization windows compose exactly:
-// windows are aligned to absolute time, so day-wise folds equal the
-// whole-stream derivation iff the window divides the day. The default 15 s
-// does; an exotic SetLocWindow value falls back to whole-stream derivation
-// instead of silently changing results.
-func (p *Pipeline) locAligned() bool {
-	return p.LocWindow > 0 && (24*time.Hour)%p.LocWindow == 0
-}
-
 // windowIter returns a streaming cursor over one fold window: the day
 // range of the badge the astronaut wore that day, optionally restricted to
 // one kind (empty without an assignment or data).
@@ -399,8 +400,8 @@ func (p *Pipeline) windowIter(name string, day int, k record.Kind) record.Cursor
 
 // crewIter chains the astronaut's per-day windows into one continuous
 // cursor over the data days — the whole-mission stream the astronaut-level
-// scans (worn ranges, the whole-stream track fallback) fold, without ever
-// materializing it.
+// scans (worn ranges, RecordsFor, the environment series) fold, without
+// ever materializing it.
 func (p *Pipeline) crewIter(name string, k record.Kind) record.Cursor {
 	day := p.src.FirstDay
 	var cur record.Cursor
@@ -441,7 +442,7 @@ func (p *Pipeline) windowTrack(name string, day int) []localization.Fix {
 			return nil
 		}
 		it := p.windowIter(k.name, k.day, record.KindBeacon)
-		return loc.TrackCursor(&it, p.LocWindow)
+		return loc.TrackCursor(&it, p.locWindow)
 	}
 	if !p.windowMemo() {
 		return compute(wkey{name, day})
@@ -456,7 +457,7 @@ func (p *Pipeline) windowFrames(name string, day int) []speech.Frame {
 	}
 	compute := func(k wkey) []speech.Frame {
 		it := p.windowIter(k.name, k.day, record.KindMic)
-		return speech.FramesCursor(&it, p.SpeechConfig)
+		return speech.FramesCursor(&it, speech.DefaultConfig())
 	}
 	if !p.windowMemo() {
 		return compute(wkey{name, day})
@@ -490,9 +491,7 @@ func (p *Pipeline) RecordsFor(name string) []record.Record {
 }
 
 func (p *Pipeline) recordsFor(name string) []record.Record {
-	if _, err := p.RectifyClocks(); err != nil {
-		return nil
-	}
+	p.RectifyClocks() // freezes the corrections before any window is read
 	return p.recordsCache.get(name, func(name string) []record.Record {
 		defer p.observeStage("records", time.Now())
 		// Materialization is what the public accessor promises; the report
@@ -528,9 +527,7 @@ func (p *Pipeline) WornRanges(name string) record.RangeSet {
 }
 
 func (p *Pipeline) wornRanges(name string) record.RangeSet {
-	if _, err := p.RectifyClocks(); err != nil {
-		return nil
-	}
+	p.RectifyClocks() // freezes the corrections before any window is read
 	return p.wornCache.get(name, func(name string) record.RangeSet {
 		defer p.observeStage("worn", time.Now())
 		// Worn ranges are a stateful open/close scan across the whole
@@ -553,26 +550,14 @@ func (p *Pipeline) Track(name string) []localization.Fix {
 }
 
 func (p *Pipeline) track(name string) []localization.Fix {
-	if _, err := p.RectifyClocks(); err != nil {
-		return nil
-	}
+	p.RectifyClocks() // freezes the corrections before any window is read
 	return p.trackCache.get(name, func(name string) []localization.Fix {
 		defer p.observeStage("track", time.Now())
+		// The window divides the day (checked by NewPipeline), so no window
+		// straddles midnight and the per-day folds compose exactly.
 		var fixes []localization.Fix
-		if p.locAligned() {
-			for day := p.src.FirstDay; day <= p.src.LastDay; day++ {
-				fixes = append(fixes, p.windowTrack(name, day)...)
-			}
-		} else {
-			// A window that does not divide the day can span midnight, so
-			// the per-day fold would split it; derive from the continuous
-			// whole-mission beacon stream instead.
-			loc, err := p.sharedLocator()
-			if err != nil {
-				return nil
-			}
-			it := p.crewIter(name, record.KindBeacon)
-			fixes = loc.TrackCursor(&it, p.LocWindow)
+		for day := p.src.FirstDay; day <= p.src.LastDay; day++ {
+			fixes = append(fixes, p.windowTrack(name, day)...)
 		}
 		worn := p.wornRanges(name)
 		kept := make([]localization.Fix, 0, len(fixes))
@@ -599,7 +584,7 @@ func (p *Pipeline) intervals(name string) []localization.Interval {
 		// Interval assembly bridges gaps and deletes blips across day
 		// boundaries, so it derives from the concatenated track — the
 		// astronaut level is the lowest at which it is exact.
-		return localization.RoomIntervals(p.track(name), p.MinDwell, localization.DefaultMaxGap)
+		return localization.RoomIntervals(p.track(name), p.minDwell, localization.DefaultMaxGap)
 	})
 }
 
@@ -611,9 +596,7 @@ func (p *Pipeline) Frames(name string) []speech.Frame {
 }
 
 func (p *Pipeline) frames(name string) []speech.Frame {
-	if _, err := p.RectifyClocks(); err != nil {
-		return nil
-	}
+	p.RectifyClocks() // freezes the corrections before any window is read
 	return p.framesCache.get(name, func(name string) []speech.Frame {
 		defer p.observeStage("frames", time.Now())
 		var raw []speech.Frame
@@ -635,9 +618,7 @@ func (p *Pipeline) walkingSamples(name string) []activity.Sample {
 }
 
 func (p *Pipeline) activitySamples(name string) []activity.Sample {
-	if _, err := p.RectifyClocks(); err != nil {
-		return nil
-	}
+	p.RectifyClocks() // freezes the corrections before any window is read
 	return p.activityCache.get(name, func(name string) []activity.Sample {
 		defer p.observeStage("activity", time.Now())
 		// activity.DefaultConfig's window divides the day (pinned by a
@@ -698,55 +679,4 @@ func (p *Pipeline) wearers(day int) map[store.BadgeID]string {
 func (p *Pipeline) wearerOf(id store.BadgeID, day int) (string, bool) {
 	name, ok := p.wearers(day)[id]
 	return name, ok
-}
-
-// invalidation scopes: each parameter setter drops exactly the caches its
-// parameter feeds into (see the dependency sketch on the cache fields),
-// including the window partials that depend on it.
-func (p *Pipeline) invalidateIntervals() {
-	p.intervalCache.reset()
-	p.presenceCache.reset()
-}
-
-func (p *Pipeline) invalidateTracks() {
-	p.winTrack.reset()
-	p.trackCache.reset()
-	p.invalidateIntervals()
-}
-
-func (p *Pipeline) invalidateFrames() {
-	p.winFrames.reset()
-	p.framesCache.reset()
-}
-
-// SetMinDwell changes the dwell filter. Only the interval-derived caches
-// are dropped: worn ranges, tracks, and frames do not depend on the dwell
-// filter and stay warm. Panics if an analysis is in flight (configure,
-// then analyze).
-func (p *Pipeline) SetMinDwell(d time.Duration) {
-	p.checkQuiescent("SetMinDwell")
-	p.foldMu.Lock()
-	defer p.foldMu.Unlock()
-	p.MinDwell = d
-	p.invalidateIntervals()
-}
-
-// SetLocWindow changes the localization scan window and drops the track-
-// derived caches. Panics if an analysis is in flight.
-func (p *Pipeline) SetLocWindow(w time.Duration) {
-	p.checkQuiescent("SetLocWindow")
-	p.foldMu.Lock()
-	defer p.foldMu.Unlock()
-	p.LocWindow = w
-	p.invalidateTracks()
-}
-
-// SetSpeechConfig changes the speech thresholds and drops the mic-frame
-// caches. Panics if an analysis is in flight.
-func (p *Pipeline) SetSpeechConfig(cfg speech.Config) {
-	p.checkQuiescent("SetSpeechConfig")
-	p.foldMu.Lock()
-	defer p.foldMu.Unlock()
-	p.SpeechConfig = cfg
-	p.invalidateFrames()
 }

@@ -3,6 +3,7 @@ package sociometry
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -114,7 +115,7 @@ func TestFramesComputedOncePerAstronaut(t *testing.T) {
 	var cnt int
 	for _, name := range m.Participants {
 		frames := speech.FilterWorn(
-			speech.Frames(p.RecordsFor(name), p.SpeechConfig),
+			speech.Frames(p.RecordsFor(name), speech.DefaultConfig()),
 			p.WornRanges(name),
 		)
 		for _, f := range frames {
@@ -134,47 +135,25 @@ func TestFramesComputedOncePerAstronaut(t *testing.T) {
 	}
 }
 
-// TestSetMinDwellInvalidationScope checks that changing the dwell filter
-// recomputes only the interval-derived caches: worn ranges, tracks, and
-// mic frames stay warm.
-func TestSetMinDwellInvalidationScope(t *testing.T) {
-	p := newFixturePipeline(t)
-	p.Warm()
-	p.Presence()
-	n := int64(len(p.src.Names))
-	base := 0
-	for _, name := range p.src.Names {
-		base += len(p.Intervals(name))
+// TestWithMinDwell checks the dwell option reaches the interval derivation:
+// disabling the filter keeps the short stays the default drops, while the
+// tracks it filters stay the same.
+func TestWithMinDwell(t *testing.T) {
+	def := fixturePipeline(t)
+	raw, err := NewPipeline(fixtureSource(t, missionFixture(t).Dataset), WithMinDwell(0))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	p.SetMinDwell(p.MinDwell * 10)
-	filtered := 0
-	for _, name := range p.src.Names {
-		filtered += len(p.Intervals(name))
-	}
-	p.Presence()
-
-	if filtered >= base {
-		t.Errorf("10x dwell filter kept %d intervals, had %d — not recomputed", filtered, base)
-	}
-	for _, c := range []struct {
-		name string
-		got  int64
-		want int64
-	}{
-		// The analysis path streams per-window cursors now; only explicit
-		// RecordsFor calls (none in this test) fill the records cache.
-		{"records", p.recordsCache.computeCount(), 0},
-		{"worn", p.wornCache.computeCount(), n},
-		{"track", p.trackCache.computeCount(), n},
-		{"frames", p.framesCache.computeCount(), n},
-		{"activity", p.activityCache.computeCount(), n},
-		{"intervals", p.intervalCache.computeCount(), 2 * n},
-		{"presence", p.presenceCache.computeCount(), 2},
-	} {
-		if c.got != c.want {
-			t.Errorf("after SetMinDwell: %s computed %d times, want %d", c.name, c.got, c.want)
+	filtered, unfiltered := 0, 0
+	for _, name := range def.src.Names {
+		if !reflect.DeepEqual(raw.Track(name), def.Track(name)) {
+			t.Errorf("%s: WithMinDwell changed the track", name)
 		}
+		filtered += len(def.Intervals(name))
+		unfiltered += len(raw.Intervals(name))
+	}
+	if unfiltered <= filtered {
+		t.Errorf("WithMinDwell(0) gave %d intervals, default %d; want more", unfiltered, filtered)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 
 // Presence assembles the proximity input: per astronaut, the worn-time room
 // intervals. The per-astronaut intervals are derived in parallel and the
-// whole map is memoized (invalidated by SetMinDwell/SetLocWindow).
+// whole map is memoized (dropped whenever the live fold recomputes a window).
 func (p *Pipeline) Presence() proximity.Presence {
 	p.beginAnalysis()
 	defer p.endAnalysis()

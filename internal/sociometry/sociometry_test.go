@@ -156,7 +156,7 @@ func TestTrackRecoversTruthRooms(t *testing.T) {
 			if !ts.Present || !ts.Worn {
 				continue
 			}
-			room, ok := byTime[ts.At-(ts.At%p.LocWindow)]
+			room, ok := byTime[ts.At-(ts.At%p.locWindow)]
 			if !ok {
 				continue
 			}
