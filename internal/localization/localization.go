@@ -8,7 +8,8 @@ package localization
 
 import (
 	"errors"
-	"sort"
+	"math"
+	"slices"
 	"time"
 
 	"icares/internal/geometry"
@@ -22,7 +23,7 @@ type Fix struct {
 	At      time.Duration
 	Pos     geometry.Point
 	Room    habitat.RoomID
-	Beacons int // number of distinct beacons used
+	Beacons int // number of distinct beacons sighted, other rooms' included
 }
 
 // Errors of the locator.
@@ -31,12 +32,27 @@ var (
 	ErrUnknownBeacon  = errors.New("localization: unknown beacon id")
 )
 
-// Locator resolves positions within a habitat.
+// Locator resolves positions within a habitat. It is read-only after
+// NewLocator, so one Locator serves any number of goroutines; the scratch a
+// scan window needs belongs to the call.
 type Locator struct {
 	hab     *habitat.Habitat
-	sites   map[int]habitat.BeaconSite
+	ids     []int  // beacon IDs, ascending
+	sites   []site // sites[i] is the beacon with ID ids[i]
 	profile radio.Profile
 	txPower float64
+
+	// fallback is the room a window gets when no average RSSI beats
+	// -1e18 (all NaN or -Inf): that of beacon 0, or room 0 without one.
+	fallback site
+}
+
+// site is one beacon with its room's clamp rectangle.
+type site struct {
+	pos   geometry.Point
+	room  habitat.RoomID
+	clamp geometry.Rect // room bounds inset by 0.1 m
+	known bool          // room is in the habitat; otherwise no clamp
 }
 
 // NewLocator builds a locator using the habitat's beacon map and the BLE
@@ -45,16 +61,30 @@ func NewLocator(hab *habitat.Habitat) (*Locator, error) {
 	if hab == nil {
 		return nil, radio.ErrNoHabitat
 	}
-	sites := make(map[int]habitat.BeaconSite)
+	byID := make(map[int]habitat.BeaconSite)
 	for _, s := range hab.Beacons() {
-		sites[s.ID] = s
+		byID[s.ID] = s
 	}
-	return &Locator{
+	l := &Locator{
 		hab:     hab,
-		sites:   sites,
+		ids:     make([]int, 0, len(byID)),
 		profile: radio.ProfileFor(radio.BLE24),
 		txPower: 0,
-	}, nil
+	}
+	for id := range byID {
+		l.ids = append(l.ids, id)
+	}
+	slices.Sort(l.ids)
+	siteIn := func(s habitat.BeaconSite) site {
+		r, err := hab.Room(s.Room)
+		return site{pos: s.Pos, room: s.Room, clamp: r.Bounds.Inset(0.1), known: err == nil}
+	}
+	l.sites = make([]site, len(l.ids))
+	for i, id := range l.ids {
+		l.sites[i] = siteIn(byID[id])
+	}
+	l.fallback = siteIn(byID[0]) // the zero site (room 0) when beacon 0 is absent
+	return l, nil
 }
 
 // Obs is one (beacon, RSSI) pair of a scan window. Multiple observations of
@@ -64,58 +94,85 @@ type Obs struct {
 	RSSI     float64
 }
 
+// slot is one distinct beacon of a scan window. It first accumulates the
+// beacon's sightings; once the room is known, the room's slots are rewritten
+// in place as Gauss-Newton anchors.
+type slot struct {
+	site int     // index into Locator.sites
+	n    int     // sightings
+	sum  float64 // RSSI sum, in sighting order
+
+	pos  geometry.Point // anchor position
+	dist float64        // range from the mean RSSI
+	w    float64        // Gauss-Newton weight 1/(dist²+0.25)
+}
+
 // Locate estimates a position from one scan window.
 //
 // Room detection picks the room of the strongest beacon — exact in the
 // shielded habitat. The in-room position is then a distance-weighted
 // centroid of that room's beacons refined by Gauss-Newton iterations on the
 // log-distance model, clamped to the detected room.
+//
+// Beacons are visited in ascending ID order, which fixes the strongest-beacon
+// tie-break, the anchor order and so the floating-point summation order.
+// Gauss-Newton runs at most 12 iterations and stops at a fixed point: an
+// iteration is a pure function of the position and the anchors, so once one
+// leaves both coordinates unchanged, every later one would too and the fix
+// is the one all 12 give. "Unchanged" compares math.Float64bits, not ==:
+// == calls -0 equal to +0 and NaN unequal to itself, so only the bit test
+// makes "unchanged" mean "the next iteration sees the same input".
 func (l *Locator) Locate(obs []Obs) (Fix, error) {
+	// One slot per distinct beacon: never more than the sightings or the sites.
+	return l.locate(obs, make([]slot, 0, min(len(obs), len(l.sites))))
+}
+
+// locate is Locate with caller-owned scratch: acc must be empty, and with
+// room for one slot per distinct beacon of obs it never reallocates.
+func (l *Locator) locate(obs []Obs, acc []slot) (Fix, error) {
 	if len(obs) == 0 {
 		return Fix{}, ErrNoObservations
 	}
-	// Average duplicate sightings per beacon.
-	sum := make(map[int]float64, len(obs))
-	cnt := make(map[int]int, len(obs))
+	// Average duplicate sightings per beacon; acc stays sorted by site,
+	// that is by beacon ID.
 	for _, o := range obs {
-		if _, ok := l.sites[o.BeaconID]; !ok {
+		i, ok := slices.BinarySearch(l.ids, o.BeaconID)
+		if !ok {
 			return Fix{}, ErrUnknownBeacon
 		}
-		sum[o.BeaconID] += o.RSSI
-		cnt[o.BeaconID]++
+		j := 0
+		for j < len(acc) && acc[j].site < i {
+			j++
+		}
+		if j == len(acc) || acc[j].site != i {
+			acc = append(acc, slot{})
+			copy(acc[j+1:], acc[j:])
+			acc[j] = slot{site: i}
+		}
+		acc[j].sum += o.RSSI
+		acc[j].n++
 	}
-	ids := make([]int, 0, len(sum))
-	for id := range sum {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+	beacons := len(acc)
 
 	// Strongest beacon determines the room.
-	bestID, bestRSSI := 0, -1e18
-	for _, id := range ids {
-		if avg := sum[id] / float64(cnt[id]); avg > bestRSSI {
-			bestID, bestRSSI = id, avg
+	det, bestRSSI := &l.fallback, -1e18
+	for _, a := range acc {
+		if avg := a.sum / float64(a.n); avg > bestRSSI {
+			det, bestRSSI = &l.sites[a.site], avg
 		}
 	}
-	room := l.sites[bestID].Room
+	room := det.room
 
 	// Use only the detected room's beacons for the position (bleed-through
 	// sightings from adjacent rooms would otherwise drag the estimate).
-	type anchor struct {
-		pos  geometry.Point
-		dist float64
-	}
-	anchors := make([]anchor, 0, len(ids))
-	for _, id := range ids {
-		s := l.sites[id]
-		if s.Room != room {
+	anchors := acc[:0]
+	for _, a := range acc {
+		s := &l.sites[a.site]
+		if s.room != room {
 			continue
 		}
-		avg := sum[id] / float64(cnt[id])
-		anchors = append(anchors, anchor{
-			pos:  s.Pos,
-			dist: radio.DistanceFromRSSI(l.profile, avg, l.txPower),
-		})
+		dist := radio.DistanceFromRSSI(l.profile, a.sum/float64(a.n), l.txPower)
+		anchors = append(anchors, slot{pos: s.pos, dist: dist, w: 1 / (dist*dist + 0.25)})
 	}
 
 	var pos geometry.Point
@@ -131,7 +188,8 @@ func (l *Locator) Locate(obs []Obs) (Fix, error) {
 	default:
 		// Distance-weighted centroid seed: nearest beacons dominate.
 		var wsum float64
-		for _, a := range anchors {
+		for i := range anchors {
+			a := &anchors[i]
 			w := 1 / (a.dist*a.dist*a.dist + 0.1)
 			pos = pos.Add(a.pos.Scale(w))
 			wsum += w
@@ -141,42 +199,49 @@ func (l *Locator) Locate(obs []Obs) (Fix, error) {
 		// the seed so distant (noisier) anchors cannot drag the estimate.
 		for iter := 0; iter < 12; iter++ {
 			var gx, gy, hxx, hyy float64
-			for _, a := range anchors {
+			for i := range anchors {
+				a := &anchors[i]
 				d := pos.Dist(a.pos)
 				if d < 1e-6 {
 					continue
 				}
-				w := 1 / (a.dist*a.dist + 0.25)
 				r := d - a.dist
 				ux := (pos.X - a.pos.X) / d
 				uy := (pos.Y - a.pos.Y) / d
-				gx += w * r * ux
-				gy += w * r * uy
-				hxx += w * ux * ux
-				hyy += w * uy * uy
+				gx += a.w * r * ux
+				gy += a.w * r * uy
+				hxx += a.w * ux * ux
+				hyy += a.w * uy * uy
 			}
-			step := func(g, h float64) float64 {
-				if h <= 0 {
-					return 0
-				}
-				s := 0.5 * g / h // damping 0.5
-				if s > 1 {
-					s = 1
-				}
-				if s < -1 {
-					s = -1
-				}
-				return s
+			next := geometry.Point{X: pos.X - gnStep(gx, hxx), Y: pos.Y - gnStep(gy, hyy)}
+			if math.Float64bits(next.X) == math.Float64bits(pos.X) &&
+				math.Float64bits(next.Y) == math.Float64bits(pos.Y) {
+				break // fixed point: every later iteration repeats this one
 			}
-			pos.X -= step(gx, hxx)
-			pos.Y -= step(gy, hyy)
+			pos = next
 		}
 	}
 	// Clamp into the detected room.
-	if r, err := l.hab.Room(room); err == nil {
-		pos = r.Bounds.Inset(0.1).Clamp(pos)
+	if det.known {
+		pos = det.clamp.Clamp(pos)
 	}
-	return Fix{Pos: pos, Room: room, Beacons: len(ids)}, nil
+	return Fix{Pos: pos, Room: room, Beacons: beacons}, nil
+}
+
+// gnStep is one damped (factor 0.5) Gauss-Newton step along an axis,
+// limited to 1 m.
+func gnStep(g, h float64) float64 {
+	if h <= 0 {
+		return 0
+	}
+	s := 0.5 * g / h
+	if s > 1 {
+		s = 1
+	}
+	if s < -1 {
+		s = -1
+	}
+	return s
 }
 
 // Track groups a badge's beacon records into windows and locates each.
@@ -189,37 +254,41 @@ func (l *Locator) Track(recs []record.Record, window time.Duration) []Fix {
 
 // TrackCursor is Track over a record cursor: one streaming pass holding only
 // the current window's observations, so out-of-core sources never
-// materialize the beacon stream.
+// materialize the beacon stream. The window buffer and the slots are
+// allocated once per call and reused for every window.
 func (l *Locator) TrackCursor(c *record.Cursor, window time.Duration) []Fix {
 	if window <= 0 {
 		window = 15 * time.Second
 	}
 	var fixes []Fix
 	var cur []Obs
+	acc := make([]slot, 0, len(l.sites))
 	var curStart time.Duration
 	flush := func() {
 		if len(cur) == 0 {
 			return
 		}
-		if fix, err := l.Locate(cur); err == nil {
+		if fix, err := l.locate(cur, acc); err == nil {
 			fix.At = curStart
 			fixes = append(fixes, fix)
 		}
 		cur = cur[:0]
 	}
 	started := false
-	for c.Next() {
-		r := c.Record()
-		if r.Kind != record.KindBeacon {
-			continue
+	for b := c.NextBatch(); b != nil; b = c.NextBatch() {
+		for i := range b {
+			r := &b[i]
+			if r.Kind != record.KindBeacon {
+				continue
+			}
+			w := r.Local - (r.Local % window)
+			if !started || w != curStart {
+				flush()
+				curStart = w
+				started = true
+			}
+			cur = append(cur, Obs{BeaconID: int(r.PeerID), RSSI: float64(r.RSSI)})
 		}
-		w := r.Local - (r.Local % window)
-		if !started || w != curStart {
-			flush()
-			curStart = w
-			started = true
-		}
-		cur = append(cur, Obs{BeaconID: int(r.PeerID), RSSI: float64(r.RSSI)})
 	}
 	flush()
 	return fixes
