@@ -125,10 +125,10 @@ func benchSegFile(b *testing.B) string {
 	return segFilePath
 }
 
-// BenchmarkColdRangeKind is the out-of-core promise: open the file, answer
-// one hour-wide RangeKind, close — touching only the blocks the index says
-// hold the window, never the whole file.
-func BenchmarkColdRangeKind(b *testing.B) {
+// BenchmarkColdIterKind is the out-of-core promise: open the file, scan
+// one hour-wide window of one kind, close — touching only the blocks the
+// index says hold the window, never the whole file.
+func BenchmarkColdIterKind(b *testing.B) {
 	path := benchSegFile(b)
 	recs, _ := segBenchRecords()
 	mid := recs[len(recs)/2].Local
@@ -139,8 +139,8 @@ func BenchmarkColdRangeKind(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rd.RangeKind(mid, mid+time.Hour, record.KindBeacon)) == 0 {
-			b.Fatal("empty range")
+		if len(scan(b, rd, mid, mid+time.Hour, record.KindBeacon)) == 0 {
+			b.Fatal("empty window")
 		}
 		rd.Close()
 	}

@@ -2,6 +2,7 @@ package segment
 
 import (
 	"testing"
+	"time"
 
 	"icares/internal/record"
 	"icares/internal/stats"
@@ -10,10 +11,10 @@ import (
 // TestCountersAgreeAfterCorruptDrop pins the satellite-2 contract: the
 // reader's counters are lazily consistent. Before any block is decoded they
 // answer from the index (the damage is not yet known); after a scan that
-// touched every block, Len() equals len(All()), Dropped() reports the lost
-// records, and KindCounts() agrees kind-by-kind with what All() actually
-// returns — including kinds wholly lost with the block, which report 0
-// without losing their key.
+// touched every block, Len() equals what the full scan yielded, Dropped()
+// reports the lost records, and KindCounts() agrees kind-by-kind with what
+// the scan actually returned — including kinds wholly lost with the block,
+// which report 0 without losing their key.
 func TestCountersAgreeAfterCorruptDrop(t *testing.T) {
 	recs := randRecords(stats.NewRNG(17), 1000)
 	raw := writeSegment(t, 3, 100, recs)
@@ -31,9 +32,9 @@ func TestCountersAgreeAfterCorruptDrop(t *testing.T) {
 		t.Fatalf("pre-scan Dropped=%d CorruptBlocks=%d, want 0,0", rd.Dropped(), rd.CorruptBlocks())
 	}
 
-	all := rd.All()
+	all := scan(t, rd, minT, maxT, 0)
 	if rd.Len() != len(all) {
-		t.Fatalf("post-scan Len() = %d disagrees with len(All()) = %d", rd.Len(), len(all))
+		t.Fatalf("post-scan Len() = %d disagrees with the full scan's %d", rd.Len(), len(all))
 	}
 	if rd.Dropped() != 100 {
 		t.Fatalf("Dropped() = %d, want the corrupt block's 100 records", rd.Dropped())
@@ -62,17 +63,58 @@ func TestCountersAgreeAfterCorruptDrop(t *testing.T) {
 	if sum != len(all) {
 		t.Errorf("KindCounts sums to %d, want %d", sum, len(all))
 	}
-	// Kind() must agree with the counter it advertises.
+	// A per-kind scan must agree with the counter it advertises.
 	for k, n := range kc {
-		if got := len(rd.Kind(k)); got != n {
-			t.Errorf("len(Kind(%v)) = %d, want KindCounts %d", k, got, n)
+		if got := len(scan(t, rd, minT, maxT, k)); got != n {
+			t.Errorf("kind %v scan = %d records, want KindCounts %d", k, got, n)
 		}
 	}
 
 	// Idempotent: re-scans neither recount nor resurrect the block.
-	rd.All()
+	scan(t, rd, minT, maxT, 0)
 	if rd.Len() != len(all) || rd.Dropped() != 100 || rd.CorruptBlocks() != 1 {
 		t.Fatalf("re-scan changed counters: Len=%d Dropped=%d CorruptBlocks=%d",
 			rd.Len(), rd.Dropped(), rd.CorruptBlocks())
+	}
+}
+
+// TestIterPrunesBlocksByIndex pins the index's job: a per-kind or windowed
+// Iter skips, without reading, every block the index proves it does not
+// need. Block 4 is damaged; scans that must not touch it leave
+// CorruptBlocks at 0, and only a full scan finds the damage.
+func TestIterPrunesBlocksByIndex(t *testing.T) {
+	// Ten blocks of 100 records, one a second; beacons (ten a block) live
+	// only in blocks 2 and 7.
+	recs := make([]record.Record, 1000)
+	for i := range recs {
+		recs[i] = record.Record{Local: time.Duration(i) * time.Second, Kind: record.KindAccel}
+		if b := i / 100; (b == 2 || b == 7) && i%10 == 0 {
+			recs[i].Kind = record.KindBeacon
+		}
+	}
+	raw := writeSegment(t, 5, 100, recs)
+	blk := openBytes(t, raw).blocks[4]
+	mut := append([]byte(nil), raw...)
+	mut[blk.offset+blk.length/2] ^= 0x40
+
+	for _, tc := range []struct {
+		from, to time.Duration
+		k        record.Kind
+		want     int
+	}{
+		{minT, maxT, record.KindBeacon, 20},              // kind absent from block 4
+		{100 * time.Second, 300 * time.Second, 0, 200},   // window before it
+		{0, 400 * time.Second, 0, 400},                   // window ending at its first record
+		{500 * time.Second, maxT, record.KindAccel, 490}, // window starting after its last
+	} {
+		rd := openBytes(t, mut)
+		if got := scan(t, rd, tc.from, tc.to, tc.k); len(got) != tc.want || rd.CorruptBlocks() != 0 {
+			t.Errorf("Iter(%v, %v, %v): %d records, CorruptBlocks = %d; want %d, 0",
+				tc.from, tc.to, tc.k, len(got), rd.CorruptBlocks(), tc.want)
+		}
+	}
+	rd := openBytes(t, mut)
+	if got := scan(t, rd, minT, maxT, 0); len(got) != 900 || rd.CorruptBlocks() != 1 {
+		t.Fatalf("full scan: %d records, CorruptBlocks = %d; want 900, 1", len(got), rd.CorruptBlocks())
 	}
 }

@@ -3,6 +3,7 @@ package segment
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -10,34 +11,52 @@ import (
 	"icares/internal/stats"
 )
 
-// FuzzReader drives the whole out-of-core read path — index parse, salvage
-// scan, block decode, queries — with valid segments plus truncated and
-// bit-flipped mutants. Invariants: nothing panics, errors stay in the
-// ErrBadSegment/ErrCorrupt family, and whatever opens answers queries
-// consistently with its own All() while the salvage counters account for
-// the damage.
+// FuzzReader drives the out-of-core read path (index parse, salvage scan,
+// block decode, Iter) with valid, truncated, bit-flipped and frame-shuffled
+// segments and a window [from, to) from the fuzz input. Nothing panics,
+// errors stay in the ErrBadSegment/ErrCorrupt family, and whatever opens
+// answers every Iter like a filter over its readable blocks decoded
+// in-package, batch by batch in time order, inside the window and of the
+// queried kind; the per-kind scans sum to the full scan, and Len and
+// KindCounts count the readable records. Iter windows are half-open, so a
+// record stamped math.MaxInt64 (the format can hold one) is in no window,
+// not even the full scan's, yet counts for Len and KindCounts.
 func FuzzReader(f *testing.F) {
 	rng := stats.NewRNG(99)
+	mid := [2]int64{int64(10 * time.Second), int64(5 * time.Minute)}
 	for _, n := range []int{0, 5, 120} {
 		for _, bs := range []int{4, 64} {
 			raw := writeFuzzSeed(f, n, bs, rng)
-			f.Add(append([]byte{}, raw...))
+			f.Add(append([]byte{}, raw...), mid[0], mid[1])
 			if len(raw) > 10 {
-				f.Add(append([]byte{}, raw[:len(raw)*2/3]...)) // truncated mid-stream
+				f.Add(append([]byte{}, raw[:len(raw)*2/3]...), mid[0], mid[1]) // truncated mid-stream
 				flipped := append([]byte{}, raw...)
 				flipped[len(flipped)/2] ^= 0x04 // bit rot mid-file
-				f.Add(flipped)
+				f.Add(flipped, mid[1], mid[0])  // inverted window
 				flipped2 := append([]byte{}, raw...)
 				flipped2[len(flipped2)-3] ^= 0x80 // damaged tail
-				f.Add(flipped2)
+				f.Add(flipped2, int64(math.MinInt64), int64(math.MaxInt64))
 			}
 		}
 	}
-	f.Add([]byte{})
-	f.Add([]byte("ISG1"))
-	f.Add([]byte("ISG1\x01\x05\x00\xb1\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01")) // huge block length
+	f.Add([]byte{}, int64(0), int64(0))
+	f.Add([]byte("ISG1"), int64(0), int64(1))
+	f.Add([]byte("ISG1\x01\x05\x00\xb1\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"), int64(-1), int64(1)) // huge block length
+	// Frames that pass their CRC in the wrong place: block 2 copied over
+	// the equal-length block 1 under an intact index, and block 2 repeated
+	// after itself with the index lost.
+	var ticks []record.Record
+	for i := 0; i < 40; i++ {
+		ticks = append(ticks, record.Record{Local: time.Duration(i) * time.Second, Kind: record.KindIR, PeerID: 1})
+	}
+	raw := writeSegment(f, 1, 4, ticks)
+	blocks := openBytes(f, raw).blocks
+	b1, b2 := blocks[1], blocks[2]
+	frame2 := raw[b2.offset : b2.offset+b2.length]
+	f.Add(append(append(append([]byte{}, raw[:b1.offset]...), frame2...), raw[b2.offset:]...), mid[0], mid[1])
+	f.Add(append(append(append([]byte{}, raw[:b2.offset]...), frame2...), raw[b2.offset:len(raw)-2]...), mid[0], mid[1])
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, from, to int64) {
 		rd, err := NewReader(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			if !errors.Is(err, ErrBadSegment) && !errors.Is(err, ErrCorrupt) {
@@ -46,37 +65,46 @@ func FuzzReader(f *testing.F) {
 			return
 		}
 		defer rd.Close()
-		all := rd.All()
-		if len(all) != rd.Len() {
-			// Len comes from the (possibly salvaged) index; All drops blocks
-			// whose CRC fails at read time. A mismatch is only legal if the
-			// reader actually reported corrupt blocks.
-			if rd.CorruptBlocks() == 0 {
-				t.Fatalf("All() = %d records, Len() = %d, no corrupt blocks", len(all), rd.Len())
+
+		var readable []record.Record
+		stored := make(map[record.Kind]int)
+		for i := range rd.blocks {
+			if blk := rd.block(i); !blk.corrupt {
+				readable = append(readable, blk.recs...)
 			}
 		}
-		for i := 1; i < len(all); i++ {
-			if all[i].Local < all[i-1].Local {
-				t.Fatal("All() not time-ordered")
+		for _, r := range readable {
+			stored[r.Kind]++
+		}
+		want := func(from, to time.Duration, k record.Kind) []record.Record {
+			var out []record.Record
+			for _, r := range readable {
+				if r.Local >= from && r.Local < to && (k == 0 || r.Kind == k) {
+					out = append(out, r)
+				}
+			}
+			return out
+		}
+		if rd.Len() != len(readable) {
+			t.Fatalf("Len() = %d, readable blocks hold %d", rd.Len(), len(readable))
+		}
+		kc, perKind := rd.KindCounts(), 0
+		for k := record.Kind(0); k <= record.KindBattery; k++ {
+			for _, w := range [][2]time.Duration{{minT, maxT}, {time.Duration(from), time.Duration(to)}} {
+				if got, exp := scan(t, rd, w[0], w[1], k), want(w[0], w[1], k); !sameRecords(got, exp) {
+					t.Fatalf("Iter(%v, %v, %v) = %d records, want %d", w[0], w[1], k, len(got), len(exp))
+				}
+			}
+			if k == 0 {
+				continue
+			}
+			perKind += len(want(minT, maxT, k))
+			if kc[k] != stored[k] {
+				t.Fatalf("KindCounts[%v] = %d, readable blocks hold %d", k, kc[k], stored[k])
 			}
 		}
-		// Queries over the salvaged view must agree with its own All().
-		var from, to time.Duration
-		if len(all) > 0 {
-			from, to = all[0].Local, all[len(all)-1].Local+1
-		}
-		if got := rd.Range(from, to); len(got) != len(all) {
-			t.Fatalf("full Range = %d records, All = %d", len(got), len(all))
-		}
-		if got := rd.Range(to, from); to > from && len(got) != 0 {
-			t.Fatalf("inverted Range = %d records, want 0", len(got))
-		}
-		var perKind int
-		for k := record.KindAccel; k <= record.KindBattery; k++ {
-			perKind += len(rd.Kind(k))
-		}
-		if perKind != len(all) {
-			t.Fatalf("kind views hold %d records, All = %d", perKind, len(all))
+		if perKind != len(want(minT, maxT, 0)) {
+			t.Fatalf("kind scans hold %d records, full scan %d", perKind, len(want(minT, maxT, 0)))
 		}
 	})
 }

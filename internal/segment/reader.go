@@ -25,22 +25,22 @@ const DefaultCacheBlocks = 64
 // Reader answers store queries out-of-core from one segment file: it keeps
 // only the block index resident, seek-reads exactly the blocks a query
 // overlaps, and holds a small LRU cache of decoded blocks so repeated
-// queries over the same window stay allocation-free. It exposes the same
-// All/Range/Kind/RangeKind view contract as store.Series and is safe for
+// queries over the same window stay allocation-free. It satisfies the
+// store.View read contract (Iter, Len, First, Last) and is safe for
 // concurrent readers.
 //
 // Salvage follows record.LogReader semantics: a segment whose index frame
 // is lost or corrupt is recovered by a forward scan over the self-framed
 // blocks (Skipped counts corrupt blocks dropped, Truncated reports a
-// mid-frame tail), and a block that fails its CRC, decode, or read at query
-// time is dropped for the reader's lifetime (reopen to retry a transient
-// I/O error) and counted by CorruptBlocks.
+// mid-frame tail), and a block that fails its CRC, decode, read, or index
+// entry at query time is dropped for the reader's lifetime (reopen to
+// retry a transient I/O error) and counted by CorruptBlocks.
 //
 // Len and KindCounts are lazily consistent with that query-time salvage:
 // they subtract the records of every block discovered corrupt so far, so
-// after any call that touches all blocks (All, a full-window Iter),
-// Len() == len(All()) and KindCounts agrees with what Kind returns even
-// when blocks were damaged after the index was written. Dropped reports how
+// after a full-window Iter has touched every block, Len equals the records
+// it yielded and KindCounts agrees with the per-kind Iter scans even when
+// blocks were damaged after the index was written. Dropped reports how
 // many indexed records have been lost that way.
 type Reader struct {
 	r      io.ReaderAt
@@ -221,7 +221,7 @@ func (r *Reader) loadIndex() error {
 		// The index must describe a plausible, in-bounds, in-order block.
 		if m.offset != next || m.length <= 0 || m.offset+m.length > frameStart ||
 			m.count <= 0 || m.count > maxBlockRecords || total != m.count ||
-			m.minLocal > m.maxLocal {
+			m.minLocal > m.maxLocal || (b > 0 && m.minLocal < blocks[b-1].maxLocal) {
 			return ErrCorrupt
 		}
 		next = m.offset + m.length
@@ -297,7 +297,10 @@ func (r *Reader) salvageScan() {
 			continue
 		}
 		blk, err := decodeBlockBody(body)
-		if err != nil || len(blk.recs) == 0 {
+		// A block older than its predecessor is a stray copy: Iter's window
+		// search needs blocks in time order.
+		if err != nil || len(blk.recs) == 0 ||
+			(len(r.blocks) > 0 && blk.recs[0].Local < r.blocks[len(r.blocks)-1].maxLocal) {
 			r.skipped++
 			off += frameLen
 			continue
@@ -340,8 +343,8 @@ func (r *Reader) Close() error {
 func (r *Reader) BadgeID() uint16 { return r.badgeID }
 
 // Len returns the number of readable records: the index total minus the
-// records of blocks discovered corrupt at query time, so it agrees with
-// len(All()) once every block has been touched.
+// records of blocks discovered corrupt at query time, so it agrees with a
+// full-window Iter's yield once every block has been touched.
 func (r *Reader) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -368,14 +371,6 @@ func (r *Reader) KindCounts() map[record.Kind]int {
 	return out
 }
 
-// liveKindCount returns the index count of k minus records in blocks known
-// corrupt — the exact size hint for Kind once every block has been touched.
-func (r *Reader) liveKindCount(k record.Kind) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counts[k] - r.droppedCounts[k]
-}
-
 // Skipped returns how many corrupt blocks the salvage scan dropped.
 func (r *Reader) Skipped() int { return r.skipped }
 
@@ -388,8 +383,8 @@ func (r *Reader) Truncated() bool { return r.truncated }
 func (r *Reader) Salvaged() bool { return r.salvaged }
 
 // CorruptBlocks returns how many distinct blocks failed their CRC, decode,
-// or read at query time; their records are lost to views (and subtracted
-// from Len/KindCounts), mirroring load salvage.
+// read, or index entry at query time; their records are lost to views (and
+// subtracted from Len/KindCounts), mirroring load salvage.
 func (r *Reader) CorruptBlocks() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -406,9 +401,10 @@ func (r *Reader) Dropped() int {
 }
 
 // block returns the decoded block i, from cache or by one seek+read. A
-// block that fails its CRC, decode, or read is cached as corrupt so it is
-// not re-read on every query, and its records are subtracted from
-// Len/KindCounts exactly once (the dropped set outlives cache eviction).
+// block that fails its CRC, decode, read, or index entry is cached as
+// corrupt so it is not re-read on every query, and its records are
+// subtracted from Len/KindCounts exactly once (the dropped set outlives
+// cache eviction).
 func (r *Reader) block(i int) *decodedBlock {
 	r.mu.Lock()
 	if el, ok := r.cache[i]; ok {
@@ -426,7 +422,7 @@ func (r *Reader) block(i int) *decodedBlock {
 		blk.corrupt = true
 	} else if body, err := checkFrame(frame, tagBlock); err != nil {
 		blk.corrupt = true
-	} else if decoded, err := decodeBlockBody(body); err != nil {
+	} else if decoded, err := decodeBlockBody(body); err != nil || !m.describes(decoded) {
 		blk.corrupt = true
 	} else {
 		blk = decoded
@@ -463,19 +459,6 @@ func (r *Reader) block(i int) *decodedBlock {
 	return blk
 }
 
-// All returns the full, time-ordered record slice, decoding every block.
-// The returned slice is a read-only view; callers must not modify it.
-func (r *Reader) All() []record.Record {
-	if len(r.blocks) == 1 {
-		return r.block(0).recs
-	}
-	out := make([]record.Record, 0, r.total)
-	for i := range r.blocks {
-		out = append(out, r.block(i).recs...)
-	}
-	return out
-}
-
 // rangeBlocks returns the half-open block span [lo, hi) whose time ranges
 // overlap [from, to), empty for inverted or empty windows.
 func (r *Reader) rangeBlocks(from, to time.Duration) (int, int) {
@@ -488,73 +471,6 @@ func (r *Reader) rangeBlocks(from, to time.Duration) (int, int) {
 		hi++
 	}
 	return lo, hi
-}
-
-// Range returns the records with timestamps in [from, to), reading only the
-// blocks the window overlaps. Inverted windows (from >= to) are empty.
-func (r *Reader) Range(from, to time.Duration) []record.Record {
-	lo, hi := r.rangeBlocks(from, to)
-	if lo >= hi {
-		return nil
-	}
-	if hi-lo == 1 {
-		return sliceRange(r.block(lo).recs, from, to)
-	}
-	var out []record.Record
-	for i := lo; i < hi; i++ {
-		out = append(out, sliceRange(r.block(i).recs, from, to)...)
-	}
-	return out
-}
-
-// Kind returns all records of one kind, in time order, skipping blocks the
-// index proves empty of it.
-func (r *Reader) Kind(k record.Kind) []record.Record {
-	if r.counts[k] == 0 {
-		return nil
-	}
-	total := r.liveKindCount(k)
-	var only *blockMeta
-	for i := range r.blocks {
-		if r.blocks[i].kindCount(k) > 0 {
-			if only != nil {
-				only = nil
-				break
-			}
-			only = &r.blocks[i]
-		}
-	}
-	out := make([]record.Record, 0, total)
-	for i := range r.blocks {
-		m := &r.blocks[i]
-		if m.kindCount(k) == 0 {
-			continue
-		}
-		col := r.block(i).byKind[k]
-		if only == m {
-			return col
-		}
-		out = append(out, col...)
-	}
-	return out
-}
-
-// RangeKind returns records of one kind within [from, to), touching only
-// blocks that both hold the kind and overlap the window.
-func (r *Reader) RangeKind(from, to time.Duration, k record.Kind) []record.Record {
-	lo, hi := r.rangeBlocks(from, to)
-	var out []record.Record
-	for i := lo; i < hi; i++ {
-		if r.blocks[i].kindCount(k) == 0 {
-			continue
-		}
-		part := sliceRange(r.block(i).byKind[k], from, to)
-		if len(out) == 0 && hi-lo == 1 {
-			return part
-		}
-		out = append(out, part...)
-	}
-	return out
 }
 
 // sliceRange returns the [from, to) sub-slice of a time-sorted record

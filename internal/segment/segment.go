@@ -59,8 +59,8 @@
 // The index frame uses the same tag/length/CRC framing with tag 0xF1; its
 // body lists per block: file offset, frame length, record count, min/max
 // Local, a kind bitmask, and per-kind record counts — the on-disk analog of
-// the store's per-kind posting indexes, letting Kind/RangeKind prune whole
-// blocks without touching them.
+// the store's per-kind posting indexes, letting per-kind and windowed Iter
+// scans prune whole blocks without touching them.
 package segment
 
 import (
@@ -129,6 +129,19 @@ type blockMeta struct {
 	minLocal time.Duration
 	maxLocal time.Duration
 	counts   []kindCount // ascending by kind
+}
+
+// describes reports whether blk is the block this entry indexes. A frame
+// copied over another in the file still passes its CRC, but Iter prunes by
+// the index, so a block that contradicts its entry is read as corrupt.
+func (m *blockMeta) describes(blk *decodedBlock) bool {
+	n := len(blk.recs)
+	ok := n == m.count && blk.recs[0].Local == m.minLocal && blk.recs[n-1].Local == m.maxLocal &&
+		len(blk.byKind) == len(m.counts)
+	for _, kc := range m.counts {
+		ok = ok && len(blk.byKind[kc.kind]) == int(kc.count)
+	}
+	return ok
 }
 
 func (m *blockMeta) kindCount(k record.Kind) int {

@@ -3,6 +3,7 @@ package segment
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -86,6 +87,32 @@ func openBytes(t testing.TB, raw []byte) *Reader {
 	return rd
 }
 
+// minT/maxT bound a full scan through Iter's half-open windows. A record
+// stamped math.MaxInt64 lies outside every window; randRecords never
+// emits one.
+const (
+	minT = time.Duration(math.MinInt64)
+	maxT = time.Duration(math.MaxInt64)
+)
+
+// scan drains rd.Iter(from, to, k) batch by batch, failing on any record
+// out of time order, outside [from, to), or of another kind.
+func scan(t testing.TB, rd *Reader, from, to time.Duration, k record.Kind) []record.Record {
+	t.Helper()
+	var out []record.Record
+	it := rd.Iter(from, to, k)
+	for b := it.NextBatch(); b != nil; b = it.NextBatch() {
+		for _, r := range b {
+			if r.Local < from || r.Local >= to || (k != 0 && r.Kind != k) ||
+				(len(out) > 0 && r.Local < out[len(out)-1].Local) {
+				t.Fatalf("Iter(%v, %v, %v) yielded %v at %v out of window, kind or order", from, to, k, r.Kind, r.Local)
+			}
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // Reference semantics, against the plain slice the segment was written from.
 func refKind(recs []record.Record, k record.Kind) []record.Record {
 	var out []record.Record
@@ -133,12 +160,12 @@ func TestRoundTripAllKindsAcrossBlockSizes(t *testing.T) {
 		if rd.Salvaged() || rd.Skipped() != 0 || rd.Truncated() {
 			t.Fatalf("block size %d: clean segment reported salvage", bs)
 		}
-		if !sameRecords(rd.All(), recs) {
-			t.Fatalf("block size %d: All mismatch", bs)
+		if !sameRecords(scan(t, rd, minT, maxT, 0), recs) {
+			t.Fatalf("block size %d: full scan mismatch", bs)
 		}
 		for k := record.KindAccel; k <= record.KindBattery; k++ {
-			if !sameRecords(rd.Kind(k), refKind(recs, k)) {
-				t.Fatalf("block size %d: Kind(%v) mismatch", bs, k)
+			if !sameRecords(scan(t, rd, minT, maxT, k), refKind(recs, k)) {
+				t.Fatalf("block size %d: kind %v scan mismatch", bs, k)
 			}
 		}
 		first, ok := rd.First()
@@ -153,8 +180,8 @@ func TestRoundTripAllKindsAcrossBlockSizes(t *testing.T) {
 }
 
 // Property: for any sorted record sequence and any block size, the segment
-// answers All/Range/Kind/RangeKind exactly like the slice it was written
-// from — and inverted windows are empty, never a panic.
+// answers every window and per-kind Iter exactly like the slice it was
+// written from — and inverted windows are empty, never a panic.
 func TestQuickSegmentRoundTrip(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
@@ -163,7 +190,7 @@ func TestQuickSegmentRoundTrip(t *testing.T) {
 		raw := writeSegment(t, uint16(seed), blockSize, recs)
 		rd := openBytes(t, raw)
 		rd.SetCacheBlocks(1 + rng.Intn(4)) // force eviction/re-read traffic
-		if !sameRecords(rd.All(), recs) {
+		if !sameRecords(scan(t, rd, minT, maxT, 0), recs) {
 			return false
 		}
 		var span time.Duration
@@ -174,13 +201,13 @@ func TestQuickSegmentRoundTrip(t *testing.T) {
 			from := time.Duration(rng.Intn(int(span/time.Second)+2)) * time.Second / 2
 			to := time.Duration(rng.Intn(int(span/time.Second)+2)) * time.Second / 2
 			k := record.Kind(1 + rng.Intn(9))
-			if !sameRecords(rd.Range(from, to), refRange(recs, from, to)) {
+			if !sameRecords(scan(t, rd, from, to, 0), refRange(recs, from, to)) {
 				return false
 			}
-			if !sameRecords(rd.RangeKind(from, to, k), refRange(refKind(recs, k), from, to)) {
+			if !sameRecords(scan(t, rd, from, to, k), refRange(refKind(recs, k), from, to)) {
 				return false
 			}
-			if from >= to && len(rd.Range(from, to)) != 0 {
+			if from >= to && len(scan(t, rd, from, to, 0)) != 0 {
 				return false
 			}
 		}
@@ -197,20 +224,12 @@ func TestIterMatchesViews(t *testing.T) {
 	rd := openBytes(t, raw)
 	horizon := recs[len(recs)-1].Local + time.Second
 
-	var got []record.Record
-	for it := rd.Iter(0, horizon, 0); it.Next(); {
-		got = append(got, it.Record())
-	}
-	if !sameRecords(got, recs) {
+	if !sameRecords(scan(t, rd, 0, horizon, 0), recs) {
 		t.Fatal("full iter mismatch")
 	}
 
 	from, to := 20*time.Second, 200*time.Second
-	got = nil
-	for it := rd.Iter(from, to, record.KindBeacon); it.Next(); {
-		got = append(got, it.Record())
-	}
-	if !sameRecords(got, refRange(refKind(recs, record.KindBeacon), from, to)) {
+	if !sameRecords(scan(t, rd, from, to, record.KindBeacon), refRange(refKind(recs, record.KindBeacon), from, to)) {
 		t.Fatal("kind-windowed iter mismatch")
 	}
 
@@ -222,13 +241,13 @@ func TestIterMatchesViews(t *testing.T) {
 func TestEmptySegment(t *testing.T) {
 	raw := writeSegment(t, 4, 0, nil)
 	rd := openBytes(t, raw)
-	if rd.Len() != 0 || len(rd.All()) != 0 || rd.Blocks() != 0 {
+	if rd.Len() != 0 || len(scan(t, rd, minT, maxT, 0)) != 0 || rd.Blocks() != 0 {
 		t.Fatalf("empty segment: len %d blocks %d", rd.Len(), rd.Blocks())
 	}
 	if _, ok := rd.First(); ok {
 		t.Fatal("First on empty segment")
 	}
-	if len(rd.Range(0, time.Hour)) != 0 || len(rd.Kind(record.KindMic)) != 0 {
+	if len(scan(t, rd, 0, time.Hour, 0)) != 0 || len(scan(t, rd, minT, maxT, record.KindMic)) != 0 {
 		t.Fatal("empty segment answered records")
 	}
 }
@@ -267,8 +286,8 @@ func TestSalvageLostIndex(t *testing.T) {
 	if rd.Truncated() || rd.Skipped() != 0 {
 		t.Fatalf("intact blocks: skipped %d truncated %v", rd.Skipped(), rd.Truncated())
 	}
-	if !sameRecords(rd.All(), recs) {
-		t.Fatal("salvaged All mismatch")
+	if !sameRecords(scan(t, rd, minT, maxT, 0), recs) {
+		t.Fatal("salvaged scan mismatch")
 	}
 }
 
@@ -289,7 +308,7 @@ func TestSalvageTruncatedMidBlock(t *testing.T) {
 	if !rd.Salvaged() || !rd.Truncated() {
 		t.Fatalf("salvaged %v truncated %v", rd.Salvaged(), rd.Truncated())
 	}
-	if !sameRecords(rd.All(), recs[:300]) {
+	if !sameRecords(scan(t, rd, minT, maxT, 0), recs[:300]) {
 		t.Fatalf("salvage kept %d records, want 300", rd.Len())
 	}
 }
@@ -309,16 +328,16 @@ func TestCorruptBlockIsDroppedAndCounted(t *testing.T) {
 	if rd.Salvaged() {
 		t.Fatal("index was intact; no salvage expected")
 	}
-	all := rd.All()
+	all := scan(t, rd, minT, maxT, 0)
 	want := append(append([]record.Record(nil), recs[:400]...), recs[500:]...)
 	if !sameRecords(all, want) {
-		t.Fatalf("All kept %d records, want %d without block 4", len(all), len(want))
+		t.Fatalf("full scan kept %d records, want %d without block 4", len(all), len(want))
 	}
 	if rd.CorruptBlocks() != 1 {
 		t.Fatalf("CorruptBlocks = %d, want 1", rd.CorruptBlocks())
 	}
 	// The corrupt block is cached as corrupt: re-querying must not recount.
-	rd.All()
+	scan(t, rd, minT, maxT, 0)
 	if rd.CorruptBlocks() != 1 {
 		t.Fatalf("CorruptBlocks recounted: %d", rd.CorruptBlocks())
 	}
@@ -342,8 +361,8 @@ func TestSalvageSkipsCorruptBlock(t *testing.T) {
 		t.Fatalf("salvaged %v skipped %d, want salvage with 1 skip", rd.Salvaged(), rd.Skipped())
 	}
 	want := append(append([]record.Record(nil), recs[:400]...), recs[500:]...)
-	if !sameRecords(rd.All(), want) {
-		t.Fatal("salvage-with-skip All mismatch")
+	if !sameRecords(scan(t, rd, minT, maxT, 0), want) {
+		t.Fatal("salvage-with-skip scan mismatch")
 	}
 }
 

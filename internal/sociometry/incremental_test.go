@@ -31,7 +31,7 @@ func rectifiedFixtureRecords(t *testing.T) map[store.BadgeID][]record.Record {
 		if !ok {
 			t.Fatalf("badge %d has no view", id)
 		}
-		out[id] = v.All()
+		out[id] = scanAll(v)
 	}
 	return out
 }
@@ -362,7 +362,7 @@ func TestWithoutRectificationBothPaths(t *testing.T) {
 		if !ok {
 			t.Fatal("badge 1 has no view")
 		}
-		return v.All()
+		return scanAll(v)
 	}
 
 	ablated, err := NewPipeline(src, WithCorrections(nil))

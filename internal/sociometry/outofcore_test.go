@@ -10,6 +10,7 @@ import (
 
 	"icares/internal/habitat"
 	"icares/internal/record"
+	"icares/internal/segment"
 	"icares/internal/store"
 )
 
@@ -172,10 +173,10 @@ func TestOutOfCoreReportParityCorrupt(t *testing.T) {
 		if !ok {
 			t.Fatalf("badge %d listed but has no view", id)
 		}
-		for _, r := range v.All() {
-			baseline.Series(id).Append(r)
+		for it := v.Iter(minTime, maxTime, 0); it.Next(); {
+			baseline.Series(id).Append(it.Record())
 		}
-		dropped += ss.Series(id).Dropped()
+		dropped += v.(*segment.Reader).Dropped()
 	}
 	if dropped == 0 {
 		t.Fatal("byte flip dropped nothing; fixture no longer exercises salvage")

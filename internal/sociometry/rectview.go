@@ -35,27 +35,15 @@ func rectifyView(v store.View, c timesync.Correction) store.View {
 	}
 	if 1+c.Skew <= 0 {
 		s := new(store.Series)
-		for _, r := range v.All() {
+		it := v.Iter(minTime, maxTime, 0)
+		for it.Next() {
+			r := it.Record()
 			r.Local = c.ToReference(r.Local)
 			s.Append(r)
 		}
 		return s
 	}
 	return &rectifiedView{v: v, c: c}
-}
-
-// mapRecs copies recs with rectified timestamps. ToReference is monotone
-// nondecreasing (1+Skew > 0 here), so a time-ordered input stays ordered.
-func (rv *rectifiedView) mapRecs(recs []record.Record) []record.Record {
-	if len(recs) == 0 {
-		return nil
-	}
-	out := make([]record.Record, len(recs))
-	for i, r := range recs {
-		r.Local = rv.c.ToReference(r.Local)
-		out[i] = r
-	}
-	return out
 }
 
 // invertLower returns the smallest local timestamp whose rectified image
@@ -75,22 +63,6 @@ func (rv *rectifiedView) invertLower(ref time.Duration) time.Duration {
 		}
 	}
 	return time.Duration(lo)
-}
-
-func (rv *rectifiedView) All() []record.Record {
-	return rv.mapRecs(rv.v.All())
-}
-
-func (rv *rectifiedView) Range(from, to time.Duration) []record.Record {
-	return rv.mapRecs(rv.v.Range(rv.invertLower(from), rv.invertLower(to)))
-}
-
-func (rv *rectifiedView) Kind(k record.Kind) []record.Record {
-	return rv.mapRecs(rv.v.Kind(k))
-}
-
-func (rv *rectifiedView) RangeKind(from, to time.Duration, k record.Kind) []record.Record {
-	return rv.mapRecs(rv.v.RangeKind(rv.invertLower(from), rv.invertLower(to), k))
 }
 
 // rectifyBatch is the cursor batch size: large enough to amortize the pull

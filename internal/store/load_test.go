@@ -276,7 +276,7 @@ func TestSaveSegmentsFailureKeepsOldFile(t *testing.T) {
 	if !rep.Clean() {
 		t.Errorf("report not clean after failed save: %+v", rep)
 	}
-	if got := ss.Series(1).Len(); got != n {
+	if got := mustView(t, ss, 1).Len(); got != n {
 		t.Errorf("badge 1 records = %d, want %d", got, n)
 	}
 }

@@ -7,6 +7,7 @@ package store_test
 // the rectified reads, and checks that the series itself is untouched.
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -52,6 +53,18 @@ func withCorrection(c timesync.Correction) sociometry.Option {
 	return sociometry.WithCorrections(map[store.BadgeID]timesync.Correction{1: c})
 }
 
+// scan drains v.Iter(from, to, k) into a slice.
+func scan(v store.View, from, to time.Duration, k record.Kind) []record.Record {
+	var out []record.Record
+	for it := v.Iter(from, to, k); it.Next(); {
+		out = append(out, it.Record())
+	}
+	return out
+}
+
+// scanAll reads every record of v, all kinds.
+func scanAll(v store.View) []record.Record { return scan(v, math.MinInt64, math.MaxInt64, 0) }
+
 func accelAt(at time.Duration) record.Record {
 	return record.Record{Local: at, Kind: record.KindAccel}
 }
@@ -61,7 +74,7 @@ func TestSeriesRectify(t *testing.T) {
 	ds.Series(1).Append(accelAt(10 * time.Second))
 	ds.Series(1).Append(accelAt(20 * time.Second))
 	v := badgeView(t, ds, withCorrection(timesync.Correction{Offset: 5 * time.Second}))
-	all := v.All()
+	all := scanAll(v)
 	if len(all) != 2 || all[0].Local != 5*time.Second || all[1].Local != 15*time.Second {
 		t.Errorf("rectified = %v", all)
 	}
@@ -89,10 +102,10 @@ func TestSeriesRectifyInvalidatesKindIndex(t *testing.T) {
 	}
 	// ToReference(local) = local + 1h.
 	v := badgeView(t, ds, withCorrection(timesync.Correction{Offset: -time.Hour}))
-	if got := v.RangeKind(0, 10*time.Second, record.KindMic); len(got) != 0 {
+	if got := scan(v, 0, 10*time.Second, record.KindMic); len(got) != 0 {
 		t.Errorf("stale kind index: %d records still in old window", len(got))
 	}
-	after := v.RangeKind(time.Hour, time.Hour+10*time.Second, record.KindMic)
+	after := scan(v, time.Hour, time.Hour+10*time.Second, record.KindMic)
 	if len(after) != 5 {
 		t.Errorf("post-rectify mic records = %d, want 5", len(after))
 	}
@@ -114,7 +127,7 @@ func TestSeriesRectifyNonMonotonicResorts(t *testing.T) {
 	// Reverse time (1+Skew < 0): ToReference(local) = 100s - local. A
 	// pathological correction must still read as a sorted series.
 	v := badgeView(t, ds, withCorrection(timesync.Correction{Offset: 100 * time.Second, Skew: -2}))
-	all := v.All()
+	all := scanAll(v)
 	for i := 1; i < len(all); i++ {
 		if all[i].Local < all[i-1].Local {
 			t.Fatal("view unsorted after non-monotonic rectify")
@@ -154,14 +167,14 @@ func TestSetRectifierMatchesBatchRectify(t *testing.T) {
 		incrDS.Series(1).Append(r)
 	}
 	incr := badgeView(t, incrDS, fix)
-	if n := len(incr.All()); n != 600 {
+	if n := len(scanAll(incr)); n != 600 {
 		t.Fatalf("prefix reads %d records, want 600", n)
 	}
 	for _, r := range raw[600:] {
 		incrDS.Series(1).Append(r)
 	}
 
-	if !reflect.DeepEqual(batch.All(), incr.All()) {
+	if !reflect.DeepEqual(scanAll(batch), scanAll(incr)) {
 		t.Fatal("incremental rectify-on-read diverged from batch rectify")
 	}
 	if !reflect.DeepEqual(incrDS.Series(1).All(), raw) {
@@ -202,7 +215,7 @@ func TestDatasetRectifyOnce(t *testing.T) {
 			defer wg.Done()
 			cors[g], errs[g] = p.RectifyClocks()
 			if v, ok := p.View(1); ok {
-				accel[g] = v.Kind(record.KindAccel)
+				accel[g] = scan(v, math.MinInt64, math.MaxInt64, record.KindAccel)
 			}
 		}(g)
 	}

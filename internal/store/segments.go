@@ -18,15 +18,11 @@ import (
 // View is the read contract a sociometric query runs against: the
 // in-memory Series and the out-of-core segment.Reader both satisfy it, so
 // analyses can be pointed at either a resident dataset or a reopened
-// segment directory without caring which. Iter is the streaming access
-// path (k == 0 iterates every kind): per-window folds step it instead of
-// materializing All/Range slices, which is what keeps resident memory
-// bounded by the backend's cache rather than the dataset.
+// segment directory without caring which. Iter is the one read path
+// (k == 0 iterates every kind): per-window folds step it, which is what
+// keeps resident memory bounded by the backend's cache rather than the
+// dataset. Len, First and Last answer size and extent without a scan.
 type View interface {
-	All() []record.Record
-	Range(from, to time.Duration) []record.Record
-	Kind(k record.Kind) []record.Record
-	RangeKind(from, to time.Duration, k record.Kind) []record.Record
 	Iter(from, to time.Duration, k record.Kind) record.Cursor
 	Len() int
 	First() (record.Record, bool)
@@ -51,7 +47,7 @@ var (
 )
 
 // minDuration/maxDuration span the whole timestamp domain, for full scans
-// through the half-open Iter/Range windows.
+// through the half-open Iter windows.
 const (
 	minDuration = time.Duration(math.MinInt64)
 	maxDuration = time.Duration(math.MaxInt64)
@@ -162,9 +158,9 @@ func saveOneSegment(dir string, id BadgeID, s *Series, blockSize int) error {
 }
 
 // SegmentStore is a dataset reopened out-of-core from a segment directory:
-// per-badge segment readers answering the same All/Range/Kind/RangeKind
-// queries as the in-memory store, while keeping only block indexes and a
-// small decoded-block cache resident. Safe for concurrent readers.
+// per-badge segment readers answering the same View queries as the
+// in-memory store, while keeping only block indexes and a small
+// decoded-block cache resident. Safe for concurrent readers.
 type SegmentStore struct {
 	dir     string
 	readers map[BadgeID]*segment.Reader
@@ -283,25 +279,8 @@ func (ss *SegmentStore) Badges() []BadgeID {
 	return out
 }
 
-// Has reports whether the store holds a segment for the badge.
-func (ss *SegmentStore) Has(id BadgeID) bool {
-	_, ok := ss.readers[id]
-	return ok
-}
-
-// Series returns the badge's out-of-core reader, or nil if the badge has
-// no segment (unlike Dataset.Series, an immutable store cannot create one).
-// The nil is a concrete *segment.Reader — assigning it into a View
-// interface yields a non-nil interface whose every call panics. Code
-// consuming views must use View instead; Series exists for callers that
-// want the reader's segment-specific surface (salvage counters, cache
-// sizing).
-func (ss *SegmentStore) Series(id BadgeID) *segment.Reader {
-	return ss.readers[id]
-}
-
 // View returns the badge's read view, or ok == false when the badge has no
-// segment. Unlike Series, a miss is never a typed-nil interface.
+// segment.
 func (ss *SegmentStore) View(id BadgeID) (View, bool) {
 	rd, ok := ss.readers[id]
 	if !ok {

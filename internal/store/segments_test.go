@@ -46,12 +46,12 @@ func sameViews(t *testing.T, id BadgeID, want, got View) {
 	if want.Len() != got.Len() {
 		t.Fatalf("badge %d: Len = %d, want %d", id, got.Len(), want.Len())
 	}
-	if !recordsEqual(want.All(), got.All()) {
-		t.Fatalf("badge %d: All mismatch", id)
+	if !recordsEqual(scan(want, minDuration, maxDuration, 0), scan(got, minDuration, maxDuration, 0)) {
+		t.Fatalf("badge %d: full scan mismatch", id)
 	}
 	for _, k := range []record.Kind{record.KindAccel, record.KindMic, record.KindBeacon, record.KindNeighbor, record.KindEnv} {
-		if !recordsEqual(want.Kind(k), got.Kind(k)) {
-			t.Fatalf("badge %d: Kind(%v) mismatch", id, k)
+		if !recordsEqual(scan(want, minDuration, maxDuration, k), scan(got, minDuration, maxDuration, k)) {
+			t.Fatalf("badge %d: kind %v scan mismatch", id, k)
 		}
 	}
 	windows := [][2]time.Duration{
@@ -62,11 +62,11 @@ func sameViews(t *testing.T, id BadgeID, want, got View) {
 		{-5 * time.Second, 2 * time.Second},
 	}
 	for _, w := range windows {
-		if !recordsEqual(want.Range(w[0], w[1]), got.Range(w[0], w[1])) {
-			t.Fatalf("badge %d: Range(%v, %v) mismatch", id, w[0], w[1])
+		if !recordsEqual(scan(want, w[0], w[1], 0), scan(got, w[0], w[1], 0)) {
+			t.Fatalf("badge %d: window [%v, %v) mismatch", id, w[0], w[1])
 		}
-		if !recordsEqual(want.RangeKind(w[0], w[1], record.KindMic), got.RangeKind(w[0], w[1], record.KindMic)) {
-			t.Fatalf("badge %d: RangeKind(%v, %v) mismatch", id, w[0], w[1])
+		if !recordsEqual(scan(want, w[0], w[1], record.KindMic), scan(got, w[0], w[1], record.KindMic)) {
+			t.Fatalf("badge %d: mic window [%v, %v) mismatch", id, w[0], w[1])
 		}
 	}
 	wf, wok := want.First()
@@ -79,6 +79,25 @@ func sameViews(t *testing.T, id BadgeID, want, got View) {
 	if wok != gok || wl != gl {
 		t.Fatalf("badge %d: Last = %v,%v want %v,%v", id, gl, gok, wl, wok)
 	}
+}
+
+// scan drains v.Iter(from, to, k) into a slice.
+func scan(v View, from, to time.Duration, k record.Kind) []record.Record {
+	var out []record.Record
+	for it := v.Iter(from, to, k); it.Next(); {
+		out = append(out, it.Record())
+	}
+	return out
+}
+
+// mustView returns the store's view of a badge, failing the test on a miss.
+func mustView(t *testing.T, ss *SegmentStore, id BadgeID) View {
+	t.Helper()
+	v, ok := ss.View(id)
+	if !ok {
+		t.Fatalf("badge %d missing", id)
+	}
+	return v
 }
 
 func recordsEqual(a, b []record.Record) bool {
@@ -114,13 +133,10 @@ func TestSaveOpenSegmentsRoundTrip(t *testing.T) {
 		t.Fatalf("TotalRecords = %d, want %d", ss.TotalRecords(), d.TotalRecords())
 	}
 	for _, id := range d.Badges() {
-		if !ss.Has(id) {
-			t.Fatalf("badge %d missing", id)
-		}
-		sameViews(t, id, d.Series(id), ss.Series(id))
+		sameViews(t, id, d.Series(id), mustView(t, ss, id))
 	}
-	if ss.Series(BadgeID(99)) != nil {
-		t.Error("Series for absent badge should be nil")
+	if _, ok := ss.View(99); ok {
+		t.Error("View for absent badge should miss")
 	}
 	// The point of segments: they must be smaller than the framed encoding.
 	if ss.BytesOnDisk() >= d.EncodedBytes() {
@@ -140,7 +156,7 @@ func TestSegmentsSmallBlocksRoundTrip(t *testing.T) {
 	}
 	defer ss.Close()
 	for _, id := range d.Badges() {
-		sameViews(t, id, d.Series(id), ss.Series(id))
+		sameViews(t, id, d.Series(id), mustView(t, ss, id))
 	}
 }
 
@@ -173,11 +189,11 @@ func TestOpenSegmentsSalvagesDamage(t *testing.T) {
 	if !st.Truncated {
 		t.Errorf("badge 1 not marked truncated: %+v", st)
 	}
-	if st.Records == 0 || st.Records != ss.Series(1).Len() {
-		t.Errorf("badge 1 records = %d (reader %d)", st.Records, ss.Series(1).Len())
+	if n := mustView(t, ss, 1).Len(); st.Records == 0 || st.Records != n {
+		t.Errorf("badge 1 records = %d (reader %d)", st.Records, n)
 	}
 	// Badge 2 is untouched and still byte-identical.
-	sameViews(t, 2, d.Series(2), ss.Series(2))
+	sameViews(t, 2, d.Series(2), mustView(t, ss, 2))
 }
 
 func TestOpenSegmentsDuplicateBadge(t *testing.T) {

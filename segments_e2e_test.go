@@ -1,6 +1,7 @@
 package icares
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -33,11 +34,12 @@ func TestMissionSegmentsRoundTrip(t *testing.T) {
 
 	horizon := m.Horizon()
 	for _, id := range d.Badges() {
-		mem, seg := d.Series(id), ss.Series(id)
-		if seg == nil {
+		mem := store.View(d.Series(id))
+		seg, ok := ss.View(id)
+		if !ok {
 			t.Fatalf("badge %d has no segment", id)
 		}
-		want, got := mem.All(), seg.All()
+		want, got := scanView(mem, math.MinInt64, math.MaxInt64, 0), scanView(seg, math.MinInt64, math.MaxInt64, 0)
 		if len(want) != len(got) {
 			t.Fatalf("badge %d: %d records out-of-core, want %d", id, len(got), len(want))
 		}
@@ -46,22 +48,17 @@ func TestMissionSegmentsRoundTrip(t *testing.T) {
 				t.Fatalf("badge %d record %d differs:\n mem %+v\n seg %+v", id, i, want[i], got[i])
 			}
 		}
-		for _, k := range []record.Kind{record.KindAccel, record.KindMic, record.KindBeacon, record.KindNeighbor, record.KindIR} {
-			if len(mem.Kind(k)) != len(seg.Kind(k)) {
-				t.Fatalf("badge %d Kind(%v): %d vs %d", id, k, len(seg.Kind(k)), len(mem.Kind(k)))
-			}
-		}
 		windows := [][2]time.Duration{
+			{math.MinInt64, math.MaxInt64},
 			{horizon / 4, horizon / 2},
 			{horizon / 2, horizon / 4}, // inverted: empty, not a panic
 			{0, horizon},
 		}
 		for _, w := range windows {
-			if lm, ls := len(mem.Range(w[0], w[1])), len(seg.Range(w[0], w[1])); lm != ls {
-				t.Fatalf("badge %d Range(%v,%v): %d vs %d", id, w[0], w[1], ls, lm)
-			}
-			if lm, ls := len(mem.RangeKind(w[0], w[1], record.KindBeacon)), len(seg.RangeKind(w[0], w[1], record.KindBeacon)); lm != ls {
-				t.Fatalf("badge %d RangeKind(%v,%v): %d vs %d", id, w[0], w[1], ls, lm)
+			for _, k := range []record.Kind{0, record.KindAccel, record.KindMic, record.KindBeacon, record.KindNeighbor, record.KindIR} {
+				if lm, ls := len(scanView(mem, w[0], w[1], k)), len(scanView(seg, w[0], w[1], k)); lm != ls {
+					t.Fatalf("badge %d Iter(%v, %v, %v): %d vs %d", id, w[0], w[1], k, ls, lm)
+				}
 			}
 		}
 	}
@@ -72,4 +69,13 @@ func TestMissionSegmentsRoundTrip(t *testing.T) {
 	if ratio < 2 {
 		t.Errorf("compression ratio %.2fx < 2x", ratio)
 	}
+}
+
+// scanView drains v.Iter(from, to, k) into a slice.
+func scanView(v store.View, from, to time.Duration, k record.Kind) []record.Record {
+	var out []record.Record
+	for it := v.Iter(from, to, k); it.Next(); {
+		out = append(out, it.Record())
+	}
+	return out
 }
