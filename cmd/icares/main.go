@@ -39,7 +39,7 @@ func run(args []string) error {
 	days := fs.Int("days", 14, "mission length in days")
 	out := fs.String("out", "", "directory to write per-badge .icr log files (optional)")
 	segout := fs.String("segout", "", "directory to write per-badge compressed .seg segment files (optional)")
-	metrics := fs.Bool("metrics", false, "dump the telemetry registry and sim-clock spans after the run")
+	metrics := fs.Bool("metrics", false, "dump the telemetry registry after the run (the sim-clock spans themselves are \"span\" events in -journal)")
 	chaos := fs.Bool("chaos", false, "subject the mission to the seeded chaos fault plan")
 	journalPath := fs.String("journal", "", "dump the mission flight-recorder journal as JSON Lines to this file (\"-\" for stdout)")
 	segdir := fs.String("segdir", "", "print the sociometric report from a previously written segment archive (no simulation)")
@@ -60,11 +60,8 @@ func run(args []string) error {
 	}
 
 	var reg *telemetry.Registry
-	var tracer *telemetry.Tracer
 	if *metrics {
 		reg = telemetry.NewRegistry()
-		tracer = telemetry.NewTracer(0)
-		tracer.Mirror(reg)
 	}
 	var journal *telemetry.Journal
 	if *journalPath != "" {
@@ -78,8 +75,7 @@ func run(args []string) error {
 	fmt.Printf("ICAres-1 mission simulation — seed %d, %d days\n", *seed, *days)
 	start := time.Now()
 	m, err := icares.Simulate(icares.Options{
-		Seed: *seed, Days: *days, Telemetry: reg, Tracer: tracer,
-		Faults: faults, Journal: journal,
+		Seed: *seed, Days: *days, Telemetry: reg, Faults: faults, Journal: journal,
 	})
 	if err != nil {
 		return err
@@ -135,10 +131,6 @@ func run(args []string) error {
 	if *metrics {
 		fmt.Println("\ntelemetry:")
 		if err := reg.Write(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println("\nsim-clock spans:")
-		if err := tracer.Write(os.Stdout); err != nil {
 			return err
 		}
 	}

@@ -57,14 +57,13 @@ type Options struct {
 	// ChaosPlan or faultplan.New. Nil injects nothing.
 	Faults *faultplan.Plan
 	// Telemetry, when non-nil, receives the mission engine's metrics
-	// (tick counts, fault transitions, record volume). Nil disables
-	// instrumentation at zero cost.
+	// (tick counts, fault transitions, record volume, and the
+	// trace_span_seconds histogram of sim-clock span durations). Nil
+	// disables instrumentation at zero cost.
 	Telemetry *telemetry.Registry
-	// Tracer, when non-nil, records sim-clock spans for the run and each
-	// mission day.
-	Tracer *telemetry.Tracer
-	// Journal, when non-nil, receives flight-recorder events (fault-plan
-	// badge death/reboot transitions) from the mission engine.
+	// Journal, when non-nil, receives flight-recorder events from the
+	// mission engine: fault-plan badge death/reboot transitions and one
+	// debug "span" event per mission day and for the whole run.
 	Journal *telemetry.Journal
 }
 
@@ -100,7 +99,6 @@ func Simulate(opts Options) (*Mission, error) {
 		CollectTruth: opts.CollectTruth,
 		Faults:       opts.Faults,
 		Telemetry:    opts.Telemetry,
-		Tracer:       opts.Tracer,
 		Journal:      opts.Journal,
 	})
 	if err != nil {

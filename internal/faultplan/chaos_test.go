@@ -80,8 +80,7 @@ func TestChaosMission(t *testing.T) {
 	const seed = 42
 	const days = 3 // day 1 acclimatization + data days 2..3
 	reg := telemetry.NewRegistry()
-	tracer := telemetry.NewTracer(0)
-	tracer.Mirror(reg)
+	journal := telemetry.NewJournal(0)
 
 	var badges []store.BadgeID
 	for id := mission.BadgeA; id <= mission.BadgeF; id++ {
@@ -100,7 +99,7 @@ func TestChaosMission(t *testing.T) {
 
 	sc := mission.DefaultScenario(seed)
 	sc.Days = days
-	res, err := mission.Run(mission.Config{Seed: seed, Scenario: sc, Faults: plan, Telemetry: reg, Tracer: tracer})
+	res, err := mission.Run(mission.Config{Seed: seed, Scenario: sc, Faults: plan, Telemetry: reg, Journal: journal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +314,22 @@ func TestChaosMission(t *testing.T) {
 	if err := reg.Write(io.Discard); err != nil {
 		t.Errorf("exposition write: %v", err)
 	}
-	if len(tracer.Spans()) == 0 {
-		t.Error("tracer recorded no mission spans")
+	// The sim-clock spans land in the journal, one event per data day plus
+	// one for the run, and the span histogram counts exactly those.
+	spans := make(map[string]uint64)
+	for _, e := range journal.Select(telemetry.EventQuery{Kind: "span"}) {
+		if e.Component != "mission" || e.Severity != telemetry.SevDebug || len(e.Fields) == 0 || e.Fields[0].Key != "span" {
+			t.Fatalf("malformed span event %+v", e)
+		}
+		spans[e.Fields[0].Value]++
+	}
+	dataDays := uint64(days - res.Config.FirstDataDay + 1)
+	if spans["mission.day"] != dataDays || spans["mission.run"] != 1 || len(spans) != 2 {
+		t.Errorf("span events = %v, want %d mission.day and 1 mission.run", spans, dataDays)
+	}
+	for name, n := range spans {
+		if got := reg.Histogram("trace_span_seconds", nil, telemetry.L("span", name)).Snapshot().Count; got != n {
+			t.Errorf("trace_span_seconds{span=%q} count = %d, want %d", name, got, n)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package mission
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,6 +11,7 @@ import (
 	"icares/internal/record"
 	"icares/internal/simtime"
 	"icares/internal/store"
+	"icares/internal/telemetry"
 )
 
 func TestDefaultRosterShape(t *testing.T) {
@@ -312,4 +315,51 @@ func TestEventsSortedAndComplete(t *testing.T) {
 			t.Fatal("events not sorted")
 		}
 	}
+}
+
+// TestRunJournalSpans pins the sim-clock spans in the journal: equal seeds
+// give byte-identical dumps, each data day is one mission.day span from
+// its midnight lasting 24 h, and the run span closes last over all of them.
+func TestRunJournalSpans(t *testing.T) {
+	if testing.Short() {
+		t.Skip("mission run in -short mode")
+	}
+	const days = 3
+	run := func() (*telemetry.Journal, string) {
+		sc := DefaultScenario(7)
+		sc.Days = days
+		j := telemetry.NewJournal(0)
+		if _, err := Run(Config{Seed: 7, Scenario: sc, Tick: time.Minute, Journal: j}); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := j.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return j, b.String()
+	}
+	j, a := run()
+	if _, b := run(); a != b {
+		t.Fatalf("equal seeds gave different journals:\n%s\n---\n%s", a, b)
+	}
+
+	spans := j.Select(telemetry.EventQuery{Kind: "span"})
+	const first = 2 // default FirstDataDay
+	if len(spans) != days-first+2 {
+		t.Fatalf("got %d span events, want %d:\n%s", len(spans), days-first+2, a)
+	}
+	want := func(e telemetry.Event, name string, start, dur time.Duration) {
+		t.Helper()
+		fields := []telemetry.Field{
+			telemetry.F("span", name), telemetry.F("start", start.String()), telemetry.F("dur", dur.String()),
+		}
+		if e.Component != "mission" || e.Severity != telemetry.SevDebug || e.At != start+dur ||
+			!slices.Equal(e.Fields, fields) {
+			t.Errorf("span event %+v, want %s at %v with fields %v", e, name, start+dur, fields)
+		}
+	}
+	for i, e := range spans[:len(spans)-1] {
+		want(e, "mission.day", simtime.StartOfDay(first+i), 24*time.Hour)
+	}
+	want(spans[len(spans)-1], "mission.run", simtime.StartOfDay(first), (days-first+1)*24*time.Hour)
 }

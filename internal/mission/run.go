@@ -53,14 +53,14 @@ type Config struct {
 	// they belong to the online offload and uplink paths.
 	Faults *faultplan.Plan
 	// Telemetry optionally receives the engine's counters (mission_ticks_total
-	// by phase, mission_fault_transitions_total by kind, mission_records gauge).
+	// by phase, mission_fault_transitions_total by kind, mission_records gauge)
+	// and the trace_span_seconds histogram of span durations by span name.
 	// Nil disables instrumentation.
 	Telemetry *telemetry.Registry
-	// Tracer optionally receives one span per mission day plus one for the
-	// whole run, on the simulated clock. Nil disables tracing.
-	Tracer *telemetry.Tracer
-	// Journal optionally receives flight-recorder events for fault-plan
-	// badge death/reboot transitions. Nil disables journaling.
+	// Journal optionally receives flight-recorder events: fault-plan badge
+	// death/reboot transitions, and one debug "span" event per completed
+	// sim-clock span (each mission day, then the whole run). Nil disables
+	// journaling.
 	Journal *telemetry.Journal
 }
 
@@ -234,14 +234,11 @@ func Run(cfg Config) (*Result, error) {
 	}
 	start := simtime.StartOfDay(cfg.FirstDataDay)
 	end := simtime.StartOfDay(cfg.Scenario.Days + 1)
-	runSpan := cfg.Tracer.Start("mission.run", start)
-	daySpan := cfg.Tracer.Start("mission.day", start)
-	spanDay := simtime.DayOf(start)
+	dayStart, spanDay := start, simtime.DayOf(start)
 	for now := start; now < end; {
 		if d := simtime.DayOf(now); d != spanDay {
-			daySpan.End(now)
-			daySpan = cfg.Tracer.Start("mission.day", now)
-			spanDay = d
+			cfg.endSpan("mission.day", dayStart, now)
+			dayStart, spanDay = now, d
 		}
 		tod := simtime.TimeOfDay(now)
 		if tod >= 8*time.Hour && tod < 22*time.Hour {
@@ -252,10 +249,29 @@ func Run(cfg Config) (*Result, error) {
 		sim.nightTick(now)
 		now += 10 * time.Minute
 	}
-	daySpan.End(end)
-	runSpan.End(end)
+	cfg.endSpan("mission.day", dayStart, end)
+	cfg.endSpan("mission.run", start, end)
 	sim.gRecords.Set(float64(dataset.TotalRecords()))
 	return res, nil
+}
+
+// spanBuckets are the trace_span_seconds bounds, in seconds of mission
+// time: spans on the simulated clock range from sub-minute operations to
+// multi-day phases, so the wall-clock DefBuckets (capped at 10s) would
+// collapse them all into +Inf.
+var spanBuckets = []float64{
+	1, 60, 300, 900, 3600, 6 * 3600, 12 * 3600, 86400, 3 * 86400, 7 * 86400,
+}
+
+// endSpan records one completed span [start, end) on the simulated clock:
+// a single debug "span" event stamped at its end, carrying the start and
+// duration, and one trace_span_seconds observation. Equal seeds give equal
+// spans, since every timestamp is simulated.
+func (c Config) endSpan(name string, start, end time.Duration) {
+	dur := end - start
+	c.Journal.Emit(end, telemetry.SevDebug, "mission", "span", "sim-clock span ended",
+		telemetry.F("span", name), telemetry.F("start", start.String()), telemetry.F("dur", dur.String()))
+	c.Telemetry.Histogram("trace_span_seconds", spanBuckets, telemetry.L("span", name)).Observe(dur.Seconds())
 }
 
 // simRun carries the loop state.

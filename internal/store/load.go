@@ -35,6 +35,36 @@ func (d *Dataset) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("save dataset: %w", err)
 	}
+	return d.saveEach(func(id BadgeID, s *Series) error { return saveOne(dir, id, s) })
+}
+
+// fanOut calls do(i) for every i in [0, n) on a pool of ioWorkers(n)
+// goroutines and returns once every call has finished. Callers write
+// results into their own slot i, so output order never depends on worker
+// scheduling.
+func fanOut(n int, do func(i int)) {
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < ioWorkers(n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				do(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+}
+
+// saveEach calls save for every badge series across the worker pool and
+// returns the first error in ascending badge order. The (id, series) pairs
+// are snapshotted under the read lock first.
+func (d *Dataset) saveEach(save func(id BadgeID, s *Series) error) error {
 	d.mu.RLock()
 	type job struct {
 		id BadgeID
@@ -48,22 +78,7 @@ func (d *Dataset) Save(dir string) error {
 	sort.Slice(jobs, func(i, j int) bool { return jobs[i].id < jobs[j].id })
 
 	errs := make([]error, len(jobs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < ioWorkers(len(jobs)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				errs[i] = saveOne(dir, jobs[i].id, jobs[i].s)
-			}
-		}()
-	}
-	for i := range jobs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	fanOut(len(jobs), func(i int) { errs[i] = save(jobs[i].id, jobs[i].s) })
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -207,27 +222,14 @@ func LoadWithReport(dir string) (*Dataset, *LoadReport, error) {
 	sort.Strings(files)
 
 	results := make([]loadResult, len(files))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < ioWorkers(len(files)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i] = loadFile(filepath.Join(dir, files[i]))
-			}
-		}()
-	}
-	for i := range files {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	fanOut(len(files), func(i int) { results[i] = loadFile(filepath.Join(dir, files[i])) })
 
 	d := NewDataset()
 	rep := &LoadReport{Badges: make(map[BadgeID]BadgeLoadStatus), Failed: make(map[string]error)}
-	// Merge sequentially in file-name order so duplicate badge IDs (and the
-	// report) resolve deterministically regardless of worker scheduling.
+	// Merge sequentially in file-name order so a duplicate badge ID resolves
+	// deterministically regardless of worker scheduling: the first readable
+	// log for a badge wins, and a later one is reported failed, as in
+	// OpenSegments.
 	for i, name := range files {
 		res := results[i]
 		if res.err != nil {
@@ -235,16 +237,20 @@ func LoadWithReport(dir string) (*Dataset, *LoadReport, error) {
 			continue
 		}
 		id := BadgeID(res.id)
+		if _, dup := rep.Badges[id]; dup {
+			rep.Failed[name] = fmt.Errorf("store: duplicate log for badge %d", id)
+			continue
+		}
 		s := d.Series(id)
 		for _, r := range res.recs {
 			s.Append(r)
 		}
-		st := rep.Badges[id]
-		st.File = name
-		st.Records += len(res.recs)
-		st.Skipped += res.skipped
-		st.Truncated = st.Truncated || res.truncated
-		rep.Badges[id] = st
+		rep.Badges[id] = BadgeLoadStatus{
+			File:      name,
+			Records:   len(res.recs),
+			Skipped:   res.skipped,
+			Truncated: res.truncated,
+		}
 	}
 	if len(rep.Badges) == 0 {
 		return nil, rep, ErrNoData

@@ -173,6 +173,41 @@ func TestLoadCleanReport(t *testing.T) {
 	}
 }
 
+func TestLoadDuplicateBadge(t *testing.T) {
+	dir := t.TempDir()
+	d := NewDataset()
+	const n = 24
+	s := d.Series(1)
+	for i := 0; i < n; i++ {
+		s.Append(record.Record{Local: time.Duration(i) * time.Second, Kind: record.KindBeacon, PeerID: 3, RSSI: -60})
+	}
+	if err := d.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	src, err := os.ReadFile(filepath.Join(dir, logFileName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Same badge ID under a later file name: the first log wins and the
+	// later one is reported failed, as OpenSegments does for segments.
+	if err := os.WriteFile(filepath.Join(dir, "badge-001b.icr"), src, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, rep, err := LoadWithReport(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.TotalRecords() != n {
+		t.Errorf("records = %d, want %d", got.TotalRecords(), n)
+	}
+	if st := rep.Badges[1]; st.File != logFileName(1) || st.Records != n {
+		t.Errorf("badge 1 status = %+v, want %s with %d records", st, logFileName(1), n)
+	}
+	if _, ok := rep.Failed["badge-001b.icr"]; !ok || len(rep.Failed) != 1 {
+		t.Errorf("Failed = %v, want badge-001b.icr only", rep.Failed)
+	}
+}
+
 func TestLoadManyBadgesParallel(t *testing.T) {
 	// More badges than pool workers: exercise the fan-out path end to end.
 	dir := t.TempDir()

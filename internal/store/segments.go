@@ -93,43 +93,15 @@ func (d *Dataset) saveSegments(dir string, blockSize int) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("save segments: %w", err)
 	}
-	d.mu.RLock()
-	type job struct {
-		id BadgeID
-		s  *Series
-	}
-	jobs := make([]job, 0, len(d.series))
-	for id, s := range d.series {
-		jobs = append(jobs, job{id, s})
-	}
-	d.mu.RUnlock()
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].id < jobs[j].id })
-
-	errs := make([]error, len(jobs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < ioWorkers(len(jobs)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				errs[i] = saveOneSegment(dir, jobs[i].id, jobs[i].s, blockSize)
-			}
-		}()
-	}
-	for i := range jobs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	err := d.saveEach(func(id BadgeID, s *Series) error {
+		return saveOneSegment(dir, id, s, blockSize)
+	})
+	if err != nil {
+		return err
 	}
 
 	man := manifest{FramedBytes: d.EncodedBytes()}
-	err := atomicWrite(dir, manifestName, func(f *os.File) error {
+	err = atomicWrite(dir, manifestName, func(f *os.File) error {
 		return json.NewEncoder(f).Encode(man)
 	})
 	if err != nil {
@@ -202,23 +174,10 @@ func OpenSegments(dir string) (*SegmentStore, *LoadReport, error) {
 		err error
 	}
 	results := make([]result, len(files))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < ioWorkers(len(files)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				rd, err := segment.Open(filepath.Join(dir, files[i]))
-				results[i] = result{rd, err}
-			}
-		}()
-	}
-	for i := range files {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	fanOut(len(files), func(i int) {
+		rd, err := segment.Open(filepath.Join(dir, files[i]))
+		results[i] = result{rd, err}
+	})
 
 	ss := &SegmentStore{dir: dir, readers: make(map[BadgeID]*segment.Reader)}
 	rep := &LoadReport{Badges: make(map[BadgeID]BadgeLoadStatus), Failed: make(map[string]error)}

@@ -43,8 +43,6 @@ func TestNilSafety(t *testing.T) {
 	if s := r.String(); s != "" {
 		t.Errorf("nil registry exposition = %q", s)
 	}
-	var tr *Tracer
-	tr.Start("x", 0).End(1) // must not panic
 }
 
 // TestHistogramBucketBoundaries pins the inclusive-upper-edge semantics:
