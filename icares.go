@@ -181,9 +181,10 @@ func (m *Mission) PipelineOver(data store.Viewer, view AssignmentView, opts ...s
 // directory. Standard ICAres-1 metadata is assumed: the standard habitat,
 // the default crew roster and voice profiles, the default badge-incident
 // schedule, and data days 2..days (days <= 0 means infer the span from the
-// archive's newest record — each view's Last is an index read, no block
-// decodes). For non-default missions keep the Mission around and use
-// PipelineOver instead.
+// archive's newest record — each segment view's Last decodes that badge's
+// last block, one block per badge, which the report reads anyway). For
+// non-default missions keep the Mission around and use PipelineOver
+// instead.
 func ArchivePipeline(data store.Viewer, days int, view AssignmentView, opts ...sociometry.Option) (*sociometry.Pipeline, error) {
 	if days <= 0 {
 		for _, id := range data.Badges() {

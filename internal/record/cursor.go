@@ -1,5 +1,7 @@
 package record
 
+import "time"
+
 // Cursor is the streaming read primitive shared by every record source: a
 // resident slice (store.Series views), an out-of-core block iterator
 // (segment.Reader), or any batch-producing pull function. Consumers step it
@@ -79,4 +81,36 @@ func (c *Cursor) NextBatch() []Record {
 		}
 		c.cur, c.i = b, -1
 	}
+}
+
+// TimeCursor is the timestamp-only projection of a Cursor: the Local of
+// each record in [from, to), in series order, for scans that read nothing
+// else (coverage and presence probes). It is batch-only — NextBatch
+// returns the next non-empty batch, or nil when the stream is done — and
+// carries the PullCursor aliasing caveat: a backend may reuse or share a
+// batch's backing array, so callers must neither write into a batch nor
+// hold it past the next NextBatch. The zero TimeCursor is an empty stream.
+// A TimeCursor is single-use and not safe for concurrent use.
+type TimeCursor struct {
+	pull func() []time.Duration
+}
+
+// PullTimeCursor returns a cursor fed by pull, which returns the next
+// non-empty batch of timestamps, or nil when the stream is done. pull is
+// never called again after returning nil.
+func PullTimeCursor(pull func() []time.Duration) TimeCursor {
+	return TimeCursor{pull: pull}
+}
+
+// NextBatch returns the next batch of timestamps, or nil when the stream
+// is done.
+func (c *TimeCursor) NextBatch() []time.Duration {
+	if c.pull == nil {
+		return nil
+	}
+	b := c.pull()
+	if b == nil {
+		c.pull = nil
+	}
+	return b
 }

@@ -146,6 +146,27 @@ func BenchmarkColdIterKind(b *testing.B) {
 	}
 }
 
+// BenchmarkColdTimes is the coverage scan's read: open the file, take the
+// timestamps of every record in an hour-wide window, close — decoding the
+// window's blocks without building a single series-order record.
+func BenchmarkColdTimes(b *testing.B) {
+	path := benchSegFile(b)
+	recs, _ := segBenchRecords()
+	mid := recs[len(recs)/2].Local
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd, err := Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(scanTimes(b, rd, mid, mid+time.Hour)) == 0 {
+			b.Fatal("empty window")
+		}
+		rd.Close()
+	}
+}
+
 // BenchmarkWarmIter measures the steady-state scan path over cached blocks:
 // it must stay zero-alloc per record.
 func BenchmarkWarmIter(b *testing.B) {

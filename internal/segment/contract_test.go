@@ -1,6 +1,8 @@
 package segment
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -70,6 +72,17 @@ func TestCountersAgreeAfterCorruptDrop(t *testing.T) {
 		}
 	}
 
+	// Times skips the corrupt block exactly as Iter does, on a reader that
+	// first learns of the damage through it.
+	rdT := openBytes(t, mut)
+	if got := scanTimes(t, rdT, minT, maxT); !sameTimes(got, locals(all)) {
+		t.Fatalf("Times yielded %d timestamps, want the full scan's %d", len(got), len(all))
+	}
+	if rdT.Len() != len(all) || rdT.Dropped() != 100 || rdT.CorruptBlocks() != 1 {
+		t.Fatalf("after Times: Len=%d Dropped=%d CorruptBlocks=%d, want %d, 100, 1",
+			rdT.Len(), rdT.Dropped(), rdT.CorruptBlocks(), len(all))
+	}
+
 	// Idempotent: re-scans neither recount nor resurrect the block.
 	scan(t, rd, minT, maxT, 0)
 	if rd.Len() != len(all) || rd.Dropped() != 100 || rd.CorruptBlocks() != 1 {
@@ -117,4 +130,87 @@ func TestIterPrunesBlocksByIndex(t *testing.T) {
 	if got := scan(t, rd, minT, maxT, 0); len(got) != 900 || rd.CorruptBlocks() != 1 {
 		t.Fatalf("full scan: %d records, CorruptBlocks = %d; want 900, 1", len(got), rd.CorruptBlocks())
 	}
+}
+
+// TestColdReadsLeaveSeriesUnbuilt pins where the decode saving comes from:
+// per-kind Iter, Times, First and Last over a cold reader read the
+// kind-grouped columns and the timestamps in place, so no block builds its
+// series-order record array; only a whole-stream Iter does. A decoded
+// block holds no map.
+func TestColdReadsLeaveSeriesUnbuilt(t *testing.T) {
+	for i, typ := 0, reflect.TypeOf(decodedBlock{}); i < typ.NumField(); i++ {
+		if typ.Field(i).Type.Kind() == reflect.Map {
+			t.Fatalf("decodedBlock.%s is a map", typ.Field(i).Name)
+		}
+	}
+	recs := randRecords(stats.NewRNG(23), 1000)
+	rd := openBytes(t, writeSegment(t, 2, 100, recs))
+	rd.SetCacheBlocks(rd.Blocks())
+	for k := record.KindAccel; k <= record.KindBattery; k++ {
+		if got := scan(t, rd, minT, maxT, k); !sameRecords(got, refKind(recs, k)) {
+			t.Fatalf("kind %v scan = %d records, want %d", k, len(got), len(refKind(recs, k)))
+		}
+	}
+	if got := scanTimes(t, rd, minT, maxT); !sameTimes(got, locals(recs)) {
+		t.Fatalf("Times = %d timestamps, want %d", len(got), len(recs))
+	}
+	if r, ok := rd.First(); !ok || r != recs[0] {
+		t.Fatalf("First = %+v, %v; want %+v", r, ok, recs[0])
+	}
+	if r, ok := rd.Last(); !ok || r != recs[len(recs)-1] {
+		t.Fatalf("Last = %+v, %v; want %+v", r, ok, recs[len(recs)-1])
+	}
+	for i := range rd.blocks {
+		if blk := rd.block(i); blk.corrupt || blk.recs != nil {
+			t.Fatalf("block %d: corrupt=%v, series array built=%v", i, blk.corrupt, blk.recs != nil)
+		}
+	}
+	if got := scan(t, rd, minT, maxT, 0); !sameRecords(got, recs) {
+		t.Fatalf("full scan = %d records, want %d", len(got), len(recs))
+	}
+	for i := range rd.blocks {
+		if rd.block(i).recs == nil {
+			t.Fatalf("block %d: whole-stream Iter left the series array unbuilt", i)
+		}
+	}
+}
+
+// TestConcurrentSeriesAndTimes runs whole-stream Iter and Times from
+// several goroutines on one cold reader, so blocks build their series
+// arrays while other goroutines read the same blocks' timestamps. Run it
+// under -race.
+func TestConcurrentSeriesAndTimes(t *testing.T) {
+	recs := randRecords(stats.NewRNG(29), 2000)
+	rd := openBytes(t, writeSegment(t, 6, 128, recs))
+	rd.SetCacheBlocks(4) // evictions force re-decodes mid-scan too
+	from, to := recs[300].Local, recs[1700].Local
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, w := range [][2]time.Duration{{minT, maxT}, {from, to}} {
+				if g%2 == 0 {
+					var got []record.Record
+					it := rd.Iter(w[0], w[1], 0)
+					for it.Next() {
+						got = append(got, it.Record())
+					}
+					if !sameRecords(got, refRange(recs, w[0], w[1])) {
+						t.Errorf("goroutine %d: Iter(%v, %v, 0) = %d records", g, w[0], w[1], len(got))
+					}
+				} else {
+					var got []time.Duration
+					it := rd.Times(w[0], w[1])
+					for b := it.NextBatch(); b != nil; b = it.NextBatch() {
+						got = append(got, b...)
+					}
+					if !sameTimes(got, locals(refRange(recs, w[0], w[1]))) {
+						t.Errorf("goroutine %d: Times(%v, %v) = %d timestamps", g, w[0], w[1], len(got))
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

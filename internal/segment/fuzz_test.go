@@ -17,8 +17,11 @@ import (
 // errors stay in the ErrBadSegment/ErrCorrupt family, and whatever opens
 // answers every Iter like a filter over its readable blocks decoded
 // in-package, batch by batch in time order, inside the window and of the
-// queried kind; the per-kind scans sum to the full scan, and Len and
-// KindCounts count the readable records. Iter windows are half-open, so a
+// queried kind; Times yields exactly the timestamps of the full-kind
+// filter; the per-kind scans sum to the full scan, and Len and
+// KindCounts count the readable records. The reference interleaves each
+// block's decoded kind columns by its kind sequence directly, so it does
+// not rest on the lazily built series array under test. Iter windows are half-open, so a
 // record stamped math.MaxInt64 (the format can hold one) is in no window,
 // not even the full scan's, yet counts for Len and KindCounts.
 func FuzzReader(f *testing.F) {
@@ -70,7 +73,11 @@ func FuzzReader(f *testing.F) {
 		stored := make(map[record.Kind]int)
 		for i := range rd.blocks {
 			if blk := rd.block(i); !blk.corrupt {
-				readable = append(readable, blk.recs...)
+				var used [256]int
+				for _, kb := range blk.seq {
+					readable = append(readable, blk.kind(record.Kind(kb))[used[kb]])
+					used[kb]++
+				}
 			}
 		}
 		for _, r := range readable {
@@ -93,6 +100,12 @@ func FuzzReader(f *testing.F) {
 			for _, w := range [][2]time.Duration{{minT, maxT}, {time.Duration(from), time.Duration(to)}} {
 				if got, exp := scan(t, rd, w[0], w[1], k), want(w[0], w[1], k); !sameRecords(got, exp) {
 					t.Fatalf("Iter(%v, %v, %v) = %d records, want %d", w[0], w[1], k, len(got), len(exp))
+				}
+				if k != 0 {
+					continue
+				}
+				if got, exp := scanTimes(t, rd, w[0], w[1]), locals(want(w[0], w[1], 0)); !sameTimes(got, exp) {
+					t.Fatalf("Times(%v, %v) = %d timestamps, want %d", w[0], w[1], len(got), len(exp))
 				}
 			}
 			if k == 0 {

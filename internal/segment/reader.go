@@ -17,16 +17,18 @@ import (
 )
 
 // DefaultCacheBlocks is the default capacity of a reader's decoded-block
-// cache. At the default block size that is a few MiB per badge — the whole
-// point of the out-of-core path is that this, not the file size, bounds
-// resident memory.
+// cache. A decoded block of DefaultBlockSize records holds ~330 KB (its
+// kind-grouped columns, kind sequence and timestamps), ~620 KB once a
+// whole-stream Iter has built its series-order array, so a full cache is
+// ~20–38 MiB per badge — the whole point of the out-of-core path is that
+// this, not the file size, bounds resident memory.
 const DefaultCacheBlocks = 64
 
 // Reader answers store queries out-of-core from one segment file: it keeps
 // only the block index resident, seek-reads exactly the blocks a query
 // overlaps, and holds a small LRU cache of decoded blocks so repeated
 // queries over the same window stay allocation-free. It satisfies the
-// store.View read contract (Iter, Len, First, Last) and is safe for
+// store.View read contract (Iter, Times, Len, First, Last) and is safe for
 // concurrent readers.
 //
 // Salvage follows record.LogReader semantics: a segment whose index frame
@@ -299,22 +301,22 @@ func (r *Reader) salvageScan() {
 		blk, err := decodeBlockBody(body)
 		// A block older than its predecessor is a stray copy: Iter's window
 		// search needs blocks in time order.
-		if err != nil || len(blk.recs) == 0 ||
-			(len(r.blocks) > 0 && blk.recs[0].Local < r.blocks[len(r.blocks)-1].maxLocal) {
+		if err != nil || len(blk.times) == 0 ||
+			(len(r.blocks) > 0 && blk.times[0] < r.blocks[len(r.blocks)-1].maxLocal) {
 			r.skipped++
 			off += frameLen
 			continue
 		}
-		counts := make([]kindCount, 0, len(blk.byKind))
-		for _, k := range presentKinds(blk.recs) {
-			counts = append(counts, kindCount{kind: k, count: int32(len(blk.byKind[k]))})
+		counts := make([]kindCount, len(blk.spans))
+		for i, sp := range blk.spans {
+			counts[i] = kindCount{kind: sp.kind, count: sp.hi - sp.lo}
 		}
 		r.blocks = append(r.blocks, blockMeta{
 			offset:   off,
 			length:   frameLen,
-			count:    len(blk.recs),
-			minLocal: blk.recs[0].Local,
-			maxLocal: blk.recs[len(blk.recs)-1].Local,
+			count:    len(blk.times),
+			minLocal: blk.times[0],
+			maxLocal: blk.times[len(blk.times)-1],
 			counts:   counts,
 		})
 		off += frameLen
@@ -485,11 +487,21 @@ func sliceRange(recs []record.Record, from, to time.Duration) []record.Record {
 	return recs[lo:hi]
 }
 
+// sliceTimes is sliceRange over a sorted timestamp slice.
+func sliceTimes(ts []time.Duration, from, to time.Duration) []time.Duration {
+	lo := sort.Search(len(ts), func(i int) bool { return ts[i] >= from })
+	hi := sort.Search(len(ts), func(i int) bool { return ts[i] >= to })
+	if hi < lo {
+		hi = lo
+	}
+	return ts[lo:hi]
+}
+
 // First returns the earliest record, if any.
 func (r *Reader) First() (record.Record, bool) {
 	for i := range r.blocks {
-		if recs := r.block(i).recs; len(recs) > 0 {
-			return recs[0], true
+		if blk := r.block(i); !blk.corrupt {
+			return blk.first(), true
 		}
 	}
 	return record.Record{}, false
@@ -498,8 +510,8 @@ func (r *Reader) First() (record.Record, bool) {
 // Last returns the latest record, if any.
 func (r *Reader) Last() (record.Record, bool) {
 	for i := len(r.blocks) - 1; i >= 0; i-- {
-		if recs := r.block(i).recs; len(recs) > 0 {
-			return recs[len(recs)-1], true
+		if blk := r.block(i); !blk.corrupt {
+			return blk.last(), true
 		}
 	}
 	return record.Record{}, false
@@ -509,7 +521,9 @@ func (r *Reader) Last() (record.Record, bool) {
 // optionally restricted to one kind (k == 0 iterates every kind). It
 // touches only the blocks the query needs, one at a time — the record
 // stream a store.View exposes without ever materializing it; stepping
-// through a cached block allocates nothing.
+// through a cached block allocates nothing. A kind scan reads the block's
+// kind-grouped columns in place; only a whole-stream scan (k == 0) makes a
+// block build its series-order record array.
 func (r *Reader) Iter(from, to time.Duration, k record.Kind) record.Cursor {
 	lo, hi := r.rangeBlocks(from, to)
 	next := lo
@@ -521,12 +535,40 @@ func (r *Reader) Iter(from, to time.Duration, k record.Kind) record.Cursor {
 				continue
 			}
 			blk := r.block(i)
-			recs := blk.recs
-			if k != 0 {
-				recs = blk.byKind[k]
+			if blk.corrupt {
+				continue
+			}
+			var recs []record.Record
+			if k == 0 {
+				recs = blk.series()
+			} else {
+				recs = blk.kind(k)
 			}
 			if recs = sliceRange(recs, from, to); len(recs) > 0 {
 				return recs
+			}
+		}
+		return nil
+	})
+}
+
+// Times returns the Local of every record in [from, to), in series order —
+// the timestamp-only projection of Iter(from, to, 0). Each batch is a
+// zero-copy sub-slice of a cached block's timestamps, so no record is
+// built; corrupt blocks are skipped exactly as Iter skips them. Batches are
+// shared with the cache: callers must not write into them.
+func (r *Reader) Times(from, to time.Duration) record.TimeCursor {
+	lo, hi := r.rangeBlocks(from, to)
+	next := lo
+	return record.PullTimeCursor(func() []time.Duration {
+		for next < hi {
+			blk := r.block(next)
+			next++
+			if blk.corrupt {
+				continue
+			}
+			if ts := sliceTimes(blk.times, from, to); len(ts) > 0 {
+				return ts
 			}
 		}
 		return nil

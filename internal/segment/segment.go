@@ -70,6 +70,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sync"
 	"time"
 
 	"icares/internal/record"
@@ -135,11 +136,12 @@ type blockMeta struct {
 // copied over another in the file still passes its CRC, but Iter prunes by
 // the index, so a block that contradicts its entry is read as corrupt.
 func (m *blockMeta) describes(blk *decodedBlock) bool {
-	n := len(blk.recs)
-	ok := n == m.count && blk.recs[0].Local == m.minLocal && blk.recs[n-1].Local == m.maxLocal &&
-		len(blk.byKind) == len(m.counts)
-	for _, kc := range m.counts {
-		ok = ok && len(blk.byKind[kc.kind]) == int(kc.count)
+	n := len(blk.times)
+	ok := n == m.count && blk.times[0] == m.minLocal && blk.times[n-1] == m.maxLocal &&
+		len(blk.spans) == len(m.counts)
+	for i := 0; ok && i < len(m.counts); i++ {
+		sp, kc := blk.spans[i], m.counts[i]
+		ok = sp.kind == kc.kind && sp.hi-sp.lo == kc.count
 	}
 	return ok
 }
@@ -554,15 +556,78 @@ func presentKinds(recs []record.Record) []record.Kind {
 	return out
 }
 
-// decodedBlock is one fully decoded block: the records in series order and
-// the per-kind time-ordered sub-slices — the in-memory shape store queries
-// want, built once and cached by the reader.
+// decodedBlock is one decoded block, built once and cached by the reader.
+// Every section decodes into one kind-grouped column array: cols holds each
+// kind's records in time order, kinds ascending, and spans says where each
+// kind's run lies. The series order lives beside it as the kind sequence
+// and the Local of each record (times, 8 bytes a record), which is all a
+// timestamp scan or an index check reads. The series-order record array
+// that a whole-stream Iter yields is built from these on first use only.
 type decodedBlock struct {
-	recs   []record.Record
-	byKind map[record.Kind][]record.Record
+	cols  []record.Record
+	spans []kindSpan // ascending by kind, each run non-empty
+	seq   []byte     // the kind of each record, in series order
+	times []time.Duration
+
+	recsOnce sync.Once
+	recs     []record.Record // series order; see series
 	// corrupt marks a block whose CRC or decode failed at read time; its
 	// records are lost (salvage semantics) and the reader counts it.
 	corrupt bool
+}
+
+// kindSpan is one kind's run of a block's cols: cols[lo:hi].
+type kindSpan struct {
+	kind   record.Kind
+	lo, hi int32
+}
+
+// kind returns the block's records of kind k in time order, zero-copy.
+func (b *decodedBlock) kind(k record.Kind) []record.Record {
+	for _, sp := range b.spans {
+		if sp.kind == k {
+			return b.cols[sp.lo:sp.hi]
+		}
+		if sp.kind > k {
+			break
+		}
+	}
+	return nil
+}
+
+// first and last return the block's end records without building the
+// series array: the series starts with the first record of seq[0]'s run
+// and ends with the last record of seq[n-1]'s run.
+func (b *decodedBlock) first() record.Record { return b.kind(record.Kind(b.seq[0]))[0] }
+
+func (b *decodedBlock) last() record.Record {
+	col := b.kind(record.Kind(b.seq[len(b.seq)-1]))
+	return col[len(col)-1]
+}
+
+// series returns the records in series order, interleaving the kind runs
+// by the kind sequence on the first call (safe under concurrent readers).
+func (b *decodedBlock) series() []record.Record {
+	b.recsOnce.Do(func() {
+		next := b.runStarts()
+		recs := make([]record.Record, len(b.seq))
+		for i, kb := range b.seq {
+			recs[i] = b.cols[next[kb]]
+			next[kb]++
+		}
+		b.recs = recs
+	})
+	return b.recs
+}
+
+// runStarts returns, per kind, where its run starts in cols: the cursor
+// from which the series order consumes each run front to back (ties across
+// kinds keep append order, so each run is in series order already).
+func (b *decodedBlock) runStarts() (next [256]int32) {
+	for _, sp := range b.spans {
+		next[sp.kind] = sp.lo
+	}
+	return next
 }
 
 // decodeBlockBody decodes one block body.
@@ -575,16 +640,22 @@ func decodeBlockBody(body []byte) (*decodedBlock, error) {
 	if uint64(len(body)) < count {
 		return nil, ErrCorrupt
 	}
-	kindSeq := body[:count]
+	// Copied so the cached block does not pin the frame buffer.
+	seq := append([]byte(nil), body[:count]...)
 	body = body[count:]
 
 	// Per-kind counts from the kind sequence.
-	var perKind [256]int
-	for _, kb := range kindSeq {
+	var perKind [256]int32
+	kinds := 0
+	for _, kb := range seq {
+		if perKind[kb] == 0 {
+			kinds++
+		}
 		perKind[kb]++
 	}
 
-	byKind := make(map[record.Kind][]record.Record)
+	blk := &decodedBlock{cols: make([]record.Record, count), spans: make([]kindSpan, 0, kinds), seq: seq}
+	var lo int32
 	for k := 0; k < 256; k++ {
 		nk := perKind[k]
 		if nk == 0 {
@@ -596,35 +667,34 @@ func decodeBlockBody(body []byte) (*decodedBlock, error) {
 		}
 		section := body[n : n+int(slen)]
 		body = body[n+int(slen):]
-		col, err := decodeSection(record.Kind(k), nk, section)
-		if err != nil {
+		if err := decodeSection(record.Kind(k), blk.cols[lo:lo+nk], section); err != nil {
 			return nil, err
 		}
-		byKind[record.Kind(k)] = col
+		blk.spans = append(blk.spans, kindSpan{kind: record.Kind(k), lo: lo, hi: lo + nk})
+		lo += nk
 	}
 	if len(body) != 0 {
 		return nil, ErrCorrupt
 	}
 
-	// Rebuild the exact series-order interleaving from the kind sequence.
-	recs := make([]record.Record, 0, count)
-	var cursor [256]int
-	for _, kb := range kindSeq {
-		col := byKind[record.Kind(kb)]
-		recs = append(recs, col[cursor[kb]])
-		cursor[kb]++
+	// Series-order timestamps from the kind sequence.
+	next := blk.runStarts()
+	blk.times = make([]time.Duration, count)
+	for i, kb := range seq {
+		blk.times[i] = blk.cols[next[kb]].Local
+		next[kb]++
 	}
-	return &decodedBlock{recs: recs, byKind: byKind}, nil
+	return blk, nil
 }
 
 // decodeSection decodes one kind's section (timestamp column + body column)
-// into nk records.
-func decodeSection(k record.Kind, nk int, section []byte) ([]record.Record, error) {
-	out := make([]record.Record, nk)
+// into out, one record per element.
+func decodeSection(k record.Kind, out []record.Record, section []byte) error {
+	nk := len(out)
 	// Timestamps: scale, then first value and delta-of-delta in scale units.
 	su, n := binary.Uvarint(section)
 	if n <= 0 || su == 0 || su > uint64(1)<<62 {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	section = section[n:]
 	scale := int64(su)
@@ -632,7 +702,7 @@ func decodeSection(k record.Kind, nk int, section []byte) ([]record.Record, erro
 	for i := 0; i < nk; i++ {
 		u, n := binary.Uvarint(section)
 		if n <= 0 {
-			return nil, ErrCorrupt
+			return ErrCorrupt
 		}
 		section = section[n:]
 		v := unzigzag(u)
@@ -653,12 +723,12 @@ func decodeSection(k record.Kind, nk int, section []byte) ([]record.Record, erro
 			for i := 0; i < nk; i++ {
 				u, n := binary.Uvarint(section)
 				if n <= 0 {
-					return nil, ErrCorrupt
+					return ErrCorrupt
 				}
 				section = section[n:]
 				prevV += unzigzag(u)
 				if prevV < -32768 || prevV > 32767 {
-					return nil, ErrCorrupt
+					return ErrCorrupt
 				}
 				switch axis {
 				case 0:
@@ -675,25 +745,25 @@ func decodeSection(k record.Kind, nk int, section []byte) ([]record.Record, erro
 		for i := 0; i < nk; i++ {
 			u, n := binary.Uvarint(section)
 			if n <= 0 {
-				return nil, ErrCorrupt
+				return ErrCorrupt
 			}
 			section = section[n:]
 			prevP += unzigzag(u)
 			if prevP < 0 || prevP > 65535 {
-				return nil, ErrCorrupt
+				return ErrCorrupt
 			}
 			out[i].PeerID = uint16(prevP)
 		}
 		if k != record.KindIR {
 			var err error
 			if section, err = decodeF32Column(section, out, func(r *record.Record, v float32) { r.RSSI = v }); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	case record.KindMic:
 		nbytes := (nk + 7) / 8
 		if len(section) < nbytes {
-			return nil, ErrCorrupt
+			return ErrCorrupt
 		}
 		for i := 0; i < nk; i++ {
 			out[i].SpeechDetected = section[i/8]&(1<<(i%8)) != 0
@@ -706,7 +776,7 @@ func decodeSection(k record.Kind, nk int, section []byte) ([]record.Record, erro
 		} {
 			var err error
 			if section, err = decodeF32Column(section, out, set); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	case record.KindEnv:
@@ -717,25 +787,25 @@ func decodeSection(k record.Kind, nk int, section []byte) ([]record.Record, erro
 		} {
 			var err error
 			if section, err = decodeF32Column(section, out, set); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	case record.KindBattery:
 		var err error
 		if section, err = decodeF32Column(section, out, func(r *record.Record, v float32) { r.BatteryPct = v }); err != nil {
-			return nil, err
+			return err
 		}
 	default:
 		for i := 0; i < nk; i++ {
 			used, err := record.DecodeBody(&out[i], section)
 			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+				return fmt.Errorf("%w: %v", ErrCorrupt, err)
 			}
 			section = section[used:]
 		}
 	}
 	if len(section) != 0 {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
-	return out, nil
+	return nil
 }

@@ -113,6 +113,44 @@ func scan(t testing.TB, rd *Reader, from, to time.Duration, k record.Kind) []rec
 	return out
 }
 
+// scanTimes drains rd.Times(from, to), failing on any timestamp out of
+// order or outside [from, to).
+func scanTimes(t testing.TB, rd *Reader, from, to time.Duration) []time.Duration {
+	t.Helper()
+	var out []time.Duration
+	it := rd.Times(from, to)
+	for b := it.NextBatch(); b != nil; b = it.NextBatch() {
+		for _, ts := range b {
+			if ts < from || ts >= to || (len(out) > 0 && ts < out[len(out)-1]) {
+				t.Fatalf("Times(%v, %v) yielded %v out of window or order", from, to, ts)
+			}
+			out = append(out, ts)
+		}
+	}
+	return out
+}
+
+// locals projects records onto their timestamps, the reference for Times.
+func locals(recs []record.Record) []time.Duration {
+	out := make([]time.Duration, len(recs))
+	for i, r := range recs {
+		out[i] = r.Local
+	}
+	return out
+}
+
+func sameTimes(a, b []time.Duration) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // Reference semantics, against the plain slice the segment was written from.
 func refKind(recs []record.Record, k record.Kind) []record.Record {
 	var out []record.Record

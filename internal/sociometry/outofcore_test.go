@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -187,5 +188,63 @@ func TestOutOfCoreReportParityCorrupt(t *testing.T) {
 	if memRep != segRep {
 		t.Fatalf("corrupt-archive reports diverge (%d records dropped):\n--- resident ---\n%s\n--- archive ---\n%s",
 			dropped, memRep, segRep)
+	}
+}
+
+// readProbe wraps a viewer and counts, across its views, whole-stream Iter
+// calls (k == 0) and Times calls.
+type readProbe struct {
+	store.Viewer
+	wholeStream, times *atomic.Int64
+}
+
+func (p readProbe) View(id store.BadgeID) (store.View, bool) {
+	v, ok := p.Viewer.View(id)
+	if !ok {
+		return nil, false
+	}
+	return probedView{v, p}, true
+}
+
+type probedView struct {
+	store.View
+	p readProbe
+}
+
+func (v probedView) Iter(from, to time.Duration, k record.Kind) record.Cursor {
+	if k == 0 {
+		v.p.wholeStream.Add(1)
+	}
+	return v.View.Iter(from, to, k)
+}
+
+func (v probedView) Times(from, to time.Duration) record.TimeCursor {
+	v.p.times.Add(1)
+	return v.View.Times(from, to)
+}
+
+// TestReportReadsNoWholeStream pins the archive report's read shape: a full
+// Report over a segment archive asks no view for series-order records of
+// every kind — the scans that read only timestamps go through Times — so
+// no segment block ever builds its series-order array on the report path.
+func TestReportReadsNoWholeStream(t *testing.T) {
+	dir := t.TempDir()
+	if err := randomMission(11).SaveSegments(dir); err != nil {
+		t.Fatal(err)
+	}
+	ss, _, err := store.OpenSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	probe := readProbe{Viewer: ss, wholeStream: new(atomic.Int64), times: new(atomic.Int64)}
+	if len(reportOf(t, missionSource(probe))) == 0 {
+		t.Fatal("empty report")
+	}
+	if n := probe.wholeStream.Load(); n != 0 {
+		t.Errorf("Report made %d whole-stream Iter calls, want 0", n)
+	}
+	if probe.times.Load() == 0 {
+		t.Error("Report made no Times call; the coverage scan no longer reads timestamps")
 	}
 }

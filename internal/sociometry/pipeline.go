@@ -382,20 +382,36 @@ func (p *Pipeline) sharedLocator() (*localization.Locator, error) {
 	return p.locator, p.locErr
 }
 
+// dayView returns the view of the badge the astronaut wore on day
+// (ok == false without an assignment or data).
+func (p *Pipeline) dayView(name string, day int) (store.View, bool) {
+	if id := p.src.BadgeFor(name, day); id != 0 {
+		return p.View(id)
+	}
+	return nil, false
+}
+
 // windowIter returns a streaming cursor over one fold window: the day
 // range of the badge the astronaut wore that day, optionally restricted to
 // one kind (empty without an assignment or data).
 func (p *Pipeline) windowIter(name string, day int, k record.Kind) record.Cursor {
-	id := p.src.BadgeFor(name, day)
-	if id == 0 {
-		return record.NewCursor(nil)
-	}
-	v, ok := p.View(id)
+	v, ok := p.dayView(name, day)
 	if !ok {
 		return record.NewCursor(nil)
 	}
 	from, to := dayRange(day)
 	return v.Iter(from, to, k)
+}
+
+// windowTimes is windowIter's timestamp-only projection: the Local of
+// every record in the fold window, across all kinds.
+func (p *Pipeline) windowTimes(name string, day int) record.TimeCursor {
+	v, ok := p.dayView(name, day)
+	if !ok {
+		return record.TimeCursor{}
+	}
+	from, to := dayRange(day)
+	return v.Times(from, to)
 }
 
 // crewIter chains the astronaut's per-day windows into one continuous
@@ -508,11 +524,11 @@ func (p *Pipeline) recordsFor(name string) []record.Record {
 }
 
 // hasRecords probes whether the astronaut has any records in the data days
-// without materializing them: at most one cursor step per assigned day.
+// without materializing them: at most one timestamp batch per assigned day.
 func (p *Pipeline) hasRecords(name string) bool {
 	for day := p.src.FirstDay; day <= p.src.LastDay; day++ {
-		it := p.windowIter(name, day, 0)
-		if it.Next() {
+		it := p.windowTimes(name, day)
+		if len(it.NextBatch()) > 0 {
 			return true
 		}
 	}

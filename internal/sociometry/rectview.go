@@ -98,6 +98,31 @@ func (rv *rectifiedView) Iter(from, to time.Duration, k record.Kind) record.Curs
 	})
 }
 
+// Times maps the inner timestamp batches into the view's own buffer: the
+// inner batch may be a backend's shared cache (a segment block's
+// timestamps), so it is never written.
+func (rv *rectifiedView) Times(from, to time.Duration) record.TimeCursor {
+	inner := rv.v.Times(rv.invertLower(from), rv.invertLower(to))
+	var src, buf []time.Duration
+	return record.PullTimeCursor(func() []time.Duration {
+		if len(src) == 0 {
+			if src = inner.NextBatch(); src == nil {
+				return nil
+			}
+		}
+		n := min(len(src), rectifyBatch)
+		if cap(buf) < n {
+			buf = make([]time.Duration, n)
+		}
+		buf = buf[:n]
+		for i, t := range src[:n] {
+			buf[i] = rv.c.ToReference(t)
+		}
+		src = src[n:]
+		return buf
+	})
+}
+
 func (rv *rectifiedView) Len() int { return rv.v.Len() }
 
 func (rv *rectifiedView) First() (record.Record, bool) {

@@ -1,6 +1,7 @@
 package sociometry
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"icares/internal/record"
+	"icares/internal/segment"
 	"icares/internal/store"
 	"icares/internal/timesync"
 )
@@ -44,7 +46,29 @@ func drain(c record.Cursor) []record.Record {
 	return out
 }
 
-// scanAll reads every record of v, all kinds, through its one read path.
+func drainTimes(c record.TimeCursor) []time.Duration {
+	var out []time.Duration
+	for b := c.NextBatch(); b != nil; b = c.NextBatch() {
+		out = append(out, b...)
+	}
+	return out
+}
+
+// localsOf projects records onto their timestamps, the reference for Times.
+func localsOf(recs []record.Record) []time.Duration {
+	out := make([]time.Duration, len(recs))
+	for i, r := range recs {
+		out[i] = r.Local
+	}
+	return out
+}
+
+// sameTimes compares timestamp lists, treating nil and empty as equal.
+func sameTimes(a, b []time.Duration) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+// scanAll reads every record of v, all kinds, through Iter.
 func scanAll(v store.View) []record.Record { return drain(v.Iter(minTime, maxTime, 0)) }
 
 // sameRecs compares record lists, treating nil and empty as equal.
@@ -70,8 +94,11 @@ func randomCorrection(rng *rand.Rand) timesync.Correction {
 // TestRectifyViewMatchesReference is the property behind the single
 // rectification path: for random series and corrections, every read of
 // rectifyView — Iter over the full domain and over random and inverted
-// windows, for every kind and per kind, plus First, Last and Len — equals
-// the reference map-then-stable-sort.
+// windows, for every kind and per kind, Times over the same windows, plus
+// First, Last and Len — equals the reference map-then-stable-sort. Each
+// case runs over a resident series and over a segment reader of the same
+// records, whose Times batches are its shared block cache: after the
+// rectified reads, the reader must still yield the raw timestamps.
 func TestRectifyViewMatchesReference(t *testing.T) {
 	kinds := []record.Kind{record.KindAccel, record.KindMic, record.KindBeacon, record.KindSync}
 	property := func(seed int64) bool {
@@ -84,37 +111,46 @@ func TestRectifyViewMatchesReference(t *testing.T) {
 			r := record.Record{
 				Local: 24*time.Hour + time.Duration(rng.Intn(3600))*time.Second + time.Duration(rng.Intn(3))*time.Millisecond,
 				Kind:  kinds[rng.Intn(len(kinds))],
-				AX:    int16(i),
+			}
+			// Tag each record in a field its kind's segment encoding keeps,
+			// so tie order is visible on both backends.
+			switch r.Kind {
+			case record.KindAccel:
+				r.AX = int16(i)
+			case record.KindMic:
+				r.LoudnessDB = float32(i)
+			case record.KindBeacon:
+				r.PeerID = uint16(i)
+			case record.KindSync:
+				r.RefTime = time.Duration(i)
 			}
 			s.Append(r)
 			raw = append(raw, r)
 		}
 		sort.SliceStable(raw, func(i, j int) bool { return raw[i].Local < raw[j].Local })
+		var buf bytes.Buffer
+		sw, err := segment.NewWriter(&buf, 1, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range raw {
+			if err := sw.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sw.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		rd, err := segment.NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
 		c := randomCorrection(rng)
-		v := rectifyView(s, c)
 		want := referenceRectify(raw, c)
-
-		fail := func(what string, got, exp any) bool {
-			t.Logf("seed %d, correction %+v: %s = %v, want %v", seed, c, what, got, exp)
-			return false
-		}
-		if got := scanAll(v); !sameRecs(got, want) {
-			return fail("full Iter", got, want)
-		}
-		if v.Len() != len(want) {
-			return fail("Len", v.Len(), len(want))
-		}
-		first, ok := v.First()
-		if ok != (len(want) > 0) || ok && first != want[0] {
-			return fail("First", first, want)
-		}
-		last, ok := v.Last()
-		if ok != (len(want) > 0) || ok && last != want[len(want)-1] {
-			return fail("Last", last, want)
-		}
 		// Windows around the mapped data, some inverted, and some bounded
 		// exactly by record timestamps so an off-by-one inversion shows.
 		span := int64(26 * time.Hour)
+		var windows [][2]time.Duration
 		for w := 0; w < 8; w++ {
 			from := time.Duration(rng.Int63n(span)) - time.Hour
 			to := from + time.Duration(rng.Int63n(int64(90*time.Minute))) - 10*time.Minute
@@ -125,18 +161,53 @@ func TestRectifyViewMatchesReference(t *testing.T) {
 			case w%2 == 1:
 				from, to = want[rng.Intn(len(want))].Local, want[rng.Intn(len(want))].Local
 			}
-			if got, exp := drain(v.Iter(from, to, 0)), filterRecs(want, from, to, 0); !sameRecs(got, exp) {
-				return fail("Iter", got, exp)
+			windows = append(windows, [2]time.Duration{from, to})
+		}
+
+		for _, inner := range []store.View{s, rd} {
+			v := rectifyView(inner, c)
+			fail := func(what string, got, exp any) bool {
+				t.Logf("seed %d, %T, correction %+v: %s = %v, want %v", seed, inner, c, what, got, exp)
+				return false
 			}
-			for _, k := range kinds {
-				if got, exp := drain(v.Iter(from, to, k)), filterRecs(want, from, to, k); !sameRecs(got, exp) {
-					return fail("Iter(kind)", got, exp)
+			if got := scanAll(v); !sameRecs(got, want) {
+				return fail("full Iter", got, want)
+			}
+			if got := drainTimes(v.Times(minTime, maxTime)); !sameTimes(got, localsOf(want)) {
+				return fail("full Times", got, localsOf(want))
+			}
+			if v.Len() != len(want) {
+				return fail("Len", v.Len(), len(want))
+			}
+			first, ok := v.First()
+			if ok != (len(want) > 0) || ok && first != want[0] {
+				return fail("First", first, want)
+			}
+			last, ok := v.Last()
+			if ok != (len(want) > 0) || ok && last != want[len(want)-1] {
+				return fail("Last", last, want)
+			}
+			for _, w := range windows {
+				from, to := w[0], w[1]
+				if got, exp := drain(v.Iter(from, to, 0)), filterRecs(want, from, to, 0); !sameRecs(got, exp) {
+					return fail("Iter", got, exp)
+				}
+				if got, exp := drainTimes(v.Times(from, to)), localsOf(filterRecs(want, from, to, 0)); !sameTimes(got, exp) {
+					return fail("Times", got, exp)
+				}
+				for _, k := range kinds {
+					if got, exp := drain(v.Iter(from, to, k)), filterRecs(want, from, to, k); !sameRecs(got, exp) {
+						return fail("Iter(kind)", got, exp)
+					}
 				}
 			}
-		}
-		for _, k := range kinds {
-			if got, exp := drain(v.Iter(minTime, maxTime, k)), filterRecs(want, minTime, maxTime, k); !sameRecs(got, exp) {
-				return fail("full Iter(kind)", got, exp)
+			for _, k := range kinds {
+				if got, exp := drain(v.Iter(minTime, maxTime, k)), filterRecs(want, minTime, maxTime, k); !sameRecs(got, exp) {
+					return fail("full Iter(kind)", got, exp)
+				}
+			}
+			if got := drainTimes(inner.Times(minTime, maxTime)); !sameTimes(got, localsOf(raw)) {
+				return fail("inner Times after the rectified reads", got, localsOf(raw))
 			}
 		}
 		return true

@@ -473,7 +473,7 @@ func (p *Pipeline) activeTimeIn(name string, day int) time.Duration {
 // scanActiveTime sums the spans between consecutive records in the day's
 // daytime window, with gaps above 5 minutes treated as inactive. The window
 // lies inside one mission day, so only that day's badge view contributes —
-// streaming its window keeps Wear out-of-core.
+// streaming its timestamps keeps Wear out-of-core and builds no record.
 func (p *Pipeline) scanActiveTime(id store.BadgeID, day int) time.Duration {
 	const maxGap = 5 * time.Minute
 	v, ok := p.View(id)
@@ -484,17 +484,18 @@ func (p *Pipeline) scanActiveTime(id store.BadgeID, day int) time.Duration {
 	var last time.Duration
 	started := false
 	window := daytimeRange(day)
-	it := v.Iter(window.From, window.To, 0)
-	for it.Next() {
-		r := it.Record()
-		if started {
-			gap := r.Local - last
-			if gap <= maxGap {
-				total += gap
+	it := v.Times(window.From, window.To)
+	for b := it.NextBatch(); b != nil; b = it.NextBatch() {
+		for _, t := range b {
+			if started {
+				gap := t - last
+				if gap <= maxGap {
+					total += gap
+				}
 			}
+			last = t
+			started = true
 		}
-		last = r.Local
-		started = true
 	}
 	return total
 }

@@ -18,12 +18,16 @@ import (
 // View is the read contract a sociometric query runs against: the
 // in-memory Series and the out-of-core segment.Reader both satisfy it, so
 // analyses can be pointed at either a resident dataset or a reopened
-// segment directory without caring which. Iter is the one read path
+// segment directory without caring which. Iter is the record read path
 // (k == 0 iterates every kind): per-window folds step it, which is what
 // keeps resident memory bounded by the backend's cache rather than the
-// dataset. Len, First and Last answer size and extent without a scan.
+// dataset. Times is its timestamp-only projection — the Local of every
+// record in [from, to), in series order — for scans that read nothing
+// else, so a backend never builds records they would throw away. Len,
+// First and Last answer size and extent without a scan.
 type View interface {
 	Iter(from, to time.Duration, k record.Kind) record.Cursor
+	Times(from, to time.Duration) record.TimeCursor
 	Len() int
 	First() (record.Record, bool)
 	Last() (record.Record, bool)

@@ -397,6 +397,33 @@ func (s *Series) Iter(from, to time.Duration, k record.Kind) record.Cursor {
 	return record.NewCursor(s.RangeKind(from, to, k))
 }
 
+// timesBatch is the Times cursor's batch size: large enough to amortize
+// the pull, small enough that the reused buffer stays cache-resident.
+const timesBatch = 256
+
+// Times returns the Local of every record in [from, to), in series order —
+// the Series side of the View.Times contract. It gathers the timestamps of
+// the zero-copy Range view into one reused buffer, batch by batch.
+func (s *Series) Times(from, to time.Duration) record.TimeCursor {
+	recs := s.Range(from, to)
+	var buf []time.Duration
+	return record.PullTimeCursor(func() []time.Duration {
+		if len(recs) == 0 {
+			return nil
+		}
+		n := min(len(recs), timesBatch)
+		if cap(buf) < n {
+			buf = make([]time.Duration, n)
+		}
+		buf = buf[:n]
+		for i := range buf {
+			buf[i] = recs[i].Local
+		}
+		recs = recs[n:]
+		return buf
+	})
+}
+
 // First returns the earliest record, if any.
 func (s *Series) First() (record.Record, bool) {
 	all := s.sorted()

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -307,5 +308,50 @@ func TestSeriesEncodedBytesMatchesLogWriter(t *testing.T) {
 	}
 	if got, want := s.EncodedBytes(), fi.Size()-7; got != want {
 		t.Errorf("EncodedBytes = %d, on-disk frames = %d", got, want)
+	}
+}
+
+// Property: Series.Times yields exactly the timestamps of Range over the
+// same window — full, random and inverted — in batches of at most
+// timesBatch, across sizes that span several batches and out-of-order
+// appends.
+func TestQuickSeriesTimesMatchesRange(t *testing.T) {
+	f := func(seed uint64, a, b int32) bool {
+		rng := stats.NewRNG(seed)
+		var s Series
+		n := rng.Intn(3 * timesBatch)
+		for i := 0; i < n; i++ {
+			s.Append(record.Record{Local: time.Duration(rng.Intn(600)) * time.Second, Kind: record.KindAccel, AX: int16(i)})
+		}
+		windows := [][2]time.Duration{
+			{math.MinInt64, math.MaxInt64},
+			{time.Duration(a) * time.Millisecond, time.Duration(b) * time.Millisecond},
+			{time.Duration(b) * time.Millisecond, time.Duration(a) * time.Millisecond},
+		}
+		for _, w := range windows {
+			want := s.Range(w[0], w[1])
+			var got []time.Duration
+			it := s.Times(w[0], w[1])
+			for b := it.NextBatch(); b != nil; b = it.NextBatch() {
+				if len(b) == 0 || len(b) > timesBatch {
+					t.Logf("Times(%v, %v) batch of %d", w[0], w[1], len(b))
+					return false
+				}
+				got = append(got, b...)
+			}
+			if len(got) != len(want) {
+				t.Logf("Times(%v, %v) = %d timestamps, want %d", w[0], w[1], len(got), len(want))
+				return false
+			}
+			for i := range want {
+				if got[i] != want[i].Local {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
 	}
 }
