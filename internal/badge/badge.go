@@ -21,7 +21,6 @@ import (
 	"icares/internal/record"
 	"icares/internal/simtime"
 	"icares/internal/stats"
-	"icares/internal/store"
 )
 
 // Sampling holds the per-sensor sampling intervals. The real badges sampled
@@ -94,13 +93,20 @@ type Input struct {
 	LightLux float64
 }
 
+// Log is the badge's SD card: every record the badge produces is appended
+// to it, in production order. A *store.Series satisfies it; a mission run
+// stages records in a plain slice instead and ingests them in batches.
+type Log interface {
+	Append(record.Record)
+}
+
 // Badge is one simulated device.
 type Badge struct {
-	id     uint16
-	osc    *simtime.Oscillator
-	series *store.Series
-	cfg    Sampling
-	rng    *stats.RNG
+	id  uint16
+	osc *simtime.Oscillator
+	log Log
+	cfg Sampling
+	rng *stats.RNG
 
 	battery float64
 	failed  bool
@@ -123,12 +129,12 @@ type Badge struct {
 }
 
 // New creates a badge with the given identity, clock, sampling config, and
-// noise stream, recording into series.
-func New(id uint16, osc *simtime.Oscillator, cfg Sampling, series *store.Series, rng *stats.RNG) *Badge {
+// noise stream, recording into log.
+func New(id uint16, osc *simtime.Oscillator, cfg Sampling, log Log, rng *stats.RNG) *Badge {
 	return &Badge{
 		id:      id,
 		osc:     osc,
-		series:  series,
+		log:     log,
 		cfg:     cfg,
 		rng:     rng,
 		battery: 100,
@@ -149,7 +155,7 @@ func (b *Badge) Failed() bool { return b.failed }
 func (b *Badge) Fail() { b.failed = true }
 
 // Revive reboots a failed badge (fault-injection death/reboot windows).
-// Battery level, clock, and the record series persist across the reboot —
+// Battery level, clock, and the record log persist across the reboot —
 // they live in the battery gauge, the oscillator, and flash/SD — so a
 // revived badge resumes sampling where it left off.
 func (b *Badge) Revive() { b.failed = false }
@@ -162,9 +168,6 @@ func (b *Badge) Worn() bool { return b.worn }
 
 // Heading returns the wearer's last heading (radians).
 func (b *Badge) Heading() float64 { return b.heading }
-
-// Series exposes the badge's record log.
-func (b *Badge) Series() *store.Series { return b.series }
 
 // local converts true time to this badge's clock reading.
 func (b *Badge) local(now time.Duration) time.Duration {
@@ -208,7 +211,7 @@ func (b *Badge) Tick(now time.Duration, in Input, fleet *beacon.Fleet) {
 	if !b.wornSet || in.Worn != b.worn {
 		b.worn = in.Worn
 		b.wornSet = true
-		b.series.Append(record.Record{
+		b.log.Append(record.Record{
 			Local: b.local(now), Kind: record.KindWear, Worn: b.worn,
 		})
 	}
@@ -226,7 +229,7 @@ func (b *Badge) Tick(now time.Duration, in Input, fleet *beacon.Fleet) {
 	if fleet != nil && now-b.lastScan >= b.cfg.BeaconScan {
 		b.lastScan = now
 		for _, o := range fleet.Scan(in.Pos) {
-			b.series.Append(record.Record{
+			b.log.Append(record.Record{
 				Local: b.local(now), Kind: record.KindBeacon,
 				PeerID: uint16(o.BeaconID), RSSI: float32(o.RSSI),
 			})
@@ -236,7 +239,7 @@ func (b *Badge) Tick(now time.Duration, in Input, fleet *beacon.Fleet) {
 	// Environment.
 	if now-b.lastEnv >= b.cfg.Env {
 		b.lastEnv = now
-		b.series.Append(record.Record{
+		b.log.Append(record.Record{
 			Local: b.local(now), Kind: record.KindEnv,
 			TempC:    float32(in.TempC + b.rng.Norm(0, 0.1)),
 			PressHPa: float32(in.PressHPa + b.rng.Norm(0, 0.3)),
@@ -247,7 +250,7 @@ func (b *Badge) Tick(now time.Duration, in Input, fleet *beacon.Fleet) {
 	// Battery log.
 	if now-b.lastBattery >= b.cfg.Battery {
 		b.lastBattery = now
-		b.series.Append(record.Record{
+		b.log.Append(record.Record{
 			Local: b.local(now), Kind: record.KindBattery,
 			BatteryPct: float32(b.battery),
 		})
@@ -275,7 +278,7 @@ func (b *Badge) sampleAccel(now time.Duration, in Input) {
 		sigma = 18 + 45*in.WearerEnergy
 	}
 	for i := 0; i < AccelBurstLen; i++ {
-		b.series.Append(record.Record{
+		b.log.Append(record.Record{
 			Local: b.local(now) + time.Duration(i)*50*time.Millisecond,
 			Kind:  record.KindAccel,
 			AX:    clampI16(b.rng.Norm(0, sigma)),
@@ -339,7 +342,7 @@ func (b *Badge) flushMic() {
 	} else {
 		rec.LoudnessDB = float32(b.micAmbient)
 	}
-	b.series.Append(rec)
+	b.log.Append(rec)
 	b.micHasAccum = false
 }
 
@@ -350,7 +353,7 @@ func (b *Badge) RecordSync(now time.Duration, refClock time.Duration) error {
 		return ErrFailed
 	}
 	jitter := time.Duration(b.rng.Norm(0, 1e6)) // ~1 ms
-	b.series.Append(record.Record{
+	b.log.Append(record.Record{
 		Local:   b.local(now) + jitter,
 		Kind:    record.KindSync,
 		RefTime: refClock,
@@ -363,7 +366,7 @@ func (b *Badge) RecordNeighbor(now time.Duration, peer uint16, rssi float64) {
 	if b.failed {
 		return
 	}
-	b.series.Append(record.Record{
+	b.log.Append(record.Record{
 		Local: b.local(now), Kind: record.KindNeighbor,
 		PeerID: peer, RSSI: float32(rssi),
 	})
@@ -374,7 +377,7 @@ func (b *Badge) RecordIR(now time.Duration, peer uint16) {
 	if b.failed {
 		return
 	}
-	b.series.Append(record.Record{
+	b.log.Append(record.Record{
 		Local: b.local(now), Kind: record.KindIR, PeerID: peer,
 	})
 }

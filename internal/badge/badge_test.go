@@ -20,6 +20,9 @@ func newBadge(id uint16, seed uint64) *Badge {
 	return New(id, simtime.NewOscillator(0, 0), DefaultSampling(), &store.Series{}, stats.NewRNG(seed))
 }
 
+// seriesOf returns the series a test badge (newBadge) records into.
+func seriesOf(b *Badge) *store.Series { return b.log.(*store.Series) }
+
 func tickFor(b *Badge, from, dur time.Duration, in Input, fleet *beacon.Fleet) time.Duration {
 	const dt = 5 * time.Second
 	for at := from; at < from+dur; at += dt {
@@ -42,7 +45,7 @@ func TestBadgeRecordsWearTransitions(t *testing.T) {
 	in := wornInput(pos)
 	in.Worn = false
 	tickFor(b, end, time.Minute, in, nil)
-	wears := b.Series().Kind(record.KindWear)
+	wears := seriesOf(b).Kind(record.KindWear)
 	if len(wears) != 2 {
 		t.Fatalf("wear records = %d, want 2", len(wears))
 	}
@@ -58,7 +61,7 @@ func TestAccelEnergyByMotionState(t *testing.T) {
 		in.Worn = worn
 		in.WearerWalking = walking
 		tickFor(b, 0, time.Hour, in, nil)
-		accels := b.Series().Kind(record.KindAccel)
+		accels := seriesOf(b).Kind(record.KindAccel)
 		if len(accels) < 100 {
 			t.Fatalf("accel records = %d", len(accels))
 		}
@@ -86,7 +89,7 @@ func TestMicFrameCadenceAndFeatures(t *testing.T) {
 	in.SpeechLoudDB = 68
 	in.SpeechF0 = 210
 	tickFor(b, 0, 10*time.Minute, in, nil)
-	mics := b.Series().Kind(record.KindMic)
+	mics := seriesOf(b).Kind(record.KindMic)
 	// 10 min / 15 s = 40 windows; the last may still be accumulating.
 	if len(mics) < 38 || len(mics) > 40 {
 		t.Fatalf("mic frames = %d, want ~39", len(mics))
@@ -117,7 +120,7 @@ func TestMicSilentFrameHasAmbientOnly(t *testing.T) {
 	b := newBadge(1, 4)
 	in := wornInput(geometry.Point{X: 12, Y: 4})
 	tickFor(b, 0, 5*time.Minute, in, nil)
-	for _, m := range b.Series().Kind(record.KindMic) {
+	for _, m := range seriesOf(b).Kind(record.KindMic) {
 		if m.SpeechDetected {
 			t.Fatal("speech detected in silence")
 		}
@@ -136,7 +139,7 @@ func TestMicQuietSpeechBelowVADIgnored(t *testing.T) {
 	in.SpeechOK = true
 	in.SpeechLoudDB = SpeechThresholdDB - 5
 	tickFor(b, 0, 5*time.Minute, in, nil)
-	for _, m := range b.Series().Kind(record.KindMic) {
+	for _, m := range seriesOf(b).Kind(record.KindMic) {
 		if m.SpeechDetected {
 			t.Fatal("sub-threshold speech detected")
 		}
@@ -160,7 +163,7 @@ func TestBeaconScansRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	tickFor(b, 0, 10*time.Minute, wornInput(kitchen), fleet)
-	obs := b.Series().Kind(record.KindBeacon)
+	obs := seriesOf(b).Kind(record.KindBeacon)
 	if len(obs) < 20 {
 		t.Fatalf("beacon obs = %d", len(obs))
 	}
@@ -201,9 +204,9 @@ func TestBatteryDeathKillsBadge(t *testing.T) {
 	if !b.Failed() {
 		t.Fatal("badge survived 30 h unpowered")
 	}
-	countBefore := b.Series().Len()
+	countBefore := seriesOf(b).Len()
 	b.Tick(31*time.Hour, in, nil)
-	if b.Series().Len() != countBefore {
+	if seriesOf(b).Len() != countBefore {
 		t.Error("failed badge kept recording")
 	}
 	if err := b.RecordSync(31*time.Hour, 31*time.Hour); !errors.Is(err, ErrFailed) {
@@ -216,7 +219,7 @@ func TestLocalClockSkewAppearsInRecords(t *testing.T) {
 	b := New(1, osc, DefaultSampling(), &store.Series{}, stats.NewRNG(10))
 	in := wornInput(geometry.Point{X: 12, Y: 4})
 	b.Tick(time.Hour, in, nil)
-	recs := b.Series().All()
+	recs := seriesOf(b).All()
 	if len(recs) == 0 {
 		t.Fatal("no records")
 	}
@@ -234,7 +237,7 @@ func TestRecordSync(t *testing.T) {
 	if err := b.RecordSync(time.Hour, time.Hour-time.Second); err != nil {
 		t.Fatal(err)
 	}
-	syncs := b.Series().Kind(record.KindSync)
+	syncs := seriesOf(b).Kind(record.KindSync)
 	if len(syncs) != 1 {
 		t.Fatalf("sync records = %d", len(syncs))
 	}
@@ -265,8 +268,8 @@ func TestNetworkNeighborObservations(t *testing.T) {
 		b.Tick(at, inB, nil)
 		net.Tick(at)
 	}
-	na := a.Series().Kind(record.KindNeighbor)
-	nb := b.Series().Kind(record.KindNeighbor)
+	na := seriesOf(a).Kind(record.KindNeighbor)
+	nb := seriesOf(b).Kind(record.KindNeighbor)
 	if len(na) < 10 || len(nb) < 10 {
 		t.Fatalf("neighbor obs = %d/%d", len(na), len(nb))
 	}
@@ -304,32 +307,32 @@ func TestNetworkIRRequiresFacingAndWear(t *testing.T) {
 		b.Tick(at, inB, nil)
 		net.Tick(at)
 	}
-	if got := len(a.Series().Kind(record.KindIR)); got < 5 {
+	if got := len(seriesOf(a).Kind(record.KindIR)); got < 5 {
 		t.Fatalf("face-to-face IR contacts = %d", got)
 	}
 
 	// Turn B away: no further contacts.
-	before := len(a.Series().Kind(record.KindIR))
+	before := len(seriesOf(a).Kind(record.KindIR))
 	inB.Heading = 0
 	for at := 5 * time.Minute; at <= 10*time.Minute; at += 5 * time.Second {
 		a.Tick(at, inA, nil)
 		b.Tick(at, inB, nil)
 		net.Tick(at)
 	}
-	if got := len(a.Series().Kind(record.KindIR)); got != before {
+	if got := len(seriesOf(a).Kind(record.KindIR)); got != before {
 		t.Errorf("IR contacts while facing away: %d new", got-before)
 	}
 
 	// Unworn badges never register IR.
 	inB.Heading = math.Pi
 	inA.Worn = false
-	before = len(b.Series().Kind(record.KindIR))
+	before = len(seriesOf(b).Kind(record.KindIR))
 	for at := 10 * time.Minute; at <= 15*time.Minute; at += 5 * time.Second {
 		a.Tick(at, inA, nil)
 		b.Tick(at, inB, nil)
 		net.Tick(at)
 	}
-	if got := len(b.Series().Kind(record.KindIR)); got != before {
+	if got := len(seriesOf(b).Kind(record.KindIR)); got != before {
 		t.Errorf("IR contacts with unworn badge: %d new", got-before)
 	}
 }
@@ -354,7 +357,7 @@ func TestNetworkSkipsFailedBadges(t *testing.T) {
 		a.Tick(at, in, nil)
 		net.Tick(at)
 	}
-	if got := len(a.Series().Kind(record.KindNeighbor)); got != 0 {
+	if got := len(seriesOf(a).Kind(record.KindNeighbor)); got != 0 {
 		t.Errorf("heard %d announcements from a failed badge", got)
 	}
 }
@@ -363,7 +366,7 @@ func TestEnvAndBatteryRecords(t *testing.T) {
 	b := newBadge(1, 21)
 	in := wornInput(geometry.Point{X: 12, Y: 4})
 	tickFor(b, 0, time.Hour, in, nil)
-	envs := b.Series().Kind(record.KindEnv)
+	envs := seriesOf(b).Kind(record.KindEnv)
 	if len(envs) < 25 || len(envs) > 35 {
 		t.Errorf("env records in 1 h = %d, want ~30", len(envs))
 	}
@@ -372,7 +375,7 @@ func TestEnvAndBatteryRecords(t *testing.T) {
 			t.Errorf("temp = %v", e.TempC)
 		}
 	}
-	bats := b.Series().Kind(record.KindBattery)
+	bats := seriesOf(b).Kind(record.KindBattery)
 	if len(bats) < 5 || len(bats) > 7 {
 		t.Errorf("battery records in 1 h = %d, want ~6", len(bats))
 	}

@@ -5,8 +5,12 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"testing"
+	"time"
 
+	"icares/internal/faultplan"
 	"icares/internal/record"
+	"icares/internal/store"
+	"icares/internal/telemetry"
 )
 
 // goldenDigest is the sha256 of every record a seed-7, two-day mission
@@ -53,5 +57,41 @@ func TestRunGoldenDigest(t *testing.T) {
 	}
 	if got := missionDigest(t, res); got != goldenDigest {
 		t.Errorf("simulator output changed:\n got %s\nwant %s", got, goldenDigest)
+	}
+}
+
+// goldenDigestFaults is the sha256 (missionDigest) of a seed-7, two-day
+// mission run under a fault plan — two badge death/reboot windows, one of
+// them spanning several simulated hours, a fleet-wide and a single-badge
+// sync dropout — with lossy BLE and 868 MHz radios. It was computed with the
+// simulator writing every record straight into its store series, before the
+// staged, batched ingest existed, so it pins that records are byte-identical
+// across ingest hand-offs that fall inside a badge's death or reboot.
+const goldenDigestFaults = "25a2de46b517ed98e8362c1bd85b79a6c0f6a2637413707b6af8784e966edafd"
+
+func TestRunGoldenDigestFaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("mission run in -short mode")
+	}
+	sc := DefaultScenario(7)
+	sc.Days = 2
+	plan := faultplan.New(3,
+		faultplan.Event{Kind: faultplan.BadgeDeath, From: 34*time.Hour + 47*time.Minute, To: 38*time.Hour + 13*time.Minute, Badge: store.BadgeID(BadgeB)},
+		faultplan.Event{Kind: faultplan.BadgeDeath, From: 41*time.Hour + 5*time.Minute, To: 41*time.Hour + 55*time.Minute, Badge: store.BadgeID(BadgeD)},
+		faultplan.Event{Kind: faultplan.SyncDropout, From: 26 * time.Hour, To: 30 * time.Hour},
+		faultplan.Event{Kind: faultplan.SyncDropout, From: 46*time.Hour + 30*time.Minute, To: 48 * time.Hour, Badge: store.BadgeID(BadgeA)},
+	)
+	reg := telemetry.NewRegistry()
+	res, err := Run(Config{Seed: 7, Scenario: sc, Faults: plan, BLEDropProb: 0.2, Sub868DropProb: 0.1, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"badge_down", "badge_revive"} {
+		if n := reg.Counter("mission_fault_transitions_total", telemetry.L("kind", kind)).Value(); n != 2 {
+			t.Errorf("%s transitions = %d, want 2 (both death windows hit a live badge)", kind, n)
+		}
+	}
+	if got := missionDigest(t, res); got != goldenDigestFaults {
+		t.Errorf("simulator output under faults changed:\n got %s\nwant %s", got, goldenDigestFaults)
 	}
 }

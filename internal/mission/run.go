@@ -181,8 +181,11 @@ func Run(cfg Config) (*Result, error) {
 	dataset := store.NewDataset()
 	badges := make(map[store.BadgeID]*badge.Badge)
 	var badgeOrder []store.BadgeID
+	var stages []*stage
 	newBadge := func(id uint16, osc *simtime.Oscillator) *badge.Badge {
-		b := badge.New(id, osc, cfg.Sampling, dataset.Series(store.BadgeID(id)), rng.Split())
+		st := &stage{batch: batch{series: dataset.Series(store.BadgeID(id))}}
+		stages = append(stages, st)
+		b := badge.New(id, osc, cfg.Sampling, st, rng.Split())
 		badges[store.BadgeID(id)] = b
 		badgeOrder = append(badgeOrder, store.BadgeID(id))
 		net.Add(b)
@@ -235,6 +238,9 @@ func Run(cfg Config) (*Result, error) {
 	start := simtime.StartOfDay(cfg.FirstDataDay)
 	end := simtime.StartOfDay(cfg.Scenario.Days + 1)
 	dayStart, spanDay := start, simtime.DayOf(start)
+	// Badges record into their stages; full buffers go into the store on
+	// the ingest goroutine while the simulation runs on.
+	ingest := startIngest(stages)
 	for now := start; now < end; {
 		if d := simtime.DayOf(now); d != spanDay {
 			cfg.endSpan("mission.day", dayStart, now)
@@ -251,6 +257,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	cfg.endSpan("mission.day", dayStart, end)
 	cfg.endSpan("mission.run", start, end)
+	ingest.close()
 	sim.gRecords.Set(float64(dataset.TotalRecords()))
 	return res, nil
 }

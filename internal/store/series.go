@@ -1,6 +1,8 @@
 package store
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,11 +32,13 @@ const (
 // answer from a cached, time-ordered view instead of scanning every record.
 //
 // Concurrency: any number of readers (All, Range, Kind, RangeKind, First,
-// Last, Len) may run concurrently, and Append may interleave with them —
-// merges build new backing arrays, so previously returned views stay valid
-// snapshots. Stored timestamps are never rewritten: a series holds raw
-// device time, and clock correction is applied by the reader (the analysis
-// pipeline's rectified view).
+// Last, Len) may run concurrently, and Append and AppendBatch may
+// interleave with them — merges build new backing arrays, so previously
+// returned views stay valid snapshots. AppendBatch applies its whole batch
+// under one lock, so a reader sees all of a batch or none of it. Stored
+// timestamps are never rewritten: a series holds raw device time, and
+// clock correction is applied by the reader (the analysis pipeline's
+// rectified view).
 //
 // For live ingestion the series keeps a monotone append sequence number
 // (Seq) — the high-water mark incremental consumers diff against.
@@ -43,9 +47,12 @@ type Series struct {
 
 	// seq counts appends; it never decreases and is 0 for an empty series.
 	seq uint64
-	// onAppend, when set (by Dataset.Series), publishes each append to the
-	// dataset's subscribers. Called outside the series lock.
-	onAppend func(record.Record, uint64)
+	// owner and id, set by Dataset.Series, name the dataset whose
+	// subscribers see this series' appends and the badge they are published
+	// under. Publishing runs outside the series lock, once per Append or
+	// AppendBatch call.
+	owner *Dataset
+	id    BadgeID
 
 	// runs partition the append sequence in order: every record in runs[i]
 	// was appended before every record in runs[i+1], and each run is
@@ -83,14 +90,28 @@ type Series struct {
 // Append adds a record to the series and publishes the append to the
 // owning dataset's subscribers.
 func (s *Series) Append(r record.Record) {
+	s.AppendBatch([]record.Record{r})
+}
+
+// AppendBatch adds recs to the series in order, with the same result as
+// one Append per record: the same runs, sizes and Seq, and subscribers see
+// each record with the sequence number it would have had. It takes the
+// series lock once and publishes the whole batch with one call, which is
+// what makes it the bulk-ingest path. recs is not retained.
+func (s *Series) AppendBatch(recs []record.Record) {
+	if len(recs) == 0 {
+		return
+	}
 	s.mu.Lock()
-	s.seq++
-	seq := s.seq
-	s.appendLocked(r)
-	notify := s.onAppend
+	for _, r := range recs {
+		s.appendLocked(r)
+	}
+	first := s.seq + 1
+	s.seq += uint64(len(recs))
+	owner, id := s.owner, s.id
 	s.mu.Unlock()
-	if notify != nil {
-		notify(r, seq)
+	if owner != nil {
+		owner.publish(id, recs, first)
 	}
 }
 
@@ -142,7 +163,7 @@ func (s *Series) sealTailLocked() {
 	}
 	run := s.tail
 	if !s.tailSorted {
-		sort.SliceStable(run, func(i, j int) bool { return run[i].Local < run[j].Local })
+		slices.SortStableFunc(run, func(a, b record.Record) int { return cmp.Compare(a.Local, b.Local) })
 	}
 	s.runs = append(s.runs, run)
 	s.tail = nil

@@ -7,8 +7,9 @@
 // The layout is built for that volume: each Series holds sorted runs that
 // are merged incrementally (never a full re-sort), Kind/RangeKind queries
 // answer from lazily built per-kind indexes, byte accounting is O(1) per
-// append via record.EncodedSize, and Save/Load fan out across badge files
-// with a bounded worker pool, salvaging partially written logs (see
+// append via record.EncodedSize, Series.AppendBatch ingests a batch under
+// one lock with one subscriber publish, and Save/Load fan out across badge
+// files with a bounded worker pool, salvaging partially written logs (see
 // LoadWithReport) instead of failing the whole dataset.
 //
 // Every series, .icr log and .seg archive holds raw device time — what the
@@ -18,8 +19,9 @@
 //
 // The store also serves the live path: every series carries a monotone
 // append sequence number (Series.Seq), and datasets expose those as
-// high-water marks (Watermark) and publish append notifications (Subscribe)
-// — the hooks incremental consumers use to fold in only what is new.
+// high-water marks (Watermark) and publish append notifications (Subscribe),
+// one per record whether it came through Append or AppendBatch — the hooks
+// incremental consumers use to fold in only what is new.
 package store
 
 import (
@@ -67,8 +69,7 @@ func (d *Dataset) Series(id BadgeID) *Series {
 	if s, ok := d.series[id]; ok {
 		return s
 	}
-	s = &Series{}
-	s.onAppend = func(r record.Record, seq uint64) { d.publish(id, r, seq) }
+	s = &Series{owner: d, id: id}
 	d.series[id] = s
 	return s
 }
@@ -110,14 +111,17 @@ func (d *Dataset) Subscribe(fn func(id BadgeID, r record.Record, seq uint64)) (c
 	}
 }
 
-// publish fans one append out to the subscribers.
-func (d *Dataset) publish(id BadgeID, r record.Record, seq uint64) {
+// publish fans a batch of appends out to the subscribers, record by record;
+// recs[i] carries sequence number first+i.
+func (d *Dataset) publish(id BadgeID, recs []record.Record, first uint64) {
 	if d.subCount.Load() == 0 {
 		return
 	}
 	d.subMu.RLock()
-	for _, fn := range d.subs {
-		fn(id, r, seq)
+	for i, r := range recs {
+		for _, fn := range d.subs {
+			fn(id, r, first+uint64(i))
+		}
 	}
 	d.subMu.RUnlock()
 }

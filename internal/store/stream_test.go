@@ -55,13 +55,20 @@ func TestDatasetSubscribeDeliversAppends(t *testing.T) {
 	d.Series(7).Append(record.Record{Local: time.Second, Kind: record.KindAccel})
 	d.Series(9).Append(record.Record{Local: 2 * time.Second, Kind: record.KindIR})
 	d.Series(7).Append(record.Record{Local: 3 * time.Second, Kind: record.KindAccel})
-	want := []ev{{7, time.Second, 1}, {9, 2 * time.Second, 1}, {7, 3 * time.Second, 2}}
+	// A batch is delivered record by record, each with its own seq.
+	d.Series(9).AppendBatch([]record.Record{
+		{Local: 5 * time.Second, Kind: record.KindIR},
+		{Local: 4 * time.Second, Kind: record.KindIR},
+	})
+	want := []ev{{7, time.Second, 1}, {9, 2 * time.Second, 1}, {7, 3 * time.Second, 2},
+		{9, 5 * time.Second, 2}, {9, 4 * time.Second, 3}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("events = %v, want %v", got, want)
 	}
 	cancel()
 	d.Series(7).Append(record.Record{Local: 4 * time.Second, Kind: record.KindAccel})
-	if len(got) != 3 {
+	d.Series(7).AppendBatch([]record.Record{{Local: 6 * time.Second, Kind: record.KindAccel}})
+	if len(got) != len(want) {
 		t.Fatalf("append after cancel still delivered: %v", got)
 	}
 }
