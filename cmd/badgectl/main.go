@@ -1,7 +1,7 @@
-// Command badgectl inspects on-badge SD-card log files (.icr) — the format
-// cmd/icares writes with -out and a deployment would pull off physical
-// badges after a mission — and compressed segment files (.seg, written with
-// -segout), dispatching on the file extension.
+// Command badgectl inspects on-badge SD-card log files (.icr) — the framed
+// format a badge writes and a deployment would pull off physical badges
+// after a mission — and compressed segment files (.seg, the dataset archive
+// cmd/icares writes with -segout), dispatching on the file extension.
 //
 // Usage:
 //

@@ -1,10 +1,10 @@
 // Command icares runs the full 14-day ICAres-1 mission simulation
-// end-to-end, optionally persists the dataset as per-badge SD-card log
-// files, and prints the headline statistics.
+// end-to-end, optionally persists the dataset as a segment archive (one
+// compressed .seg file per badge), and prints the headline statistics.
 //
 // Usage:
 //
-//	icares [-seed N] [-days N] [-out DIR] [-segout DIR] [-metrics] [-chaos] [-journal FILE]
+//	icares [-seed N] [-days N] [-segout DIR] [-metrics] [-chaos] [-journal FILE]
 //	icares -segdir DIR [-days N]
 //
 // The second form skips the simulation entirely: it reopens a segment
@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"icares"
@@ -37,7 +38,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("icares", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 42, "simulation seed")
 	days := fs.Int("days", 14, "mission length in days")
-	out := fs.String("out", "", "directory to write per-badge .icr log files (optional)")
 	segout := fs.String("segout", "", "directory to write per-badge compressed .seg segment files (optional)")
 	metrics := fs.Bool("metrics", false, "dump the telemetry registry after the run (the sim-clock spans themselves are \"span\" events in -journal)")
 	chaos := fs.Bool("chaos", false, "subject the mission to the seeded chaos fault plan")
@@ -107,12 +107,6 @@ func run(args []string) error {
 		fmt.Printf("  day %2d %s  %s\n", simtime.DayOf(ev.At), simtime.ClockString(ev.At), ev.Name)
 	}
 
-	if *out != "" {
-		if err := res.Dataset.Save(*out); err != nil {
-			return err
-		}
-		fmt.Printf("\ndataset written to %s\n", *out)
-	}
 	if *segout != "" {
 		if err := res.Dataset.SaveSegments(*segout); err != nil {
 			return err
@@ -153,8 +147,13 @@ func reportFromSegments(dir string, days int) error {
 		return err
 	}
 	defer ss.Close()
-	for name, ferr := range rep.Failed {
-		fmt.Fprintf(os.Stderr, "icares: skipping %s: %v\n", name, ferr)
+	failed := make([]string, 0, len(rep.Failed))
+	for name := range rep.Failed {
+		failed = append(failed, name)
+	}
+	sort.Strings(failed)
+	for _, name := range failed {
+		fmt.Fprintf(os.Stderr, "icares: skipping %s: %v\n", name, rep.Failed[name])
 	}
 	fmt.Fprintf(os.Stderr, "icares: %d badges, %.1f MiB on disk\n",
 		len(ss.Badges()), float64(ss.BytesOnDisk())/(1<<20))

@@ -235,7 +235,7 @@ func TestRunSmallMission(t *testing.T) {
 	}
 	// All six personal badges plus the reference must have data.
 	for id := BadgeA; id <= ReferenceBadge; id++ {
-		if !ds.Has(store.BadgeID(id)) {
+		if ds.Series(store.BadgeID(id)).Len() == 0 {
 			t.Errorf("badge %d has no data", id)
 		}
 	}

@@ -292,32 +292,44 @@ func benchDataset(badges, per int) *Dataset {
 	return d
 }
 
+// BenchmarkDatasetParallelSave measures SaveSegments of a 30-badge dataset
+// across the bounded worker pool.
 func BenchmarkDatasetParallelSave(b *testing.B) {
 	d := benchDataset(30, 20_000)
 	dir := b.TempDir()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := d.Save(dir); err != nil {
+		if err := d.SaveSegments(dir); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// BenchmarkDatasetParallelLoad measures OpenSegments of the same archive
+// plus a full Iter drain of every badge, so each block is decoded once.
 func BenchmarkDatasetParallelLoad(b *testing.B) {
 	d := benchDataset(30, 20_000)
 	dir := b.TempDir()
-	if err := d.Save(dir); err != nil {
+	if err := d.SaveSegments(dir); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, err := Load(dir)
+		ss, _, err := OpenSegments(dir)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if got.TotalRecords() != 30*20_000 {
+		n := 0
+		for _, id := range ss.Badges() {
+			v, _ := ss.View(id)
+			for it := v.Iter(minDuration, maxDuration, 0); it.Next(); {
+				n++
+			}
+		}
+		ss.Close()
+		if n != 30*20_000 {
 			b.Fatal("short load")
 		}
 	}

@@ -83,9 +83,10 @@ type manifest struct {
 var ErrRectifiedArchive = errors.New("store: archive holds rectified timestamps (saved by an older build); re-archive from raw data")
 
 // SaveSegments writes the dataset as one compressed, immutable segment
-// file per badge into dir — the persistent form of the sorted-run layout,
-// readable out-of-core with OpenSegments. Files are written atomically
-// (temp + fsync + rename) by the same bounded worker pool as Save.
+// file per badge into dir, readable out-of-core with OpenSegments. It is the
+// one on-disk dataset format: the persistent form of the sorted-run layout.
+// Badge files are written atomically (temp + fsync + rename) by a bounded
+// worker pool, and the first error in ascending badge order is returned.
 func (d *Dataset) SaveSegments(dir string) error {
 	return d.saveSegments(dir, 0)
 }
@@ -97,15 +98,17 @@ func (d *Dataset) saveSegments(dir string, blockSize int) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("save segments: %w", err)
 	}
-	err := d.saveEach(func(id BadgeID, s *Series) error {
-		return saveOneSegment(dir, id, s, blockSize)
-	})
-	if err != nil {
-		return err
+	ids := d.Badges()
+	errs := make([]error, len(ids))
+	fanOut(len(ids), func(i int) { errs[i] = saveOneSegment(dir, ids[i], d.Series(ids[i]), blockSize) })
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 
 	man := manifest{FramedBytes: d.EncodedBytes()}
-	err = atomicWrite(dir, manifestName, func(f *os.File) error {
+	err := atomicWrite(dir, manifestName, func(f *os.File) error {
 		return json.NewEncoder(f).Encode(man)
 	})
 	if err != nil {
@@ -152,13 +155,13 @@ type SegmentStore struct {
 }
 
 // OpenSegments opens every badge segment in dir for out-of-core reads,
-// with the same salvage semantics and report shape as LoadWithReport: a
-// segment with a damaged index or damaged blocks contributes what is
-// readable and is marked in the report, and so does a manifest that is
-// present but unparseable (under Failed["manifest.json"]; the framed size is
-// then recomputed, so no result moves). Only an unreadable directory, one
-// with no usable segment data at all, or a manifest marking the archive
-// rectified (ErrRectifiedArchive) fails the open.
+// salvaging what it can: a segment with a damaged index or damaged blocks
+// contributes what is readable and is marked in the report, and so does a
+// manifest that is present but unparseable (under Failed["manifest.json"];
+// the framed size is then recomputed, so no result moves). Only an
+// unreadable directory, one with no usable segment data at all (ErrNoData),
+// or a manifest marking the archive rectified (ErrRectifiedArchive) fails
+// the open.
 func OpenSegments(dir string) (*SegmentStore, *LoadReport, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

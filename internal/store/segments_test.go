@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -126,7 +127,7 @@ func TestSaveOpenSegmentsRoundTrip(t *testing.T) {
 	if !rep.Clean() {
 		t.Fatalf("report not clean: %+v", rep)
 	}
-	if got, want := ss.Badges(), d.Badges(); len(got) != len(want) {
+	if got, want := ss.Badges(), d.Badges(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("badges = %v, want %v", got, want)
 	}
 	if ss.TotalRecords() != d.TotalRecords() {
@@ -207,7 +208,7 @@ func TestOpenSegmentsDuplicateBadge(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same badge ID under a later file name: first file wins, later one is
-	// reported failed, exactly like duplicate .icr logs in LoadWithReport.
+	// reported failed.
 	if err := os.WriteFile(filepath.Join(dir, "badge-001b.seg"), src, 0o644); err != nil {
 		t.Fatal(err)
 	}

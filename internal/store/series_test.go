@@ -1,9 +1,8 @@
 package store
 
 import (
+	"bytes"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
@@ -227,8 +226,9 @@ func TestSeriesInterleavedAppendAndReads(t *testing.T) {
 }
 
 func TestSeriesOutOfOrderSaveLoadOrdering(t *testing.T) {
-	// Out-of-order appends, then a Save/Load round trip: the loaded series
-	// must come back in the same fully sorted order the writer saw.
+	// Out-of-order appends, then a SaveSegments/OpenSegments round trip: the
+	// archived series must come back in the same fully sorted order the
+	// writer saw.
 	dir := t.TempDir()
 	d := NewDataset()
 	s := d.Series(7)
@@ -246,14 +246,15 @@ func TestSeriesOutOfOrderSaveLoadOrdering(t *testing.T) {
 			t.Fatal("source series not sorted")
 		}
 	}
-	if err := d.Save(dir); err != nil {
+	if err := d.SaveSegments(dir); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(dir)
+	ss, _, err := OpenSegments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	have := got.Series(7).All()
+	defer ss.Close()
+	have := scan(mustView(t, ss, 7), minDuration, maxDuration, 0)
 	if len(have) != len(want) {
 		t.Fatalf("loaded %d records, want %d", len(have), len(want))
 	}
@@ -286,11 +287,9 @@ func TestSeriesUnsizedAccounting(t *testing.T) {
 }
 
 func TestSeriesEncodedBytesMatchesLogWriter(t *testing.T) {
-	// The O(1) accounting must agree with what Save actually writes, minus
-	// the fixed 7-byte log header.
-	dir := t.TempDir()
-	d := NewDataset()
-	s := d.Series(4)
+	// The O(1) accounting must agree with what the framed log writer
+	// actually emits, minus the fixed 7-byte log header.
+	var s Series
 	rng := stats.NewRNG(9)
 	for i := 0; i < 500; i++ {
 		s.Append(record.Record{
@@ -299,15 +298,21 @@ func TestSeriesEncodedBytesMatchesLogWriter(t *testing.T) {
 			RefTime: time.Duration(rng.Uint64() % uint64(14*24*time.Hour)),
 		})
 	}
-	if err := d.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	fi, err := os.Stat(filepath.Join(dir, logFileName(4)))
+	var buf bytes.Buffer
+	lw, err := record.NewLogWriter(&buf, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s.EncodedBytes(), fi.Size()-7; got != want {
-		t.Errorf("EncodedBytes = %d, on-disk frames = %d", got, want)
+	for _, r := range s.All() {
+		if err := lw.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.EncodedBytes(), int64(buf.Len())-7; got != want {
+		t.Errorf("EncodedBytes = %d, framed bytes = %d", got, want)
 	}
 }
 

@@ -8,25 +8,26 @@
 // are merged incrementally (never a full re-sort), Kind/RangeKind queries
 // answer from lazily built per-kind indexes, byte accounting is O(1) per
 // append via record.EncodedSize, Series.AppendBatch ingests a batch under
-// one lock with one subscriber publish, and Save/Load fan out across badge
-// files with a bounded worker pool, salvaging partially written logs (see
-// LoadWithReport) instead of failing the whole dataset.
+// one lock with one subscriber publish. A dataset reaches disk in one
+// format, the per-badge .seg segment archive: SaveSegments and OpenSegments
+// fan out across badge files with a bounded worker pool, and OpenSegments
+// salvages damaged segments (see LoadReport) instead of failing the whole
+// archive.
 //
-// Every series, .icr log and .seg archive holds raw device time — what the
+// Every series and .seg archive holds raw device time — what the
 // badges wrote to their SD cards. Clock corrections are a value the analysis
 // pipeline owns and applies through a read view; the store never rewrites a
 // timestamp, so nothing here can be rectified twice.
 //
 // The store also serves the live path: every series carries a monotone
-// append sequence number (Series.Seq), and datasets expose those as
-// high-water marks (Watermark) and publish append notifications (Subscribe),
-// one per record whether it came through Append or AppendBatch — the hooks
-// incremental consumers use to fold in only what is new.
+// append sequence number (Series.Seq), and datasets publish append
+// notifications (Subscribe), one per record whether it came through Append
+// or AppendBatch — the hooks incremental consumers use to fold in only what
+// is new.
 package store
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -126,28 +127,6 @@ func (d *Dataset) publish(id BadgeID, recs []record.Record, first uint64) {
 	d.subMu.RUnlock()
 }
 
-// Watermark snapshots every series' append sequence number — the dataset's
-// high-water marks. An incremental consumer records a watermark, works, and
-// later diffs a fresh watermark against it to learn which badges received
-// data in between (and how many records).
-func (d *Dataset) Watermark() map[BadgeID]uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make(map[BadgeID]uint64, len(d.series))
-	for id, s := range d.series {
-		out[id] = s.Seq()
-	}
-	return out
-}
-
-// Has reports whether the dataset contains any records for the badge.
-func (d *Dataset) Has(id BadgeID) bool {
-	d.mu.RLock()
-	s, ok := d.series[id]
-	d.mu.RUnlock()
-	return ok && s.Len() > 0
-}
-
 // Badges returns the badge IDs present, sorted.
 func (d *Dataset) Badges() []BadgeID {
 	d.mu.RLock()
@@ -183,10 +162,6 @@ func (d *Dataset) EncodedBytes() int64 {
 	return n
 }
 
-// ErrNoData is returned when loading an empty or missing dataset.
+// ErrNoData is returned when opening an archive directory that holds no
+// usable segment data.
 var ErrNoData = errors.New("store: no data")
-
-// logFileName returns the on-disk log name of a badge.
-func logFileName(id BadgeID) string {
-	return fmt.Sprintf("badge-%03d.icr", id)
-}

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -126,14 +128,17 @@ func TestSeriesEncodedBytes(t *testing.T) {
 
 func TestDatasetBasics(t *testing.T) {
 	d := NewDataset()
-	if d.Has(1) {
-		t.Error("Has on empty dataset")
+	if _, ok := d.View(1); ok {
+		t.Error("View on empty dataset")
 	}
 	d.Series(3).Append(mkRec(time.Second, record.KindAccel))
 	d.Series(1).Append(mkRec(time.Second, record.KindMic))
 	d.Series(1).Append(mkRec(2*time.Second, record.KindMic))
-	if !d.Has(1) || !d.Has(3) || d.Has(2) {
-		t.Error("Has wrong")
+	if d.Series(1).Len() != 2 || d.Series(3).Len() != 1 {
+		t.Error("series lengths wrong")
+	}
+	if _, ok := d.View(2); ok {
+		t.Error("View for absent badge")
 	}
 	ids := d.Badges()
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 3 {
@@ -147,54 +152,34 @@ func TestDatasetBasics(t *testing.T) {
 	}
 }
 
-func TestDatasetSaveLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	d := NewDataset()
-	rng := stats.NewRNG(5)
-	for id := BadgeID(1); id <= 3; id++ {
-		s := d.Series(id)
-		for i := 0; i < 50; i++ {
-			s.Append(record.Record{
-				Local:  time.Duration(i) * time.Second,
-				Kind:   record.KindBeacon,
-				PeerID: uint16(rng.Intn(27) + 1),
-				RSSI:   float32(rng.Range(-90, -40)),
-			})
-		}
-	}
-	if err := d.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TotalRecords() != d.TotalRecords() {
-		t.Errorf("loaded %d records, want %d", got.TotalRecords(), d.TotalRecords())
-	}
-	for _, id := range d.Badges() {
-		want := d.Series(id).All()
-		have := got.Series(id).All()
-		if len(want) != len(have) {
-			t.Fatalf("badge %d: %d vs %d", id, len(have), len(want))
-		}
-		for i := range want {
-			if want[i] != have[i] {
-				t.Fatalf("badge %d record %d differs", id, i)
-			}
-		}
-	}
-}
-
 func TestLoadMissingDir(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "nope")); err == nil {
-		t.Error("missing dir accepted")
+	// An unreadable directory is an I/O error, not an archive without data.
+	_, _, err := OpenSegments(filepath.Join(t.TempDir(), "nope"))
+	if err == nil || errors.Is(err, ErrNoData) {
+		t.Errorf("missing dir: %v, want a non-ErrNoData error", err)
 	}
 }
 
 func TestLoadEmptyDir(t *testing.T) {
-	if _, err := Load(t.TempDir()); !errors.Is(err, ErrNoData) {
-		t.Errorf("empty dir: %v", err)
+	// A directory of framed .icr badge logs holds no segments: the .seg
+	// archive is the only dataset format OpenSegments reads.
+	var log bytes.Buffer
+	lw, err := record.NewLogWriter(&log, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lw.Append(mkRec(time.Second, record.KindAccel)); err != nil {
+		t.Fatal(err)
+	}
+	if err := lw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "badge-001.icr"), log.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenSegments(dir); !errors.Is(err, ErrNoData) {
+		t.Errorf("dir of .icr logs: %v, want ErrNoData", err)
 	}
 }
 

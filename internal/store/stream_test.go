@@ -26,21 +26,6 @@ func TestSeriesSeqCountsAppends(t *testing.T) {
 	}
 }
 
-func TestDatasetWatermark(t *testing.T) {
-	d := NewDataset()
-	d.Series(1).Append(record.Record{Local: time.Second, Kind: record.KindAccel})
-	d.Series(1).Append(record.Record{Local: 2 * time.Second, Kind: record.KindAccel})
-	d.Series(3).Append(record.Record{Local: time.Second, Kind: record.KindMic})
-	want := map[BadgeID]uint64{1: 2, 3: 1}
-	if got := d.Watermark(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("watermark = %v, want %v", got, want)
-	}
-	d.Series(1).Append(record.Record{Local: 3 * time.Second, Kind: record.KindAccel})
-	if got := d.Watermark()[1]; got != 3 {
-		t.Fatalf("badge 1 watermark = %d, want 3", got)
-	}
-}
-
 func TestDatasetSubscribeDeliversAppends(t *testing.T) {
 	d := NewDataset()
 	type ev struct {
