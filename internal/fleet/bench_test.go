@@ -117,6 +117,27 @@ func BenchmarkServeBare(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }
 
+// BenchmarkHabitatSetup measures what one habitat costs a fleet before it
+// can serve a settled report, at the benchmark workload's habitat shape
+// (three mission days, one-minute tick): the mission simulation, the feed
+// assembly in newEngine, and the whole offload-and-ingest run. The
+// records/s metric is the habitat's SD-card records over that time.
+func BenchmarkHabitatSetup(b *testing.B) {
+	records := 0
+	for i := 0; i < b.N; i++ {
+		e, err := newEngine("bench", HabitatConfig{ID: "bench", Seed: 900, Days: 3, Tick: time.Minute})
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.run()
+		records += e.ingested
+		b.StopTimer()
+		e.analytics.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(records)/b.Elapsed().Seconds(), "records/s")
+}
+
 // BenchmarkFleetIngest measures one habitat's full offload-and-ingest
 // throughput: mission records per second through uploader → gateway →
 // daemon → live analytics.

@@ -26,7 +26,6 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"icares"
@@ -84,12 +83,6 @@ const ingestStep = time.Minute
 // every fault-plan window and the uploader's maximum backoff.
 const drainGrace = 24 * time.Hour
 
-// feedItem is one record awaiting its badge's uploader.
-type feedItem struct {
-	badge store.BadgeID
-	rec   record.Record
-}
-
 // engine is the single-threaded core of one fleet habitat: a simulated
 // mission whose dataset streams through per-badge uploaders and an
 // offload gateway into a support daemon with live analytics. All methods
@@ -106,17 +99,18 @@ type engine struct {
 	analytics *support.Analytics
 	gateway   *offload.Gateway
 	uploaders []*offload.Uploader // sorted by badge ID
-	byBadge   map[store.BadgeID]*offload.Uploader
 	transport offload.Transport
 
-	feed    []feedItem // merged (badge, record) stream, sorted by Local
-	pos     int
+	// unfed[i] is what uploaders[i]'s badge has not yet enqueued: a
+	// zero-copy, time-ordered view of its SD-card series up to the horizon.
+	unfed   [][]record.Record
+	records int           // the whole feed's size
 	now     time.Duration // habitat-local clock
 	horizon time.Duration
 
-	// staged collects the records the gateway sink released during the
+	// staged collects the batches the gateway sink released during the
 	// current flush round, applied to the daemon in release order.
-	staged []feedItem
+	staged []offload.Batch
 
 	ingested    int
 	undelivered int
@@ -166,7 +160,6 @@ func newEngine(id string, cfg HabitatConfig) (*engine, error) {
 		reg:     reg,
 		journal: journal,
 		mission: m,
-		byBadge: make(map[store.BadgeID]*offload.Uploader),
 		horizon: m.Horizon(),
 	}
 	if cfg.Faults != nil {
@@ -218,15 +211,9 @@ func newEngine(id string, cfg HabitatConfig) (*engine, error) {
 		u.Instrument(reg)
 		u.AttachJournal(journal)
 		e.uploaders = append(e.uploaders, u)
-		e.byBadge[id] = u
-		for _, r := range ds.Series(id).Range(0, e.horizon) {
-			e.feed = append(e.feed, feedItem{badge: id, rec: r})
-		}
+		e.unfed = append(e.unfed, ds.Series(id).Range(0, e.horizon))
+		e.records += len(e.unfed[len(e.unfed)-1])
 	}
-	// Badges() is sorted and each series is time-ordered, so a stable
-	// sort on Local yields a deterministic global order with per-badge
-	// order preserved.
-	sort.SliceStable(e.feed, func(i, j int) bool { return e.feed[i].rec.Local < e.feed[j].rec.Local })
 
 	e.cIngested = reg.Counter("fleet_engine_records_ingested_total")
 	e.gClock = reg.Gauge("fleet_engine_clock_seconds")
@@ -234,12 +221,10 @@ func newEngine(id string, cfg HabitatConfig) (*engine, error) {
 }
 
 // sink is the gateway's exactly-once, per-badge-ordered output. The
-// gateway invokes it under its own lock during a flush round; records
-// are staged and applied to the daemon once the round completes.
+// gateway invokes it under its own lock during a flush round; batches
+// are staged as released and applied to the daemon once it completes.
 func (e *engine) sink(id store.BadgeID, recs []record.Record) {
-	for _, r := range recs {
-		e.staged = append(e.staged, feedItem{badge: id, rec: r})
-	}
+	e.staged = append(e.staged, offload.Batch{Badge: id, Records: recs})
 }
 
 // step advances the habitat's clock domain by one ingest window:
@@ -254,7 +239,7 @@ func (e *engine) step() int {
 	if e.steps == 1 {
 		e.journal.Emit(e.now, telemetry.SevInfo, "fleet", "ingest-start",
 			"habitat ingest started",
-			telemetry.Fi("records", len(e.feed)),
+			telemetry.Fi("records", e.records),
 			telemetry.Fi("badges", len(e.uploaders)))
 	}
 	if e.stepHook != nil {
@@ -262,16 +247,25 @@ func (e *engine) step() int {
 	}
 	e.noteFaults(e.now)
 	hi := e.now + ingestStep
-	for e.pos < len(e.feed) && e.feed[e.pos].rec.Local < hi {
-		it := e.feed[e.pos]
-		e.byBadge[it.badge].Enqueue(it.rec)
-		e.pos++
+	// Each badge's window is one contiguous run of its view. Uploaders
+	// are independent and only buffer until FlushAt, so the order in
+	// which badges enqueue within a step is unobservable.
+	next := time.Duration(-1) // earliest record not yet enqueued, -1 if none
+	for i, recs := range e.unfed {
+		k := 0
+		for k < len(recs) && recs[k].Local < hi {
+			k++
+		}
+		e.uploaders[i].Enqueue(recs[:k]...)
+		e.unfed[i] = recs[k:]
+		if k < len(recs) && (next < 0 || recs[k].Local < next) {
+			next = recs[k].Local
+		}
 	}
 	inFlight := false
 	for _, u := range e.uploaders {
 		u.FlushAt(e.now, e.transport)
-		s := u.StatsSnapshot()
-		if s.Buffered > 0 || s.Pending > 0 {
+		if s := u.StatsSnapshot(); s.Buffered > 0 || s.Pending > 0 {
 			inFlight = true
 		}
 	}
@@ -279,17 +273,16 @@ func (e *engine) step() int {
 	e.now = hi
 	e.gClock.Set(e.now.Seconds())
 
-	if e.pos >= len(e.feed) {
+	if next < 0 {
 		if !inFlight {
 			e.done = true
 		} else if e.now > e.horizon+drainGrace {
 			// Whatever is still pending will never deliver (e.g. a badge
 			// that died before its final flush window); account for it
-			// and stop rather than spinning forever.
-			for _, u := range e.uploaders {
-				s := u.StatsSnapshot()
-				e.undelivered += s.Buffered + s.Pending*u.BatchSize
-			}
+			// and stop rather than spinning forever. Every record has been
+			// fed by now, and the gateway delivers exactly once, so the
+			// shortfall is exact.
+			e.undelivered = e.records - e.ingested
 			e.done = true
 			e.journal.Emit(e.now, telemetry.SevWarn, "fleet", "ingest-undelivered",
 				"ingest gave up on records past the drain grace",
@@ -302,10 +295,10 @@ func (e *engine) step() int {
 				telemetry.Fi("undelivered", e.undelivered),
 				telemetry.Fi("steps", e.steps))
 		}
-	} else if !inFlight && e.pos < len(e.feed) && e.feed[e.pos].rec.Local > hi {
+	} else if !inFlight && next > hi {
 		// Idle gap (overnight, pre-deployment): jump the clock to the
 		// next record's window instead of stepping through silence.
-		e.now = e.feed[e.pos].rec.Local.Truncate(ingestStep)
+		e.now = next.Truncate(ingestStep)
 	}
 	return n
 }
@@ -320,26 +313,12 @@ func (e *engine) noteFaults(now time.Duration) {
 	if p == nil {
 		return
 	}
-	if down := p.GatewayDown(now); down != e.inGatewayCrash {
-		e.inGatewayCrash = down
-		if down {
-			e.journal.Emit(now, telemetry.SevError, "fleet", "gateway-crash",
-				"fault plan crashed the offload gateway")
-		} else {
-			e.journal.Emit(now, telemetry.SevInfo, "fleet", "gateway-restore",
-				"offload gateway back up")
-		}
-	}
-	if down := p.UplinkDown(now); down != e.inBlackout {
-		e.inBlackout = down
-		if down {
-			e.journal.Emit(now, telemetry.SevWarn, "fleet", "uplink-blackout",
-				"fault plan blacked out the mission-control uplink")
-		} else {
-			e.journal.Emit(now, telemetry.SevInfo, "fleet", "uplink-restore",
-				"mission-control uplink restored")
-		}
-	}
+	e.noteEdge(now, &e.inGatewayCrash, p.GatewayDown(now), telemetry.SevError,
+		"gateway-crash", "fault plan crashed the offload gateway",
+		"gateway-restore", "offload gateway back up")
+	e.noteEdge(now, &e.inBlackout, p.UplinkDown(now), telemetry.SevWarn,
+		"uplink-blackout", "fault plan blacked out the mission-control uplink",
+		"uplink-restore", "mission-control uplink restored")
 	rf := false
 	for _, w := range e.rfWindows {
 		if now >= w.From && now < w.To {
@@ -347,30 +326,50 @@ func (e *engine) noteFaults(now time.Duration) {
 			break
 		}
 	}
-	if rf != e.inRF {
-		e.inRF = rf
-		if rf {
-			e.journal.Emit(now, telemetry.SevWarn, "fleet", "rf-outage",
-				"fault plan opened an RF outage window")
-		} else {
-			e.journal.Emit(now, telemetry.SevInfo, "fleet", "rf-restore",
-				"RF outage window closed")
-		}
+	e.noteEdge(now, &e.inRF, rf, telemetry.SevWarn,
+		"rf-outage", "fault plan opened an RF outage window",
+		"rf-restore", "RF outage window closed")
+}
+
+// noteEdge journals one fault window's transition: entering it (at sev)
+// when down turns true, leaving it (at info) when down turns false.
+func (e *engine) noteEdge(now time.Duration, in *bool, down bool, sev telemetry.EventSeverity,
+	enterKind, enterMsg, exitKind, exitMsg string) {
+	if down == *in {
+		return
+	}
+	*in = down
+	if down {
+		e.journal.Emit(now, sev, "fleet", enterKind, enterMsg)
+	} else {
+		e.journal.Emit(now, telemetry.SevInfo, "fleet", exitKind, exitMsg)
 	}
 }
 
-// apply feeds the staged gateway output to the daemon in release order.
+// apply feeds the staged gateway output to the daemon in release order,
+// one run of equal-day records at a time: the wearer is resolved once per
+// run, and the daemon ingests the run as a batch.
 func (e *engine) apply() int {
-	staged := e.staged
-	e.staged = e.staged[:0]
 	assignment := e.mission.Result().Assignment
-	for _, it := range staged {
-		wearer, _ := assignment.TrueWearerOf(it.badge, simtime.DayOf(it.rec.Local))
-		e.daemon.Ingest(it.rec.Local, wearer, it.badge, it.rec)
+	n := 0
+	for _, b := range e.staged {
+		for recs := b.Records; len(recs) > 0; {
+			day := simtime.DayOf(recs[0].Local)
+			k := 1
+			for k < len(recs) && simtime.DayOf(recs[k].Local) == day {
+				k++
+			}
+			wearer, _ := assignment.TrueWearerOf(b.Badge, day)
+			e.daemon.IngestBatch(wearer, b.Badge, recs[:k])
+			recs = recs[k:]
+		}
+		n += len(b.Records)
 	}
-	e.ingested += len(staged)
-	e.cIngested.Add(uint64(len(staged)))
-	return len(staged)
+	clear(e.staged) // release the batches' records to the collector
+	e.staged = e.staged[:0]
+	e.ingested += n
+	e.cIngested.Add(uint64(n))
+	return n
 }
 
 // run steps the engine to completion (test and property-check helper;

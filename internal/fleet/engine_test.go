@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"icares"
+	"icares/internal/offload"
 )
 
 // coarseTick keeps fleet-test missions cheap: a 60 s simulation step
@@ -75,16 +76,54 @@ func TestEngineChaosCompletes(t *testing.T) {
 	e.run()
 	// Badge-death windows can strand tail records on a dead badge's SD
 	// card past the drain grace; everything the transport could carry
-	// must have arrived exactly once.
-	if e.ingested+e.undelivered < e.mission.Result().Dataset.TotalRecords() {
-		t.Fatalf("ingested %d + undelivered %d < %d total",
-			e.ingested, e.undelivered, e.mission.Result().Dataset.TotalRecords())
-	}
-	if e.ingested > e.mission.Result().Dataset.TotalRecords() {
-		t.Fatalf("ingested %d > %d total (duplicate delivery)",
-			e.ingested, e.mission.Result().Dataset.TotalRecords())
+	// must have arrived exactly once, and the rest is counted exactly.
+	if total := e.mission.Result().Dataset.TotalRecords(); e.ingested+e.undelivered != total {
+		t.Fatalf("ingested %d + undelivered %d != %d total", e.ingested, e.undelivered, total)
 	}
 	if e.snapshot().Records != e.ingested {
 		t.Fatalf("analytics hold %d records, daemon ingested %d", e.snapshot().Records, e.ingested)
+	}
+}
+
+// TestEngineUndeliveredExact drives the give-up path: one badge's radio
+// never gets a batch through, so the engine drains past the grace period
+// and declares the rest undeliverable. The count must be exact — that
+// badge's whole series, partial last batches included — so every record
+// fed is either ingested or undelivered, never both and never neither.
+func TestEngineUndeliveredExact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("mission fixture in -short mode")
+	}
+	e, err := newEngine("mute", HabitatConfig{ID: "mute", Seed: 7, Days: 2, Tick: coarseTick})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.analytics.Close()
+	ds := e.mission.Result().Dataset
+	mute := ds.Badges()[0]
+	inner := e.transport
+	e.transport = offload.TransportFunc(func(b offload.Batch) bool {
+		return b.Badge != mute && inner.Deliver(b)
+	})
+	e.run()
+
+	total := ds.TotalRecords()
+	if e.ingested+e.undelivered != total {
+		t.Fatalf("ingested %d + undelivered %d != %d fed", e.ingested, e.undelivered, total)
+	}
+	if want := ds.Series(mute).Len(); e.undelivered != want {
+		t.Fatalf("undelivered %d, want the muted badge's %d records", e.undelivered, want)
+	}
+	if got := e.analytics.Dataset().Series(mute).Len(); got != 0 {
+		t.Fatalf("muted badge %v reached the analytics with %d records", mute, got)
+	}
+	var others int
+	for _, id := range ds.Badges() {
+		if id != mute {
+			others += e.analytics.Dataset().Series(id).Len()
+		}
+	}
+	if others != e.ingested {
+		t.Fatalf("analytics hold %d records of the other badges, daemon ingested %d", others, e.ingested)
 	}
 }

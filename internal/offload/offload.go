@@ -124,7 +124,11 @@ type GatewayStats struct {
 // ErrNilSink reports a gateway without a destination.
 var ErrNilSink = errors.New("offload: nil sink")
 
-// NewGateway builds a gateway forwarding to sink.
+// NewGateway builds a gateway forwarding to sink. The sink owns the slice
+// it is handed for reading: every release is a copy the gateway and
+// uploaders never write again, so a sink may keep it past the call instead
+// of copying it. It must not write to it, since an uploader whose ack was
+// lost still holds the same records to retransmit.
 func NewGateway(sink func(store.BadgeID, []record.Record)) (*Gateway, error) {
 	if sink == nil {
 		return nil, ErrNilSink
@@ -384,10 +388,14 @@ func (u *Uploader) AttachJournal(j *telemetry.Journal) {
 	u.journal = j
 }
 
-// Enqueue buffers one record for upload.
-func (u *Uploader) Enqueue(r record.Record) {
+// Enqueue buffers records for upload, in order. A run of records costs one
+// lock and one gauge update; recs is copied, not retained.
+func (u *Uploader) Enqueue(recs ...record.Record) {
+	if len(recs) == 0 {
+		return
+	}
 	u.mu.Lock()
-	u.buffer = append(u.buffer, r)
+	u.buffer = append(u.buffer, recs...)
 	u.gBuffered.Set(float64(len(u.buffer)))
 	u.mu.Unlock()
 }

@@ -34,34 +34,33 @@ type staleKey struct {
 
 // Follow subscribes the pipeline to its source's append notifications so
 // that records arriving after analyses ran are folded in incrementally: an
-// append marks only its (badge, day) window stale, and the next analysis
-// recomputes just the affected windows and the astronaut-level results
-// folding them. The returned stop function cancels the subscription. A
-// source without a Subscribe method (a segment archive) never appends;
-// there is nothing to follow.
+// appended batch marks only its (badge, day) windows stale (markStaleBatch),
+// and the next analysis recomputes just the affected windows and the
+// astronaut-level results folding them. The returned stop function cancels
+// the subscription. A source without a Subscribe method (a segment archive)
+// never appends; there is nothing to follow.
 //
 // Corrections freeze at the first analysis, fitted on whatever sync records
 // have arrived by then; pass WithCorrections at construction to make live
 // results independent of that timing.
 func (p *Pipeline) Follow() (stop func()) {
 	src, ok := p.src.Data.(interface {
-		Subscribe(func(store.BadgeID, record.Record, uint64)) (cancel func())
+		Subscribe(func(store.BadgeID, []record.Record)) (cancel func())
 	})
 	if !ok {
 		return func() {}
 	}
 	p.following.Store(true)
-	return src.Subscribe(func(id store.BadgeID, r record.Record, seq uint64) {
-		p.markStale(id, r.Local)
-	})
+	return src.Subscribe(p.markStaleBatch)
 }
 
 // markStale records that a badge received a record at the given raw device
 // timestamp. Windows are reference-time days, and personal badges run
 // seconds off, so the day is taken after the badge's frozen correction; a
 // mark arriving before the corrections are frozen marks every day of the
-// badge instead. Cheap and lock-scoped: safe to call from the source's
-// append path.
+// badge instead. It is the one-record form of markStaleBatch, which Follow
+// uses: both leave the same stale set. Cheap and lock-scoped: safe to call
+// from the source's append path.
 func (p *Pipeline) markStale(id store.BadgeID, local time.Duration) {
 	first, last := p.src.FirstDay, p.src.LastDay
 	if p.rectified.Load() {
@@ -72,6 +71,36 @@ func (p *Pipeline) markStale(id store.BadgeID, local time.Duration) {
 		}
 		first, last = day, day
 	}
+	p.markDays(id, first, last)
+}
+
+// markStaleBatch marks the windows a batch of one badge's records lands in,
+// leaving the stale set markStale would leave record by record. With
+// corrections frozen it takes each record's corrected day and marks once
+// per run of records on equal days; before that, one all-days mark covers
+// the whole batch. Corrections only ever go from unfrozen to frozen, so
+// one check serves the batch.
+func (p *Pipeline) markStaleBatch(id store.BadgeID, recs []record.Record) {
+	if len(recs) == 0 {
+		return
+	}
+	if !p.rectified.Load() {
+		p.markDays(id, p.src.FirstDay, p.src.LastDay)
+		return
+	}
+	c := p.corrections[id]
+	prev := -1 // DayOf is never negative
+	for _, r := range recs {
+		day := simtime.DayOf(c.ToReference(r.Local))
+		if day != prev && day >= p.src.FirstDay && day <= p.src.LastDay {
+			p.markDays(id, day, day)
+		}
+		prev = day
+	}
+}
+
+// markDays marks the badge's windows on days first..last stale.
+func (p *Pipeline) markDays(id store.BadgeID, first, last int) {
 	p.staleMu.Lock()
 	if p.stale == nil {
 		p.stale = make(map[staleKey]struct{})

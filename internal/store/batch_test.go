@@ -10,11 +10,27 @@ import (
 	"icares/internal/stats"
 )
 
-// delivery is one append as a subscriber sees it.
+// delivery is one append to one badge.
 type delivery struct {
-	id  BadgeID
-	r   record.Record
-	seq uint64
+	id BadgeID
+	r  record.Record
+}
+
+// batchDelivery is one subscriber callback: a badge and a copy of the
+// records it was handed.
+type batchDelivery struct {
+	id   BadgeID
+	recs []record.Record
+}
+
+// recorder subscribes to d and returns the deliveries seen so far. It
+// copies each batch, since a subscriber must not keep the slice.
+func recorder(d *Dataset) *[]batchDelivery {
+	var got []batchDelivery
+	d.Subscribe(func(id BadgeID, recs []record.Record) {
+		got = append(got, batchDelivery{id, append([]record.Record(nil), recs...)})
+	})
+	return &got
 }
 
 // batchSequence builds a random append sequence for two badges: stretches
@@ -55,17 +71,18 @@ func batchSequence(rng *stats.RNG) []delivery {
 // Property: splitting any append sequence into random batches (empty ones
 // included, some larger than a tail) and applying them with AppendBatch
 // leaves every series exactly as one Append per record does — the same
-// runs and tail, All, Kind, Seq, EncodedBytes and Unsized — and a
-// subscriber sees the identical (id, record, seq) sequence. Reads between
-// batches seal tails early on both sides alike.
+// runs and tail, All, Kind, Seq, EncodedBytes and Unsized. A subscriber
+// sees each non-empty AppendBatch exactly once, with its records in order,
+// and each Append as a batch of one, so both sides deliver the same
+// records in the same order. Reads between batches seal tails early on
+// both sides alike.
 func TestQuickAppendBatchMatchesAppend(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
 		seq := batchSequence(rng)
 		one, many := NewDataset(), NewDataset()
-		var gotOne, gotMany []delivery
-		one.Subscribe(func(id BadgeID, r record.Record, s uint64) { gotOne = append(gotOne, delivery{id, r, s}) })
-		many.Subscribe(func(id BadgeID, r record.Record, s uint64) { gotMany = append(gotMany, delivery{id, r, s}) })
+		gotOne, gotMany := recorder(one), recorder(many)
+		var sent []batchDelivery // the non-empty batches, in call order
 
 		for i := 0; i < len(seq); {
 			// A batch is a run of consecutive appends to one badge.
@@ -80,13 +97,20 @@ func TestQuickAppendBatchMatchesAppend(t *testing.T) {
 				batch = append(batch, seq[i].r)
 			}
 			many.Series(id).AppendBatch(batch)
+			if len(batch) > 0 {
+				sent = append(sent, batchDelivery{id, batch})
+			}
 			if rng.Bool(0.1) {
 				_, _ = one.Series(id).All(), many.Series(id).All()
 			}
 		}
 
-		if !reflect.DeepEqual(gotOne, gotMany) || len(gotOne) != len(seq) {
-			t.Logf("seed %d: subscriber deliveries differ", seed)
+		if !reflect.DeepEqual(*gotMany, sent) {
+			t.Logf("seed %d: AppendBatch deliveries are not the batches, once each and in order", seed)
+			return false
+		}
+		if len(*gotOne) != len(seq) || !reflect.DeepEqual(flatten(*gotOne), flatten(*gotMany)) {
+			t.Logf("seed %d: per-record and batched deliveries carry different records", seed)
 			return false
 		}
 		for _, id := range []BadgeID{1, 2} {
@@ -117,6 +141,17 @@ func TestQuickAppendBatchMatchesAppend(t *testing.T) {
 	}
 }
 
+// flatten lists the records of a delivery sequence one by one.
+func flatten(ds []batchDelivery) []delivery {
+	var out []delivery
+	for _, d := range ds {
+		for _, r := range d.recs {
+			out = append(out, delivery{d.id, r})
+		}
+	}
+	return out
+}
+
 // sameLayout reports whether two series hold the same sorted runs and the
 // same unsealed tail.
 func sameLayout(a, b *Series) bool {
@@ -132,7 +167,7 @@ func sameLayout(a, b *Series) bool {
 func TestAppendBatchEmpty(t *testing.T) {
 	d := NewDataset()
 	calls := 0
-	d.Subscribe(func(BadgeID, record.Record, uint64) { calls++ })
+	d.Subscribe(func(BadgeID, []record.Record) { calls++ })
 	s := d.Series(4)
 	s.AppendBatch(nil)
 	s.AppendBatch([]record.Record{})

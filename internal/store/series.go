@@ -94,10 +94,9 @@ func (s *Series) Append(r record.Record) {
 }
 
 // AppendBatch adds recs to the series in order, with the same result as
-// one Append per record: the same runs, sizes and Seq, and subscribers see
-// each record with the sequence number it would have had. It takes the
-// series lock once and publishes the whole batch with one call, which is
-// what makes it the bulk-ingest path. recs is not retained.
+// one Append per record: the same runs, sizes and Seq. It takes the series
+// lock once and publishes the whole batch to subscribers in one delivery,
+// which is what makes it the bulk-ingest path. recs is not retained.
 func (s *Series) AppendBatch(recs []record.Record) {
 	if len(recs) == 0 {
 		return
@@ -106,12 +105,11 @@ func (s *Series) AppendBatch(recs []record.Record) {
 	for _, r := range recs {
 		s.appendLocked(r)
 	}
-	first := s.seq + 1
 	s.seq += uint64(len(recs))
 	owner, id := s.owner, s.id
 	s.mu.Unlock()
 	if owner != nil {
-		owner.publish(id, recs, first)
+		owner.publish(id, recs)
 	}
 }
 

@@ -21,9 +21,9 @@
 //
 // The store also serves the live path: every series carries a monotone
 // append sequence number (Series.Seq), and datasets publish append
-// notifications (Subscribe), one per record whether it came through Append
-// or AppendBatch — the hooks incremental consumers use to fold in only what
-// is new.
+// notifications (Subscribe), one per Append or AppendBatch call carrying
+// the whole batch — the hooks incremental consumers use to fold in only
+// what is new.
 package store
 
 import (
@@ -47,7 +47,7 @@ type Dataset struct {
 	// Append subscriptions (Subscribe). subCount mirrors len(subs) so the
 	// per-append publish path costs one atomic load when nobody listens.
 	subMu    sync.RWMutex
-	subs     map[int]func(BadgeID, record.Record, uint64)
+	subs     map[int]func(BadgeID, []record.Record)
 	nextSub  int
 	subCount atomic.Int32
 }
@@ -88,16 +88,18 @@ func (d *Dataset) View(id BadgeID) (View, bool) {
 	return s, true
 }
 
-// Subscribe registers fn to be called for every record appended to any of
-// the dataset's series, with the badge it landed on and the series' append
-// sequence number after the append. The callback runs synchronously on the
-// appending goroutine and must be fast and must not append to or query the
-// dataset (mark state and return; do the work elsewhere). The returned
-// cancel function removes the subscription.
-func (d *Dataset) Subscribe(fn func(id BadgeID, r record.Record, seq uint64)) (cancel func()) {
+// Subscribe registers fn to be called once per non-empty Append or
+// AppendBatch on any of the dataset's series, with the badge it landed on
+// and the appended records in append order. The callback runs
+// synchronously on the appending goroutine and must be fast and must not
+// append to or query the dataset (mark state and return; do the work
+// elsewhere). recs is the appender's slice: the callback must neither
+// modify it nor keep it past the call. The returned cancel function
+// removes the subscription.
+func (d *Dataset) Subscribe(fn func(id BadgeID, recs []record.Record)) (cancel func()) {
 	d.subMu.Lock()
 	if d.subs == nil {
-		d.subs = make(map[int]func(BadgeID, record.Record, uint64))
+		d.subs = make(map[int]func(BadgeID, []record.Record))
 	}
 	token := d.nextSub
 	d.nextSub++
@@ -112,17 +114,14 @@ func (d *Dataset) Subscribe(fn func(id BadgeID, r record.Record, seq uint64)) (c
 	}
 }
 
-// publish fans a batch of appends out to the subscribers, record by record;
-// recs[i] carries sequence number first+i.
-func (d *Dataset) publish(id BadgeID, recs []record.Record, first uint64) {
+// publish hands one appended batch to every subscriber.
+func (d *Dataset) publish(id BadgeID, recs []record.Record) {
 	if d.subCount.Load() == 0 {
 		return
 	}
 	d.subMu.RLock()
-	for i, r := range recs {
-		for _, fn := range d.subs {
-			fn(id, r, first+uint64(i))
-		}
+	for _, fn := range d.subs {
+		fn(id, recs)
 	}
 	d.subMu.RUnlock()
 }

@@ -30,25 +30,33 @@ func TestDatasetSubscribeDeliversAppends(t *testing.T) {
 	d := NewDataset()
 	type ev struct {
 		id  BadgeID
-		at  time.Duration
-		seq uint64
+		ats []time.Duration
 	}
 	var got []ev
-	cancel := d.Subscribe(func(id BadgeID, r record.Record, seq uint64) {
-		got = append(got, ev{id, r.Local, seq})
+	cancel := d.Subscribe(func(id BadgeID, recs []record.Record) {
+		e := ev{id: id}
+		for _, r := range recs {
+			e.ats = append(e.ats, r.Local)
+		}
+		got = append(got, e)
 	})
 	d.Series(7).Append(record.Record{Local: time.Second, Kind: record.KindAccel})
 	d.Series(9).Append(record.Record{Local: 2 * time.Second, Kind: record.KindIR})
 	d.Series(7).Append(record.Record{Local: 3 * time.Second, Kind: record.KindAccel})
-	// A batch is delivered record by record, each with its own seq.
+	// A batch is delivered once, its records in append order (not time
+	// order); an empty batch is not delivered at all.
 	d.Series(9).AppendBatch([]record.Record{
 		{Local: 5 * time.Second, Kind: record.KindIR},
 		{Local: 4 * time.Second, Kind: record.KindIR},
 	})
-	want := []ev{{7, time.Second, 1}, {9, 2 * time.Second, 1}, {7, 3 * time.Second, 2},
-		{9, 5 * time.Second, 2}, {9, 4 * time.Second, 3}}
+	d.Series(9).AppendBatch(nil)
+	want := []ev{{7, []time.Duration{time.Second}}, {9, []time.Duration{2 * time.Second}},
+		{7, []time.Duration{3 * time.Second}}, {9, []time.Duration{5 * time.Second, 4 * time.Second}}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("events = %v, want %v", got, want)
+	}
+	if s7, s9 := d.Series(7).Seq(), d.Series(9).Seq(); s7 != 2 || s9 != 3 {
+		t.Fatalf("seq = %d, %d after the deliveries; want 2, 3", s7, s9)
 	}
 	cancel()
 	d.Series(7).Append(record.Record{Local: 4 * time.Second, Kind: record.KindAccel})

@@ -39,10 +39,12 @@ func NewAnalytics(src sociometry.Source, opts ...sociometry.Option) (*Analytics,
 	return a, nil
 }
 
-// Ingest folds one record in. Like the daemon, analytics assume a single
-// ingesting goroutine; queries may run concurrently with ingestion.
-func (a *Analytics) Ingest(id store.BadgeID, rec record.Record) {
-	a.live.Series(id).Append(rec)
+// Ingest folds a run of one badge's records in, in order, with one append
+// (the same result as one call per record); recs is not retained. Like the
+// daemon, analytics assume a single ingesting goroutine; queries may run
+// concurrently with ingestion.
+func (a *Analytics) Ingest(id store.BadgeID, recs ...record.Record) {
+	a.live.Series(id).AppendBatch(recs)
 }
 
 // Pipeline exposes the following pipeline for ad-hoc queries.

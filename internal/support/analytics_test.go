@@ -1,6 +1,7 @@
 package support
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -10,7 +11,9 @@ import (
 	"icares/internal/record"
 	"icares/internal/simtime"
 	"icares/internal/sociometry"
+	"icares/internal/stats"
 	"icares/internal/store"
+	"icares/internal/telemetry"
 )
 
 // analyticsFixture runs one short mission shared by the analytics tests.
@@ -177,6 +180,78 @@ func TestAnalyticsRespectsPrivacyScrub(t *testing.T) {
 	for _, r := range a.Dataset().Series(1).All() {
 		if r.Kind == record.KindMic && r.Local >= 10*time.Minute && r.Local < 20*time.Minute {
 			t.Error("suppressed mic record reached the analytics")
+		}
+	}
+}
+
+// TestIngestBatchMatchesIngest feeds a mission's records to two daemons,
+// one record at a time through Ingest and in random-length equal-day runs
+// through IngestBatch, with privacy windows scrubbing some mic and IR
+// records mid-run. Both must end with the same alerts in the same order,
+// the same counters and device health, and the same analytics series.
+func TestIngestBatchMatchesIngest(t *testing.T) {
+	res := analyticsMission(t)
+	newDaemon := func() (*Daemon, *Analytics, *telemetry.Registry) {
+		d := NewDaemon()
+		for _, det := range []Detector{NewInactivityDetector(), NewQuietCrewDetector(),
+			NewBatteryDetector(), NewHydrationDetector(res.Habitat, 0), NewWearComplianceDetector()} {
+			d.Register(det)
+		}
+		reg := telemetry.NewRegistry()
+		d.Instrument(reg)
+		for _, name := range mission.Names()[:2] {
+			d.Privacy().Suppress(name, simtime.StartOfDay(2)+9*time.Hour, simtime.StartOfDay(2)+11*time.Hour)
+		}
+		a, err := NewAnalytics(analyticsSource(res), sociometry.WithCorrections(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.AttachAnalytics(a)
+		return d, a, reg
+	}
+	one, oneA, oneReg := newDaemon()
+	defer oneA.Close()
+	many, manyA, manyReg := newDaemon()
+	defer manyA.Close()
+
+	rng := stats.NewRNG(5)
+	for _, id := range res.Dataset.Badges() {
+		recs := res.Dataset.Series(id).All()
+		for len(recs) > 0 {
+			day := simtime.DayOf(recs[0].Local)
+			n := 1
+			for max := 1 + rng.Intn(200); n < len(recs) && n < max && simtime.DayOf(recs[n].Local) == day; n++ {
+			}
+			wearer, _ := res.Assignment.TrueWearerOf(id, day)
+			for _, r := range recs[:n] {
+				one.Ingest(r.Local, wearer, id, r)
+			}
+			many.IngestBatch(wearer, id, recs[:n])
+			recs = recs[n:]
+		}
+	}
+
+	if len(one.Alerts()) == 0 {
+		t.Error("no alert raised; the comparison would be vacuous")
+	}
+	if !reflect.DeepEqual(one.Alerts(), many.Alerts()) {
+		t.Errorf("alerts differ: %d per record, %d batched", len(one.Alerts()), len(many.Alerts()))
+	}
+	if oneReg.String() != manyReg.String() {
+		t.Errorf("counters differ:\n%s\nvs\n%s", oneReg, manyReg)
+	}
+	if scrubbed := oneReg.Counter("support_privacy_scrubbed_total").Value(); scrubbed == 0 {
+		t.Error("no record was scrubbed; the privacy windows miss the fixture")
+	}
+	for _, id := range res.Dataset.Badges() {
+		a, b := oneA.Dataset().Series(id), manyA.Dataset().Series(id)
+		if a.Seq() != b.Seq() || !reflect.DeepEqual(a.All(), b.All()) {
+			t.Errorf("badge %d: analytics series differ (seq %d vs %d)", id, a.Seq(), b.Seq())
+		}
+		ta, oka := one.Health().LastSeen(id)
+		tb, okb := many.Health().LastSeen(id)
+		if ta != tb || oka != okb {
+			t.Errorf("badge %d: last seen %v/%v vs %v/%v", id, ta, oka, tb, okb)
 		}
 	}
 }

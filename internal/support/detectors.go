@@ -3,6 +3,7 @@ package support
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"icares/internal/habitat"
@@ -81,8 +82,8 @@ func (d *InactivityDetector) Observe(at time.Duration, wearer string, _ store.Ba
 // Sweep implements Detector.
 func (d *InactivityDetector) Sweep(now time.Duration) []Alert {
 	var out []Alert
-	for wearer, worn := range d.worn {
-		if !worn || d.alerted[wearer] {
+	for _, wearer := range sortedWearers(d.worn) {
+		if !d.worn[wearer] || d.alerted[wearer] {
 			continue
 		}
 		last, ok := d.lastMove[wearer]
@@ -297,13 +298,13 @@ func (d *HydrationDetector) Observe(at time.Duration, wearer string, _ store.Bad
 // Sweep implements Detector.
 func (d *HydrationDetector) Sweep(now time.Duration) []Alert {
 	var out []Alert
-	for wearer, first := range d.firstSeen {
+	for _, wearer := range sortedWearers(d.firstSeen) {
 		if d.alerted[wearer] {
 			continue
 		}
 		ref := d.lastKitchen[wearer]
 		if ref == 0 {
-			ref = first
+			ref = d.firstSeen[wearer]
 		}
 		if now-ref >= d.MaxDry {
 			d.alerted[wearer] = true
@@ -364,7 +365,8 @@ func (d *WearComplianceDetector) Sweep(now time.Duration) []Alert {
 	if tod < 8*time.Hour || tod >= 22*time.Hour {
 		return nil
 	}
-	for wearer, since := range d.unwornSince {
+	for _, wearer := range sortedWearers(d.unwornSince) {
+		since := d.unwornSince[wearer]
 		if d.alerted[wearer] || now-since < d.MaxOff {
 			continue
 		}
@@ -377,5 +379,17 @@ func (d *WearComplianceDetector) Sweep(now time.Duration) []Alert {
 			Message: fmt.Sprintf("%s's badge unworn for %v during duty — please put it back on", wearer, now-since),
 		})
 	}
+	return out
+}
+
+// sortedWearers returns a detector map's wearers in name order, so a sweep
+// raising alerts for several astronauts at one instant raises them in the
+// same order on every run.
+func sortedWearers[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for w := range m {
+		out = append(out, w)
+	}
+	sort.Strings(out)
 	return out
 }

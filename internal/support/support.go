@@ -81,6 +81,10 @@ type Daemon struct {
 	alerts []Alert
 	subs   []func(Alert)
 
+	// kept is IngestBatch's reusable buffer for the records of a run that
+	// survive the privacy scrub, used only when the scrub drops some.
+	kept []record.Record
+
 	// SweepEvery is the periodic evaluation interval.
 	SweepEvery time.Duration
 	lastSweep  time.Duration
@@ -205,16 +209,59 @@ func (d *Daemon) raise(alerts []Alert) {
 // any detector sees them; movement and device-health kinds still flow, as
 // safety monitoring must survive privacy mode.
 func (d *Daemon) Ingest(at time.Duration, wearer string, badge store.BadgeID, rec record.Record) {
-	d.health.Seen(badge, at)
-	d.gKnown.Set(float64(len(d.health.lastSeen)))
-	d.cIngested.Inc()
-	if d.privacy.Suppressed(wearer, at) && privacySensitive(rec.Kind) {
-		d.cScrubbed.Inc()
+	if !d.admit(at, wearer, badge, rec) {
 		return
 	}
 	if d.analytics != nil {
 		d.analytics.Ingest(badge, rec)
 	}
+	d.detect(at, wearer, badge, rec)
+}
+
+// IngestBatch feeds a run of one badge's records, all worn by wearer, each
+// ingested at its own Local time. Every record takes Ingest's step, in
+// order: health, counters, privacy scrub, detectors, sweep. The records
+// that survive the scrub reach the analytics in one append after the run,
+// instead of one append per record. recs is neither modified nor retained.
+func (d *Daemon) IngestBatch(wearer string, badge store.BadgeID, recs []record.Record) {
+	kept, scrubbed := recs, false
+	for i, rec := range recs {
+		if !d.admit(rec.Local, wearer, badge, rec) {
+			if !scrubbed {
+				kept, scrubbed = append(d.kept[:0], recs[:i]...), true
+			}
+			continue
+		}
+		if scrubbed {
+			kept = append(kept, rec)
+		}
+		d.detect(rec.Local, wearer, badge, rec)
+	}
+	if scrubbed {
+		d.kept = kept
+	}
+	if d.analytics != nil {
+		d.analytics.Ingest(badge, kept...)
+	}
+}
+
+// admit is the front of the per-record step: it records the badge's sign
+// of life and counts the record, then reports whether the record survives
+// the privacy scrub.
+func (d *Daemon) admit(at time.Duration, wearer string, badge store.BadgeID, rec record.Record) bool {
+	d.health.Seen(badge, at)
+	d.gKnown.Set(float64(len(d.health.lastSeen)))
+	d.cIngested.Inc()
+	if d.privacy.Suppressed(wearer, at) && privacySensitive(rec.Kind) {
+		d.cScrubbed.Inc()
+		return false
+	}
+	return true
+}
+
+// detect is the back of the per-record step for an admitted record: every
+// detector observes it, then the periodic sweep runs if it is due.
+func (d *Daemon) detect(at time.Duration, wearer string, badge store.BadgeID, rec record.Record) {
 	for _, det := range d.detectors {
 		d.raise(det.Observe(at, wearer, badge, rec))
 	}
