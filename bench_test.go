@@ -138,8 +138,7 @@ func BenchmarkFig5Timeline(b *testing.B) {
 	var quieter bool
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tl := p.Timeline(4, 5*time.Minute)
-		_ = tl.WholeCrewGatherings(present)
+		_ = p.Timeline(4, 5*time.Minute)
 		f, ok := p.FindConsolation(4, present)
 		found = ok
 		quieter = ok && f.QuieterThanLunch
@@ -249,8 +248,11 @@ func BenchmarkAblationShielding(b *testing.B) {
 		b.Fatal(err)
 	}
 	sites := hab.Beacons()
+	// Each probe is one scan window of beacon records, located by the same
+	// TrackCursor pass the pipeline runs.
 	accuracy := func(ch *radio.Channel) float64 {
-		correct, total := 0, 0
+		var recs []record.Record
+		truth := make(map[time.Duration]habitat.RoomID)
 		probe := rng.Split()
 		for i := 0; i < 500; i++ {
 			ids := hab.RoomIDs()
@@ -259,28 +261,26 @@ func BenchmarkAblationShielding(b *testing.B) {
 			if err != nil {
 				continue
 			}
-			var obs []localization.Obs
+			at := time.Duration(i) * time.Minute
 			for _, s := range sites {
 				if tr := ch.Transmit(s.Pos, pos, 0); tr.Received {
-					obs = append(obs, localization.Obs{BeaconID: s.ID, RSSI: tr.RSSI})
+					recs = append(recs, record.Record{Local: at, Kind: record.KindBeacon, PeerID: uint16(s.ID), RSSI: float32(tr.RSSI)})
 				}
 			}
-			if len(obs) == 0 {
-				continue
-			}
-			fix, err := loc.Locate(obs)
-			if err != nil {
-				continue
-			}
-			total++
-			if fix.Room == room {
+			truth[at] = room
+		}
+		c := record.NewCursor(recs)
+		fixes := loc.TrackCursor(&c, time.Minute)
+		if len(fixes) == 0 {
+			return 0
+		}
+		correct := 0
+		for _, fix := range fixes {
+			if fix.Room == truth[fix.At] {
 				correct++
 			}
 		}
-		if total == 0 {
-			return 0
-		}
-		return float64(correct) / float64(total)
+		return float64(correct) / float64(len(fixes))
 	}
 	var accShielded, accFree float64
 	b.ResetTimer()
@@ -362,10 +362,8 @@ func BenchmarkAblationSpeechThreshold(b *testing.B) {
 			var sum float64
 			var n int
 			for _, name := range m.Names() {
-				frames := speech.FilterWorn(
-					speech.Frames(p.RecordsFor(name), cfg),
-					p.WornRanges(name),
-				)
+				c := record.NewCursor(p.RecordsFor(name))
+				frames := speech.FilterWorn(speech.FramesCursor(&c, cfg), p.WornRanges(name))
 				sum += speech.Fraction(frames)
 				n++
 			}

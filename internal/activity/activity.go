@@ -43,15 +43,9 @@ type Sample struct {
 	RMS float64
 }
 
-// Classify windows the accel records of one badge and classifies each
-// window. Records must be time-ordered.
-func Classify(recs []record.Record, cfg Config) []Sample {
-	c := record.NewCursor(recs)
-	return ClassifyCursor(&c, cfg)
-}
-
-// ClassifyCursor is Classify over a record cursor: one streaming pass
-// holding only the current window's samples, so out-of-core sources never
+// ClassifyCursor windows the accel records of one badge and classifies each
+// window. Records must be time-ordered. It makes one streaming pass holding
+// only the current window's samples, so out-of-core sources never
 // materialize the accel stream.
 func ClassifyCursor(c *record.Cursor, cfg Config) []Sample {
 	if cfg.Window <= 0 {
@@ -160,33 +154,4 @@ func WalkingFractionByDay(samples []Sample) map[int]float64 {
 		out[day] = WalkingFraction(ss)
 	}
 	return out
-}
-
-// MeanRMSByDay computes the per-day mean movement intensity of already
-// classified samples.
-func MeanRMSByDay(samples []Sample) map[int]float64 {
-	sums := make(map[int]float64)
-	counts := make(map[int]int)
-	for _, s := range samples {
-		d := simtime.DayOf(s.At)
-		sums[d] += s.RMS
-		counts[d]++
-	}
-	out := make(map[int]float64, len(sums))
-	for d, sum := range sums {
-		out[d] = sum / float64(counts[d])
-	}
-	return out
-}
-
-// DailyWalkingFraction computes the Fig. 4 series for one astronaut: the
-// walking fraction of worn windows per mission day.
-func DailyWalkingFraction(recs []record.Record, worn record.RangeSet, cfg Config) map[int]float64 {
-	return WalkingFractionByDay(FilterWorn(Classify(recs, cfg), worn))
-}
-
-// MeanDailyRMS computes the average movement intensity per day, the paper's
-// "average daily acceleration" companion metric.
-func MeanDailyRMS(recs []record.Record, worn record.RangeSet, cfg Config) map[int]float64 {
-	return MeanRMSByDay(FilterWorn(Classify(recs, cfg), worn))
 }

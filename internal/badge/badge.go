@@ -12,7 +12,6 @@
 package badge
 
 import (
-	"errors"
 	"math"
 	"time"
 
@@ -60,10 +59,6 @@ const (
 // voice-activity detector reacts to (weaker than the 60 dB analysis
 // threshold, so the analysis has raw material to threshold).
 const SpeechThresholdDB = 45
-
-// ErrFailed is returned by operations on a badge that has been failed by
-// fault injection.
-var ErrFailed = errors.New("badge: device failed")
 
 // Input is the physical situation of the badge during one simulation tick,
 // supplied by the mission glue.
@@ -144,9 +139,6 @@ func New(id uint16, osc *simtime.Oscillator, cfg Sampling, log Log, rng *stats.R
 // ID returns the badge identity.
 func (b *Badge) ID() uint16 { return b.id }
 
-// Battery returns the current state of charge in percent.
-func (b *Badge) Battery() float64 { return b.battery }
-
 // Failed reports whether the badge is dead (fault injection or flat
 // battery).
 func (b *Badge) Failed() bool { return b.failed }
@@ -174,7 +166,6 @@ func (b *Badge) local(now time.Duration) time.Duration {
 	if b.osc == nil {
 		return now
 	}
-	b.osc.Advance(now)
 	return b.osc.Read(now)
 }
 
@@ -348,9 +339,9 @@ func (b *Badge) flushMic() {
 
 // RecordSync appends a time-sync exchange: the badge's local clock paired
 // with the reference clock, both with small exchange jitter.
-func (b *Badge) RecordSync(now time.Duration, refClock time.Duration) error {
+func (b *Badge) RecordSync(now time.Duration, refClock time.Duration) {
 	if b.failed {
-		return ErrFailed
+		return
 	}
 	jitter := time.Duration(b.rng.Norm(0, 1e6)) // ~1 ms
 	b.log.Append(record.Record{
@@ -358,7 +349,6 @@ func (b *Badge) RecordSync(now time.Duration, refClock time.Duration) error {
 		Kind:    record.KindSync,
 		RefTime: refClock,
 	})
-	return nil
 }
 
 // RecordNeighbor appends an 868 MHz neighbour observation.

@@ -1,7 +1,6 @@
 package badge
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"time"
@@ -65,11 +64,14 @@ func TestAccelEnergyByMotionState(t *testing.T) {
 		if len(accels) < 100 {
 			t.Fatalf("accel records = %d", len(accels))
 		}
-		xs := make([]float64, len(accels))
-		for i, r := range accels {
-			xs[i] = float64(r.AX)
+		var sum, sq float64
+		for _, r := range accels {
+			x := float64(r.AX)
+			sum += x
+			sq += x * x
 		}
-		return stats.StdDev(xs)
+		n := float64(len(accels))
+		return math.Sqrt(sq/n - (sum/n)*(sum/n))
 	}
 	walk := sigmaOf(true, true)
 	idle := sigmaOf(false, true)
@@ -184,15 +186,15 @@ func TestBatteryDrainsAndCharges(t *testing.T) {
 	b := newBadge(1, 8)
 	in := wornInput(geometry.Point{X: 12, Y: 4})
 	tickFor(b, 0, 10*time.Hour, in, nil)
-	afterDuty := b.Battery()
+	afterDuty := b.battery
 	if afterDuty >= 100 || afterDuty < 100-DrainPerHour*10-1 {
 		t.Errorf("battery after 10 h = %v", afterDuty)
 	}
 	in.Worn = false
 	in.Docked = true
 	tickFor(b, 10*time.Hour, 8*time.Hour, in, nil)
-	if b.Battery() < 99 {
-		t.Errorf("battery after overnight charge = %v", b.Battery())
+	if b.battery < 99 {
+		t.Errorf("battery after overnight charge = %v", b.battery)
 	}
 }
 
@@ -209,8 +211,9 @@ func TestBatteryDeathKillsBadge(t *testing.T) {
 	if seriesOf(b).Len() != countBefore {
 		t.Error("failed badge kept recording")
 	}
-	if err := b.RecordSync(31*time.Hour, 31*time.Hour); !errors.Is(err, ErrFailed) {
-		t.Errorf("sync on dead badge: %v", err)
+	b.RecordSync(31*time.Hour, 31*time.Hour)
+	if n := len(seriesOf(b).Kind(record.KindSync)); n != 0 {
+		t.Errorf("dead badge appended %d sync records", n)
 	}
 }
 
@@ -234,9 +237,7 @@ func TestLocalClockSkewAppearsInRecords(t *testing.T) {
 
 func TestRecordSync(t *testing.T) {
 	b := newBadge(1, 11)
-	if err := b.RecordSync(time.Hour, time.Hour-time.Second); err != nil {
-		t.Fatal(err)
-	}
+	b.RecordSync(time.Hour, time.Hour-time.Second)
 	syncs := seriesOf(b).Kind(record.KindSync)
 	if len(syncs) != 1 {
 		t.Fatalf("sync records = %d", len(syncs))

@@ -21,9 +21,6 @@ import (
 	"icares/internal/radio"
 )
 
-// AdvertisementHz is the nominal advertisement rate of a beacon.
-const AdvertisementHz = 3
-
 // DefaultTxPowerDBm is the beacons' transmit power.
 const DefaultTxPowerDBm = 0
 
@@ -66,13 +63,6 @@ func NewFleet(hab *habitat.Habitat, ch *radio.Channel) (*Fleet, error) {
 		f.byRoom[s.Room] = append(f.byRoom[s.Room], s)
 	}
 	return f, nil
-}
-
-// Sites returns the deployed beacon sites (copy).
-func (f *Fleet) Sites() []habitat.BeaconSite {
-	out := make([]habitat.BeaconSite, len(f.sites))
-	copy(out, f.sites)
-	return out
 }
 
 // doorBleedRange is how close to a doorway a receiver must be for beacons
@@ -119,14 +109,4 @@ func (f *Fleet) Scan(pos geometry.Point) []Obs {
 		}
 	}
 	return out
-}
-
-// Site returns the site of a beacon by ID.
-func (f *Fleet) Site(id int) (habitat.BeaconSite, bool) {
-	for _, s := range f.sites {
-		if s.ID == id {
-			return s, true
-		}
-	}
-	return habitat.BeaconSite{}, false
 }

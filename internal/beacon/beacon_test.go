@@ -24,6 +24,15 @@ func newFleet(t *testing.T, seed uint64) (*Fleet, *habitat.Habitat) {
 	return f, hab
 }
 
+// beaconRooms maps each of the habitat's beacon IDs to its room.
+func beaconRooms(hab *habitat.Habitat) map[int]habitat.RoomID {
+	out := make(map[int]habitat.RoomID)
+	for _, s := range hab.Beacons() {
+		out[s.ID] = s.Room
+	}
+	return out
+}
+
 func TestNewFleetErrors(t *testing.T) {
 	hab := habitat.Standard()
 	ch, err := radio.NewChannel(hab, radio.BLE24, stats.NewRNG(1))
@@ -40,14 +49,8 @@ func TestNewFleetErrors(t *testing.T) {
 
 func TestFleetDeploysAllSites(t *testing.T) {
 	f, _ := newFleet(t, 2)
-	if got := len(f.Sites()); got != habitat.StandardBeaconCount {
+	if got := len(f.sites); got != habitat.StandardBeaconCount {
 		t.Errorf("sites = %d", got)
-	}
-	if _, ok := f.Site(1); !ok {
-		t.Error("site 1 missing")
-	}
-	if _, ok := f.Site(999); ok {
-		t.Error("phantom site found")
 	}
 }
 
@@ -61,13 +64,14 @@ func TestScanSeesOwnRoomOnly(t *testing.T) {
 	if len(obs) == 0 {
 		t.Fatal("no beacons heard at kitchen center")
 	}
+	rooms := beaconRooms(hab)
 	for _, o := range obs {
-		s, ok := f.Site(o.BeaconID)
+		room, ok := rooms[o.BeaconID]
 		if !ok {
 			t.Fatalf("unknown beacon %d", o.BeaconID)
 		}
-		if s.Room != habitat.Kitchen {
-			t.Errorf("heard beacon %d from %v at kitchen center", o.BeaconID, s.Room)
+		if room != habitat.Kitchen {
+			t.Errorf("heard beacon %d from %v at kitchen center", o.BeaconID, room)
 		}
 		if o.RSSI > 0 || o.RSSI < -100 {
 			t.Errorf("implausible RSSI %v", o.RSSI)
@@ -84,10 +88,10 @@ func TestScanNearDoorCanBleed(t *testing.T) {
 	// Just inside the kitchen, right at the doorway.
 	pos := geometry.Point{X: door.X, Y: door.Y + 0.2}
 	bleed := false
+	rooms := beaconRooms(hab)
 	for i := 0; i < 300 && !bleed; i++ {
 		for _, o := range f.Scan(pos) {
-			s, _ := f.Site(o.BeaconID)
-			if s.Room == habitat.Atrium {
+			if rooms[o.BeaconID] == habitat.Atrium {
 				bleed = true
 			}
 		}
@@ -105,11 +109,11 @@ func TestScanDeepInRoomNeverBleeds(t *testing.T) {
 	}
 	// A far corner of the bedroom, away from the door.
 	pos := room.Bounds.Inset(0.5).Min
+	rooms := beaconRooms(hab)
 	for i := 0; i < 200; i++ {
 		for _, o := range f.Scan(pos) {
-			s, _ := f.Site(o.BeaconID)
-			if s.Room != habitat.Bedroom {
-				t.Fatalf("beacon %d from %v heard deep inside bedroom", o.BeaconID, s.Room)
+			if r := rooms[o.BeaconID]; r != habitat.Bedroom {
+				t.Fatalf("beacon %d from %v heard deep inside bedroom", o.BeaconID, r)
 			}
 		}
 	}
@@ -124,7 +128,7 @@ func TestScanOutsideHabitat(t *testing.T) {
 
 func TestScanStrongestBeaconIsNearest(t *testing.T) {
 	f, hab := newFleet(t, 7)
-	sites := f.Sites()
+	sites := hab.Beacons()
 	// Stand exactly at a beacon inside the office.
 	var target habitat.BeaconSite
 	for _, s := range sites {

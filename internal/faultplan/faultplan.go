@@ -124,9 +124,6 @@ func New(seed uint64, events ...Event) *Plan {
 	return &Plan{seed: seed, events: evs}
 }
 
-// Seed returns the plan's seed.
-func (p *Plan) Seed() uint64 { return p.seed }
-
 // Events returns the full schedule in trace order (copy) — the reproducible
 // event trace: equal seeds and generator configs yield identical slices.
 func (p *Plan) Events() []Event {

@@ -23,8 +23,8 @@ func TestGenerateDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a.Events(), b.Events()) {
 		t.Fatal("equal configs produced different event traces")
 	}
-	if a.Seed() != 99 {
-		t.Errorf("seed = %d", a.Seed())
+	if a.seed != 99 {
+		t.Errorf("seed = %d", a.seed)
 	}
 	cfg.Seed = 100
 	if reflect.DeepEqual(a.Events(), Generate(cfg).Events()) {
@@ -214,12 +214,23 @@ func TestInstallBlackouts(t *testing.T) {
 		Event{Kind: UplinkBlackout, From: 5 * time.Hour, To: 6 * time.Hour},
 		Event{Kind: RFOutage, From: 0, To: time.Hour},
 	)
-	l := uplink.NewLink(20 * time.Minute)
-	if n := p.InstallBlackouts(l); n != 2 {
-		t.Fatalf("installed %d blackouts, want 2", n)
-	}
-	if !l.Blacked(90*time.Minute) || l.Blacked(3*time.Hour) || !l.Blacked(5*time.Hour) {
-		t.Error("installed windows wrong")
+	// A message sent inside an installed window waits for it to lift.
+	for _, tc := range []struct{ at, arrives time.Duration }{
+		{90 * time.Minute, 2*time.Hour + 20*time.Minute},
+		{3 * time.Hour, 3*time.Hour + 20*time.Minute},
+		{5 * time.Hour, 6*time.Hour + 20*time.Minute},
+	} {
+		l := uplink.NewLink(20 * time.Minute)
+		if n := p.InstallBlackouts(l); n != 2 {
+			t.Fatalf("installed %d blackouts, want 2", n)
+		}
+		msg, err := l.Send(tc.at, uplink.Message{From: uplink.Habitat, Kind: uplink.Report, Topic: "status"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg.ArrivesAt != tc.arrives {
+			t.Errorf("sent at %v: arrives %v, want %v", tc.at, msg.ArrivesAt, tc.arrives)
+		}
 	}
 }
 

@@ -33,10 +33,8 @@ func TestEngineStreamGolden(t *testing.T) {
 	e.run()
 
 	h := sha256.New()
-	var buf []byte
-	for _, ev := range e.journal.Events() {
-		buf = ev.AppendJSON(buf[:0])
-		h.Write(append(buf, '\n'))
+	if err := e.journal.WriteJSON(h); err != nil {
+		t.Fatal(err)
 	}
 	fmt.Fprintf(h, "dropped %d\n", e.journal.Dropped())
 	for _, a := range e.alerts() {

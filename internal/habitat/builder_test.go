@@ -25,10 +25,10 @@ func twoRoomPlan(t *testing.T) *Habitat {
 
 func TestBuilderTwoRooms(t *testing.T) {
 	h := twoRoomPlan(t)
-	if got := len(h.Rooms()); got != 2 {
+	if got := len(h.rooms); got != 2 {
 		t.Fatalf("rooms = %d", got)
 	}
-	if !h.Adjacent(Kitchen, Office) {
+	if _, ok := h.DoorBetween(Kitchen, Office); !ok {
 		t.Error("door missing")
 	}
 	door, _ := h.DoorBetween(Kitchen, Office)

@@ -134,13 +134,6 @@ type Habitat struct {
 // ErrUnknownRoom is returned for lookups of rooms not in the habitat.
 var ErrUnknownRoom = errors.New("habitat: unknown room")
 
-// Rooms returns the rooms in the habitat (copy).
-func (h *Habitat) Rooms() []Room {
-	out := make([]Room, len(h.rooms))
-	copy(out, h.rooms)
-	return out
-}
-
 // RoomIDs returns all room IDs in declaration order.
 func (h *Habitat) RoomIDs() []RoomID {
 	out := make([]RoomID, 0, len(h.rooms))
@@ -157,13 +150,6 @@ func (h *Habitat) Room(id RoomID) (Room, error) {
 		return Room{}, ErrUnknownRoom
 	}
 	return h.rooms[i], nil
-}
-
-// Walls returns the wall segments (copy).
-func (h *Habitat) Walls() []Wall {
-	out := make([]Wall, len(h.walls))
-	copy(out, h.walls)
-	return out
 }
 
 // Doors returns the doorways (copy).
@@ -204,12 +190,6 @@ func (h *Habitat) DoorBetween(a, b RoomID) (geometry.Point, bool) {
 		}
 	}
 	return geometry.Point{}, false
-}
-
-// Adjacent reports whether rooms a and b share a door.
-func (h *Habitat) Adjacent(a, b RoomID) bool {
-	_, ok := h.DoorBetween(a, b)
-	return ok
 }
 
 // Path returns movement waypoints from a point in room `from` to a point in

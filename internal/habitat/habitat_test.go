@@ -11,7 +11,7 @@ import (
 
 func TestStandardRoomCount(t *testing.T) {
 	h := Standard()
-	if got := len(h.Rooms()); got != 10 {
+	if got := len(h.rooms); got != 10 {
 		t.Errorf("rooms = %d, want 10", got)
 	}
 	if got := len(h.Beacons()); got != StandardBeaconCount {
@@ -61,11 +61,11 @@ func TestRoomAt(t *testing.T) {
 
 func TestEveryModuleHasAtriumDoor(t *testing.T) {
 	h := Standard()
-	for _, r := range h.Rooms() {
+	for _, r := range h.rooms {
 		if r.ID == Atrium {
 			continue
 		}
-		if !h.Adjacent(r.ID, Atrium) {
+		if _, ok := h.DoorBetween(r.ID, Atrium); !ok {
 			t.Errorf("room %v has no door to atrium", r.ID)
 		}
 	}
@@ -173,7 +173,7 @@ func TestBeaconsInTheirRooms(t *testing.T) {
 	if perRoom[Atrium] != 9 {
 		t.Errorf("atrium beacons = %d, want 9", perRoom[Atrium])
 	}
-	for _, r := range h.Rooms() {
+	for _, r := range h.rooms {
 		if r.ID == Atrium {
 			continue
 		}
@@ -204,7 +204,7 @@ func TestRandomPointInStaysInside(t *testing.T) {
 
 func TestRoomsDoNotOverlap(t *testing.T) {
 	h := Standard()
-	rooms := h.Rooms()
+	rooms := h.rooms
 	rng := stats.NewRNG(7)
 	for _, r := range rooms {
 		for i := 0; i < 30; i++ {
@@ -232,7 +232,7 @@ func TestSplitAroundGaps(t *testing.T) {
 	if len(segs) != 2 {
 		t.Fatalf("segments = %d, want 2", len(segs))
 	}
-	total := segs[0].Length() + segs[1].Length()
+	total := segs[0].A.Dist(segs[0].B) + segs[1].A.Dist(segs[1].B)
 	if total != 9 {
 		t.Errorf("remaining wall = %v, want 9", total)
 	}

@@ -13,7 +13,7 @@ import (
 func bruteWallLoss(h *Habitat, p, q geometry.Point) float64 {
 	ray := geometry.Segment{A: p, B: q}
 	var loss float64
-	for _, w := range h.Walls() {
+	for _, w := range h.walls {
 		if ray.Intersects(w.Seg) {
 			loss += w.Material.AttenuationDB()
 		}
@@ -45,7 +45,7 @@ func irregularPlan(t testing.TB) *Habitat {
 // than the box pad, and by more than the pad.
 func criticalCoords(h *Habitat) (xs, ys []float64) {
 	nudges := []float64{0, 5e-13, -5e-13, 5e-10, -5e-10, 2e-9, -2e-9}
-	for _, w := range h.Walls() {
+	for _, w := range h.walls {
 		for _, p := range []geometry.Point{w.Seg.A, w.Seg.B} {
 			for _, d := range nudges {
 				xs = append(xs, p.X+d)

@@ -36,7 +36,7 @@ func BenchmarkLocate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Locate(scans[i%len(scans)]); err != nil {
+		if _, err := locateScan(l, scans[i%len(scans)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -63,7 +63,7 @@ func BenchmarkTrack(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fixes := l.Track(recs, 15*time.Second)
+		fixes := track(l, recs, 15*time.Second)
 		if len(fixes) == 0 {
 			b.Fatal("no fixes")
 		}
@@ -132,7 +132,7 @@ func BenchmarkAblationBeaconDensity(b *testing.B) {
 			if len(obs) == 0 {
 				continue // no coverage: counts as a miss
 			}
-			fix, err := l.Locate(obs)
+			fix, err := locateScan(l, obs)
 			if err != nil {
 				continue
 			}

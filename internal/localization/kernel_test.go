@@ -25,6 +25,18 @@ type refLocator struct {
 	txPower float64
 }
 
+// locateScan locates one scan window with fresh scratch.
+func locateScan(l *Locator, obs []Obs) (Fix, error) {
+	// One slot per distinct beacon: never more than the sightings or the sites.
+	return l.locate(obs, make([]slot, 0, min(len(obs), len(l.sites))))
+}
+
+// track runs TrackCursor over an in-memory record slice.
+func track(l *Locator, recs []record.Record, window time.Duration) []Fix {
+	c := record.NewCursor(recs)
+	return l.TrackCursor(&c, window)
+}
+
 func newRefLocator(hab *habitat.Habitat) *refLocator {
 	sites := make(map[int]habitat.BeaconSite)
 	for _, s := range hab.Beacons() {
@@ -298,7 +310,7 @@ func TestLocateMatchesReference(t *testing.T) {
 				obs = nil
 			}
 			want, wantErr := ref.locateRef(obs)
-			got, gotErr := l.Locate(obs)
+			got, gotErr := locateScan(l, obs)
 			switch {
 			case wantErr != nil:
 				kinds[wantErr.Error()]++
@@ -388,10 +400,10 @@ func TestLocatorConcurrentUse(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			obs := randomScan(rng, sites)
 			jobs[g].scans = append(jobs[g].scans, obs)
-			fix, _ := l.Locate(obs)
+			fix, _ := locateScan(l, obs)
 			jobs[g].fixes = append(jobs[g].fixes, fix)
 		}
-		jobs[g].track = l.Track(jobs[g].recs, 15*time.Second)
+		jobs[g].track = track(l, jobs[g].recs, 15*time.Second)
 	}
 	var wg sync.WaitGroup
 	errs := make([]string, workers)
@@ -413,7 +425,7 @@ func TestLocatorConcurrentUse(t *testing.T) {
 					}
 				}
 				for i, obs := range j.scans {
-					if fix, _ := l.Locate(obs); !sameFix(fix, j.fixes[i]) {
+					if fix, _ := locateScan(l, obs); !sameFix(fix, j.fixes[i]) {
 						errs[g] = "Locate fix differs"
 						return
 					}
@@ -461,7 +473,7 @@ func TestTrackAllocs(t *testing.T) {
 	}
 
 	scan := []Obs{{BeaconID: sites[0].ID, RSSI: -60}, {BeaconID: sites[1].ID, RSSI: -70}, {BeaconID: sites[0].ID, RSSI: -62}}
-	if allocs := testing.AllocsPerRun(100, func() { _, _ = l.Locate(scan) }); allocs > 2 {
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = locateScan(l, scan) }); allocs > 2 {
 		t.Errorf("Locate: %.0f allocs, want <= 2", allocs)
 	}
 }

@@ -88,7 +88,7 @@ func NewLocator(hab *habitat.Habitat) (*Locator, error) {
 }
 
 // Obs is one (beacon, RSSI) pair of a scan window. Multiple observations of
-// the same beacon are averaged by Locate.
+// the same beacon are averaged by locate.
 type Obs struct {
 	BeaconID int
 	RSSI     float64
@@ -107,7 +107,9 @@ type slot struct {
 	w    float64        // Gauss-Newton weight 1/(dist²+0.25)
 }
 
-// Locate estimates a position from one scan window.
+// locate estimates a position from one scan window. acc is caller-owned
+// scratch: it must be empty, and with room for one slot per distinct beacon
+// of obs it never reallocates.
 //
 // Room detection picks the room of the strongest beacon — exact in the
 // shielded habitat. The in-room position is then a distance-weighted
@@ -122,13 +124,6 @@ type slot struct {
 // is the one all 12 give. "Unchanged" compares math.Float64bits, not ==:
 // == calls -0 equal to +0 and NaN unequal to itself, so only the bit test
 // makes "unchanged" mean "the next iteration sees the same input".
-func (l *Locator) Locate(obs []Obs) (Fix, error) {
-	// One slot per distinct beacon: never more than the sightings or the sites.
-	return l.locate(obs, make([]slot, 0, min(len(obs), len(l.sites))))
-}
-
-// locate is Locate with caller-owned scratch: acc must be empty, and with
-// room for one slot per distinct beacon of obs it never reallocates.
 func (l *Locator) locate(obs []Obs, acc []slot) (Fix, error) {
 	if len(obs) == 0 {
 		return Fix{}, ErrNoObservations
@@ -244,16 +239,10 @@ func gnStep(g, h float64) float64 {
 	return s
 }
 
-// Track groups a badge's beacon records into windows and locates each.
-// Records must be time-ordered (store.Series provides this). Windows with
-// no observations yield no fix.
-func (l *Locator) Track(recs []record.Record, window time.Duration) []Fix {
-	c := record.NewCursor(recs)
-	return l.TrackCursor(&c, window)
-}
-
-// TrackCursor is Track over a record cursor: one streaming pass holding only
-// the current window's observations, so out-of-core sources never
+// TrackCursor groups a badge's beacon records into windows and locates
+// each. Records must be time-ordered (store.Series provides this). Windows
+// with no observations yield no fix. It makes one streaming pass holding
+// only the current window's observations, so out-of-core sources never
 // materialize the beacon stream. The window buffer and the slots are
 // allocated once per call and reused for every window.
 func (l *Locator) TrackCursor(c *record.Cursor, window time.Duration) []Fix {

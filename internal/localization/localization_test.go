@@ -54,10 +54,10 @@ func TestNewLocatorNilHabitat(t *testing.T) {
 
 func TestLocateErrors(t *testing.T) {
 	l, _ := newLocator(t)
-	if _, err := l.Locate(nil); !errors.Is(err, ErrNoObservations) {
+	if _, err := locateScan(l, nil); !errors.Is(err, ErrNoObservations) {
 		t.Errorf("empty: %v", err)
 	}
-	if _, err := l.Locate([]Obs{{BeaconID: 999, RSSI: -50}}); !errors.Is(err, ErrUnknownBeacon) {
+	if _, err := locateScan(l, []Obs{{BeaconID: 999, RSSI: -50}}); !errors.Is(err, ErrUnknownBeacon) {
 		t.Errorf("unknown: %v", err)
 	}
 }
@@ -76,7 +76,7 @@ func TestLocateRoomDetectionPerfect(t *testing.T) {
 			if len(obs) == 0 {
 				t.Fatalf("no beacons visible in %v", id)
 			}
-			fix, err := l.Locate(obs)
+			fix, err := locateScan(l, obs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestLocatePositionAccuracy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fix, err := l.Locate(obsAt(hab, p))
+		fix, err := locateScan(l, obsAt(hab, p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestLocateWithRealChannelNoise(t *testing.T) {
 		if len(obs) == 0 {
 			continue
 		}
-		fix, err := l.Locate(obs)
+		fix, err := locateScan(l, obs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestTrackWindowsRecords(t *testing.T) {
 			PeerID: uint16(officeBeacon), RSSI: -55,
 		})
 	}
-	fixes := l.Track(recs, 15*time.Second)
+	fixes := track(l, recs, 15*time.Second)
 	if len(fixes) != 16 {
 		t.Fatalf("fixes = %d, want 16", len(fixes))
 	}
@@ -282,7 +282,7 @@ func TestQuickLocateTotal(t *testing.T) {
 			s := sites[rng.Intn(len(sites))]
 			obs = append(obs, Obs{BeaconID: s.ID, RSSI: rng.Range(-95, -35)})
 		}
-		fix, err := l.Locate(obs)
+		fix, err := locateScan(l, obs)
 		if err != nil {
 			return false
 		}

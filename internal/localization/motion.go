@@ -63,19 +63,3 @@ func LocationChangeRate(ivs []Interval) float64 {
 	}
 	return float64(changes) / tracked.Hours()
 }
-
-// TotalPathLength integrates in-room displacement over the track (meters).
-func TotalPathLength(fixes []Fix, maxGap time.Duration) float64 {
-	if maxGap <= 0 {
-		maxGap = DefaultMaxGap
-	}
-	var total float64
-	for i := 1; i < len(fixes); i++ {
-		dt := fixes[i].At - fixes[i-1].At
-		if dt <= 0 || dt > maxGap || fixes[i].Room != fixes[i-1].Room {
-			continue
-		}
-		total += fixes[i].Pos.Dist(fixes[i-1].Pos)
-	}
-	return total
-}

@@ -78,15 +78,3 @@ func TestLocationChangeRate(t *testing.T) {
 		t.Error("rate of nothing nonzero")
 	}
 }
-
-func TestTotalPathLength(t *testing.T) {
-	fixes := []Fix{
-		fixAt(0, habitat.Atrium, 0, 0),
-		fixAt(10, habitat.Atrium, 3, 4),    // 5 m
-		fixAt(20, habitat.Atrium, 3, 10),   // 6 m
-		fixAt(700, habitat.Atrium, 50, 50), // gap: skipped
-	}
-	if got := TotalPathLength(fixes, time.Minute); math.Abs(got-11) > 1e-9 {
-		t.Errorf("path length = %v", got)
-	}
-}

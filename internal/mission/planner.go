@@ -147,9 +147,6 @@ func NewPlanner(sc Scenario) *Planner {
 	return &Planner{sc: sc}
 }
 
-// Scenario returns the script the planner runs.
-func (p *Planner) Scenario() Scenario { return p.sc }
-
 var _ crew.Planner = (*Planner)(nil)
 
 // Objective implements crew.Planner.

@@ -400,12 +400,6 @@ func (u *Uploader) Enqueue(recs ...record.Record) {
 	u.mu.Unlock()
 }
 
-// Buffered returns how many records await batching.
-func (u *Uploader) Buffered() int { return u.StatsSnapshot().Buffered }
-
-// Pending returns how many batches await acknowledgement.
-func (u *Uploader) Pending() int { return u.StatsSnapshot().Pending }
-
 // StatsSnapshot returns every uploader counter from a single instant.
 func (u *Uploader) StatsSnapshot() UploaderStats {
 	u.mu.Lock()

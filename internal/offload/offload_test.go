@@ -123,12 +123,12 @@ func TestNoCoverageKeepsPending(t *testing.T) {
 	if acked := u.TryFlush(dead); acked != 0 {
 		t.Errorf("acks from a dead transport: %d", acked)
 	}
-	if u.Pending() == 0 {
+	if u.StatsSnapshot().Pending == 0 {
 		t.Error("nothing pending after failed flush")
 	}
 	// MaxPending bounds the in-flight set; the rest stays buffered.
-	if u.Pending() > u.MaxPending {
-		t.Errorf("pending %d exceeds MaxPending %d", u.Pending(), u.MaxPending)
+	if u.StatsSnapshot().Pending > u.MaxPending {
+		t.Errorf("pending %d exceeds MaxPending %d", u.StatsSnapshot().Pending, u.MaxPending)
 	}
 	// Coverage restored: everything drains.
 	col := newCollector()
@@ -507,7 +507,7 @@ func TestQuickExactlyOnceUnderReordering(t *testing.T) {
 		for round := 0; round < 20000; round++ {
 			busy := false
 			for _, u := range ups {
-				if u.Buffered() > 0 || u.Pending() > 0 {
+				if u.StatsSnapshot().Buffered > 0 || u.StatsSnapshot().Pending > 0 {
 					busy = true
 					u.TryFlush(rt)
 				}
@@ -517,7 +517,7 @@ func TestQuickExactlyOnceUnderReordering(t *testing.T) {
 			}
 		}
 		for _, u := range ups {
-			if u.Buffered() > 0 || u.Pending() > 0 {
+			if u.StatsSnapshot().Buffered > 0 || u.StatsSnapshot().Pending > 0 {
 				return false // failed to converge
 			}
 		}

@@ -100,21 +100,3 @@ func Communities(weights map[Pair]time.Duration, names []string, minWeight time.
 	})
 	return out
 }
-
-// DegreeStats summarizes each node's total contact weight (the raw
-// centrality underlying Table I's company column).
-func DegreeStats(weights map[Pair]time.Duration, names []string) map[string]time.Duration {
-	out := make(map[string]time.Duration, len(names))
-	for _, n := range names {
-		out[n] = 0
-	}
-	for pair, d := range weights {
-		if _, ok := out[pair[0]]; ok {
-			out[pair[0]] += d
-		}
-		if _, ok := out[pair[1]]; ok {
-			out[pair[1]] += d
-		}
-	}
-	return out
-}

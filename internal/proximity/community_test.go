@@ -93,24 +93,3 @@ func TestCommunitiesEmptyGraph(t *testing.T) {
 		t.Errorf("empty graph = %v", got)
 	}
 }
-
-func TestDegreeStats(t *testing.T) {
-	names := []string{"A", "B", "C"}
-	w := map[Pair]time.Duration{
-		MakePair("A", "B"): hours(2),
-		MakePair("B", "C"): hours(3),
-	}
-	got := DegreeStats(w, names)
-	if got["A"] != hours(2) || got["B"] != hours(5) || got["C"] != hours(3) {
-		t.Errorf("degrees = %v", got)
-	}
-	// Pairs with unknown members are ignored for unknown names only.
-	w[MakePair("B", "Z")] = hours(1)
-	got = DegreeStats(w, names)
-	if got["B"] != hours(6) {
-		t.Errorf("B degree with outside pair = %v", got["B"])
-	}
-	if _, ok := got["Z"]; ok {
-		t.Error("unknown name appeared")
-	}
-}

@@ -111,9 +111,6 @@ func NewChannelWithProfile(hab *habitat.Habitat, p Profile, rng *stats.RNG) (*Ch
 	return &Channel{hab: hab, profile: p, rng: rng}, nil
 }
 
-// Profile returns the channel's propagation profile.
-func (c *Channel) Profile() Profile { return c.profile }
-
 // SetDropProb injects extra uniform packet loss with the given probability,
 // used by the failure-injection tests. Values are clamped to [0, 1].
 func (c *Channel) SetDropProb(p float64) {
@@ -150,11 +147,6 @@ func (c *Channel) Transmit(tx, rx geometry.Point, txPowerDBm float64) Transmissi
 		received = false
 	}
 	return Transmission{RSSI: rssi, Received: received}
-}
-
-// ExpectedRSSI returns the mean RSSI (no shadowing draw) for a link.
-func (c *Channel) ExpectedRSSI(tx, rx geometry.Point, txPowerDBm float64) float64 {
-	return txPowerDBm - c.PathLossDB(tx, rx)
 }
 
 // DistanceFromRSSI inverts the free-space part of the path-loss model,

@@ -29,7 +29,6 @@ type LogWriter struct {
 	w       *bufio.Writer
 	badgeID uint16
 	scratch []byte
-	written int64
 }
 
 // NewLogWriter writes the log header and returns a writer for the badge's
@@ -47,7 +46,7 @@ func NewLogWriter(w io.Writer, badgeID uint16) (*LogWriter, error) {
 	if _, err := bw.Write(id[:]); err != nil {
 		return nil, fmt.Errorf("write badge id: %w", err)
 	}
-	return &LogWriter{w: bw, badgeID: badgeID, written: 7}, nil
+	return &LogWriter{w: bw, badgeID: badgeID}, nil
 }
 
 // BadgeID returns the badge this log belongs to.
@@ -60,16 +59,11 @@ func (lw *LogWriter) Append(r Record) error {
 		return err
 	}
 	lw.scratch = frame[:0]
-	n, err := lw.w.Write(frame)
-	lw.written += int64(n)
-	if err != nil {
+	if _, err := lw.w.Write(frame); err != nil {
 		return fmt.Errorf("append frame: %w", err)
 	}
 	return nil
 }
-
-// BytesWritten returns the total encoded size so far, including the header.
-func (lw *LogWriter) BytesWritten() int64 { return lw.written }
 
 // Flush flushes buffered frames to the underlying writer.
 func (lw *LogWriter) Flush() error { return lw.w.Flush() }

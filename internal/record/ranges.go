@@ -128,16 +128,11 @@ func (s RangeSet) Intersect(o RangeSet) RangeSet {
 	return out
 }
 
-// WornRanges extracts the periods a badge was worn from its KindWear
+// WornRangesCursor extracts the periods a badge was worn from its KindWear
 // transition records. An interval still open at the end is closed at
-// horizon (pass the last record timestamp or the mission end).
-func WornRanges(recs []Record, horizon time.Duration) RangeSet {
-	c := NewCursor(recs)
-	return WornRangesCursor(&c, horizon)
-}
-
-// WornRangesCursor is WornRanges over a record cursor: a single streaming
-// scan, so out-of-core sources never materialize the stream.
+// horizon (pass the last record timestamp or the mission end). It makes a
+// single streaming scan, so out-of-core sources never materialize the
+// stream.
 func WornRangesCursor(c *Cursor, horizon time.Duration) RangeSet {
 	var out RangeSet
 	var open bool

@@ -85,6 +85,12 @@ func TestRangeSetIntersect(t *testing.T) {
 	}
 }
 
+// wornRanges runs WornRangesCursor over an in-memory record slice.
+func wornRanges(recs []Record, horizon time.Duration) RangeSet {
+	c := NewCursor(recs)
+	return WornRangesCursor(&c, horizon)
+}
+
 func TestWornRanges(t *testing.T) {
 	recs := []Record{
 		{Local: 10 * time.Second, Kind: KindWear, Worn: true},
@@ -92,7 +98,7 @@ func TestWornRanges(t *testing.T) {
 		{Local: 30 * time.Second, Kind: KindWear, Worn: false},
 		{Local: 50 * time.Second, Kind: KindWear, Worn: true},
 	}
-	got := WornRanges(recs, 70*time.Second)
+	got := wornRanges(recs, 70*time.Second)
 	if len(got) != 2 {
 		t.Fatalf("worn ranges = %v", got)
 	}
@@ -106,10 +112,10 @@ func TestWornRanges(t *testing.T) {
 		{Local: 3 * time.Second, Kind: KindWear, Worn: false},
 		{Local: 4 * time.Second, Kind: KindWear, Worn: false},
 	}
-	if got := WornRanges(dup, 10*time.Second); got.Total() != 2*time.Second {
+	if got := wornRanges(dup, 10*time.Second); got.Total() != 2*time.Second {
 		t.Errorf("dup worn total = %v", got.Total())
 	}
-	if got := WornRanges(nil, time.Hour); len(got) != 0 {
+	if got := wornRanges(nil, time.Hour); len(got) != 0 {
 		t.Errorf("empty records = %v", got)
 	}
 }

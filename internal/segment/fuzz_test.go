@@ -18,12 +18,12 @@ import (
 // answers every Iter like a filter over its readable blocks decoded
 // in-package, batch by batch in time order, inside the window and of the
 // queried kind; Times yields exactly the timestamps of the full-kind
-// filter; the per-kind scans sum to the full scan, and Len and
-// KindCounts count the readable records. The reference interleaves each
+// filter; the per-kind scans sum to the full scan, and Len counts the
+// readable records. The reference interleaves each
 // block's decoded kind columns by its kind sequence directly, so it does
 // not rest on the lazily built series array under test. Iter windows are half-open, so a
 // record stamped math.MaxInt64 (the format can hold one) is in no window,
-// not even the full scan's, yet counts for Len and KindCounts.
+// not even the full scan's, yet counts for Len.
 func FuzzReader(f *testing.F) {
 	rng := stats.NewRNG(99)
 	mid := [2]int64{int64(10 * time.Second), int64(5 * time.Minute)}
@@ -95,7 +95,7 @@ func FuzzReader(f *testing.F) {
 		if rd.Len() != len(readable) {
 			t.Fatalf("Len() = %d, readable blocks hold %d", rd.Len(), len(readable))
 		}
-		kc, perKind := rd.KindCounts(), 0
+		perKind := 0
 		for k := record.Kind(0); k <= record.KindBattery; k++ {
 			for _, w := range [][2]time.Duration{{minT, maxT}, {time.Duration(from), time.Duration(to)}} {
 				if got, exp := scan(t, rd, w[0], w[1], k), want(w[0], w[1], k); !sameRecords(got, exp) {
@@ -112,9 +112,6 @@ func FuzzReader(f *testing.F) {
 				continue
 			}
 			perKind += len(want(minT, maxT, k))
-			if kc[k] != stored[k] {
-				t.Fatalf("KindCounts[%v] = %d, readable blocks hold %d", k, kc[k], stored[k])
-			}
 		}
 		if perKind != len(want(minT, maxT, 0)) {
 			t.Fatalf("kind scans hold %d records, full scan %d", perKind, len(want(minT, maxT, 0)))

@@ -38,10 +38,9 @@ const DefaultCacheBlocks = 64
 // entry at query time is dropped for the reader's lifetime (reopen to
 // retry a transient I/O error) and counted by CorruptBlocks.
 //
-// Len and KindCounts are lazily consistent with that query-time salvage:
-// they subtract the records of every block discovered corrupt so far, so
-// after a full-window Iter has touched every block, Len equals the records
-// it yielded and KindCounts agrees with the per-kind Iter scans even when
+// Len is lazily consistent with that query-time salvage: it subtracts the
+// records of every block discovered corrupt so far, so after a full-window
+// Iter has touched every block, Len equals the records it yielded even when
 // blocks were damaged after the index was written. Dropped reports how
 // many indexed records have been lost that way.
 type Reader struct {
@@ -52,11 +51,9 @@ type Reader struct {
 	badgeID uint16
 	blocks  []blockMeta
 	total   int
-	counts  map[record.Kind]int
 
 	skipped   int
 	truncated bool
-	salvaged  bool
 
 	mu    sync.Mutex
 	cache map[int]*list.Element
@@ -64,10 +61,9 @@ type Reader struct {
 	cap   int
 	// dropped holds the indexes of blocks discovered corrupt at query time.
 	// It survives LRU eviction so a re-read of the same bad block is never
-	// double-counted; droppedTotal/droppedCounts mirror it in record units.
-	dropped       map[int]struct{}
-	droppedTotal  int
-	droppedCounts map[record.Kind]int
+	// double-counted; droppedTotal mirrors it in record units.
+	dropped      map[int]struct{}
+	droppedTotal int
 }
 
 // cacheSlot is one cached decoded block.
@@ -122,12 +118,8 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 	if err := r.loadIndex(); err != nil {
 		r.salvageScan()
 	}
-	r.counts = make(map[record.Kind]int)
 	for _, m := range r.blocks {
 		r.total += m.count
-		for _, kc := range m.counts {
-			r.counts[kc.kind] += int(kc.count)
-		}
 	}
 	return r, nil
 }
@@ -259,7 +251,6 @@ func checkFrame(frame []byte, tag byte) ([]byte, error) {
 // before Finish completed) or corrupted. Corrupt blocks are skipped and
 // counted; an unparseable tail marks the segment truncated.
 func (r *Reader) salvageScan() {
-	r.salvaged = true
 	r.blocks = nil
 	br := bufio.NewReaderSize(io.NewSectionReader(r.r, headerSize, r.size-headerSize), 1<<16)
 	off := int64(headerSize)
@@ -357,22 +348,6 @@ func (r *Reader) Len() int {
 // the in-memory store's EncodedBytes for the compression ratio.
 func (r *Reader) BytesOnDisk() int64 { return r.size }
 
-// Blocks returns how many blocks the segment holds.
-func (r *Reader) Blocks() int { return len(r.blocks) }
-
-// KindCounts returns the per-kind record counts from the block index minus
-// the counts of blocks discovered corrupt at query time, without touching
-// any block. Kinds whose records were all lost report 0 (the key stays).
-func (r *Reader) KindCounts() map[record.Kind]int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[record.Kind]int, len(r.counts))
-	for k, n := range r.counts {
-		out[k] = n - r.droppedCounts[k]
-	}
-	return out
-}
-
 // Skipped returns how many corrupt blocks the salvage scan dropped.
 func (r *Reader) Skipped() int { return r.skipped }
 
@@ -380,13 +355,9 @@ func (r *Reader) Skipped() int { return r.skipped }
 // the process died while a block was being written.
 func (r *Reader) Truncated() bool { return r.truncated }
 
-// Salvaged reports whether the index frame was unusable and the block index
-// had to be rebuilt by scanning.
-func (r *Reader) Salvaged() bool { return r.salvaged }
-
 // CorruptBlocks returns how many distinct blocks failed their CRC, decode,
 // read, or index entry at query time; their records are lost to views (and
-// subtracted from Len/KindCounts), mirroring load salvage.
+// subtracted from Len), mirroring load salvage.
 func (r *Reader) CorruptBlocks() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -405,7 +376,7 @@ func (r *Reader) Dropped() int {
 // block returns the decoded block i, from cache or by one seek+read. A
 // block that fails its CRC, decode, read, or index entry is cached as
 // corrupt so it is not re-read on every query, and its records are
-// subtracted from Len/KindCounts exactly once (the dropped set outlives
+// subtracted from Len exactly once (the dropped set outlives
 // cache eviction).
 func (r *Reader) block(i int) *decodedBlock {
 	r.mu.Lock()
@@ -442,12 +413,6 @@ func (r *Reader) block(i int) *decodedBlock {
 				}
 				r.dropped[i] = struct{}{}
 				r.droppedTotal += m.count
-				if r.droppedCounts == nil {
-					r.droppedCounts = make(map[record.Kind]int)
-				}
-				for _, kc := range m.counts {
-					r.droppedCounts[kc.kind] += int(kc.count)
-				}
 			}
 		}
 		r.cache[i] = r.lru.PushFront(&cacheSlot{idx: i, block: blk})

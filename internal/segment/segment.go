@@ -213,9 +213,6 @@ func NewWriter(w io.Writer, badgeID uint16, blockSize int) (*Writer, error) {
 	return &Writer{w: w, badgeID: badgeID, block: blockSize, off: headerSize}, nil
 }
 
-// BadgeID returns the badge this segment belongs to.
-func (sw *Writer) BadgeID() uint16 { return sw.badgeID }
-
 // Append adds one record to the segment. Records must be appended in
 // non-decreasing timestamp order.
 func (sw *Writer) Append(r record.Record) error {
@@ -236,13 +233,6 @@ func (sw *Writer) Append(r record.Record) error {
 	}
 	return nil
 }
-
-// Len returns how many records have been appended.
-func (sw *Writer) Len() int { return sw.total }
-
-// BytesWritten returns the file size so far (header and flushed blocks;
-// after Finish, the whole file).
-func (sw *Writer) BytesWritten() int64 { return sw.off }
 
 // flushBlock encodes and writes the pending records as one block frame.
 func (sw *Writer) flushBlock() error {

@@ -195,7 +195,7 @@ func TestRoundTripAllKindsAcrossBlockSizes(t *testing.T) {
 		if rd.Len() != len(recs) {
 			t.Fatalf("block size %d: Len %d, want %d", bs, rd.Len(), len(recs))
 		}
-		if rd.Salvaged() || rd.Skipped() != 0 || rd.Truncated() {
+		if rd.Skipped() != 0 || rd.Truncated() {
 			t.Fatalf("block size %d: clean segment reported salvage", bs)
 		}
 		if !sameRecords(scan(t, rd, minT, maxT, 0), recs) {
@@ -279,8 +279,8 @@ func TestIterMatchesViews(t *testing.T) {
 func TestEmptySegment(t *testing.T) {
 	raw := writeSegment(t, 4, 0, nil)
 	rd := openBytes(t, raw)
-	if rd.Len() != 0 || len(scan(t, rd, minT, maxT, 0)) != 0 || rd.Blocks() != 0 {
-		t.Fatalf("empty segment: len %d blocks %d", rd.Len(), rd.Blocks())
+	if rd.Len() != 0 || len(scan(t, rd, minT, maxT, 0)) != 0 || len(rd.blocks) != 0 {
+		t.Fatalf("empty segment: len %d blocks %d", rd.Len(), len(rd.blocks))
 	}
 	if _, ok := rd.First(); ok {
 		t.Fatal("First on empty segment")
@@ -318,9 +318,6 @@ func TestSalvageLostIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rd.Salvaged() {
-		t.Fatal("reader did not salvage")
-	}
 	if rd.Truncated() || rd.Skipped() != 0 {
 		t.Fatalf("intact blocks: skipped %d truncated %v", rd.Skipped(), rd.Truncated())
 	}
@@ -334,8 +331,8 @@ func TestSalvageTruncatedMidBlock(t *testing.T) {
 	recs := randRecords(stats.NewRNG(5), 1000)
 	raw := writeSegment(t, 2, 100, recs)
 	rd0 := openBytes(t, raw)
-	if rd0.Blocks() != 10 {
-		t.Fatalf("expected 10 blocks, got %d", rd0.Blocks())
+	if len(rd0.blocks) != 10 {
+		t.Fatalf("expected 10 blocks, got %d", len(rd0.blocks))
 	}
 	// Cut inside the 4th block: blocks 0-2 remain intact.
 	cut := int(rd0.blocks[3].offset) + int(rd0.blocks[3].length)/2
@@ -343,8 +340,8 @@ func TestSalvageTruncatedMidBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rd.Salvaged() || !rd.Truncated() {
-		t.Fatalf("salvaged %v truncated %v", rd.Salvaged(), rd.Truncated())
+	if !rd.Truncated() {
+		t.Fatal("torn block not reported as truncation")
 	}
 	if !sameRecords(scan(t, rd, minT, maxT, 0), recs[:300]) {
 		t.Fatalf("salvage kept %d records, want 300", rd.Len())
@@ -363,8 +360,8 @@ func TestCorruptBlockIsDroppedAndCounted(t *testing.T) {
 	mut[off] ^= 0x40
 
 	rd := openBytes(t, mut)
-	if rd.Salvaged() {
-		t.Fatal("index was intact; no salvage expected")
+	if rd.Skipped() != 0 {
+		t.Fatal("index was intact; no open-time salvage scan expected")
 	}
 	all := scan(t, rd, minT, maxT, 0)
 	want := append(append([]record.Record(nil), recs[:400]...), recs[500:]...)
@@ -395,8 +392,8 @@ func TestSalvageSkipsCorruptBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rd.Salvaged() || rd.Skipped() != 1 {
-		t.Fatalf("salvaged %v skipped %d, want salvage with 1 skip", rd.Salvaged(), rd.Skipped())
+	if rd.Skipped() != 1 {
+		t.Fatalf("skipped %d, want salvage with 1 skip", rd.Skipped())
 	}
 	want := append(append([]record.Record(nil), recs[:400]...), recs[500:]...)
 	if !sameRecords(scan(t, rd, minT, maxT, 0), want) {

@@ -11,21 +11,12 @@ import (
 // A local reading L relates to true simulation time T as
 //
 //	L(T) = Offset + (1 + SkewPPM*1e-6) * T
-//
-// plus optional random-walk jitter accumulated by Advance.
 type Oscillator struct {
 	// Offset is the initial phase error of the clock.
 	Offset time.Duration
 	// SkewPPM is the constant frequency error in parts per million.
 	// Typical watch crystals are within +-20 ppm.
 	SkewPPM float64
-	// JitterPPM, when non-zero, adds a zero-mean random-walk component with
-	// the given per-step magnitude. Jitter requires a noise source.
-	JitterPPM float64
-
-	noise  func() float64 // returns N(0,1)-ish values; nil means no jitter
-	drift  time.Duration  // accumulated random-walk drift
-	lastAt time.Duration  // true time of the last Advance
 }
 
 // NewOscillator creates an oscillator with the given phase offset and skew.
@@ -33,61 +24,18 @@ func NewOscillator(offset time.Duration, skewPPM float64) *Oscillator {
 	return &Oscillator{Offset: offset, SkewPPM: skewPPM}
 }
 
-// WithJitter enables random-walk jitter using the provided standard-normal
-// source. It returns the oscillator for chaining.
-func (o *Oscillator) WithJitter(ppm float64, noise func() float64) *Oscillator {
-	o.JitterPPM = ppm
-	o.noise = noise
-	return o
-}
-
-// Advance accumulates random-walk drift up to true time t. Calling Advance
-// is only needed when jitter is enabled; Read alone models deterministic
-// skew.
-func (o *Oscillator) Advance(t time.Duration) {
-	if o.noise == nil || o.JitterPPM == 0 {
-		o.lastAt = t
-		return
-	}
-	dt := t - o.lastAt
-	if dt <= 0 {
-		return
-	}
-	o.drift += time.Duration(o.noise() * o.JitterPPM * 1e-6 * float64(dt))
-	o.lastAt = t
-}
-
 // Read converts true simulation time to the local clock reading.
 func (o *Oscillator) Read(trueTime time.Duration) time.Duration {
 	scaled := time.Duration(float64(trueTime) * (1 + o.SkewPPM*1e-6))
-	return o.Offset + scaled + o.drift
+	return o.Offset + scaled
 }
 
-// Invert converts a local clock reading back to estimated true time,
-// ignoring jitter. This is what a *perfect* correction would compute; the
-// timesync package estimates Offset and SkewPPM from observations instead.
-func (o *Oscillator) Invert(local time.Duration) time.Duration {
-	return time.Duration(float64(local-o.Offset-o.drift) / (1 + o.SkewPPM*1e-6))
-}
-
-// ShiftAt returns the instantaneous clock shift (local - true) at true time
-// t, the quantity the paper computes between devices.
-func (o *Oscillator) ShiftAt(t time.Duration) time.Duration {
-	return o.Read(t) - t
-}
-
-// Day/slot helpers shared across the simulator. The mission runs on "Martian
+// Day helpers shared across the simulator. The mission runs on "Martian
 // time" maintained by artificial lighting; we model mission days as uniform
-// 24 h periods from T0, divided into the paper's 30-minute schedule slots.
+// 24 h periods from T0.
 
-const (
-	// DayLength is the length of one mission day.
-	DayLength = 24 * time.Hour
-	// SlotLength is the schedule granularity used during ICAres-1.
-	SlotLength = 30 * time.Minute
-	// SlotsPerDay is the number of schedule slots in a day.
-	SlotsPerDay = int(DayLength / SlotLength)
-)
+// DayLength is the length of one mission day.
+const DayLength = 24 * time.Hour
 
 // DayOf returns the 1-based mission day containing t (t=0 is day 1).
 func DayOf(t time.Duration) int {
@@ -108,11 +56,6 @@ func TimeOfDay(t time.Duration) time.Duration {
 		return 0
 	}
 	return t % DayLength
-}
-
-// SlotOf returns the 0-based slot index of t within its day.
-func SlotOf(t time.Duration) int {
-	return int(TimeOfDay(t) / SlotLength)
 }
 
 // ClockString formats a time-of-day as HH:MM for report output.

@@ -1,167 +1,10 @@
 // Package simtime provides the virtual-time substrate for the icares
-// simulator: a discrete-event clock, a scheduler for timed callbacks, and
-// imperfect per-device oscillator models that convert true simulation time
-// into locally observed device time (the source of the clock shifts the
-// paper's reference badge corrects).
+// simulator: imperfect per-device oscillator models that convert true
+// simulation time into locally observed device time (the source of the
+// clock shifts the paper's reference badge corrects), and the mission-day
+// helpers. The simulator's tick loop lives in the mission package.
 //
-// The entire simulation runs on virtual time; nothing in this module touches
-// the wall clock, so runs are deterministic and arbitrarily faster than real
-// time.
+// The entire simulation runs on virtual time, expressed as time.Duration
+// offsets from mission start (T0); nothing in this module touches the wall
+// clock, so runs are deterministic and arbitrarily faster than real time.
 package simtime
-
-import (
-	"container/heap"
-	"errors"
-	"time"
-)
-
-// Mission times are expressed as time.Duration offsets from mission start
-// (T0). Using Duration rather than time.Time keeps arithmetic explicit and
-// avoids fake calendar dates.
-
-// ErrStopped is returned when scheduling on a stopped scheduler.
-var ErrStopped = errors.New("simtime: scheduler stopped")
-
-// event is a scheduled callback.
-type event struct {
-	at   time.Duration
-	seq  uint64 // tie-breaker preserving schedule order
-	fn   func(now time.Duration)
-	heap int // index in the heap
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].heap = i
-	q[j].heap = j
-}
-func (q *eventQueue) Push(x any) {
-	e, ok := x.(*event)
-	if !ok {
-		return
-	}
-	e.heap = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
-}
-
-// Scheduler is a single-threaded discrete-event scheduler. Callbacks run in
-// timestamp order; ties run in scheduling order. It is not safe for
-// concurrent use: the simulation is deliberately single-threaded for
-// determinism, with concurrency modelled as interleaved events.
-type Scheduler struct {
-	now     time.Duration
-	queue   eventQueue
-	seq     uint64
-	stopped bool
-}
-
-// NewScheduler creates a scheduler at virtual time zero.
-func NewScheduler() *Scheduler {
-	return &Scheduler{}
-}
-
-// Now returns the current virtual time.
-func (s *Scheduler) Now() time.Duration { return s.now }
-
-// At schedules fn to run at absolute virtual time at. Scheduling in the past
-// (before Now) runs the callback at the current time instead — the event
-// fires on the next step. It returns ErrStopped after Stop.
-func (s *Scheduler) At(at time.Duration, fn func(now time.Duration)) error {
-	if s.stopped {
-		return ErrStopped
-	}
-	if at < s.now {
-		at = s.now
-	}
-	s.seq++
-	heap.Push(&s.queue, &event{at: at, seq: s.seq, fn: fn})
-	return nil
-}
-
-// After schedules fn to run d after the current virtual time.
-func (s *Scheduler) After(d time.Duration, fn func(now time.Duration)) error {
-	return s.At(s.now+d, fn)
-}
-
-// Every schedules fn to run repeatedly with the given period, starting at
-// Now()+period, until the scheduler stops or until fn returns false.
-func (s *Scheduler) Every(period time.Duration, fn func(now time.Duration) bool) error {
-	if period <= 0 {
-		return errors.New("simtime: non-positive period")
-	}
-	var tick func(now time.Duration)
-	tick = func(now time.Duration) {
-		if !fn(now) {
-			return
-		}
-		// Ignore ErrStopped: the chain simply ends.
-		_ = s.At(now+period, tick)
-	}
-	return s.At(s.now+period, tick)
-}
-
-// Step runs the next pending event, advancing virtual time to it. It returns
-// false when no events remain.
-func (s *Scheduler) Step() bool {
-	if s.stopped || s.queue.Len() == 0 {
-		return false
-	}
-	e, ok := heap.Pop(&s.queue).(*event)
-	if !ok {
-		return false
-	}
-	s.now = e.at
-	e.fn(s.now)
-	return true
-}
-
-// RunUntil processes events with timestamps <= deadline and then advances
-// the clock to exactly the deadline. It returns the number of events run.
-func (s *Scheduler) RunUntil(deadline time.Duration) int {
-	n := 0
-	for !s.stopped && s.queue.Len() > 0 && s.queue[0].at <= deadline {
-		s.Step()
-		n++
-	}
-	if !s.stopped && s.now < deadline {
-		s.now = deadline
-	}
-	return n
-}
-
-// Run processes all remaining events. It returns the number of events run.
-// A periodic chain scheduled with Every must terminate via its callback, or
-// Run will not return; prefer RunUntil for open-ended simulations.
-func (s *Scheduler) Run() int {
-	n := 0
-	for s.Step() {
-		n++
-	}
-	return n
-}
-
-// Pending returns the number of queued events.
-func (s *Scheduler) Pending() int { return s.queue.Len() }
-
-// Stop discards all pending events and rejects future scheduling.
-func (s *Scheduler) Stop() {
-	s.stopped = true
-	s.queue = nil
-}

@@ -86,7 +86,8 @@ func TestTrackSpansMidnight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole := loc.Track(beacons, p.locWindow)
+	c := record.NewCursor(beacons)
+	whole := loc.TrackCursor(&c, p.locWindow)
 	if len(whole) < 2 {
 		t.Fatalf("whole-stream track has %d fixes; fixture no longer spans midnight", len(whole))
 	}

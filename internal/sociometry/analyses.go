@@ -97,7 +97,6 @@ func (m TransitionMatrix) String() string {
 		for j := range m.Rooms {
 			fmt.Fprintf(&b, "%9d", m.Counts[i][j])
 		}
-		_ = r
 		b.WriteByte('\n')
 	}
 	return b.String()
@@ -230,12 +229,6 @@ func (p *Pipeline) WalkingByDay(name string) map[int]float64 {
 // WalkingByDay — an unworn badge lying still must not deflate it.
 func (p *Pipeline) WalkingFraction(name string) float64 {
 	return activity.WalkingFraction(p.walkingSamples(name))
-}
-
-// MeanAccelByDay computes the "average daily acceleration" companion
-// metric.
-func (p *Pipeline) MeanAccelByDay(name string) map[int]float64 {
-	return activity.MeanRMSByDay(p.walkingSamples(name))
 }
 
 // StayStats summarizes room-stay durations for the crew — the text's

@@ -7,7 +7,6 @@ import (
 	"icares/internal/habitat"
 	"icares/internal/record"
 	"icares/internal/speech"
-	"icares/internal/stats"
 )
 
 // Environment and voice-demographics analyses: the paper credits the
@@ -140,29 +139,4 @@ func (p *Pipeline) VoiceGenderShare() GenderShare {
 		}
 	}
 	return out
-}
-
-// StayHistogram builds the distribution of stay durations in one room
-// (minutes), for the stay-length analyses behind the biolab-vs-office
-// comparison.
-func (p *Pipeline) StayHistogram(room habitat.RoomID, binMinutes float64, bins int) (*stats.Histogram, error) {
-	if binMinutes <= 0 {
-		binMinutes = 15
-	}
-	if bins <= 0 {
-		bins = 12
-	}
-	h, err := stats.NewHistogram(0, binMinutes*float64(bins), bins)
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range p.src.Names {
-		for _, iv := range p.Intervals(name) {
-			if iv.Room != room {
-				continue
-			}
-			h.Add(iv.Duration().Minutes())
-		}
-	}
-	return h, nil
 }

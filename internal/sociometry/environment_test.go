@@ -7,7 +7,6 @@ import (
 
 	"icares/internal/habitat"
 	"icares/internal/mission"
-	"icares/internal/simtime"
 )
 
 func TestRoomClimatesKitchenWarmest(t *testing.T) {
@@ -56,20 +55,6 @@ func TestVoiceGenderShareBalanced(t *testing.T) {
 	}
 	if share.UnknownFrames > share.Total()/2 {
 		t.Errorf("too many unknown-gender frames: %+v", share)
-	}
-}
-
-func TestStayHistogram(t *testing.T) {
-	p := fixturePipeline(t)
-	h, err := p.StayHistogram(habitat.Office, 15, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Total() == 0 {
-		t.Fatal("empty office stay histogram")
-	}
-	if _, err := p.StayHistogram(habitat.Office, 0, 0); err != nil {
-		t.Errorf("defaults rejected: %v", err)
 	}
 }
 
@@ -159,15 +144,6 @@ func TestReportContainsAllSections(t *testing.T) {
 	}
 }
 
-func TestDayClockAndRoomName(t *testing.T) {
-	if got := DayClock(simtime.StartOfDay(4) + 15*time.Hour + 20*time.Minute); got != "day 4 15:20" {
-		t.Errorf("DayClock = %q", got)
-	}
-	if RoomName(habitat.Kitchen) != "kitchen" {
-		t.Error("RoomName wrong")
-	}
-}
-
 func TestWallMassFractionAImpaired(t *testing.T) {
 	p := fixturePipeline(t)
 	a, err := p.WallMassFraction("A", 0)
@@ -220,13 +196,5 @@ func TestMeetingDominanceCTops(t *testing.T) {
 	}
 	if best != "C" {
 		t.Errorf("dominant meeting speaker before death = %s (totals %v)", best, totals)
-	}
-}
-
-func TestDominantSpeaker(t *testing.T) {
-	p := fixturePipeline(t)
-	who, share := p.DominantSpeaker(15 * time.Minute)
-	if who == "" || share <= 0 || share > 1 {
-		t.Fatalf("dominant speaker = %q, %v", who, share)
 	}
 }

@@ -624,9 +624,9 @@ func (p *Pipeline) frames(name string) []speech.Frame {
 }
 
 // walkingSamples returns the astronaut's worn-time classified activity
-// windows — the single source for WalkingFraction, WalkingByDay, and
-// MeanAccelByDay, so the mission-level and per-day walking figures always
-// agree on the worn-time filter.
+// windows — the single source for WalkingFraction and WalkingByDay, so the
+// mission-level and per-day walking figures always agree on the worn-time
+// filter.
 func (p *Pipeline) walkingSamples(name string) []activity.Sample {
 	p.beginAnalysis()
 	defer p.endAnalysis()

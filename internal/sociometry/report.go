@@ -7,9 +7,7 @@ import (
 	"strings"
 	"time"
 
-	"icares/internal/habitat"
 	"icares/internal/proximity"
-	"icares/internal/simtime"
 )
 
 // Report renders the complete post-mission analysis as a markdown document
@@ -188,13 +186,3 @@ func sortedKeys(m map[int]float64) []int {
 	sort.Ints(out)
 	return out
 }
-
-// DayClock formats an absolute mission time as "day N HH:MM" for report
-// prose.
-func DayClock(t time.Duration) string {
-	return fmt.Sprintf("day %d %s", simtime.DayOf(t), simtime.ClockString(t))
-}
-
-// RoomName is a tiny indirection so report consumers do not need the
-// habitat package for labels.
-func RoomName(r habitat.RoomID) string { return r.String() }

@@ -365,30 +365,6 @@ func (p *Pipeline) MeetingDominance(m proximity.Meeting) map[string]float64 {
 	return out
 }
 
-// DominantSpeaker returns the crew member whose voice was attributed the
-// largest share of meeting speech across all crew meetings of at least
-// minDur, with the share (0 when no speech was attributed at all).
-func (p *Pipeline) DominantSpeaker(minDur time.Duration) (string, float64) {
-	totals := make(map[string]float64)
-	for _, m := range p.Meetings(minDur) {
-		for who, share := range p.MeetingDominance(m) {
-			totals[who] += share * m.Duration().Seconds()
-		}
-	}
-	var best string
-	var bestV, sum float64
-	for who, v := range totals {
-		sum += v
-		if v > bestV {
-			best, bestV = who, v
-		}
-	}
-	if sum == 0 {
-		return "", 0
-	}
-	return best, bestV / sum
-}
-
 // WearStats summarizes badge usage like the paper's headline numbers
 // ("an average badge was worn for 63% of daytime and for 84% of daytime it
 // was active").

@@ -408,10 +408,13 @@ func TestTimelineStructure(t *testing.T) {
 	}
 	// Lunch: the whole present crew in the kitchen around 12:30-13:00.
 	present := []string{"A", "B", "D", "E", "F"}
-	gatherings := tl.WholeCrewGatherings(present)
 	lunchSeen, consolationSeen := false, false
-	for _, g := range gatherings {
-		if g.Room != habitat.Kitchen {
+	for i, g := range tl.Rows[present[0]] {
+		all := g.Room == habitat.Kitchen
+		for _, name := range present[1:] {
+			all = all && tl.Rows[name][i].Room == habitat.Kitchen
+		}
+		if !all {
 			continue
 		}
 		tod := simtime.TimeOfDay(g.Start)

@@ -96,34 +96,6 @@ func (p *Pipeline) Timeline(day int, binSize time.Duration) DayTimeline {
 	return out
 }
 
-// WholeCrewGatherings finds the bins where every present astronaut shares
-// one room — the Fig. 5 signature of lunch and of the unplanned
-// consolation meeting.
-func (tl DayTimeline) WholeCrewGatherings(present []string) []TimelineBin {
-	if len(present) == 0 {
-		return nil
-	}
-	ref := tl.Rows[present[0]]
-	var out []TimelineBin
-	for i := range ref {
-		room := ref[i].Room
-		if room == habitat.NoRoom {
-			continue
-		}
-		all := true
-		for _, name := range present[1:] {
-			if tl.Rows[name][i].Room != room {
-				all = false
-				break
-			}
-		}
-		if all {
-			out = append(out, ref[i])
-		}
-	}
-	return out
-}
-
 // Render draws the timeline as text: one row per astronaut, one column per
 // bin within [fromTod, toTod), with the room initial (uppercase when speech
 // was detected in the bin).

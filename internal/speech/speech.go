@@ -39,14 +39,8 @@ type Frame struct {
 	Fraction float64
 }
 
-// Frames applies the detection rule to a badge's mic records. Records must
-// be time-ordered.
-func Frames(recs []record.Record, cfg Config) []Frame {
-	c := record.NewCursor(recs)
-	return FramesCursor(&c, cfg)
-}
-
-// FramesCursor is Frames over a record cursor: one streaming pass, so
+// FramesCursor applies the detection rule to a badge's mic records.
+// Records must be time-ordered. It makes one streaming pass, so
 // out-of-core sources never materialize the mic stream.
 func FramesCursor(c *record.Cursor, cfg Config) []Frame {
 	var out []Frame
@@ -184,43 +178,4 @@ func TalkingFrames(frames []Frame, profiles map[string]float64, toleranceHz floa
 		}
 	}
 	return talking, total
-}
-
-// Conversation is a maximal run of speech frames with small gaps.
-type Conversation struct {
-	From, To time.Duration
-	Frames   int
-	MeanLoud float64
-}
-
-// Conversations segments speech frames into conversations, bridging gaps of
-// at most maxGap between speech frames.
-func Conversations(frames []Frame, maxGap time.Duration) []Conversation {
-	if maxGap <= 0 {
-		maxGap = 45 * time.Second
-	}
-	var out []Conversation
-	var cur *Conversation
-	var loudSum float64
-	for _, f := range frames {
-		if !f.Speech {
-			continue
-		}
-		if cur != nil && f.At-cur.To <= maxGap {
-			cur.To = f.At
-			cur.Frames++
-			loudSum += f.LoudDB
-			cur.MeanLoud = loudSum / float64(cur.Frames)
-			continue
-		}
-		if cur != nil {
-			out = append(out, *cur)
-		}
-		loudSum = f.LoudDB
-		cur = &Conversation{From: f.At, To: f.At, Frames: 1, MeanLoud: f.LoudDB}
-	}
-	if cur != nil {
-		out = append(out, *cur)
-	}
-	return out
 }

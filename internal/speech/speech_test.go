@@ -18,6 +18,12 @@ func micRec(at time.Duration, loud, f0, frac float64) record.Record {
 	}
 }
 
+// detect runs FramesCursor over an in-memory record slice.
+func detect(recs []record.Record, cfg Config) []Frame {
+	c := record.NewCursor(recs)
+	return FramesCursor(&c, cfg)
+}
+
 func TestFramesApplyPaperRule(t *testing.T) {
 	cfg := DefaultConfig()
 	tests := []struct {
@@ -33,7 +39,7 @@ func TestFramesApplyPaperRule(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			fs := Frames([]record.Record{tt.rec}, cfg)
+			fs := detect([]record.Record{tt.rec}, cfg)
 			if len(fs) != 1 {
 				t.Fatalf("frames = %d", len(fs))
 			}
@@ -49,7 +55,7 @@ func TestFramesIgnoreOtherKinds(t *testing.T) {
 		{Local: 0, Kind: record.KindAccel},
 		micRec(15*time.Second, 70, 140, 0.6),
 	}
-	if got := len(Frames(recs, DefaultConfig())); got != 1 {
+	if got := len(detect(recs, DefaultConfig())); got != 1 {
 		t.Errorf("frames = %d", got)
 	}
 }
@@ -63,7 +69,7 @@ func TestFractionAndFilterWorn(t *testing.T) {
 		}
 		recs = append(recs, micRec(time.Duration(i*15)*time.Second, loud, 140, frac))
 	}
-	frames := Frames(recs, DefaultConfig())
+	frames := detect(recs, DefaultConfig())
 	if f := Fraction(frames); f != 0.4 {
 		t.Errorf("fraction = %v", f)
 	}
@@ -85,7 +91,7 @@ func TestFractionByDay(t *testing.T) {
 		recs = append(recs, micRec(day2+time.Duration(i*15)*time.Second, 70, 140, 0.5))
 		recs = append(recs, micRec(day3+time.Duration(i*15)*time.Second, 35, 0, 0))
 	}
-	got := FractionByDay(Frames(recs, DefaultConfig()))
+	got := FractionByDay(detect(recs, DefaultConfig()))
 	if got[2] != 1 || got[3] != 0 {
 		t.Errorf("by day = %v", got)
 	}
@@ -145,39 +151,9 @@ func TestTalkingFrames(t *testing.T) {
 	for i := 5; i < 10; i++ {
 		recs = append(recs, micRec(time.Duration(i*15)*time.Second, 35, 0, 0))
 	}
-	frames := Frames(recs, DefaultConfig())
+	frames := detect(recs, DefaultConfig())
 	talking, total := TalkingFrames(frames, profiles, 25, "A")
 	if talking != 3 || total != 10 {
 		t.Errorf("talking/total = %d/%d, want 3/10", talking, total)
-	}
-}
-
-func TestConversationsSegmentation(t *testing.T) {
-	var recs []record.Record
-	// Conversation 1: frames at 0,15,30 s. Gap. Conversation 2: 300,315 s.
-	for _, sec := range []int{0, 15, 30, 300, 315} {
-		recs = append(recs, micRec(time.Duration(sec)*time.Second, 70, 140, 0.5))
-	}
-	// Interleave silence frames that must not join conversations.
-	recs = append(recs, micRec(150*time.Second, 35, 0, 0))
-	frames := Frames(recs, DefaultConfig())
-	convs := Conversations(frames, 45*time.Second)
-	if len(convs) != 2 {
-		t.Fatalf("conversations = %+v", convs)
-	}
-	if convs[0].Frames != 3 || convs[0].From != 0 || convs[0].To != 30*time.Second {
-		t.Errorf("conv 1 = %+v", convs[0])
-	}
-	if convs[1].Frames != 2 {
-		t.Errorf("conv 2 = %+v", convs[1])
-	}
-	if convs[0].MeanLoud < 69 || convs[0].MeanLoud > 71 {
-		t.Errorf("mean loud = %v", convs[0].MeanLoud)
-	}
-}
-
-func TestConversationsEmpty(t *testing.T) {
-	if got := Conversations(nil, 0); len(got) != 0 {
-		t.Errorf("conversations of nothing = %v", got)
 	}
 }

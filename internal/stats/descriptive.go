@@ -21,26 +21,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Variance returns the population variance of xs, or 0 for fewer than two
-// samples.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
 // Min returns the minimum of xs. It returns ErrEmpty for an empty slice.
 func Min(xs []float64) (float64, error) {
 	if len(xs) == 0 {
@@ -107,35 +87,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 // Median returns the median of xs. It returns ErrEmpty for an empty slice.
 func Median(xs []float64) (float64, error) {
 	return Quantile(xs, 0.5)
-}
-
-// Summary holds descriptive statistics for a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Median float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs. A zero Summary is returned for an
-// empty sample.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	mn, _ := Min(xs)
-	mx, _ := Max(xs)
-	md, _ := Median(xs)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    mn,
-		Median: md,
-		Max:    mx,
-	}
 }
 
 // Normalize scales xs so its maximum maps to 1, as used for Table I of the

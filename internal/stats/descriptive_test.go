@@ -31,19 +31,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !almostEqual(got, 4, 1e-12) {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	if got := Variance([]float64{3}); got != 0 {
-		t.Errorf("Variance of singleton = %v, want 0", got)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	if _, err := Min(nil); !errors.Is(err, ErrEmpty) {
 		t.Errorf("Min(nil) error = %v, want ErrEmpty", err)
@@ -91,17 +78,6 @@ func TestQuantileDoesNotMutateInput(t *testing.T) {
 	}
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Errorf("input mutated: %v", xs)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 100})
-	if s.N != 5 || s.Min != 1 || s.Max != 100 || s.Median != 3 {
-		t.Errorf("unexpected summary: %+v", s)
-	}
-	var zero Summary
-	if got := Summarize(nil); got != zero {
-		t.Errorf("Summarize(nil) = %+v, want zero", got)
 	}
 }
 

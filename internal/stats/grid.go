@@ -2,111 +2,12 @@ package stats
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"strings"
 )
 
-// ErrBadBounds is returned when histogram bounds are invalid.
-var ErrBadBounds = errors.New("stats: invalid histogram bounds")
-
-// Histogram is a fixed-bin-width 1-D histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []uint64
-
-	width    float64
-	under    uint64
-	over     uint64
-	nonEmpty bool
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if !(lo < hi) || bins <= 0 {
-		return nil, ErrBadBounds
-	}
-	return &Histogram{
-		Lo:     lo,
-		Hi:     hi,
-		Counts: make([]uint64, bins),
-		width:  (hi - lo) / float64(bins),
-	}, nil
-}
-
-// Add records one observation. Values outside [Lo, Hi) are tallied in
-// underflow/overflow counters rather than dropped silently.
-func (h *Histogram) Add(x float64) {
-	h.AddN(x, 1)
-}
-
-// AddN records n observations of the same value.
-func (h *Histogram) AddN(x float64, n uint64) {
-	h.nonEmpty = true
-	switch {
-	case x < h.Lo:
-		h.under += n
-	case x >= h.Hi:
-		h.over += n
-	default:
-		i := int((x - h.Lo) / h.width)
-		if i >= len(h.Counts) { // float rounding at the upper edge
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i] += n
-	}
-}
-
-// Total returns the total number of observations, including out-of-range.
-func (h *Histogram) Total() uint64 {
-	var t uint64 = h.under + h.over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Underflow and Overflow return out-of-range tallies.
-func (h *Histogram) Underflow() uint64 { return h.under }
-
-// Overflow returns the number of observations at or above Hi.
-func (h *Histogram) Overflow() uint64 { return h.over }
-
-// BinCenter returns the center of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.width
-}
-
-// Mode returns the index of the most populated bin (-1 if empty).
-func (h *Histogram) Mode() int {
-	best, bestCount := -1, uint64(0)
-	for i, c := range h.Counts {
-		if c > bestCount {
-			best, bestCount = i, c
-		}
-	}
-	return best
-}
-
-// String renders a compact ASCII bar chart, useful in CLI reproduction
-// output.
-func (h *Histogram) String() string {
-	var mx uint64
-	for _, c := range h.Counts {
-		if c > mx {
-			mx = c
-		}
-	}
-	var b strings.Builder
-	for i, c := range h.Counts {
-		bar := 0
-		if mx > 0 {
-			bar = int(40 * float64(c) / float64(mx))
-		}
-		fmt.Fprintf(&b, "%8.2f | %-40s %d\n", h.BinCenter(i), strings.Repeat("#", bar), c)
-	}
-	return b.String()
-}
+// ErrBadBounds is returned when grid bounds are invalid.
+var ErrBadBounds = errors.New("stats: invalid grid bounds")
 
 // Grid2D is a dense 2-D accumulation grid used for position heatmaps
 // (Fig. 3 of the paper: 28 cm x 28 cm cells, log-scale rendering).

@@ -3,7 +3,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrMismatchedLengths is returned when paired samples differ in length.
@@ -72,39 +71,6 @@ func Pearson(xs, ys []float64) (float64, error) {
 		return 0, ErrDegenerate
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Spearman returns the Spearman rank correlation of the paired samples.
-func Spearman(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, ErrMismatchedLengths
-	}
-	return Pearson(ranks(xs), ranks(ys))
-}
-
-// ranks assigns fractional ranks (average rank for ties), 1-based.
-func ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	out := make([]float64, n)
-	i := 0
-	for i < n {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		// Average rank for the tie group [i, j].
-		avg := (float64(i+1) + float64(j+1)) / 2
-		for k := i; k <= j; k++ {
-			out[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return out
 }
 
 // MannKendall returns the Mann-Kendall trend statistic S and its normalized

@@ -59,33 +59,6 @@ func TestPearson(t *testing.T) {
 	}
 }
 
-func TestSpearmanMonotone(t *testing.T) {
-	// A monotone but nonlinear relation has Spearman 1 and Pearson < 1.
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{1, 8, 27, 64, 125}
-	sp, err := Spearman(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(sp, 1, 1e-9) {
-		t.Errorf("Spearman = %v, want 1", sp)
-	}
-	pe, _ := Pearson(xs, ys)
-	if pe >= 1 {
-		t.Errorf("Pearson = %v, expected < 1 for cubic", pe)
-	}
-}
-
-func TestRanksTies(t *testing.T) {
-	got := ranks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("ranks[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestMannKendall(t *testing.T) {
 	_, tauUp, err := MannKendall([]float64{1, 2, 3, 4, 5})
 	if err != nil {
@@ -151,39 +124,6 @@ func TestQuickFitRecovery(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Add(-1)   // underflow
-	h.Add(10.5) // overflow
-	h.Add(0)
-	h.Add(9.999)
-	h.AddN(5, 3)
-	if h.Underflow() != 1 || h.Overflow() != 1 {
-		t.Errorf("under/over = %d/%d", h.Underflow(), h.Overflow())
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d, want 7", h.Total())
-	}
-	if h.Mode() != 2 {
-		t.Errorf("Mode = %d, want 2 (value 5 bin)", h.Mode())
-	}
-	if h.Counts[0] != 1 || h.Counts[4] != 1 {
-		t.Errorf("edge bins = %v", h.Counts)
-	}
-}
-
-func TestHistogramBadBounds(t *testing.T) {
-	if _, err := NewHistogram(5, 5, 3); !errors.Is(err, ErrBadBounds) {
-		t.Errorf("lo==hi: %v", err)
-	}
-	if _, err := NewHistogram(0, 1, 0); !errors.Is(err, ErrBadBounds) {
-		t.Errorf("zero bins: %v", err)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package stats provides the small statistics and deterministic-randomness
 // substrate used throughout the icares system: a splittable PRNG, descriptive
-// statistics, histograms, linear regression, correlation measures, and
-// normalization helpers.
+// statistics, the heatmap grid, linear regression, correlation and trend
+// measures, and normalization helpers.
 //
 // Everything in the simulator that needs randomness draws it from an *RNG so
 // that a full mission run is reproducible from a single seed.
@@ -81,19 +81,6 @@ func (r *RNG) Exp(mean float64) float64 {
 		u = r.Float64()
 	}
 	return -mean * math.Log(u)
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Choice returns a random index in [0, len(weights)) with probability

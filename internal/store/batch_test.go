@@ -71,7 +71,7 @@ func batchSequence(rng *stats.RNG) []delivery {
 // Property: splitting any append sequence into random batches (empty ones
 // included, some larger than a tail) and applying them with AppendBatch
 // leaves every series exactly as one Append per record does — the same
-// runs and tail, All, Kind, Seq, EncodedBytes and Unsized. A subscriber
+// runs and tail, All, Kind, Seq and EncodedBytes. A subscriber
 // sees each non-empty AppendBatch exactly once, with its records in order,
 // and each Append as a batch of one, so both sides deliver the same
 // records in the same order. Reads between batches seal tails early on
@@ -119,8 +119,8 @@ func TestQuickAppendBatchMatchesAppend(t *testing.T) {
 				t.Logf("seed %d badge %d: run layout differs", seed, id)
 				return false
 			}
-			if a.Seq() != b.Seq() || a.EncodedBytes() != b.EncodedBytes() || a.Unsized() != b.Unsized() || a.Len() != b.Len() {
-				t.Logf("seed %d badge %d: seq/bytes/unsized/len differ", seed, id)
+			if a.Seq() != b.Seq() || a.EncodedBytes() != b.EncodedBytes() || a.Len() != b.Len() {
+				t.Logf("seed %d badge %d: seq/bytes/len differ", seed, id)
 				return false
 			}
 			if !reflect.DeepEqual(a.All(), b.All()) {

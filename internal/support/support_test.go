@@ -19,6 +19,17 @@ func wearRec(at time.Duration, worn bool) record.Record {
 	return record.Record{Local: at, Kind: record.KindWear, Worn: worn}
 }
 
+// alertsOfKind filters the daemon's alert log.
+func alertsOfKind(d *Daemon, kind string) []Alert {
+	var out []Alert
+	for _, a := range d.Alerts() {
+		if a.Kind == kind {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
 func TestInactivityDetector(t *testing.T) {
 	d := NewDaemon()
 	det := NewInactivityDetector()
@@ -31,7 +42,7 @@ func TestInactivityDetector(t *testing.T) {
 	for at := 10 * time.Minute; at < 50*time.Minute; at += 10 * time.Second {
 		d.Ingest(at, "A", 1, accelRec(at, 3))
 	}
-	alerts := d.AlertsOfKind("inactivity")
+	alerts := alertsOfKind(d, "inactivity")
 	if len(alerts) != 1 {
 		t.Fatalf("inactivity alerts = %d (%v)", len(alerts), alerts)
 	}
@@ -43,7 +54,7 @@ func TestInactivityDetector(t *testing.T) {
 	for at := 50 * time.Minute; at < 90*time.Minute; at += 10 * time.Second {
 		d.Ingest(at, "A", 1, accelRec(at, 3))
 	}
-	if got := len(d.AlertsOfKind("inactivity")); got != 2 {
+	if got := len(alertsOfKind(d, "inactivity")); got != 2 {
 		t.Errorf("alerts after recovery = %d", got)
 	}
 }
@@ -55,7 +66,7 @@ func TestInactivityIgnoresUnwornBadge(t *testing.T) {
 	for at := time.Duration(0); at < 2*time.Hour; at += 10 * time.Second {
 		d.Ingest(at, "A", 1, accelRec(at, 1))
 	}
-	if got := len(d.AlertsOfKind("inactivity")); got != 0 {
+	if got := len(alertsOfKind(d, "inactivity")); got != 0 {
 		t.Errorf("alerts for unworn badge = %d", got)
 	}
 }
@@ -81,14 +92,14 @@ func TestQuietCrewDetector(t *testing.T) {
 		d.Ingest(at, "A", 1, mic(at, i%5 < 2))
 		i++
 	}
-	if got := len(d.AlertsOfKind("quiet-crew")); got != 0 {
-		t.Fatalf("alerts during lively phase = %d: %v", got, d.AlertsOfKind("quiet-crew"))
+	if got := len(alertsOfKind(d, "quiet-crew")); got != 0 {
+		t.Fatalf("alerts during lively phase = %d: %v", got, alertsOfKind(d, "quiet-crew"))
 	}
 	// Sudden silence (the day-11 signature).
 	for ; at < 12*time.Hour; at += 15 * time.Second {
 		d.Ingest(at, "A", 1, mic(at, false))
 	}
-	if got := len(d.AlertsOfKind("quiet-crew")); got == 0 {
+	if got := len(alertsOfKind(d, "quiet-crew")); got == 0 {
 		t.Error("silence never flagged")
 	}
 }
@@ -102,14 +113,14 @@ func TestBatteryDetector(t *testing.T) {
 	d.Ingest(0, "B", 2, bat(0, 80))
 	d.Ingest(time.Hour, "B", 2, bat(time.Hour, 15))
 	d.Ingest(2*time.Hour, "B", 2, bat(2*time.Hour, 12)) // no duplicate alert
-	alerts := d.AlertsOfKind("battery")
+	alerts := alertsOfKind(d, "battery")
 	if len(alerts) != 1 {
 		t.Fatalf("battery alerts = %d", len(alerts))
 	}
 	// Recharged, then low again: alerts again.
 	d.Ingest(3*time.Hour, "B", 2, bat(3*time.Hour, 90))
 	d.Ingest(4*time.Hour, "B", 2, bat(4*time.Hour, 10))
-	if got := len(d.AlertsOfKind("battery")); got != 2 {
+	if got := len(alertsOfKind(d, "battery")); got != 2 {
 		t.Errorf("battery alerts after recharge = %d", got)
 	}
 }
@@ -135,7 +146,7 @@ func TestHydrationDetector(t *testing.T) {
 	for at := 15 * time.Second; at < 4*time.Hour; at += 15 * time.Second {
 		d.Ingest(at, "A", 1, obs(at, officeBeacon))
 	}
-	alerts := d.AlertsOfKind("hydration")
+	alerts := alertsOfKind(d, "hydration")
 	if len(alerts) != 1 {
 		t.Fatalf("hydration alerts = %d", len(alerts))
 	}
@@ -154,7 +165,7 @@ func TestWearComplianceDetector(t *testing.T) {
 	for at := base + time.Hour; at < base+4*time.Hour; at += time.Minute {
 		d.Ingest(at, "E", 5, record.Record{Local: at, Kind: record.KindEnv})
 	}
-	alerts := d.AlertsOfKind("wear-compliance")
+	alerts := alertsOfKind(d, "wear-compliance")
 	if len(alerts) != 1 {
 		t.Fatalf("compliance alerts = %d", len(alerts))
 	}
@@ -170,7 +181,7 @@ func TestWearComplianceIgnoresOvernightDock(t *testing.T) {
 	for at := off; at < off+11*time.Hour; at += 10 * time.Minute {
 		d.Ingest(at, "E", 5, record.Record{Local: at, Kind: record.KindEnv})
 	}
-	if got := len(d.AlertsOfKind("wear-compliance")); got != 0 {
+	if got := len(alertsOfKind(d, "wear-compliance")); got != 0 {
 		t.Errorf("overnight dock alerts = %d", got)
 	}
 }
@@ -198,7 +209,7 @@ func TestPrivacyGuardSuppressesMicAndIR(t *testing.T) {
 	if len(det.frames) != 1 {
 		t.Error("mic frame outside window suppressed")
 	}
-	if got := d.Privacy().Windows("A").Total(); got != time.Hour {
+	if got := d.Privacy().windows["A"].Total(); got != time.Hour {
 		t.Errorf("windows total = %v", got)
 	}
 }
@@ -208,7 +219,7 @@ func TestHealthRegistry(t *testing.T) {
 	h.Seen(1, time.Minute)
 	h.Seen(2, 2*time.Minute)
 	h.Seen(1, 30*time.Second) // older: ignored
-	if at, ok := h.LastSeen(1); !ok || at != time.Minute {
+	if at, ok := h.lastSeen[1]; !ok || at != time.Minute {
 		t.Errorf("last seen = %v, %v", at, ok)
 	}
 	stale := h.Stale(40*time.Minute, 30*time.Minute)
@@ -222,8 +233,8 @@ func TestHealthRegistry(t *testing.T) {
 
 func TestBadgePoolAssignRelease(t *testing.T) {
 	p := NewBadgePool([]store.BadgeID{8, 9})
-	if p.Free() != 2 {
-		t.Fatalf("free = %d", p.Free())
+	if len(p.free) != 2 {
+		t.Fatalf("free = %d", len(p.free))
 	}
 	id, err := p.Assign(time.Hour, "F", "badge 6 failed")
 	if err != nil || id != 8 {
@@ -241,8 +252,8 @@ func TestBadgePoolAssignRelease(t *testing.T) {
 	if err := p.Release(2*time.Hour, 8, "repaired"); err != nil {
 		t.Fatal(err)
 	}
-	if p.Free() != 1 {
-		t.Errorf("free after release = %d", p.Free())
+	if len(p.free) != 1 {
+		t.Errorf("free after release = %d", len(p.free))
 	}
 	if err := p.Release(2*time.Hour, 8, "again"); !errors.Is(err, ErrNotAssigned) {
 		t.Errorf("double release: %v", err)
@@ -267,7 +278,7 @@ func TestFailoverReplacesSilentBadge(t *testing.T) {
 	for at := time.Minute; at < 2*time.Hour; at += time.Minute {
 		d.Ingest(at, "A", 1, record.Record{Local: at, Kind: record.KindEnv})
 	}
-	alerts := d.AlertsOfKind("failover")
+	alerts := alertsOfKind(d, "failover")
 	if len(alerts) != 1 {
 		t.Fatalf("failover alerts = %d: %v", len(alerts), alerts)
 	}
@@ -292,7 +303,7 @@ func TestFailoverPoolExhausted(t *testing.T) {
 	for at := time.Minute; at < 2*time.Hour; at += time.Minute {
 		d.Ingest(at, "A", 1, record.Record{Local: at, Kind: record.KindEnv})
 	}
-	alerts := d.AlertsOfKind("failover")
+	alerts := alertsOfKind(d, "failover")
 	if len(alerts) != 1 || alerts[0].Severity != Critical {
 		t.Fatalf("exhausted-pool alerts = %v", alerts)
 	}
@@ -449,7 +460,7 @@ func TestInactivityToleratesIngestionGap(t *testing.T) {
 	for at := 10 * time.Minute; at < 3*time.Hour; at += 10 * time.Minute {
 		d.Sweep(at)
 	}
-	if got := len(d.AlertsOfKind("inactivity")); got != 0 {
+	if got := len(alertsOfKind(d, "inactivity")); got != 0 {
 		t.Fatalf("false inactivity alerts during ingestion gap: %d", got)
 	}
 	// The stream resumes with still-but-present records: the detector must
@@ -458,7 +469,7 @@ func TestInactivityToleratesIngestionGap(t *testing.T) {
 	for at := resume; at < resume+10*time.Minute; at += 10 * time.Second {
 		d.Ingest(at, "A", 1, accelRec(at, 3))
 	}
-	if got := len(d.AlertsOfKind("inactivity")); got != 0 {
+	if got := len(alertsOfKind(d, "inactivity")); got != 0 {
 		t.Fatalf("false inactivity alert right after gap: %d", got)
 	}
 	// Genuine post-gap stillness must still fire once MaxStill accumulates
@@ -466,7 +477,7 @@ func TestInactivityToleratesIngestionGap(t *testing.T) {
 	for at := resume + 10*time.Minute; at < resume+45*time.Minute; at += 10 * time.Second {
 		d.Ingest(at, "A", 1, accelRec(at, 3))
 	}
-	alerts := d.AlertsOfKind("inactivity")
+	alerts := alertsOfKind(d, "inactivity")
 	if len(alerts) != 1 {
 		t.Fatalf("post-gap stillness alerts = %d (%v)", len(alerts), alerts)
 	}

@@ -27,11 +27,6 @@ const (
 	Distraction
 )
 
-// Questions lists all items in order.
-func Questions() []Question {
-	return []Question{Satisfaction, WellBeing, Comfort, Productivity, Distraction}
-}
-
 // String returns the question label.
 func (q Question) String() string {
 	switch q {
@@ -106,20 +101,6 @@ func (c *Collection) ByDay(q Question) map[int]float64 {
 	out := make(map[int]float64, len(sums))
 	for d, s := range sums {
 		out[d] = s / float64(counts[d])
-	}
-	return out
-}
-
-// ForAstronaut returns one astronaut's per-day answers to q.
-func (c *Collection) ForAstronaut(name string, q Question) map[int]float64 {
-	out := make(map[int]float64)
-	for _, r := range c.responses {
-		if r.Name != name {
-			continue
-		}
-		if v, ok := r.Answers[q]; ok {
-			out[r.Day] = float64(v)
-		}
 	}
 	return out
 }

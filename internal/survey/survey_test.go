@@ -41,10 +41,6 @@ func TestByDayAndForAstronaut(t *testing.T) {
 	if byDay[2] != 5 || byDay[3] != 2 {
 		t.Errorf("by day = %v", byDay)
 	}
-	forA := c.ForAstronaut("A", Satisfaction)
-	if forA[2] != 6 || forA[3] != 2 {
-		t.Errorf("for A = %v", forA)
-	}
 }
 
 func TestMoodModelGeneratesFullGrid(t *testing.T) {
@@ -120,8 +116,5 @@ func TestQuestionStrings(t *testing.T) {
 	}
 	if Question(9).String() != "question(9)" {
 		t.Error("unknown question")
-	}
-	if len(Questions()) != 5 {
-		t.Error("question list")
 	}
 }

@@ -114,12 +114,6 @@ func (c Correction) ToLocal(ref time.Duration) time.Duration {
 	return c.Offset + time.Duration(float64(ref)*(1+c.Skew))
 }
 
-// ShiftAt returns the instantaneous clock shift (local - ref) at the given
-// reference time — the per-device quantity the paper reports computing.
-func (c Correction) ShiftAt(ref time.Duration) time.Duration {
-	return c.ToLocal(ref) - ref
-}
-
 // ShiftBetween returns the relative shift between two badges' clocks at the
 // given reference time (a's local minus b's local).
 func ShiftBetween(a, b Correction, ref time.Duration) time.Duration {
@@ -174,13 +168,6 @@ func (e *Estimator) Observe(o Observation) {
 	e.dirty = true
 }
 
-// ObserveRecords feeds every KindSync record into the estimator and returns
-// how many observations were added.
-func (e *Estimator) ObserveRecords(recs []record.Record) int {
-	c := record.NewCursor(recs)
-	return e.ObserveCursor(&c)
-}
-
 // ObserveCursor feeds every KindSync record the cursor yields into the
 // estimator and returns how many observations were added. It visits each
 // record exactly once, so fits over out-of-core sources stream without
@@ -197,9 +184,6 @@ func (e *Estimator) ObserveCursor(c *record.Cursor) int {
 	}
 	return n
 }
-
-// N returns the number of accumulated observations.
-func (e *Estimator) N() int { return len(e.obs) }
 
 // Fit returns the correction over every observation so far, recomputing
 // only when new observations arrived since the last fit.

@@ -106,16 +106,16 @@ func TestToLocalToReferenceInverse(t *testing.T) {
 func TestShiftAtAndBetween(t *testing.T) {
 	a := Correction{Offset: time.Second, Skew: 0}
 	b := Correction{Offset: -time.Second, Skew: 0}
-	if got := a.ShiftAt(time.Hour); got != time.Second {
-		t.Errorf("ShiftAt = %v", got)
+	if got := a.ToLocal(time.Hour) - time.Hour; got != time.Second {
+		t.Errorf("shift = %v", got)
 	}
 	if got := ShiftBetween(a, b, time.Hour); got != 2*time.Second {
 		t.Errorf("ShiftBetween = %v", got)
 	}
 	// Skew makes shift grow with time.
 	c := Correction{Offset: 0, Skew: 10e-6}
-	s1 := c.ShiftAt(time.Hour)
-	s2 := c.ShiftAt(10 * time.Hour)
+	s1 := c.ToLocal(time.Hour) - time.Hour
+	s2 := c.ToLocal(10*time.Hour) - (10 * time.Hour)
 	if s2 <= s1 {
 		t.Errorf("skewed shift did not grow: %v then %v", s1, s2)
 	}
@@ -150,7 +150,7 @@ func TestIdentity(t *testing.T) {
 	if got := id.ToReference(5 * time.Second); got != 5*time.Second {
 		t.Errorf("identity rectify = %v", got)
 	}
-	if got := id.ShiftAt(time.Hour); got != 0 {
+	if got := id.ToLocal(time.Hour) - time.Hour; got != 0 {
 		t.Errorf("identity shift = %v", got)
 	}
 }
@@ -208,7 +208,8 @@ func TestEstimatorMatchesBatchEstimate(t *testing.T) {
 	// Feed in uneven chunks, fitting in between (stale fits must not poison
 	// the final one).
 	for _, chunk := range [][]record.Record{recs[:3], recs[3:17], recs[17:18], recs[18:]} {
-		if n := e.ObserveRecords(chunk); n != len(chunk) {
+		c := record.NewCursor(chunk)
+		if n := e.ObserveCursor(&c); n != len(chunk) {
 			t.Fatalf("observed %d of %d records", n, len(chunk))
 		}
 		e.Fit()
@@ -220,7 +221,7 @@ func TestEstimatorMatchesBatchEstimate(t *testing.T) {
 	if got != want {
 		t.Fatalf("incremental fit %+v != batch fit %+v", got, want)
 	}
-	if e.N() != len(obs) {
-		t.Fatalf("N = %d, want %d", e.N(), len(obs))
+	if len(e.obs) != len(obs) {
+		t.Fatalf("N = %d, want %d", len(e.obs), len(obs))
 	}
 }

@@ -99,7 +99,7 @@ const DefaultDelay = 20 * time.Minute
 // Link is a bidirectional store-and-forward channel with one-way delay and
 // a byte-rate cap. A Link is safe for concurrent use: the habitat side,
 // the mission-control side, and a metrics scraper may all act on it at
-// once, and StatsSnapshot always reads one consistent instant.
+// once.
 type Link struct {
 	delay time.Duration
 	// BytesPerSecond caps throughput; queued messages serialize. Zero
@@ -114,43 +114,20 @@ type Link struct {
 	inFlight map[Endpoint][]Message // keyed by destination
 	// lineFree is when the shared transmit line is next idle, per sender.
 	lineFree map[Endpoint]time.Duration
-	sent     map[Endpoint]int64 // bytes by sender
 	// blackouts are intervals during which no transmission may start;
 	// sends queue and begin when the window lifts. Sorted by start.
 	blackouts []blackout
-	// blackout deferral accounting: how many sends a blackout pushed, and
-	// the total transmit time deferred.
-	deferrals     int
-	deferredTotal time.Duration
 
 	// Telemetry mirrors (nil until Instrument; nil handles are no-ops).
 	cMessages, cBytes map[Endpoint]*telemetry.Counter
 	gPending          map[Endpoint]*telemetry.Gauge
 	cDeferrals        *telemetry.Counter
 	hDefer            *telemetry.Histogram
-
-	// Flight recorder (nil until AttachJournal).
-	journal *telemetry.Journal
 }
 
 // DeferBuckets is the histogram layout for blackout deferrals in seconds
 // (a minute to a workday — solar conjunctions are long).
 var DeferBuckets = []float64{60, 300, 900, 1800, 3600, 7200, 14400, 28800}
-
-// LinkStats is one consistent view of a link's traffic state.
-type LinkStats struct {
-	// Messages is the total sent over the link (both directions).
-	Messages uint64
-	// PendingToHabitat and PendingToMissionControl count undelivered
-	// messages per destination — the queue depth.
-	PendingToHabitat, PendingToMissionControl int
-	// BytesFromHabitat and BytesFromMissionControl are sender byte totals.
-	BytesFromHabitat, BytesFromMissionControl int64
-	// BlackoutDeferrals counts sends a blackout pushed out; BlackoutDeferred
-	// is the total transmit time deferred.
-	BlackoutDeferrals int
-	BlackoutDeferred  time.Duration
-}
 
 // blackout is one no-transmit interval [from, to).
 type blackout struct{ from, to time.Duration }
@@ -165,7 +142,6 @@ func NewLink(delay time.Duration) *Link {
 		delay:    delay,
 		inFlight: make(map[Endpoint][]Message),
 		lineFree: make(map[Endpoint]time.Duration),
-		sent:     make(map[Endpoint]int64),
 	}
 }
 
@@ -192,31 +168,6 @@ func (l *Link) Instrument(reg *telemetry.Registry) {
 	l.hDefer = reg.Histogram("uplink_blackout_defer_seconds", DeferBuckets)
 }
 
-// AttachJournal wires the link into a flight recorder: each send a
-// blackout window defers becomes a journal event (stamped with the send's
-// mission time), recording when the window lifts and how long the message
-// waited. Call before concurrent use begins.
-func (l *Link) AttachJournal(j *telemetry.Journal) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.journal = j
-}
-
-// StatsSnapshot returns every link counter from a single instant.
-func (l *Link) StatsSnapshot() LinkStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return LinkStats{
-		Messages:                l.nextID,
-		PendingToHabitat:        len(l.inFlight[Habitat]),
-		PendingToMissionControl: len(l.inFlight[MissionControl]),
-		BytesFromHabitat:        l.sent[Habitat],
-		BytesFromMissionControl: l.sent[MissionControl],
-		BlackoutDeferrals:       l.deferrals,
-		BlackoutDeferred:        l.deferredTotal,
-	}
-}
-
 // AddBlackout registers [from, to) as a communication blackout (solar
 // conjunction, antenna repointing, a dust storm over the relay). The link
 // queues rather than drops: a message sent during a blackout starts
@@ -232,21 +183,6 @@ func (l *Link) AddBlackout(from, to time.Duration) {
 	sort.Slice(l.blackouts, func(i, j int) bool {
 		return l.blackouts[i].from < l.blackouts[j].from
 	})
-}
-
-// Blacked reports whether transmission is blocked at mission time at.
-func (l *Link) Blacked(at time.Duration) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, b := range l.blackouts {
-		if at >= b.from && at < b.to {
-			return true
-		}
-		if b.from > at {
-			break
-		}
-	}
-	return false
 }
 
 // deferPastBlackouts pushes a transmission start time out of any blackout
@@ -294,16 +230,8 @@ func (l *Link) Send(now time.Duration, msg Message) (Message, error) {
 	clear := l.deferPastBlackouts(txStart)
 	if clear > txStart {
 		deferred := clear - txStart
-		l.deferrals++
-		l.deferredTotal += deferred
 		l.cDeferrals.Inc()
 		l.hDefer.Observe(deferred.Seconds())
-		l.journal.Emit(now, telemetry.SevWarn, "uplink", "blackout-deferral",
-			"send deferred by blackout window",
-			telemetry.F("from", msg.From.String()),
-			telemetry.F("topic", msg.Topic),
-			telemetry.F("deferred", deferred.String()),
-			telemetry.F("clears_at", clear.String()))
 	}
 	txStart = clear
 	var txTime time.Duration
@@ -314,7 +242,6 @@ func (l *Link) Send(now time.Duration, msg Message) (Message, error) {
 	msg.ArrivesAt = txStart + txTime + l.delay
 
 	l.inFlight[dst] = append(l.inFlight[dst], msg)
-	l.sent[msg.From] += int64(msg.Bytes)
 	l.cMessages[msg.From].Inc()
 	l.cBytes[msg.From].Add(uint64(msg.Bytes))
 	l.gPending[dst].Set(float64(len(l.inFlight[dst])))
@@ -346,21 +273,6 @@ func (l *Link) Receive(at Endpoint, now time.Duration) []Message {
 	return arrived
 }
 
-// Pending returns the number of undelivered messages heading to the
-// endpoint.
-func (l *Link) Pending(at Endpoint) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.inFlight[at])
-}
-
-// BytesSent returns total bytes sent by the endpoint.
-func (l *Link) BytesSent(from Endpoint) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sent[from]
-}
-
 // TopicState tracks per-topic state versions on one side of the link and
 // detects stale commands — the day-12 failure mode: a command composed
 // against a superseded state version arriving after the crew already acted.
@@ -368,7 +280,6 @@ func (l *Link) BytesSent(from Endpoint) int64 {
 type TopicState struct {
 	mu        sync.Mutex
 	versions  map[string]uint64
-	conflicts int
 	cConflict *telemetry.Counter
 }
 
@@ -383,13 +294,6 @@ func (t *TopicState) Instrument(reg *telemetry.Registry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.cConflict = reg.Counter("uplink_stale_conflicts_total")
-}
-
-// Conflicts returns how many stale commands Check has flagged.
-func (t *TopicState) Conflicts() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.conflicts
 }
 
 // Version returns the current version of a topic (0 if never advanced).
@@ -425,7 +329,6 @@ func (t *TopicState) Check(msg Message) *Conflict {
 	defer t.mu.Unlock()
 	cur := t.versions[msg.Topic]
 	if msg.BasisVersion < cur {
-		t.conflicts++
 		t.cConflict.Inc()
 		return &Conflict{Msg: msg, CurrentVersion: cur}
 	}
