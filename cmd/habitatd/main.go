@@ -94,6 +94,8 @@ func run(ctx context.Context, args []string) error {
 	daemon, replayer := m.SupportSystem()
 	daemon.Instrument(reg)
 	daemon.AttachJournal(journal)
+	replayer.Instrument(reg)
+	replayer.AttachJournal(journal)
 	printed := 0
 	daemon.OnAlert(func(a support.Alert) {
 		if printed >= *maxAlerts {
@@ -105,7 +107,7 @@ func run(ctx context.Context, args []string) error {
 	})
 
 	fmt.Println("replaying badge streams through the support daemon:")
-	n := replayer.Run(0, m.Horizon())
+	n := replayer.Run()
 	alerts := daemon.Alerts()
 	fmt.Printf("\n%d records replayed, %d alerts raised", n, len(alerts))
 	if len(alerts) > *maxAlerts {

@@ -31,7 +31,7 @@ func main() {
 	fmt.Println("privacy window: E, day 2, 19:00-21:00 (mic/IR suppressed)")
 
 	fmt.Println("\nreplaying the mission through the daemon...")
-	n := replayer.Run(0, m.Horizon())
+	n := replayer.Run()
 	alerts := daemon.Alerts()
 	fmt.Printf("%d records -> %d alerts\n", n, len(alerts))
 

@@ -136,19 +136,7 @@ func (m *Mission) VoiceProfiles() map[string]float64 {
 // Options (e.g. sociometry.WithCorrections with an empty map for the
 // timesync ablation) are passed through to the pipeline.
 func (m *Mission) Pipeline(view AssignmentView, opts ...sociometry.Option) (*sociometry.Pipeline, error) {
-	badgeFor := m.res.Assignment.TrueBadgeFor
-	if view == NominalAssignment {
-		badgeFor = m.res.Assignment.NominalBadgeFor
-	}
-	return sociometry.NewPipeline(sociometry.Source{
-		Habitat:       m.res.Habitat,
-		Data:          m.res.Dataset,
-		Names:         mission.Names(),
-		BadgeFor:      badgeFor,
-		VoiceProfiles: m.VoiceProfiles(),
-		FirstDay:      m.res.Config.FirstDataDay,
-		LastDay:       m.res.Config.Scenario.Days,
-	}, opts...)
+	return m.PipelineOver(m.res.Dataset, view, opts...)
 }
 
 // PipelineOver builds the same analysis pipeline as Pipeline but over a
@@ -160,19 +148,29 @@ func (m *Mission) Pipeline(view AssignmentView, opts ...sociometry.Option) (*soc
 // are byte-identical; the archive-backed one reads blocks on demand instead
 // of holding the dataset resident.
 func (m *Mission) PipelineOver(data store.Viewer, view AssignmentView, opts ...sociometry.Option) (*sociometry.Pipeline, error) {
-	badgeFor := m.res.Assignment.TrueBadgeFor
-	if view == NominalAssignment {
-		badgeFor = m.res.Assignment.NominalBadgeFor
-	}
-	return sociometry.NewPipeline(sociometry.Source{
+	return sociometry.NewPipeline(m.source(data, view), opts...)
+}
+
+// source assembles the analysis source over data: the mission supplies
+// everything that is metadata rather than records.
+func (m *Mission) source(data store.Viewer, view AssignmentView) sociometry.Source {
+	return sociometry.Source{
 		Habitat:       m.res.Habitat,
 		Data:          data,
 		Names:         mission.Names(),
-		BadgeFor:      badgeFor,
+		BadgeFor:      badgeFor(m.res.Assignment, view),
 		VoiceProfiles: m.VoiceProfiles(),
 		FirstDay:      m.res.Config.FirstDataDay,
 		LastDay:       m.res.Config.Scenario.Days,
-	}, opts...)
+	}
+}
+
+// badgeFor is the assignment's badge mapping under the view.
+func badgeFor(a mission.Assignment, view AssignmentView) func(string, int) store.BadgeID {
+	if view == NominalAssignment {
+		return a.NominalBadgeFor
+	}
+	return a.TrueBadgeFor
 }
 
 // ArchivePipeline builds an analysis pipeline over a segment archive (or
@@ -202,11 +200,6 @@ func ArchivePipeline(data store.Viewer, days int, view AssignmentView, opts ...s
 			days = mission.DefaultScenario(0).Days
 		}
 	}
-	assignment := mission.DefaultAssignment()
-	badgeFor := assignment.TrueBadgeFor
-	if view == NominalAssignment {
-		badgeFor = assignment.NominalBadgeFor
-	}
 	profiles := make(map[string]float64)
 	for _, r := range mission.DefaultRoster() {
 		profiles[r.Name] = r.Traits.F0Hz
@@ -215,7 +208,7 @@ func ArchivePipeline(data store.Viewer, days int, view AssignmentView, opts ...s
 		Habitat:       habitat.Standard(),
 		Data:          data,
 		Names:         mission.Names(),
-		BadgeFor:      badgeFor,
+		BadgeFor:      badgeFor(mission.DefaultAssignment(), view),
 		VoiceProfiles: profiles,
 		FirstDay:      2,
 		LastDay:       days,
@@ -223,8 +216,11 @@ func ArchivePipeline(data store.Viewer, days int, view AssignmentView, opts ...s
 }
 
 // SupportSystem assembles the real-time mission support daemon with the
-// full detector suite, a backup-badge pool, and a replayer that streams
-// this mission's dataset through it.
+// full detector suite and a backup-badge pool, and the replayer that feeds
+// it this mission's dataset over the offload path: per-badge uploaders
+// into one gateway, run to completion with the replayer's Run or step by
+// step. A mission simulated under a fault plan gets the plan between
+// badges and gateway too, on the replayer's clock.
 func (m *Mission) SupportSystem() (*support.Daemon, *support.Replayer) {
 	d := support.NewDaemon()
 	d.Register(support.NewInactivityDetector())
@@ -244,10 +240,10 @@ func (m *Mission) SupportSystem() (*support.Daemon, *support.Replayer) {
 		return assignment.TrueWearerOf(id, lastDay)
 	}))
 
-	replayer := support.NewReplayer(d, m.res.Dataset, func(id store.BadgeID, day int) string {
-		w, _ := assignment.TrueWearerOf(id, day)
-		return w
-	})
+	replayer := support.NewReplayer(d, m.res.Dataset, m.Horizon(), assignment.TrueWearerOf)
+	if plan := m.res.Config.Faults; plan != nil {
+		replayer.Transport = faultplan.NewTransport(plan, replayer.Now, replayer.Transport)
+	}
 	return d, replayer
 }
 
@@ -257,18 +253,7 @@ func (m *Mission) SupportSystem() (*support.Daemon, *support.Replayer) {
 // analytics own their dataset — the mission's offline store stays untouched
 // by the online path.
 func (m *Mission) LiveAnalytics(d *support.Daemon, view AssignmentView, opts ...sociometry.Option) (*support.Analytics, error) {
-	badgeFor := m.res.Assignment.TrueBadgeFor
-	if view == NominalAssignment {
-		badgeFor = m.res.Assignment.NominalBadgeFor
-	}
-	a, err := support.NewAnalytics(sociometry.Source{
-		Habitat:       m.res.Habitat,
-		Names:         mission.Names(),
-		BadgeFor:      badgeFor,
-		VoiceProfiles: m.VoiceProfiles(),
-		FirstDay:      m.res.Config.FirstDataDay,
-		LastDay:       m.res.Config.Scenario.Days,
-	}, opts...)
+	a, err := support.NewAnalytics(m.source(nil, view), opts...)
 	if err != nil {
 		return nil, err
 	}

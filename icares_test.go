@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"icares/internal/faultplan"
 	"icares/internal/mission"
 	"icares/internal/record"
 	"icares/internal/sociometry"
@@ -78,7 +79,7 @@ func TestFacadePipelineViews(t *testing.T) {
 func TestFacadeSupportSystem(t *testing.T) {
 	m := facadeMission(t)
 	daemon, replayer := m.SupportSystem()
-	n := replayer.Run(0, m.Horizon())
+	n := replayer.Run()
 	if n == 0 {
 		t.Fatal("nothing replayed")
 	}
@@ -95,6 +96,43 @@ func TestFacadeSupportSystem(t *testing.T) {
 	}
 	if wear == 0 {
 		t.Error("no wear-compliance alerts")
+	}
+}
+
+// TestSupportSystemChaosAccounting runs the support feed of a two-day
+// mission simulated under a chaos plan: the facade puts the plan between
+// badges and gateway, and every SD-card record ends up either ingested or
+// counted undelivered. The same mission without a plan loses nothing.
+func TestSupportSystemChaosAccounting(t *testing.T) {
+	if testing.Short() {
+		t.Skip("mission simulation in -short mode")
+	}
+	for _, plan := range []*faultplan.Plan{ChaosPlan(11, 2), nil} {
+		m, err := Simulate(Options{Seed: 11, Days: 2, Tick: time.Minute, Faults: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, feed := m.SupportSystem()
+		feed.Run()
+		total := m.Result().Dataset.TotalRecords()
+		if !feed.Done() || feed.Ingested()+feed.Undelivered() != total {
+			t.Fatalf("faults %v: ingested %d + undelivered %d != %d records",
+				plan != nil, feed.Ingested(), feed.Undelivered(), total)
+		}
+		if plan == nil {
+			if feed.Ingested() != total || feed.Undelivered() != 0 {
+				t.Errorf("fault-free feed ingested %d of %d records, %d undelivered",
+					feed.Ingested(), total, feed.Undelivered())
+			}
+			continue
+		}
+		tr, ok := feed.Transport.(*faultplan.Transport)
+		if !ok {
+			t.Fatalf("feed transport is %T, want the plan's *faultplan.Transport", feed.Transport)
+		}
+		if dropped, _ := tr.Stats(); dropped == 0 {
+			t.Error("the chaos plan never dropped a delivery")
+		}
 	}
 }
 

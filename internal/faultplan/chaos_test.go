@@ -278,22 +278,27 @@ func TestChaosMission(t *testing.T) {
 	}
 
 	// --- Support ingestion under the same plan ---------------------------
-	// Records that could not have reached the daemon live (badge dead,
-	// gateway down, habitat-wide RF outage) are withheld; the daemon still
-	// ingests the rest without choking on the gaps.
+	// The support feed carries the SD card over its own uploaders and
+	// gateway with the plan in between: deliveries in fault windows (badge
+	// dead, gateway down, habitat-wide RF outage) fail and are retried, so
+	// every record is ingested or counted undelivered, and the daemon
+	// ingests across the gaps without choking on them.
 	daemon := support.NewDaemon()
 	daemon.Instrument(reg)
 	daemon.Register(support.NewInactivityDetector())
-	rep := support.NewReplayer(daemon, offloaded, func(id store.BadgeID, day int) string {
-		w, _ := res.Assignment.TrueWearerOf(id, day)
-		return w
-	})
-	rep.Gate = plan.ReplayGate()
-	if n := rep.Run(0, end); n == 0 {
-		t.Error("gated replay ingested nothing")
+	rep := support.NewReplayer(daemon, truth, end, res.Assignment.TrueWearerOf)
+	tr := faultplan.NewTransport(plan, rep.Now, rep.Transport)
+	rep.Transport = tr
+	rep.Run()
+	if !rep.Done() || rep.Ingested()+rep.Undelivered() != truth.TotalRecords() {
+		t.Errorf("support feed: ingested %d + undelivered %d != %d SD-card records",
+			rep.Ingested(), rep.Undelivered(), truth.TotalRecords())
 	}
-	if rep.Withheld() == 0 {
-		t.Error("replay gate never engaged despite RF and gateway windows")
+	if dropped, _ := tr.Stats(); dropped == 0 {
+		t.Error("fault plan never dropped a support-feed delivery")
+	}
+	if silent := daemon.Health().Stale(end, end-(d2+15*time.Hour)); len(silent) == len(truth.Badges()) {
+		t.Error("daemon heard from no badge after the day-2 gateway crash")
 	}
 
 	// --- Telemetry sanity -------------------------------------------------

@@ -11,8 +11,8 @@
 //
 // The plan itself is pure data plus point queries ("is badge 3 down at t?").
 // Composable wrappers apply one plan uniformly across the subsystems: a
-// Transport wrapper drives internal/offload, InstallBlackouts drives
-// internal/uplink, and ReplayGate drives internal/support replays — so a
+// Transport wrapper drives internal/offload (and with it the support
+// replayer's feed) and InstallBlackouts drives internal/uplink — so a
 // chaos suite can subject the whole path to one coherent failure story.
 package faultplan
 

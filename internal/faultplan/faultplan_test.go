@@ -234,26 +234,6 @@ func TestInstallBlackouts(t *testing.T) {
 	}
 }
 
-func TestReplayGate(t *testing.T) {
-	p := New(3,
-		Event{Kind: BadgeDeath, From: time.Hour, To: 2 * time.Hour, Badge: 2},
-		Event{Kind: RFOutage, From: 3 * time.Hour, To: 4 * time.Hour}, // habitat-wide
-		Event{Kind: RFOutage, From: 5 * time.Hour, To: 6 * time.Hour, Zone: "lab"},
-	)
-	gate := p.ReplayGate()
-	if !gate(1, 90*time.Minute) || gate(2, 90*time.Minute) {
-		t.Error("badge death gating wrong")
-	}
-	if gate(1, 210*time.Minute) {
-		t.Error("habitat-wide outage not gated")
-	}
-	// Zone-scoped outages do not gate the replay (the replayer has no room
-	// knowledge; only habitat-wide outages suppress ingestion).
-	if !gate(1, 330*time.Minute) {
-		t.Error("zone-scoped outage wrongly gated the replay")
-	}
-}
-
 func TestTraceRendering(t *testing.T) {
 	p := New(8,
 		Event{Kind: RFOutage, From: time.Hour, To: 2 * time.Hour, Zone: "lab"},

@@ -5,7 +5,6 @@ import (
 
 	"icares/internal/offload"
 	"icares/internal/record"
-	"icares/internal/store"
 	"icares/internal/uplink"
 )
 
@@ -101,14 +100,4 @@ func (p *Plan) InstallBlackouts(l *uplink.Link) int {
 		l.AddBlackout(e.From, e.To)
 	}
 	return len(wins)
-}
-
-// ReplayGate adapts the plan to a support.Replayer gate: records whose
-// badge was dead, whose gateway was crashed, or whose path was inside a
-// habitat-wide RF outage never reach the daemon — the ingestion-gap regime
-// the support system must tolerate without false alerts.
-func (p *Plan) ReplayGate() func(store.BadgeID, time.Duration) bool {
-	return func(id store.BadgeID, at time.Duration) bool {
-		return !p.BadgeDown(id, at) && !p.GatewayDown(at) && !p.RFOut("", at)
-	}
 }

@@ -130,7 +130,7 @@ func BenchmarkHabitatSetup(b *testing.B) {
 			b.Fatal(err)
 		}
 		e.run()
-		records += e.ingested
+		records += e.feed.Ingested()
 		b.StopTimer()
 		e.analytics.Close()
 		b.StartTimer()
@@ -151,7 +151,7 @@ func BenchmarkFleetIngest(b *testing.B) {
 		b.StartTimer()
 		e.run()
 		b.StopTimer()
-		b.ReportMetric(float64(e.ingested), "records")
+		b.ReportMetric(float64(e.feed.Ingested()), "records")
 		e.analytics.Close()
 		b.StartTimer()
 	}

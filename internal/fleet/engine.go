@@ -14,10 +14,10 @@
 //
 // # Isolation model
 //
-// Every habitat's mutable state (support daemon, offload gateway,
-// uploaders, live analytics dataset) is owned by exactly one worker
-// goroutine. Queries reach it as closures through a bounded work queue
-// with per-request deadlines; ingest runs as interleaved steps on the
+// Every habitat's mutable state (support daemon, its offload feed of
+// uploaders and gateway, live analytics dataset) is owned by exactly one
+// worker goroutine. Queries reach it as closures through a bounded work
+// queue with per-request deadlines; ingest runs as interleaved steps on the
 // same goroutine, so daemon state needs no locks and cannot be torn by
 // a scrape. Panics — in a habitat's fault-plan-driven ingest or in a
 // pathological query — are contained to that habitat: the worker marks
@@ -30,11 +30,7 @@ import (
 
 	"icares"
 	"icares/internal/faultplan"
-	"icares/internal/offload"
-	"icares/internal/record"
-	"icares/internal/simtime"
 	"icares/internal/sociometry"
-	"icares/internal/store"
 	"icares/internal/support"
 	"icares/internal/telemetry"
 )
@@ -72,22 +68,11 @@ func (c HabitatConfig) withDefaults() HabitatConfig {
 	return c
 }
 
-// ingestStep is the habitat-local clock advance per engine step: records
-// timestamped inside the window are enqueued on their badge's uploader,
-// every uploader gets one flush round at the window's start, and the
-// records the gateway releases are applied to the daemon.
-const ingestStep = time.Minute
-
-// drainGrace is how long past the mission horizon an engine keeps
-// flushing before declaring leftover batches undeliverable. It exceeds
-// every fault-plan window and the uploader's maximum backoff.
-const drainGrace = 24 * time.Hour
-
 // engine is the single-threaded core of one fleet habitat: a simulated
-// mission whose dataset streams through per-badge uploaders and an
-// offload gateway into a support daemon with live analytics. All methods
-// must be called from one goroutine (the runner's worker); only
-// snapshot() is additionally safe for concurrent callers.
+// mission whose dataset streams through the support system's offload feed
+// (per-badge uploaders and a gateway) into a support daemon with live
+// analytics. All methods must be called from one goroutine (the runner's
+// worker); only snapshot() is additionally safe for concurrent callers.
 type engine struct {
 	id      string
 	cfg     HabitatConfig
@@ -97,25 +82,9 @@ type engine struct {
 	mission   *icares.Mission
 	daemon    *support.Daemon
 	analytics *support.Analytics
-	gateway   *offload.Gateway
-	uploaders []*offload.Uploader // sorted by badge ID
-	transport offload.Transport
+	feed      *support.Replayer // owns the habitat-local clock
 
-	// unfed[i] is what uploaders[i]'s badge has not yet enqueued: a
-	// zero-copy, time-ordered view of its SD-card series up to the horizon.
-	unfed   [][]record.Record
-	records int           // the whole feed's size
-	now     time.Duration // habitat-local clock
-	horizon time.Duration
-
-	// staged collects the batches the gateway sink released during the
-	// current flush round, applied to the daemon in release order.
-	staged []offload.Batch
-
-	ingested    int
-	undelivered int
-	steps       int
-	done        bool
+	steps int
 
 	// Fault-window edge detection: the engine samples the plan's point
 	// queries each step and journals enter/exit transitions, so the
@@ -160,7 +129,6 @@ func newEngine(id string, cfg HabitatConfig) (*engine, error) {
 		reg:     reg,
 		journal: journal,
 		mission: m,
-		horizon: m.Horizon(),
 	}
 	if cfg.Faults != nil {
 		e.rfWindows = cfg.Faults.Windows(faultplan.RFOutage)
@@ -181,124 +149,54 @@ func newEngine(id string, cfg HabitatConfig) (*engine, error) {
 		return nil, fmt.Errorf("habitat %s: %w", id, err)
 	}
 
-	d, _ := m.SupportSystem()
+	d, feed := m.SupportSystem()
 	d.Instrument(reg)
 	d.AttachJournal(journal)
+	feed.Instrument(reg)
+	feed.AttachJournal(journal)
 	a, err := m.LiveAnalytics(d, cfg.View, sociometry.WithCorrections(corrections))
 	if err != nil {
 		return nil, fmt.Errorf("habitat %s: analytics: %w", id, err)
 	}
-	e.daemon, e.analytics = d, a
-
-	gw, err := offload.NewGateway(e.sink)
-	if err != nil {
-		return nil, fmt.Errorf("habitat %s: gateway: %w", id, err)
-	}
-	gw.MaxHeldPerBadge = 64
-	gw.Instrument(reg)
-	gw.AttachJournal(journal, func() time.Duration { return e.now })
-	e.gateway = gw
-
-	var base offload.Transport = offload.TransportFunc(gw.Offer)
-	if cfg.Faults != nil {
-		base = faultplan.NewTransport(cfg.Faults, func() time.Duration { return e.now }, base)
-	}
-	e.transport = base
-
-	ds := m.Result().Dataset
-	for _, id := range ds.Badges() {
-		u := offload.NewUploader(id)
-		u.Instrument(reg)
-		u.AttachJournal(journal)
-		e.uploaders = append(e.uploaders, u)
-		e.unfed = append(e.unfed, ds.Series(id).Range(0, e.horizon))
-		e.records += len(e.unfed[len(e.unfed)-1])
-	}
+	e.daemon, e.analytics, e.feed = d, a, feed
 
 	e.cIngested = reg.Counter("fleet_engine_records_ingested_total")
 	e.gClock = reg.Gauge("fleet_engine_clock_seconds")
 	return e, nil
 }
 
-// sink is the gateway's exactly-once, per-badge-ordered output. The
-// gateway invokes it under its own lock during a flush round; batches
-// are staged as released and applied to the daemon once it completes.
-func (e *engine) sink(id store.BadgeID, recs []record.Record) {
-	e.staged = append(e.staged, offload.Batch{Badge: id, Records: recs})
-}
-
-// step advances the habitat's clock domain by one ingest window:
-// enqueue the window's records, flush every uploader, apply whatever
-// the gateway released, and detect completion. It returns how many
-// records reached the daemon this step.
+// step advances the habitat's clock domain by one feed window, journaling
+// the fault-window edges at its start and the ingest milestones around
+// it. It returns how many records reached the daemon this step.
 func (e *engine) step() int {
-	if e.done {
+	if e.feed.Done() {
 		return 0
 	}
 	e.steps++
 	if e.steps == 1 {
-		e.journal.Emit(e.now, telemetry.SevInfo, "fleet", "ingest-start",
+		e.journal.Emit(e.feed.Now(), telemetry.SevInfo, "fleet", "ingest-start",
 			"habitat ingest started",
-			telemetry.Fi("records", e.records),
-			telemetry.Fi("badges", len(e.uploaders)))
+			telemetry.Fi("records", e.feed.Records()),
+			telemetry.Fi("badges", len(e.mission.Result().Dataset.Badges())))
 	}
 	if e.stepHook != nil {
 		e.stepHook(e.steps)
 	}
-	e.noteFaults(e.now)
-	hi := e.now + ingestStep
-	// Each badge's window is one contiguous run of its view. Uploaders
-	// are independent and only buffer until FlushAt, so the order in
-	// which badges enqueue within a step is unobservable.
-	next := time.Duration(-1) // earliest record not yet enqueued, -1 if none
-	for i, recs := range e.unfed {
-		k := 0
-		for k < len(recs) && recs[k].Local < hi {
-			k++
-		}
-		e.uploaders[i].Enqueue(recs[:k]...)
-		e.unfed[i] = recs[k:]
-		if k < len(recs) && (next < 0 || recs[k].Local < next) {
-			next = recs[k].Local
-		}
-	}
-	inFlight := false
-	for _, u := range e.uploaders {
-		u.FlushAt(e.now, e.transport)
-		if s := u.StatsSnapshot(); s.Buffered > 0 || s.Pending > 0 {
-			inFlight = true
-		}
-	}
-	n := e.apply()
-	e.now = hi
-	e.gClock.Set(e.now.Seconds())
-
-	if next < 0 {
-		if !inFlight {
-			e.done = true
-		} else if e.now > e.horizon+drainGrace {
-			// Whatever is still pending will never deliver (e.g. a badge
-			// that died before its final flush window); account for it
-			// and stop rather than spinning forever. Every record has been
-			// fed by now, and the gateway delivers exactly once, so the
-			// shortfall is exact.
-			e.undelivered = e.records - e.ingested
-			e.done = true
-			e.journal.Emit(e.now, telemetry.SevWarn, "fleet", "ingest-undelivered",
+	e.noteFaults(e.feed.Now())
+	n := e.feed.Step()
+	e.cIngested.Add(uint64(n))
+	e.gClock.Set(e.feed.Now().Seconds())
+	if e.feed.Done() {
+		if e.feed.Undelivered() > 0 {
+			e.journal.Emit(e.feed.Now(), telemetry.SevWarn, "fleet", "ingest-undelivered",
 				"ingest gave up on records past the drain grace",
-				telemetry.Fi("undelivered", e.undelivered))
+				telemetry.Fi("undelivered", e.feed.Undelivered()))
 		}
-		if e.done {
-			e.journal.Emit(e.now, telemetry.SevInfo, "fleet", "ingest-complete",
-				"habitat ingest complete",
-				telemetry.Fi("ingested", e.ingested),
-				telemetry.Fi("undelivered", e.undelivered),
-				telemetry.Fi("steps", e.steps))
-		}
-	} else if !inFlight && next > hi {
-		// Idle gap (overnight, pre-deployment): jump the clock to the
-		// next record's window instead of stepping through silence.
-		e.now = next.Truncate(ingestStep)
+		e.journal.Emit(e.feed.Now(), telemetry.SevInfo, "fleet", "ingest-complete",
+			"habitat ingest complete",
+			telemetry.Fi("ingested", e.feed.Ingested()),
+			telemetry.Fi("undelivered", e.feed.Undelivered()),
+			telemetry.Fi("steps", e.steps))
 	}
 	return n
 }
@@ -346,36 +244,10 @@ func (e *engine) noteEdge(now time.Duration, in *bool, down bool, sev telemetry.
 	}
 }
 
-// apply feeds the staged gateway output to the daemon in release order,
-// one run of equal-day records at a time: the wearer is resolved once per
-// run, and the daemon ingests the run as a batch.
-func (e *engine) apply() int {
-	assignment := e.mission.Result().Assignment
-	n := 0
-	for _, b := range e.staged {
-		for recs := b.Records; len(recs) > 0; {
-			day := simtime.DayOf(recs[0].Local)
-			k := 1
-			for k < len(recs) && simtime.DayOf(recs[k].Local) == day {
-				k++
-			}
-			wearer, _ := assignment.TrueWearerOf(b.Badge, day)
-			e.daemon.IngestBatch(wearer, b.Badge, recs[:k])
-			recs = recs[k:]
-		}
-		n += len(b.Records)
-	}
-	clear(e.staged) // release the batches' records to the collector
-	e.staged = e.staged[:0]
-	e.ingested += n
-	e.cIngested.Add(uint64(n))
-	return n
-}
-
 // run steps the engine to completion (test and property-check helper;
 // the fleet runner interleaves steps with queries instead).
 func (e *engine) run() {
-	for !e.done {
+	for !e.feed.Done() {
 		e.step()
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"icares"
 	"icares/internal/offload"
+	"icares/internal/store"
 )
 
 // coarseTick keeps fleet-test missions cheap: a 60 s simulation step
@@ -43,11 +44,11 @@ func TestEngineReportParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.run()
-		if e.undelivered != 0 {
-			t.Fatalf("seed %d: %d records undeliverable on a lossless transport", seed, e.undelivered)
+		if e.feed.Undelivered() != 0 {
+			t.Fatalf("seed %d: %d records undeliverable on a lossless transport", seed, e.feed.Undelivered())
 		}
-		if want := e.mission.Result().Dataset.TotalRecords(); e.ingested != want {
-			t.Fatalf("seed %d: ingested %d of %d records (exactly-once violated)", seed, e.ingested, want)
+		if want := e.mission.Result().Dataset.TotalRecords(); e.feed.Ingested() != want {
+			t.Fatalf("seed %d: ingested %d of %d records (exactly-once violated)", seed, e.feed.Ingested(), want)
 		}
 		live := e.report()
 		standalone := standaloneReport(t, seed, 2, coarseTick)
@@ -77,11 +78,11 @@ func TestEngineChaosCompletes(t *testing.T) {
 	// Badge-death windows can strand tail records on a dead badge's SD
 	// card past the drain grace; everything the transport could carry
 	// must have arrived exactly once, and the rest is counted exactly.
-	if total := e.mission.Result().Dataset.TotalRecords(); e.ingested+e.undelivered != total {
-		t.Fatalf("ingested %d + undelivered %d != %d total", e.ingested, e.undelivered, total)
+	if total := e.mission.Result().Dataset.TotalRecords(); e.feed.Ingested()+e.feed.Undelivered() != total {
+		t.Fatalf("ingested %d + undelivered %d != %d total", e.feed.Ingested(), e.feed.Undelivered(), total)
 	}
-	if e.snapshot().Records != e.ingested {
-		t.Fatalf("analytics hold %d records, daemon ingested %d", e.snapshot().Records, e.ingested)
+	if e.snapshot().Records != e.feed.Ingested() {
+		t.Fatalf("analytics hold %d records, daemon ingested %d", e.snapshot().Records, e.feed.Ingested())
 	}
 }
 
@@ -101,29 +102,36 @@ func TestEngineUndeliveredExact(t *testing.T) {
 	defer e.analytics.Close()
 	ds := e.mission.Result().Dataset
 	mute := ds.Badges()[0]
-	inner := e.transport
-	e.transport = offload.TransportFunc(func(b offload.Batch) bool {
+	inner := e.feed.Transport
+	e.feed.Transport = offload.TransportFunc(func(b offload.Batch) bool {
 		return b.Badge != mute && inner.Deliver(b)
 	})
 	e.run()
 
 	total := ds.TotalRecords()
-	if e.ingested+e.undelivered != total {
-		t.Fatalf("ingested %d + undelivered %d != %d fed", e.ingested, e.undelivered, total)
+	if e.feed.Ingested()+e.feed.Undelivered() != total {
+		t.Fatalf("ingested %d + undelivered %d != %d fed", e.feed.Ingested(), e.feed.Undelivered(), total)
 	}
-	if want := ds.Series(mute).Len(); e.undelivered != want {
-		t.Fatalf("undelivered %d, want the muted badge's %d records", e.undelivered, want)
+	if want := ds.Series(mute).Len(); e.feed.Undelivered() != want {
+		t.Fatalf("undelivered %d, want the muted badge's %d records", e.feed.Undelivered(), want)
 	}
-	if got := e.analytics.Dataset().Series(mute).Len(); got != 0 {
+	live := e.analytics.Pipeline().Source().Data
+	liveLen := func(id store.BadgeID) int {
+		if v, ok := live.View(id); ok {
+			return v.Len()
+		}
+		return 0
+	}
+	if got := liveLen(mute); got != 0 {
 		t.Fatalf("muted badge %v reached the analytics with %d records", mute, got)
 	}
 	var others int
 	for _, id := range ds.Badges() {
 		if id != mute {
-			others += e.analytics.Dataset().Series(id).Len()
+			others += liveLen(id)
 		}
 	}
-	if others != e.ingested {
-		t.Fatalf("analytics hold %d records of the other badges, daemon ingested %d", others, e.ingested)
+	if others != e.feed.Ingested() {
+		t.Fatalf("analytics hold %d records of the other badges, daemon ingested %d", others, e.feed.Ingested())
 	}
 }

@@ -425,7 +425,7 @@ func (r *runner) ingest() {
 			// the journal is the part of a failed habitat that stays
 			// readable, and the cause belongs next to the events that
 			// led up to it.
-			r.eng.journal.Emit(r.eng.now, telemetry.SevError, "fleet", "quarantine",
+			r.eng.journal.Emit(r.eng.feed.Now(), telemetry.SevError, "fleet", "quarantine",
 				"habitat ingest panicked; state quarantined",
 				telemetry.F("cause", fmt.Sprint(p)),
 				telemetry.Fi("step", r.eng.steps))
@@ -435,7 +435,7 @@ func (r *runner) ingest() {
 	if n > 0 {
 		r.records.Add(int64(n))
 	}
-	if r.eng.done {
+	if r.eng.feed.Done() {
 		r.status.Store(int32(Serving))
 	}
 }

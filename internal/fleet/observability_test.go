@@ -11,6 +11,7 @@ import (
 	"icares/internal/faultplan"
 	"icares/internal/mission"
 	"icares/internal/store"
+	"icares/internal/support"
 	"icares/internal/telemetry"
 )
 
@@ -452,7 +453,7 @@ func TestChaosEventsEndToEnd(t *testing.T) {
 				t.Fatalf("fault %q out of order in merged timeline", e.Kind)
 			}
 			pos = i
-			lo, hi := int64(w[0]/time.Second), int64((w[1]+ingestStep)/time.Second)
+			lo, hi := int64(w[0]/time.Second), int64((w[1]+support.ReplayStep)/time.Second)
 			if e.AtSec < lo || e.AtSec > hi {
 				t.Errorf("%s at %ds, want within [%d, %d]", e.Kind, e.AtSec, lo, hi)
 			}

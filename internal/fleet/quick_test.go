@@ -40,7 +40,7 @@ func TestInterleavingNeverChangesReports(t *testing.T) {
 		for {
 			var live []*engine
 			for _, e := range engines {
-				if !e.done {
+				if !e.feed.Done() {
 					live = append(live, e)
 				}
 			}
@@ -51,7 +51,7 @@ func TestInterleavingNeverChangesReports(t *testing.T) {
 			// occasionally interposing a query mid-ingest — queries must
 			// not perturb results either.
 			e := live[rng.Intn(len(live))]
-			for n := rng.Intn(64) + 1; n > 0 && !e.done; n-- {
+			for n := rng.Intn(64) + 1; n > 0 && !e.feed.Done(); n-- {
 				e.step()
 			}
 			if rng.Intn(4) == 0 {
@@ -59,8 +59,8 @@ func TestInterleavingNeverChangesReports(t *testing.T) {
 			}
 		}
 		for i, e := range engines {
-			if e.undelivered != 0 {
-				t.Fatalf("habitat %d left %d records undelivered", i, e.undelivered)
+			if e.feed.Undelivered() != 0 {
+				t.Fatalf("habitat %d left %d records undelivered", i, e.feed.Undelivered())
 			}
 			if e.report() != want[i] {
 				return false

@@ -119,8 +119,8 @@ func TestQuickAppendBatchMatchesAppend(t *testing.T) {
 				t.Logf("seed %d badge %d: run layout differs", seed, id)
 				return false
 			}
-			if a.Seq() != b.Seq() || a.EncodedBytes() != b.EncodedBytes() || a.Len() != b.Len() {
-				t.Logf("seed %d badge %d: seq/bytes/len differ", seed, id)
+			if a.EncodedBytes() != b.EncodedBytes() || a.Len() != b.Len() {
+				t.Logf("seed %d badge %d: bytes/len differ", seed, id)
 				return false
 			}
 			if !reflect.DeepEqual(a.All(), b.All()) {
@@ -163,7 +163,7 @@ func sameLayout(a, b *Series) bool {
 		a.tailSorted == b.tailSorted && a.fullTail == b.fullTail
 }
 
-// An empty batch is a no-op: no sequence number, no delivery.
+// An empty batch is a no-op: no record, no delivery.
 func TestAppendBatchEmpty(t *testing.T) {
 	d := NewDataset()
 	calls := 0
@@ -171,7 +171,7 @@ func TestAppendBatchEmpty(t *testing.T) {
 	s := d.Series(4)
 	s.AppendBatch(nil)
 	s.AppendBatch([]record.Record{})
-	if s.Seq() != 0 || s.Len() != 0 || calls != 0 {
-		t.Fatalf("empty batches: seq %d, len %d, %d deliveries", s.Seq(), s.Len(), calls)
+	if s.Len() != 0 || calls != 0 {
+		t.Fatalf("empty batches: len %d, %d deliveries", s.Len(), calls)
 	}
 }

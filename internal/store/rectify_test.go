@@ -180,9 +180,6 @@ func TestSetRectifierMatchesBatchRectify(t *testing.T) {
 	if !reflect.DeepEqual(incrDS.Series(1).All(), raw) {
 		t.Fatal("series does not hold the raw records")
 	}
-	if seq := incrDS.Series(1).Seq(); seq != uint64(len(raw)) {
-		t.Fatalf("seq = %d, want %d", seq, len(raw))
-	}
 }
 
 // TestDatasetRectifyOnce pins compute-once rectification over a shared

@@ -39,14 +39,9 @@ const (
 // timestamps are never rewritten: a series holds raw device time, and
 // clock correction is applied by the reader (the analysis pipeline's
 // rectified view).
-//
-// For live ingestion the series keeps a monotone append sequence number
-// (Seq) — the high-water mark incremental consumers diff against.
 type Series struct {
 	mu sync.RWMutex
 
-	// seq counts appends; it never decreases and is 0 for an empty series.
-	seq uint64
 	// owner and id, set by Dataset.Series, name the dataset whose
 	// subscribers see this series' appends and the badge they are published
 	// under. Publishing runs outside the series lock, once per Append or
@@ -92,7 +87,7 @@ func (s *Series) Append(r record.Record) {
 }
 
 // AppendBatch adds recs to the series in order, with the same result as
-// one Append per record: the same runs, sizes and Seq. It takes the series
+// one Append per record: the same runs and sizes. It takes the series
 // lock once and publishes the whole batch to subscribers in one delivery,
 // which is what makes it the bulk-ingest path. recs is not retained.
 func (s *Series) AppendBatch(recs []record.Record) {
@@ -103,7 +98,6 @@ func (s *Series) AppendBatch(recs []record.Record) {
 	for _, r := range recs {
 		s.appendLocked(r)
 	}
-	s.seq += uint64(len(recs))
 	owner, id := s.owner, s.id
 	s.mu.Unlock()
 	if owner != nil {
@@ -138,15 +132,6 @@ func (s *Series) appendLocked(r record.Record) {
 		s.sealTailLocked()
 		s.fullTail = true
 	}
-}
-
-// Seq returns the series' append sequence number: the count of records ever
-// appended, a monotone high-water mark incremental consumers can diff
-// against to know whether (and how much) new data has arrived.
-func (s *Series) Seq() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.seq
 }
 
 // sealTailLocked sorts the tail (if needed) and turns it into the newest

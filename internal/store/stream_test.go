@@ -8,24 +8,6 @@ import (
 	"icares/internal/record"
 )
 
-func TestSeriesSeqCountsAppends(t *testing.T) {
-	s := &Series{}
-	if s.Seq() != 0 {
-		t.Fatalf("empty series seq = %d, want 0", s.Seq())
-	}
-	for i := 1; i <= 10; i++ {
-		s.Append(record.Record{Local: time.Duration(i) * time.Second, Kind: record.KindAccel})
-		if got := s.Seq(); got != uint64(i) {
-			t.Fatalf("after %d appends seq = %d", i, got)
-		}
-	}
-	// Out-of-order appends still advance the sequence.
-	s.Append(record.Record{Local: time.Second / 2, Kind: record.KindAccel})
-	if got := s.Seq(); got != 11 {
-		t.Fatalf("seq after out-of-order append = %d, want 11", got)
-	}
-}
-
 func TestDatasetSubscribeDeliversAppends(t *testing.T) {
 	d := NewDataset()
 	type ev struct {
@@ -54,9 +36,6 @@ func TestDatasetSubscribeDeliversAppends(t *testing.T) {
 		{7, []time.Duration{3 * time.Second}}, {9, []time.Duration{5 * time.Second, 4 * time.Second}}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("events = %v, want %v", got, want)
-	}
-	if s7, s9 := d.Series(7).Seq(), d.Series(9).Seq(); s7 != 2 || s9 != 3 {
-		t.Fatalf("seq = %d, %d after the deliveries; want 2, 3", s7, s9)
 	}
 	cancel()
 	d.Series(7).Append(record.Record{Local: 4 * time.Second, Kind: record.KindAccel})

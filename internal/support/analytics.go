@@ -50,9 +50,6 @@ func (a *Analytics) Ingest(id store.BadgeID, recs ...record.Record) {
 // Pipeline exposes the following pipeline for ad-hoc queries.
 func (a *Analytics) Pipeline() *sociometry.Pipeline { return a.pipe }
 
-// Dataset exposes the live dataset (e.g. for persistence on mission end).
-func (a *Analytics) Dataset() *store.Dataset { return a.live }
-
 // Close cancels the pipeline's dataset subscription. The pipeline stays
 // queryable over what has been ingested.
 func (a *Analytics) Close() {

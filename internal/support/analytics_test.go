@@ -72,16 +72,11 @@ func TestAnalyticsMatchesBatchPipeline(t *testing.T) {
 	}
 	defer a.Close()
 	d.AttachAnalytics(a)
-	assignment := res.Assignment
-	r := NewReplayer(d, res.Dataset, func(id store.BadgeID, day int) string {
-		w, _ := assignment.TrueWearerOf(id, day)
-		return w
-	})
-	// Replay the raw dataset through the daemon, as the gateway would
-	// deliver it, before the first live analysis fits the corrections.
-	horizon := simtime.StartOfDay(res.Config.Scenario.Days + 1)
-	if n := r.Run(0, horizon); n != res.Dataset.TotalRecords() {
-		t.Fatalf("replayed %d of %d records", n, res.Dataset.TotalRecords())
+	// Replay the raw dataset through the daemon over the offload path
+	// before the first live analysis fits the corrections.
+	r := NewReplayer(d, res.Dataset, simtime.StartOfDay(res.Config.Scenario.Days+1), res.Assignment.TrueWearerOf)
+	if n := r.Run(); n != res.Dataset.TotalRecords() || r.Undelivered() != 0 {
+		t.Fatalf("replayed %d of %d records, %d undelivered", n, res.Dataset.TotalRecords(), r.Undelivered())
 	}
 
 	batchSrc := analyticsSource(res)
@@ -111,9 +106,10 @@ func TestAnalyticsMatchesBatchPipeline(t *testing.T) {
 	}
 }
 
-// TestAnalyticsIncrementalSnapshots folds a mission in day-sized slices
-// with a snapshot after each: the analytics must answer continuously as
-// data accumulates, and the record count must track ingestion exactly.
+// TestAnalyticsIncrementalSnapshots steps a mission through the replayer
+// with a snapshot at each day boundary: the analytics must answer
+// continuously as data accumulates, and the record count must track
+// ingestion exactly.
 func TestAnalyticsIncrementalSnapshots(t *testing.T) {
 	res := analyticsMission(t)
 	d := NewDaemon()
@@ -123,24 +119,30 @@ func TestAnalyticsIncrementalSnapshots(t *testing.T) {
 	}
 	defer a.Close()
 	d.AttachAnalytics(a)
-	assignment := res.Assignment
-	r := NewReplayer(d, res.Dataset, func(id store.BadgeID, day int) string {
-		w, _ := assignment.TrueWearerOf(id, day)
-		return w
-	})
+	r := NewReplayer(d, res.Dataset, simtime.StartOfDay(res.Config.Scenario.Days+1), res.Assignment.TrueWearerOf)
 
-	var prevRecords int
-	total := 0
-	for day := 1; day <= res.Config.Scenario.Days; day++ {
-		total += r.Run(simtime.StartOfDay(day), simtime.StartOfDay(day+1))
+	var prevRecords, snaps int
+	for day := simtime.DayOf(r.Now()); !r.Done(); {
+		r.Step()
+		if simtime.DayOf(r.Now()) == day && !r.Done() {
+			continue
+		}
+		day = simtime.DayOf(r.Now())
 		snap := a.Snapshot()
-		if snap.Records != total {
-			t.Fatalf("day %d: snapshot records = %d, want %d", day, snap.Records, total)
+		snaps++
+		if snap.Records != r.Ingested() {
+			t.Fatalf("day %d: snapshot records = %d, want %d", day, snap.Records, r.Ingested())
 		}
 		if snap.Records < prevRecords {
 			t.Fatalf("day %d: record count went backwards", day)
 		}
 		prevRecords = snap.Records
+	}
+	if snaps < res.Config.Scenario.Days {
+		t.Errorf("%d snapshots over a %d-day mission", snaps, res.Config.Scenario.Days)
+	}
+	if prevRecords != res.Dataset.TotalRecords() {
+		t.Errorf("final snapshot records = %d, want %d", prevRecords, res.Dataset.TotalRecords())
 	}
 	if a.Snapshot().Passages == 0 {
 		t.Error("no passages after full mission")
@@ -169,24 +171,24 @@ func TestAnalyticsRespectsPrivacyScrub(t *testing.T) {
 	mic := func(at time.Duration) record.Record {
 		return record.Record{Local: at, Kind: record.KindMic, LoudnessDB: 70}
 	}
-	d.Ingest(5*time.Minute, "A", 1, mic(5*time.Minute))
-	d.Ingest(15*time.Minute, "A", 1, mic(15*time.Minute)) // suppressed
-	d.Ingest(15*time.Minute, "A", 1, accelRec(15*time.Minute, 50))
-	d.Ingest(25*time.Minute, "A", 1, mic(25*time.Minute))
+	ingest(d, "A", 1, mic(5*time.Minute))
+	ingest(d, "A", 1, mic(15*time.Minute)) // suppressed
+	ingest(d, "A", 1, accelRec(15*time.Minute, 50))
+	ingest(d, "A", 1, mic(25*time.Minute))
 
-	if got := a.Dataset().TotalRecords(); got != 3 {
+	if got := a.live.TotalRecords(); got != 3 {
 		t.Fatalf("analytics hold %d records, want 3 (mic in privacy window scrubbed)", got)
 	}
-	for _, r := range a.Dataset().Series(1).All() {
+	for _, r := range a.live.Series(1).All() {
 		if r.Kind == record.KindMic && r.Local >= 10*time.Minute && r.Local < 20*time.Minute {
 			t.Error("suppressed mic record reached the analytics")
 		}
 	}
 }
 
-// TestIngestBatchMatchesIngest feeds a mission's records to two daemons,
-// one record at a time through Ingest and in random-length equal-day runs
-// through IngestBatch, with privacy windows scrubbing some mic and IR
+// TestIngestBatchMatchesIngest feeds a mission's records to two daemons
+// through IngestBatch, one record at a time and in random-length
+// equal-day runs, with privacy windows scrubbing some mic and IR
 // records mid-run. Both must end with the same alerts in the same order,
 // the same counters and device health, and the same analytics series.
 func TestIngestBatchMatchesIngest(t *testing.T) {
@@ -224,7 +226,7 @@ func TestIngestBatchMatchesIngest(t *testing.T) {
 			}
 			wearer, _ := res.Assignment.TrueWearerOf(id, day)
 			for _, r := range recs[:n] {
-				one.Ingest(r.Local, wearer, id, r)
+				ingest(one, wearer, id, r)
 			}
 			many.IngestBatch(wearer, id, recs[:n])
 			recs = recs[n:]
@@ -244,9 +246,9 @@ func TestIngestBatchMatchesIngest(t *testing.T) {
 		t.Error("no record was scrubbed; the privacy windows miss the fixture")
 	}
 	for _, id := range res.Dataset.Badges() {
-		a, b := oneA.Dataset().Series(id), manyA.Dataset().Series(id)
-		if a.Seq() != b.Seq() || !reflect.DeepEqual(a.All(), b.All()) {
-			t.Errorf("badge %d: analytics series differ (seq %d vs %d)", id, a.Seq(), b.Seq())
+		a, b := oneA.live.Series(id), manyA.live.Series(id)
+		if !reflect.DeepEqual(a.All(), b.All()) {
+			t.Errorf("badge %d: analytics series differ (%d vs %d records)", id, a.Len(), b.Len())
 		}
 		ta, oka := one.Health().lastSeen[id]
 		tb, okb := many.Health().lastSeen[id]

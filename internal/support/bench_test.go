@@ -41,11 +41,13 @@ func BenchmarkDaemonIngest(b *testing.B) {
 				BatteryPct: float32(rng.Range(30, 100))}
 		}
 	}
+	one := make([]record.Record, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec := recs[i%len(recs)]
-		d.Ingest(rec.Local+time.Duration(i/len(recs))*time.Hour, names[i%len(names)], 1, rec)
+		one[0] = recs[i%len(recs)]
+		one[0].Local += time.Duration(i/len(recs)) * time.Hour
+		d.IngestBatch(names[i%len(names)], 1, one)
 	}
 }
 

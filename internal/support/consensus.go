@@ -152,15 +152,6 @@ func (c *Council) MissionControlDecision(now time.Duration, id uint64, approve b
 	return nil
 }
 
-// Proposal returns a proposal by ID.
-func (c *Council) Proposal(id uint64) (*Proposal, error) {
-	p, ok := c.proposals[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownProposal, id)
-	}
-	return p, nil
-}
-
 // evaluate applies the decision rule: approved when a strict crew majority
 // approves AND mission control approves; rejected when a crew majority
 // rejects, or when mission control rejects.

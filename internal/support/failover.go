@@ -22,18 +22,14 @@ type BadgePool struct {
 
 // Reassignment is one audited badge hand-over.
 type Reassignment struct {
-	At      time.Duration
-	Badge   store.BadgeID
-	Wearer  string
-	Reason  string
-	Release bool // true when the badge returned to the pool
+	At     time.Duration
+	Badge  store.BadgeID
+	Wearer string
+	Reason string
 }
 
-// Errors of the pool.
-var (
-	ErrPoolEmpty   = errors.New("support: no backup badges left")
-	ErrNotAssigned = errors.New("support: badge not assigned")
-)
+// ErrPoolEmpty reports an exhausted backup pool.
+var ErrPoolEmpty = errors.New("support: no backup badges left")
 
 // NewBadgePool creates a pool with the given spare badges.
 func NewBadgePool(spares []store.BadgeID) *BadgePool {
@@ -53,31 +49,6 @@ func (p *BadgePool) Assign(at time.Duration, wearer, reason string) (store.Badge
 	p.assigned[id] = wearer
 	p.log = append(p.log, Reassignment{At: at, Badge: id, Wearer: wearer, Reason: reason})
 	return id, nil
-}
-
-// Release returns a badge to the pool (e.g. after repair of the original).
-func (p *BadgePool) Release(at time.Duration, id store.BadgeID, reason string) error {
-	wearer, ok := p.assigned[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNotAssigned, id)
-	}
-	delete(p.assigned, id)
-	p.free = append(p.free, id)
-	p.log = append(p.log, Reassignment{At: at, Badge: id, Wearer: wearer, Reason: reason, Release: true})
-	return nil
-}
-
-// WearerOf returns the current wearer of an assigned spare.
-func (p *BadgePool) WearerOf(id store.BadgeID) (string, bool) {
-	w, ok := p.assigned[id]
-	return w, ok
-}
-
-// Log returns the reassignment audit trail (copy).
-func (p *BadgePool) Log() []Reassignment {
-	out := make([]Reassignment, len(p.log))
-	copy(out, p.log)
-	return out
 }
 
 // Failover couples the health registry with the pool: when an assigned

@@ -190,25 +190,15 @@ func (d *Daemon) raise(alerts []Alert) {
 	}
 }
 
-// Ingest feeds one record into the pipeline. Records inside the wearer's
-// privacy windows are dropped for privacy-sensitive kinds (mic, IR) before
-// any detector sees them; movement and device-health kinds still flow, as
-// safety monitoring must survive privacy mode.
-func (d *Daemon) Ingest(at time.Duration, wearer string, badge store.BadgeID, rec record.Record) {
-	if !d.admit(at, wearer, badge, rec) {
-		return
-	}
-	if d.analytics != nil {
-		d.analytics.Ingest(badge, rec)
-	}
-	d.detect(at, wearer, badge, rec)
-}
-
-// IngestBatch feeds a run of one badge's records, all worn by wearer, each
-// ingested at its own Local time. Every record takes Ingest's step, in
-// order: health, counters, privacy scrub, detectors, sweep. The records
-// that survive the scrub reach the analytics in one append after the run,
-// instead of one append per record. recs is neither modified nor retained.
+// IngestBatch is the daemon's entry point: it feeds a run of one badge's
+// records, all worn by wearer, each ingested at its own Local time. Every
+// record takes the same step, in order: health, counters, privacy scrub,
+// detectors, sweep. Records inside the wearer's privacy windows are
+// dropped for privacy-sensitive kinds (mic, IR) before any detector sees
+// them; movement and device-health kinds still flow, as safety monitoring
+// must survive privacy mode. The records that survive the scrub reach the
+// analytics in one append after the run. recs is neither modified nor
+// retained.
 func (d *Daemon) IngestBatch(wearer string, badge store.BadgeID, recs []record.Record) {
 	kept, scrubbed := recs, false
 	for i, rec := range recs {

@@ -18,12 +18,8 @@ import (
 // satisfies, the public icares facade, a cross-package test fixture, or an
 // open ROADMAP item.
 var reachAllow = map[string]string{
-	"icares.Mission.PipelineOver": "facade: analysis over any store.Viewer, such as an opened segment archive; the ArchivePipeline doc points users to it",
-
 	"internal/faultplan.Plan.InstallBlackouts": "EXPERIMENTS.md: chaos-suite invariant 5, blackout windows queue a command on the uplink",
-	"internal/faultplan.Plan.ReplayGate":       "EXPERIMENTS.md: chaos-suite invariant 5, the support replayer withholds what could not have arrived live",
 	"internal/faultplan.Transport.Stats":       "EXPERIMENTS.md: chaos-suite invariant 4, dropped > 0 and corrupted > 0",
-	"internal/support.Replayer.Withheld":       "EXPERIMENTS.md: chaos-suite invariant 5 counts the records the replay gate withheld",
 	"internal/offload.Gateway.Restore":         "EXPERIMENTS.md: offload under chaos, crash-restart from the watermark snapshot loses nothing",
 
 	"internal/habitat.NewBuilder":          "fixture: custom floor plans for the DESIGN.md wall-prefilter and localization-kernel properties",
@@ -47,8 +43,6 @@ var reachAllow = map[string]string{
 	"internal/support.NewRenderer":         "EXPERIMENTS.md: ability-based rendering",
 	"internal/support.Renderer.SetProfile": "EXPERIMENTS.md: ability-based rendering",
 	"internal/support.Proposal.DecidedAt":  "EXPERIMENTS.md: consensus approvals, decided in one 40-min round trip",
-
-	"internal/support.cursorHeap.Less": "interface: container/heap.Interface",
 }
 
 // reachReasonKinds are the accepted prefixes of a reachAllow reason.
