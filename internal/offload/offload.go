@@ -33,7 +33,10 @@ import (
 	"icares/internal/telemetry"
 )
 
-// Batch is one transfer unit.
+// Batch is one transfer unit. The Records of a batch an Uploader forms are
+// a read-only view of the uploader's buffer, not a copy: the uploader
+// never writes those slots again (later records are appended past them),
+// so a receiver may keep them but must not write to them.
 type Batch struct {
 	Badge   store.BadgeID
 	Seq     uint64
@@ -125,10 +128,12 @@ type GatewayStats struct {
 var ErrNilSink = errors.New("offload: nil sink")
 
 // NewGateway builds a gateway forwarding to sink. The sink owns the slice
-// it is handed for reading: every release is a copy the gateway and
-// uploaders never write again, so a sink may keep it past the call instead
-// of copying it. It must not write to it, since an uploader whose ack was
-// lost still holds the same records to retransmit.
+// it is handed for reading: every release is a batch's records (a view of
+// the sending uploader's buffer) or the gateway's copy of a held batch,
+// and neither the gateway nor the uploaders write them again, so a sink
+// may keep them past the call instead of copying them. It must not write
+// to them, since an uploader whose ack was lost still holds the same
+// records to retransmit.
 func NewGateway(sink func(store.BadgeID, []record.Record)) (*Gateway, error) {
 	if sink == nil {
 		return nil, ErrNilSink
@@ -389,7 +394,8 @@ func (u *Uploader) AttachJournal(j *telemetry.Journal) {
 }
 
 // Enqueue buffers records for upload, in order. A run of records costs one
-// lock and one gauge update; recs is copied, not retained.
+// lock and one gauge update; recs is copied into the buffer, not retained,
+// and the batches later formed from it are read-only views of that copy.
 func (u *Uploader) Enqueue(recs ...record.Record) {
 	if len(recs) == 0 {
 		return
@@ -480,6 +486,10 @@ func (u *Uploader) TryFlush(t Transport) int {
 // tryFlush runs under u.mu. The transport's Deliver is invoked while the
 // lock is held, so a transport must not call back into the same uploader
 // (delivering into a Gateway is fine — each component has its own lock).
+// A new batch's Records is the front of the buffer, capacity-clipped
+// (u.buffer[:n:n]) rather than copied: the buffer then moves past it and
+// Enqueue only ever appends, so a pending batch retransmits its original
+// records and a delivered one is never overwritten.
 func (u *Uploader) tryFlush(t Transport) int {
 	if t == nil {
 		return 0
@@ -509,7 +519,7 @@ func (u *Uploader) tryFlush(t Transport) int {
 		b := Batch{
 			Badge:   u.badge,
 			Seq:     u.nextSeq,
-			Records: append([]record.Record{}, u.buffer[:n]...),
+			Records: u.buffer[:n:n],
 		}
 		u.buffer = u.buffer[n:]
 		u.sent++

@@ -2,6 +2,7 @@ package offload
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -609,5 +610,55 @@ func BenchmarkOffloadLossyDrain(b *testing.B) {
 		if len(col.got[1]) != len(recs) {
 			b.Fatal("incomplete drain")
 		}
+	}
+}
+
+// Batches are read-only views of the uploader's buffer, not copies. A
+// batch whose delivery failed sits pending while more records are
+// enqueued and flushed past it; its retransmission must carry its
+// original records, and every batch delivered earlier must still hold
+// what it held when delivered.
+func TestBatchViewsSurviveLaterEnqueues(t *testing.T) {
+	u := NewUploader(5)
+	u.BatchSize = 4
+	recs := mkRecords(200)
+	type delivery struct {
+		seq  uint64
+		view []record.Record // the slice as delivered, aliasing the buffer
+		was  []record.Record // its contents at delivery
+	}
+	var got []delivery
+	failFirst := true
+	transport := TransportFunc(func(b Batch) bool {
+		got = append(got, delivery{b.Seq, b.Records, append([]record.Record(nil), b.Records...)})
+		if b.Seq == 2 && failFirst {
+			failFirst = false
+			return false
+		}
+		return true
+	})
+	u.Enqueue(recs[:6]...) // seq 1 acked, seq 2 (two records) left pending
+	u.TryFlush(transport)
+	if s := u.StatsSnapshot(); s.Pending != 1 {
+		t.Fatalf("pending %d after the failed delivery, want 1", s.Pending)
+	}
+	for next := 6; next < len(recs); next += 7 {
+		u.Enqueue(recs[next:min(next+7, len(recs))]...)
+		u.TryFlush(transport)
+	}
+	sends := 0
+	for _, d := range got {
+		if !slices.Equal(d.view, d.was) {
+			t.Errorf("batch %d changed after delivery: %v, was %v", d.seq, d.view, d.was)
+		}
+		if d.seq == 2 {
+			sends++
+			if !slices.Equal(d.view, recs[4:6]) {
+				t.Errorf("batch 2 carried %v, want its original records %v", d.view, recs[4:6])
+			}
+		}
+	}
+	if sends != 2 {
+		t.Errorf("batch 2 was sent %d times, want once and one retransmission", sends)
 	}
 }

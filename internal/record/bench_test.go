@@ -80,3 +80,28 @@ func BenchmarkRangeSetNormalize(b *testing.B) {
 		_ = base.Normalize()
 	}
 }
+
+// BenchmarkEncodedSize measures the store's per-append byte accounting
+// over mission-shaped records: timestamps spread over 14 days, so their
+// uvarints run from 1 to 7 bytes, most of them 7.
+func BenchmarkEncodedSize(b *testing.B) {
+	const n = 1024 // a power of two, so picking a record is a mask
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = benchRecords()[i%4]
+		recs[i].Local = time.Duration(i) * 14 * 24 * time.Hour / n
+	}
+	total := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sz, err := EncodedSize(recs[i&(n-1)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		total += sz
+	}
+	if total == 0 {
+		b.Fatal("no size")
+	}
+}

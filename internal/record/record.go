@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -212,14 +213,10 @@ func AppendFrame(dst []byte, r Record) ([]byte, error) {
 	return append(dst, tail[:]...), nil
 }
 
-// uvarintLen returns the number of bytes PutUvarint emits for v.
+// uvarintLen returns the number of bytes PutUvarint emits for v: one per
+// started 7-bit group of its significant bits, and one for zero.
 func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
+	return (bits.Len64(v|1) + 6) / 7
 }
 
 // bodySize returns the encoded size of the kind-specific body of r.

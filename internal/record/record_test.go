@@ -2,8 +2,10 @@ package record
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -289,6 +291,23 @@ func TestQuickEncodedSize(t *testing.T) {
 		return err == nil && size == len(frame)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: uvarintLen is the length binary.AppendUvarint emits, at the
+// 7-bit group edges and for random values of every bit length.
+func TestQuickUvarintLen(t *testing.T) {
+	for _, v := range []uint64{0, 1, 0x7f, 0x80, 0x3fff, 0x4000, 1 << 63, math.MaxUint64} {
+		if got, want := uvarintLen(v), len(binary.AppendUvarint(nil, v)); got != want {
+			t.Errorf("uvarintLen(%#x) = %d, want %d", v, got, want)
+		}
+	}
+	f := func(v uint64, shift uint8) bool {
+		v >>= shift % 64
+		return uvarintLen(v) == len(binary.AppendUvarint(nil, v))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }

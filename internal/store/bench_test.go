@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -161,6 +162,33 @@ func BenchmarkSeriesAppendInterleaved(b *testing.B) {
 		if i%15 == 0 {
 			mic.Local = accel.Local - 15*time.Second
 			s.Append(mic)
+		}
+	}
+}
+
+// BenchmarkSeriesFirstRead measures the first read of a mission-shaped
+// series: two mission data days of one badge (~100k records) appended in
+// the badge pattern, which leaves maxRuns sorted runs that barely overlap.
+// Each op merges a fresh, unexposed copy of the run set (the runs' arrays
+// are shared: a merge only reads them).
+func BenchmarkSeriesFirstRead(b *testing.B) {
+	base := &Series{}
+	for app := (&badgeAppender{s: base}); base.Len() < 100_000; {
+		app.next()
+	}
+	base.mu.Lock()
+	base.sealTailLocked()
+	runs := base.runs
+	base.mu.Unlock()
+	if len(runs) != maxRuns {
+		b.Fatalf("mission-shaped series has %d runs, want %d", len(runs), maxRuns)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := &Series{runs: slices.Clone(runs)}
+		if len(s.All()) != base.Len() {
+			b.Fatal("short read")
 		}
 	}
 }

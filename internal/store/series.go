@@ -2,6 +2,7 @@ package store
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -20,16 +21,29 @@ const (
 	// it, the smallest adjacent pair is merged so a read never k-way merges
 	// an unbounded fan-in.
 	maxRuns = 8
+	// maxShift bounds how far from the tail's end a straggler may land and
+	// still be inserted in place, keeping the tail sorted; one further back
+	// leaves the tail for its seal to sort. A badge's mic frame lands at
+	// most 7 records back, and shifting 64 records moves under 5 KiB.
+	maxShift = 64
 )
 
 // Series is the time-ordered record log of one badge, laid out as sorted
-// runs: in-order appends extend the newest run directly; an out-of-order
-// append opens a small unsorted tail that takes every append after it
-// until it is sealed into a sorted run of its own, and reads merge the
-// runs — never a full re-sort of the whole series. A badge's mic frames are
-// stamped at the start of their window, so on a badge almost every append
-// goes through a tail (see fullTail for how tails are sized). Per-kind sub-series are indexed lazily so Kind/RangeKind
-// answer from a cached, time-ordered view instead of scanning every record.
+// runs. In-order appends extend the newest run directly. An out-of-order
+// append opens a small tail that takes every append after it until it is
+// sealed into a sorted run of its own (see fullTail for how tails are
+// sized). A straggler whose slot lies within maxShift records of the
+// tail's end is inserted in place, so the tail stays sorted and its seal
+// sorts only on real disorder. A badge's mic frames are stamped at the
+// start of their window, so on a badge almost every append goes through a
+// tail, and every one of those stragglers is such a short move.
+//
+// A read merges the runs in one pass into one array of exactly Len()
+// records — never a full re-sort. A series created through a reserving
+// Dataset allocates its first run at the reserved capacity, so a feed
+// appended in order fills one array without regrowing. Per-kind
+// sub-series are indexed lazily so Kind/RangeKind answer from a cached,
+// time-ordered view instead of scanning every record.
 //
 // Concurrency: any number of readers (All, Range, Kind, RangeKind, First,
 // Last, Len) may run concurrently, and Append and AppendBatch may
@@ -63,6 +77,10 @@ type Series struct {
 	// and append grows it geometrically, so a reader interleaved with live
 	// ingest does not pay for a full tail per read.
 	fullTail bool
+
+	// reserve is the capacity the first run is allocated at (Dataset.Reserve);
+	// it is spent when that run is created.
+	reserve int
 
 	// kinds caches per-kind, time-ordered sub-views of the merged series,
 	// built lazily per requested kind and dropped on any write.
@@ -117,21 +135,44 @@ func (s *Series) appendLocked(r record.Record) {
 			// run, whose capacity the tail filled, would copy all of it.
 			s.tail = make([]record.Record, 0, maxTail)
 		case n == 0:
-			s.runs = append(s.runs, []record.Record{r})
+			s.runs = append(s.runs, append(make([]record.Record, 0, max(s.reserve, 1)), r))
+			s.reserve = 0
 			return
 		case r.Local >= s.runs[n-1][len(s.runs[n-1])-1].Local:
 			s.runs[n-1] = append(s.runs[n-1], r)
 			return
 		}
 		s.tailSorted = true
-	} else if r.Local < s.tail[len(s.tail)-1].Local {
-		s.tailSorted = false
+		s.tail = append(s.tail, r)
+	} else {
+		s.tailAppendLocked(r)
 	}
-	s.tail = append(s.tail, r)
 	if len(s.tail) >= maxTail {
 		s.sealTailLocked()
 		s.fullTail = true
 	}
+}
+
+// tailAppendLocked adds r to a non-empty tail. A straggler whose stable
+// slot — after every record at or before its timestamp — lies within
+// maxShift records of a sorted tail's end is inserted there, so the tail
+// stays sorted; any other straggler is appended and the tail marked
+// unsorted.
+func (s *Series) tailAppendLocked(r record.Record) {
+	n := len(s.tail)
+	if r.Local >= s.tail[n-1].Local {
+		s.tail = append(s.tail, r)
+		return
+	}
+	lo := max(n-maxShift, 0)
+	if !s.tailSorted || (lo > 0 && s.tail[lo-1].Local > r.Local) {
+		s.tailSorted = false
+		s.tail = append(s.tail, r)
+		return
+	}
+	near := s.tail[lo:]
+	at := lo + sort.Search(len(near), func(i int) bool { return near[i].Local > r.Local })
+	s.tail = slices.Insert(s.tail, at, r)
 }
 
 // sealTailLocked sorts the tail (if needed) and turns it into the newest
@@ -155,8 +196,8 @@ func (s *Series) sealTailLocked() {
 				best = i
 			}
 		}
-		s.runs[best] = mergeTwo(s.runs[best], s.runs[best+1])
-		s.runs = append(s.runs[:best+1], s.runs[best+2:]...)
+		s.runs[best] = mergeRuns(s.runs[best : best+2])
+		s.runs = slices.Delete(s.runs, best+1, best+2) // zeroes the vacated slot
 	}
 }
 
@@ -165,7 +206,8 @@ func (s *Series) sealTailLocked() {
 // runs win, so the result equals a stable sort of the append sequence. The
 // common two-run case (one big sorted run, one run of stragglers) merges
 // into the big run's spare capacity when no view of it has escaped yet,
-// avoiding a full-series allocation on the first post-ingest read.
+// avoiding a full-series allocation on the first post-ingest read; every
+// other merge is one pass into one fresh array of exactly Len() records.
 func (s *Series) materializeLocked() []record.Record {
 	s.sealTailLocked()
 	switch len(s.runs) {
@@ -173,23 +215,23 @@ func (s *Series) materializeLocked() []record.Record {
 		return nil
 	case 1:
 	case 2:
-		a, b := s.runs[0], s.runs[1]
-		if !s.exposed.Load() && cap(a) >= len(a)+len(b) {
-			s.runs = [][]record.Record{mergeInto(a, b)}
-		} else {
-			s.runs = [][]record.Record{mergeTwo(a, b)}
-			s.exposed.Store(false)
+		if a, b := s.runs[0], s.runs[1]; !s.exposed.Load() && cap(a) >= len(a)+len(b) {
+			s.runs[0] = mergeInto(a, b)
+			break
 		}
+		fallthrough
 	default:
-		s.runs = [][]record.Record{mergeRuns(s.runs)}
+		s.runs[0] = mergeRuns(s.runs)
 		s.exposed.Store(false)
 	}
+	clear(s.runs[1:])
+	s.runs = s.runs[:1]
 	return s.runs[0]
 }
 
 // mergeInto merges sorted run b into a's backing array in place (a must
 // have the capacity; callers guarantee no view of a has escaped). It works
-// back to front with the same galloping chunk copies as mergeTwo, and the
+// back to front with the same galloping chunk copies as mergeRuns, and the
 // same tie rule: a is the older run, so its records stay ahead of equal
 // timestamps from b.
 func mergeInto(a, b []record.Record) []record.Record {
@@ -215,48 +257,65 @@ func mergeInto(a, b []record.Record) []record.Record {
 	return out
 }
 
-// mergeTwo merges two sorted runs; a is the older run and wins ties. It
-// gallops: instead of comparing element by element, it binary-searches for
-// the next crossover and bulk-copies the whole contiguous chunk, so the
-// common shape — a huge sorted run plus a small run of stragglers — merges
-// at memmove speed rather than one 72-byte record at a time.
-func mergeTwo(a, b []record.Record) []record.Record {
-	out := make([]record.Record, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if b[j].Local < a[i].Local {
-			// Everything in b strictly below a's head goes first.
-			k := j + sort.Search(len(b)-j, func(n int) bool { return b[j+n].Local >= a[i].Local })
-			out = append(out, b[j:k]...)
-			j = k
-		} else {
-			// Everything in a at or below b's head goes first (ties keep
-			// the older run's records ahead — append order).
-			k := i + sort.Search(len(a)-i, func(n int) bool { return a[i+n].Local > b[j].Local })
-			out = append(out, a[i:k]...)
-			i = k
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// mergeRuns folds the runs pairwise (adjacent pairs, so append-time order
-// — and with it tie stability — is preserved) until one remains. k is
-// bounded by maxRuns, so the fold depth is at most log2(maxRuns)+1.
+// mergeRuns merges sorted runs, oldest first, into one new array of
+// exactly their total length — its only allocation while there are at
+// most maxRuns+1 runs. Ties keep append order: of equal timestamps, the
+// older run's records come first, so the result is the stable sort of the
+// runs' concatenation. It gallops: each step takes the run with the
+// smallest head (the oldest of equal heads), finds by exponential search
+// how far that run stays ahead of every other run's head, and bulk-copies
+// the whole chunk, so the common shape — long runs that barely overlap —
+// merges at memmove speed rather than one 72-byte record at a time.
 func mergeRuns(runs [][]record.Record) []record.Record {
-	for len(runs) > 1 {
-		merged := make([][]record.Record, 0, (len(runs)+1)/2)
-		for i := 0; i < len(runs); i += 2 {
-			if i+1 < len(runs) {
-				merged = append(merged, mergeTwo(runs[i], runs[i+1]))
-			} else {
-				merged = append(merged, runs[i])
+	n := 0
+	for _, run := range runs {
+		n += len(run)
+	}
+	out := make([]record.Record, 0, n)
+	var heads [maxRuns + 1][]record.Record
+	live := append(heads[:0], runs...) // the unmerged rest of each run; none is empty
+	for len(live) > 1 {
+		c := 0
+		for i := 1; i < len(live); i++ {
+			if live[i][0].Local < live[c][0].Local {
+				c = i
 			}
 		}
-		runs = merged
+		// live[c] leads while it stays below every older run's head (the
+		// older run wins a tie) and at or below every newer run's head.
+		var older, newer time.Duration = math.MaxInt64, math.MaxInt64
+		for i, run := range live {
+			switch {
+			case i < c:
+				older = min(older, run[0].Local)
+			case i > c:
+				newer = min(newer, run[0].Local)
+			}
+		}
+		run := live[c]
+		k := gallop(run, func(r record.Record) bool { return r.Local >= older || r.Local > newer })
+		out = append(out, run[:k]...)
+		if k < len(run) {
+			live[c] = run[k:]
+		} else {
+			live = slices.Delete(live, c, c+1)
+		}
 	}
-	return runs[0]
+	return append(out, live[0]...)
+}
+
+// gallop returns the first index of run at which past holds (len(run) if
+// none), for a predicate that is false on a prefix of run and true after
+// it. It probes 1, 2, 4, … then binary-searches the last stride, so a
+// short prefix costs a few comparisons however long the run.
+func gallop(run []record.Record, past func(record.Record) bool) int {
+	hi := 1
+	for hi < len(run) && !past(run[hi]) {
+		hi *= 2
+	}
+	lo := hi / 2
+	hi = min(hi, len(run))
+	return lo + sort.Search(hi-lo, func(i int) bool { return past(run[lo+i]) })
 }
 
 // singleLocked reports whether the series is already a single sorted run

@@ -43,6 +43,8 @@ type BadgeID uint16
 type Dataset struct {
 	mu     sync.RWMutex
 	series map[BadgeID]*Series
+	// reserved holds Reserve hints for badges that have no series yet.
+	reserved map[BadgeID]int
 
 	// Append subscriptions (Subscribe). subCount mirrors len(subs) so the
 	// per-append publish path costs one atomic load when nobody listens.
@@ -70,9 +72,33 @@ func (d *Dataset) Series(id BadgeID) *Series {
 	if s, ok := d.series[id]; ok {
 		return s
 	}
-	s = &Series{owner: d, id: id}
+	s = &Series{owner: d, id: id, reserve: d.reserved[id]}
+	delete(d.reserved, id)
 	d.series[id] = s
 	return s
+}
+
+// Reserve hints that the badge's series will hold about n records: its
+// first run is allocated at n records' capacity when the first record
+// arrives, so a feed appended in order fills one array without regrowing.
+// The hint creates no series — a badge reserved but never appended to is
+// absent from Badges and View — and a series that already holds records
+// ignores it. Any n reads the same as no hint; only allocation changes.
+func (d *Dataset) Reserve(id BadgeID, n int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if s, ok := d.series[id]; ok {
+		s.mu.Lock()
+		if len(s.runs) == 0 {
+			s.reserve = n
+		}
+		s.mu.Unlock()
+		return
+	}
+	if d.reserved == nil {
+		d.reserved = make(map[BadgeID]int)
+	}
+	d.reserved[id] = n
 }
 
 // View returns the badge's read view, or ok == false when the dataset holds

@@ -47,6 +47,14 @@ func (a *Analytics) Ingest(id store.BadgeID, recs ...record.Record) {
 	a.live.Series(id).AppendBatch(recs)
 }
 
+// Reserve hints that about n records of badge id will be ingested, so its
+// live series is allocated once at that size (see store.Dataset.Reserve).
+// Records dropped by the privacy scrub make n an upper bound, which is
+// fine: the hint changes allocation only, never what is read.
+func (a *Analytics) Reserve(id store.BadgeID, n int) {
+	a.live.Reserve(id, n)
+}
+
 // Pipeline exposes the following pipeline for ad-hoc queries.
 func (a *Analytics) Pipeline() *sociometry.Pipeline { return a.pipe }
 

@@ -39,7 +39,8 @@ type Replayer struct {
 	wearerOf func(store.BadgeID, int) (string, bool)
 
 	gateway   *offload.Gateway
-	uploaders []*offload.Uploader // sorted by badge ID
+	badges    []store.BadgeID     // sorted
+	uploaders []*offload.Uploader // uploaders[i] sends badges[i]'s records
 	// Transport carries the uploaders' batches to the gateway. It starts
 	// as the gateway itself; to put faults between badge and gateway, wrap
 	// it before the first Step, e.g. in a faultplan.Transport on Now.
@@ -54,7 +55,7 @@ type Replayer struct {
 
 	records, ingested, undelivered int
 	now, horizon                   time.Duration
-	done                           bool
+	started, done                  bool
 }
 
 // NewReplayer builds a replayer that feeds ds's records in [0, horizon) to
@@ -66,6 +67,7 @@ func NewReplayer(d *Daemon, ds *store.Dataset, horizon time.Duration, wearerOf f
 	r.Transport = offload.TransportFunc(r.gateway.Offer)
 	for _, id := range ds.Badges() {
 		recs := ds.Series(id).Range(0, horizon)
+		r.badges = append(r.badges, id)
 		r.uploaders = append(r.uploaders, offload.NewUploader(id))
 		r.unfed = append(r.unfed, recs)
 		r.records += len(recs)
@@ -102,9 +104,21 @@ func (r *Replayer) stage(id store.BadgeID, recs []record.Record) {
 // released, and detect completion. Across an idle gap (overnight,
 // pre-deployment) with nothing in flight, the clock jumps to the next
 // record's window. It returns how many records reached the daemon.
+//
+// The first Step reserves each badge's live analytics series (if the
+// daemon has analytics attached by then) at the length of the badge's
+// feed, so the in-order live appends fill one array without regrowing.
 func (r *Replayer) Step() int {
 	if r.done {
 		return 0
+	}
+	if !r.started {
+		r.started = true
+		if a := r.daemon.analytics; a != nil {
+			for i, id := range r.badges {
+				a.Reserve(id, len(r.unfed[i]))
+			}
+		}
 	}
 	hi := r.now + ReplayStep
 	// Each badge's window is one contiguous run of its view. Uploaders are
