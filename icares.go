@@ -50,8 +50,6 @@ type Options struct {
 	// trade sensing density for speed — fleet deployments run many
 	// habitats at coarse ticks where one habitat would run fine ones.
 	Tick time.Duration
-	// CollectTruth retains ground-truth behaviour samples for validation.
-	CollectTruth bool
 	// Faults applies a deterministic fault schedule to the run (badge
 	// death/reboot windows, sync-exchange dropouts); build one with
 	// ChaosPlan or faultplan.New. Nil injects nothing.
@@ -93,13 +91,12 @@ func Simulate(opts Options) (*Mission, error) {
 		sc.Days = opts.Days
 	}
 	res, err := mission.Run(mission.Config{
-		Seed:         opts.Seed,
-		Scenario:     sc,
-		Tick:         opts.Tick,
-		CollectTruth: opts.CollectTruth,
-		Faults:       opts.Faults,
-		Telemetry:    opts.Telemetry,
-		Journal:      opts.Journal,
+		Seed:      opts.Seed,
+		Scenario:  sc,
+		Tick:      opts.Tick,
+		Faults:    opts.Faults,
+		Telemetry: opts.Telemetry,
+		Journal:   opts.Journal,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("simulate: %w", err)

@@ -258,15 +258,6 @@ func normPair(a, b string) [2]string {
 	return [2]string{a, b}
 }
 
-// Names returns member names in roster order.
-func (e *Engine) Names() []string {
-	out := make([]string, 0, len(e.members))
-	for _, m := range e.members {
-		out = append(out, m.name)
-	}
-	return out
-}
-
 // State returns the current ground-truth state of a member.
 func (e *Engine) State(name string) (State, bool) {
 	m, ok := e.byName[name]

@@ -37,7 +37,10 @@ func chaosPlan(seed uint64, days int, badges []store.BadgeID, zones []string) *f
 		{Kind: faultplan.GatewayCrash, From: d2 + 14*time.Hour, To: d2 + 14*time.Hour + 20*time.Minute},
 	}
 	gen := faultplan.Generate(faultplan.GenConfig{Seed: seed, Days: days, Badges: badges, Zones: zones})
-	return faultplan.New(seed, append(explicit, gen.Events()...)...)
+	for k := faultplan.RFOutage; k <= faultplan.FrameCorruption; k++ {
+		explicit = append(explicit, gen.Windows(k)...)
+	}
+	return faultplan.New(seed, explicit...)
 }
 
 // metricTotal sums a metric's value across all label sets by scanning the
@@ -93,7 +96,7 @@ func TestChaosMission(t *testing.T) {
 	plan := chaosPlan(seed, days, badges, zones)
 
 	// Acceptance: the same seed must reproduce the identical event trace.
-	if again := chaosPlan(seed, days, badges, zones); !reflect.DeepEqual(plan.Events(), again.Events()) {
+	if again := chaosPlan(seed, days, badges, zones); !reflect.DeepEqual(plan, again) {
 		t.Fatal("same seed produced a different fault-plan event trace")
 	}
 

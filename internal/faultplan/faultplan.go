@@ -31,7 +31,7 @@ type Kind int
 // Fault-event kinds.
 const (
 	// RFOutage blocks badge-to-gateway radio traffic. Zone scopes it to one
-	// room ("" = habitat-wide).
+	// room ("" = habitat-wide); only habitat-wide outages take effect.
 	RFOutage Kind = iota + 1
 	// BadgeDeath takes a badge down at From and reboots it at To. Records
 	// and counters live in flash/SD and survive the reboot; only the radio
@@ -78,7 +78,9 @@ type Event struct {
 	// Badge scopes BadgeDeath, SyncDropout, and FrameCorruption to one
 	// badge; 0 means every badge.
 	Badge store.BadgeID
-	// Zone scopes RFOutage to one room name; "" means habitat-wide.
+	// Zone scopes RFOutage to one room name; "" means habitat-wide. The
+	// offload path knows no badge's room, so a zone-scoped window stays in
+	// the trace but drops nothing.
 	Zone string
 	// Prob is the per-frame corruption probability for FrameCorruption.
 	Prob float64
@@ -124,12 +126,6 @@ func New(seed uint64, events ...Event) *Plan {
 	return &Plan{seed: seed, events: evs}
 }
 
-// Events returns the full schedule in trace order (copy) — the reproducible
-// event trace: equal seeds and generator configs yield identical slices.
-func (p *Plan) Events() []Event {
-	return append([]Event{}, p.events...)
-}
-
 // String renders the whole trace, one event per line.
 func (p *Plan) String() string {
 	var b strings.Builder
@@ -156,13 +152,10 @@ func (p *Plan) active(k Kind, at time.Duration, match func(Event) bool) bool {
 	return false
 }
 
-// RFOut reports whether radio traffic from zone is blocked at time at. A
-// habitat-wide outage (event zone "") blocks every zone; a caller that does
-// not know its zone (zone "") is affected only by habitat-wide outages.
-func (p *Plan) RFOut(zone string, at time.Duration) bool {
-	return p.active(RFOutage, at, func(e Event) bool {
-		return e.Zone == "" || e.Zone == zone
-	})
+// RFOut reports whether a habitat-wide RF outage blocks radio traffic at
+// time at. Zone-scoped outages never match (see Event.Zone).
+func (p *Plan) RFOut(at time.Duration) bool {
+	return p.active(RFOutage, at, func(e Event) bool { return e.Zone == "" })
 }
 
 // BadgeDown reports whether the badge is dead at time at.

@@ -20,14 +20,14 @@ func TestGenerateDeterministic(t *testing.T) {
 		Zones:  []string{"galley", "lab"},
 	}
 	a, b := Generate(cfg), Generate(cfg)
-	if !reflect.DeepEqual(a.Events(), b.Events()) {
+	if !reflect.DeepEqual(a.events, b.events) {
 		t.Fatal("equal configs produced different event traces")
 	}
 	if a.seed != 99 {
 		t.Errorf("seed = %d", a.seed)
 	}
 	cfg.Seed = 100
-	if reflect.DeepEqual(a.Events(), Generate(cfg).Events()) {
+	if reflect.DeepEqual(a.events, Generate(cfg).events) {
 		t.Error("different seeds produced identical traces")
 	}
 	// The day-scaled defaults must actually materialize every kind.
@@ -38,7 +38,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	// Windows stay inside the mission span.
 	span := 3 * 24 * time.Hour
-	for _, e := range a.Events() {
+	for _, e := range a.events {
 		if e.From < 0 || e.To > span || e.From >= e.To {
 			t.Errorf("window out of span: %v", e)
 		}
@@ -46,18 +46,18 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestEventsAreSortedAndCopied(t *testing.T) {
-	p := New(7,
-		Event{Kind: BadgeDeath, From: 2 * time.Hour, To: 3 * time.Hour, Badge: 2},
-		Event{Kind: RFOutage, From: time.Hour, To: 90 * time.Minute},
-		Event{Kind: BadgeDeath, From: 2 * time.Hour, To: 4 * time.Hour, Badge: 1},
-	)
-	evs := p.Events()
-	if evs[0].Kind != RFOutage || evs[1].Badge != 1 || evs[2].Badge != 2 {
-		t.Fatalf("trace order wrong: %v", evs)
+	evs := []Event{
+		{Kind: BadgeDeath, From: 2 * time.Hour, To: 3 * time.Hour, Badge: 2},
+		{Kind: RFOutage, From: time.Hour, To: 90 * time.Minute},
+		{Kind: BadgeDeath, From: 2 * time.Hour, To: 4 * time.Hour, Badge: 1},
 	}
-	evs[0].Kind = GatewayCrash // mutating the copy must not corrupt the plan
-	if p.Events()[0].Kind != RFOutage {
-		t.Error("Events returned a live reference")
+	p := New(7, evs...)
+	if got := p.events; got[0].Kind != RFOutage || got[1].Badge != 1 || got[2].Badge != 2 {
+		t.Fatalf("trace order wrong: %v", got)
+	}
+	evs[1].Kind = GatewayCrash // mutating the caller's slice must not corrupt the plan
+	if p.events[0].Kind != RFOutage {
+		t.Error("New kept a live reference to its events")
 	}
 }
 
@@ -72,17 +72,13 @@ func TestQuerySemantics(t *testing.T) {
 		Event{Kind: SyncDropout, From: 13 * time.Hour, To: 14 * time.Hour, Badge: 4},
 	)
 
-	// Zone-scoped outage hits only its zone; habitat-wide hits everyone,
-	// including callers that do not know their zone.
-	if !p.RFOut("lab", 90*time.Minute) || p.RFOut("galley", 90*time.Minute) || p.RFOut("", 90*time.Minute) {
-		t.Error("zone-scoped RF outage semantics wrong")
-	}
-	if !p.RFOut("lab", 210*time.Minute) || !p.RFOut("", 210*time.Minute) {
-		t.Error("habitat-wide RF outage semantics wrong")
+	// Only the habitat-wide outage blocks; the zone-scoped one drops nothing.
+	if p.RFOut(90 * time.Minute) {
+		t.Error("zone-scoped RF outage took effect")
 	}
 	// Windows are half-open [From, To).
-	if p.RFOut("lab", time.Hour-time.Nanosecond) || !p.RFOut("lab", time.Hour) || p.RFOut("lab", 2*time.Hour) {
-		t.Error("window boundaries not half-open")
+	if p.RFOut(3*time.Hour-time.Nanosecond) || !p.RFOut(3*time.Hour) || !p.RFOut(210*time.Minute) || p.RFOut(4*time.Hour) {
+		t.Error("habitat-wide RF outage window wrong")
 	}
 
 	if !p.BadgeDown(3, 330*time.Minute) || p.BadgeDown(2, 330*time.Minute) {
@@ -157,15 +153,14 @@ func TestTransportInjection(t *testing.T) {
 	p := New(5,
 		Event{Kind: BadgeDeath, From: time.Hour, To: 2 * time.Hour, Badge: 1},
 		Event{Kind: GatewayCrash, From: 3 * time.Hour, To: 4 * time.Hour},
-		Event{Kind: RFOutage, From: 5 * time.Hour, To: 6 * time.Hour, Zone: "lab"},
+		Event{Kind: RFOutage, From: 5 * time.Hour, To: 6 * time.Hour},
 		Event{Kind: FrameCorruption, From: 7 * time.Hour, To: 8 * time.Hour, Prob: 1},
+		Event{Kind: RFOutage, From: 9 * time.Hour, To: 10 * time.Hour, Zone: "lab"},
 	)
 	var now time.Duration
 	delivered := 0
 	inner := offload.TransportFunc(func(offload.Batch) bool { delivered++; return true })
 	tr := NewTransport(p, func() time.Duration { return now }, inner)
-	zone := ""
-	tr.Zone = func() string { return zone }
 
 	b := offload.Batch{Badge: 1, Seq: 0, Records: []record.Record{{Kind: record.KindAccel, Local: time.Second}}}
 
@@ -181,18 +176,17 @@ func TestTransportInjection(t *testing.T) {
 	if tr.Deliver(b) {
 		t.Fatal("crashed gateway delivered")
 	}
-	now = 5*time.Hour + time.Minute // RF outage scoped to lab
-	zone = "lab"
+	now = 5*time.Hour + time.Minute // habitat-wide RF outage
 	if tr.Deliver(b) {
 		t.Fatal("RF outage delivered")
-	}
-	zone = "galley"
-	if !tr.Deliver(b) {
-		t.Fatal("outage leaked across zones")
 	}
 	now = 7*time.Hour + time.Minute // corruption window, prob 1
 	if tr.Deliver(b) {
 		t.Fatal("corrupted frame passed the CRC")
+	}
+	now = 9*time.Hour + time.Minute // RF outage scoped to lab: drops nothing
+	if !tr.Deliver(b) {
+		t.Fatal("zone-scoped RF outage dropped a delivery")
 	}
 	dropped, corrupted := tr.Stats()
 	if dropped != 3 || corrupted != 1 {

@@ -12,10 +12,10 @@ import (
 type Clock func() time.Duration
 
 // Transport applies a plan to an offload transport: deliveries are dropped
-// while the sending badge is dead, the gateway is crashed, or the badge's
-// zone has an RF outage, and frames inside corruption windows are bit-flip
-// mutated and discarded when (as the CRC guarantees, essentially always)
-// the receiver detects the damage. Because every decision is a pure
+// while the sending badge is dead, the gateway is crashed, or a
+// habitat-wide RF outage is open, and frames inside corruption windows are
+// bit-flip mutated and discarded when (as the CRC guarantees, essentially
+// always) the receiver detects the damage. Because every decision is a pure
 // function of (plan, time, batch), a retransmission after the window
 // clears goes through untouched — the same at-least-once recovery the
 // uploader already performs for plain loss.
@@ -23,10 +23,6 @@ type Transport struct {
 	Plan *Plan
 	// Now is the simulated clock; a nil Now disables all injection.
 	Now Clock
-	// Zone optionally reports the sending badge's current room for
-	// zone-scoped outages; nil means unknown (only habitat-wide outages
-	// apply).
-	Zone func() string
 	// Inner is the wrapped transport (typically an offload.LossyTransport
 	// or the gateway directly).
 	Inner offload.Transport
@@ -52,11 +48,7 @@ func (t *Transport) Deliver(b offload.Batch) bool {
 		t.dropped++
 		return false
 	}
-	zone := ""
-	if t.Zone != nil {
-		zone = t.Zone()
-	}
-	if t.Plan.RFOut(zone, now) {
+	if t.Plan.RFOut(now) {
 		t.dropped++
 		return false
 	}

@@ -89,9 +89,7 @@ type engine struct {
 	// Fault-window edge detection: the engine samples the plan's point
 	// queries each step and journals enter/exit transitions, so the
 	// flight recorder carries the injected failure story as events even
-	// though the plan itself is a pure schedule. rfWindows caches the RF
-	// outage windows (any zone counts as an outage for the recorder).
-	rfWindows                        []faultplan.Event
+	// though the plan itself is a pure schedule.
 	inGatewayCrash, inBlackout, inRF bool
 
 	// stepHook, when non-nil, runs at the start of every step with the
@@ -129,9 +127,6 @@ func newEngine(id string, cfg HabitatConfig) (*engine, error) {
 		reg:     reg,
 		journal: journal,
 		mission: m,
-	}
-	if cfg.Faults != nil {
-		e.rfWindows = cfg.Faults.Windows(faultplan.RFOutage)
 	}
 
 	// Pre-fit the clock corrections on the complete SD-card dataset — the
@@ -217,14 +212,7 @@ func (e *engine) noteFaults(now time.Duration) {
 	e.noteEdge(now, &e.inBlackout, p.UplinkDown(now), telemetry.SevWarn,
 		"uplink-blackout", "fault plan blacked out the mission-control uplink",
 		"uplink-restore", "mission-control uplink restored")
-	rf := false
-	for _, w := range e.rfWindows {
-		if now >= w.From && now < w.To {
-			rf = true
-			break
-		}
-	}
-	e.noteEdge(now, &e.inRF, rf, telemetry.SevWarn,
+	e.noteEdge(now, &e.inRF, p.RFOut(now), telemetry.SevWarn,
 		"rf-outage", "fault plan opened an RF outage window",
 		"rf-restore", "RF outage window closed")
 }

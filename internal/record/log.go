@@ -27,7 +27,6 @@ var ErrBadHeader = errors.New("record: bad log header")
 // LogWriter streams records of one badge into an io.Writer.
 type LogWriter struct {
 	w       *bufio.Writer
-	badgeID uint16
 	scratch []byte
 }
 
@@ -46,11 +45,8 @@ func NewLogWriter(w io.Writer, badgeID uint16) (*LogWriter, error) {
 	if _, err := bw.Write(id[:]); err != nil {
 		return nil, fmt.Errorf("write badge id: %w", err)
 	}
-	return &LogWriter{w: bw, badgeID: badgeID}, nil
+	return &LogWriter{w: bw}, nil
 }
-
-// BadgeID returns the badge this log belongs to.
-func (lw *LogWriter) BadgeID() uint16 { return lw.badgeID }
 
 // Append encodes and writes one record.
 func (lw *LogWriter) Append(r Record) error {
@@ -147,21 +143,6 @@ func (lr *LogReader) Next() (Record, error) {
 			continue
 		}
 		return rec, nil
-	}
-}
-
-// ReadAll drains the reader into a slice.
-func (lr *LogReader) ReadAll() ([]Record, error) {
-	var out []Record
-	for {
-		rec, err := lr.Next()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
 	}
 }
 

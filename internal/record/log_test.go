@@ -2,6 +2,8 @@ package record
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"testing"
 	"time"
 )
@@ -25,13 +27,28 @@ func writeLog(t *testing.T, id uint16, recs []Record) []byte {
 	return buf.Bytes()
 }
 
+// readAll drains lr, stopping at io.EOF.
+func readAll(lr *LogReader) ([]Record, error) {
+	var out []Record
+	for {
+		rec, err := lr.Next()
+		if errors.Is(err, io.EOF) {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, rec)
+	}
+}
+
 func readLog(t *testing.T, raw []byte) (*LogReader, []Record) {
 	t.Helper()
 	lr, err := NewLogReader(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := lr.ReadAll()
+	got, err := readAll(lr)
 	if err != nil {
 		t.Fatal(err)
 	}

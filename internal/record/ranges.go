@@ -108,26 +108,6 @@ func (s RangeSet) Clip(window TimeRange) RangeSet {
 	return out
 }
 
-// Intersect returns the intersection of two sets.
-func (s RangeSet) Intersect(o RangeSet) RangeSet {
-	a := s.Normalize()
-	b := o.Normalize()
-	var out RangeSet
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		iv := a[i].Intersect(b[j])
-		if iv.Duration() > 0 {
-			out = append(out, iv)
-		}
-		if a[i].To < b[j].To {
-			i++
-		} else {
-			j++
-		}
-	}
-	return out
-}
-
 // WornRangesCursor extracts the periods a badge was worn from its KindWear
 // transition records. An interval still open at the end is closed at
 // horizon (pass the last record timestamp or the mission end). It makes a

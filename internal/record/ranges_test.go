@@ -73,18 +73,6 @@ func TestRangeSetContainsClip(t *testing.T) {
 	}
 }
 
-func TestRangeSetIntersect(t *testing.T) {
-	a := RangeSet{tr(0, 10), tr(20, 30)}
-	b := RangeSet{tr(5, 25)}
-	got := a.Intersect(b)
-	if got.Total() != 10*time.Second {
-		t.Errorf("intersect total = %v", got.Total())
-	}
-	if len(a.Intersect(nil)) != 0 {
-		t.Error("intersect with empty")
-	}
-}
-
 // wornRanges runs WornRangesCursor over an in-memory record slice.
 func wornRanges(recs []Record, horizon time.Duration) RangeSet {
 	c := NewCursor(recs)
@@ -173,8 +161,8 @@ func TestQuickContainsAgreesWithNormalize(t *testing.T) {
 	}
 }
 
-// Property: Normalize is idempotent, total is preserved under permutation,
-// and Intersect total never exceeds either operand.
+// Property: Normalize is idempotent and total is preserved under
+// permutation.
 func TestQuickRangeSetInvariants(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
@@ -188,20 +176,11 @@ func TestQuickRangeSetInvariants(t *testing.T) {
 			return s
 		}
 		a := mk()
-		b := mk()
 		n1 := a.Normalize()
 		if n1.Total() != a.Total() {
 			return false
 		}
-		if len(n1) > 0 && n1.Normalize().Total() != n1.Total() {
-			return false
-		}
-		inter := a.Intersect(b)
-		if inter.Total() > a.Total() || inter.Total() > b.Total() {
-			return false
-		}
-		// Intersection is symmetric.
-		return inter.Total() == b.Intersect(a).Total()
+		return len(n1) == 0 || n1.Normalize().Total() == n1.Total()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

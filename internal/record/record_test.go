@@ -146,7 +146,7 @@ func TestLogRoundTrip(t *testing.T) {
 	if lr.BadgeID() != 42 {
 		t.Errorf("badge ID = %d", lr.BadgeID())
 	}
-	got, err := lr.ReadAll()
+	got, err := readAll(lr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestLogReaderSkipsCorruptFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := lr.ReadAll()
+	got, err := readAll(lr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestLogReaderTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := lr.ReadAll()
+	got, err := readAll(lr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestEmptyLogReadAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := lr.ReadAll()
+	got, err := readAll(lr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,9 @@ import (
 // TestCountersAgreeAfterCorruptDrop pins the satellite-2 contract: the
 // reader's counters are lazily consistent. Before any block is decoded they
 // answer from the index (the damage is not yet known); after a scan that
-// touched every block, Len() equals what the full scan yielded, Dropped()
-// reports the lost records, and each per-kind scan returns exactly that
-// kind's surviving records.
+// touched every block, Len() equals what the full scan yielded, the
+// corrupt block's records are gone, and each per-kind scan returns exactly
+// that kind's surviving records.
 func TestCountersAgreeAfterCorruptDrop(t *testing.T) {
 	recs := randRecords(stats.NewRNG(17), 1000)
 	raw := writeSegment(t, 3, 100, recs)
@@ -29,16 +29,16 @@ func TestCountersAgreeAfterCorruptDrop(t *testing.T) {
 	if rd.Len() != 1000 {
 		t.Fatalf("pre-scan Len() = %d, want index total 1000", rd.Len())
 	}
-	if rd.Dropped() != 0 || rd.CorruptBlocks() != 0 {
-		t.Fatalf("pre-scan Dropped=%d CorruptBlocks=%d, want 0,0", rd.Dropped(), rd.CorruptBlocks())
+	if rd.CorruptBlocks() != 0 {
+		t.Fatalf("pre-scan CorruptBlocks=%d, want 0", rd.CorruptBlocks())
 	}
 
 	all := scan(t, rd, minT, maxT, 0)
 	if rd.Len() != len(all) {
 		t.Fatalf("post-scan Len() = %d disagrees with the full scan's %d", rd.Len(), len(all))
 	}
-	if rd.Dropped() != 100 {
-		t.Fatalf("Dropped() = %d, want the corrupt block's 100 records", rd.Dropped())
+	if len(all) != 900 {
+		t.Fatalf("full scan = %d records, want 900 without the corrupt block's 100", len(all))
 	}
 	if rd.CorruptBlocks() != 1 {
 		t.Fatalf("CorruptBlocks() = %d, want 1", rd.CorruptBlocks())
@@ -60,16 +60,16 @@ func TestCountersAgreeAfterCorruptDrop(t *testing.T) {
 	if got := scanTimes(t, rdT, minT, maxT); !sameTimes(got, locals(all)) {
 		t.Fatalf("Times yielded %d timestamps, want the full scan's %d", len(got), len(all))
 	}
-	if rdT.Len() != len(all) || rdT.Dropped() != 100 || rdT.CorruptBlocks() != 1 {
-		t.Fatalf("after Times: Len=%d Dropped=%d CorruptBlocks=%d, want %d, 100, 1",
-			rdT.Len(), rdT.Dropped(), rdT.CorruptBlocks(), len(all))
+	if rdT.Len() != len(all) || rdT.CorruptBlocks() != 1 {
+		t.Fatalf("after Times: Len=%d CorruptBlocks=%d, want %d, 1",
+			rdT.Len(), rdT.CorruptBlocks(), len(all))
 	}
 
 	// Idempotent: re-scans neither recount nor resurrect the block.
 	scan(t, rd, minT, maxT, 0)
-	if rd.Len() != len(all) || rd.Dropped() != 100 || rd.CorruptBlocks() != 1 {
-		t.Fatalf("re-scan changed counters: Len=%d Dropped=%d CorruptBlocks=%d",
-			rd.Len(), rd.Dropped(), rd.CorruptBlocks())
+	if rd.Len() != len(all) || rd.CorruptBlocks() != 1 {
+		t.Fatalf("re-scan changed counters: Len=%d CorruptBlocks=%d",
+			rd.Len(), rd.CorruptBlocks())
 	}
 }
 

@@ -364,15 +364,6 @@ func (r *Reader) CorruptBlocks() int64 {
 	return int64(len(r.dropped))
 }
 
-// Dropped returns how many indexed records sit in blocks discovered corrupt
-// at query time — the delta between the index totals and what queries can
-// return.
-func (r *Reader) Dropped() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.droppedTotal
-}
-
 // block returns the decoded block i, from cache or by one seek+read. A
 // block that fails its CRC, decode, read, or index entry is cached as
 // corrupt so it is not re-read on every query, and its records are

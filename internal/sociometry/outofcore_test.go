@@ -168,7 +168,7 @@ func TestOutOfCoreReportParityCorrupt(t *testing.T) {
 
 	// Rebuild a resident dataset from what actually survived on disk.
 	baseline := store.NewDataset()
-	dropped := 0
+	var corrupt int64
 	for _, id := range ss.Badges() {
 		v, ok := ss.View(id)
 		if !ok {
@@ -177,17 +177,17 @@ func TestOutOfCoreReportParityCorrupt(t *testing.T) {
 		for it := v.Iter(minTime, maxTime, 0); it.Next(); {
 			baseline.Series(id).Append(it.Record())
 		}
-		dropped += v.(*segment.Reader).Dropped()
+		corrupt += v.(*segment.Reader).CorruptBlocks()
 	}
-	if dropped == 0 {
+	if corrupt == 0 {
 		t.Fatal("byte flip dropped nothing; fixture no longer exercises salvage")
 	}
 
 	memRep := reportOf(t, missionSource(baseline))
 	segRep := reportOf(t, missionSource(ss))
 	if memRep != segRep {
-		t.Fatalf("corrupt-archive reports diverge (%d records dropped):\n--- resident ---\n%s\n--- archive ---\n%s",
-			dropped, memRep, segRep)
+		t.Fatalf("corrupt-archive reports diverge (%d corrupt blocks dropped):\n--- resident ---\n%s\n--- archive ---\n%s",
+			corrupt, memRep, segRep)
 	}
 }
 

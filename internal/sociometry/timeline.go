@@ -2,6 +2,7 @@ package sociometry
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -105,7 +106,7 @@ func (tl DayTimeline) Render(fromTod, toTod time.Duration) string {
 	for n := range tl.Rows {
 		names = append(names, n)
 	}
-	sortStrings(names)
+	slices.Sort(names)
 	var b strings.Builder
 	fmt.Fprintf(&b, "day %d, %s-%s, one column per %s\n",
 		tl.Day, simtime.ClockString(fromTod), simtime.ClockString(toTod), tl.BinSize)
@@ -125,14 +126,6 @@ func (tl DayTimeline) Render(fromTod, toTod time.Duration) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 func roomChar(r habitat.RoomID) byte {

@@ -1,8 +1,8 @@
 package stats
 
 import (
-	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -28,21 +28,6 @@ func TestMean(t *testing.T) {
 				t.Errorf("Mean(%v) = %v, want %v", tt.xs, got, tt.want)
 			}
 		})
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	if _, err := Min(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("Min(nil) error = %v, want ErrEmpty", err)
-	}
-	if _, err := Max(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("Max(nil) error = %v, want ErrEmpty", err)
-	}
-	xs := []float64{3, -2, 8, 0}
-	mn, _ := Min(xs)
-	mx, _ := Max(xs)
-	if mn != -2 || mx != 8 {
-		t.Errorf("Min/Max = %v/%v, want -2/8", mn, mx)
 	}
 }
 
@@ -158,9 +143,7 @@ func TestQuickMeanBounded(t *testing.T) {
 			return true
 		}
 		m := Mean(xs)
-		mn, _ := Min(xs)
-		mx, _ := Max(xs)
-		return m >= mn-1e-6 && m <= mx+1e-6
+		return m >= slices.Min(xs)-1e-6 && m <= slices.Max(xs)+1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

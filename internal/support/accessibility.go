@@ -2,6 +2,7 @@ package support
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -102,7 +103,7 @@ func (r *Renderer) Render(a Alert) []Rendering {
 		for name := range r.profiles {
 			recipients = append(recipients, name)
 		}
-		sortStrings(recipients)
+		slices.Sort(recipients)
 	}
 	out := make([]Rendering, 0, len(recipients))
 	for _, name := range recipients {
@@ -140,12 +141,4 @@ func renderText(a Alert) string {
 	b.WriteString(": ")
 	b.WriteString(a.Message)
 	return b.String()
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

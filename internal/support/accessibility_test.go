@@ -1,6 +1,7 @@
 package support
 
 import (
+	"errors"
 	"testing"
 	"time"
 )
@@ -105,7 +106,7 @@ func TestLedgerConsumeAndFloor(t *testing.T) {
 	if err := l.Consume(time.Hour, Water, 30); err != nil {
 		t.Fatal(err)
 	}
-	if lv, _ := l.Level(Water); lv != 70 {
+	if lv := l.stocks[Water].Level; lv != 70 {
 		t.Errorf("level = %v", lv)
 	}
 	// Floor enforcement.
@@ -115,13 +116,13 @@ func TestLedgerConsumeAndFloor(t *testing.T) {
 	if err := l.Consume(2*time.Hour, Water, -1); err == nil {
 		t.Error("negative consumption accepted")
 	}
-	if _, err := l.Level(Oxygen); err == nil {
-		t.Error("unknown resource accepted")
+	if err := l.Consume(2*time.Hour, Oxygen, 1); !errors.Is(err, ErrUnknownResource) {
+		t.Errorf("unknown resource: %v", err)
 	}
 	if err := l.Resupply(3*time.Hour, Water, 50); err != nil {
 		t.Fatal(err)
 	}
-	if lv, _ := l.Level(Water); lv != 120 {
+	if lv := l.stocks[Water].Level; lv != 120 {
 		t.Errorf("after resupply = %v", lv)
 	}
 }

@@ -16,7 +16,6 @@ import (
 type TaskSlot struct {
 	Astronaut string
 	Start     time.Duration
-	Length    time.Duration
 	Label     string
 	// Demanding marks tasks unsuitable for a fatigued astronaut (EVAs,
 	// precision lab work).

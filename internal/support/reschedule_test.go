@@ -10,7 +10,6 @@ func slot(who string, startH int, label string, demanding bool) TaskSlot {
 	return TaskSlot{
 		Astronaut: who,
 		Start:     time.Duration(startH) * time.Hour,
-		Length:    30 * time.Minute,
 		Label:     label,
 		Demanding: demanding,
 	}

@@ -66,15 +66,6 @@ func NewLedger(initial map[Resource]Stock) *Ledger {
 	return l
 }
 
-// Level returns the current stock level.
-func (l *Ledger) Level(r Resource) (float64, error) {
-	s, ok := l.stocks[r]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownResource, r)
-	}
-	return s.Level, nil
-}
-
 // Consume records usage at mission time now. Consumption below the
 // emergency floor is rejected.
 func (l *Ledger) Consume(now time.Duration, r Resource, amount float64) error {

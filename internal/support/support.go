@@ -20,6 +20,7 @@ package support
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"icares/internal/record"
@@ -310,14 +311,6 @@ func (h *HealthRegistry) Stale(now, maxAge time.Duration) []store.BadgeID {
 			out = append(out, id)
 		}
 	}
-	sortBadgeIDs(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortBadgeIDs(ids []store.BadgeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

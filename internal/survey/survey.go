@@ -85,9 +85,6 @@ func (c *Collection) Add(r Response) error {
 	return nil
 }
 
-// Len returns the number of stored responses.
-func (c *Collection) Len() int { return len(c.responses) }
-
 // ByDay returns the mean answer to q per day across the crew.
 func (c *Collection) ByDay(q Question) map[int]float64 {
 	sums := make(map[int]float64)

@@ -21,8 +21,8 @@ func TestResponseValidation(t *testing.T) {
 	if err := c.Add(bad); err == nil {
 		t.Error("bad response accepted")
 	}
-	if err := c.Add(good); err != nil || c.Len() != 1 {
-		t.Errorf("add: %v, len %d", err, c.Len())
+	if err := c.Add(good); err != nil || len(c.responses) != 1 {
+		t.Errorf("add: %v, len %d", err, len(c.responses))
 	}
 }
 
@@ -50,8 +50,8 @@ func TestMoodModelGeneratesFullGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if col.Len() != 6*13 {
-		t.Errorf("responses = %d, want %d", col.Len(), 6*13)
+	if len(col.responses) != 6*13 {
+		t.Errorf("responses = %d, want %d", len(col.responses), 6*13)
 	}
 	// Scores must decline: early satisfaction above late satisfaction, and
 	// the shortage day must dip below its neighbours.

@@ -235,8 +235,6 @@ type EventQuery struct {
 	MinSeverity EventSeverity
 	// Kind selects one event kind ("" = all).
 	Kind string
-	// Component selects one emitting component ("" = all).
-	Component string
 	// Limit keeps only the NEWEST n matching events (0 = all) — an
 	// incident investigation wants the end of the tape, not the start.
 	Limit int
@@ -247,9 +245,6 @@ func (q EventQuery) match(e Event) bool {
 		return false
 	}
 	if q.Kind != "" && e.Kind != q.Kind {
-		return false
-	}
-	if q.Component != "" && e.Component != q.Component {
 		return false
 	}
 	return true

@@ -60,9 +60,6 @@ func TestJournalSelect(t *testing.T) {
 	if got := len(j.Select(EventQuery{MinSeverity: SevWarn})); got != 2 {
 		t.Errorf("min-severity warn matched %d, want 2", got)
 	}
-	if got := len(j.Select(EventQuery{Component: "offload"})); got != 3 {
-		t.Errorf("component filter matched %d, want 3", got)
-	}
 	if got := len(j.Select(EventQuery{Kind: "quarantine"})); got != 1 {
 		t.Errorf("kind filter matched %d, want 1", got)
 	}

@@ -91,20 +91,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add increases the gauge by delta (atomically, via CAS).
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		neu := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, neu) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge reading.
 func (g *Gauge) Value() float64 {
 	if g == nil {

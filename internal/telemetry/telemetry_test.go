@@ -25,9 +25,8 @@ func TestCounterGauge(t *testing.T) {
 
 	g := r.Gauge("depth")
 	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Errorf("gauge = %v, want 1.5", got)
+	if got := g.Value(); got != 2.5 {
+		t.Errorf("gauge = %v, want 2.5", got)
 	}
 }
 
@@ -151,7 +150,7 @@ func TestConcurrentScrape(t *testing.T) {
 			h := r.Histogram("lat_seconds", nil)
 			for i := 0; i < perWriter; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(float64(i))
 				h.Observe(float64(i%10) / 100)
 			}
 		}()
@@ -162,8 +161,8 @@ func TestConcurrentScrape(t *testing.T) {
 	if got := r.Counter("hits_total").Value(); got != writers*perWriter {
 		t.Errorf("hits = %d, want %d", got, writers*perWriter)
 	}
-	if got := r.Gauge("depth").Value(); got != writers*perWriter {
-		t.Errorf("depth = %v, want %d", got, writers*perWriter)
+	if got := r.Gauge("depth").Value(); got != perWriter-1 {
+		t.Errorf("depth = %v, want every writer's last %d", got, perWriter-1)
 	}
 	if got := r.Histogram("lat_seconds", nil).Snapshot().Count; got != writers*perWriter {
 		t.Errorf("observations = %d, want %d", got, writers*perWriter)

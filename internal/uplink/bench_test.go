@@ -14,9 +14,6 @@ func TestQuickLinkDelivery(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
 		l := NewLink(time.Duration(1+rng.Intn(60)) * time.Minute)
-		if rng.Bool(0.5) {
-			l.BytesPerSecond = 50 + rng.Intn(500)
-		}
 		n := 1 + rng.Intn(40)
 		var lastSend time.Duration
 		for i := 0; i < n; i++ {

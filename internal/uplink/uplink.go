@@ -4,9 +4,9 @@
 // possible Earth-Mars latency", and on day 12 a delayed instruction
 // contradicted the course of action the crew had already taken — the
 // incident that motivates the paper's call for autonomous support systems.
-// This package provides the delayed store-and-forward channel, bandwidth
-// accounting, and the stale-command conflict detection a support system
-// needs to catch day-12-style incidents mechanically.
+// This package provides the delayed store-and-forward channel and the
+// stale-command conflict detection a support system needs to catch
+// day-12-style incidents mechanically.
 package uplink
 
 import (
@@ -83,37 +83,25 @@ type Message struct {
 	// SentAt and ArrivesAt are mission times.
 	SentAt    time.Duration
 	ArrivesAt time.Duration
-	// Bytes is the message size for bandwidth accounting.
+	// Bytes is the message size, counted in uplink_sent_bytes_total.
 	Bytes int
 }
 
-// Errors of the link.
-var (
-	ErrBadEndpoint = errors.New("uplink: bad endpoint")
-	ErrTooLarge    = errors.New("uplink: message exceeds link MTU")
-)
+// ErrBadEndpoint is returned for a message from an unknown endpoint.
+var ErrBadEndpoint = errors.New("uplink: bad endpoint")
 
 // DefaultDelay is the ICAres-1 one-way latency.
 const DefaultDelay = 20 * time.Minute
 
-// Link is a bidirectional store-and-forward channel with one-way delay and
-// a byte-rate cap. A Link is safe for concurrent use: the habitat side,
-// the mission-control side, and a metrics scraper may all act on it at
-// once.
+// Link is a bidirectional store-and-forward channel with one-way delay. A
+// Link is safe for concurrent use: the habitat side, the mission-control
+// side, and a metrics scraper may all act on it at once.
 type Link struct {
 	delay time.Duration
-	// BytesPerSecond caps throughput; queued messages serialize. Zero
-	// means unlimited. Set before concurrent use begins.
-	BytesPerSecond int
-	// MTU bounds a single message (0 = unlimited). Set before concurrent
-	// use begins.
-	MTU int
 
 	mu       sync.Mutex
 	nextID   uint64
 	inFlight map[Endpoint][]Message // keyed by destination
-	// lineFree is when the shared transmit line is next idle, per sender.
-	lineFree map[Endpoint]time.Duration
 	// blackouts are intervals during which no transmission may start;
 	// sends queue and begin when the window lifts. Sorted by start.
 	blackouts []blackout
@@ -141,7 +129,6 @@ func NewLink(delay time.Duration) *Link {
 	return &Link{
 		delay:    delay,
 		inFlight: make(map[Endpoint][]Message),
-		lineFree: make(map[Endpoint]time.Duration),
 	}
 }
 
@@ -171,8 +158,8 @@ func (l *Link) Instrument(reg *telemetry.Registry) {
 // AddBlackout registers [from, to) as a communication blackout (solar
 // conjunction, antenna repointing, a dust storm over the relay). The link
 // queues rather than drops: a message sent during a blackout starts
-// transmitting when the window lifts, keeping its place in the rate-cap
-// queue, and conflict detection still applies to it on (late) arrival.
+// transmitting when the window lifts, and conflict detection still applies
+// to it on (late) arrival.
 func (l *Link) AddBlackout(from, to time.Duration) {
 	if to <= from {
 		return
@@ -207,15 +194,12 @@ func other(e Endpoint) (Endpoint, error) {
 	}
 }
 
-// Send enqueues a message at mission time now. The arrival time reflects
-// both propagation delay and transmission serialization under the rate cap.
+// Send enqueues a message at mission time now. It arrives one delay after
+// it starts transmitting: at now, or when the blackout covering now lifts.
 func (l *Link) Send(now time.Duration, msg Message) (Message, error) {
 	dst, err := other(msg.From)
 	if err != nil {
 		return Message{}, err
-	}
-	if l.MTU > 0 && msg.Bytes > l.MTU {
-		return Message{}, fmt.Errorf("%w: %d > %d", ErrTooLarge, msg.Bytes, l.MTU)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -223,23 +207,12 @@ func (l *Link) Send(now time.Duration, msg Message) (Message, error) {
 	msg.ID = l.nextID
 	msg.SentAt = now
 
-	txStart := now
-	if free := l.lineFree[msg.From]; free > txStart {
-		txStart = free
-	}
-	clear := l.deferPastBlackouts(txStart)
-	if clear > txStart {
-		deferred := clear - txStart
+	txStart := l.deferPastBlackouts(now)
+	if txStart > now {
 		l.cDeferrals.Inc()
-		l.hDefer.Observe(deferred.Seconds())
+		l.hDefer.Observe((txStart - now).Seconds())
 	}
-	txStart = clear
-	var txTime time.Duration
-	if l.BytesPerSecond > 0 && msg.Bytes > 0 {
-		txTime = time.Duration(float64(msg.Bytes) / float64(l.BytesPerSecond) * float64(time.Second))
-	}
-	l.lineFree[msg.From] = txStart + txTime
-	msg.ArrivesAt = txStart + txTime + l.delay
+	msg.ArrivesAt = txStart + l.delay
 
 	l.inFlight[dst] = append(l.inFlight[dst], msg)
 	l.cMessages[msg.From].Inc()

@@ -62,38 +62,6 @@ func TestBadEndpoint(t *testing.T) {
 	}
 }
 
-func TestMTU(t *testing.T) {
-	l := NewLink(time.Minute)
-	l.MTU = 10
-	if _, err := l.Send(0, Message{From: Habitat, Bytes: 11}); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("oversize: %v", err)
-	}
-	if _, err := l.Send(0, Message{From: Habitat, Bytes: 10}); err != nil {
-		t.Errorf("at MTU: %v", err)
-	}
-}
-
-func TestBandwidthSerializes(t *testing.T) {
-	l := NewLink(time.Minute)
-	l.BytesPerSecond = 100
-	// Two 1000-byte messages: second must wait for the first's 10 s
-	// transmission.
-	m1, err := l.Send(0, Message{From: Habitat, Bytes: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := l.Send(0, Message{From: Habitat, Bytes: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1.ArrivesAt != time.Minute+10*time.Second {
-		t.Errorf("m1 arrives %v", m1.ArrivesAt)
-	}
-	if m2.ArrivesAt != time.Minute+20*time.Second {
-		t.Errorf("m2 arrives %v", m2.ArrivesAt)
-	}
-}
-
 func TestTopicStateConflict(t *testing.T) {
 	ts := NewTopicState()
 	// Mission control composes a command against version 0.
@@ -210,27 +178,6 @@ func TestBlackoutCascadesAcrossWindows(t *testing.T) {
 	}
 	if want := 3*time.Hour + time.Minute; msg.ArrivesAt != want {
 		t.Errorf("arrives at %v, want %v", msg.ArrivesAt, want)
-	}
-}
-
-func TestBlackoutRespectsRateCapQueue(t *testing.T) {
-	l := NewLink(time.Minute)
-	l.BytesPerSecond = 10
-	l.AddBlackout(0, time.Hour)
-	// Two messages sent during the blackout serialize after it lifts.
-	m1, err := l.Send(0, Message{From: Habitat, Kind: Report, Topic: "a", Bytes: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := l.Send(0, Message{From: Habitat, Kind: Report, Topic: "b", Bytes: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := time.Hour + 10*time.Second + time.Minute; m1.ArrivesAt != want {
-		t.Errorf("first arrives at %v, want %v", m1.ArrivesAt, want)
-	}
-	if want := time.Hour + 20*time.Second + time.Minute; m2.ArrivesAt != want {
-		t.Errorf("second arrives at %v, want %v", m2.ArrivesAt, want)
 	}
 }
 

@@ -42,3 +42,25 @@ func (l Loop) Again(n int) int {
 	}
 	return l.Again(n - 1)
 }
+
+// Shape is implemented by Square.
+type Shape interface{ Area() float64 }
+
+// Square is used from app as a Shape.
+type Square struct{}
+
+// Area is called only through Shape.
+func (Square) Area() float64 { return 1 }
+
+// Box is a generic type that app instantiates.
+type Box[T any] struct{ v T }
+
+// Get is called on a Box[int] from app.
+func (b Box[T]) Get() T { return b.v }
+
+// Config has one field that app writes and one that app only reads and
+// lib_test.go writes.
+type Config struct {
+	Size  int
+	Debug bool
+}

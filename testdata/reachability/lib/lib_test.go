@@ -6,4 +6,7 @@ func TestOnlyTested(t *testing.T) {
 	if OnlyTested() != 1 {
 		t.Fatal("OnlyTested")
 	}
+	if c := (Config{Debug: true}); !c.Debug {
+		t.Fatal("Debug")
+	}
 }
