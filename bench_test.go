@@ -18,6 +18,7 @@ import (
 
 	"icares/internal/habitat"
 	"icares/internal/localization"
+	"icares/internal/mission"
 	"icares/internal/proximity"
 	"icares/internal/radio"
 	"icares/internal/record"
@@ -484,7 +485,7 @@ func BenchmarkIncrementalFold(b *testing.B) {
 		Names:         m.Names(),
 		BadgeFor:      res.Assignment.TrueBadgeFor,
 		VoiceProfiles: m.VoiceProfiles(),
-		FirstDay:      res.Config.FirstDataDay,
+		FirstDay:      mission.FirstDataDay,
 		LastDay:       days,
 	}
 	query := func(p *sociometry.Pipeline) int {

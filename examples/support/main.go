@@ -39,13 +39,13 @@ func main() {
 	for _, a := range alerts {
 		byKind[a.Kind] = append(byKind[a.Kind], a)
 	}
-	for kind, list := range map[string]string{
-		"hydration":       "hydration reminders",
-		"wear-compliance": "wear nudges",
-		"quiet-crew":      "morale warnings",
+	for _, k := range []struct{ kind, label string }{
+		{"hydration", "hydration reminders"},
+		{"wear-compliance", "wear nudges"},
+		{"quiet-crew", "morale warnings"},
 	} {
-		as := byKind[kind]
-		fmt.Printf("\n%s (%d):\n", list, len(as))
+		as := byKind[k.kind]
+		fmt.Printf("\n%s (%d):\n", k.label, len(as))
 		for i, a := range as {
 			if i == 3 {
 				fmt.Println("  ...")

@@ -157,7 +157,7 @@ func (m *Mission) source(data store.Viewer, view AssignmentView) sociometry.Sour
 		Names:         mission.Names(),
 		BadgeFor:      badgeFor(m.res.Assignment, view),
 		VoiceProfiles: m.VoiceProfiles(),
-		FirstDay:      m.res.Config.FirstDataDay,
+		FirstDay:      mission.FirstDataDay,
 		LastDay:       m.res.Config.Scenario.Days,
 	}
 }
@@ -207,7 +207,7 @@ func ArchivePipeline(data store.Viewer, days int, view AssignmentView, opts ...s
 		Names:         mission.Names(),
 		BadgeFor:      badgeFor(mission.DefaultAssignment(), view),
 		VoiceProfiles: profiles,
-		FirstDay:      2,
+		FirstDay:      mission.FirstDataDay,
 		LastDay:       days,
 	}, opts...)
 }
@@ -223,7 +223,7 @@ func (m *Mission) SupportSystem() (*support.Daemon, *support.Replayer) {
 	d.Register(support.NewInactivityDetector())
 	d.Register(support.NewQuietCrewDetector())
 	d.Register(support.NewBatteryDetector())
-	d.Register(support.NewHydrationDetector(m.res.Habitat, 0))
+	d.Register(support.NewHydrationDetector(m.res.Habitat))
 	d.Register(support.NewWearComplianceDetector())
 
 	spares := make([]store.BadgeID, 0, mission.BackupBadgeCount)
@@ -264,27 +264,19 @@ func MissionControlLink() *uplink.Link {
 	return uplink.NewLink(uplink.DefaultDelay)
 }
 
-// ChaosPlan generates a randomized-but-seeded fault schedule sized for a
-// mission of the given length, scoped to the standard habitat's rooms and
-// the personal badges. The same seed always reproduces the identical event
-// trace; feed the plan to Options.Faults, wrap offload transports in
-// faultplan.Transport, and install its blackouts on an uplink.Link to
-// subject the whole online path to one coherent failure story.
+// ChaosPlan generates a randomized-but-seeded fault schedule over the data
+// days of a mission of the given length (from mission.FirstDataDay to its
+// end), scoped to the personal badges. The same seed always reproduces the
+// identical event trace; feed the plan to Options.Faults, wrap offload
+// transports in faultplan.Transport, and install its blackouts on an
+// uplink.Link to subject the whole online path to one coherent failure
+// story.
 func ChaosPlan(seed uint64, days int) *faultplan.Plan {
 	var badges []store.BadgeID
 	for id := mission.BadgeA; id <= mission.BadgeF; id++ {
 		badges = append(badges, store.BadgeID(id))
 	}
-	var zones []string
-	for _, id := range habitat.Standard().RoomIDs() {
-		zones = append(zones, id.String())
-	}
-	return faultplan.Generate(faultplan.GenConfig{
-		Seed:   seed,
-		Days:   days,
-		Badges: badges,
-		Zones:  zones,
-	})
+	return faultplan.Generate(seed, simtime.StartOfDay(mission.FirstDataDay), simtime.StartOfDay(days+1), badges)
 }
 
 // Council creates the consensus-approval body over this mission's crew and
@@ -303,7 +295,7 @@ func (m *Mission) Surveys() (*survey.Collection, error) {
 		Noise:    0.4,
 	}
 	rngSeed := m.res.Config.Seed ^ 0x5157
-	return model.Generate(mission.Names(), m.res.Config.FirstDataDay, sc.Days, stats.NewRNG(rngSeed))
+	return model.Generate(mission.Names(), mission.FirstDataDay, sc.Days, stats.NewRNG(rngSeed))
 }
 
 // Horizon returns the end of the mission data period.

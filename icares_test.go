@@ -3,12 +3,14 @@ package icares
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"icares/internal/faultplan"
 	"icares/internal/mission"
+	"icares/internal/offload"
 	"icares/internal/record"
 	"icares/internal/sociometry"
 	"icares/internal/store"
@@ -132,6 +134,59 @@ func TestSupportSystemChaosAccounting(t *testing.T) {
 		}
 		if dropped, _ := tr.Stats(); dropped == 0 {
 			t.Error("the chaos plan never dropped a delivery")
+		}
+	}
+}
+
+// TestChaosPlanWindowsTakeEffect pins that the windows ChaosPlan draws
+// fall where they act. Every RF-outage, gateway-crash and frame-corruption
+// window sees at least one delivery attempt through the SupportSystem
+// feed's transport, so the plan decides that attempt. Every badge-death
+// window leaves its badge with no records inside it, read on the reference
+// clock through the pipeline's rectified view. Uplink blackouts act only
+// on a link a caller installs them on, and a sync dropout shows only
+// against a baseline run without it, so neither kind is checked here.
+func TestChaosPlanWindowsTakeEffect(t *testing.T) {
+	if testing.Short() {
+		t.Skip("mission simulations in -short mode")
+	}
+	for _, c := range []struct {
+		seed uint64
+		days int
+	}{{1, 2}, {3, 2}, {5, 2}, {7, 2}, {11, 2}, {42, 2}, {9, 4}} {
+		plan := ChaosPlan(c.seed, c.days)
+		m, err := Simulate(Options{Seed: c.seed, Days: c.days, Faults: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, feed := m.SupportSystem()
+		var attempts []time.Duration // feed clock at each attempt, ascending
+		inner := feed.Transport
+		feed.Transport = offload.TransportFunc(func(b offload.Batch) bool {
+			attempts = append(attempts, feed.Now())
+			return inner.Deliver(b)
+		})
+		feed.Run()
+		for _, k := range []faultplan.Kind{faultplan.RFOutage, faultplan.GatewayCrash, faultplan.FrameCorruption} {
+			for _, w := range plan.Windows(k) {
+				if i, _ := slices.BinarySearch(attempts, w.From); i == len(attempts) || attempts[i] >= w.To {
+					t.Errorf("seed %d, %d days: no delivery attempt inside %v", c.seed, c.days, w)
+				}
+			}
+		}
+
+		p, err := m.Pipeline(TrueAssignment)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range plan.Windows(faultplan.BadgeDeath) {
+			v, ok := p.View(w.Badge)
+			if !ok {
+				t.Fatalf("seed %d: badge %d has no records", c.seed, w.Badge)
+			}
+			if n := len(scanView(v, w.From, w.To, 0)); n != 0 {
+				t.Errorf("seed %d, %d days: %d records inside %v", c.seed, c.days, n, w)
+			}
 		}
 	}
 }

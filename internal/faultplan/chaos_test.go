@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"icares/internal/faultplan"
-	"icares/internal/habitat"
 	"icares/internal/mission"
 	"icares/internal/offload"
 	"icares/internal/record"
@@ -26,7 +25,7 @@ import (
 // windows that guarantee every fault kind strikes inside the data days
 // (afternoon of data day one, when records are flowing), plus a
 // generated randomized-but-seeded batch on top.
-func chaosPlan(seed uint64, days int, badges []store.BadgeID, zones []string) *faultplan.Plan {
+func chaosPlan(seed uint64, days int, badges []store.BadgeID) *faultplan.Plan {
 	d2 := simtime.StartOfDay(2)
 	explicit := []faultplan.Event{
 		{Kind: faultplan.UplinkBlackout, From: d2 + 8*time.Hour, To: d2 + 9*time.Hour},
@@ -36,7 +35,7 @@ func chaosPlan(seed uint64, days int, badges []store.BadgeID, zones []string) *f
 		{Kind: faultplan.FrameCorruption, From: d2 + 13*time.Hour, To: d2 + 14*time.Hour, Prob: 0.3},
 		{Kind: faultplan.GatewayCrash, From: d2 + 14*time.Hour, To: d2 + 14*time.Hour + 20*time.Minute},
 	}
-	gen := faultplan.Generate(faultplan.GenConfig{Seed: seed, Days: days, Badges: badges, Zones: zones})
+	gen := faultplan.Generate(seed, d2, simtime.StartOfDay(days+1), badges)
 	for k := faultplan.RFOutage; k <= faultplan.FrameCorruption; k++ {
 		explicit = append(explicit, gen.Windows(k)...)
 	}
@@ -89,14 +88,10 @@ func TestChaosMission(t *testing.T) {
 	for id := mission.BadgeA; id <= mission.BadgeF; id++ {
 		badges = append(badges, store.BadgeID(id))
 	}
-	var zones []string
-	for _, id := range habitat.Standard().RoomIDs() {
-		zones = append(zones, id.String())
-	}
-	plan := chaosPlan(seed, days, badges, zones)
+	plan := chaosPlan(seed, days, badges)
 
 	// Acceptance: the same seed must reproduce the identical event trace.
-	if again := chaosPlan(seed, days, badges, zones); !reflect.DeepEqual(plan, again) {
+	if again := chaosPlan(seed, days, badges); !reflect.DeepEqual(plan, again) {
 		t.Fatal("same seed produced a different fault-plan event trace")
 	}
 
@@ -235,7 +230,7 @@ func TestChaosMission(t *testing.T) {
 			Names:         mission.Names(),
 			BadgeFor:      res.Assignment.TrueBadgeFor,
 			VoiceProfiles: profiles,
-			FirstDay:      res.Config.FirstDataDay,
+			FirstDay:      mission.FirstDataDay,
 			LastDay:       days,
 		})
 		if err != nil {
@@ -283,7 +278,7 @@ func TestChaosMission(t *testing.T) {
 	// --- Support ingestion under the same plan ---------------------------
 	// The support feed carries the SD card over its own uploaders and
 	// gateway with the plan in between: deliveries in fault windows (badge
-	// dead, gateway down, habitat-wide RF outage) fail and are retried, so
+	// dead, gateway down, RF outage) fail and are retried, so
 	// every record is ingested or counted undelivered, and the daemon
 	// ingests across the gaps without choking on them.
 	daemon := support.NewDaemon()
@@ -331,7 +326,7 @@ func TestChaosMission(t *testing.T) {
 		}
 		spans[e.Fields[0].Value]++
 	}
-	dataDays := uint64(days - res.Config.FirstDataDay + 1)
+	dataDays := uint64(days - mission.FirstDataDay + 1)
 	if spans["mission.day"] != dataDays || spans["mission.run"] != 1 || len(spans) != 2 {
 		t.Errorf("span events = %v, want %d mission.day and 1 mission.run", spans, dataDays)
 	}

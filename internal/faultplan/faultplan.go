@@ -3,8 +3,8 @@
 // failure injection — badge death, RF outages, corrupted frames — and the
 // paper's Section VI demands a support system that keeps working through
 // them. This package is the single source of truth for *when* things break:
-// a Plan is a sorted list of typed events on simulated time (RF outage
-// windows per room or habitat-wide, badge death and reboot, gateway
+// a Plan is a sorted list of typed events on simulated time (habitat-wide
+// RF outage windows, badge death and reboot, gateway
 // crash/restart with volatile-state loss, uplink blackout intervals,
 // sync-exchange dropouts, record-frame corruption), generated from a seed
 // so the same seed always reproduces the identical event trace.
@@ -30,8 +30,7 @@ type Kind int
 
 // Fault-event kinds.
 const (
-	// RFOutage blocks badge-to-gateway radio traffic. Zone scopes it to one
-	// room ("" = habitat-wide); only habitat-wide outages take effect.
+	// RFOutage blocks all badge-to-gateway radio traffic.
 	RFOutage Kind = iota + 1
 	// BadgeDeath takes a badge down at From and reboots it at To. Records
 	// and counters live in flash/SD and survive the reboot; only the radio
@@ -78,10 +77,6 @@ type Event struct {
 	// Badge scopes BadgeDeath, SyncDropout, and FrameCorruption to one
 	// badge; 0 means every badge.
 	Badge store.BadgeID
-	// Zone scopes RFOutage to one room name; "" means habitat-wide. The
-	// offload path knows no badge's room, so a zone-scoped window stays in
-	// the trace but drops nothing.
-	Zone string
 	// Prob is the per-frame corruption probability for FrameCorruption.
 	Prob float64
 }
@@ -89,10 +84,7 @@ type Event struct {
 // String renders one event for traces.
 func (e Event) String() string {
 	scope := ""
-	switch {
-	case e.Zone != "":
-		scope = " zone=" + e.Zone
-	case e.Badge != 0:
+	if e.Badge != 0 {
 		scope = fmt.Sprintf(" badge=%d", e.Badge)
 	}
 	if e.Kind == FrameCorruption {
@@ -152,10 +144,9 @@ func (p *Plan) active(k Kind, at time.Duration, match func(Event) bool) bool {
 	return false
 }
 
-// RFOut reports whether a habitat-wide RF outage blocks radio traffic at
-// time at. Zone-scoped outages never match (see Event.Zone).
+// RFOut reports whether an RF outage blocks radio traffic at time at.
 func (p *Plan) RFOut(at time.Duration) bool {
-	return p.active(RFOutage, at, func(e Event) bool { return e.Zone == "" })
+	return p.active(RFOutage, at, nil)
 }
 
 // BadgeDown reports whether the badge is dead at time at.

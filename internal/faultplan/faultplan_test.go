@@ -13,33 +13,34 @@ import (
 )
 
 func TestGenerateDeterministic(t *testing.T) {
-	cfg := GenConfig{
-		Seed:   99,
-		Days:   3,
-		Badges: []store.BadgeID{1, 2, 3},
-		Zones:  []string{"galley", "lab"},
-	}
-	a, b := Generate(cfg), Generate(cfg)
+	badges := []store.BadgeID{1, 2, 3}
+	from, to := 24*time.Hour, 72*time.Hour // two data days
+	a, b := Generate(99, from, to, badges), Generate(99, from, to, badges)
 	if !reflect.DeepEqual(a.events, b.events) {
-		t.Fatal("equal configs produced different event traces")
+		t.Fatal("equal arguments produced different event traces")
 	}
 	if a.seed != 99 {
 		t.Errorf("seed = %d", a.seed)
 	}
-	cfg.Seed = 100
-	if reflect.DeepEqual(a.events, Generate(cfg).events) {
+	if reflect.DeepEqual(a.events, Generate(100, from, to, badges).events) {
 		t.Error("different seeds produced identical traces")
 	}
-	// The day-scaled defaults must actually materialize every kind.
-	for _, k := range []Kind{RFOutage, BadgeDeath, GatewayCrash, UplinkBlackout, SyncDropout, FrameCorruption} {
-		if len(a.Windows(k)) == 0 {
-			t.Errorf("no %v windows generated", k)
+	// The per-day rates materialize every kind, scaled to the span's days.
+	for k, want := range map[Kind]int{RFOutage: 4, BadgeDeath: 2, GatewayCrash: 1, UplinkBlackout: 2, SyncDropout: 2, FrameCorruption: 2} {
+		if got := len(a.Windows(k)); got != want {
+			t.Errorf("%v windows = %d, want %d", k, got, want)
 		}
 	}
-	// Windows stay inside the mission span.
-	span := 3 * 24 * time.Hour
+	// A span shorter than a day still gets one window of each kind.
+	short := Generate(99, from, from+time.Hour, badges)
+	for k := RFOutage; k <= FrameCorruption; k++ {
+		if len(short.Windows(k)) == 0 {
+			t.Errorf("no %v window in a one-hour span", k)
+		}
+	}
+	// Windows stay inside the span.
 	for _, e := range a.events {
-		if e.From < 0 || e.To > span || e.From >= e.To {
+		if e.From < from || e.To > to || e.From >= e.To {
 			t.Errorf("window out of span: %v", e)
 		}
 	}
@@ -63,8 +64,7 @@ func TestEventsAreSortedAndCopied(t *testing.T) {
 
 func TestQuerySemantics(t *testing.T) {
 	p := New(1,
-		Event{Kind: RFOutage, From: time.Hour, To: 2 * time.Hour, Zone: "lab"},
-		Event{Kind: RFOutage, From: 3 * time.Hour, To: 4 * time.Hour}, // habitat-wide
+		Event{Kind: RFOutage, From: 3 * time.Hour, To: 4 * time.Hour},
 		Event{Kind: BadgeDeath, From: 5 * time.Hour, To: 6 * time.Hour, Badge: 3},
 		Event{Kind: BadgeDeath, From: 7 * time.Hour, To: 8 * time.Hour}, // all badges
 		Event{Kind: GatewayCrash, From: 9 * time.Hour, To: 10 * time.Hour},
@@ -72,13 +72,9 @@ func TestQuerySemantics(t *testing.T) {
 		Event{Kind: SyncDropout, From: 13 * time.Hour, To: 14 * time.Hour, Badge: 4},
 	)
 
-	// Only the habitat-wide outage blocks; the zone-scoped one drops nothing.
-	if p.RFOut(90 * time.Minute) {
-		t.Error("zone-scoped RF outage took effect")
-	}
 	// Windows are half-open [From, To).
 	if p.RFOut(3*time.Hour-time.Nanosecond) || !p.RFOut(3*time.Hour) || !p.RFOut(210*time.Minute) || p.RFOut(4*time.Hour) {
-		t.Error("habitat-wide RF outage window wrong")
+		t.Error("RF outage window wrong")
 	}
 
 	if !p.BadgeDown(3, 330*time.Minute) || p.BadgeDown(2, 330*time.Minute) {
@@ -155,7 +151,6 @@ func TestTransportInjection(t *testing.T) {
 		Event{Kind: GatewayCrash, From: 3 * time.Hour, To: 4 * time.Hour},
 		Event{Kind: RFOutage, From: 5 * time.Hour, To: 6 * time.Hour},
 		Event{Kind: FrameCorruption, From: 7 * time.Hour, To: 8 * time.Hour, Prob: 1},
-		Event{Kind: RFOutage, From: 9 * time.Hour, To: 10 * time.Hour, Zone: "lab"},
 	)
 	var now time.Duration
 	delivered := 0
@@ -176,7 +171,7 @@ func TestTransportInjection(t *testing.T) {
 	if tr.Deliver(b) {
 		t.Fatal("crashed gateway delivered")
 	}
-	now = 5*time.Hour + time.Minute // habitat-wide RF outage
+	now = 5*time.Hour + time.Minute // RF outage
 	if tr.Deliver(b) {
 		t.Fatal("RF outage delivered")
 	}
@@ -184,9 +179,9 @@ func TestTransportInjection(t *testing.T) {
 	if tr.Deliver(b) {
 		t.Fatal("corrupted frame passed the CRC")
 	}
-	now = 9*time.Hour + time.Minute // RF outage scoped to lab: drops nothing
-	if !tr.Deliver(b) {
-		t.Fatal("zone-scoped RF outage dropped a delivery")
+	now = 9 * time.Hour // after every window
+	if !tr.Deliver(b) || delivered != 2 {
+		t.Fatal("delivery after the windows failed")
 	}
 	dropped, corrupted := tr.Stats()
 	if dropped != 3 || corrupted != 1 {
@@ -230,11 +225,11 @@ func TestInstallBlackouts(t *testing.T) {
 
 func TestTraceRendering(t *testing.T) {
 	p := New(8,
-		Event{Kind: RFOutage, From: time.Hour, To: 2 * time.Hour, Zone: "lab"},
+		Event{Kind: RFOutage, From: time.Hour, To: 2 * time.Hour},
 		Event{Kind: FrameCorruption, From: 0, To: time.Hour, Badge: 3, Prob: 0.125},
 	)
 	s := p.String()
-	for _, want := range []string{"seed=8", "events=2", "rf-outage", "zone=lab", "frame-corruption", "p=0.125"} {
+	for _, want := range []string{"seed=8", "events=2", "rf-outage", "frame-corruption", "badge=3", "p=0.125"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("trace missing %q:\n%s", want, s)
 		}

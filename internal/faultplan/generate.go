@@ -3,152 +3,75 @@ package faultplan
 import (
 	"time"
 
+	"icares/internal/simtime"
 	"icares/internal/stats"
 	"icares/internal/store"
 )
 
-// GenConfig parameterizes Generate. Zero counts take day-scaled defaults;
-// zero durations take the listed defaults. All randomness flows from Seed,
-// so equal configs yield identical plans.
-type GenConfig struct {
-	// Seed drives window placement and per-frame corruption.
-	Seed uint64
-	// Days is the mission length the windows are placed within.
-	Days int
-	// Badges are the badge IDs eligible for badge-scoped events.
-	Badges []store.BadgeID
-	// Zones are the room names eligible for zone-scoped RF outages; an
-	// empty list makes every generated outage habitat-wide.
-	Zones []string
+// Generate's fixed rate, mean window lengths, corruption probability and
+// window-length clamps.
+const (
+	rfOutagesPerDay = 2
+	outageMean      = 30 * time.Minute
+	deathMean       = 2 * time.Hour
+	crashMean       = 20 * time.Minute
+	blackoutMean    = time.Hour
+	corruptionProb  = 0.05
+	minWindow       = 5 * time.Minute
+	maxWindow       = 6 * time.Hour
+)
 
-	// RFOutages is the number of outage windows (default 2 per day).
-	RFOutages int
-	// OutageMean is the mean outage length (default 30 min).
-	OutageMean time.Duration
-	// BadgeDeaths is the number of death/reboot windows (default 1 per day).
-	BadgeDeaths int
-	// DeathMean is the mean downtime (default 2 h).
-	DeathMean time.Duration
-	// GatewayCrashes is the number of crash/restart windows (default 1 per
-	// two days, minimum 1).
-	GatewayCrashes int
-	// CrashMean is the mean gateway downtime (default 20 min).
-	CrashMean time.Duration
-	// UplinkBlackouts is the number of blackout windows (default 1 per day).
-	UplinkBlackouts int
-	// BlackoutMean is the mean blackout length (default 1 h).
-	BlackoutMean time.Duration
-	// SyncDropouts is the number of sync-dropout windows (default 1 per day).
-	SyncDropouts int
-	// CorruptionWindows is the number of frame-corruption windows (default
-	// 1 per day).
-	CorruptionWindows int
-	// CorruptionProb is the per-frame corruption probability inside a
-	// window (default 0.05).
-	CorruptionProb float64
-}
+// Generate builds a randomized-but-seeded plan over the span [from, to),
+// typically a mission's data days. Per started day of the span it places
+// two RF outages (mean 30 min) and one each of badge death (mean 2 h),
+// uplink blackout (mean 1 h), sync dropout (mean 2 h) and frame corruption
+// (mean 30 min, p = 0.05), plus one gateway crash (mean 20 min) per two
+// days; every kind gets at least one window. Window starts are uniform over
+// the span, lengths are exponential around the means (clamped to
+// [5 min, 6 h] and to the span's end), and badge scopes are drawn
+// uniformly from badges. All randomness flows from seed, so equal
+// arguments yield identical plans.
+func Generate(seed uint64, from, to time.Duration, badges []store.BadgeID) *Plan {
+	rng := stats.NewRNG(seed)
+	span := to - from
+	days := max(1, int((span+simtime.DayLength-1)/simtime.DayLength))
 
-func (c GenConfig) withDefaults() GenConfig {
-	if c.Days <= 0 {
-		c.Days = 1
-	}
-	if c.RFOutages == 0 {
-		c.RFOutages = 2 * c.Days
-	}
-	if c.OutageMean <= 0 {
-		c.OutageMean = 30 * time.Minute
-	}
-	if c.BadgeDeaths == 0 {
-		c.BadgeDeaths = c.Days
-	}
-	if c.DeathMean <= 0 {
-		c.DeathMean = 2 * time.Hour
-	}
-	if c.GatewayCrashes == 0 {
-		c.GatewayCrashes = (c.Days + 1) / 2
-	}
-	if c.CrashMean <= 0 {
-		c.CrashMean = 20 * time.Minute
-	}
-	if c.UplinkBlackouts == 0 {
-		c.UplinkBlackouts = c.Days
-	}
-	if c.BlackoutMean <= 0 {
-		c.BlackoutMean = time.Hour
-	}
-	if c.SyncDropouts == 0 {
-		c.SyncDropouts = c.Days
-	}
-	if c.CorruptionWindows == 0 {
-		c.CorruptionWindows = c.Days
-	}
-	if c.CorruptionProb <= 0 {
-		c.CorruptionProb = 0.05
-	}
-	return c
-}
-
-// Generate builds a randomized-but-seeded plan: window starts are uniform
-// over the mission span, lengths are exponential around the configured
-// means (clamped to [5 min, 6 h]), and scopes are drawn uniformly from the
-// configured badges and zones. Equal configs produce identical plans.
-func Generate(cfg GenConfig) *Plan {
-	cfg = cfg.withDefaults()
-	rng := stats.NewRNG(cfg.Seed)
-	span := time.Duration(cfg.Days) * 24 * time.Hour
-
-	window := func(mean time.Duration) (from, to time.Duration) {
-		from = time.Duration(rng.Range(0, float64(span)))
-		length := time.Duration(rng.Exp(float64(mean)))
-		if length < 5*time.Minute {
-			length = 5 * time.Minute
-		}
-		if length > 6*time.Hour {
-			length = 6 * time.Hour
-		}
-		if from+length > span {
-			length = span - from
-		}
-		return from, from + length
+	window := func(mean time.Duration) (time.Duration, time.Duration) {
+		start := from + time.Duration(rng.Range(0, float64(span)))
+		length := min(max(time.Duration(rng.Exp(float64(mean))), minWindow), maxWindow)
+		return start, min(start+length, to)
 	}
 	pickBadge := func() store.BadgeID {
-		if len(cfg.Badges) == 0 {
+		if len(badges) == 0 {
 			return 0
 		}
-		return cfg.Badges[rng.Intn(len(cfg.Badges))]
-	}
-	pickZone := func() string {
-		// Roughly one outage in four is habitat-wide.
-		if len(cfg.Zones) == 0 || rng.Bool(0.25) {
-			return ""
-		}
-		return cfg.Zones[rng.Intn(len(cfg.Zones))]
+		return badges[rng.Intn(len(badges))]
 	}
 
 	var evs []Event
-	for i := 0; i < cfg.RFOutages; i++ {
-		from, to := window(cfg.OutageMean)
-		evs = append(evs, Event{Kind: RFOutage, From: from, To: to, Zone: pickZone()})
+	for i := 0; i < rfOutagesPerDay*days; i++ {
+		s, e := window(outageMean)
+		evs = append(evs, Event{Kind: RFOutage, From: s, To: e})
 	}
-	for i := 0; i < cfg.BadgeDeaths; i++ {
-		from, to := window(cfg.DeathMean)
-		evs = append(evs, Event{Kind: BadgeDeath, From: from, To: to, Badge: pickBadge()})
+	for i := 0; i < days; i++ {
+		s, e := window(deathMean)
+		evs = append(evs, Event{Kind: BadgeDeath, From: s, To: e, Badge: pickBadge()})
 	}
-	for i := 0; i < cfg.GatewayCrashes; i++ {
-		from, to := window(cfg.CrashMean)
-		evs = append(evs, Event{Kind: GatewayCrash, From: from, To: to})
+	for i := 0; i < (days+1)/2; i++ {
+		s, e := window(crashMean)
+		evs = append(evs, Event{Kind: GatewayCrash, From: s, To: e})
 	}
-	for i := 0; i < cfg.UplinkBlackouts; i++ {
-		from, to := window(cfg.BlackoutMean)
-		evs = append(evs, Event{Kind: UplinkBlackout, From: from, To: to})
+	for i := 0; i < days; i++ {
+		s, e := window(blackoutMean)
+		evs = append(evs, Event{Kind: UplinkBlackout, From: s, To: e})
 	}
-	for i := 0; i < cfg.SyncDropouts; i++ {
-		from, to := window(cfg.DeathMean)
-		evs = append(evs, Event{Kind: SyncDropout, From: from, To: to, Badge: pickBadge()})
+	for i := 0; i < days; i++ {
+		s, e := window(deathMean)
+		evs = append(evs, Event{Kind: SyncDropout, From: s, To: e, Badge: pickBadge()})
 	}
-	for i := 0; i < cfg.CorruptionWindows; i++ {
-		from, to := window(cfg.OutageMean)
-		evs = append(evs, Event{Kind: FrameCorruption, From: from, To: to, Prob: cfg.CorruptionProb})
+	for i := 0; i < days; i++ {
+		s, e := window(outageMean)
+		evs = append(evs, Event{Kind: FrameCorruption, From: s, To: e, Prob: corruptionProb})
 	}
-	return New(cfg.Seed, evs...)
+	return New(seed, evs...)
 }

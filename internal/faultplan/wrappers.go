@@ -12,8 +12,8 @@ import (
 type Clock func() time.Duration
 
 // Transport applies a plan to an offload transport: deliveries are dropped
-// while the sending badge is dead, the gateway is crashed, or a
-// habitat-wide RF outage is open, and frames inside corruption windows are
+// while the sending badge is dead, the gateway is crashed, or an RF outage
+// is open, and frames inside corruption windows are
 // bit-flip mutated and discarded when (as the CRC guarantees, essentially
 // always) the receiver detects the damage. Because every decision is a pure
 // function of (plan, time, batch), a retransmission after the window

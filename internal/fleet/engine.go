@@ -53,17 +53,11 @@ type HabitatConfig struct {
 	// to a deterministic fault schedule. Faults in one habitat must
 	// never be observable from another — the isolation tests pin this.
 	Faults *faultplan.Plan
-	// View selects the analytics' badge-to-astronaut mapping (default
-	// TrueAssignment).
-	View icares.AssignmentView
 }
 
 func (c HabitatConfig) withDefaults() HabitatConfig {
 	if c.Days == 0 {
 		c.Days = 2
-	}
-	if c.View == 0 {
-		c.View = icares.TrueAssignment
 	}
 	return c
 }
@@ -135,7 +129,7 @@ func newEngine(id string, cfg HabitatConfig) (*engine, error) {
 	// whatever sync records had trickled in so far, and the final report
 	// would depend on query timing; this way the live report stays
 	// byte-identical to the standalone run no matter when queries land.
-	batch, err := m.Pipeline(cfg.View)
+	batch, err := m.Pipeline(icares.TrueAssignment)
 	if err != nil {
 		return nil, fmt.Errorf("habitat %s: %w", id, err)
 	}
@@ -149,7 +143,7 @@ func newEngine(id string, cfg HabitatConfig) (*engine, error) {
 	d.AttachJournal(journal)
 	feed.Instrument(reg)
 	feed.AttachJournal(journal)
-	a, err := m.LiveAnalytics(d, cfg.View, sociometry.WithCorrections(corrections))
+	a, err := m.LiveAnalytics(d, icares.TrueAssignment, sociometry.WithCorrections(corrections))
 	if err != nil {
 		return nil, fmt.Errorf("habitat %s: analytics: %w", id, err)
 	}

@@ -299,9 +299,9 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunBadConfig(t *testing.T) {
 	sc := DefaultScenario(1)
-	sc.Days = 3
-	if _, err := Run(Config{Scenario: sc, FirstDataDay: 9}); err == nil {
-		t.Error("first data day past mission end accepted")
+	sc.Days = FirstDataDay - 1
+	if _, err := Run(Config{Scenario: sc}); err == nil {
+		t.Error("mission ending before the first data day accepted")
 	}
 }
 
@@ -344,9 +344,8 @@ func TestRunJournalSpans(t *testing.T) {
 	}
 
 	spans := j.Select(telemetry.EventQuery{Kind: "span"})
-	const first = 2 // default FirstDataDay
-	if len(spans) != days-first+2 {
-		t.Fatalf("got %d span events, want %d:\n%s", len(spans), days-first+2, a)
+	if len(spans) != days-FirstDataDay+2 {
+		t.Fatalf("got %d span events, want %d:\n%s", len(spans), days-FirstDataDay+2, a)
 	}
 	want := func(e telemetry.Event, name string, start, dur time.Duration) {
 		t.Helper()
@@ -359,7 +358,7 @@ func TestRunJournalSpans(t *testing.T) {
 		}
 	}
 	for i, e := range spans[:len(spans)-1] {
-		want(e, "mission.day", simtime.StartOfDay(first+i), 24*time.Hour)
+		want(e, "mission.day", simtime.StartOfDay(FirstDataDay+i), 24*time.Hour)
 	}
-	want(spans[len(spans)-1], "mission.run", simtime.StartOfDay(first), (days-first+1)*24*time.Hour)
+	want(spans[len(spans)-1], "mission.run", simtime.StartOfDay(FirstDataDay), (days-FirstDataDay+1)*24*time.Hour)
 }

@@ -19,28 +19,27 @@ import (
 	"icares/internal/telemetry"
 )
 
-// Config parameterizes a mission run.
+// FirstDataDay is the first day badges are worn (ICAres-1: day 2, after
+// the acclimatization day). A mission must last at least this many days.
+const FirstDataDay = 2
+
+// truthEvery is the ground-truth sampling period.
+const truthEvery = 15 * time.Second
+
+// Config parameterizes a mission run. The badge-incident schedule is
+// always DefaultAssignment() and the badges always sample on
+// badge.DefaultSampling().
 type Config struct {
 	// Seed drives all randomness; equal seeds give identical datasets.
 	Seed uint64
 	// Scenario is the behavioural script; zero value means
 	// DefaultScenario(Seed).
 	Scenario Scenario
-	// Assignment is the badge-incident schedule; zero value means
-	// DefaultAssignment().
-	Assignment Assignment
 	// Tick is the simulation step (default 5 s).
 	Tick time.Duration
-	// Sampling overrides the badges' sensor schedule (default
-	// badge.DefaultSampling()).
-	Sampling badge.Sampling
-	// FirstDataDay is the first day badges are worn (ICAres-1: day 2,
-	// after the acclimatization day).
-	FirstDataDay int
-	// CollectTruth enables ground-truth sampling for validation.
+	// CollectTruth enables ground-truth sampling for validation, every
+	// 15 s of mission time.
 	CollectTruth bool
-	// TruthEvery is the ground-truth sampling period (default 15 s).
-	TruthEvery time.Duration
 	// BLEDropProb injects uniform BLE packet loss (fault injection): the
 	// localization pipeline must degrade gracefully, not break.
 	BLEDropProb float64
@@ -69,20 +68,8 @@ func (c Config) withDefaults() Config {
 	if c.Scenario.Days == 0 {
 		c.Scenario = DefaultScenario(c.Seed)
 	}
-	if c.Assignment.SwapDay == 0 {
-		c.Assignment = DefaultAssignment()
-	}
 	if c.Tick <= 0 {
 		c.Tick = 5 * time.Second
-	}
-	if c.Sampling == (badge.Sampling{}) {
-		c.Sampling = badge.DefaultSampling()
-	}
-	if c.FirstDataDay == 0 {
-		c.FirstDataDay = 2
-	}
-	if c.TruthEvery <= 0 {
-		c.TruthEvery = 15 * time.Second
 	}
 	return c
 }
@@ -150,8 +137,8 @@ func roomTempC(room habitat.RoomID) float64 {
 // Run executes the mission and returns the collected dataset.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if cfg.FirstDataDay < 1 || cfg.FirstDataDay > cfg.Scenario.Days {
-		return nil, fmt.Errorf("%w: first data day %d of %d", ErrBadConfig, cfg.FirstDataDay, cfg.Scenario.Days)
+	if cfg.Scenario.Days < FirstDataDay {
+		return nil, fmt.Errorf("%w: first data day %d of %d", ErrBadConfig, FirstDataDay, cfg.Scenario.Days)
 	}
 
 	rng := stats.NewRNG(cfg.Seed)
@@ -182,10 +169,11 @@ func Run(cfg Config) (*Result, error) {
 	badges := make(map[store.BadgeID]*badge.Badge)
 	var badgeOrder []store.BadgeID
 	var stages []*stage
+	sampling := badge.DefaultSampling()
 	newBadge := func(id uint16, osc *simtime.Oscillator) *badge.Badge {
 		st := &stage{batch: batch{series: dataset.Series(store.BadgeID(id))}}
 		stages = append(stages, st)
-		b := badge.New(id, osc, cfg.Sampling, st, rng.Split())
+		b := badge.New(id, osc, sampling, st, rng.Split())
 		badges[store.BadgeID(id)] = b
 		badgeOrder = append(badgeOrder, store.BadgeID(id))
 		net.Add(b)
@@ -214,7 +202,7 @@ func Run(cfg Config) (*Result, error) {
 		Habitat:    hab,
 		Dataset:    dataset,
 		Roster:     roster,
-		Assignment: cfg.Assignment,
+		Assignment: DefaultAssignment(),
 		Truth:      make(map[string][]TruthSample),
 	}
 	res.Events = scriptedEvents(cfg.Scenario)
@@ -226,7 +214,7 @@ func Run(cfg Config) (*Result, error) {
 		energy:       energyOf(roster),
 		wearDecision: make(map[string]bool),
 		lastWornPos:  make(map[store.BadgeID]geometry.Point),
-		lastTruth:    -cfg.TruthEvery,
+		lastTruth:    -truthEvery,
 		planKilled:   make(map[store.BadgeID]bool),
 
 		cDayTicks:   cfg.Telemetry.Counter("mission_ticks_total", telemetry.L("phase", "day")),
@@ -235,7 +223,7 @@ func Run(cfg Config) (*Result, error) {
 		cFaultUp:    cfg.Telemetry.Counter("mission_fault_transitions_total", telemetry.L("kind", "badge_revive")),
 		gRecords:    cfg.Telemetry.Gauge("mission_records"),
 	}
-	start := simtime.StartOfDay(cfg.FirstDataDay)
+	start := simtime.StartOfDay(FirstDataDay)
 	end := simtime.StartOfDay(cfg.Scenario.Days + 1)
 	dayStart, spanDay := start, simtime.DayOf(start)
 	// Badges record into their stages; full buffers go into the store on
@@ -360,7 +348,7 @@ func (s *simRun) daytimeTick(now time.Duration) {
 
 	// Fail F's badge on the morning of the reuse day (the incident that
 	// makes F pick up C's badge).
-	if day >= cfg.Assignment.ReuseDay && !s.failedF {
+	if day >= s.res.Assignment.ReuseDay && !s.failedF {
 		s.failedF = true
 		s.badges[store.BadgeID(BadgeF)].Fail()
 	}
@@ -387,7 +375,7 @@ func (s *simRun) daytimeTick(now time.Duration) {
 		if !ok {
 			continue
 		}
-		id := cfg.Assignment.TrueBadgeFor(name, day)
+		id := s.res.Assignment.TrueBadgeFor(name, day)
 		if id == 0 {
 			continue
 		}
@@ -427,7 +415,7 @@ func (s *simRun) daytimeTick(now time.Duration) {
 		}
 		b.Tick(now, in, s.fleet)
 
-		if cfg.CollectTruth && now-s.lastTruth >= cfg.TruthEvery {
+		if cfg.CollectTruth && now-s.lastTruth >= truthEvery {
 			s.res.Truth[name] = append(s.res.Truth[name], TruthSample{
 				At: now, Room: st.Room, Pos: st.Pos,
 				Present: st.Present, Walking: st.Walking,
@@ -435,7 +423,7 @@ func (s *simRun) daytimeTick(now time.Duration) {
 			})
 		}
 	}
-	if cfg.CollectTruth && now-s.lastTruth >= cfg.TruthEvery {
+	if cfg.CollectTruth && now-s.lastTruth >= truthEvery {
 		s.lastTruth = now
 	}
 

@@ -26,12 +26,7 @@ func TestConcurrentScrapeUnderChaos(t *testing.T) {
 	const seed = 7
 	const steps, recsPerStep = 400, 5
 	badges := []store.BadgeID{1, 2, 3}
-	plan := faultplan.Generate(faultplan.GenConfig{
-		Seed:   seed,
-		Days:   1,
-		Badges: badges,
-		Zones:  []string{"atrium"},
-	})
+	plan := faultplan.Generate(seed, 0, 24*time.Hour, badges)
 
 	reg := telemetry.NewRegistry()
 	var sunk atomic.Int64

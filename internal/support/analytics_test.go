@@ -1,17 +1,20 @@
 package support
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"icares/internal/habitat"
 	"icares/internal/mission"
+	"icares/internal/offload"
 	"icares/internal/record"
 	"icares/internal/simtime"
 	"icares/internal/sociometry"
-	"icares/internal/stats"
 	"icares/internal/store"
 	"icares/internal/telemetry"
 )
@@ -52,7 +55,7 @@ func analyticsSource(res *mission.Result) sociometry.Source {
 			return res.Assignment.TrueBadgeFor(name, day)
 		},
 		VoiceProfiles: profiles,
-		FirstDay:      res.Config.FirstDataDay,
+		FirstDay:      mission.FirstDataDay,
 		LastDay:       res.Config.Scenario.Days,
 	}
 }
@@ -186,19 +189,34 @@ func TestAnalyticsRespectsPrivacyScrub(t *testing.T) {
 	}
 }
 
-// TestIngestBatchMatchesIngest feeds a mission's records to two daemons
-// through IngestBatch, one record at a time and in random-length
-// equal-day runs, with privacy windows scrubbing some mic and IR
-// records mid-run. Both must end with the same alerts in the same order,
-// the same counters and device health, and the same analytics series.
-func TestIngestBatchMatchesIngest(t *testing.T) {
+// TestAlertsIndependentOfBatching is the alert-batching property: over a
+// real mission's feed, how the gateway hands a window's records to the
+// daemon never changes what the daemon concludes. One replay applies each
+// window as the gateway released it. Each quick-drawn seed replays the
+// mission again with every released batch split at random points (down to
+// single records) and the pieces interleaved at random across badges,
+// keeping each badge's own order as the gateway guarantees. Both must
+// raise the same alerts (At, Severity, Kind, Subject, Message) in the same
+// order, with the same counters, device health and analytics series, while
+// privacy windows scrub some mic and IR records mid-batch.
+func TestAlertsIndependentOfBatching(t *testing.T) {
 	res := analyticsMission(t)
-	newDaemon := func() (*Daemon, *Analytics, *telemetry.Registry) {
+	horizon := simtime.StartOfDay(res.Config.Scenario.Days + 1)
+	type outcome struct {
+		d   *Daemon
+		a   *Analytics
+		reg *telemetry.Registry
+	}
+	replay := func(rng *rand.Rand) outcome {
 		d := NewDaemon()
 		for _, det := range []Detector{NewInactivityDetector(), NewQuietCrewDetector(),
-			NewBatteryDetector(), NewHydrationDetector(res.Habitat, 0), NewWearComplianceDetector()} {
+			NewBatteryDetector(), NewHydrationDetector(res.Habitat), NewWearComplianceDetector()} {
 			d.Register(det)
 		}
+		spares := NewBadgePool([]store.BadgeID{store.BadgeID(mission.FirstBackupBadge)})
+		d.Register(NewFailover(d.Health(), spares, func(id store.BadgeID) (string, bool) {
+			return res.Assignment.TrueWearerOf(id, res.Config.Scenario.Days)
+		}))
 		reg := telemetry.NewRegistry()
 		d.Instrument(reg)
 		for _, name := range mission.Names()[:2] {
@@ -209,51 +227,67 @@ func TestIngestBatchMatchesIngest(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.AttachAnalytics(a)
-		return d, a, reg
+		r := NewReplayer(d, res.Dataset, horizon, res.Assignment.TrueWearerOf)
+		if rng != nil {
+			r.gateway, _ = offload.NewGateway(func(id store.BadgeID, recs []record.Record) {
+				for len(recs) > 0 {
+					k := 1 + rng.Intn(len(recs))
+					lo := 0 // just past the badge's last staged piece
+					for i, b := range r.staged {
+						if b.Badge == id {
+							lo = i + 1
+						}
+					}
+					at := lo + rng.Intn(len(r.staged)-lo+1)
+					r.staged = slices.Insert(r.staged, at, offload.Batch{Badge: id, Records: recs[:k]})
+					recs = recs[k:]
+				}
+			})
+			r.gateway.MaxHeldPerBadge = 64
+			r.Transport = offload.TransportFunc(r.gateway.Offer)
+		}
+		if r.Run(); r.Undelivered() != 0 {
+			t.Fatalf("%d records undelivered", r.Undelivered())
+		}
+		return outcome{d, a, reg}
 	}
-	one, oneA, oneReg := newDaemon()
-	defer oneA.Close()
-	many, manyA, manyReg := newDaemon()
-	defer manyA.Close()
 
-	rng := stats.NewRNG(5)
-	for _, id := range res.Dataset.Badges() {
-		recs := res.Dataset.Series(id).All()
-		for len(recs) > 0 {
-			day := simtime.DayOf(recs[0].Local)
-			n := 1
-			for max := 1 + rng.Intn(200); n < len(recs) && n < max && simtime.DayOf(recs[n].Local) == day; n++ {
+	want := replay(nil)
+	defer want.a.Close()
+	if len(want.d.Alerts()) == 0 {
+		t.Fatal("no alert raised; the comparison would be vacuous")
+	}
+	if want.reg.Counter("support_privacy_scrubbed_total").Value() == 0 {
+		t.Fatal("no record was scrubbed; the privacy windows miss the fixture")
+	}
+	property := func(seed int64) bool {
+		got := replay(rand.New(rand.NewSource(seed)))
+		defer got.a.Close()
+		same := true
+		if ga, wa := got.d.Alerts(), want.d.Alerts(); !reflect.DeepEqual(ga, wa) {
+			t.Errorf("seed %d: alerts differ: %d rebatched, %d as released", seed, len(ga), len(wa))
+			same = false
+		}
+		if got.reg.String() != want.reg.String() {
+			t.Errorf("seed %d: counters differ:\n%s\nvs\n%s", seed, got.reg, want.reg)
+			same = false
+		}
+		for _, id := range res.Dataset.Badges() {
+			if !reflect.DeepEqual(got.a.live.Series(id).All(), want.a.live.Series(id).All()) {
+				t.Errorf("seed %d: badge %d: analytics series differ", seed, id)
+				same = false
 			}
-			wearer, _ := res.Assignment.TrueWearerOf(id, day)
-			for _, r := range recs[:n] {
-				ingest(one, wearer, id, r)
+			ta, oka := got.d.Health().lastSeen[id]
+			tb, okb := want.d.Health().lastSeen[id]
+			if ta != tb || oka != okb {
+				t.Errorf("seed %d: badge %d: last seen %v/%v vs %v/%v", seed, id, ta, oka, tb, okb)
+				same = false
 			}
-			many.IngestBatch(wearer, id, recs[:n])
-			recs = recs[n:]
 		}
+		return same
 	}
-
-	if len(one.Alerts()) == 0 {
-		t.Error("no alert raised; the comparison would be vacuous")
-	}
-	if !reflect.DeepEqual(one.Alerts(), many.Alerts()) {
-		t.Errorf("alerts differ: %d per record, %d batched", len(one.Alerts()), len(many.Alerts()))
-	}
-	if oneReg.String() != manyReg.String() {
-		t.Errorf("counters differ:\n%s\nvs\n%s", oneReg, manyReg)
-	}
-	if scrubbed := oneReg.Counter("support_privacy_scrubbed_total").Value(); scrubbed == 0 {
-		t.Error("no record was scrubbed; the privacy windows miss the fixture")
-	}
-	for _, id := range res.Dataset.Badges() {
-		a, b := oneA.live.Series(id), manyA.live.Series(id)
-		if !reflect.DeepEqual(a.All(), b.All()) {
-			t.Errorf("badge %d: analytics series differ (%d vs %d records)", id, a.Len(), b.Len())
-		}
-		ta, oka := one.Health().lastSeen[id]
-		tb, okb := many.Health().lastSeen[id]
-		if ta != tb || oka != okb {
-			t.Errorf("badge %d: last seen %v/%v vs %v/%v", id, ta, oka, tb, okb)
-		}
+	cfg := &quick.Config{MaxCount: 3, Rand: rand.New(rand.NewSource(time.Now().UnixNano()))}
+	if err := quick.Check(property, cfg); err != nil {
+		t.Error(err)
 	}
 }

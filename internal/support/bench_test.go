@@ -11,13 +11,14 @@ import (
 
 // BenchmarkDaemonIngest measures the streaming path with the full detector
 // suite — the per-record cost that bounds how many badges one habitat node
-// can serve in real time.
+// can serve in real time. The records are a second apart, and the daemon
+// sweeps once per minute of them, as the replayer does once per window.
 func BenchmarkDaemonIngest(b *testing.B) {
 	d := NewDaemon()
 	d.Register(NewInactivityDetector())
 	d.Register(NewQuietCrewDetector())
 	d.Register(NewBatteryDetector())
-	d.Register(NewHydrationDetector(habitat.Standard(), 0))
+	d.Register(NewHydrationDetector(habitat.Standard()))
 	d.Register(NewWearComplianceDetector())
 
 	rng := stats.NewRNG(1)
@@ -48,6 +49,9 @@ func BenchmarkDaemonIngest(b *testing.B) {
 		one[0] = recs[i%len(recs)]
 		one[0].Local += time.Duration(i/len(recs)) * time.Hour
 		d.IngestBatch(names[i%len(names)], 1, one)
+		if i%60 == 59 {
+			d.Sweep(one[0].Local)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package support
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -12,21 +13,42 @@ import (
 	"icares/internal/store"
 )
 
+// Detector thresholds.
+const (
+	// maxStill is how long a worn badge may stay motionless.
+	maxStill = 30 * time.Minute
+	// moveSigma is the accel deviation (milli-g) counting as movement.
+	moveSigma = 45
+	// maxIngestGap is the longest ingestion silence still treated as live
+	// data. An offloaded stream has outages (RF gaps, gateway restarts);
+	// absence of records is not evidence of absence of movement, so after
+	// a longer gap the inactivity detector re-baselines at the first
+	// post-gap record and stays quiet during the gap itself rather than
+	// alerting on stale state.
+	maxIngestGap = 5 * time.Minute
+	// quietWindow is the crew-conversation detector's sliding window.
+	quietWindow = 2 * time.Hour
+	// quietMinFrames is the fewest mic frames in a window for a verdict.
+	quietMinFrames = 60
+	// quietRatio flags a window whose speech fraction is below this ratio
+	// of the trailing baseline.
+	quietRatio = 0.3
+	// lowBatteryPct triggers the battery warning.
+	lowBatteryPct = 20
+	// maxDry is the longest tolerated interval without a kitchen visit.
+	maxDry = 5 * time.Hour
+	// maxUnworn is the longest tolerated continuous unworn span during
+	// duty hours.
+	maxUnworn = 90 * time.Minute
+	// dutyStart and dutyEnd bound the duty hours of each day.
+	dutyStart = 8 * time.Hour
+	dutyEnd   = 22 * time.Hour
+)
+
 // InactivityDetector raises a warning when a worn badge shows no movement
-// for too long — the "protecting human life" function: an astronaut
+// for maxStill — the "protecting human life" function: an astronaut
 // collapsed in a module would present exactly this signature.
 type InactivityDetector struct {
-	// MaxStill is how long a worn badge may stay motionless.
-	MaxStill time.Duration
-	// MoveSigma is the accel deviation (milli-g) counting as movement.
-	MoveSigma float64
-	// MaxGap is the longest ingestion silence still treated as live data.
-	// An offloaded stream has outages (RF gaps, gateway restarts); absence
-	// of records is not evidence of absence of movement, so after a longer
-	// gap the detector re-baselines at the first post-gap record and stays
-	// quiet during the gap itself rather than alerting on stale state.
-	MaxGap time.Duration
-
 	lastMove map[string]time.Duration
 	worn     map[string]bool
 	alerted  map[string]bool
@@ -36,13 +58,10 @@ type InactivityDetector struct {
 // NewInactivityDetector returns a detector with 30-minute tolerance.
 func NewInactivityDetector() *InactivityDetector {
 	return &InactivityDetector{
-		MaxStill:  30 * time.Minute,
-		MoveSigma: 45,
-		MaxGap:    5 * time.Minute,
-		lastMove:  make(map[string]time.Duration),
-		worn:      make(map[string]bool),
-		alerted:   make(map[string]bool),
-		lastSeen:  make(map[string]time.Duration),
+		lastMove: make(map[string]time.Duration),
+		worn:     make(map[string]bool),
+		alerted:  make(map[string]bool),
+		lastSeen: make(map[string]time.Duration),
 	}
 }
 
@@ -54,7 +73,7 @@ func (d *InactivityDetector) Observe(at time.Duration, wearer string, _ store.Ba
 	if wearer == "" {
 		return nil
 	}
-	if last, ok := d.lastSeen[wearer]; ok && d.MaxGap > 0 && at-last > d.MaxGap {
+	if last, ok := d.lastSeen[wearer]; ok && at-last > maxIngestGap {
 		// Ingestion gap: the pre-gap stillness clock is stale evidence.
 		// Re-baseline so only post-gap stillness can accumulate.
 		if _, hadMove := d.lastMove[wearer]; hadMove {
@@ -71,7 +90,7 @@ func (d *InactivityDetector) Observe(at time.Duration, wearer string, _ store.Ba
 		}
 	case record.KindAccel:
 		dev := math.Max(math.Abs(float64(rec.AX)), math.Abs(float64(rec.AY)))
-		if dev >= d.MoveSigma {
+		if dev >= moveSigma {
 			d.lastMove[wearer] = at
 			d.alerted[wearer] = false
 		}
@@ -90,11 +109,11 @@ func (d *InactivityDetector) Sweep(now time.Duration) []Alert {
 		if !ok {
 			continue
 		}
-		if seen, ok := d.lastSeen[wearer]; ok && d.MaxGap > 0 && now-seen > d.MaxGap {
+		if seen, ok := d.lastSeen[wearer]; ok && now-seen > maxIngestGap {
 			// No fresh records: an ingestion outage, not a still astronaut.
 			continue
 		}
-		if now-last >= d.MaxStill {
+		if now-last >= maxStill {
 			d.alerted[wearer] = true
 			out = append(out, Alert{
 				At: now, Severity: Critical, Kind: d.Name(), Subject: wearer,
@@ -105,18 +124,11 @@ func (d *InactivityDetector) Sweep(now time.Duration) []Alert {
 	return out
 }
 
-// QuietCrewDetector watches the crew-wide conversation level and flags
-// days when the crew fell unusually silent (the days 11-12 signature: food
-// shortage and the mission-control reprimand).
+// QuietCrewDetector watches the crew-wide conversation level over a
+// sliding quietWindow and flags days when the crew fell unusually silent
+// (the days 11-12 signature: food shortage and the mission-control
+// reprimand).
 type QuietCrewDetector struct {
-	// Window is the sliding evaluation window.
-	Window time.Duration
-	// MinFrames is the minimum mic frames in a window for a verdict.
-	MinFrames int
-	// QuietRatio flags a window whose speech fraction is below this ratio
-	// of the trailing baseline.
-	QuietRatio float64
-
 	frames   []frameObs
 	baseline ewma
 	lastEval time.Duration
@@ -143,11 +155,7 @@ func (e *ewma) update(x, alpha float64) {
 
 // NewQuietCrewDetector returns a detector with a 2-hour window.
 func NewQuietCrewDetector() *QuietCrewDetector {
-	return &QuietCrewDetector{
-		Window:     2 * time.Hour,
-		MinFrames:  60,
-		QuietRatio: 0.3,
-	}
+	return &QuietCrewDetector{}
 }
 
 // Name implements Detector.
@@ -163,19 +171,15 @@ func (d *QuietCrewDetector) Observe(at time.Duration, wearer string, _ store.Bad
 	return nil
 }
 
-// Sweep implements Detector.
+// Sweep implements Detector. Frames arrive badge by badge, not in time
+// order, so the window is trimmed by each frame's time.
 func (d *QuietCrewDetector) Sweep(now time.Duration) []Alert {
-	if now-d.lastEval < d.Window/4 {
+	if now-d.lastEval < quietWindow/4 {
 		return nil
 	}
 	d.lastEval = now
-	// Trim to window.
-	cut := 0
-	for cut < len(d.frames) && d.frames[cut].at < now-d.Window {
-		cut++
-	}
-	d.frames = d.frames[cut:]
-	if len(d.frames) < d.MinFrames {
+	d.frames = slices.DeleteFunc(d.frames, func(f frameObs) bool { return f.at < now-quietWindow })
+	if len(d.frames) < quietMinFrames {
 		return nil
 	}
 	speech := 0
@@ -189,7 +193,7 @@ func (d *QuietCrewDetector) Sweep(now time.Duration) []Alert {
 	if !d.baseline.ok || d.baseline.val < 0.02 {
 		return nil
 	}
-	quiet := frac < d.QuietRatio*d.baseline.val
+	quiet := frac < quietRatio*d.baseline.val
 	if quiet && !d.quietNow {
 		d.quietNow = true
 		return []Alert{{
@@ -206,14 +210,12 @@ func (d *QuietCrewDetector) Sweep(now time.Duration) []Alert {
 // BatteryDetector flags low batteries before they strand an astronaut
 // without sensing.
 type BatteryDetector struct {
-	// LowPct triggers the warning.
-	LowPct  float64
 	alerted map[store.BadgeID]bool
 }
 
 // NewBatteryDetector returns a detector triggering below 20%.
 func NewBatteryDetector() *BatteryDetector {
-	return &BatteryDetector{LowPct: 20, alerted: make(map[store.BadgeID]bool)}
+	return &BatteryDetector{alerted: make(map[store.BadgeID]bool)}
 }
 
 // Name implements Detector.
@@ -224,7 +226,7 @@ func (d *BatteryDetector) Observe(at time.Duration, wearer string, badge store.B
 	if rec.Kind != record.KindBattery {
 		return nil
 	}
-	if float64(rec.BatteryPct) >= d.LowPct {
+	if rec.BatteryPct >= lowBatteryPct {
 		d.alerted[badge] = false
 		return nil
 	}
@@ -245,10 +247,8 @@ func (d *BatteryDetector) Sweep(time.Duration) []Alert { return nil }
 // for hours — the paper's observed pattern of crew absorbed in office work
 // who "had to quickly supplement water ... to avoid dehydration", and its
 // Section VI urine-processor/smart-mug integration sketch reduced to the
-// signal available from the badges.
+// signal available from the badges. It reminds after maxDry.
 type HydrationDetector struct {
-	// MaxDry is the longest tolerated interval without a kitchen visit.
-	MaxDry time.Duration
 	// kitchenBeacons are the beacon IDs inside the kitchen.
 	kitchenBeacons map[uint16]bool
 
@@ -258,10 +258,7 @@ type HydrationDetector struct {
 }
 
 // NewHydrationDetector builds the detector from the habitat's beacon map.
-func NewHydrationDetector(hab *habitat.Habitat, maxDry time.Duration) *HydrationDetector {
-	if maxDry <= 0 {
-		maxDry = 5 * time.Hour
-	}
+func NewHydrationDetector(hab *habitat.Habitat) *HydrationDetector {
 	kb := make(map[uint16]bool)
 	for _, s := range hab.Beacons() {
 		if s.Room == habitat.Kitchen {
@@ -269,7 +266,6 @@ func NewHydrationDetector(hab *habitat.Habitat, maxDry time.Duration) *Hydration
 		}
 	}
 	return &HydrationDetector{
-		MaxDry:         maxDry,
 		kitchenBeacons: kb,
 		lastKitchen:    make(map[string]time.Duration),
 		firstSeen:      make(map[string]time.Duration),
@@ -306,7 +302,7 @@ func (d *HydrationDetector) Sweep(now time.Duration) []Alert {
 		if ref == 0 {
 			ref = d.firstSeen[wearer]
 		}
-		if now-ref >= d.MaxDry {
+		if now-ref >= maxDry {
 			d.alerted[wearer] = true
 			out = append(out, Alert{
 				At: now, Severity: Info, Kind: d.Name(), Subject: wearer,
@@ -319,11 +315,8 @@ func (d *HydrationDetector) Sweep(now time.Duration) []Alert {
 
 // WearComplianceDetector nudges astronauts whose badges stay off during
 // duty hours — the decline from ~80% to ~50% the paper attributes to the
-// badge being a burden in the lab and workshop.
+// badge being a burden in the lab and workshop. It nudges after maxUnworn.
 type WearComplianceDetector struct {
-	// MaxOff is the longest tolerated continuous unworn span during duty.
-	MaxOff time.Duration
-
 	wornSince   map[string]time.Duration
 	unwornSince map[string]time.Duration
 	alerted     map[string]bool
@@ -332,7 +325,6 @@ type WearComplianceDetector struct {
 // NewWearComplianceDetector returns a detector with a 90-minute tolerance.
 func NewWearComplianceDetector() *WearComplianceDetector {
 	return &WearComplianceDetector{
-		MaxOff:      90 * time.Minute,
 		wornSince:   make(map[string]time.Duration),
 		unwornSince: make(map[string]time.Duration),
 		alerted:     make(map[string]bool),
@@ -358,19 +350,16 @@ func (d *WearComplianceDetector) Observe(at time.Duration, wearer string, _ stor
 }
 
 // Sweep implements Detector. Overnight docking is not a compliance issue:
-// the unworn span must start and end within the same day's duty hours.
+// unworn time counts only from the start of the current day's duty hours.
 func (d *WearComplianceDetector) Sweep(now time.Duration) []Alert {
 	var out []Alert
 	tod := simtime.TimeOfDay(now)
-	if tod < 8*time.Hour || tod >= 22*time.Hour {
+	if tod < dutyStart || tod >= dutyEnd {
 		return nil
 	}
 	for _, wearer := range sortedWearers(d.unwornSince) {
-		since := d.unwornSince[wearer]
-		if d.alerted[wearer] || now-since < d.MaxOff {
-			continue
-		}
-		if simtime.DayOf(since) != simtime.DayOf(now) {
+		since := max(d.unwornSince[wearer], simtime.StartOfDay(simtime.DayOf(now))+dutyStart)
+		if d.alerted[wearer] || now-since < maxUnworn {
 			continue
 		}
 		d.alerted[wearer] = true

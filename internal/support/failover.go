@@ -51,13 +51,13 @@ func (p *BadgePool) Assign(at time.Duration, wearer, reason string) (store.Badge
 	return id, nil
 }
 
-// Failover couples the health registry with the pool: when an assigned
-// badge goes silent, it allocates a spare for the wearer and raises an
-// alert. It implements Detector so it can run inside the daemon.
-type Failover struct {
-	// MaxSilence is how long a duty badge may be unheard before failover.
-	MaxSilence time.Duration
+// maxSilence is how long a duty badge may be unheard before failover.
+const maxSilence = 30 * time.Minute
 
+// Failover couples the health registry with the pool: when an assigned
+// badge goes silent for maxSilence, it allocates a spare for the wearer and
+// raises an alert. It implements Detector so it can run inside the daemon.
+type Failover struct {
 	health   *HealthRegistry
 	pool     *BadgePool
 	wearerOf func(store.BadgeID) (string, bool)
@@ -68,11 +68,10 @@ type Failover struct {
 // current wearer (may change over the mission).
 func NewFailover(health *HealthRegistry, pool *BadgePool, wearerOf func(store.BadgeID) (string, bool)) *Failover {
 	return &Failover{
-		MaxSilence: 30 * time.Minute,
-		health:     health,
-		pool:       pool,
-		wearerOf:   wearerOf,
-		replaced:   make(map[store.BadgeID]bool),
+		health:   health,
+		pool:     pool,
+		wearerOf: wearerOf,
+		replaced: make(map[store.BadgeID]bool),
 	}
 }
 
@@ -88,7 +87,7 @@ func (f *Failover) Observe(time.Duration, string, store.BadgeID, record.Record) 
 // Sweep implements Detector: any stale duty badge triggers a replacement.
 func (f *Failover) Sweep(now time.Duration) []Alert {
 	var out []Alert
-	for _, id := range f.health.Stale(now, f.MaxSilence) {
+	for _, id := range f.health.Stale(now, maxSilence) {
 		if f.replaced[id] {
 			continue
 		}
@@ -97,7 +96,7 @@ func (f *Failover) Sweep(now time.Duration) []Alert {
 			continue
 		}
 		f.replaced[id] = true
-		spare, err := f.pool.Assign(now, wearer, fmt.Sprintf("badge %d silent for over %v", id, f.MaxSilence))
+		spare, err := f.pool.Assign(now, wearer, fmt.Sprintf("badge %d silent for over %v", id, maxSilence))
 		if err != nil {
 			out = append(out, Alert{
 				At: now, Severity: Critical, Kind: f.Name(), Subject: wearer,

@@ -1,6 +1,8 @@
 package support
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"icares/internal/offload"
@@ -12,8 +14,9 @@ import (
 
 // ReplayStep is the replayer's clock advance per Step: records timestamped
 // inside the window are enqueued on their badge's uploader, every uploader
-// gets one flush round at the window's start, and the records the gateway
-// releases are applied to the daemon.
+// gets one flush round at the window's start, the records the gateway
+// releases are applied to the daemon, and the daemon sweeps its detectors
+// at the window's end.
 const ReplayStep = time.Minute
 
 // drainGrace is how long past the horizon a replayer keeps flushing before
@@ -25,7 +28,8 @@ const drainGrace = 24 * time.Hour
 // delivers it live: each badge's SD-card series is offered, window by
 // window, to that badge's offload.Uploader; the uploaders flush over
 // Transport into one offload.Gateway; and the daemon ingests what the
-// gateway releases, in release order. It is the one path from a dataset
+// gateway releases in each window, badge by badge, then sweeps its
+// detectors once at the window's end. It is the one path from a dataset
 // to a daemon — the bridge between the offline datasets of this
 // repository and the real-time support system. Faults between badge and
 // gateway delay records (the uploaders retransmit) rather than drop them;
@@ -50,7 +54,7 @@ type Replayer struct {
 	// zero-copy, time-ordered view of its SD-card series up to the horizon.
 	unfed [][]record.Record
 	// staged collects the batches the gateway released during the current
-	// flush round, applied to the daemon in release order.
+	// flush round, applied to the daemon in badge order.
 	staged []offload.Batch
 
 	records, ingested, undelivered int
@@ -101,7 +105,10 @@ func (r *Replayer) stage(id store.BadgeID, recs []record.Record) {
 
 // Step advances the replayer's clock by one ReplayStep window: enqueue the
 // window's records, flush every uploader, apply whatever the gateway
-// released, and detect completion. Across an idle gap (overnight,
+// released, sweep the daemon's detectors at the window's end if any record
+// arrived, and detect completion. A window with no delivery gets no sweep:
+// the detectors judge silence only against delivered data, so an RF outage
+// or a gateway crash alone raises no alert. Across an idle gap (overnight,
 // pre-deployment) with nothing in flight, the clock jumps to the next
 // record's window. It returns how many records reached the daemon.
 //
@@ -144,6 +151,9 @@ func (r *Replayer) Step() int {
 		}
 	}
 	n := r.apply()
+	if n > 0 {
+		r.daemon.Sweep(hi)
+	}
 	r.now = hi
 
 	switch {
@@ -164,10 +174,13 @@ func (r *Replayer) Step() int {
 	return n
 }
 
-// apply feeds the staged gateway output to the daemon in release order,
-// one run of equal-day records at a time: the wearer is resolved once per
-// run, and the daemon ingests the run as a batch.
+// apply feeds the staged gateway output to the daemon badge by badge, each
+// badge's batches in release order (the gateway releases a badge's records
+// in sequence), so the apply order depends only on what the window
+// delivered, not on the order the gateway released badges in. Each run of
+// equal-day records is one batch: the wearer is resolved once per run.
 func (r *Replayer) apply() int {
+	slices.SortStableFunc(r.staged, func(a, b offload.Batch) int { return cmp.Compare(a.Badge, b.Badge) })
 	n := 0
 	for _, b := range r.staged {
 		for recs := b.Records; len(recs) > 0; {

@@ -64,8 +64,9 @@ type Alert struct {
 }
 
 // Detector consumes the stream and raises alerts. Observe is called for
-// every ingested record; Sweep runs on the daemon's periodic tick for
-// time-based conditions.
+// every ingested record; Sweep is called through Daemon.Sweep (by the
+// replayer, once per window that delivered records) for time-based
+// conditions.
 type Detector interface {
 	Name() string
 	Observe(at time.Duration, wearer string, badge store.BadgeID, rec record.Record) []Alert
@@ -86,10 +87,6 @@ type Daemon struct {
 	// survive the privacy scrub, used only when the scrub drops some.
 	kept []record.Record
 
-	// SweepEvery is the periodic evaluation interval.
-	SweepEvery time.Duration
-	lastSweep  time.Duration
-
 	// Telemetry handles (nil until Instrument; nil handles are no-ops).
 	reg                  *telemetry.Registry
 	cIngested, cScrubbed *telemetry.Counter
@@ -104,9 +101,8 @@ type Daemon struct {
 // NewDaemon creates a daemon with no detectors registered.
 func NewDaemon() *Daemon {
 	return &Daemon{
-		privacy:    NewPrivacyGuard(),
-		health:     NewHealthRegistry(),
-		SweepEvery: time.Minute,
+		privacy: NewPrivacyGuard(),
+		health:  NewHealthRegistry(),
 	}
 }
 
@@ -194,12 +190,14 @@ func (d *Daemon) raise(alerts []Alert) {
 // IngestBatch is the daemon's entry point: it feeds a run of one badge's
 // records, all worn by wearer, each ingested at its own Local time. Every
 // record takes the same step, in order: health, counters, privacy scrub,
-// detectors, sweep. Records inside the wearer's privacy windows are
-// dropped for privacy-sensitive kinds (mic, IR) before any detector sees
-// them; movement and device-health kinds still flow, as safety monitoring
-// must survive privacy mode. The records that survive the scrub reach the
+// detectors. Records inside the wearer's privacy windows are dropped for
+// privacy-sensitive kinds (mic, IR) before any detector sees them;
+// movement and device-health kinds still flow, as safety monitoring must
+// survive privacy mode. The records that survive the scrub reach the
 // analytics in one append after the run. recs is neither modified nor
-// retained.
+// retained. Time-based conditions are judged only by Sweep, which the
+// caller runs once it has ingested a window's records, so how a window's
+// records are split into runs never changes an alert.
 func (d *Daemon) IngestBatch(wearer string, badge store.BadgeID, recs []record.Record) {
 	kept, scrubbed := recs, false
 	for i, rec := range recs {
@@ -212,7 +210,9 @@ func (d *Daemon) IngestBatch(wearer string, badge store.BadgeID, recs []record.R
 		if scrubbed {
 			kept = append(kept, rec)
 		}
-		d.detect(rec.Local, wearer, badge, rec)
+		for _, det := range d.detectors {
+			d.raise(det.Observe(rec.Local, wearer, badge, rec))
+		}
 	}
 	if scrubbed {
 		d.kept = kept
@@ -236,19 +236,7 @@ func (d *Daemon) admit(at time.Duration, wearer string, badge store.BadgeID, rec
 	return true
 }
 
-// detect is the back of the per-record step for an admitted record: every
-// detector observes it, then the periodic sweep runs if it is due.
-func (d *Daemon) detect(at time.Duration, wearer string, badge store.BadgeID, rec record.Record) {
-	for _, det := range d.detectors {
-		d.raise(det.Observe(at, wearer, badge, rec))
-	}
-	if at-d.lastSweep >= d.SweepEvery {
-		d.lastSweep = at
-		d.Sweep(at)
-	}
-}
-
-// Sweep runs every detector's periodic evaluation.
+// Sweep runs every detector's time-based evaluation at now.
 func (d *Daemon) Sweep(now time.Duration) {
 	d.cSweeps.Inc()
 	for _, det := range d.detectors {

@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"icares/internal/habitat"
+	"icares/internal/offload"
 	"icares/internal/record"
+	"icares/internal/simtime"
 	"icares/internal/store"
 	"icares/internal/uplink"
 )
@@ -19,9 +21,11 @@ func wearRec(at time.Duration, worn bool) record.Record {
 	return record.Record{Local: at, Kind: record.KindWear, Worn: worn}
 }
 
-// ingest feeds one record through the daemon's entry point.
+// ingest feeds one record through the daemon's entry point, then sweeps
+// at its time, as the replayer sweeps after each window.
 func ingest(d *Daemon, wearer string, badge store.BadgeID, rec record.Record) {
 	d.IngestBatch(wearer, badge, []record.Record{rec})
+	d.Sweep(rec.Local)
 }
 
 // alertsOfKind filters the daemon's alert log.
@@ -130,6 +134,36 @@ func TestBatteryDetector(t *testing.T) {
 	}
 }
 
+// TestApplyOrdersBatchesByBadge pins that a window's staged batches reach
+// the daemon badge by badge, each badge's in release order, whatever order
+// the gateway released the badges in: alerts raised as records are
+// observed come out in the same order on every run.
+func TestApplyOrdersBatchesByBadge(t *testing.T) {
+	d := NewDaemon()
+	d.Register(NewBatteryDetector())
+	r := NewReplayer(d, store.NewDataset(), time.Hour, func(id store.BadgeID, _ int) (string, bool) {
+		return string(rune('A' - 1 + int(id))), true
+	})
+	bat := func(at time.Duration, pct float32) []record.Record {
+		return []record.Record{{Local: at, Kind: record.KindBattery, BatteryPct: pct}}
+	}
+	r.staged = []offload.Batch{
+		{Badge: 2, Records: bat(time.Second, 10)},
+		{Badge: 1, Records: bat(30*time.Second, 10)},
+		{Badge: 2, Records: bat(2*time.Second, 90)},
+	}
+	if n := r.apply(); n != 3 {
+		t.Fatalf("applied %d records, want 3", n)
+	}
+	var got []string
+	for _, a := range alertsOfKind(d, "battery") {
+		got = append(got, a.Subject)
+	}
+	if len(got) != 2 || got[0] != "A" || got[1] != "B" {
+		t.Errorf("battery alerts for %v, want [A B]", got)
+	}
+}
+
 func TestHydrationDetector(t *testing.T) {
 	hab := habitat.Standard()
 	var kitchenBeacon, officeBeacon uint16
@@ -142,13 +176,14 @@ func TestHydrationDetector(t *testing.T) {
 		}
 	}
 	d := NewDaemon()
-	d.Register(NewHydrationDetector(hab, 3*time.Hour))
+	d.Register(NewHydrationDetector(hab))
 	obs := func(at time.Duration, beacon uint16) record.Record {
 		return record.Record{Local: at, Kind: record.KindBeacon, PeerID: beacon, RSSI: -60}
 	}
-	// A visits the kitchen at t=0, then stays in the office for 4 h.
+	// A visits the kitchen at t=0, then stays in the office for 6 h, an
+	// hour past the 5-hour reminder.
 	ingest(d, "A", 1, obs(0, kitchenBeacon))
-	for at := 15 * time.Second; at < 4*time.Hour; at += 15 * time.Second {
+	for at := 15 * time.Second; at < 6*time.Hour; at += 15 * time.Second {
 		ingest(d, "A", 1, obs(at, officeBeacon))
 	}
 	alerts := alertsOfKind(d, "hydration")
@@ -188,6 +223,57 @@ func TestWearComplianceIgnoresOvernightDock(t *testing.T) {
 	}
 	if got := len(alertsOfKind(d, "wear-compliance")); got != 0 {
 		t.Errorf("overnight dock alerts = %d", got)
+	}
+}
+
+// TestWearComplianceCountsFromDutyStart pins that a badge left docked
+// since midnight is unworn only from the start of duty: no nudge at 08:00,
+// one once maxUnworn of duty has passed.
+func TestWearComplianceCountsFromDutyStart(t *testing.T) {
+	d := NewDaemon()
+	d.Register(NewWearComplianceDetector())
+	day2 := simtime.StartOfDay(2)
+	ingest(d, "D", 4, wearRec(day2, false))
+	due := day2 + 9*time.Hour + 30*time.Minute
+	for at := day2 + 8*time.Hour; at < due; at += time.Minute {
+		d.Sweep(at)
+	}
+	if got := alertsOfKind(d, "wear-compliance"); len(got) != 0 {
+		t.Fatalf("nudged before 90 min of duty: %v", got)
+	}
+	d.Sweep(due)
+	alerts := alertsOfKind(d, "wear-compliance")
+	if len(alerts) != 1 || alerts[0].At != due {
+		t.Fatalf("compliance alerts = %v, want one at 09:30", alerts)
+	}
+	if want := "D's badge unworn for 1h30m0s during duty — please put it back on"; alerts[0].Message != want {
+		t.Errorf("message = %q, want %q", alerts[0].Message, want)
+	}
+}
+
+// TestQuietCrewTrimsByTime pins that the conversation window drops every
+// frame older than the window, though frames arrive badge by badge and so
+// out of time order.
+func TestQuietCrewTrimsByTime(t *testing.T) {
+	det := NewQuietCrewDetector()
+	mic := record.Record{Kind: record.KindMic, LoudnessDB: 35}
+	// One window's worth of frames, badge by badge: A's old frame lands
+	// after B's fresh ones.
+	for _, f := range []struct {
+		wearer string
+		at     time.Duration
+	}{{"B", 3 * time.Hour}, {"B", 3*time.Hour + time.Minute}, {"A", 30 * time.Minute}, {"A", 3 * time.Hour}} {
+		mic.Local = f.at
+		det.Observe(f.at, f.wearer, 1, mic)
+	}
+	det.Sweep(3*time.Hour + time.Minute)
+	for _, f := range det.frames {
+		if f.at < time.Hour+time.Minute {
+			t.Errorf("frame at %v kept past the 2-hour window", f.at)
+		}
+	}
+	if len(det.frames) != 3 {
+		t.Errorf("window holds %d frames, want 3", len(det.frames))
 	}
 }
 

@@ -39,6 +39,8 @@ var reachAllow = map[string]string{
 	"internal/record.LogWriter.Append":     "fixture: writes the .icr badge logs that badgectl and the record tests read (DESIGN.md, .icr format)",
 	"internal/record.LogWriter.Flush":      "fixture: writes the .icr badge logs that badgectl and the record tests read (DESIGN.md, .icr format)",
 	"internal/fleet.HabitatConfig.Faults":  "fixture: the chaos habitat whose live stream TestEngineStreamGolden pins, and the chaos member of the fleet isolation runs (DESIGN.md, fleet)",
+	"internal/fleet.Config.QueueDepth":     "fixture: the fleet tests shrink the queue to reach ErrBusy (DESIGN.md, fleet backpressure)",
+	"internal/fleet.Config.RequestTimeout": "fixture: the fleet tests shorten the deadline to reach ErrDeadline (DESIGN.md, fleet backpressure)",
 
 	"internal/radio.NewChannelWithProfile":          "EXPERIMENTS.md: BenchmarkAblationShielding builds its free-space channel with it",
 	"internal/sociometry.WithMinDwell":              "EXPERIMENTS.md: BenchmarkAblationDwellFilter builds its unfiltered pipeline with it",
@@ -91,9 +93,10 @@ var reachStdIfaces = []string{
 // exported field of an exported package-level struct type is reached when
 // non-test code writes it: a composite literal sets it by key or by
 // position, or it is assigned, incremented or decremented, or has its
-// address taken. Keys are "dir.Func", "dir.Type.Method" or
-// "dir.Type.Field", with dir relative to root and the root package written
-// by its name.
+// address taken, other than through a value receiver (a write into the
+// method's own copy, as in a withDefaults method). Keys are "dir.Func",
+// "dir.Type.Method" or "dir.Type.Field", with dir relative to root and the
+// root package written by its name.
 func reachability(root string, allow map[string]string) (unreached, stale []string, err error) {
 	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -295,10 +298,25 @@ func (s *reachScan) reached() (decls map[string]types.Object, reached map[string
 	return decls, reached, nil
 }
 
-// markWrites marks every struct field that f writes.
+// markWrites marks every struct field that f writes. A write through a
+// value receiver (c.F = v inside func (c T) m()) lands in the method's own
+// copy, the way a withDefaults method fills defaults, so it does not count.
 func markWrites(f *ast.File, info *types.Info, written map[types.Object]bool) {
+	copies := map[types.Object]bool{} // the value receivers declared in f
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+			if r := fd.Recv.List[0]; len(r.Names) == 1 {
+				if _, ptr := r.Type.(*ast.StarExpr); !ptr {
+					copies[info.Defs[r.Names[0]]] = true
+				}
+			}
+		}
+	}
 	mark := func(e ast.Expr) {
 		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && copies[info.Uses[id]] {
+				return
+			}
 			if v, ok := info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
 				written[v.Origin()] = true
 			}
@@ -418,8 +436,10 @@ func TestReachabilityFixture(t *testing.T) {
 	// lib.Config.Size and reads lib.Config.Debug. lib.OnlyTested is called
 	// and lib.Config.Debug written only from lib_test.go; lib.Recursive and
 	// lib.Loop.Again call only themselves; lib.Dead.Name shares its name
-	// with Live.Name but is never called.
-	want := []string{"lib.Config.Debug", "lib.Dead.Name", "lib.Loop.Again", "lib.OnlyTested", "lib.Recursive"}
+	// with Live.Name but is never called. lib.Config.Level is written only
+	// by the value-receiver WithDefaults, lib.Config.Retries by the
+	// pointer-receiver Reset; app calls both.
+	want := []string{"lib.Config.Debug", "lib.Config.Level", "lib.Dead.Name", "lib.Loop.Again", "lib.OnlyTested", "lib.Recursive"}
 	if !reflect.DeepEqual(unreached, want) {
 		t.Errorf("unreached = %q, want %q", unreached, want)
 	}

@@ -9,6 +9,7 @@ func main() {
 	_ = lib.Box[int]{}.Get()
 	var s lib.Shape = lib.Square{}
 	_ = s.Area()
-	c := lib.Config{Size: 1}
+	c := lib.Config{Size: 1}.WithDefaults()
+	c.Reset()
 	_ = c.Debug
 }

@@ -58,9 +58,23 @@ type Box[T any] struct{ v T }
 // Get is called on a Box[int] from app.
 func (b Box[T]) Get() T { return b.v }
 
-// Config has one field that app writes and one that app only reads and
-// lib_test.go writes.
+// Config has one field that app writes, one that app only reads and
+// lib_test.go writes, one that only its own WithDefaults fills, and one
+// that the pointer method Reset sets.
 type Config struct {
-	Size  int
-	Debug bool
+	Size    int
+	Debug   bool
+	Level   int
+	Retries int
 }
+
+// WithDefaults fills Level in its receiver's copy.
+func (c Config) WithDefaults() Config {
+	if c.Level == 0 {
+		c.Level = 3
+	}
+	return c
+}
+
+// Reset sets Retries through its pointer receiver.
+func (c *Config) Reset() { c.Retries = 0 }
