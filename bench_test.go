@@ -265,7 +265,7 @@ func BenchmarkAblationShielding(b *testing.B) {
 			at := time.Duration(i) * time.Minute
 			for _, s := range sites {
 				if tr := ch.Transmit(s.Pos, pos, 0); tr.Received {
-					recs = append(recs, record.Record{Local: at, Kind: record.KindBeacon, PeerID: uint16(s.ID), RSSI: float32(tr.RSSI)})
+					recs = append(recs, record.NewBeacon(at, uint16(s.ID), float32(tr.RSSI)))
 				}
 			}
 			truth[at] = room

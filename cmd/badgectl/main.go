@@ -233,24 +233,26 @@ func formatRecord(r record.Record) string {
 	ts := fmt.Sprintf("d%02d %s", simtime.DayOf(r.Local), simtime.ClockString(r.Local))
 	switch r.Kind {
 	case record.KindAccel:
-		return fmt.Sprintf("%s accel   x=%d y=%d z=%d", ts, r.AX, r.AY, r.AZ)
+		x, y, z := r.Accel()
+		return fmt.Sprintf("%s accel   x=%d y=%d z=%d", ts, x, y, z)
 	case record.KindMic:
-		return fmt.Sprintf("%s mic     speech=%v loud=%.1fdB f0=%.0fHz frac=%.2f",
-			ts, r.SpeechDetected, r.LoudnessDB, r.FundamentalHz, r.SpeechFraction)
+		speech, loud, f0, frac := r.Mic()
+		return fmt.Sprintf("%s mic     speech=%v loud=%.1fdB f0=%.0fHz frac=%.2f", ts, speech, loud, f0, frac)
 	case record.KindBeacon:
-		return fmt.Sprintf("%s beacon  id=%d rssi=%.1f", ts, r.PeerID, r.RSSI)
+		return fmt.Sprintf("%s beacon  id=%d rssi=%.1f", ts, r.PeerID, r.RSSI())
 	case record.KindNeighbor:
-		return fmt.Sprintf("%s neighb  badge=%d rssi=%.1f", ts, r.PeerID, r.RSSI)
+		return fmt.Sprintf("%s neighb  badge=%d rssi=%.1f", ts, r.PeerID, r.RSSI())
 	case record.KindIR:
 		return fmt.Sprintf("%s ir      badge=%d", ts, r.PeerID)
 	case record.KindEnv:
-		return fmt.Sprintf("%s env     %.1fC %.1fhPa %.0flux", ts, r.TempC, r.PressHPa, r.LightLux)
+		temp, press, lux := r.Env()
+		return fmt.Sprintf("%s env     %.1fC %.1fhPa %.0flux", ts, temp, press, lux)
 	case record.KindWear:
-		return fmt.Sprintf("%s wear    worn=%v", ts, r.Worn)
+		return fmt.Sprintf("%s wear    worn=%v", ts, r.Worn())
 	case record.KindSync:
-		return fmt.Sprintf("%s sync    ref=%v", ts, r.RefTime)
+		return fmt.Sprintf("%s sync    ref=%v", ts, r.RefTime())
 	case record.KindBattery:
-		return fmt.Sprintf("%s battery %.1f%%", ts, r.BatteryPct)
+		return fmt.Sprintf("%s battery %.1f%%", ts, r.BatteryPct())
 	default:
 		return fmt.Sprintf("%s %v", ts, r.Kind)
 	}

@@ -21,12 +21,12 @@ func badgeRecords(id uint16) []record.Record {
 	var recs []record.Record
 	for i := 0; i < 150+20*int(id); i++ {
 		at := time.Duration(i) * time.Second
-		recs = append(recs, record.Record{Local: at, Kind: record.KindAccel, AX: int16(i), AY: -3, AZ: 980})
+		recs = append(recs, record.NewAccel(at, int16(i), -3, 980))
 		if i%3 == 0 {
-			recs = append(recs, record.Record{Local: at, Kind: record.KindMic, SpeechDetected: i%2 == 0, LoudnessDB: 50})
+			recs = append(recs, record.NewMic(at, i%2 == 0, 50, 0, 0))
 		}
 		if i%5 == 0 {
-			recs = append(recs, record.Record{Local: at + time.Millisecond, Kind: record.KindBeacon, PeerID: id, RSSI: -60})
+			recs = append(recs, record.NewBeacon(at+time.Millisecond, id, -60))
 		}
 	}
 	return recs

@@ -287,7 +287,7 @@ func TestFailedBadgeStopsRecordingAndReuseContinues(t *testing.T) {
 	cSeries := res.Dataset.Series(store.BadgeID(mission.BadgeC))
 	worn := 0
 	for _, r := range cSeries.Range(day8, day8+24*time.Hour) {
-		if r.Kind == record.KindWear && r.Worn {
+		if r.Kind == record.KindWear && r.Worn() {
 			worn++
 		}
 	}

@@ -82,10 +82,12 @@ func ClassifyCursor(c *record.Cursor, cfg Config) []Sample {
 			curStart = w
 			started = true
 		}
-		xs = append(xs, float64(r.AX))
-		ys = append(ys, float64(r.AY))
-		dz := float64(r.AZ) - 1000
-		m := float64(r.AX)*float64(r.AX) + float64(r.AY)*float64(r.AY) + dz*dz
+		ax, ay, az := r.Accel()
+		x, y := float64(ax), float64(ay)
+		xs = append(xs, x)
+		ys = append(ys, y)
+		dz := float64(az) - 1000
+		m := x*x + y*y + dz*dz
 		magSq += m
 	}
 	flush()

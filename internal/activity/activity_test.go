@@ -15,12 +15,7 @@ func synthAccel(rng *stats.RNG, from, dur, every time.Duration, sigma float64) [
 	var out []record.Record
 	for at := from; at < from+dur; at += every {
 		for i := 0; i < 3; i++ {
-			out = append(out, record.Record{
-				Local: at + time.Duration(i)*50*time.Millisecond, Kind: record.KindAccel,
-				AX: int16(rng.Norm(0, sigma)),
-				AY: int16(rng.Norm(0, sigma)),
-				AZ: int16(1000 + rng.Norm(0, sigma)),
-			})
+			out = append(out, record.NewAccel(at+time.Duration(i)*50*time.Millisecond, int16(rng.Norm(0, sigma)), int16(rng.Norm(0, sigma)), int16(1000+rng.Norm(0, sigma))))
 		}
 	}
 	return out
@@ -76,7 +71,7 @@ func TestClassifyMixedStream(t *testing.T) {
 
 func TestClassifySkipsSparseWindows(t *testing.T) {
 	recs := []record.Record{
-		{Local: 0, Kind: record.KindAccel, AX: 500, AY: 0, AZ: 1000},
+		record.NewAccel(0, 500, 0, 1000),
 	}
 	if got := classify(recs, DefaultConfig()); len(got) != 0 {
 		t.Errorf("single-sample window classified: %v", got)
@@ -86,7 +81,7 @@ func TestClassifySkipsSparseWindows(t *testing.T) {
 func TestClassifyIgnoresOtherKinds(t *testing.T) {
 	rng := stats.NewRNG(3)
 	recs := synthAccel(rng, 0, time.Minute, 10*time.Second, 30)
-	recs = append(recs, record.Record{Local: 5 * time.Second, Kind: record.KindMic, LoudnessDB: 70})
+	recs = append(recs, record.NewMic(5*time.Second, false, 70, 0, 0))
 	if got := classify(recs, DefaultConfig()); len(got) == 0 {
 		t.Error("no samples")
 	}

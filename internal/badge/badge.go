@@ -202,9 +202,7 @@ func (b *Badge) Tick(now time.Duration, in Input, fleet *beacon.Fleet) {
 	if !b.wornSet || in.Worn != b.worn {
 		b.worn = in.Worn
 		b.wornSet = true
-		b.log.Append(record.Record{
-			Local: b.local(now), Kind: record.KindWear, Worn: b.worn,
-		})
+		b.log.Append(record.NewWear(b.local(now), b.worn))
 	}
 
 	// Accelerometer.
@@ -220,31 +218,23 @@ func (b *Badge) Tick(now time.Duration, in Input, fleet *beacon.Fleet) {
 	if fleet != nil && now-b.lastScan >= b.cfg.BeaconScan {
 		b.lastScan = now
 		for _, o := range fleet.Scan(in.Pos) {
-			b.log.Append(record.Record{
-				Local: b.local(now), Kind: record.KindBeacon,
-				PeerID: uint16(o.BeaconID), RSSI: float32(o.RSSI),
-			})
+			b.log.Append(record.NewBeacon(b.local(now), uint16(o.BeaconID), float32(o.RSSI)))
 		}
 	}
 
 	// Environment.
 	if now-b.lastEnv >= b.cfg.Env {
 		b.lastEnv = now
-		b.log.Append(record.Record{
-			Local: b.local(now), Kind: record.KindEnv,
-			TempC:    float32(in.TempC + b.rng.Norm(0, 0.1)),
-			PressHPa: float32(in.PressHPa + b.rng.Norm(0, 0.3)),
-			LightLux: float32(math.Max(0, in.LightLux+b.rng.Norm(0, 5))),
-		})
+		b.log.Append(record.NewEnv(b.local(now),
+			float32(in.TempC+b.rng.Norm(0, 0.1)),
+			float32(in.PressHPa+b.rng.Norm(0, 0.3)),
+			float32(math.Max(0, in.LightLux+b.rng.Norm(0, 5)))))
 	}
 
 	// Battery log.
 	if now-b.lastBattery >= b.cfg.Battery {
 		b.lastBattery = now
-		b.log.Append(record.Record{
-			Local: b.local(now), Kind: record.KindBattery,
-			BatteryPct: float32(b.battery),
-		})
+		b.log.Append(record.NewBattery(b.local(now), float32(b.battery)))
 	}
 }
 
@@ -269,13 +259,10 @@ func (b *Badge) sampleAccel(now time.Duration, in Input) {
 		sigma = 18 + 45*in.WearerEnergy
 	}
 	for i := 0; i < AccelBurstLen; i++ {
-		b.log.Append(record.Record{
-			Local: b.local(now) + time.Duration(i)*50*time.Millisecond,
-			Kind:  record.KindAccel,
-			AX:    clampI16(b.rng.Norm(0, sigma)),
-			AY:    clampI16(b.rng.Norm(0, sigma)),
-			AZ:    clampI16(1000 + b.rng.Norm(0, sigma)),
-		})
+		b.log.Append(record.NewAccel(b.local(now)+time.Duration(i)*50*time.Millisecond,
+			clampI16(b.rng.Norm(0, sigma)),
+			clampI16(b.rng.Norm(0, sigma)),
+			clampI16(1000+b.rng.Norm(0, sigma))))
 	}
 }
 
@@ -322,18 +309,13 @@ func (b *Badge) accumulateMic(now time.Duration, in Input) {
 // flushMic emits the accumulated mic window as one feature frame. The frame
 // is stamped with the local clock at the window start.
 func (b *Badge) flushMic() {
-	rec := record.Record{
-		Local: b.local(b.micStart), Kind: record.KindMic,
-	}
+	local := b.local(b.micStart)
 	if b.micVoiced > 0 {
-		rec.SpeechDetected = true
-		rec.LoudnessDB = float32(b.micMaxLoud)
-		rec.FundamentalHz = float32(b.micF0 + b.rng.Norm(0, 2))
-		rec.SpeechFraction = float32(b.micVoiced) / float32(b.micTicks)
+		b.log.Append(record.NewMic(local, true, float32(b.micMaxLoud),
+			float32(b.micF0+b.rng.Norm(0, 2)), float32(b.micVoiced)/float32(b.micTicks)))
 	} else {
-		rec.LoudnessDB = float32(b.micAmbient)
+		b.log.Append(record.NewMic(local, false, float32(b.micAmbient), 0, 0))
 	}
-	b.log.Append(rec)
 	b.micHasAccum = false
 }
 
@@ -344,11 +326,7 @@ func (b *Badge) RecordSync(now time.Duration, refClock time.Duration) {
 		return
 	}
 	jitter := time.Duration(b.rng.Norm(0, 1e6)) // ~1 ms
-	b.log.Append(record.Record{
-		Local:   b.local(now) + jitter,
-		Kind:    record.KindSync,
-		RefTime: refClock,
-	})
+	b.log.Append(record.NewSync(b.local(now)+jitter, refClock))
 }
 
 // RecordNeighbor appends an 868 MHz neighbour observation.
@@ -356,10 +334,7 @@ func (b *Badge) RecordNeighbor(now time.Duration, peer uint16, rssi float64) {
 	if b.failed {
 		return
 	}
-	b.log.Append(record.Record{
-		Local: b.local(now), Kind: record.KindNeighbor,
-		PeerID: peer, RSSI: float32(rssi),
-	})
+	b.log.Append(record.NewNeighbor(b.local(now), peer, float32(rssi)))
 }
 
 // RecordIR appends an infrared face-to-face contact.
@@ -367,7 +342,5 @@ func (b *Badge) RecordIR(now time.Duration, peer uint16) {
 	if b.failed {
 		return
 	}
-	b.log.Append(record.Record{
-		Local: b.local(now), Kind: record.KindIR, PeerID: peer,
-	})
+	b.log.Append(record.NewIR(b.local(now), peer))
 }

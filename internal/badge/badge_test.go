@@ -48,8 +48,8 @@ func TestBadgeRecordsWearTransitions(t *testing.T) {
 	if len(wears) != 2 {
 		t.Fatalf("wear records = %d, want 2", len(wears))
 	}
-	if !wears[0].Worn || wears[1].Worn {
-		t.Errorf("wear sequence = %v, %v", wears[0].Worn, wears[1].Worn)
+	if !wears[0].Worn() || wears[1].Worn() {
+		t.Errorf("wear sequence = %v, %v", wears[0].Worn(), wears[1].Worn())
 	}
 }
 
@@ -66,7 +66,8 @@ func TestAccelEnergyByMotionState(t *testing.T) {
 		}
 		var sum, sq float64
 		for _, r := range accels {
-			x := float64(r.AX)
+			ax, _, _ := r.Accel()
+			x := float64(ax)
 			sum += x
 			sq += x * x
 		}
@@ -97,17 +98,18 @@ func TestMicFrameCadenceAndFeatures(t *testing.T) {
 		t.Fatalf("mic frames = %d, want ~39", len(mics))
 	}
 	for _, m := range mics {
-		if !m.SpeechDetected {
+		speech, loud, f0, frac := m.Mic()
+		if !speech {
 			t.Fatal("speech not detected in saturated frame")
 		}
-		if m.SpeechFraction != 1 {
-			t.Fatalf("fraction = %v, want 1", m.SpeechFraction)
+		if frac != 1 {
+			t.Fatalf("fraction = %v, want 1", frac)
 		}
-		if math.Abs(float64(m.LoudnessDB)-68) > 1 {
-			t.Fatalf("loudness = %v", m.LoudnessDB)
+		if math.Abs(float64(loud)-68) > 1 {
+			t.Fatalf("loudness = %v", loud)
 		}
-		if math.Abs(float64(m.FundamentalHz)-210) > 10 {
-			t.Fatalf("f0 = %v", m.FundamentalHz)
+		if math.Abs(float64(f0)-210) > 10 {
+			t.Fatalf("f0 = %v", f0)
 		}
 	}
 	// Frames must be 15 s apart.
@@ -123,14 +125,15 @@ func TestMicSilentFrameHasAmbientOnly(t *testing.T) {
 	in := wornInput(geometry.Point{X: 12, Y: 4})
 	tickFor(b, 0, 5*time.Minute, in, nil)
 	for _, m := range seriesOf(b).Kind(record.KindMic) {
-		if m.SpeechDetected {
+		speech, loud, f0, frac := m.Mic()
+		if speech {
 			t.Fatal("speech detected in silence")
 		}
-		if m.LoudnessDB < 25 || m.LoudnessDB > 50 {
-			t.Fatalf("ambient loudness = %v", m.LoudnessDB)
+		if loud < 25 || loud > 50 {
+			t.Fatalf("ambient loudness = %v", loud)
 		}
-		if m.FundamentalHz != 0 || m.SpeechFraction != 0 {
-			t.Fatalf("silent frame features: f0=%v frac=%v", m.FundamentalHz, m.SpeechFraction)
+		if f0 != 0 || frac != 0 {
+			t.Fatalf("silent frame features: f0=%v frac=%v", f0, frac)
 		}
 	}
 }
@@ -142,7 +145,7 @@ func TestMicQuietSpeechBelowVADIgnored(t *testing.T) {
 	in.SpeechLoudDB = SpeechThresholdDB - 5
 	tickFor(b, 0, 5*time.Minute, in, nil)
 	for _, m := range seriesOf(b).Kind(record.KindMic) {
-		if m.SpeechDetected {
+		if speech, _, _, _ := m.Mic(); speech {
 			t.Fatal("sub-threshold speech detected")
 		}
 	}
@@ -242,8 +245,8 @@ func TestRecordSync(t *testing.T) {
 	if len(syncs) != 1 {
 		t.Fatalf("sync records = %d", len(syncs))
 	}
-	if syncs[0].RefTime != time.Hour-time.Second {
-		t.Errorf("ref time = %v", syncs[0].RefTime)
+	if ref := syncs[0].RefTime(); ref != time.Hour-time.Second {
+		t.Errorf("ref time = %v", ref)
 	}
 }
 
@@ -278,8 +281,8 @@ func TestNetworkNeighborObservations(t *testing.T) {
 		if o.PeerID != 2 {
 			t.Errorf("a heard peer %d", o.PeerID)
 		}
-		if o.RSSI < -80 || o.RSSI > -20 {
-			t.Errorf("close-range neighbor RSSI = %v", o.RSSI)
+		if rssi := o.RSSI(); rssi < -80 || rssi > -20 {
+			t.Errorf("close-range neighbor RSSI = %v", rssi)
 		}
 	}
 }
@@ -372,8 +375,8 @@ func TestEnvAndBatteryRecords(t *testing.T) {
 		t.Errorf("env records in 1 h = %d, want ~30", len(envs))
 	}
 	for _, e := range envs {
-		if e.TempC < 20 || e.TempC > 24 {
-			t.Errorf("temp = %v", e.TempC)
+		if temp, _, _ := e.Env(); temp < 20 || temp > 24 {
+			t.Errorf("temp = %v", temp)
 		}
 	}
 	bats := seriesOf(b).Kind(record.KindBattery)

@@ -53,12 +53,7 @@ func BenchmarkTrack(b *testing.B) {
 	recs := make([]record.Record, 0, 40_000)
 	for i := 0; i < 40_000; i++ {
 		s := sites[rng.Intn(len(sites))]
-		recs = append(recs, record.Record{
-			Local:  time.Duration(i/3) * 15 * time.Second,
-			Kind:   record.KindBeacon,
-			PeerID: uint16(s.ID),
-			RSSI:   float32(rng.Range(-85, -45)),
-		})
+		recs = append(recs, record.NewBeacon(time.Duration(i/3)*15*time.Second, uint16(s.ID), float32(rng.Range(-85, -45))))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

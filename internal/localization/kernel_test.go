@@ -178,7 +178,7 @@ func (l *refLocator) trackRef(recs []record.Record, window time.Duration) []Fix 
 			flush()
 			curStart = w
 		}
-		cur = append(cur, Obs{BeaconID: int(r.PeerID), RSSI: float64(r.RSSI)})
+		cur = append(cur, Obs{BeaconID: int(r.PeerID), RSSI: float64(r.RSSI())})
 	}
 	flush()
 	return fixes
@@ -390,12 +390,7 @@ func TestLocatorConcurrentUse(t *testing.T) {
 	for g := range jobs {
 		for i := 0; i < 3000; i++ {
 			s := sites[rng.Intn(len(sites))]
-			jobs[g].recs = append(jobs[g].recs, record.Record{
-				Local:  time.Duration(i/2) * 15 * time.Second,
-				Kind:   record.KindBeacon,
-				PeerID: uint16(s.ID),
-				RSSI:   float32(rng.Range(-90, -40)),
-			})
+			jobs[g].recs = append(jobs[g].recs, record.NewBeacon(time.Duration(i/2)*15*time.Second, uint16(s.ID), float32(rng.Range(-90, -40))))
 		}
 		for i := 0; i < 500; i++ {
 			obs := randomScan(rng, sites)
@@ -452,12 +447,7 @@ func TestTrackAllocs(t *testing.T) {
 	recs := make([]record.Record, 0, 3*windows)
 	for w := 0; w < windows; w++ {
 		for k := 0; k < 3; k++ {
-			recs = append(recs, record.Record{
-				Local:  time.Duration(w)*15*time.Second + time.Duration(k)*time.Second,
-				Kind:   record.KindBeacon,
-				PeerID: uint16(sites[rng.Intn(len(sites))].ID),
-				RSSI:   float32(rng.Range(-90, -40)),
-			})
+			recs = append(recs, record.NewBeacon(time.Duration(w)*15*time.Second+time.Duration(k)*time.Second, uint16(sites[rng.Intn(len(sites))].ID), float32(rng.Range(-90, -40))))
 		}
 	}
 	var fixes []Fix

@@ -276,7 +276,7 @@ func (l *Locator) TrackCursor(c *record.Cursor, window time.Duration) []Fix {
 				curStart = w
 				started = true
 			}
-			cur = append(cur, Obs{BeaconID: int(r.PeerID), RSSI: float64(r.RSSI)})
+			cur = append(cur, Obs{BeaconID: int(r.PeerID), RSSI: float64(r.RSSI())})
 		}
 	}
 	flush()

@@ -167,16 +167,10 @@ func TestTrackWindowsRecords(t *testing.T) {
 		}
 	}
 	for sec := 0; sec < 120; sec += 15 {
-		recs = append(recs, record.Record{
-			Local: time.Duration(sec) * time.Second, Kind: record.KindBeacon,
-			PeerID: uint16(kitchenBeacon), RSSI: -55,
-		})
+		recs = append(recs, record.NewBeacon(time.Duration(sec)*time.Second, uint16(kitchenBeacon), -55))
 	}
 	for sec := 120; sec < 240; sec += 15 {
-		recs = append(recs, record.Record{
-			Local: time.Duration(sec) * time.Second, Kind: record.KindBeacon,
-			PeerID: uint16(officeBeacon), RSSI: -55,
-		})
+		recs = append(recs, record.NewBeacon(time.Duration(sec)*time.Second, uint16(officeBeacon), -55))
 	}
 	fixes := track(l, recs, 15*time.Second)
 	if len(fixes) != 16 {

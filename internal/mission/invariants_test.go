@@ -36,21 +36,22 @@ func TestDatasetInvariants(t *testing.T) {
 			switch r.Kind {
 			case record.KindWear:
 				// Wear transitions must alternate.
-				if lastWear != nil && *lastWear == r.Worn {
-					t.Fatalf("badge %d: consecutive wear=%v records", id, r.Worn)
+				w := r.Worn()
+				if lastWear != nil && *lastWear == w {
+					t.Fatalf("badge %d: consecutive wear=%v records", id, w)
 				}
-				w := r.Worn
 				lastWear = &w
 			case record.KindMic:
-				if r.SpeechFraction < 0 || r.SpeechFraction > 1 {
-					t.Fatalf("badge %d: speech fraction %v", id, r.SpeechFraction)
+				speech, _, f0, frac := r.Mic()
+				if frac < 0 || frac > 1 {
+					t.Fatalf("badge %d: speech fraction %v", id, frac)
 				}
-				if r.SpeechDetected && r.FundamentalHz <= 0 {
+				if speech && f0 <= 0 {
 					t.Fatalf("badge %d: speech without fundamental", id)
 				}
 			case record.KindBattery:
-				if r.BatteryPct < 0 || r.BatteryPct > 100 {
-					t.Fatalf("badge %d: battery %v%%", id, r.BatteryPct)
+				if pct := r.BatteryPct(); pct < 0 || pct > 100 {
+					t.Fatalf("badge %d: battery %v%%", id, pct)
 				}
 			case record.KindBeacon:
 				if r.PeerID < 1 || r.PeerID > 27 {
@@ -63,7 +64,7 @@ func TestDatasetInvariants(t *testing.T) {
 	// C's badge is never worn after the death until the reuse day.
 	cSeries := res.Dataset.Series(store.BadgeID(BadgeC))
 	for _, r := range cSeries.Range(DeathTime()+time.Minute, horizon) {
-		if r.Kind == record.KindWear && r.Worn {
+		if r.Kind == record.KindWear && r.Worn() {
 			t.Fatalf("C's badge worn at %v, after the death and before reuse", r.Local)
 		}
 	}
@@ -85,7 +86,7 @@ func TestDatasetInvariants(t *testing.T) {
 	// and must carry env records throughout.
 	ref := res.Dataset.Series(store.BadgeID(ReferenceBadge))
 	for _, r := range ref.Kind(record.KindWear) {
-		if r.Worn {
+		if r.Worn() {
 			t.Fatal("reference badge worn")
 		}
 	}

@@ -15,13 +15,15 @@ import (
 func mkRecords(n int) []record.Record {
 	out := make([]record.Record, n)
 	for i := range out {
-		out[i] = record.Record{
-			Local: time.Duration(i) * time.Second,
-			Kind:  record.KindAccel,
-			AX:    int16(i),
-		}
+		out[i] = record.NewAccel(time.Duration(i)*time.Second, int16(i), 0, 0)
 	}
 	return out
+}
+
+// seq returns the sequence number mkRecords put in r's first accel axis.
+func seq(r record.Record) int16 {
+	x, _, _ := r.Accel()
+	return x
 }
 
 // collector accumulates gateway output per badge.
@@ -66,8 +68,8 @@ func TestLosslessTransfer(t *testing.T) {
 		t.Fatalf("gateway received %d records", len(col.got[3]))
 	}
 	for i, r := range col.got[3] {
-		if r.AX != int16(i) {
-			t.Fatalf("record %d out of order: AX=%d", i, r.AX)
+		if seq(r) != int16(i) {
+			t.Fatalf("record %d out of order: seq=%d", i, seq(r))
 		}
 	}
 	if dups := gw.StatsSnapshot().Duplicates; dups != 0 {
@@ -100,10 +102,10 @@ func TestLossyTransferIsExactlyOnce(t *testing.T) {
 	}
 	seen := make(map[int16]bool, len(got))
 	for _, r := range got {
-		if seen[r.AX] {
-			t.Fatalf("record %d delivered twice", r.AX)
+		if seen[seq(r)] {
+			t.Fatalf("record %d delivered twice", seq(r))
 		}
-		seen[r.AX] = true
+		seen[seq(r)] = true
 	}
 	// Lost acks must have caused duplicates at the gateway (absorbed by
 	// dedup) and retransmissions at the uploader.
@@ -291,8 +293,8 @@ func TestGatewayHeldObservableAndBounded(t *testing.T) {
 		t.Fatalf("delivered %d records, want 120", len(col.got[6]))
 	}
 	for i, r := range col.got[6] {
-		if r.AX != int16(i) {
-			t.Fatalf("record %d out of order after gap fill: AX=%d", i, r.AX)
+		if seq(r) != int16(i) {
+			t.Fatalf("record %d out of order after gap fill: seq=%d", i, seq(r))
 		}
 	}
 }
@@ -341,7 +343,7 @@ func TestCrashWithHeldBatchesLosesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := func(seq uint64, ax int16) Batch {
-		return Batch{Badge: 9, Seq: seq, Records: []record.Record{{Kind: record.KindAccel, AX: ax}}}
+		return Batch{Badge: 9, Seq: seq, Records: []record.Record{record.NewAccel(0, ax, 0, 0)}}
 	}
 	if gw.Offer(mk(2, 1)) {
 		t.Fatal("held batch acked before the crash")
@@ -359,8 +361,8 @@ func TestCrashWithHeldBatchesLosesNothing(t *testing.T) {
 		t.Fatalf("delivered %d records, want 3", len(got))
 	}
 	for i, r := range got {
-		if r.AX != int16(i) {
-			t.Fatalf("record %d out of order after crash: AX=%d", i, r.AX)
+		if seq(r) != int16(i) {
+			t.Fatalf("record %d out of order after crash: seq=%d", i, seq(r))
 		}
 	}
 }
@@ -395,8 +397,8 @@ func TestGatewaySnapshotRestoreExactlyOnce(t *testing.T) {
 		t.Fatalf("gateway released %d records, want 400 exactly once", len(got))
 	}
 	for i, r := range got {
-		if r.AX != int16(i) {
-			t.Fatalf("record %d out of order after restart: AX=%d", i, r.AX)
+		if seq(r) != int16(i) {
+			t.Fatalf("record %d out of order after restart: seq=%d", i, seq(r))
 		}
 	}
 }
@@ -533,7 +535,7 @@ func TestQuickExactlyOnceUnderReordering(t *testing.T) {
 				return false
 			}
 			for i, r := range got {
-				if r.AX != int16(i) {
+				if seq(r) != int16(i) {
 					return false
 				}
 			}
@@ -577,7 +579,7 @@ func TestQuickExactlyOnce(t *testing.T) {
 			return false
 		}
 		for i, r := range got {
-			if r.AX != int16(i) {
+			if seq(r) != int16(i) {
 				return false
 			}
 		}

@@ -8,10 +8,10 @@ import (
 
 func benchRecords() []Record {
 	return []Record{
-		{Local: 5 * time.Second, Kind: KindAccel, AX: -120, AY: 980, AZ: 44},
-		{Local: 6 * time.Second, Kind: KindMic, SpeechDetected: true, LoudnessDB: 63.5, FundamentalHz: 128, SpeechFraction: 0.4},
-		{Local: 7 * time.Second, Kind: KindBeacon, PeerID: 13, RSSI: -72.5},
-		{Local: 8 * time.Second, Kind: KindSync, RefTime: 7 * time.Second},
+		NewAccel(5*time.Second, -120, 980, 44),
+		NewMic(6*time.Second, true, 63.5, 128, 0.4),
+		NewBeacon(7*time.Second, 13, -72.5),
+		NewSync(8*time.Second, 7*time.Second),
 	}
 }
 

@@ -10,23 +10,23 @@ import (
 // fuzzSeedRecords covers every kind with representative field values.
 func fuzzSeedRecords() []Record {
 	return []Record{
-		{Kind: KindAccel, Local: 5 * time.Second, AX: -120, AY: 980, AZ: 17},
-		{Kind: KindMic, Local: 15 * time.Second, SpeechDetected: true, LoudnessDB: 63.5, FundamentalHz: 182, SpeechFraction: 0.4},
-		{Kind: KindBeacon, Local: time.Minute, PeerID: 27, RSSI: -71.25},
-		{Kind: KindNeighbor, Local: 2 * time.Minute, PeerID: 6, RSSI: -55},
-		{Kind: KindIR, Local: 3 * time.Minute, PeerID: 4},
-		{Kind: KindEnv, Local: time.Hour, TempC: 23.6, PressHPa: 1004, LightLux: 300},
-		{Kind: KindWear, Local: 26 * time.Hour, Worn: true},
-		{Kind: KindSync, Local: 30 * time.Hour, RefTime: 30*time.Hour + 1500*time.Millisecond},
-		{Kind: KindBattery, Local: 48 * time.Hour, BatteryPct: 17},
+		NewAccel(5*time.Second, -120, 980, 17),
+		NewMic(15*time.Second, true, 63.5, 182, 0.4),
+		NewBeacon(time.Minute, 27, -71.25),
+		NewNeighbor(2*time.Minute, 6, -55),
+		NewIR(3*time.Minute, 4),
+		NewEnv(time.Hour, 23.6, 1004, 300),
+		NewWear(26*time.Hour, true),
+		NewSync(30*time.Hour, 30*time.Hour+1500*time.Millisecond),
+		NewBattery(48*time.Hour, 17),
 	}
 }
 
 // FuzzDecodeFrame drives the on-badge frame decoder with valid frames plus
 // truncated and bit-flipped mutants. Invariants: the decoder never panics,
-// never reports consuming more bytes than it was given, round-trips every
-// frame it accepts, and flags any single-bit payload damage through the
-// CRC path.
+// never reports consuming more bytes than it was given, agrees with the
+// legacy wide-row decoder on every input, round-trips every frame it
+// accepts, and flags any single-bit payload damage through the CRC path.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, r := range fuzzSeedRecords() {
 		frame, err := AppendFrame(nil, r)
@@ -46,6 +46,11 @@ func FuzzDecodeFrame(f *testing.F) {
 		rec, n, err := DecodeFrame(data)
 		if n < 0 || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
+		}
+		// Legacy parity: the wide-row decoder this package used to have
+		// reads the same bytes the same way.
+		if perr := legacyDecodeAgrees(data, rec, n, err); perr != nil {
+			t.Fatal(perr)
 		}
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrUnknownKind) && !errors.Is(err, ErrTooLarge) {

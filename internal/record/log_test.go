@@ -123,9 +123,9 @@ func TestLogReaderCorruptFrameNotTruncated(t *testing.T) {
 	// A CRC-failing frame in the middle is skipped and resynced past; that
 	// is bit rot, not truncation.
 	recs := []Record{
-		{Local: time.Second, Kind: KindWear, Worn: true},
-		{Local: 2 * time.Second, Kind: KindBattery, BatteryPct: 80},
-		{Local: 3 * time.Second, Kind: KindWear, Worn: false},
+		NewWear(time.Second, true),
+		NewBattery(2*time.Second, 80),
+		NewWear(3*time.Second, false),
 	}
 	raw := writeLog(t, 3, recs)
 	first, err := AppendFrame(nil, recs[0])

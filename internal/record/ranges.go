@@ -123,10 +123,10 @@ func WornRangesCursor(c *Cursor, horizon time.Duration) RangeSet {
 			continue
 		}
 		switch {
-		case r.Worn && !open:
+		case r.Worn() && !open:
 			open = true
 			start = r.Local
-		case !r.Worn && open:
+		case !r.Worn() && open:
 			open = false
 			out = append(out, TimeRange{From: start, To: r.Local})
 		}

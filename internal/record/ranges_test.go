@@ -81,10 +81,10 @@ func wornRanges(recs []Record, horizon time.Duration) RangeSet {
 
 func TestWornRanges(t *testing.T) {
 	recs := []Record{
-		{Local: 10 * time.Second, Kind: KindWear, Worn: true},
+		NewWear(10*time.Second, true),
 		{Local: 20 * time.Second, Kind: KindAccel},
-		{Local: 30 * time.Second, Kind: KindWear, Worn: false},
-		{Local: 50 * time.Second, Kind: KindWear, Worn: true},
+		NewWear(30*time.Second, false),
+		NewWear(50*time.Second, true),
 	}
 	got := wornRanges(recs, 70*time.Second)
 	if len(got) != 2 {
@@ -95,10 +95,10 @@ func TestWornRanges(t *testing.T) {
 	}
 	// Duplicate transitions are idempotent.
 	dup := []Record{
-		{Local: 1 * time.Second, Kind: KindWear, Worn: true},
-		{Local: 2 * time.Second, Kind: KindWear, Worn: true},
-		{Local: 3 * time.Second, Kind: KindWear, Worn: false},
-		{Local: 4 * time.Second, Kind: KindWear, Worn: false},
+		NewWear(1*time.Second, true),
+		NewWear(2*time.Second, true),
+		NewWear(3*time.Second, false),
+		NewWear(4*time.Second, false),
 	}
 	if got := wornRanges(dup, 10*time.Second); got.Total() != 2*time.Second {
 		t.Errorf("dup worn total = %v", got.Total())

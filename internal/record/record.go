@@ -13,6 +13,11 @@
 // Multi-byte integers in bodies are little-endian. Timestamps are the local
 // badge clock (see simtime.Oscillator); rectification to mission time
 // happens downstream in timesync.
+//
+// In memory a decoded Record is a compact 24-byte value, not a row with a
+// field per payload: a kind's payload is written by that kind's constructor
+// (NewAccel, NewMic, ...) and read by that kind's accessor (Accel, Mic,
+// RSSI, ...), and the bytes a kind does not use stay zero.
 package record
 
 import (
@@ -88,46 +93,142 @@ var (
 // MaxFrameSize bounds a single encoded frame; anything larger is corrupt.
 const MaxFrameSize = 256
 
-// Record is one decoded on-badge record. Exactly the fields relevant to
-// Kind are meaningful.
+// Record is one decoded on-badge record: 24 bytes, so the millions a
+// mission holds in memory cost a third of a one-field-per-payload row.
+//
+//	bytes  0–7   Local
+//	byte   8     Kind
+//	byte   9     flags: SpeechDetected (KindMic), Worn (KindWear)
+//	bytes 10–11  PeerID
+//	bytes 12–23  payload: three 32-bit words
+//
+// Local, Kind and PeerID are plain fields. The payload is read through the
+// accessor of the record's kind (Accel, Mic, RSSI, Env, Worn, RefTime,
+// BatteryPct) and written only by the constructor of that kind (NewAccel,
+// NewMic, ...), which leaves every byte its kind does not use zero. So
+// records of equal content compare equal with ==, floats included: they are
+// held as their math.Float32bits, bit for bit. An accessor of another kind
+// reads meaningless values.
 type Record struct {
 	// Local is the badge-local timestamp of the sample.
 	Local time.Duration
 	Kind  Kind
-
-	// Accel (milli-g), valid for KindAccel.
-	AX, AY, AZ int16
-
-	// Mic features, valid for KindMic. The badge stores raw features; the
-	// paper's thresholds (>= 60 dB for >= 20% of a 15 s interval) are
-	// applied downstream in the speech analysis, which is why the fraction
-	// is recorded rather than a final verdict.
-	SpeechDetected bool    // any voice-band activity during the frame
-	LoudnessDB     float32 // max voice-band level during the frame
-	FundamentalHz  float32 // dominant voice fundamental, 0 if no speech
-	SpeechFraction float32 // fraction of the frame with voice activity
-
+	flags uint8
 	// PeerID is the observed beacon ID (KindBeacon) or badge ID
-	// (KindNeighbor, KindIR).
+	// (KindNeighbor, KindIR); zero for every other kind.
 	PeerID uint16
-	// RSSI in dBm, valid for KindBeacon and KindNeighbor.
-	RSSI float32
-
-	// Env fields, valid for KindEnv.
-	TempC    float32
-	PressHPa float32
-	LightLux float32
-
-	// Worn, valid for KindWear: the new wear state.
-	Worn bool
-
-	// RefTime is the reference badge's clock at the exchange, valid for
-	// KindSync (Local holds this badge's clock at the same instant).
-	RefTime time.Duration
-
-	// BatteryPct in [0,100], valid for KindBattery.
-	BatteryPct float32
+	w      [3]uint32
 }
+
+// Flag bits of Record.flags.
+const (
+	flagSpeech = 1 << iota
+	flagWorn
+)
+
+// NewAccel returns a 3-axis accelerometer sample in milli-g; each axis
+// takes the low 16 bits of its payload word.
+func NewAccel(local time.Duration, x, y, z int16) Record {
+	return Record{Local: local, Kind: KindAccel, w: [3]uint32{uint32(uint16(x)), uint32(uint16(y)), uint32(uint16(z))}}
+}
+
+// NewMic returns a microphone feature frame. The badge stores raw
+// features; the paper's thresholds (>= 60 dB for >= 20% of a 15 s
+// interval) are applied downstream in the speech analysis, which is why
+// the fraction is recorded rather than a final verdict.
+func NewMic(local time.Duration, speech bool, loudnessDB, fundamentalHz, speechFraction float32) Record {
+	r := Record{Local: local, Kind: KindMic, w: [3]uint32{
+		math.Float32bits(loudnessDB), math.Float32bits(fundamentalHz), math.Float32bits(speechFraction)}}
+	if speech {
+		r.flags = flagSpeech
+	}
+	return r
+}
+
+// NewBeacon returns a received BLE beacon advertisement with its RSSI in dBm.
+func NewBeacon(local time.Duration, beacon uint16, rssi float32) Record {
+	return Record{Local: local, Kind: KindBeacon, PeerID: beacon, w: [3]uint32{math.Float32bits(rssi)}}
+}
+
+// NewNeighbor returns a received 868 MHz badge announcement with its RSSI
+// in dBm.
+func NewNeighbor(local time.Duration, badge uint16, rssi float32) Record {
+	return Record{Local: local, Kind: KindNeighbor, PeerID: badge, w: [3]uint32{math.Float32bits(rssi)}}
+}
+
+// NewIR returns a confirmed infrared face-to-face contact with a badge.
+func NewIR(local time.Duration, badge uint16) Record {
+	return Record{Local: local, Kind: KindIR, PeerID: badge}
+}
+
+// NewEnv returns an environmental sample.
+func NewEnv(local time.Duration, tempC, pressHPa, lightLux float32) Record {
+	return Record{Local: local, Kind: KindEnv, w: [3]uint32{
+		math.Float32bits(tempC), math.Float32bits(pressHPa), math.Float32bits(lightLux)}}
+}
+
+// NewWear returns a wear-state transition: worn is the new state (badge
+// put on or taken off).
+func NewWear(local time.Duration, worn bool) Record {
+	r := Record{Local: local, Kind: KindWear}
+	if worn {
+		r.flags = flagWorn
+	}
+	return r
+}
+
+// NewSync returns a time-sync exchange: ref is the reference badge's clock
+// at the instant this badge's clock read local. It takes two payload words,
+// low half first.
+func NewSync(local, ref time.Duration) Record {
+	return Record{Local: local, Kind: KindSync, w: [3]uint32{uint32(uint64(ref)), uint32(uint64(ref) >> 32)}}
+}
+
+// NewBattery returns a battery state-of-charge sample in [0,100].
+func NewBattery(local time.Duration, pct float32) Record {
+	return Record{Local: local, Kind: KindBattery, w: [3]uint32{math.Float32bits(pct)}}
+}
+
+// Accel returns the axes of a KindAccel sample, in milli-g.
+func (r Record) Accel() (x, y, z int16) {
+	return int16(r.w[0]), int16(r.w[1]), int16(r.w[2])
+}
+
+// Mic returns the features of a KindMic frame: any voice-band activity
+// during the frame, its max voice-band level, the dominant voice
+// fundamental (0 if no speech), and the fraction of the frame with voice
+// activity.
+func (r Record) Mic() (speech bool, loudnessDB, fundamentalHz, speechFraction float32) {
+	return r.flags&flagSpeech != 0, math.Float32frombits(r.w[0]), math.Float32frombits(r.w[1]), math.Float32frombits(r.w[2])
+}
+
+// RSSI returns the received strength in dBm of a KindBeacon or
+// KindNeighbor record.
+func (r Record) RSSI() float32 { return math.Float32frombits(r.w[0]) }
+
+// Env returns the temperature, pressure and light of a KindEnv sample.
+func (r Record) Env() (tempC, pressHPa, lightLux float32) {
+	return math.Float32frombits(r.w[0]), math.Float32frombits(r.w[1]), math.Float32frombits(r.w[2])
+}
+
+// Worn returns the new wear state of a KindWear transition.
+func (r Record) Worn() bool { return r.flags&flagWorn != 0 }
+
+// RefTime returns the reference badge's clock of a KindSync exchange
+// (Local holds this badge's clock at the same instant).
+func (r Record) RefTime() time.Duration {
+	return time.Duration(uint64(r.w[0]) | uint64(r.w[1])<<32)
+}
+
+// BatteryPct returns the state of charge of a KindBattery sample.
+func (r Record) BatteryPct() float32 { return math.Float32frombits(r.w[0]) }
+
+// Word returns payload word i (0–2) of r for the segment codec, which
+// moves float and accel columns as raw bits: word i holds the i-th float of
+// a Mic, Env, RSSI or BatteryPct payload as its math.Float32bits, and the
+// i-th accel axis in its low 16 bits. Writing through it must keep that
+// form, with the upper 16 bits of an accel word zero.
+func (r *Record) Word(i int) *uint32 { return &r.w[i] }
 
 // appendUvarint appends v as a uvarint.
 func appendUvarint(b []byte, v uint64) []byte {
@@ -140,13 +241,8 @@ func appendU16(b []byte, v uint16) []byte {
 	return append(b, byte(v), byte(v>>8))
 }
 
-func appendF32(b []byte, v float32) []byte {
-	u := math.Float32bits(v)
+func appendU32(b []byte, u uint32) []byte {
 	return append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
-}
-
-func appendI16(b []byte, v int16) []byte {
-	return appendU16(b, uint16(v))
 }
 
 // AppendBody appends only the kind-specific body of r — no kind byte, no
@@ -157,37 +253,29 @@ func appendI16(b []byte, v int16) []byte {
 func AppendBody(dst []byte, r Record) ([]byte, error) {
 	switch r.Kind {
 	case KindAccel:
-		dst = appendI16(dst, r.AX)
-		dst = appendI16(dst, r.AY)
-		dst = appendI16(dst, r.AZ)
+		dst = appendU16(dst, uint16(r.w[0]))
+		dst = appendU16(dst, uint16(r.w[1]))
+		dst = appendU16(dst, uint16(r.w[2]))
 	case KindMic:
-		var flag byte
-		if r.SpeechDetected {
-			flag = 1
-		}
-		dst = append(dst, flag)
-		dst = appendF32(dst, r.LoudnessDB)
-		dst = appendF32(dst, r.FundamentalHz)
-		dst = appendF32(dst, r.SpeechFraction)
+		dst = append(dst, r.flags&flagSpeech)
+		dst = appendU32(dst, r.w[0])
+		dst = appendU32(dst, r.w[1])
+		dst = appendU32(dst, r.w[2])
 	case KindBeacon, KindNeighbor:
 		dst = appendU16(dst, r.PeerID)
-		dst = appendF32(dst, r.RSSI)
+		dst = appendU32(dst, r.w[0])
 	case KindIR:
 		dst = appendU16(dst, r.PeerID)
 	case KindEnv:
-		dst = appendF32(dst, r.TempC)
-		dst = appendF32(dst, r.PressHPa)
-		dst = appendF32(dst, r.LightLux)
+		dst = appendU32(dst, r.w[0])
+		dst = appendU32(dst, r.w[1])
+		dst = appendU32(dst, r.w[2])
 	case KindWear:
-		var flag byte
-		if r.Worn {
-			flag = 1
-		}
-		dst = append(dst, flag)
+		dst = append(dst, (r.flags&flagWorn)>>1)
 	case KindSync:
-		dst = appendUvarint(dst, uint64(r.RefTime))
+		dst = appendUvarint(dst, uint64(r.RefTime()))
 	case KindBattery:
-		dst = appendF32(dst, r.BatteryPct)
+		dst = appendU32(dst, r.w[0])
 	default:
 		return dst, fmt.Errorf("%w: %d", ErrUnknownKind, r.Kind)
 	}
@@ -235,7 +323,7 @@ func bodySize(r Record) (int, error) {
 	case KindWear:
 		return 1, nil // flag
 	case KindSync:
-		return uvarintLen(uint64(r.RefTime)), nil
+		return uvarintLen(uint64(r.RefTime())), nil
 	case KindBattery:
 		return 4, nil // float32
 	default:
@@ -310,87 +398,60 @@ func decodePayload(payload []byte) (Record, error) {
 
 // DecodeBody decodes the kind-specific body at the front of buf into r,
 // which must already carry the Kind (and usually the timestamp — the body
-// never does). It returns the number of bytes consumed, so bodies can be
-// read back out of a concatenated column. Errors mirror decodePayload:
-// ErrCorrupt for short bodies, ErrUnknownKind for unrecognized kinds.
+// never does); every other byte of r is overwritten. It returns the number
+// of bytes consumed, so bodies can be read back out of a concatenated
+// column. Errors mirror decodePayload: ErrCorrupt for short bodies,
+// ErrUnknownKind for unrecognized kinds.
 func DecodeBody(r *Record, buf []byte) (int, error) {
-	body := buf
-
-	readU16 := func() (uint16, bool) {
-		if len(body) < 2 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint16(body)
-		body = body[2:]
-		return v, true
-	}
-	readF32 := func() (float32, bool) {
-		if len(body) < 4 {
-			return 0, false
-		}
-		v := math.Float32frombits(binary.LittleEndian.Uint32(body))
-		body = body[4:]
-		return v, true
-	}
-	readByte := func() (byte, bool) {
-		if len(body) < 1 {
-			return 0, false
-		}
-		v := body[0]
-		body = body[1:]
-		return v, true
-	}
-
-	ok := true
+	u16 := func(i int) uint16 { return binary.LittleEndian.Uint16(buf[i:]) }
+	u32 := func(i int) uint32 { return binary.LittleEndian.Uint32(buf[i:]) }
+	f32 := func(i int) float32 { return math.Float32frombits(u32(i)) }
+	var n int
 	switch r.Kind {
 	case KindAccel:
-		var x, y, z uint16
-		var o1, o2, o3 bool
-		x, o1 = readU16()
-		y, o2 = readU16()
-		z, o3 = readU16()
-		ok = o1 && o2 && o3
-		r.AX, r.AY, r.AZ = int16(x), int16(y), int16(z)
+		if n = 6; len(buf) >= n {
+			*r = NewAccel(r.Local, int16(u16(0)), int16(u16(2)), int16(u16(4)))
+		}
 	case KindMic:
-		var flag byte
-		var o1, o2, o3, o4 bool
-		flag, o1 = readByte()
-		r.LoudnessDB, o2 = readF32()
-		r.FundamentalHz, o3 = readF32()
-		r.SpeechFraction, o4 = readF32()
-		ok = o1 && o2 && o3 && o4
-		r.SpeechDetected = flag == 1
-	case KindBeacon, KindNeighbor:
-		var o1, o2 bool
-		r.PeerID, o1 = readU16()
-		r.RSSI, o2 = readF32()
-		ok = o1 && o2
+		if n = 13; len(buf) >= n {
+			*r = NewMic(r.Local, buf[0] == 1, f32(1), f32(5), f32(9))
+		}
+	case KindBeacon:
+		if n = 6; len(buf) >= n {
+			*r = NewBeacon(r.Local, u16(0), f32(2))
+		}
+	case KindNeighbor:
+		if n = 6; len(buf) >= n {
+			*r = NewNeighbor(r.Local, u16(0), f32(2))
+		}
 	case KindIR:
-		r.PeerID, ok = readU16()
+		if n = 2; len(buf) >= n {
+			*r = NewIR(r.Local, u16(0))
+		}
 	case KindEnv:
-		var o1, o2, o3 bool
-		r.TempC, o1 = readF32()
-		r.PressHPa, o2 = readF32()
-		r.LightLux, o3 = readF32()
-		ok = o1 && o2 && o3
+		if n = 12; len(buf) >= n {
+			*r = NewEnv(r.Local, f32(0), f32(4), f32(8))
+		}
 	case KindWear:
-		var flag byte
-		flag, ok = readByte()
-		r.Worn = flag == 1
+		if n = 1; len(buf) >= n {
+			*r = NewWear(r.Local, buf[0] == 1)
+		}
 	case KindSync:
-		rt, m := binary.Uvarint(body)
+		rt, m := binary.Uvarint(buf)
 		if m <= 0 {
 			return 0, ErrCorrupt
 		}
-		body = body[m:]
-		r.RefTime = time.Duration(rt)
+		*r = NewSync(r.Local, time.Duration(rt))
+		return m, nil
 	case KindBattery:
-		r.BatteryPct, ok = readF32()
+		if n = 4; len(buf) >= n {
+			*r = NewBattery(r.Local, f32(0))
+		}
 	default:
 		return 0, fmt.Errorf("%w: %d", ErrUnknownKind, r.Kind)
 	}
-	if !ok {
+	if len(buf) < n {
 		return 0, ErrCorrupt
 	}
-	return len(buf) - len(body), nil
+	return n, nil
 }

@@ -16,17 +16,17 @@ import (
 
 func sampleRecords() []Record {
 	return []Record{
-		{Local: 5 * time.Second, Kind: KindAccel, AX: -120, AY: 980, AZ: 44},
-		{Local: 6 * time.Second, Kind: KindMic, SpeechDetected: true, LoudnessDB: 63.5, FundamentalHz: 128, SpeechFraction: 0.5},
-		{Local: 6 * time.Second, Kind: KindMic, SpeechDetected: false, LoudnessDB: 38.25},
-		{Local: 7 * time.Second, Kind: KindBeacon, PeerID: 13, RSSI: -72.5},
-		{Local: 7 * time.Second, Kind: KindNeighbor, PeerID: 3, RSSI: -55},
-		{Local: 8 * time.Second, Kind: KindIR, PeerID: 4},
-		{Local: 9 * time.Second, Kind: KindEnv, TempC: 22.5, PressHPa: 1002.25, LightLux: 310},
-		{Local: 10 * time.Second, Kind: KindWear, Worn: true},
-		{Local: 11 * time.Second, Kind: KindWear, Worn: false},
-		{Local: 12 * time.Second, Kind: KindSync, RefTime: 11*time.Second + 750*time.Millisecond},
-		{Local: 13 * time.Second, Kind: KindBattery, BatteryPct: 87.5},
+		NewAccel(5*time.Second, -120, 980, 44),
+		NewMic(6*time.Second, true, 63.5, 128, 0.5),
+		NewMic(6*time.Second, false, 38.25, 0, 0),
+		NewBeacon(7*time.Second, 13, -72.5),
+		NewNeighbor(7*time.Second, 3, -55),
+		NewIR(8*time.Second, 4),
+		NewEnv(9*time.Second, 22.5, 1002.25, 310),
+		NewWear(10*time.Second, true),
+		NewWear(11*time.Second, false),
+		NewSync(12*time.Second, 11*time.Second+750*time.Millisecond),
+		NewBattery(13*time.Second, 87.5),
 	}
 }
 
@@ -92,7 +92,7 @@ func TestDecodeFrameTooLarge(t *testing.T) {
 }
 
 func TestDecodePayloadTrailingBytes(t *testing.T) {
-	frame, err := AppendFrame(nil, Record{Kind: KindWear, Worn: true, Local: time.Second})
+	frame, err := AppendFrame(nil, NewWear(time.Second, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestQuickEncodedSize(t *testing.T) {
 			Kind:  kinds[rng.Intn(len(kinds))],
 		}
 		if r.Kind == KindSync {
-			r.RefTime = time.Duration(rng.Uint64() % uint64(30*24*time.Hour))
+			r = NewSync(r.Local, time.Duration(rng.Uint64()%uint64(30*24*time.Hour)))
 		}
 		frame, err := AppendFrame(nil, r)
 		if err != nil {
@@ -333,31 +333,25 @@ func TestQuickRoundTrip(t *testing.T) {
 			Local: time.Duration(rng.Uint64() % uint64(30*24*time.Hour)),
 			Kind:  kinds[rng.Intn(len(kinds))],
 		}
-		switch r.Kind {
+		switch t := r.Local; r.Kind {
 		case KindAccel:
-			r.AX = int16(rng.Intn(65536) - 32768)
-			r.AY = int16(rng.Intn(65536) - 32768)
-			r.AZ = int16(rng.Intn(65536) - 32768)
+			r = NewAccel(t, int16(rng.Intn(65536)-32768), int16(rng.Intn(65536)-32768), int16(rng.Intn(65536)-32768))
 		case KindMic:
-			r.SpeechDetected = rng.Bool(0.5)
-			r.LoudnessDB = float32(rng.Range(20, 100))
-			r.FundamentalHz = float32(rng.Range(0, 400))
-			r.SpeechFraction = float32(rng.Float64())
-		case KindBeacon, KindNeighbor:
-			r.PeerID = uint16(rng.Intn(65536))
-			r.RSSI = float32(rng.Range(-110, -20))
+			r = NewMic(t, rng.Bool(0.5), float32(rng.Range(20, 100)), float32(rng.Range(0, 400)), float32(rng.Float64()))
+		case KindBeacon:
+			r = NewBeacon(t, uint16(rng.Intn(65536)), float32(rng.Range(-110, -20)))
+		case KindNeighbor:
+			r = NewNeighbor(t, uint16(rng.Intn(65536)), float32(rng.Range(-110, -20)))
 		case KindIR:
-			r.PeerID = uint16(rng.Intn(65536))
+			r = NewIR(t, uint16(rng.Intn(65536)))
 		case KindEnv:
-			r.TempC = float32(rng.Range(-10, 40))
-			r.PressHPa = float32(rng.Range(900, 1100))
-			r.LightLux = float32(rng.Range(0, 2000))
+			r = NewEnv(t, float32(rng.Range(-10, 40)), float32(rng.Range(900, 1100)), float32(rng.Range(0, 2000)))
 		case KindWear:
-			r.Worn = rng.Bool(0.5)
+			r = NewWear(t, rng.Bool(0.5))
 		case KindSync:
-			r.RefTime = time.Duration(rng.Uint64() % uint64(30*24*time.Hour))
+			r = NewSync(t, time.Duration(rng.Uint64()%uint64(30*24*time.Hour)))
 		case KindBattery:
-			r.BatteryPct = float32(rng.Range(0, 100))
+			r = NewBattery(t, float32(rng.Range(0, 100)))
 		}
 		frame, err := AppendFrame(nil, r)
 		if err != nil {

@@ -36,15 +36,12 @@ func segBenchRecords() ([]record.Record, int64) {
 		at := time.Duration(0)
 		for len(recs) < segBenchN {
 			at += 200 * time.Millisecond
-			recs = append(recs, record.Record{Local: at, Kind: record.KindAccel,
-				AX: int16(rng.Intn(400) - 200), AY: int16(rng.Intn(400) - 200), AZ: int16(1000 + rng.Intn(60) - 30)})
+			recs = append(recs, record.NewAccel(at, int16(rng.Intn(400)-200), int16(rng.Intn(400)-200), int16(1000+rng.Intn(60)-30)))
 			if rng.Bool(0.3) {
-				recs = append(recs, record.Record{Local: at + time.Duration(rng.Intn(5e7)), Kind: record.KindBeacon,
-					PeerID: uint16(rng.Intn(16) + 1), RSSI: float32(rng.Range(-90, -40))})
+				recs = append(recs, record.NewBeacon(at+time.Duration(rng.Intn(5e7)), uint16(rng.Intn(16)+1), float32(rng.Range(-90, -40))))
 			}
 			if rng.Bool(0.2) {
-				recs = append(recs, record.Record{Local: at + time.Duration(5e7+rng.Intn(5e7)), Kind: record.KindMic,
-					SpeechDetected: rng.Bool(0.3), LoudnessDB: float32(rng.Range(35, 75))})
+				recs = append(recs, record.NewMic(at+time.Duration(5e7+rng.Intn(5e7)), rng.Bool(0.3), float32(rng.Range(35, 75)), 0, 0))
 			}
 		}
 		for _, r := range recs {

@@ -50,7 +50,7 @@ func FuzzReader(f *testing.F) {
 	// after itself with the index lost.
 	var ticks []record.Record
 	for i := 0; i < 40; i++ {
-		ticks = append(ticks, record.Record{Local: time.Duration(i) * time.Second, Kind: record.KindIR, PeerID: 1})
+		ticks = append(ticks, record.NewIR(time.Duration(i)*time.Second, 1))
 	}
 	raw := writeSegment(f, 1, 4, ticks)
 	blocks := openBytes(f, raw).blocks

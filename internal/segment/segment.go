@@ -69,7 +69,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"sync"
 	"time"
 
@@ -417,26 +416,19 @@ func gcd64(a, b int64) int64 {
 // appendBodyColumn appends the body column of one kind. Columns with
 // exploitable structure get their own encodings: accelerometer axes and
 // peer IDs as zigzag-delta varint columns (consecutive samples are close;
-// receivers sweep peers in a stable order), every other kind as
+// receivers sweep peers in a stable order), float payloads as XOR columns
+// of their bits, read through record.Record.Word, every other kind as
 // concatenated record.AppendBody encodings.
 func appendBodyColumn(dst []byte, k record.Kind, recs []record.Record) ([]byte, error) {
 	switch k {
 	case record.KindAccel:
 		for axis := 0; axis < 3; axis++ {
 			var prev int64
-			for _, r := range recs {
-				if r.Kind != k {
+			for i := range recs {
+				if recs[i].Kind != k {
 					continue
 				}
-				var v int64
-				switch axis {
-				case 0:
-					v = int64(r.AX)
-				case 1:
-					v = int64(r.AY)
-				case 2:
-					v = int64(r.AZ)
-				}
+				v := int64(int16(*recs[i].Word(axis)))
 				dst = appendZigzag(dst, v-prev)
 				prev = v
 			}
@@ -452,7 +444,7 @@ func appendBodyColumn(dst []byte, k record.Kind, recs []record.Record) ([]byte, 
 			prev = int64(r.PeerID)
 		}
 		if k != record.KindIR {
-			dst = appendF32Column(dst, k, recs, func(r *record.Record) float32 { return r.RSSI })
+			dst = appendF32Columns(dst, k, recs, 1)
 		}
 		return dst, nil
 	case record.KindMic:
@@ -462,7 +454,7 @@ func appendBodyColumn(dst []byte, k record.Kind, recs []record.Record) ([]byte, 
 			if recs[i].Kind != k {
 				continue
 			}
-			if recs[i].SpeechDetected {
+			if speech, _, _, _ := recs[i].Mic(); speech {
 				bits |= 1 << nbits
 			}
 			if nbits++; nbits == 8 {
@@ -473,18 +465,11 @@ func appendBodyColumn(dst []byte, k record.Kind, recs []record.Record) ([]byte, 
 		if nbits > 0 {
 			dst = append(dst, bits)
 		}
-		dst = appendF32Column(dst, k, recs, func(r *record.Record) float32 { return r.LoudnessDB })
-		dst = appendF32Column(dst, k, recs, func(r *record.Record) float32 { return r.FundamentalHz })
-		dst = appendF32Column(dst, k, recs, func(r *record.Record) float32 { return r.SpeechFraction })
-		return dst, nil
+		return appendF32Columns(dst, k, recs, 3), nil
 	case record.KindEnv:
-		dst = appendF32Column(dst, k, recs, func(r *record.Record) float32 { return r.TempC })
-		dst = appendF32Column(dst, k, recs, func(r *record.Record) float32 { return r.PressHPa })
-		dst = appendF32Column(dst, k, recs, func(r *record.Record) float32 { return r.LightLux })
-		return dst, nil
+		return appendF32Columns(dst, k, recs, 3), nil
 	case record.KindBattery:
-		dst = appendF32Column(dst, k, recs, func(r *record.Record) float32 { return r.BatteryPct })
-		return dst, nil
+		return appendF32Columns(dst, k, recs, 1), nil
 	}
 	var err error
 	for _, r := range recs {
@@ -498,35 +483,40 @@ func appendBodyColumn(dst []byte, k record.Kind, recs []record.Record) ([]byte, 
 	return dst, nil
 }
 
-// appendF32Column appends one float32 column as uvarints of each value's
-// bits XORed with the previous value's bits: repeated or zero values cost
-// one byte, and slowly drifting sensor floats share sign/exponent/high
-// mantissa bits so the XOR stays small.
-func appendF32Column(dst []byte, k record.Kind, recs []record.Record, get func(*record.Record) float32) []byte {
-	var prev uint32
-	for i := range recs {
-		if recs[i].Kind != k {
-			continue
+// appendF32Columns appends the float32 columns in payload words 0 to n-1,
+// one column after another, each as uvarints of every value's bits XORed
+// with the previous value's bits: repeated or zero values cost one byte,
+// and slowly drifting sensor floats share sign/exponent/high mantissa bits
+// so the XOR stays small.
+func appendF32Columns(dst []byte, k record.Kind, recs []record.Record, n int) []byte {
+	for w := 0; w < n; w++ {
+		var prev uint32
+		for i := range recs {
+			if recs[i].Kind != k {
+				continue
+			}
+			u := *recs[i].Word(w)
+			dst = appendUvarint(dst, uint64(u^prev))
+			prev = u
 		}
-		u := math.Float32bits(get(&recs[i]))
-		dst = appendUvarint(dst, uint64(u^prev))
-		prev = u
 	}
 	return dst
 }
 
-// decodeF32Column decodes a column written by appendF32Column into out via
-// set, returning the remaining section bytes.
-func decodeF32Column(section []byte, out []record.Record, set func(*record.Record, float32)) ([]byte, error) {
-	var prev uint32
-	for i := range out {
-		u, n := binary.Uvarint(section)
-		if n <= 0 || u > 0xFFFFFFFF {
-			return nil, ErrCorrupt
+// decodeF32Columns decodes n columns written by appendF32Columns into
+// payload words 0 to n-1 of out, returning the remaining section bytes.
+func decodeF32Columns(section []byte, out []record.Record, n int) ([]byte, error) {
+	for w := 0; w < n; w++ {
+		var prev uint32
+		for i := range out {
+			u, m := binary.Uvarint(section)
+			if m <= 0 || u > 0xFFFFFFFF {
+				return nil, ErrCorrupt
+			}
+			section = section[m:]
+			prev ^= uint32(u)
+			*out[i].Word(w) = prev
 		}
-		section = section[n:]
-		prev ^= uint32(u)
-		set(&out[i], math.Float32frombits(prev))
 	}
 	return section, nil
 }
@@ -720,14 +710,7 @@ func decodeSection(k record.Kind, out []record.Record, section []byte) error {
 				if prevV < -32768 || prevV > 32767 {
 					return ErrCorrupt
 				}
-				switch axis {
-				case 0:
-					out[i].AX = int16(prevV)
-				case 1:
-					out[i].AY = int16(prevV)
-				case 2:
-					out[i].AZ = int16(prevV)
-				}
+				*out[i].Word(axis) = uint32(uint16(prevV))
 			}
 		}
 	case record.KindBeacon, record.KindNeighbor, record.KindIR:
@@ -746,7 +729,7 @@ func decodeSection(k record.Kind, out []record.Record, section []byte) error {
 		}
 		if k != record.KindIR {
 			var err error
-			if section, err = decodeF32Column(section, out, func(r *record.Record, v float32) { r.RSSI = v }); err != nil {
+			if section, err = decodeF32Columns(section, out, 1); err != nil {
 				return err
 			}
 		}
@@ -756,33 +739,20 @@ func decodeSection(k record.Kind, out []record.Record, section []byte) error {
 			return ErrCorrupt
 		}
 		for i := 0; i < nk; i++ {
-			out[i].SpeechDetected = section[i/8]&(1<<(i%8)) != 0
+			out[i] = record.NewMic(out[i].Local, section[i/8]&(1<<(i%8)) != 0, 0, 0, 0)
 		}
-		section = section[nbytes:]
-		for _, set := range []func(*record.Record, float32){
-			func(r *record.Record, v float32) { r.LoudnessDB = v },
-			func(r *record.Record, v float32) { r.FundamentalHz = v },
-			func(r *record.Record, v float32) { r.SpeechFraction = v },
-		} {
-			var err error
-			if section, err = decodeF32Column(section, out, set); err != nil {
-				return err
-			}
+		var err error
+		if section, err = decodeF32Columns(section[nbytes:], out, 3); err != nil {
+			return err
 		}
 	case record.KindEnv:
-		for _, set := range []func(*record.Record, float32){
-			func(r *record.Record, v float32) { r.TempC = v },
-			func(r *record.Record, v float32) { r.PressHPa = v },
-			func(r *record.Record, v float32) { r.LightLux = v },
-		} {
-			var err error
-			if section, err = decodeF32Column(section, out, set); err != nil {
-				return err
-			}
+		var err error
+		if section, err = decodeF32Columns(section, out, 3); err != nil {
+			return err
 		}
 	case record.KindBattery:
 		var err error
-		if section, err = decodeF32Column(section, out, func(r *record.Record, v float32) { r.BatteryPct = v }); err != nil {
+		if section, err = decodeF32Columns(section, out, 1); err != nil {
 			return err
 		}
 	default:

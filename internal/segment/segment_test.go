@@ -30,29 +30,23 @@ func randRecords(rng *stats.RNG, n int) []record.Record {
 		r := record.Record{Local: ts, Kind: kinds[rng.Intn(len(kinds))]}
 		switch r.Kind {
 		case record.KindAccel:
-			r.AX = int16(rng.Intn(2000) - 1000)
-			r.AY = int16(rng.Intn(2000) - 1000)
-			r.AZ = int16(rng.Intn(2000) - 1000)
+			r = record.NewAccel(ts, int16(rng.Intn(2000)-1000), int16(rng.Intn(2000)-1000), int16(rng.Intn(2000)-1000))
 		case record.KindMic:
-			r.SpeechDetected = rng.Bool(0.5)
-			r.LoudnessDB = float32(rng.Range(20, 90))
-			r.FundamentalHz = float32(rng.Range(0, 300))
-			r.SpeechFraction = float32(rng.Float64())
-		case record.KindBeacon, record.KindNeighbor:
-			r.PeerID = uint16(rng.Intn(40))
-			r.RSSI = float32(rng.Range(-95, -30))
+			r = record.NewMic(ts, rng.Bool(0.5), float32(rng.Range(20, 90)), float32(rng.Range(0, 300)), float32(rng.Float64()))
+		case record.KindBeacon:
+			r = record.NewBeacon(ts, uint16(rng.Intn(40)), float32(rng.Range(-95, -30)))
+		case record.KindNeighbor:
+			r = record.NewNeighbor(ts, uint16(rng.Intn(40)), float32(rng.Range(-95, -30)))
 		case record.KindIR:
 			r.PeerID = uint16(rng.Intn(40))
 		case record.KindEnv:
-			r.TempC = float32(rng.Range(15, 30))
-			r.PressHPa = float32(rng.Range(980, 1030))
-			r.LightLux = float32(rng.Range(0, 800))
+			r = record.NewEnv(ts, float32(rng.Range(15, 30)), float32(rng.Range(980, 1030)), float32(rng.Range(0, 800)))
 		case record.KindWear:
-			r.Worn = rng.Bool(0.5)
+			r = record.NewWear(ts, rng.Bool(0.5))
 		case record.KindSync:
-			r.RefTime = ts + time.Duration(rng.Intn(2000))*time.Millisecond
+			r = record.NewSync(ts, ts+time.Duration(rng.Intn(2000))*time.Millisecond)
 		case record.KindBattery:
-			r.BatteryPct = float32(rng.Range(0, 100))
+			r = record.NewBattery(ts, float32(rng.Range(0, 100)))
 		}
 		out = append(out, r)
 	}
@@ -296,7 +290,7 @@ func TestWriterRejectsOutOfOrderAndUnknownKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Append(record.Record{Local: 10 * time.Second, Kind: record.KindIR, PeerID: 1}); err != nil {
+	if err := sw.Append(record.NewIR(10*time.Second, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Append(record.Record{Local: 9 * time.Second, Kind: record.KindIR}); !errors.Is(err, ErrOutOfOrder) {
@@ -421,13 +415,10 @@ func TestCompressionBeatsFrameEncoding(t *testing.T) {
 	// mission engine's dominant mixture.
 	for tick := 0; tick < 5000; tick++ {
 		ts := time.Duration(tick) * 5 * time.Second
-		recs = append(recs, record.Record{Local: ts, Kind: record.KindAccel,
-			AX: int16(rng.Intn(200) - 100), AY: int16(rng.Intn(200) - 100), AZ: int16(900 + rng.Intn(100))})
-		recs = append(recs, record.Record{Local: ts, Kind: record.KindMic,
-			LoudnessDB: float32(rng.Range(30, 70)), SpeechFraction: float32(rng.Float64())})
+		recs = append(recs, record.NewAccel(ts, int16(rng.Intn(200)-100), int16(rng.Intn(200)-100), int16(900+rng.Intn(100))))
+		recs = append(recs, record.NewMic(ts, false, float32(rng.Range(30, 70)), 0, float32(rng.Float64())))
 		if rng.Bool(0.8) {
-			recs = append(recs, record.Record{Local: ts, Kind: record.KindBeacon,
-				PeerID: uint16(rng.Intn(30)), RSSI: float32(rng.Range(-90, -40))})
+			recs = append(recs, record.NewBeacon(ts, uint16(rng.Intn(30)), float32(rng.Range(-90, -40))))
 		}
 	}
 	var framed int64

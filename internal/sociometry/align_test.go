@@ -57,7 +57,7 @@ func TestTrackSpansMidnight(t *testing.T) {
 
 	d := store.NewDataset()
 	s := d.Series(1)
-	s.Append(record.Record{Local: 24 * time.Hour, Kind: record.KindWear, Worn: true})
+	s.Append(record.NewWear(24*time.Hour, true))
 	var beacons []record.Record
 	for off := -5 * time.Second; off < 2*time.Second; off += time.Second {
 		at := midnight + off
@@ -65,7 +65,7 @@ func TestTrackSpansMidnight(t *testing.T) {
 		if off >= 0 {
 			site = sites[1]
 		}
-		r := record.Record{Local: at, Kind: record.KindBeacon, PeerID: uint16(site.ID), RSSI: -50}
+		r := record.NewBeacon(at, uint16(site.ID), -50)
 		s.Append(r)
 		beacons = append(beacons, r)
 	}

@@ -59,8 +59,9 @@ func (p *Pipeline) RoomClimates() []RoomClimate {
 				byRoom[room] = a
 			}
 			a.n++
-			a.temp += float64(r.TempC)
-			a.lux += float64(r.LightLux)
+			temp, _, lux := r.Env()
+			a.temp += float64(temp)
+			a.lux += float64(lux)
 		}
 	}
 	rooms := make([]habitat.RoomID, 0, len(byRoom))

@@ -275,7 +275,7 @@ func syntheticSyncSource(offset time.Duration, skew float64) (Source, *store.Dat
 	day2 := simtime.StartOfDay(2)
 	for i := 0; i < 12; i++ {
 		ref := day2 + time.Duration(i)*time.Hour
-		s.Append(record.Record{Local: toLocal(ref), Kind: record.KindSync, RefTime: ref})
+		s.Append(record.NewSync(toLocal(ref), ref))
 	}
 	src := Source{
 		Habitat:  habitat.Standard(),

@@ -34,36 +34,28 @@ func randomMission(seed int64) *store.Dataset {
 		for day := 2; day <= 3; day++ {
 			start := time.Duration(day-1) * 24 * time.Hour
 			end := start + 24*time.Hour
-			s.Append(record.Record{Local: local(start + 5*time.Minute), Kind: record.KindWear, Worn: true})
+			s.Append(record.NewWear(local(start+5*time.Minute), true))
 			for ref := start + 5*time.Minute; ref < end-5*time.Minute; ref += 30 * time.Second {
 				switch (ref / (30 * time.Second)) % 6 {
 				case 0:
-					s.Append(record.Record{Local: local(ref), Kind: record.KindSync, RefTime: ref})
+					s.Append(record.NewSync(local(ref), ref))
 				case 1:
 					site := sites[rng.Intn(len(sites))]
-					s.Append(record.Record{Local: local(ref), Kind: record.KindBeacon,
-						PeerID: uint16(site.ID), RSSI: float32(-45 - rng.Intn(30))})
+					s.Append(record.NewBeacon(local(ref), uint16(site.ID), float32(-45-rng.Intn(30))))
 				case 2:
-					s.Append(record.Record{Local: local(ref), Kind: record.KindMic,
-						SpeechDetected: rng.Intn(3) == 0,
-						LoudnessDB:     float32(40 + rng.Intn(40)),
-						FundamentalHz:  float32(110 + rng.Intn(130)),
-						SpeechFraction: float32(rng.Float64())})
+					s.Append(record.NewMic(local(ref), rng.Intn(3) == 0, float32(40+rng.Intn(40)), float32(110+rng.Intn(130)), float32(rng.Float64())))
 				case 3:
-					s.Append(record.Record{Local: local(ref), Kind: record.KindAccel,
-						AX: int16(rng.Intn(2000) - 1000), AY: int16(rng.Intn(2000) - 1000),
-						AZ: int16(16000 + rng.Intn(800))})
+					s.Append(record.NewAccel(local(ref), int16(rng.Intn(2000)-1000), int16(rng.Intn(2000)-1000), int16(16000+rng.Intn(800))))
 				case 4:
 					peer := 1 + rng.Intn(4)
 					if peer != b {
-						s.Append(record.Record{Local: local(ref), Kind: record.KindIR, PeerID: uint16(peer)})
+						s.Append(record.NewIR(local(ref), uint16(peer)))
 					}
 				case 5:
-					s.Append(record.Record{Local: local(ref), Kind: record.KindEnv,
-						TempC: float32(19 + rng.Intn(6)), PressHPa: 1010, LightLux: float32(rng.Intn(500))})
+					s.Append(record.NewEnv(local(ref), float32(19+rng.Intn(6)), 1010, float32(rng.Intn(500))))
 				}
 			}
-			s.Append(record.Record{Local: local(end - 5*time.Minute), Kind: record.KindWear, Worn: false})
+			s.Append(record.NewWear(local(end-5*time.Minute), false))
 		}
 	}
 	return d

@@ -192,19 +192,19 @@ func TestWalkingIgnoresUnwornPeriods(t *testing.T) {
 	ds := store.NewDataset()
 	s := ds.Series(7)
 	h := time.Hour
-	s.Append(record.Record{Local: 1 * h, Kind: record.KindWear, Worn: true})
-	s.Append(record.Record{Local: 2 * h, Kind: record.KindWear, Worn: false})
+	s.Append(record.NewWear(1*h, true))
+	s.Append(record.NewWear(2*h, false))
 	// Worn hour: alternating high-amplitude accel — every window walks.
 	for ts := 1 * h; ts < 2*h; ts += 2 * time.Second {
 		ax := int16(300)
 		if (ts/(2*time.Second))%2 == 0 {
 			ax = -300
 		}
-		s.Append(record.Record{Local: ts, Kind: record.KindAccel, AX: ax, AY: ax, AZ: 1000})
+		s.Append(record.NewAccel(ts, ax, ax, 1000))
 	}
 	// Unworn hour: the badge lies flat and still.
 	for ts := 2 * h; ts < 3*h; ts += 2 * time.Second {
-		s.Append(record.Record{Local: ts, Kind: record.KindAccel, AZ: 1000})
+		s.Append(record.NewAccel(ts, 0, 0, 1000))
 	}
 
 	p, err := NewPipeline(Source{

@@ -116,13 +116,13 @@ func TestRectifyViewMatchesReference(t *testing.T) {
 			// so tie order is visible on both backends.
 			switch r.Kind {
 			case record.KindAccel:
-				r.AX = int16(i)
+				r = record.NewAccel(r.Local, int16(i), 0, 0)
 			case record.KindMic:
-				r.LoudnessDB = float32(i)
+				r = record.NewMic(r.Local, false, float32(i), 0, 0)
 			case record.KindBeacon:
 				r.PeerID = uint16(i)
 			case record.KindSync:
-				r.RefTime = time.Duration(i)
+				r = record.NewSync(r.Local, time.Duration(i))
 			}
 			s.Append(r)
 			raw = append(raw, r)

@@ -49,13 +49,14 @@ func FramesCursor(c *record.Cursor, cfg Config) []Frame {
 		if r.Kind != record.KindMic {
 			continue
 		}
+		speech, loud, f0, frac := r.Mic()
 		f := Frame{
 			At:       r.Local,
-			LoudDB:   float64(r.LoudnessDB),
-			F0Hz:     float64(r.FundamentalHz),
-			Fraction: float64(r.SpeechFraction),
+			LoudDB:   float64(loud),
+			F0Hz:     float64(f0),
+			Fraction: float64(frac),
 		}
-		f.Speech = r.SpeechDetected &&
+		f.Speech = speech &&
 			f.LoudDB >= cfg.MinLoudDB &&
 			f.Fraction >= cfg.MinFraction
 		out = append(out, f)

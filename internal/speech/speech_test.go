@@ -9,13 +9,7 @@ import (
 )
 
 func micRec(at time.Duration, loud, f0, frac float64) record.Record {
-	return record.Record{
-		Local: at, Kind: record.KindMic,
-		SpeechDetected: frac > 0,
-		LoudnessDB:     float32(loud),
-		FundamentalHz:  float32(f0),
-		SpeechFraction: float32(frac),
-	}
+	return record.NewMic(at, frac > 0, float32(loud), float32(f0), float32(frac))
 }
 
 // detect runs FramesCursor over an in-memory record slice.

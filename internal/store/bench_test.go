@@ -86,11 +86,15 @@ func benchRecords() []record.Record {
 		}
 		benchBase = make([]record.Record, benchN)
 		for i := range benchBase {
-			benchBase[i] = record.Record{
-				Local:  time.Duration(i) * 100 * time.Millisecond,
-				Kind:   kinds[rng.Intn(len(kinds))],
-				PeerID: uint16(rng.Intn(27) + 1),
-				RSSI:   float32(rng.Range(-90, -40)),
+			at, kind := time.Duration(i)*100*time.Millisecond, kinds[rng.Intn(len(kinds))]
+			peer, rssi := uint16(rng.Intn(27)+1), float32(rng.Range(-90, -40))
+			switch kind {
+			case record.KindBeacon:
+				benchBase[i] = record.NewBeacon(at, peer, rssi)
+			case record.KindNeighbor:
+				benchBase[i] = record.NewNeighbor(at, peer, rssi)
+			default:
+				benchBase[i] = record.Record{Local: at, Kind: kind}
 			}
 		}
 	})
@@ -102,11 +106,7 @@ func oooTail() []record.Record {
 	rng := stats.NewRNG(2)
 	out := make([]record.Record, benchOOO)
 	for i := range out {
-		out[i] = record.Record{
-			Local:  time.Duration(rng.Intn(benchN)) * 100 * time.Millisecond,
-			Kind:   record.KindIR,
-			PeerID: uint16(rng.Intn(27) + 1),
-		}
+		out[i] = record.NewIR(time.Duration(rng.Intn(benchN))*100*time.Millisecond, uint16(rng.Intn(27)+1))
 	}
 	return out
 }
@@ -131,7 +131,7 @@ func sharedSeries() *Series {
 
 func BenchmarkSeriesAppend(b *testing.B) {
 	s := &Series{}
-	rec := record.Record{Kind: record.KindAccel, AZ: 1000}
+	rec := record.NewAccel(0, 0, 0, 1000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -149,8 +149,8 @@ func BenchmarkSeriesAppend(b *testing.B) {
 func BenchmarkSeriesAppendInterleaved(b *testing.B) {
 	const day = 36000
 	var s *Series
-	accel := record.Record{Kind: record.KindAccel, AZ: 1000}
-	mic := record.Record{Kind: record.KindMic, LoudnessDB: 55}
+	accel := record.NewAccel(0, 0, 0, 1000)
+	mic := record.NewMic(0, false, 55, 0, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 1; i <= b.N; i++ {
@@ -195,7 +195,7 @@ func BenchmarkSeriesFirstRead(b *testing.B) {
 
 func BenchmarkSeedAppend(b *testing.B) {
 	s := &seedSeries{}
-	rec := record.Record{Kind: record.KindAccel, AZ: 1000}
+	rec := record.NewAccel(0, 0, 0, 1000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -309,12 +309,7 @@ func benchDataset(badges, per int) *Dataset {
 		rng := stats.NewRNG(uint64(id))
 		s := d.Series(id)
 		for i := 0; i < per; i++ {
-			s.Append(record.Record{
-				Local:  time.Duration(i) * time.Second,
-				Kind:   record.KindBeacon,
-				PeerID: uint16(rng.Intn(27) + 1),
-				RSSI:   float32(rng.Range(-90, -40)),
-			})
+			s.Append(record.NewBeacon(time.Duration(i)*time.Second, uint16(rng.Intn(27)+1), float32(rng.Range(-90, -40))))
 		}
 	}
 	return d
@@ -370,11 +365,7 @@ func BenchmarkDatasetParallelLoad(b *testing.B) {
 func BenchmarkSeriesIterWarm(b *testing.B) {
 	s := NewDataset().Series(1)
 	for i := 0; i < benchN; i++ {
-		s.Append(record.Record{
-			Local:  time.Duration(i) * time.Millisecond,
-			Kind:   record.KindBeacon,
-			PeerID: uint16(i%27 + 1),
-		})
+		s.Append(record.NewBeacon(time.Duration(i)*time.Millisecond, uint16(i%27+1), 0))
 	}
 	it := s.Iter(0, time.Duration(benchN)*time.Millisecond, 0)
 	for it.Next() { // settle the sorted-run layout before timing

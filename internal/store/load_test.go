@@ -25,12 +25,7 @@ func saveTwoBadges(t *testing.T) (string, *Dataset, int) {
 	for id := BadgeID(1); id <= 2; id++ {
 		s := d.Series(id)
 		for i := 0; i < n; i++ {
-			s.Append(record.Record{
-				Local:  time.Duration(i) * time.Second,
-				Kind:   record.KindBeacon,
-				PeerID: uint16(id),
-				RSSI:   -60,
-			})
+			s.Append(record.NewBeacon(time.Duration(i)*time.Second, uint16(id), -60))
 		}
 	}
 	if err := d.saveSegments(dir, twoBadgesBlock); err != nil {
@@ -173,11 +168,7 @@ func TestLoadManyBadgesParallel(t *testing.T) {
 	for id := BadgeID(1); id <= badges; id++ {
 		s := d.Series(id)
 		for i := 0; i < per; i++ {
-			s.Append(record.Record{
-				Local: time.Duration(i) * time.Second,
-				Kind:  record.KindEnv,
-				TempC: 21,
-			})
+			s.Append(record.NewEnv(time.Duration(i)*time.Second, 21, 0, 0))
 		}
 	}
 	if err := d.SaveSegments(dir); err != nil {

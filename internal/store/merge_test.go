@@ -21,11 +21,8 @@ func kRunSeries(rng *stats.RNG, k, maxLen int) (*Series, []record.Record) {
 	for i := 0; i < k; i++ {
 		run := make([]record.Record, 1+rng.Intn(maxLen))
 		for j := range run {
-			run[j] = record.Record{
-				Local:  time.Duration(rng.Intn(maxLen/4+1)) * time.Second,
-				Kind:   record.KindBeacon,
-				PeerID: uint16(len(appended) + j), // append order marker
-			}
+			// The peer ID is the append order marker.
+			run[j] = record.NewBeacon(time.Duration(rng.Intn(maxLen/4+1))*time.Second, uint16(len(appended)+j), 0)
 			if rng.Bool(0.3) {
 				run[j].Kind = record.KindNeighbor
 			}

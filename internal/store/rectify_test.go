@@ -149,11 +149,7 @@ func TestSetRectifierMatchesBatchRectify(t *testing.T) {
 	fix := withCorrection(timesync.Correction{Offset: 2 * time.Second, Skew: 20e-6})
 	var raw []record.Record
 	for i := 0; i < 1000; i++ {
-		raw = append(raw, record.Record{
-			Local: time.Duration(i)*7*time.Second + 2*time.Second,
-			Kind:  record.KindAccel,
-			AX:    int16(i),
-		})
+		raw = append(raw, record.NewAccel(time.Duration(i)*7*time.Second+2*time.Second, int16(i), 0, 0))
 	}
 
 	batchDS := store.NewDataset()
@@ -195,7 +191,7 @@ func TestDatasetRectifyOnce(t *testing.T) {
 	s := ds.Series(1)
 	for i := 0; i < 12; i++ {
 		ref := time.Duration(i) * time.Hour
-		s.Append(record.Record{Local: toLocal(ref), Kind: record.KindSync, RefTime: ref})
+		s.Append(record.NewSync(toLocal(ref), ref))
 	}
 	raw := toLocal(30 * time.Minute)
 	s.Append(accelAt(raw))

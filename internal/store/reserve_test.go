@@ -49,7 +49,7 @@ func TestQuickReservationReadsLikeNoReservation(t *testing.T) {
 			if ooo && rng.Bool(0.1) {
 				at -= time.Duration(rng.Intn(200)) * time.Second
 			}
-			recs[i] = record.Record{Local: at, Kind: record.KindBeacon, PeerID: uint16(i)}
+			recs[i] = record.NewBeacon(at, uint16(i), 0)
 			if rng.Bool(0.3) {
 				recs[i].Kind = record.KindNeighbor
 			}

@@ -23,17 +23,13 @@ func fillDataset(t *testing.T, badges, seconds int) *Dataset {
 		s := d.Series(BadgeID(b))
 		for sec := 0; sec < seconds; sec++ {
 			at := time.Duration(sec) * time.Second
-			s.Append(record.Record{Local: at, Kind: record.KindAccel,
-				AX: int16(rng.Intn(2000) - 1000), AY: int16(rng.Intn(2000) - 1000), AZ: int16(rng.Intn(2000) - 1000)})
-			s.Append(record.Record{Local: at, Kind: record.KindMic,
-				SpeechDetected: sec%3 == 0, LoudnessDB: 40 + float32(rng.Intn(30)), SpeechFraction: 0.25})
+			s.Append(record.NewAccel(at, int16(rng.Intn(2000)-1000), int16(rng.Intn(2000)-1000), int16(rng.Intn(2000)-1000)))
+			s.Append(record.NewMic(at, sec%3 == 0, 40+float32(rng.Intn(30)), 0, 0.25))
 			if sec%5 == 0 {
-				s.Append(record.Record{Local: at + time.Duration(rng.Intn(1e9)), Kind: record.KindBeacon,
-					PeerID: uint16(rng.Intn(16)), RSSI: -40 - float32(rng.Intn(50))})
+				s.Append(record.NewBeacon(at+time.Duration(rng.Intn(1e9)), uint16(rng.Intn(16)), -40-float32(rng.Intn(50))))
 			}
 			if sec%7 == 0 {
-				s.Append(record.Record{Local: at + time.Duration(rng.Intn(1e9)), Kind: record.KindNeighbor,
-					PeerID: uint16(b%badges + 1), RSSI: -50})
+				s.Append(record.NewNeighbor(at+time.Duration(rng.Intn(1e9)), uint16(b%badges+1), -50))
 			}
 		}
 	}

@@ -31,12 +31,9 @@ func TestQuickRunsMatchStableSort(t *testing.T) {
 		var s Series
 		appended := make([]record.Record, 0, n)
 		for i := 0; i < n; i++ {
-			r := record.Record{
-				// Coarse timestamps force plenty of equal-key ties.
-				Local:  time.Duration(rng.Intn(n/4+1)) * time.Second,
-				Kind:   record.KindBeacon,
-				PeerID: uint16(i), // append order marker
-			}
+			// Coarse timestamps force plenty of equal-key ties; the peer
+			// ID is the append order marker.
+			r := record.NewBeacon(time.Duration(rng.Intn(n/4+1))*time.Second, uint16(i), 0)
 			if rng.Bool(0.3) {
 				r.Kind = record.KindNeighbor
 			}
@@ -139,10 +136,10 @@ func TestSeriesStableAcrossSealBoundaries(t *testing.T) {
 	}
 	// Out-of-order burst that seals into its own run, colliding with
 	// timestamps already in the first run.
-	s.Append(record.Record{Local: 5 * time.Second, Kind: record.KindBeacon, PeerID: 100})
-	s.Append(record.Record{Local: 5 * time.Second, Kind: record.KindBeacon, PeerID: 101})
+	s.Append(record.NewBeacon(5*time.Second, 100, 0))
+	s.Append(record.NewBeacon(5*time.Second, 101, 0))
 	_ = s.All() // seal + merge
-	s.Append(record.Record{Local: 5 * time.Second, Kind: record.KindBeacon, PeerID: 102})
+	s.Append(record.NewBeacon(5*time.Second, 102, 0))
 	got := s.Range(5*time.Second, 5*time.Second+1)
 	if len(got) != 4 {
 		t.Fatalf("collision group = %d records", len(got))
@@ -234,11 +231,7 @@ func TestSeriesOutOfOrderSaveLoadOrdering(t *testing.T) {
 	s := d.Series(7)
 	rng := stats.NewRNG(21)
 	for i := 0; i < 2*maxTail; i++ {
-		s.Append(record.Record{
-			Local:  time.Duration(rng.Intn(10000)) * time.Millisecond,
-			Kind:   record.KindNeighbor,
-			PeerID: uint16(i),
-		})
+		s.Append(record.NewNeighbor(time.Duration(rng.Intn(10000))*time.Millisecond, uint16(i), 0))
 	}
 	want := s.All()
 	for i := 1; i < len(want); i++ {
@@ -289,11 +282,7 @@ func TestSeriesEncodedBytesMatchesLogWriter(t *testing.T) {
 	var s Series
 	rng := stats.NewRNG(9)
 	for i := 0; i < 500; i++ {
-		s.Append(record.Record{
-			Local:   time.Duration(rng.Intn(100000)) * time.Millisecond,
-			Kind:    record.KindSync,
-			RefTime: time.Duration(rng.Uint64() % uint64(14*24*time.Hour)),
-		})
+		s.Append(record.NewSync(time.Duration(rng.Intn(100000))*time.Millisecond, time.Duration(rng.Uint64()%uint64(14*24*time.Hour))))
 	}
 	var buf bytes.Buffer
 	lw, err := record.NewLogWriter(&buf, 4)
@@ -323,7 +312,7 @@ func TestQuickSeriesTimesMatchesRange(t *testing.T) {
 		var s Series
 		n := rng.Intn(3 * timesBatch)
 		for i := 0; i < n; i++ {
-			s.Append(record.Record{Local: time.Duration(rng.Intn(600)) * time.Second, Kind: record.KindAccel, AX: int16(i)})
+			s.Append(record.NewAccel(time.Duration(rng.Intn(600))*time.Second, int16(i), 0, 0))
 		}
 		windows := [][2]time.Duration{
 			{math.MinInt64, math.MaxInt64},

@@ -50,9 +50,9 @@ func TestSeriesOutOfOrderAppendSorts(t *testing.T) {
 
 func TestSeriesStableSortPreservesEqualTimestamps(t *testing.T) {
 	var s Series
-	s.Append(record.Record{Local: 2 * time.Second, Kind: record.KindBeacon, PeerID: 1})
-	s.Append(record.Record{Local: time.Second, Kind: record.KindBeacon, PeerID: 9})
-	s.Append(record.Record{Local: 2 * time.Second, Kind: record.KindBeacon, PeerID: 2})
+	s.Append(record.NewBeacon(2*time.Second, 1, 0))
+	s.Append(record.NewBeacon(time.Second, 9, 0))
+	s.Append(record.NewBeacon(2*time.Second, 2, 0))
 	all := s.All()
 	if all[1].PeerID != 1 || all[2].PeerID != 2 {
 		t.Errorf("equal-timestamp order not preserved: %v, %v", all[1].PeerID, all[2].PeerID)

@@ -22,9 +22,9 @@ type badgeAppender struct {
 func (b *badgeAppender) next() []record.Record {
 	b.sec++
 	now := time.Duration(b.sec) * time.Second
-	recs := []record.Record{{Local: now, Kind: record.KindAccel, AX: int16(b.sec)}}
+	recs := []record.Record{record.NewAccel(now, int16(b.sec), 0, 0)}
 	if b.sec%15 == 0 {
-		recs = append(recs, record.Record{Local: now - 15*time.Second, Kind: record.KindMic, LoudnessDB: float32(b.sec)})
+		recs = append(recs, record.NewMic(now-15*time.Second, false, float32(b.sec), 0, 0))
 	}
 	for _, r := range recs {
 		b.s.Append(r)

@@ -17,8 +17,8 @@ func viewerDataset() *Dataset {
 	d := NewDataset()
 	for i := 0; i < 50; i++ {
 		at := time.Duration(i) * time.Second
-		d.Series(1).Append(record.Record{Local: at, Kind: record.KindEnv, TempC: 21, LightLux: 300})
-		d.Series(2).Append(record.Record{Local: at, Kind: record.KindBeacon, PeerID: 3, RSSI: -48})
+		d.Series(1).Append(record.NewEnv(at, 21, 0, 300))
+		d.Series(2).Append(record.NewBeacon(at, 3, -48))
 	}
 	return d
 }
@@ -61,7 +61,7 @@ func TestDatasetViewDoesNotCreate(t *testing.T) {
 	if n := len(d.Badges()); n != 0 {
 		t.Fatalf("View created a series: %d badges", n)
 	}
-	d.Series(7).Append(record.Record{Local: time.Second, Kind: record.KindWear, Worn: true})
+	d.Series(7).Append(record.NewWear(time.Second, true))
 	v, ok := d.View(7)
 	if !ok || v.Len() != 1 {
 		t.Fatalf("View(7) after append: ok=%v len=%d", ok, v.Len())

@@ -172,7 +172,7 @@ func TestAnalyticsRespectsPrivacyScrub(t *testing.T) {
 
 	d.Privacy().Suppress("A", 10*time.Minute, 20*time.Minute)
 	mic := func(at time.Duration) record.Record {
-		return record.Record{Local: at, Kind: record.KindMic, LoudnessDB: 70}
+		return record.NewMic(at, false, 70, 0, 0)
 	}
 	ingest(d, "A", 1, mic(5*time.Minute))
 	ingest(d, "A", 1, mic(15*time.Minute)) // suppressed

@@ -28,18 +28,13 @@ func BenchmarkDaemonIngest(b *testing.B) {
 		at := time.Duration(i) * time.Second
 		switch i % 4 {
 		case 0:
-			recs[i] = record.Record{Local: at, Kind: record.KindAccel,
-				AX: int16(rng.Norm(0, 100)), AZ: 1000}
+			recs[i] = record.NewAccel(at, int16(rng.Norm(0, 100)), 0, 1000)
 		case 1:
-			recs[i] = record.Record{Local: at, Kind: record.KindMic,
-				SpeechDetected: rng.Bool(0.3), LoudnessDB: float32(rng.Range(30, 75)),
-				SpeechFraction: float32(rng.Float64())}
+			recs[i] = record.NewMic(at, rng.Bool(0.3), float32(rng.Range(30, 75)), 0, float32(rng.Float64()))
 		case 2:
-			recs[i] = record.Record{Local: at, Kind: record.KindBeacon,
-				PeerID: uint16(rng.Intn(27) + 1), RSSI: float32(rng.Range(-90, -40))}
+			recs[i] = record.NewBeacon(at, uint16(rng.Intn(27)+1), float32(rng.Range(-90, -40)))
 		default:
-			recs[i] = record.Record{Local: at, Kind: record.KindBattery,
-				BatteryPct: float32(rng.Range(30, 100))}
+			recs[i] = record.NewBattery(at, float32(rng.Range(30, 100)))
 		}
 	}
 	one := make([]record.Record, 1)

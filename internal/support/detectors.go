@@ -83,13 +83,14 @@ func (d *InactivityDetector) Observe(at time.Duration, wearer string, _ store.Ba
 	d.lastSeen[wearer] = at
 	switch rec.Kind {
 	case record.KindWear:
-		d.worn[wearer] = rec.Worn
-		if rec.Worn {
+		d.worn[wearer] = rec.Worn()
+		if rec.Worn() {
 			d.lastMove[wearer] = at
 			d.alerted[wearer] = false
 		}
 	case record.KindAccel:
-		dev := math.Max(math.Abs(float64(rec.AX)), math.Abs(float64(rec.AY)))
+		x, y, _ := rec.Accel()
+		dev := math.Max(math.Abs(float64(x)), math.Abs(float64(y)))
 		if dev >= moveSigma {
 			d.lastMove[wearer] = at
 			d.alerted[wearer] = false
@@ -166,7 +167,8 @@ func (d *QuietCrewDetector) Observe(at time.Duration, wearer string, _ store.Bad
 	if rec.Kind != record.KindMic || wearer == "" {
 		return nil
 	}
-	speech := rec.SpeechDetected && rec.LoudnessDB >= 60 && rec.SpeechFraction >= 0.2
+	detected, loud, _, frac := rec.Mic()
+	speech := detected && loud >= 60 && frac >= 0.2
 	d.frames = append(d.frames, frameObs{at: at, speech: speech})
 	return nil
 }
@@ -226,7 +228,7 @@ func (d *BatteryDetector) Observe(at time.Duration, wearer string, badge store.B
 	if rec.Kind != record.KindBattery {
 		return nil
 	}
-	if rec.BatteryPct >= lowBatteryPct {
+	if rec.BatteryPct() >= lowBatteryPct {
 		d.alerted[badge] = false
 		return nil
 	}
@@ -236,7 +238,7 @@ func (d *BatteryDetector) Observe(at time.Duration, wearer string, badge store.B
 	d.alerted[badge] = true
 	return []Alert{{
 		At: at, Severity: Warning, Kind: d.Name(), Subject: wearer,
-		Message: fmt.Sprintf("badge %d battery at %.0f%% — dock it or swap to a backup", badge, rec.BatteryPct),
+		Message: fmt.Sprintf("badge %d battery at %.0f%% — dock it or swap to a backup", badge, rec.BatteryPct()),
 	}}
 }
 
@@ -339,7 +341,7 @@ func (d *WearComplianceDetector) Observe(at time.Duration, wearer string, _ stor
 	if wearer == "" || rec.Kind != record.KindWear {
 		return nil
 	}
-	if rec.Worn {
+	if rec.Worn() {
 		d.wornSince[wearer] = at
 		delete(d.unwornSince, wearer)
 		d.alerted[wearer] = false

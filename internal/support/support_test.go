@@ -14,11 +14,11 @@ import (
 )
 
 func accelRec(at time.Duration, dev int16) record.Record {
-	return record.Record{Local: at, Kind: record.KindAccel, AX: dev, AY: 0, AZ: 1000}
+	return record.NewAccel(at, dev, 0, 1000)
 }
 
 func wearRec(at time.Duration, worn bool) record.Record {
-	return record.Record{Local: at, Kind: record.KindWear, Worn: worn}
+	return record.NewWear(at, worn)
 }
 
 // ingest feeds one record through the daemon's entry point, then sweeps
@@ -84,15 +84,10 @@ func TestQuietCrewDetector(t *testing.T) {
 	d := NewDaemon()
 	d.Register(NewQuietCrewDetector())
 	mic := func(at time.Duration, speech bool) record.Record {
-		r := record.Record{Local: at, Kind: record.KindMic}
 		if speech {
-			r.SpeechDetected = true
-			r.LoudnessDB = 68
-			r.SpeechFraction = 0.5
-		} else {
-			r.LoudnessDB = 35
+			return record.NewMic(at, true, 68, 0, 0.5)
 		}
-		return r
+		return record.NewMic(at, false, 35, 0, 0)
 	}
 	// 6 hours of lively conversation (~40% speech).
 	at := time.Duration(0)
@@ -117,7 +112,7 @@ func TestBatteryDetector(t *testing.T) {
 	d := NewDaemon()
 	d.Register(NewBatteryDetector())
 	bat := func(at time.Duration, pct float32) record.Record {
-		return record.Record{Local: at, Kind: record.KindBattery, BatteryPct: pct}
+		return record.NewBattery(at, pct)
 	}
 	ingest(d, "B", 2, bat(0, 80))
 	ingest(d, "B", 2, bat(time.Hour, 15))
@@ -145,7 +140,7 @@ func TestApplyOrdersBatchesByBadge(t *testing.T) {
 		return string(rune('A' - 1 + int(id))), true
 	})
 	bat := func(at time.Duration, pct float32) []record.Record {
-		return []record.Record{{Local: at, Kind: record.KindBattery, BatteryPct: pct}}
+		return []record.Record{record.NewBattery(at, pct)}
 	}
 	r.staged = []offload.Batch{
 		{Badge: 2, Records: bat(time.Second, 10)},
@@ -178,7 +173,7 @@ func TestHydrationDetector(t *testing.T) {
 	d := NewDaemon()
 	d.Register(NewHydrationDetector(hab))
 	obs := func(at time.Duration, beacon uint16) record.Record {
-		return record.Record{Local: at, Kind: record.KindBeacon, PeerID: beacon, RSSI: -60}
+		return record.NewBeacon(at, beacon, -60)
 	}
 	// A visits the kitchen at t=0, then stays in the office for 6 h, an
 	// hour past the 5-hour reminder.
@@ -256,7 +251,7 @@ func TestWearComplianceCountsFromDutyStart(t *testing.T) {
 // out of time order.
 func TestQuietCrewTrimsByTime(t *testing.T) {
 	det := NewQuietCrewDetector()
-	mic := record.Record{Kind: record.KindMic, LoudnessDB: 35}
+	mic := record.NewMic(0, false, 35, 0, 0)
 	// One window's worth of frames, badge by badge: A's old frame lands
 	// after B's fresh ones.
 	for _, f := range []struct {
@@ -282,7 +277,7 @@ func TestPrivacyGuardSuppressesMicAndIR(t *testing.T) {
 	det := NewQuietCrewDetector()
 	d.Register(det)
 	d.Privacy().Suppress("A", 0, time.Hour)
-	mic := record.Record{Local: time.Minute, Kind: record.KindMic, SpeechDetected: true, LoudnessDB: 70, SpeechFraction: 0.5}
+	mic := record.NewMic(time.Minute, true, 70, 0, 0.5)
 	ingest(d, "A", 1, mic)
 	if len(det.frames) != 0 {
 		t.Error("suppressed mic frame reached a detector")
@@ -518,7 +513,7 @@ func TestDaemonAlertSubscription(t *testing.T) {
 	d.Register(NewBatteryDetector())
 	var got []Alert
 	d.OnAlert(func(a Alert) { got = append(got, a) })
-	ingest(d, "B", 2, record.Record{Local: 0, Kind: record.KindBattery, BatteryPct: 5})
+	ingest(d, "B", 2, record.NewBattery(0, 5))
 	if len(got) != 1 {
 		t.Errorf("subscriber got %d alerts", len(got))
 	}

@@ -128,7 +128,7 @@ func ObservationsFromRecords(recs []record.Record) []Observation {
 		if r.Kind != record.KindSync {
 			continue
 		}
-		out = append(out, Observation{Local: r.Local, Ref: r.RefTime})
+		out = append(out, Observation{Local: r.Local, Ref: r.RefTime()})
 	}
 	return out
 }
@@ -179,7 +179,7 @@ func (e *Estimator) ObserveCursor(c *record.Cursor) int {
 		if r.Kind != record.KindSync {
 			continue
 		}
-		e.Observe(Observation{Local: r.Local, Ref: r.RefTime})
+		e.Observe(Observation{Local: r.Local, Ref: r.RefTime()})
 		n++
 	}
 	return n

@@ -124,9 +124,9 @@ func TestShiftAtAndBetween(t *testing.T) {
 func TestObservationsFromRecords(t *testing.T) {
 	recs := []record.Record{
 		{Local: time.Second, Kind: record.KindAccel},
-		{Local: 2 * time.Second, Kind: record.KindSync, RefTime: 1900 * time.Millisecond},
+		record.NewSync(2*time.Second, 1900*time.Millisecond),
 		{Local: 3 * time.Second, Kind: record.KindMic},
-		{Local: 4 * time.Second, Kind: record.KindSync, RefTime: 3900 * time.Millisecond},
+		record.NewSync(4*time.Second, 3900*time.Millisecond),
 	}
 	obs := ObservationsFromRecords(recs)
 	if len(obs) != 2 {
@@ -194,7 +194,7 @@ func TestEstimatorMatchesBatchEstimate(t *testing.T) {
 		ref := time.Duration(i) * 10 * time.Minute
 		local := 3*time.Second + time.Duration(float64(ref)*(1+15e-6))
 		obs = append(obs, Observation{Local: local, Ref: ref})
-		recs = append(recs, record.Record{Kind: record.KindSync, Local: local, RefTime: ref})
+		recs = append(recs, record.NewSync(local, ref))
 	}
 	want, err := Estimate(obs)
 	if err != nil {

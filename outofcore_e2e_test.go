@@ -109,7 +109,7 @@ func writeSoakArchive(tb testing.TB, dir string) {
 		for day := 2; day < 2+soakDays; day++ {
 			start := time.Duration(day-1) * 24 * time.Hour
 			end := start + 24*time.Hour
-			wearOn := record.Record{Local: start, Kind: record.KindWear, Worn: true}
+			wearOn := record.NewWear(start, true)
 			if err := sw.Append(wearOn); err != nil {
 				tb.Fatal(err)
 			}
@@ -124,36 +124,24 @@ func writeSoakArchive(tb testing.TB, dir string) {
 				// Env at 3 Hz is the volume driver, like the paper's
 				// environmental logging dominating the 150 GiB.
 				for i := 0; i < 3; i++ {
-					second = append(second, record.Record{
-						Local: at + time.Duration(i)*333*time.Millisecond,
-						Kind:  record.KindEnv,
-						TempC: float32(20 + (sec+i)%5), PressHPa: float32(1008 + b%7),
-						LightLux: float32((sec * (b + i)) % 700),
-					})
+					second = append(second, record.NewEnv(at+time.Duration(i)*333*time.Millisecond, float32(20+(sec+i)%5), float32(1008+b%7), float32((sec*(b+i))%700)))
 				}
 				if sec%5 == 0 {
 					site := sites[(sec/5+b)%len(sites)]
-					second = append(second, record.Record{Local: at + 400*time.Millisecond, Kind: record.KindBeacon,
-						PeerID: uint16(site.ID), RSSI: float32(-44 - (sec+b)%28)})
+					second = append(second, record.NewBeacon(at+400*time.Millisecond, uint16(site.ID), float32(-44-(sec+b)%28)))
 				}
 				if sec%60 == 0 {
-					second = append(second, record.Record{Local: at + 500*time.Millisecond, Kind: record.KindMic,
-						SpeechDetected: (sec/60+b)%4 == 0, LoudnessDB: float32(45 + (sec/60)%30),
-						FundamentalHz: float32(115 + (b*37)%120), SpeechFraction: 0.4})
+					second = append(second, record.NewMic(at+500*time.Millisecond, (sec/60+b)%4 == 0, float32(45+(sec/60)%30), float32(115+(b*37)%120), 0.4))
 				}
 				if sec%100 == 0 {
 					for i := 0; i < 10; i++ {
-						second = append(second, record.Record{Local: at + 600*time.Millisecond + time.Duration(i)*10*time.Millisecond,
-							Kind: record.KindAccel,
-							AX:   int16((sec*7 + i*13) % 900), AY: int16((sec*11 + i*17) % 900),
-							AZ: int16(16000 + (sec+i)%500)})
+						second = append(second, record.NewAccel(at+600*time.Millisecond+time.Duration(i)*10*time.Millisecond, int16((sec*7+i*13)%900), int16((sec*11+i*17)%900), int16(16000+(sec+i)%500)))
 					}
 				}
 				if sec%300 == 0 {
 					peer := 1 + (b+sec/300)%soakBadges
 					if peer != b {
-						second = append(second, record.Record{Local: at + 700*time.Millisecond, Kind: record.KindIR,
-							PeerID: uint16(peer)})
+						second = append(second, record.NewIR(at+700*time.Millisecond, uint16(peer)))
 					}
 				}
 				sort.Slice(second, func(i, j int) bool { return second[i].Local < second[j].Local })
@@ -164,7 +152,7 @@ func writeSoakArchive(tb testing.TB, dir string) {
 					count(r)
 				}
 			}
-			wearOff := record.Record{Local: end - time.Millisecond, Kind: record.KindWear, Worn: false}
+			wearOff := record.NewWear(end-time.Millisecond, false)
 			if err := sw.Append(wearOff); err != nil {
 				tb.Fatal(err)
 			}
