@@ -11,9 +11,9 @@ import (
 const chunkLen = 256
 
 // spares is the number of buffers on the free list beyond one per badge:
-// how far the ingest goroutine may fall behind (a tail seal, a run merge,
-// a descheduled thread) before a badge waits for it. With 26, fewer than
-// 1% of the hand-offs of a default mission wait. A run allocates its
+// how far the ingest goroutine may fall behind (a new series chunk, a
+// descheduled thread) before a badge waits for it. With 26, fewer than
+// 0.1% of the hand-offs of a default mission wait. A run allocates its
 // (badges + spares) × chunkLen records of buffers once, ~0.7 MB.
 const spares = 26
 

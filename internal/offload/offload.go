@@ -128,12 +128,12 @@ type GatewayStats struct {
 var ErrNilSink = errors.New("offload: nil sink")
 
 // NewGateway builds a gateway forwarding to sink. The sink owns the slice
-// it is handed for reading: every release is a batch's records (a view of
-// the sending uploader's buffer) or the gateway's copy of a held batch,
-// and neither the gateway nor the uploaders write them again, so a sink
-// may keep them past the call instead of copying them. It must not write
-// to them, since an uploader whose ack was lost still holds the same
-// records to retransmit.
+// it is handed for reading: every release is the Records of an offered
+// batch as the sender handed it (a view of the sending uploader's buffer),
+// whether it was released on arrival or held first, and neither the
+// gateway nor the uploaders write them again, so a sink may keep them past
+// the call instead of copying them. It must not write to them, since an
+// uploader whose ack was lost still holds the same records to retransmit.
 func NewGateway(sink func(store.BadgeID, []record.Record)) (*Gateway, error) {
 	if sink == nil {
 		return nil, ErrNilSink
@@ -185,7 +185,9 @@ func (g *Gateway) journalAt() time.Duration {
 // false return means the gateway has not (yet) taken durable
 // responsibility for the batch — it is out of order (buffered in volatile
 // held, or refused past the held bound); the sender keeps it pending and
-// retransmits until the sequence gap fills.
+// retransmits until the sequence gap fills. A held batch keeps b.Records
+// itself, not a copy: a sender must not write them after the offer (see
+// Batch).
 func (g *Gateway) Offer(b Batch) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -221,7 +223,7 @@ func (g *Gateway) accept(b Batch) bool {
 				telemetry.Fi("held", len(m)))
 			return false
 		}
-		m[b.Seq] = append([]record.Record{}, b.Records...)
+		m[b.Seq] = b.Records
 		g.holdDelta(1, len(b.Records))
 		// Held, not acked: held is volatile, so responsibility stays with
 		// the sender until the gap fills and the mark passes this batch.

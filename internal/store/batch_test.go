@@ -2,6 +2,7 @@ package store
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -44,7 +45,7 @@ func batchSequence(rng *stats.RNG) []delivery {
 		out = append(out, delivery{id: id, r: r})
 	}
 	sec := [2]int{}
-	for n := rng.Intn(3 * maxTail); len(out) < n; {
+	for n := rng.Intn(48 * chunkMin); len(out) < n; {
 		id := BadgeID(1 + rng.Intn(2))
 		switch {
 		case rng.Bool(0.8):
@@ -69,13 +70,13 @@ func batchSequence(rng *stats.RNG) []delivery {
 }
 
 // Property: splitting any append sequence into random batches (empty ones
-// included, some larger than a tail) and applying them with AppendBatch
-// leaves every series exactly as one Append per record does — the same
-// runs and tail, All, Kind, Seq and EncodedBytes. A subscriber
-// sees each non-empty AppendBatch exactly once, with its records in order,
-// and each Append as a batch of one, so both sides deliver the same
-// records in the same order. Reads between batches seal tails early on
-// both sides alike.
+// included, many spanning several chunks) and applying them with
+// AppendBatch leaves every series exactly as one Append per record does —
+// the same chunks and disorder flag, All, Kind and EncodedBytes. A
+// subscriber sees each non-empty AppendBatch exactly once, with its
+// records in order, and each Append as a batch of one, so both sides
+// deliver the same records in the same order. Reads between batches join
+// and sort on both sides alike.
 func TestQuickAppendBatchMatchesAppend(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
@@ -89,7 +90,7 @@ func TestQuickAppendBatchMatchesAppend(t *testing.T) {
 			id := seq[i].id
 			n := 0
 			if !rng.Bool(0.05) {
-				n = 1 + rng.Intn(maxTail+maxTail/2)
+				n = 1 + rng.Intn(24*chunkMin)
 			}
 			var batch []record.Record
 			for ; i < len(seq) && len(batch) < n && seq[i].id == id; i++ {
@@ -116,7 +117,7 @@ func TestQuickAppendBatchMatchesAppend(t *testing.T) {
 		for _, id := range []BadgeID{1, 2} {
 			a, b := one.Series(id), many.Series(id)
 			if !sameLayout(a, b) {
-				t.Logf("seed %d badge %d: run layout differs", seed, id)
+				t.Logf("seed %d badge %d: chunk layout differs", seed, id)
 				return false
 			}
 			if a.EncodedBytes() != b.EncodedBytes() || a.Len() != b.Len() {
@@ -152,15 +153,22 @@ func flatten(ds []batchDelivery) []delivery {
 	return out
 }
 
-// sameLayout reports whether two series hold the same sorted runs and the
-// same unsealed tail.
+// sameLayout reports whether two series hold the same records in chunks of
+// the same capacities, and the same disorder flag.
 func sameLayout(a, b *Series) bool {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return reflect.DeepEqual(a.runs, b.runs) && reflect.DeepEqual(a.tail, b.tail) &&
-		a.tailSorted == b.tailSorted && a.fullTail == b.fullTail
+	if len(a.chunks) != len(b.chunks) || a.disordered != b.disordered {
+		return false
+	}
+	for i := range a.chunks {
+		if cap(a.chunks[i]) != cap(b.chunks[i]) || !slices.Equal(a.chunks[i], b.chunks[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // An empty batch is a no-op: no record, no delivery.

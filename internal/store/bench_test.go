@@ -11,7 +11,7 @@ import (
 	"icares/internal/stats"
 )
 
-// The 1M-record benchmarks below measure the sorted-run layout against
+// The 1M-record benchmarks below measure the chunked append log against
 // seedSeries, a replica of the pre-shard store it replaced — one slice, a
 // dirty flag, sort.SliceStable on every dirty read, linear scans for kind
 // queries, and a throwaway encode per append to count bytes. BENCH_pr5.json
@@ -142,7 +142,7 @@ func BenchmarkSeriesAppend(b *testing.B) {
 
 // BenchmarkSeriesAppendInterleaved appends in the badge pattern instead:
 // accel in order, plus every 15 s a mic frame stamped 15 s back (frames are
-// stamped at their start), so almost every append goes through the tail.
+// stamped at their start), so the series ends disordered.
 // One op is one second of badge output; a fresh series starts every 36000
 // ops, about one mission data day of one badge (~38k records), so the
 // per-op cost does not grow with b.N.
@@ -168,26 +168,26 @@ func BenchmarkSeriesAppendInterleaved(b *testing.B) {
 
 // BenchmarkSeriesFirstRead measures the first read of a mission-shaped
 // series: two mission data days of one badge (~100k records) appended in
-// the badge pattern, which leaves maxRuns sorted runs that barely overlap.
-// Each op merges a fresh, unexposed copy of the run set (the runs' arrays
-// are shared: a merge only reads them).
+// the badge pattern, which leaves it in many chunks and disordered. Each op
+// joins and stable-sorts a fresh copy of the chunk list (the chunks' arrays
+// are shared: a join only reads them).
 func BenchmarkSeriesFirstRead(b *testing.B) {
 	base := &Series{}
 	for app := (&badgeAppender{s: base}); base.Len() < 100_000; {
 		app.next()
 	}
 	base.mu.Lock()
-	base.sealTailLocked()
-	runs := base.runs
+	chunks, n := base.chunks, base.n
+	ok := len(chunks) > 1 && base.disordered
 	base.mu.Unlock()
-	if len(runs) != maxRuns {
-		b.Fatalf("mission-shaped series has %d runs, want %d", len(runs), maxRuns)
+	if !ok {
+		b.Fatalf("mission-shaped series in %d chunk(s), want several and disordered", len(chunks))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := &Series{runs: slices.Clone(runs)}
-		if len(s.All()) != base.Len() {
+		s := &Series{chunks: slices.Clone(chunks), n: n, disordered: true}
+		if len(s.All()) != n {
 			b.Fatal("short read")
 		}
 	}

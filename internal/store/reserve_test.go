@@ -10,8 +10,8 @@ import (
 	"icares/internal/stats"
 )
 
-// Once its first run exists, a reserved series fed in order in 64-record
-// batches appends into that run's capacity and allocates nothing more.
+// Once its first chunk exists, a reserved series fed in order in 64-record
+// batches appends into that chunk's capacity and allocates nothing more.
 func TestReservedSeriesAppendsWithoutAllocating(t *testing.T) {
 	const batch, batches = 64, 100
 	recs := make([]record.Record, batch*(batches+2))
@@ -41,7 +41,7 @@ func TestReservedSeriesAppendsWithoutAllocating(t *testing.T) {
 func TestQuickReservationReadsLikeNoReservation(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
-		n := 1 + rng.Intn(2*maxTail)
+		n := 1 + rng.Intn(32*chunkMin)
 		ooo := rng.Bool(0.5)
 		recs := make([]record.Record, n)
 		for i := range recs {
@@ -96,9 +96,9 @@ func TestReserveCreatesNoSeries(t *testing.T) {
 	d.Reserve(8, 1<<20)
 	s := d.Series(8)
 	s.mu.RLock()
-	c := cap(s.runs[0])
+	c := cap(s.chunks[0])
 	s.mu.RUnlock()
 	if c != 1000 {
-		t.Errorf("first run capacity %d, want the reserved 1000 (later reservation ignored)", c)
+		t.Errorf("first chunk capacity %d, want the reserved 1000 (later reservation ignored)", c)
 	}
 }

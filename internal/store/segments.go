@@ -84,7 +84,8 @@ var ErrRectifiedArchive = errors.New("store: archive holds rectified timestamps 
 
 // SaveSegments writes the dataset as one compressed, immutable segment
 // file per badge into dir, readable out-of-core with OpenSegments. It is the
-// one on-disk dataset format: the persistent form of the sorted-run layout.
+// one on-disk dataset format: the persistent form of each series' read
+// order.
 // Badge files are written atomically (temp + fsync + rename) by a bounded
 // worker pool, and the first error in ascending badge order is returned.
 func (d *Dataset) SaveSegments(dir string) error {

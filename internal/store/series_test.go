@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -13,7 +14,7 @@ import (
 	"icares/internal/stats"
 )
 
-// refSorted is the reference semantics the sorted-run layout must match: a
+// refSorted is the reference semantics a series' reads must match: a
 // stable sort of the append sequence by timestamp.
 func refSorted(recs []record.Record) []record.Record {
 	out := append([]record.Record(nil), recs...)
@@ -22,14 +23,18 @@ func refSorted(recs []record.Record) []record.Record {
 }
 
 // Property: for any append sequence — including ones long enough to cross
-// tail seals and run compactions — All() equals a stable sort of the
-// appends, and the per-kind views equal a kind filter over it.
+// many chunk boundaries, with reads in between — All() equals a stable sort
+// of the appends, the per-kind views equal a kind filter over it, whichever
+// of the two is read first, and every view read mid-sequence still holds
+// what it held when it was read: no later sort writes an escaped view.
 func TestQuickRunsMatchStableSort(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
-		n := rng.Intn(3 * maxTail)
+		n := rng.Intn(48 * chunkMin)
 		var s Series
 		appended := make([]record.Record, 0, n)
+		type snapshot struct{ view, held []record.Record }
+		var snaps []snapshot
 		for i := 0; i < n; i++ {
 			// Coarse timestamps force plenty of equal-key ties; the peer
 			// ID is the append order marker.
@@ -40,32 +45,35 @@ func TestQuickRunsMatchStableSort(t *testing.T) {
 			s.Append(r)
 			appended = append(appended, r)
 			if rng.Bool(0.01) {
-				// Interleave reads so merging happens mid-sequence too.
-				_ = s.All()
+				// Interleave reads so joins and sorts happen mid-sequence
+				// too, some of them over a chunk a view has escaped from.
+				view := s.All()
+				snaps = append(snaps, snapshot{view, slices.Clone(view)})
 			}
 		}
 		want := refSorted(appended)
-		got := s.All()
-		if len(got) != len(want) {
+		var wantKind []record.Record
+		for _, r := range want {
+			if r.Kind == record.KindNeighbor {
+				wantKind = append(wantKind, r)
+			}
+		}
+		var got, kv []record.Record
+		if rng.Bool(0.5) {
+			got, kv = s.All(), s.Kind(record.KindNeighbor)
+		} else {
+			kv, got = s.Kind(record.KindNeighbor), s.All()
+		}
+		if !slices.Equal(got, want) || !slices.Equal(kv, wantKind) {
 			return false
 		}
-		for i := range want {
-			if got[i] != want[i] {
+		for _, sn := range snaps {
+			if !slices.Equal(sn.view, sn.held) {
+				t.Logf("seed %d: a view of %d records changed after it was read", seed, len(sn.view))
 				return false
 			}
 		}
-		kv := s.Kind(record.KindNeighbor)
-		j := 0
-		for _, r := range want {
-			if r.Kind != record.KindNeighbor {
-				continue
-			}
-			if j >= len(kv) || kv[j] != r {
-				return false
-			}
-			j++
-		}
-		return j == len(kv)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -129,16 +137,16 @@ func TestQuickDegenerateWindowsEmpty(t *testing.T) {
 
 func TestSeriesStableAcrossSealBoundaries(t *testing.T) {
 	// Equal timestamps must keep append order even when the colliding
-	// records land in different runs (one sealed, one in a later tail).
+	// records land in different chunks and on either side of a read.
 	var s Series
-	for i := 0; i < maxTail+10; i++ {
+	for i := 0; i < chunkMin+10; i++ {
 		s.Append(record.Record{Local: time.Duration(i) * time.Second, Kind: record.KindAccel})
 	}
-	// Out-of-order burst that seals into its own run, colliding with
-	// timestamps already in the first run.
+	// Out-of-order burst in the second chunk, colliding with a timestamp
+	// in the first.
 	s.Append(record.NewBeacon(5*time.Second, 100, 0))
 	s.Append(record.NewBeacon(5*time.Second, 101, 0))
-	_ = s.All() // seal + merge
+	_ = s.All() // join + sort
 	s.Append(record.NewBeacon(5*time.Second, 102, 0))
 	got := s.Range(5*time.Second, 5*time.Second+1)
 	if len(got) != 4 {
@@ -230,7 +238,7 @@ func TestSeriesOutOfOrderSaveLoadOrdering(t *testing.T) {
 	d := NewDataset()
 	s := d.Series(7)
 	rng := stats.NewRNG(21)
-	for i := 0; i < 2*maxTail; i++ {
+	for i := 0; i < 32*chunkMin; i++ {
 		s.Append(record.NewNeighbor(time.Duration(rng.Intn(10000))*time.Millisecond, uint16(i), 0))
 	}
 	want := s.All()

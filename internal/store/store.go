@@ -4,25 +4,26 @@
 // collected SD-card contents of the paper (150 GiB across 13 days) after
 // ingestion.
 //
-// The layout is built for that volume: each Series holds sorted runs that
-// are merged incrementally (never a full re-sort), Kind/RangeKind queries
-// answer from lazily built per-kind indexes, byte accounting is O(1) per
-// append via record.EncodedSize, Series.AppendBatch ingests a batch under
-// one lock with one subscriber publish. A dataset reaches disk in one
-// format, the per-badge .seg segment archive: SaveSegments and OpenSegments
-// fan out across badge files with a bounded worker pool, and OpenSegments
-// salvages damaged segments (see LoadReport) instead of failing the whole
-// archive.
+// Each Series is an append log, like the card it stands for: records are
+// kept in append order in chunks allocated once at full size, and the
+// first read after a write joins them into one array, stable-sorted by
+// timestamp only if some append arrived out of order. Kind/RangeKind
+// queries answer from lazily built per-kind indexes, byte accounting is
+// O(1) per append via record.EncodedSize, and Series.AppendBatch ingests a
+// batch under one lock with one subscriber publish. A dataset reaches disk
+// in one format, the per-badge .seg segment archive: SaveSegments and
+// OpenSegments fan out across badge files with a bounded worker pool, and
+// OpenSegments salvages damaged segments (see LoadReport) instead of
+// failing the whole archive.
 //
 // Every series and .seg archive holds raw device time — what the
 // badges wrote to their SD cards. Clock corrections are a value the analysis
 // pipeline owns and applies through a read view; the store never rewrites a
 // timestamp, so nothing here can be rectified twice.
 //
-// The store also serves the live path: every series carries a monotone
-// append sequence number (Series.Seq), and datasets publish append
+// The store also serves the live path: datasets publish append
 // notifications (Subscribe), one per Append or AppendBatch call carrying
-// the whole batch — the hooks incremental consumers use to fold in only
+// the whole batch — the hook incremental consumers use to fold in only
 // what is new.
 package store
 
@@ -79,8 +80,9 @@ func (d *Dataset) Series(id BadgeID) *Series {
 }
 
 // Reserve hints that the badge's series will hold about n records: its
-// first run is allocated at n records' capacity when the first record
-// arrives, so a feed appended in order fills one array without regrowing.
+// first chunk is allocated at n records' capacity when the first record
+// arrives, so a feed of at most n records fills one array without
+// regrowing and reads without a join.
 // The hint creates no series — a badge reserved but never appended to is
 // absent from Badges and View — and a series that already holds records
 // ignores it. Any n reads the same as no hint; only allocation changes.
@@ -89,7 +91,7 @@ func (d *Dataset) Reserve(id BadgeID, n int) {
 	defer d.mu.Unlock()
 	if s, ok := d.series[id]; ok {
 		s.mu.Lock()
-		if len(s.runs) == 0 {
+		if s.n == 0 {
 			s.reserve = n
 		}
 		s.mu.Unlock()
