@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"icares/internal/record"
@@ -23,23 +22,26 @@ const chunkMin = 256
 // the record appended just ahead of it marks the series disordered.
 //
 // The first read after a write joins the chunks into one array of exactly
-// Len() records (a single chunk is used as is) and, only if the series is
-// disordered, stable-sorts it by Local. Reads therefore return the stable
-// sort of the append sequence: of equal timestamps, the earlier append
-// comes first. A badge's mic frames are stamped at the start of their
-// window, so a badge's series ends disordered and its first read sorts
-// once; a live feed appended in order never sorts. Per-kind sub-series are
-// indexed lazily so Kind/RangeKind answer from a cached, time-ordered view
-// instead of scanning every record.
+// Len() records (a lone chunk in time order is used as is) and, only if
+// the series is disordered, stable-sorts it by Local. Reads therefore
+// return the stable sort of the append sequence: of equal timestamps, the
+// earlier append comes first. A badge's mic frames are stamped at the
+// start of their window, so a badge's series ends disordered and its first
+// read sorts once; a live feed appended in order never sorts. The joined
+// array is exactly full, so the next append opens a new chunk and the read
+// after it copies all Len() records again: a series read between writes
+// should be reserved (Dataset.Reserve) to stay one chunk. Per-kind
+// sub-series are indexed lazily so Kind/RangeKind answer from a cached,
+// time-ordered view instead of scanning every record.
 //
 // Concurrency: any number of readers (All, Range, Kind, RangeKind, First,
 // Last, Len) may run concurrently, and Append and AppendBatch may
 // interleave with them — a read never writes an array a returned view
-// aliases (see exposed), so previously returned views stay valid
-// snapshots. AppendBatch applies its whole batch under one lock, so a
-// reader sees all of a batch or none of it. Stored timestamps are never
-// rewritten: a series holds raw device time, and clock correction is
-// applied by the reader (the analysis pipeline's rectified view).
+// aliases, so previously returned views stay valid snapshots. AppendBatch
+// applies its whole batch under one lock, so a reader sees all of a batch
+// or none of it. Stored timestamps are never rewritten: a series holds raw
+// device time, and clock correction is applied by the reader (the analysis
+// pipeline's rectified view).
 type Series struct {
 	mu sync.RWMutex
 
@@ -66,12 +68,6 @@ type Series struct {
 	// kinds caches per-kind, time-ordered sub-views of the read form,
 	// built lazily per requested kind and dropped on any write.
 	kinds map[record.Kind][]record.Record
-
-	// exposed reports whether a view aliasing chunks[0]'s backing array has
-	// been returned to a caller. While false, a read may sort that array in
-	// place; once true, it sorts a copy so outstanding views stay valid
-	// snapshots. Atomic because the read fast path flags it under RLock.
-	exposed atomic.Bool
 
 	// bytes is O(1) size accounting via record.EncodedSize; records of
 	// unknown kinds, which the encoder would also reject, add nothing.
@@ -128,32 +124,30 @@ func (s *Series) appendLocked(r record.Record) {
 }
 
 // readLocked brings the series to its read form — one chunk holding the
-// stable sort of the append sequence — and returns it. Several chunks are
-// joined into one fresh array of exactly Len() records, and the chunks it
-// replaces are released; a disordered series is then stable-sorted, in
-// place unless a view of a lone chunk has escaped, in which case a copy is
-// sorted instead.
+// stable sort of the append sequence — and returns it. A lone chunk in
+// time order is used as is. Otherwise the chunks are copied into one fresh
+// array of exactly Len() records, which is stable-sorted if the series is
+// disordered and becomes the only chunk; the chunks it replaces are
+// released. A read therefore never writes an array an earlier view
+// aliases.
 func (s *Series) readLocked() []record.Record {
-	switch {
-	case len(s.chunks) == 0:
-		return nil
-	case len(s.chunks) > 1:
-		all := make([]record.Record, 0, s.n)
-		for _, c := range s.chunks {
-			all = append(all, c...)
+	if s.readyLocked() {
+		if len(s.chunks) == 0 {
+			return nil
 		}
-		clear(s.chunks[1:])
-		s.chunks = append(s.chunks[:0], all)
-		s.exposed.Store(false)
-	case s.disordered && s.exposed.Load():
-		s.chunks[0] = append(make([]record.Record, 0, s.n), s.chunks[0]...)
-		s.exposed.Store(false)
+		return s.chunks[0]
+	}
+	all := make([]record.Record, 0, s.n)
+	for _, c := range s.chunks {
+		all = append(all, c...)
 	}
 	if s.disordered {
-		slices.SortStableFunc(s.chunks[0], func(a, b record.Record) int { return cmp.Compare(a.Local, b.Local) })
+		slices.SortStableFunc(all, func(a, b record.Record) int { return cmp.Compare(a.Local, b.Local) })
 		s.disordered = false
 	}
-	return s.chunks[0]
+	clear(s.chunks[1:])
+	s.chunks = append(s.chunks[:0], all)
+	return all
 }
 
 // readyLocked reports whether the series is already in its read form — the
@@ -167,22 +161,14 @@ func (s *Series) readyLocked() bool {
 func (s *Series) sorted() []record.Record {
 	s.mu.RLock()
 	if s.readyLocked() {
-		var recs []record.Record
-		if len(s.chunks) == 1 {
-			recs = s.chunks[0]
-			s.exposed.Store(true)
-		}
+		recs := s.readLocked()
 		s.mu.RUnlock()
 		return recs
 	}
 	s.mu.RUnlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	recs := s.readLocked()
-	if recs != nil {
-		s.exposed.Store(true)
-	}
-	return recs
+	return s.readLocked()
 }
 
 // Len returns the number of records.

@@ -85,7 +85,10 @@ func (d *Dataset) Series(id BadgeID) *Series {
 // regrowing and reads without a join.
 // The hint creates no series — a badge reserved but never appended to is
 // absent from Badges and View — and a series that already holds records
-// ignores it. Any n reads the same as no hint; only allocation changes.
+// ignores it. Any n reads the same as no hint; only the cost changes. A
+// series read between writes must be reserved to its feed's length: once
+// it spills past its first chunk, each read after a write copies all
+// Len() records into one new array.
 func (d *Dataset) Reserve(id BadgeID, n int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
