@@ -43,11 +43,13 @@ type Sample struct {
 	RMS float64
 }
 
-// ClassifyCursor windows the accel records of one badge and classifies each
-// window. Records must be time-ordered. It makes one streaming pass holding
-// only the current window's samples, so out-of-core sources never
-// materialize the accel stream.
-func ClassifyCursor(c *record.Cursor, cfg Config) []Sample {
+// ClassifyCursor windows the accel records of one badge and classifies
+// each window whose start lies in worn. Records must be time-ordered. A
+// window starting outside worn is neither buffered nor classified, so the
+// samples equal FilterWorn of an all-time pass; a nil or empty worn keeps
+// nothing. It makes one streaming pass holding only the current window's
+// samples, so out-of-core sources never materialize the accel stream.
+func ClassifyCursor(c *record.Cursor, cfg Config, worn record.RangeSet) []Sample {
 	if cfg.Window <= 0 {
 		cfg = DefaultConfig()
 	}
@@ -55,7 +57,7 @@ func ClassifyCursor(c *record.Cursor, cfg Config) []Sample {
 	var xs, ys []float64
 	var magSq float64
 	var curStart time.Duration
-	started := false
+	started, keep := false, false
 	flush := func() {
 		if len(xs) < cfg.MinSamples {
 			xs, ys = xs[:0], ys[:0]
@@ -81,6 +83,10 @@ func ClassifyCursor(c *record.Cursor, cfg Config) []Sample {
 			flush()
 			curStart = w
 			started = true
+			keep = worn.Contains(w)
+		}
+		if !keep {
+			continue
 		}
 		ax, ay, az := r.Accel()
 		x, y := float64(ax), float64(ay)
@@ -138,22 +144,23 @@ func FilterWorn(samples []Sample, worn record.RangeSet) []Sample {
 	return out
 }
 
-// ByDay groups samples by 1-based mission day.
-func ByDay(samples []Sample) map[int][]Sample {
-	out := make(map[int][]Sample)
+// WalkingFractionByDay computes the per-day walking fraction of already
+// classified (and typically worn-filtered) samples, counting per 1-based
+// mission day in one pass.
+func WalkingFractionByDay(samples []Sample) map[int]float64 {
+	counts := make(map[int][2]int) // day → {walking, total}
 	for _, s := range samples {
 		d := simtime.DayOf(s.At)
-		out[d] = append(out[d], s)
+		c := counts[d]
+		if s.Walking {
+			c[0]++
+		}
+		c[1]++
+		counts[d] = c
 	}
-	return out
-}
-
-// WalkingFractionByDay computes the per-day walking fraction of already
-// classified (and typically worn-filtered) samples.
-func WalkingFractionByDay(samples []Sample) map[int]float64 {
-	out := make(map[int]float64)
-	for day, ss := range ByDay(samples) {
-		out[day] = WalkingFraction(ss)
+	out := make(map[int]float64, len(counts))
+	for d, c := range counts {
+		out[d] = float64(c[0]) / float64(c[1])
 	}
 	return out
 }

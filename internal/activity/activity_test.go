@@ -1,7 +1,10 @@
 package activity
 
 import (
+	"math"
+	"reflect"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"icares/internal/record"
@@ -24,7 +27,7 @@ func synthAccel(rng *stats.RNG, from, dur, every time.Duration, sigma float64) [
 // classify runs ClassifyCursor over an in-memory record slice.
 func classify(recs []record.Record, cfg Config) []Sample {
 	c := record.NewCursor(recs)
-	return ClassifyCursor(&c, cfg)
+	return ClassifyCursor(&c, cfg, allTime)
 }
 
 func TestClassifyWalkingVsIdle(t *testing.T) {
@@ -125,14 +128,69 @@ func TestWalkingFractionEmpty(t *testing.T) {
 	}
 }
 
-func TestByDay(t *testing.T) {
+// TestWalkingFractionByDay: samples count toward their 1-based mission day,
+// and each day's fraction is its walking count over its sample count.
+func TestWalkingFractionByDay(t *testing.T) {
 	samples := []Sample{
-		{At: simtime.StartOfDay(2) + time.Hour},
+		{At: simtime.StartOfDay(2) + time.Hour, Walking: true},
 		{At: simtime.StartOfDay(2) + 2*time.Hour},
-		{At: simtime.StartOfDay(5)},
+		{At: simtime.StartOfDay(5), Walking: true},
 	}
-	got := ByDay(samples)
-	if len(got[2]) != 2 || len(got[5]) != 1 {
-		t.Errorf("by day = %v", got)
+	got := WalkingFractionByDay(samples)
+	if len(got) != 2 || got[2] != 0.5 || got[5] != 1 {
+		t.Errorf("by day = %v, want map[2:0.5 5:1]", got)
+	}
+	if got := WalkingFractionByDay(nil); len(got) != 0 {
+		t.Errorf("by day of no samples = %v", got)
+	}
+}
+
+// allTime is the worn set that keeps every window.
+var allTime = record.RangeSet{{From: math.MinInt64, To: math.MaxInt64}}
+
+// randomWorn draws a worn set over [0, span): nil, empty, or up to five
+// ranges, some inverted or zero-length, with ends off the window grid.
+func randomWorn(rng *stats.RNG, span time.Duration) record.RangeSet {
+	switch rng.Intn(8) {
+	case 0:
+		return nil
+	case 1:
+		return record.RangeSet{}
+	}
+	at := func() time.Duration { return time.Duration(rng.Float64() * float64(span)) }
+	s := make(record.RangeSet, 1+rng.Intn(5))
+	for i := range s {
+		from := at()
+		switch rng.Intn(4) {
+		case 0:
+			s[i] = record.TimeRange{From: from, To: from}
+		case 1:
+			s[i] = record.TimeRange{From: from, To: at()} // inverted half the time
+		default:
+			s[i] = record.TimeRange{From: from, To: from + at()/4}
+		}
+	}
+	return s
+}
+
+// TestQuickClassifyWornMatchesFilterWorn: ClassifyCursor under a worn set
+// gives FilterWorn of the all-time samples.
+func TestQuickClassifyWornMatchesFilterWorn(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := stats.NewRNG(seed)
+		const span = time.Hour
+		recs := synthAccel(rng, 0, span, 10*time.Second, rng.Range(20, 300))
+		if rng.Bool(0.5) {
+			// A sparse tail: windows below MinSamples yield no sample.
+			recs = append(recs, record.NewAccel(span+time.Second, 500, 0, 1000))
+		}
+		worn := randomWorn(rng, span)
+		c := record.NewCursor(recs)
+		got := ClassifyCursor(&c, DefaultConfig(), worn)
+		want := FilterWorn(classify(recs, DefaultConfig()), worn)
+		return len(got) == len(want) && (len(want) == 0 || reflect.DeepEqual(got, want))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }

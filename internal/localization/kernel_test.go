@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"icares/internal/geometry"
@@ -34,7 +35,7 @@ func locateScan(l *Locator, obs []Obs) (Fix, error) {
 // track runs TrackCursor over an in-memory record slice.
 func track(l *Locator, recs []record.Record, window time.Duration) []Fix {
 	c := record.NewCursor(recs)
-	return l.TrackCursor(&c, window)
+	return l.TrackCursor(&c, window, allTime)
 }
 
 func newRefLocator(hab *habitat.Habitat) *refLocator {
@@ -356,7 +357,7 @@ func TestTrackMatchesReferenceMission(t *testing.T) {
 	for _, id := range res.Dataset.Badges() {
 		recs := res.Dataset.Series(id).Kind(record.KindBeacon)
 		c := record.NewCursor(recs)
-		got := l.TrackCursor(&c, 15*time.Second)
+		got := l.TrackCursor(&c, 15*time.Second, allTime)
 		want := ref.trackRef(recs, 15*time.Second)
 		if len(got) != len(want) {
 			t.Fatalf("badge %d: %d fixes, want %d", id, len(got), len(want))
@@ -408,7 +409,7 @@ func TestLocatorConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 3; round++ {
 				c := record.NewCursor(j.recs)
-				track := l.TrackCursor(&c, 15*time.Second)
+				track := l.TrackCursor(&c, 15*time.Second, allTime)
 				if len(track) != len(j.track) {
 					errs[g] = "track length differs"
 					return
@@ -453,7 +454,7 @@ func TestTrackAllocs(t *testing.T) {
 	var fixes []Fix
 	allocs := testing.AllocsPerRun(3, func() {
 		c := record.NewCursor(recs)
-		fixes = l.TrackCursor(&c, 15*time.Second)
+		fixes = l.TrackCursor(&c, 15*time.Second, allTime)
 	})
 	if len(fixes) != windows {
 		t.Fatalf("%d fixes, want %d", len(fixes), windows)
@@ -465,5 +466,69 @@ func TestTrackAllocs(t *testing.T) {
 	scan := []Obs{{BeaconID: sites[0].ID, RSSI: -60}, {BeaconID: sites[1].ID, RSSI: -70}, {BeaconID: sites[0].ID, RSSI: -62}}
 	if allocs := testing.AllocsPerRun(100, func() { _, _ = locateScan(l, scan) }); allocs > 2 {
 		t.Errorf("Locate: %.0f allocs, want <= 2", allocs)
+	}
+}
+
+// allTime is the worn set that keeps every window.
+var allTime = record.RangeSet{{From: math.MinInt64, To: math.MaxInt64}}
+
+// randomWorn draws a worn set over [0, span): nil, empty, or up to five
+// ranges, some inverted or zero-length, with ends off the window grid.
+func randomWorn(rng *stats.RNG, span time.Duration) record.RangeSet {
+	switch rng.Intn(8) {
+	case 0:
+		return nil
+	case 1:
+		return record.RangeSet{}
+	}
+	at := func() time.Duration { return time.Duration(rng.Float64() * float64(span)) }
+	s := make(record.RangeSet, 1+rng.Intn(5))
+	for i := range s {
+		from := at()
+		switch rng.Intn(4) {
+		case 0:
+			s[i] = record.TimeRange{From: from, To: from}
+		case 1:
+			s[i] = record.TimeRange{From: from, To: at()} // inverted half the time
+		default:
+			s[i] = record.TimeRange{From: from, To: from + at()/4}
+		}
+	}
+	return s
+}
+
+// TestQuickTrackWornMatchesFilter: TrackCursor under a worn set gives the
+// fixes of the all-time track whose window start the set contains.
+func TestQuickTrackWornMatchesFilter(t *testing.T) {
+	l, hab := newLocator(t)
+	sites := hab.Beacons()
+	f := func(seed uint64) bool {
+		rng := stats.NewRNG(seed)
+		const span = 30 * time.Minute
+		var recs []record.Record
+		for at := time.Duration(0); at < span; at += time.Duration(1+rng.Intn(9000)) * time.Millisecond {
+			recs = append(recs, record.NewBeacon(at, uint16(sites[rng.Intn(len(sites))].ID), float32(rng.Range(-90, -40))))
+		}
+		worn := randomWorn(rng, span)
+		c := record.NewCursor(recs)
+		got := l.TrackCursor(&c, 15*time.Second, worn)
+		var want []Fix
+		for _, fix := range track(l, recs, 15*time.Second) {
+			if worn.Contains(fix.At) {
+				want = append(want, fix)
+			}
+		}
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range want {
+			if !sameFix(got[i], want[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
 	}
 }

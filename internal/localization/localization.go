@@ -240,12 +240,15 @@ func gnStep(g, h float64) float64 {
 }
 
 // TrackCursor groups a badge's beacon records into windows and locates
-// each. Records must be time-ordered (store.Series provides this). Windows
-// with no observations yield no fix. It makes one streaming pass holding
-// only the current window's observations, so out-of-core sources never
-// materialize the beacon stream. The window buffer and the slots are
-// allocated once per call and reused for every window.
-func (l *Locator) TrackCursor(c *record.Cursor, window time.Duration) []Fix {
+// each window whose start lies in worn. Records must be time-ordered
+// (store.Series provides this). Windows with no observations yield no fix,
+// and a window starting outside worn is neither buffered nor located, so
+// the fixes equal the worn-start subset of an all-time track; a nil or
+// empty worn keeps nothing. It makes one streaming pass holding only the
+// current window's observations, so out-of-core sources never materialize
+// the beacon stream. The window buffer and the slots are allocated once per
+// call and reused for every window.
+func (l *Locator) TrackCursor(c *record.Cursor, window time.Duration, worn record.RangeSet) []Fix {
 	if window <= 0 {
 		window = 15 * time.Second
 	}
@@ -263,7 +266,7 @@ func (l *Locator) TrackCursor(c *record.Cursor, window time.Duration) []Fix {
 		}
 		cur = cur[:0]
 	}
-	started := false
+	started, keep := false, false
 	for b := c.NextBatch(); b != nil; b = c.NextBatch() {
 		for i := range b {
 			r := &b[i]
@@ -275,8 +278,11 @@ func (l *Locator) TrackCursor(c *record.Cursor, window time.Duration) []Fix {
 				flush()
 				curStart = w
 				started = true
+				keep = worn.Contains(w)
 			}
-			cur = append(cur, Obs{BeaconID: int(r.PeerID), RSSI: float64(r.RSSI())})
+			if keep {
+				cur = append(cur, Obs{BeaconID: int(r.PeerID), RSSI: float64(r.RSSI())})
+			}
 		}
 	}
 	flush()

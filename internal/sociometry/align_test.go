@@ -87,7 +87,7 @@ func TestTrackSpansMidnight(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := record.NewCursor(beacons)
-	whole := loc.TrackCursor(&c, p.locWindow)
+	whole := loc.TrackCursor(&c, p.locWindow, allTime)
 	if len(whole) < 2 {
 		t.Fatalf("whole-stream track has %d fixes; fixture no longer spans midnight", len(whole))
 	}

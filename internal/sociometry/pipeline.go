@@ -24,22 +24,23 @@
 //
 // # Incremental operators
 //
-// Every derivation is folded from per-(astronaut, day) window partials —
-// raw localization track, raw mic frames, raw activity windows, IR
-// contacts, and daytime recording coverage — memoized (while following)
-// independently of the astronaut-level results assembled from them. The
-// batch path is simply "fold everything": deriving over a complete dataset
-// computes each window once and concatenates, byte-identical to deriving
+// While following, every derivation is folded from per-(astronaut, day)
+// window partials — raw localization track, raw mic frames, raw activity
+// windows, IR contacts, and daytime recording coverage — memoized
+// independently of the astronaut-level results assembled from them. A
+// batch pipeline derives the track, mic frames and activity windows in one
+// streaming pass over the astronaut's chained day cursors instead, with
+// the worn filter inside the producer, so an unworn window is never
+// localized, framed or classified. Both are byte-identical to deriving
 // from the full record stream (the localization and activity windows are
 // aligned to absolute time and divide the day, so no analysis window ever
 // spans a day boundary).
 //
-// The same structure serves live data: Follow subscribes the pipeline to
-// its source's append notifications, and each new record marks only its
-// (badge, day) window stale. The next analysis drops exactly the affected
-// windows and the astronaut-level caches folding them — everything else
-// stays warm. See fold.go for the invalidation machinery and DESIGN.md for
-// the model.
+// Follow subscribes the pipeline to its source's append notifications,
+// and each new record marks only its (badge, day) window stale. The next
+// analysis drops exactly the affected windows and the astronaut-level
+// caches folding them — everything else stays warm. See fold.go for the
+// invalidation machinery and DESIGN.md for the model.
 //
 // # Concurrency
 //
@@ -167,12 +168,13 @@ type Pipeline struct {
 	locator *localization.Locator
 	locErr  error
 
-	// Window partials: the per-(astronaut, day) fold state each derivation
-	// is assembled from. Raw means before the worn filter — worn ranges are
-	// an astronaut-level, cross-day scan, so the filter applies at the
-	// astronaut level. Each partial folds straight off a window cursor
-	// (windowIter) — raw day record slices are never memoized, so resident
-	// memory stays bounded by the source's cache, not the dataset.
+	// Window partials: the per-(astronaut, day) fold state a following
+	// pipeline assembles its derivations from. Raw means before the worn
+	// filter — worn ranges are an astronaut-level, cross-day scan, so the
+	// filter applies at the astronaut level. Each partial folds straight
+	// off a window cursor (windowIter) — raw day record slices are never
+	// memoized, so resident memory stays bounded by the source's cache, not
+	// the dataset.
 	winTrack    memo[wkey, []localization.Fix]  // raw localization fixes
 	winFrames   memo[wkey, []speech.Frame]      // raw mic frames
 	winActivity memo[wkey, []activity.Sample]   // raw classified activity windows
@@ -439,61 +441,56 @@ func (p *Pipeline) crewIter(name string, k record.Kind) record.Cursor {
 	})
 }
 
-// windowMemo reports whether per-window partials should be memoized: only
-// while the pipeline is following its source (Follow), where an append
-// invalidates one window and the rest must stay warm. Otherwise each
-// partial is computed exactly once for the astronaut-level cache folding
-// it, so memoizing would hold every window's slice forever purely as
-// overhead — on paper-scale archives, roughly doubling resident memory.
+// windowMemo reports whether the astronaut-level derivations fold
+// memoized per-window partials: only while the pipeline is following its
+// source (Follow), where an append invalidates one window and the rest must
+// stay warm. Otherwise each derivation is one streaming pass over the
+// astronaut's chained day cursors (crewIter) with the worn filter inside
+// the producer, so no window partial is built or held and no unworn window
+// is localized, framed or classified.
 func (p *Pipeline) windowMemo() bool { return p.following.Load() }
 
-// windowTrack returns one fold window's raw localization fixes.
+// allTime is the worn set of the memoized window partials: they keep every
+// window, and the astronaut-level fold filters them, so a partial stays
+// valid whatever the astronaut's worn ranges become.
+var allTime = record.RangeSet{{From: minTime, To: maxTime}}
+
+// windowTrack returns one fold window's raw localization fixes (memoized).
 func (p *Pipeline) windowTrack(name string, day int) []localization.Fix {
 	if p.src.BadgeFor(name, day) == 0 {
 		return nil
 	}
-	compute := func(k wkey) []localization.Fix {
+	return p.winTrack.get(wkey{name, day}, func(k wkey) []localization.Fix {
 		loc, err := p.sharedLocator()
 		if err != nil {
 			return nil
 		}
 		it := p.windowIter(k.name, k.day, record.KindBeacon)
-		return loc.TrackCursor(&it, p.locWindow)
-	}
-	if !p.windowMemo() {
-		return compute(wkey{name, day})
-	}
-	return p.winTrack.get(wkey{name, day}, compute)
+		return loc.TrackCursor(&it, p.locWindow, allTime)
+	})
 }
 
-// windowFrames returns one fold window's raw mic frames.
+// windowFrames returns one fold window's raw mic frames (memoized).
 func (p *Pipeline) windowFrames(name string, day int) []speech.Frame {
 	if p.src.BadgeFor(name, day) == 0 {
 		return nil
 	}
-	compute := func(k wkey) []speech.Frame {
+	return p.winFrames.get(wkey{name, day}, func(k wkey) []speech.Frame {
 		it := p.windowIter(k.name, k.day, record.KindMic)
-		return speech.FramesCursor(&it, speech.DefaultConfig())
-	}
-	if !p.windowMemo() {
-		return compute(wkey{name, day})
-	}
-	return p.winFrames.get(wkey{name, day}, compute)
+		return speech.FramesCursor(&it, speech.DefaultConfig(), allTime)
+	})
 }
 
-// windowActivity returns one fold window's raw classified activity samples.
+// windowActivity returns one fold window's raw classified activity samples
+// (memoized).
 func (p *Pipeline) windowActivity(name string, day int) []activity.Sample {
 	if p.src.BadgeFor(name, day) == 0 {
 		return nil
 	}
-	compute := func(k wkey) []activity.Sample {
+	return p.winActivity.get(wkey{name, day}, func(k wkey) []activity.Sample {
 		it := p.windowIter(k.name, k.day, record.KindAccel)
-		return activity.ClassifyCursor(&it, activity.DefaultConfig())
-	}
-	if !p.windowMemo() {
-		return compute(wkey{name, day})
-	}
-	return p.winActivity.get(wkey{name, day}, compute)
+		return activity.ClassifyCursor(&it, activity.DefaultConfig(), allTime)
+	})
 }
 
 // RecordsFor returns the astronaut's records across all data days,
@@ -569,13 +566,22 @@ func (p *Pipeline) track(name string) []localization.Fix {
 	p.RectifyClocks() // freezes the corrections before any window is read
 	return p.trackCache.get(name, func(name string) []localization.Fix {
 		defer p.observeStage("track", time.Now())
+		worn := p.wornRanges(name)
 		// The window divides the day (checked by NewPipeline), so no window
-		// straddles midnight and the per-day folds compose exactly.
+		// straddles midnight: chaining the days and folding them per day
+		// give the same windows in the same order.
+		if !p.windowMemo() {
+			loc, err := p.sharedLocator()
+			if err != nil {
+				return nil
+			}
+			it := p.crewIter(name, record.KindBeacon)
+			return loc.TrackCursor(&it, p.locWindow, worn)
+		}
 		var fixes []localization.Fix
 		for day := p.src.FirstDay; day <= p.src.LastDay; day++ {
 			fixes = append(fixes, p.windowTrack(name, day)...)
 		}
-		worn := p.wornRanges(name)
 		kept := make([]localization.Fix, 0, len(fixes))
 		for _, f := range fixes {
 			if worn.Contains(f.At) {
@@ -615,11 +621,16 @@ func (p *Pipeline) frames(name string) []speech.Frame {
 	p.RectifyClocks() // freezes the corrections before any window is read
 	return p.framesCache.get(name, func(name string) []speech.Frame {
 		defer p.observeStage("frames", time.Now())
+		worn := p.wornRanges(name)
+		if !p.windowMemo() {
+			it := p.crewIter(name, record.KindMic)
+			return speech.FramesCursor(&it, speech.DefaultConfig(), worn)
+		}
 		var raw []speech.Frame
 		for day := p.src.FirstDay; day <= p.src.LastDay; day++ {
 			raw = append(raw, p.windowFrames(name, day)...)
 		}
-		return speech.FilterWorn(raw, p.wornRanges(name))
+		return speech.FilterWorn(raw, worn)
 	})
 }
 
@@ -637,13 +648,18 @@ func (p *Pipeline) activitySamples(name string) []activity.Sample {
 	p.RectifyClocks() // freezes the corrections before any window is read
 	return p.activityCache.get(name, func(name string) []activity.Sample {
 		defer p.observeStage("activity", time.Now())
+		worn := p.wornRanges(name)
 		// activity.DefaultConfig's window divides the day (pinned by a
-		// test), so the per-day windows compose exactly.
+		// test), so chained and per-day windows are the same.
+		if !p.windowMemo() {
+			it := p.crewIter(name, record.KindAccel)
+			return activity.ClassifyCursor(&it, activity.DefaultConfig(), worn)
+		}
 		var raw []activity.Sample
 		for day := p.src.FirstDay; day <= p.src.LastDay; day++ {
 			raw = append(raw, p.windowActivity(name, day)...)
 		}
-		return activity.FilterWorn(raw, p.wornRanges(name))
+		return activity.FilterWorn(raw, worn)
 	})
 }
 

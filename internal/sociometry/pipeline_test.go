@@ -114,7 +114,7 @@ func TestFramesComputedOncePerAstronaut(t *testing.T) {
 	var cnt int
 	for _, name := range m.Participants {
 		c := record.NewCursor(p.RecordsFor(name))
-		frames := speech.FilterWorn(speech.FramesCursor(&c, speech.DefaultConfig()), p.WornRanges(name))
+		frames := speech.FramesCursor(&c, speech.DefaultConfig(), p.WornRanges(name))
 		for _, f := range frames {
 			if f.At < m.From || f.At >= m.To || !f.Speech {
 				continue
@@ -223,6 +223,62 @@ func TestWalkingIgnoresUnwornPeriods(t *testing.T) {
 	byDay := p.WalkingByDay("Z")
 	if got := byDay[1]; got != 1.0 {
 		t.Errorf("day-1 walking fraction = %v, want 1.0", byDay[1])
+	}
+}
+
+// TestNeverWornAstronautEmpty: an astronaut whose badge records beacons,
+// mic frames and accel bursts all day but is never worn gets no fixes,
+// frames or activity samples, on a batch pipeline and on a following one.
+// Their crewmate, whose badge records the same day worn, gets all three,
+// so the fixture is not empty by construction.
+func TestNeverWornAstronautEmpty(t *testing.T) {
+	hab := habitat.Standard()
+	beacon := hab.Beacons()[0]
+	ds := store.NewDataset()
+	for _, id := range []store.BadgeID{7, 8} {
+		s := ds.Series(id)
+		if id == 8 {
+			s.Append(record.NewWear(0, true))
+		}
+		for ts := time.Duration(0); ts < 2*time.Hour; ts += time.Second {
+			ax := int16(300 - 600*(ts/time.Second%2))
+			s.Append(record.NewAccel(ts, ax, ax, 1000))
+			if ts%(15*time.Second) == 0 {
+				s.Append(record.NewBeacon(ts, uint16(beacon.ID), -55))
+				s.Append(record.NewMic(ts, true, 70, 140, 0.5))
+			}
+		}
+	}
+	src := Source{
+		Habitat: hab,
+		Data:    ds,
+		Names:   []string{"N", "W"},
+		BadgeFor: func(name string, _ int) store.BadgeID {
+			if name == "N" {
+				return 7
+			}
+			return 8
+		},
+		FirstDay: 1, LastDay: 1,
+	}
+	for _, follow := range []bool{false, true} {
+		p, err := NewPipeline(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if follow {
+			defer p.Follow()()
+		}
+		for _, c := range []struct {
+			name string
+			want bool // non-empty
+		}{{"N", false}, {"W", true}} {
+			fixes, frames, samples := len(p.Track(c.name)), len(p.Frames(c.name)), len(p.walkingSamples(c.name))
+			if (fixes > 0) != c.want || (frames > 0) != c.want || (samples > 0) != c.want {
+				t.Errorf("following=%v %s: %d fixes, %d frames, %d samples; want all non-empty = %v",
+					follow, c.name, fixes, frames, samples, c.want)
+			}
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ var (
 	fixErr  error
 )
 
-func missionFixture(t *testing.T) *mission.Result {
+func missionFixture(t testing.TB) *mission.Result {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("mission fixture in -short mode")
@@ -41,7 +41,7 @@ func missionFixture(t *testing.T) *mission.Result {
 	return fixRes
 }
 
-func newFixturePipeline(t *testing.T) *Pipeline {
+func newFixturePipeline(t testing.TB) *Pipeline {
 	t.Helper()
 	res := missionFixture(t)
 	src := Source{

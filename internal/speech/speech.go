@@ -39,14 +39,16 @@ type Frame struct {
 	Fraction float64
 }
 
-// FramesCursor applies the detection rule to a badge's mic records.
-// Records must be time-ordered. It makes one streaming pass, so
+// FramesCursor applies the detection rule to a badge's mic records
+// recorded inside worn; a frame outside it is never built, so the frames
+// equal FilterWorn of an all-time pass, and a nil or empty worn keeps
+// nothing. Records must be time-ordered. It makes one streaming pass, so
 // out-of-core sources never materialize the mic stream.
-func FramesCursor(c *record.Cursor, cfg Config) []Frame {
+func FramesCursor(c *record.Cursor, cfg Config, worn record.RangeSet) []Frame {
 	var out []Frame
 	for c.Next() {
 		r := c.Record()
-		if r.Kind != record.KindMic {
+		if r.Kind != record.KindMic || !worn.Contains(r.Local) {
 			continue
 		}
 		speech, loud, f0, frac := r.Mic()
@@ -90,16 +92,22 @@ func Fraction(frames []Frame) float64 {
 }
 
 // FractionByDay computes the Fig. 6 series: per mission day, the fraction
-// of recorded 15 s intervals with detected speech.
+// of recorded 15 s intervals with detected speech. It counts per day in
+// one pass instead of regrouping the frames.
 func FractionByDay(frames []Frame) map[int]float64 {
-	byDay := make(map[int][]Frame)
+	counts := make(map[int][2]int) // day → {speech, total}
 	for _, f := range frames {
 		d := simtime.DayOf(f.At)
-		byDay[d] = append(byDay[d], f)
+		c := counts[d]
+		if f.Speech {
+			c[0]++
+		}
+		c[1]++
+		counts[d] = c
 	}
-	out := make(map[int]float64, len(byDay))
-	for d, fs := range byDay {
-		out[d] = Fraction(fs)
+	out := make(map[int]float64, len(counts))
+	for d, c := range counts {
+		out[d] = float64(c[0]) / float64(c[1])
 	}
 	return out
 }

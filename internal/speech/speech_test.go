@@ -1,11 +1,15 @@
 package speech
 
 import (
+	"math"
+	"reflect"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"icares/internal/record"
 	"icares/internal/simtime"
+	"icares/internal/stats"
 )
 
 func micRec(at time.Duration, loud, f0, frac float64) record.Record {
@@ -15,7 +19,7 @@ func micRec(at time.Duration, loud, f0, frac float64) record.Record {
 // detect runs FramesCursor over an in-memory record slice.
 func detect(recs []record.Record, cfg Config) []Frame {
 	c := record.NewCursor(recs)
-	return FramesCursor(&c, cfg)
+	return FramesCursor(&c, cfg, allTime)
 }
 
 func TestFramesApplyPaperRule(t *testing.T) {
@@ -149,5 +153,57 @@ func TestTalkingFrames(t *testing.T) {
 	talking, total := TalkingFrames(frames, profiles, 25, "A")
 	if talking != 3 || total != 10 {
 		t.Errorf("talking/total = %d/%d, want 3/10", talking, total)
+	}
+}
+
+// allTime is the worn set that keeps every frame.
+var allTime = record.RangeSet{{From: math.MinInt64, To: math.MaxInt64}}
+
+// randomWorn draws a worn set over [0, span): nil, empty, or up to five
+// ranges, some inverted or zero-length, with ends off the frame grid.
+func randomWorn(rng *stats.RNG, span time.Duration) record.RangeSet {
+	switch rng.Intn(8) {
+	case 0:
+		return nil
+	case 1:
+		return record.RangeSet{}
+	}
+	at := func() time.Duration { return time.Duration(rng.Float64() * float64(span)) }
+	s := make(record.RangeSet, 1+rng.Intn(5))
+	for i := range s {
+		from := at()
+		switch rng.Intn(4) {
+		case 0:
+			s[i] = record.TimeRange{From: from, To: from}
+		case 1:
+			s[i] = record.TimeRange{From: from, To: at()} // inverted half the time
+		default:
+			s[i] = record.TimeRange{From: from, To: from + at()/4}
+		}
+	}
+	return s
+}
+
+// TestQuickFramesWornMatchesFilterWorn: FramesCursor under a worn set gives
+// FilterWorn of the all-time frames.
+func TestQuickFramesWornMatchesFilterWorn(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := stats.NewRNG(seed)
+		const span = time.Hour
+		var recs []record.Record
+		for at := time.Duration(0); at < span; at += 15 * time.Second {
+			recs = append(recs, micRec(at, rng.Range(30, 80), rng.Range(80, 260), rng.Float64()))
+			if rng.Bool(0.2) {
+				recs = append(recs, record.NewAccel(at+time.Second, 0, 0, 1000))
+			}
+		}
+		worn := randomWorn(rng, span)
+		c := record.NewCursor(recs)
+		got := FramesCursor(&c, DefaultConfig(), worn)
+		want := FilterWorn(detect(recs, DefaultConfig()), worn)
+		return len(got) == len(want) && (len(want) == 0 || reflect.DeepEqual(got, want))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }

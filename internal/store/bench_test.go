@@ -383,3 +383,23 @@ func BenchmarkSeriesIterWarm(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSeriesFirstReadReversed measures the first read of a 200k-record
+// series appended in reverse time order: the nearly-sorted read gives up
+// after a few records and stable-sorts the joined array (the chunk itself
+// is shared across ops: a join only reads it).
+func BenchmarkSeriesFirstReadReversed(b *testing.B) {
+	const n = 200_000
+	recs := make([]record.Record, n)
+	for i := range recs {
+		recs[i] = record.NewBeacon(time.Duration(n-i)*time.Second, uint16(i), 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := &Series{chunks: [][]record.Record{recs}, n: n, disordered: true}
+		if len(s.All()) != n {
+			b.Fatal("short read")
+		}
+	}
+}

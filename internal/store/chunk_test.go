@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -134,6 +135,47 @@ func TestMergeReleasesOldRuns(t *testing.T) {
 	for i, c := range s.chunks[1:cap(s.chunks)] {
 		if c != nil {
 			t.Errorf("chunk slot %d still holds a %d-record chunk after the read", i+1, len(c))
+		}
+	}
+}
+
+// A reversed series is the worst case for the nearly-sorted first read:
+// its third record already moves past maxShift, so the read hands over to
+// the general stable sort. The result is still the stable sort of the
+// appends (pairs of equal timestamps keep their append order).
+func TestReverseSortedFirstRead(t *testing.T) {
+	const n = 200_000
+	s := &Series{}
+	appended := make([]record.Record, 0, n)
+	for i := 0; i < n; i++ {
+		r := record.NewBeacon(time.Duration((n-i)/2)*time.Second, uint16(i), 0)
+		s.Append(r)
+		appended = append(appended, r)
+	}
+	if !slices.Equal(s.All(), refSorted(appended)) {
+		t.Error("reversed series read differs from a stable sort of its appends")
+	}
+}
+
+// Records that move exactly maxShift places back stay on the insertion
+// path; one place more hands the rest to the general sort. Both must give
+// the stable sort of the appends.
+func TestShiftBoundaryFirstRead(t *testing.T) {
+	for _, shift := range []int{maxShift, maxShift + 1} {
+		s := &Series{}
+		var appended []record.Record
+		for i := 0; i < 10*(shift+1); i++ {
+			at := time.Duration(i) * time.Second
+			if i%(shift+1) == shift {
+				// Just before the record shift places back.
+				at = time.Duration(i-shift)*time.Second - time.Millisecond
+			}
+			r := record.NewBeacon(at, uint16(i), 0)
+			s.Append(r)
+			appended = append(appended, r)
+		}
+		if !slices.Equal(s.All(), refSorted(appended)) {
+			t.Errorf("shift %d: read differs from a stable sort of the appends", shift)
 		}
 	}
 }

@@ -23,16 +23,18 @@ const chunkMin = 256
 //
 // The first read after a write joins the chunks into one array of exactly
 // Len() records (a lone chunk in time order is used as is) and, only if
-// the series is disordered, stable-sorts it by Local. Reads therefore
-// return the stable sort of the append sequence: of equal timestamps, the
-// earlier append comes first. A badge's mic frames are stamped at the
-// start of their window, so a badge's series ends disordered and its first
-// read sorts once; a live feed appended in order never sorts. The joined
-// array is exactly full, so the next append opens a new chunk and the read
-// after it copies all Len() records again: a series read between writes
-// should be reserved (Dataset.Reserve) to stay one chunk. Per-kind
-// sub-series are indexed lazily so Kind/RangeKind answer from a cached,
-// time-ordered view instead of scanning every record.
+// the series is disordered, stable-sorts it by Local — in linear time
+// while every late record is only a few places behind (sortNearlySorted).
+// Reads therefore return the stable sort of the append sequence: of equal
+// timestamps, the earlier append comes first. A badge's mic frames are
+// stamped at the start of their window, so a badge's series ends
+// disordered and its first read sorts once; a live feed appended in order
+// never sorts. The joined array is exactly full, so the next append opens
+// a new chunk and the read after it copies all Len() records again: a
+// series read between writes should be reserved (Dataset.Reserve) to stay
+// one chunk. Per-kind sub-series are indexed lazily so Kind/RangeKind
+// answer from a cached, time-ordered view instead of scanning every
+// record.
 //
 // Concurrency: any number of readers (All, Range, Kind, RangeKind, First,
 // Last, Len) may run concurrently, and Append and AppendBatch may
@@ -142,12 +144,44 @@ func (s *Series) readLocked() []record.Record {
 		all = append(all, c...)
 	}
 	if s.disordered {
-		slices.SortStableFunc(all, func(a, b record.Record) int { return cmp.Compare(a.Local, b.Local) })
+		sortNearlySorted(all)
 		s.disordered = false
 	}
 	clear(s.chunks[1:])
 	s.chunks = append(s.chunks[:0], all)
 	return all
+}
+
+// maxShift is the furthest sortNearlySorted moves one record back before
+// it hands the rest of the work to a general stable sort. A badge's late
+// records are its mic frames, which land a handful of records behind the
+// accel samples already written (at most 7 in a simulated mission).
+const maxShift = 32
+
+// sortNearlySorted stable-sorts recs by Local. It insertion-sorts while no
+// record has to move more than maxShift places back, which is linear on a
+// badge's append order, and falls back to slices.SortStableFunc the first
+// time one does, so reversed input stays O(n log n). Both sorts keep equal
+// timestamps in their current order and the insertion pass keeps them in
+// their original order, so the result is the stable sort of the input
+// whichever path finishes it.
+func sortNearlySorted(recs []record.Record) {
+	for i := 1; i < len(recs); i++ {
+		r := recs[i]
+		if r.Local >= recs[i-1].Local {
+			continue
+		}
+		j := i - 1
+		for j > 0 && recs[j-1].Local > r.Local {
+			if i-j == maxShift {
+				slices.SortStableFunc(recs, func(a, b record.Record) int { return cmp.Compare(a.Local, b.Local) })
+				return
+			}
+			j--
+		}
+		copy(recs[j+1:i+1], recs[j:i])
+		recs[j] = r
+	}
 }
 
 // readyLocked reports whether the series is already in its read form — the
