@@ -271,7 +271,7 @@ func BenchmarkAblationShielding(b *testing.B) {
 			truth[at] = room
 		}
 		c := record.NewCursor(recs)
-		fixes := loc.TrackCursor(&c, time.Minute, record.RangeSet{{From: math.MinInt64, To: math.MaxInt64}})
+		fixes := loc.TrackCursor(nil, &c, time.Minute, record.RangeSet{{From: math.MinInt64, To: math.MaxInt64}})
 		if len(fixes) == 0 {
 			return 0
 		}
@@ -364,7 +364,7 @@ func BenchmarkAblationSpeechThreshold(b *testing.B) {
 			var n int
 			for _, name := range m.Names() {
 				c := record.NewCursor(p.RecordsFor(name))
-				frames := speech.FramesCursor(&c, cfg, p.WornRanges(name))
+				frames := speech.FramesCursor(nil, &c, cfg, p.WornRanges(name))
 				sum += speech.Fraction(frames)
 				n++
 			}

@@ -43,17 +43,18 @@ type Sample struct {
 	RMS float64
 }
 
-// ClassifyCursor windows the accel records of one badge and classifies
-// each window whose start lies in worn. Records must be time-ordered. A
-// window starting outside worn is neither buffered nor classified, so the
-// samples equal FilterWorn of an all-time pass; a nil or empty worn keeps
-// nothing. It makes one streaming pass holding only the current window's
-// samples, so out-of-core sources never materialize the accel stream.
-func ClassifyCursor(c *record.Cursor, cfg Config, worn record.RangeSet) []Sample {
+// ClassifyCursor windows the accel records of one badge, classifies each
+// window whose start lies in worn, and appends the samples to dst. Records
+// must be time-ordered. A window starting outside worn is neither buffered
+// nor classified, so the samples are the worn-start subset of an all-time
+// pass; a nil or empty worn keeps nothing. It makes one streaming pass
+// holding only the current window's samples, so out-of-core sources never
+// materialize the accel stream.
+func ClassifyCursor(dst []Sample, c *record.Cursor, cfg Config, worn record.RangeSet) []Sample {
 	if cfg.Window <= 0 {
 		cfg = DefaultConfig()
 	}
-	var out []Sample
+	out := dst
 	var xs, ys []float64
 	var magSq float64
 	var curStart time.Duration
@@ -129,19 +130,6 @@ func WalkingFraction(samples []Sample) float64 {
 		}
 	}
 	return float64(n) / float64(len(samples))
-}
-
-// FilterWorn keeps only samples whose window start falls inside the worn
-// ranges — the paper's fractions are "of recorded time" while the badge was
-// on the bearer's neck.
-func FilterWorn(samples []Sample, worn record.RangeSet) []Sample {
-	out := make([]Sample, 0, len(samples))
-	for _, s := range samples {
-		if worn.Contains(s.At) {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // WalkingFractionByDay computes the per-day walking fraction of already

@@ -27,7 +27,7 @@ func synthAccel(rng *stats.RNG, from, dur, every time.Duration, sigma float64) [
 // classify runs ClassifyCursor over an in-memory record slice.
 func classify(recs []record.Record, cfg Config) []Sample {
 	c := record.NewCursor(recs)
-	return ClassifyCursor(&c, cfg, allTime)
+	return ClassifyCursor(nil, &c, cfg, allTime)
 }
 
 func TestClassifyWalkingVsIdle(t *testing.T) {
@@ -95,7 +95,7 @@ func TestFilterWorn(t *testing.T) {
 		{At: 10 * time.Second}, {At: 50 * time.Second}, {At: 90 * time.Second},
 	}
 	worn := record.RangeSet{{From: 0, To: 30 * time.Second}, {From: 80 * time.Second, To: 120 * time.Second}}
-	got := FilterWorn(samples, worn)
+	got := filterWorn(samples, worn)
 	if len(got) != 2 {
 		t.Fatalf("filtered = %v", got)
 	}
@@ -113,7 +113,7 @@ func TestDailyWalkingFraction(t *testing.T) {
 	recs = append(recs, synthAccel(rng, day2, time.Hour, 10*time.Second, 260)...)
 	recs = append(recs, synthAccel(rng, day3, time.Hour, 10*time.Second, 25)...)
 	worn := record.RangeSet{{From: day2, To: day3 + 2*time.Hour}}
-	got := WalkingFractionByDay(FilterWorn(classify(recs, DefaultConfig()), worn))
+	got := WalkingFractionByDay(filterWorn(classify(recs, DefaultConfig()), worn))
 	if got[2] < 0.9 {
 		t.Errorf("day 2 fraction = %v", got[2])
 	}
@@ -148,6 +148,18 @@ func TestWalkingFractionByDay(t *testing.T) {
 // allTime is the worn set that keeps every window.
 var allTime = record.RangeSet{{From: math.MinInt64, To: math.MaxInt64}}
 
+// filterWorn keeps the samples whose window start worn contains: the
+// reference filter ClassifyCursor's worn-first windowing must match.
+func filterWorn(samples []Sample, worn record.RangeSet) []Sample {
+	out := make([]Sample, 0, len(samples))
+	for _, s := range samples {
+		if worn.Contains(s.At) {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // randomWorn draws a worn set over [0, span): nil, empty, or up to five
 // ranges, some inverted or zero-length, with ends off the window grid.
 func randomWorn(rng *stats.RNG, span time.Duration) record.RangeSet {
@@ -174,7 +186,7 @@ func randomWorn(rng *stats.RNG, span time.Duration) record.RangeSet {
 }
 
 // TestQuickClassifyWornMatchesFilterWorn: ClassifyCursor under a worn set
-// gives FilterWorn of the all-time samples.
+// appends filterWorn of the all-time samples to dst, keeping dst's prefix.
 func TestQuickClassifyWornMatchesFilterWorn(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
@@ -186,8 +198,12 @@ func TestQuickClassifyWornMatchesFilterWorn(t *testing.T) {
 		}
 		worn := randomWorn(rng, span)
 		c := record.NewCursor(recs)
-		got := ClassifyCursor(&c, DefaultConfig(), worn)
-		want := FilterWorn(classify(recs, DefaultConfig()), worn)
+		dst := make([]Sample, rng.Intn(3), 4)
+		for i := range dst {
+			dst[i].At = -time.Duration(i + 1)
+		}
+		want := append(dst[:len(dst):len(dst)], filterWorn(classify(recs, DefaultConfig()), worn)...)
+		got := ClassifyCursor(dst, &c, DefaultConfig(), worn)
 		return len(got) == len(want) && (len(want) == 0 || reflect.DeepEqual(got, want))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

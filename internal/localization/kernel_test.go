@@ -35,7 +35,7 @@ func locateScan(l *Locator, obs []Obs) (Fix, error) {
 // track runs TrackCursor over an in-memory record slice.
 func track(l *Locator, recs []record.Record, window time.Duration) []Fix {
 	c := record.NewCursor(recs)
-	return l.TrackCursor(&c, window, allTime)
+	return l.TrackCursor(nil, &c, window, allTime)
 }
 
 func newRefLocator(hab *habitat.Habitat) *refLocator {
@@ -357,7 +357,7 @@ func TestTrackMatchesReferenceMission(t *testing.T) {
 	for _, id := range res.Dataset.Badges() {
 		recs := res.Dataset.Series(id).Kind(record.KindBeacon)
 		c := record.NewCursor(recs)
-		got := l.TrackCursor(&c, 15*time.Second, allTime)
+		got := l.TrackCursor(nil, &c, 15*time.Second, allTime)
 		want := ref.trackRef(recs, 15*time.Second)
 		if len(got) != len(want) {
 			t.Fatalf("badge %d: %d fixes, want %d", id, len(got), len(want))
@@ -409,7 +409,7 @@ func TestLocatorConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 3; round++ {
 				c := record.NewCursor(j.recs)
-				track := l.TrackCursor(&c, 15*time.Second, allTime)
+				track := l.TrackCursor(nil, &c, 15*time.Second, allTime)
 				if len(track) != len(j.track) {
 					errs[g] = "track length differs"
 					return
@@ -454,7 +454,7 @@ func TestTrackAllocs(t *testing.T) {
 	var fixes []Fix
 	allocs := testing.AllocsPerRun(3, func() {
 		c := record.NewCursor(recs)
-		fixes = l.TrackCursor(&c, 15*time.Second, allTime)
+		fixes = l.TrackCursor(nil, &c, 15*time.Second, allTime)
 	})
 	if len(fixes) != windows {
 		t.Fatalf("%d fixes, want %d", len(fixes), windows)
@@ -497,8 +497,9 @@ func randomWorn(rng *stats.RNG, span time.Duration) record.RangeSet {
 	return s
 }
 
-// TestQuickTrackWornMatchesFilter: TrackCursor under a worn set gives the
-// fixes of the all-time track whose window start the set contains.
+// TestQuickTrackWornMatchesFilter: TrackCursor under a worn set appends to
+// dst the fixes of the all-time track whose window start the set contains,
+// keeping dst's prefix.
 func TestQuickTrackWornMatchesFilter(t *testing.T) {
 	l, hab := newLocator(t)
 	sites := hab.Beacons()
@@ -511,8 +512,12 @@ func TestQuickTrackWornMatchesFilter(t *testing.T) {
 		}
 		worn := randomWorn(rng, span)
 		c := record.NewCursor(recs)
-		got := l.TrackCursor(&c, 15*time.Second, worn)
-		var want []Fix
+		dst := make([]Fix, rng.Intn(3), 4)
+		for i := range dst {
+			dst[i].At = -time.Duration(i + 1)
+		}
+		want := dst[:len(dst):len(dst)]
+		got := l.TrackCursor(dst, &c, 15*time.Second, worn)
 		for _, fix := range track(l, recs, 15*time.Second) {
 			if worn.Contains(fix.At) {
 				want = append(want, fix)

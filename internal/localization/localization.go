@@ -239,20 +239,21 @@ func gnStep(g, h float64) float64 {
 	return s
 }
 
-// TrackCursor groups a badge's beacon records into windows and locates
-// each window whose start lies in worn. Records must be time-ordered
-// (store.Series provides this). Windows with no observations yield no fix,
-// and a window starting outside worn is neither buffered nor located, so
-// the fixes equal the worn-start subset of an all-time track; a nil or
-// empty worn keeps nothing. It makes one streaming pass holding only the
-// current window's observations, so out-of-core sources never materialize
-// the beacon stream. The window buffer and the slots are allocated once per
-// call and reused for every window.
-func (l *Locator) TrackCursor(c *record.Cursor, window time.Duration, worn record.RangeSet) []Fix {
+// TrackCursor groups a badge's beacon records into windows, locates each
+// window whose start lies in worn, and appends the fixes to dst. Records
+// must be time-ordered (store.Series provides this). Windows with no
+// observations yield no fix, and a window starting outside worn is neither
+// buffered nor located, so the fixes equal the worn-start subset of an
+// all-time track; a nil or empty worn keeps nothing. It makes one
+// streaming pass holding only the current window's observations, so
+// out-of-core sources never materialize the beacon stream. The window
+// buffer and the slots are allocated once per call and reused for every
+// window.
+func (l *Locator) TrackCursor(dst []Fix, c *record.Cursor, window time.Duration, worn record.RangeSet) []Fix {
 	if window <= 0 {
 		window = 15 * time.Second
 	}
-	var fixes []Fix
+	fixes := dst
 	var cur []Obs
 	acc := make([]slot, 0, len(l.sites))
 	var curStart time.Duration

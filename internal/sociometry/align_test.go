@@ -44,6 +44,9 @@ func TestLocWindowMustDivideDay(t *testing.T) {
 	}
 }
 
+// allTime is the worn set that keeps every window.
+var allTime = record.RangeSet{{From: minTime, To: maxTime}}
+
 // TestTrackSpansMidnight puts beacon records on both sides of the
 // day-2/day-3 boundary and checks that the per-day track fold at the default
 // window equals the localization track over the continuous beacon stream.
@@ -87,7 +90,7 @@ func TestTrackSpansMidnight(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := record.NewCursor(beacons)
-	whole := loc.TrackCursor(&c, p.locWindow, allTime)
+	whole := loc.TrackCursor(nil, &c, p.locWindow, allTime)
 	if len(whole) < 2 {
 		t.Fatalf("whole-stream track has %d fixes; fixture no longer spans midnight", len(whole))
 	}

@@ -1,7 +1,7 @@
 package sociometry
 
 import (
-	"time"
+	"slices"
 
 	"icares/internal/record"
 	"icares/internal/simtime"
@@ -18,6 +18,13 @@ import (
 // them, and nothing else. A record landing on day 9 leaves days 2..8 of the
 // same astronaut — and every other astronaut — warm.
 //
+// Wear records are the one exception. The track, mic frames and activity
+// windows are produced under the astronaut's worn set, and whether time t
+// is worn depends only on the wear records at or before t
+// (record.WornRangesCursor). So a mark that holds a wear record also drops
+// those three partials of every later day of the astronaut, through
+// LastDay — and still none before its own day.
+//
 // Marks are applied lazily, at the start of the next top-level analysis
 // (the inflight 0→1 transition), never while analyses are running: dropping
 // caches under a running analysis could hand it a mix of old and new
@@ -26,7 +33,8 @@ import (
 // in and is exact. That is the streaming contract: eventually-exact queries
 // with window-scoped recomputation.
 
-// staleKey marks one badge's data on one mission day as dirty.
+// staleKey marks one badge's data on one mission day as dirty; the stale
+// set maps it to whether any record behind the mark is a wear record.
 type staleKey struct {
 	id  store.BadgeID
 	day int
@@ -54,59 +62,64 @@ func (p *Pipeline) Follow() (stop func()) {
 	return src.Subscribe(p.markStaleBatch)
 }
 
-// markStale records that a badge received a record at the given raw device
-// timestamp. Windows are reference-time days, and personal badges run
-// seconds off, so the day is taken after the badge's frozen correction; a
-// mark arriving before the corrections are frozen marks every day of the
-// badge instead. It is the one-record form of markStaleBatch, which Follow
-// uses: both leave the same stale set. Cheap and lock-scoped: safe to call
-// from the source's append path.
-func (p *Pipeline) markStale(id store.BadgeID, local time.Duration) {
+// markStale records that a badge received a record. Windows are
+// reference-time days, and personal badges run seconds off, so the day is
+// taken from the record's raw device timestamp after the badge's frozen
+// correction; a mark arriving before the corrections are frozen marks
+// every day of the badge instead. It is the one-record form of
+// markStaleBatch, which Follow uses: both leave the same stale set. Cheap
+// and lock-scoped: safe to call from the source's append path.
+func (p *Pipeline) markStale(id store.BadgeID, r record.Record) {
 	first, last := p.src.FirstDay, p.src.LastDay
 	if p.rectified.Load() {
-		day := simtime.DayOf(p.corrections[id].ToReference(local))
+		day := simtime.DayOf(p.corrections[id].ToReference(r.Local))
 		if day < first || day > last {
 			// Outside the analysis range: no derivation reads it.
 			return
 		}
 		first, last = day, day
 	}
-	p.markDays(id, first, last)
+	p.markDays(id, first, last, r.Kind == record.KindWear)
 }
 
 // markStaleBatch marks the windows a batch of one badge's records lands in,
 // leaving the stale set markStale would leave record by record. With
 // corrections frozen it takes each record's corrected day and marks once
-// per run of records on equal days; before that, one all-days mark covers
-// the whole batch. Corrections only ever go from unfrozen to frozen, so
-// one check serves the batch.
+// per run of records on equal days, and again for each wear record; before
+// that, one all-days mark covers the whole batch. Corrections only ever go
+// from unfrozen to frozen, so one check serves the batch.
 func (p *Pipeline) markStaleBatch(id store.BadgeID, recs []record.Record) {
 	if len(recs) == 0 {
 		return
 	}
 	if !p.rectified.Load() {
-		p.markDays(id, p.src.FirstDay, p.src.LastDay)
+		wear := slices.ContainsFunc(recs, func(r record.Record) bool { return r.Kind == record.KindWear })
+		p.markDays(id, p.src.FirstDay, p.src.LastDay, wear)
 		return
 	}
 	c := p.corrections[id]
 	prev := -1 // DayOf is never negative
 	for _, r := range recs {
 		day := simtime.DayOf(c.ToReference(r.Local))
-		if day != prev && day >= p.src.FirstDay && day <= p.src.LastDay {
-			p.markDays(id, day, day)
+		wear := r.Kind == record.KindWear
+		if (day != prev || wear) && day >= p.src.FirstDay && day <= p.src.LastDay {
+			p.markDays(id, day, day, wear)
 		}
 		prev = day
 	}
 }
 
-// markDays marks the badge's windows on days first..last stale.
-func (p *Pipeline) markDays(id store.BadgeID, first, last int) {
+// markDays marks the badge's windows on days first..last stale, noting
+// whether the mark holds a wear record (a mark once set to hold one keeps
+// it until applied).
+func (p *Pipeline) markDays(id store.BadgeID, first, last int, wear bool) {
 	p.staleMu.Lock()
 	if p.stale == nil {
-		p.stale = make(map[staleKey]struct{})
+		p.stale = make(map[staleKey]bool)
 	}
 	for day := first; day <= last; day++ {
-		p.stale[staleKey{id, day}] = struct{}{}
+		k := staleKey{id, day}
+		p.stale[k] = p.stale[k] || wear
 	}
 	p.staleMu.Unlock()
 	p.staleFlag.Store(true)
@@ -127,9 +140,10 @@ func (p *Pipeline) endAnalysis() {
 }
 
 // applyStale drains the stale set and drops exactly the caches it touches:
-// first every dirty window partial, then the astronaut-level caches folding
-// them (in that order, so a recompute never mixes fresh and stale windows),
-// then the crew-level presence fold.
+// first every dirty window partial (and, for a mark holding a wear record,
+// the worn-derived partials of the astronaut's later days), then the
+// astronaut-level caches folding them (in that order, so a recompute never
+// mixes fresh and stale windows), then the crew-level presence fold.
 func (p *Pipeline) applyStale() {
 	p.foldMu.Lock()
 	defer p.foldMu.Unlock()
@@ -147,17 +161,25 @@ func (p *Pipeline) applyStale() {
 	// names nominally assigned one badge), so scan all names per dirty day
 	// rather than trusting the first-wins wearers inverse.
 	affected := make(map[string]struct{})
-	for k := range dirty {
+	for k, wear := range dirty {
 		for _, name := range p.src.Names {
 			if p.src.BadgeFor(name, k.day) != k.id {
 				continue
 			}
 			w := wkey{name, k.day}
-			p.winTrack.drop(w)
-			p.winFrames.drop(w)
-			p.winActivity.drop(w)
 			p.winContacts.drop(w)
 			p.winActive.drop(w)
+			last := k.day
+			if wear {
+				// The astronaut's worn set changes from this day on, on
+				// whichever badge they wore later.
+				last = p.src.LastDay
+			}
+			for w.day = k.day; w.day <= last; w.day++ {
+				p.winTrack.drop(w)
+				p.winFrames.drop(w)
+				p.winActivity.drop(w)
+			}
 			affected[name] = struct{}{}
 		}
 	}

@@ -262,6 +262,94 @@ func TestWindowScopedInvalidation(t *testing.T) {
 	if got := p.framesCache.computeCount() - frames0; got != 0 {
 		t.Errorf("frames recomputed without being queried: %d", got)
 	}
+
+	// A middle-day accel record: still exactly one window recomputes. Only
+	// a wear record reaches past its own day.
+	p.Warm()
+	mid := (2 + lastDay) / 2
+	before := windowComputes(p)
+	ds.Series(res.Assignment.TrueBadgeFor("A", mid)).Append(record.Record{
+		Local: simtime.StartOfDay(mid) + 12*time.Hour,
+		Kind:  record.KindAccel,
+	})
+	p.Warm()
+	if got := windowComputes(p).sub(before); got != (computes{1, 1, 1}) {
+		t.Errorf("middle-day window recomputes (track, frames, activity) = %v, want [1 1 1]", got)
+	}
+}
+
+// computes counts the track, mic-frame and activity window computations.
+type computes [3]int64
+
+func (c computes) sub(d computes) computes { return computes{c[0] - d[0], c[1] - d[1], c[2] - d[2]} }
+
+func windowComputes(p *Pipeline) computes {
+	return computes{p.winTrack.computeCount(), p.winFrames.computeCount(), p.winActivity.computeCount()}
+}
+
+// TestWearRecordInvalidatesLaterDays pins the wear-mark rule: whether time
+// t is worn depends only on the wear records at or before t, so a wear
+// record appended on a middle day recomputes its astronaut's track, frame
+// and activity windows from that day through the last day and no others,
+// and the following report then equals the batch report over the same
+// records.
+func TestWearRecordInvalidatesLaterDays(t *testing.T) {
+	recs := rectifiedFixtureRecords(t)
+	res := missionFixture(t)
+	lastDay := res.Config.Scenario.Days
+	mid := (2 + lastDay) / 2
+
+	ds := store.NewDataset()
+	loadAll(ds, recs)
+	p, err := NewPipeline(fixtureSource(t, ds), WithCorrections(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := p.Follow()
+	defer stop()
+	p.Warm()
+	p.Report()
+
+	// A put-on record late on the middle day while A's badge lies unworn:
+	// the worn range it opens runs past midnight into the next day.
+	at := simtime.StartOfDay(mid) + 23*time.Hour + 30*time.Minute
+	next := simtime.StartOfDay(mid+1) + time.Hour
+	if worn := p.WornRanges("A"); worn.Contains(at) || worn.Contains(next) {
+		t.Fatalf("fixture: A's badge is worn around midnight after day %d", mid)
+	}
+	before, contacts0 := windowComputes(p), p.winContacts.computeCount()
+	id := res.Assignment.TrueBadgeFor("A", mid)
+	wear := record.NewWear(at, true)
+	ds.Series(id).Append(wear)
+	p.Warm()
+	got := p.Report()
+	if !p.WornRanges("A").Contains(next) {
+		t.Fatalf("the wear record did not change A's worn set on day %d", mid+1)
+	}
+
+	var days int64
+	for day := mid; day <= lastDay; day++ {
+		if res.Assignment.TrueBadgeFor("A", day) != 0 {
+			days++
+		}
+	}
+	if d := windowComputes(p).sub(before); d != (computes{days, days, days}) {
+		t.Errorf("window recomputes (track, frames, activity) = %v, want %d each (A, days %d..%d)", d, days, mid, lastDay)
+	}
+	if d := p.winContacts.computeCount() - contacts0; d != 1 {
+		t.Errorf("contact window recomputes = %d, want 1", d)
+	}
+
+	batchDS := store.NewDataset()
+	loadAll(batchDS, recs)
+	batchDS.Series(id).Append(wear)
+	batchP, err := NewPipeline(fixtureSource(t, batchDS), WithCorrections(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := batchP.Report(); got != want {
+		t.Errorf("following report after the wear record differs from the batch report")
+	}
 }
 
 // syntheticSyncSource builds a one-badge dataset whose sync records encode a

@@ -24,23 +24,25 @@
 //
 // # Incremental operators
 //
-// While following, every derivation is folded from per-(astronaut, day)
-// window partials — raw localization track, raw mic frames, raw activity
-// windows, IR contacts, and daytime recording coverage — memoized
-// independently of the astronaut-level results assembled from them. A
-// batch pipeline derives the track, mic frames and activity windows in one
-// streaming pass over the astronaut's chained day cursors instead, with
-// the worn filter inside the producer, so an unworn window is never
-// localized, framed or classified. Both are byte-identical to deriving
-// from the full record stream (the localization and activity windows are
-// aligned to absolute time and divide the day, so no analysis window ever
-// spans a day boundary).
+// Every windowed derivation has one form: per (astronaut, day) window, its
+// producer runs over that day's cursor (the localization track, mic frames
+// and activity windows under the astronaut's worn set, so an unworn window
+// is never localized, framed or classified; IR contacts; daytime recording
+// coverage), and the astronaut-level result is those windows in day order.
+// That is byte-identical to deriving from the full record stream: the
+// localization and activity windows are aligned to absolute time and
+// divide the day, so no analysis window ever spans a day boundary. Whether
+// a window's result is memoized is the only thing Follow changes: a
+// following pipeline keeps each window as a partial, a batch pipeline
+// appends it straight into the astronaut's output and keeps nothing.
 //
 // Follow subscribes the pipeline to its source's append notifications,
-// and each new record marks only its (badge, day) window stale. The next
-// analysis drops exactly the affected windows and the astronaut-level
-// caches folding them — everything else stays warm. See fold.go for the
-// invalidation machinery and DESIGN.md for the model.
+// and each new record marks only its (badge, day) window stale — a wear
+// record also its astronaut's later days, since the worn set at time t
+// depends only on the wear records at or before t. The next analysis drops
+// exactly the affected windows and the astronaut-level caches folding
+// them — everything else stays warm. See fold.go for the invalidation
+// machinery and DESIGN.md for the model.
 //
 // # Concurrency
 //
@@ -169,19 +171,19 @@ type Pipeline struct {
 	locErr  error
 
 	// Window partials: the per-(astronaut, day) fold state a following
-	// pipeline assembles its derivations from. Raw means before the worn
-	// filter — worn ranges are an astronaut-level, cross-day scan, so the
-	// filter applies at the astronaut level. Each partial folds straight
-	// off a window cursor (windowIter) — raw day record slices are never
-	// memoized, so resident memory stays bounded by the source's cache, not
-	// the dataset.
-	winTrack    memo[wkey, []localization.Fix]  // raw localization fixes
-	winFrames   memo[wkey, []speech.Frame]      // raw mic frames
-	winActivity memo[wkey, []activity.Sample]   // raw classified activity windows
+	// pipeline assembles its derivations from (a batch pipeline fills
+	// none; see windowMemo). The track, frames and activity partials are
+	// produced under the astronaut's worn set, so they hold worn windows
+	// only. Each partial folds straight off a window cursor (windowIter) —
+	// raw day record slices are never memoized, so resident memory stays
+	// bounded by the source's cache, not the dataset.
+	winTrack    memo[wkey, []localization.Fix]  // worn localization fixes
+	winFrames   memo[wkey, []speech.Frame]      // worn mic frames
+	winActivity memo[wkey, []activity.Sample]   // worn classified activity windows
 	winContacts memo[wkey, []proximity.Contact] // attributed IR contacts
 	winActive   memo[wkey, time.Duration]       // daytime recording coverage (Wear)
 
-	// Memoized per-astronaut derivations, folded from the window partials:
+	// Memoized per-astronaut derivations, folded from the windows:
 	//
 	//	worn ── frames
 	//	  └─ track ── intervals ── presence
@@ -204,7 +206,7 @@ type Pipeline struct {
 	// day) windows stale; the next top-level analysis applies the marks.
 	foldMu    sync.Mutex
 	staleMu   sync.Mutex
-	stale     map[staleKey]struct{}
+	stale     map[staleKey]bool
 	staleFlag atomic.Bool
 	inflight  atomic.Int64
 
@@ -417,7 +419,7 @@ func (p *Pipeline) windowTimes(name string, day int) record.TimeCursor {
 }
 
 // crewIter chains the astronaut's per-day windows into one continuous
-// cursor over the data days — the whole-mission stream the astronaut-level
+// cursor over the data days — the whole-mission stream the cross-day
 // scans (worn ranges, RecordsFor, the environment series) fold, without
 // ever materializing it.
 func (p *Pipeline) crewIter(name string, k record.Kind) record.Cursor {
@@ -441,56 +443,36 @@ func (p *Pipeline) crewIter(name string, k record.Kind) record.Cursor {
 	})
 }
 
-// windowMemo reports whether the astronaut-level derivations fold
-// memoized per-window partials: only while the pipeline is following its
-// source (Follow), where an append invalidates one window and the rest must
-// stay warm. Otherwise each derivation is one streaming pass over the
-// astronaut's chained day cursors (crewIter) with the worn filter inside
-// the producer, so no window partial is built or held and no unworn window
-// is localized, framed or classified.
+// windowMemo reports whether window results are memoized: only while the
+// pipeline is following its source (Follow), where an append invalidates
+// the windows it lands in and the rest must stay warm. It decides what is
+// cached, never how a window is derived.
 func (p *Pipeline) windowMemo() bool { return p.following.Load() }
 
-// allTime is the worn set of the memoized window partials: they keep every
-// window, and the astronaut-level fold filters them, so a partial stays
-// valid whatever the astronaut's worn ranges become.
-var allTime = record.RangeSet{{From: minTime, To: maxTime}}
-
-// windowTrack returns one fold window's raw localization fixes (memoized).
-func (p *Pipeline) windowTrack(name string, day int) []localization.Fix {
-	if p.src.BadgeFor(name, day) == 0 {
-		return nil
+// foldWindows derives an astronaut-level series from the astronaut's fold
+// windows in day order: produce runs over each assigned day's windowIter
+// cursor of the given kind and appends to dst. While following, each
+// window's result is memoized in m and copied out; otherwise produce
+// appends straight into the output, so a batch pipeline grows one slice
+// per astronaut and holds no partial. Both give the same slice.
+func foldWindows[T any](p *Pipeline, m *memo[wkey, []T], name string, kind record.Kind, produce func(dst []T, k wkey, c *record.Cursor) []T) []T {
+	window := func(dst []T, k wkey) []T {
+		it := p.windowIter(k.name, k.day, kind)
+		return produce(dst, k, &it)
 	}
-	return p.winTrack.get(wkey{name, day}, func(k wkey) []localization.Fix {
-		loc, err := p.sharedLocator()
-		if err != nil {
-			return nil
+	var out []T
+	for day := p.src.FirstDay; day <= p.src.LastDay; day++ {
+		if p.src.BadgeFor(name, day) == 0 {
+			continue
 		}
-		it := p.windowIter(k.name, k.day, record.KindBeacon)
-		return loc.TrackCursor(&it, p.locWindow, allTime)
-	})
-}
-
-// windowFrames returns one fold window's raw mic frames (memoized).
-func (p *Pipeline) windowFrames(name string, day int) []speech.Frame {
-	if p.src.BadgeFor(name, day) == 0 {
-		return nil
+		k := wkey{name, day}
+		if !p.windowMemo() {
+			out = window(out, k)
+			continue
+		}
+		out = append(out, m.get(k, func(k wkey) []T { return window(nil, k) })...)
 	}
-	return p.winFrames.get(wkey{name, day}, func(k wkey) []speech.Frame {
-		it := p.windowIter(k.name, k.day, record.KindMic)
-		return speech.FramesCursor(&it, speech.DefaultConfig(), allTime)
-	})
-}
-
-// windowActivity returns one fold window's raw classified activity samples
-// (memoized).
-func (p *Pipeline) windowActivity(name string, day int) []activity.Sample {
-	if p.src.BadgeFor(name, day) == 0 {
-		return nil
-	}
-	return p.winActivity.get(wkey{name, day}, func(k wkey) []activity.Sample {
-		it := p.windowIter(k.name, k.day, record.KindAccel)
-		return activity.ClassifyCursor(&it, activity.DefaultConfig(), allTime)
-	})
+	return out
 }
 
 // RecordsFor returns the astronaut's records across all data days,
@@ -566,29 +548,18 @@ func (p *Pipeline) track(name string) []localization.Fix {
 	p.RectifyClocks() // freezes the corrections before any window is read
 	return p.trackCache.get(name, func(name string) []localization.Fix {
 		defer p.observeStage("track", time.Now())
+		loc, err := p.sharedLocator()
+		if err != nil {
+			return nil
+		}
 		worn := p.wornRanges(name)
 		// The window divides the day (checked by NewPipeline), so no window
-		// straddles midnight: chaining the days and folding them per day
-		// give the same windows in the same order.
-		if !p.windowMemo() {
-			loc, err := p.sharedLocator()
-			if err != nil {
-				return nil
-			}
-			it := p.crewIter(name, record.KindBeacon)
-			return loc.TrackCursor(&it, p.locWindow, worn)
-		}
-		var fixes []localization.Fix
-		for day := p.src.FirstDay; day <= p.src.LastDay; day++ {
-			fixes = append(fixes, p.windowTrack(name, day)...)
-		}
-		kept := make([]localization.Fix, 0, len(fixes))
-		for _, f := range fixes {
-			if worn.Contains(f.At) {
-				kept = append(kept, f)
-			}
-		}
-		return kept
+		// straddles midnight: folding per day gives the windows of one
+		// whole-stream pass, in the same order.
+		return foldWindows(p, &p.winTrack, name, record.KindBeacon,
+			func(dst []localization.Fix, _ wkey, c *record.Cursor) []localization.Fix {
+				return loc.TrackCursor(dst, c, p.locWindow, worn)
+			})
 	})
 }
 
@@ -622,15 +593,10 @@ func (p *Pipeline) frames(name string) []speech.Frame {
 	return p.framesCache.get(name, func(name string) []speech.Frame {
 		defer p.observeStage("frames", time.Now())
 		worn := p.wornRanges(name)
-		if !p.windowMemo() {
-			it := p.crewIter(name, record.KindMic)
-			return speech.FramesCursor(&it, speech.DefaultConfig(), worn)
-		}
-		var raw []speech.Frame
-		for day := p.src.FirstDay; day <= p.src.LastDay; day++ {
-			raw = append(raw, p.windowFrames(name, day)...)
-		}
-		return speech.FilterWorn(raw, worn)
+		return foldWindows(p, &p.winFrames, name, record.KindMic,
+			func(dst []speech.Frame, _ wkey, c *record.Cursor) []speech.Frame {
+				return speech.FramesCursor(dst, c, speech.DefaultConfig(), worn)
+			})
 	})
 }
 
@@ -650,42 +616,28 @@ func (p *Pipeline) activitySamples(name string) []activity.Sample {
 		defer p.observeStage("activity", time.Now())
 		worn := p.wornRanges(name)
 		// activity.DefaultConfig's window divides the day (pinned by a
-		// test), so chained and per-day windows are the same.
-		if !p.windowMemo() {
-			it := p.crewIter(name, record.KindAccel)
-			return activity.ClassifyCursor(&it, activity.DefaultConfig(), worn)
-		}
-		var raw []activity.Sample
-		for day := p.src.FirstDay; day <= p.src.LastDay; day++ {
-			raw = append(raw, p.windowActivity(name, day)...)
-		}
-		return activity.FilterWorn(raw, worn)
+		// test), so per-day and whole-stream windows are the same.
+		return foldWindows(p, &p.winActivity, name, record.KindAccel,
+			func(dst []activity.Sample, _ wkey, c *record.Cursor) []activity.Sample {
+				return activity.ClassifyCursor(dst, c, activity.DefaultConfig(), worn)
+			})
 	})
 }
 
-// windowContacts returns one fold window's attributed IR contacts.
-func (p *Pipeline) windowContacts(name string, day int) []proximity.Contact {
-	id := p.src.BadgeFor(name, day)
-	if id == 0 {
-		return nil
-	}
-	compute := func(k wkey) []proximity.Contact {
-		var out []proximity.Contact
-		it := p.windowIter(k.name, k.day, record.KindIR)
-		for it.Next() {
-			r := it.Record()
-			peer, ok := p.wearerOf(store.BadgeID(r.PeerID), k.day)
-			if !ok {
-				continue
+// contacts returns the astronaut's attributed IR contacts, folded from
+// the astronaut's windows in day order. Peer attribution uses the window
+// day's wearers inverse.
+func (p *Pipeline) contacts(name string) []proximity.Contact {
+	return foldWindows(p, &p.winContacts, name, record.KindIR,
+		func(dst []proximity.Contact, k wkey, c *record.Cursor) []proximity.Contact {
+			for c.Next() {
+				r := c.Record()
+				if peer, ok := p.wearerOf(store.BadgeID(r.PeerID), k.day); ok {
+					dst = append(dst, proximity.Contact{At: r.Local, A: k.name, B: peer})
+				}
 			}
-			out = append(out, proximity.Contact{At: r.Local, A: k.name, B: peer})
-		}
-		return out
-	}
-	if !p.windowMemo() {
-		return compute(wkey{name, day})
-	}
-	return p.winContacts.get(wkey{name, day}, compute)
+			return dst
+		})
 }
 
 // wearers returns the day's BadgeID→astronaut inverse of the assignment,

@@ -114,7 +114,7 @@ func TestFramesComputedOncePerAstronaut(t *testing.T) {
 	var cnt int
 	for _, name := range m.Participants {
 		c := record.NewCursor(p.RecordsFor(name))
-		frames := speech.FramesCursor(&c, speech.DefaultConfig(), p.WornRanges(name))
+		frames := speech.FramesCursor(nil, &c, speech.DefaultConfig(), p.WornRanges(name))
 		for _, f := range frames {
 			if f.At < m.From || f.At >= m.To || !f.Speech {
 				continue

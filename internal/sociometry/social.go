@@ -283,21 +283,16 @@ func (p *Pipeline) Pairwise() PairwiseReport {
 
 // irPairTime maps IR records through the day-wise assignment to astronaut
 // pairs. The attributed contacts are folded from the per-(astronaut, day)
-// windowContacts partials — each window memoized independently, so a live
-// append recomputes one window, not the mission — collected in parallel per
-// astronaut and concatenated in crew order, preserving the sequential
-// contact ordering. Peer attribution inside a window uses the memoized
-// per-day BadgeID→name inverse (wearers), so each IR record costs O(1)
-// instead of an O(crew) scan of BadgeFor.
+// windows (contacts) — each window memoized independently while following,
+// so a live append recomputes one window, not the mission — collected in
+// parallel per astronaut and concatenated in crew order, preserving the
+// sequential contact ordering. Peer attribution inside a window uses the
+// memoized per-day BadgeID→name inverse (wearers), so each IR record costs
+// O(1) instead of an O(crew) scan of BadgeFor.
 func (p *Pipeline) irPairTime() map[proximity.Pair]time.Duration {
 	perName := make([][]proximity.Contact, len(p.src.Names))
 	p.forEach(len(p.src.Names), func(i int) {
-		name := p.src.Names[i]
-		var contacts []proximity.Contact
-		for day := p.src.FirstDay; day <= p.src.LastDay; day++ {
-			contacts = append(contacts, p.windowContacts(name, day)...)
-		}
-		perName[i] = contacts
+		perName[i] = p.contacts(p.src.Names[i])
 	})
 	var contacts []proximity.Contact
 	for _, cs := range perName {

@@ -17,8 +17,9 @@ import (
 // batches cluster around midnights, so many of them cross a day boundary
 // in raw or in corrected time; they reach days before, inside and after
 // the analysis range; and the corrections freeze at a random point, so
-// batches arrive both before and after the freeze. Badge 1 carries a
-// fitted clock error, badge 2 none.
+// batches arrive both before and after the freeze. About one record in ten
+// is a wear record, so the sets must agree on which marks hold one too.
+// Badge 1 carries a fitted clock error, badge 2 none.
 func TestQuickMarkStaleBatchMatchesMarkStale(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
@@ -47,9 +48,12 @@ func TestQuickMarkStaleBatchMatchesMarkStale(t *testing.T) {
 				// mic frames stamped at the start of their window.
 				at += time.Duration(rng.Intn(20)-4) * time.Second
 				recs[i] = record.Record{Local: at, Kind: record.KindAccel}
+				if rng.Bool(0.1) {
+					recs[i].Kind = record.KindWear
+				}
 			}
 			for _, r := range recs {
-				one.markStale(id, r.Local)
+				one.markStale(id, r)
 			}
 			many.markStaleBatch(id, recs)
 			if !sameStale(one, many) {

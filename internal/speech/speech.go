@@ -40,12 +40,13 @@ type Frame struct {
 }
 
 // FramesCursor applies the detection rule to a badge's mic records
-// recorded inside worn; a frame outside it is never built, so the frames
-// equal FilterWorn of an all-time pass, and a nil or empty worn keeps
-// nothing. Records must be time-ordered. It makes one streaming pass, so
-// out-of-core sources never materialize the mic stream.
-func FramesCursor(c *record.Cursor, cfg Config, worn record.RangeSet) []Frame {
-	var out []Frame
+// recorded inside worn and appends the frames to dst; a frame outside worn
+// is never built, so the frames are the worn subset of an all-time pass,
+// and a nil or empty worn keeps nothing. Records must be time-ordered. It
+// makes one streaming pass, so out-of-core sources never materialize the
+// mic stream.
+func FramesCursor(dst []Frame, c *record.Cursor, cfg Config, worn record.RangeSet) []Frame {
+	out := dst
 	for c.Next() {
 		r := c.Record()
 		if r.Kind != record.KindMic || !worn.Contains(r.Local) {
@@ -62,17 +63,6 @@ func FramesCursor(c *record.Cursor, cfg Config, worn record.RangeSet) []Frame {
 			f.LoudDB >= cfg.MinLoudDB &&
 			f.Fraction >= cfg.MinFraction
 		out = append(out, f)
-	}
-	return out
-}
-
-// FilterWorn keeps frames recorded while the badge was worn.
-func FilterWorn(frames []Frame, worn record.RangeSet) []Frame {
-	out := make([]Frame, 0, len(frames))
-	for _, f := range frames {
-		if worn.Contains(f.At) {
-			out = append(out, f)
-		}
 	}
 	return out
 }

@@ -19,7 +19,7 @@ func micRec(at time.Duration, loud, f0, frac float64) record.Record {
 // detect runs FramesCursor over an in-memory record slice.
 func detect(recs []record.Record, cfg Config) []Frame {
 	c := record.NewCursor(recs)
-	return FramesCursor(&c, cfg, allTime)
+	return FramesCursor(nil, &c, cfg, allTime)
 }
 
 func TestFramesApplyPaperRule(t *testing.T) {
@@ -72,7 +72,7 @@ func TestFractionAndFilterWorn(t *testing.T) {
 		t.Errorf("fraction = %v", f)
 	}
 	worn := record.RangeSet{{From: 0, To: 60 * time.Second}}
-	kept := FilterWorn(frames, worn)
+	kept := filterWorn(frames, worn)
 	if len(kept) != 4 {
 		t.Errorf("worn frames = %d", len(kept))
 	}
@@ -159,6 +159,18 @@ func TestTalkingFrames(t *testing.T) {
 // allTime is the worn set that keeps every frame.
 var allTime = record.RangeSet{{From: math.MinInt64, To: math.MaxInt64}}
 
+// filterWorn keeps the frames recorded while worn: the reference filter
+// FramesCursor's worn-first framing must match.
+func filterWorn(frames []Frame, worn record.RangeSet) []Frame {
+	out := make([]Frame, 0, len(frames))
+	for _, f := range frames {
+		if worn.Contains(f.At) {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
 // randomWorn draws a worn set over [0, span): nil, empty, or up to five
 // ranges, some inverted or zero-length, with ends off the frame grid.
 func randomWorn(rng *stats.RNG, span time.Duration) record.RangeSet {
@@ -184,8 +196,8 @@ func randomWorn(rng *stats.RNG, span time.Duration) record.RangeSet {
 	return s
 }
 
-// TestQuickFramesWornMatchesFilterWorn: FramesCursor under a worn set gives
-// FilterWorn of the all-time frames.
+// TestQuickFramesWornMatchesFilterWorn: FramesCursor under a worn set
+// appends filterWorn of the all-time frames to dst, keeping dst's prefix.
 func TestQuickFramesWornMatchesFilterWorn(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
@@ -199,8 +211,12 @@ func TestQuickFramesWornMatchesFilterWorn(t *testing.T) {
 		}
 		worn := randomWorn(rng, span)
 		c := record.NewCursor(recs)
-		got := FramesCursor(&c, DefaultConfig(), worn)
-		want := FilterWorn(detect(recs, DefaultConfig()), worn)
+		dst := make([]Frame, rng.Intn(3), 4)
+		for i := range dst {
+			dst[i].At = -time.Duration(i + 1)
+		}
+		want := append(dst[:len(dst):len(dst)], filterWorn(detect(recs, DefaultConfig()), worn)...)
+		got := FramesCursor(dst, &c, DefaultConfig(), worn)
 		return len(got) == len(want) && (len(want) == 0 || reflect.DeepEqual(got, want))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

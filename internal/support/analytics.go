@@ -16,7 +16,11 @@ import (
 // now", the analytics answer the paper's sociometric questions — passages,
 // mobility, speech, face-to-face time — continuously over everything
 // received so far, recomputing only the (astronaut, day) windows each new
-// record lands in rather than re-running the offline batch analysis.
+// record lands in rather than re-running the offline batch analysis. A
+// wear record also recomputes its astronaut's track, speech and activity
+// windows of every later day, because it changes their worn set from its
+// own time on; wear records are rare, so this stays window-scoped in
+// practice.
 type Analytics struct {
 	live *store.Dataset
 	pipe *sociometry.Pipeline
