@@ -139,11 +139,15 @@ func (p *Pipeline) endAnalysis() {
 	p.inflight.Add(-1)
 }
 
-// applyStale drains the stale set and drops exactly the caches it touches:
-// first every dirty window partial (and, for a mark holding a wear record,
-// the worn-derived partials of the astronaut's later days), then the
-// astronaut-level caches folding them (in that order, so a recompute never
-// mixes fresh and stale windows), then the crew-level presence fold.
+// applyStale drains the stale set and drops exactly the caches it touches,
+// each cache after every cache it reads, so that a query running beside the
+// fold (one that entered after the 0→1 transition) never rebuilds a cache
+// from one already due to be dropped: first the affected astronauts' worn
+// sets, then every dirty window partial (and, for a mark holding a wear
+// record, the worn-derived partials of the astronaut's later days), then
+// the astronaut-level caches folding them, then the crew-level presence
+// fold. A partial reads the worn set when it is computed, so one rebuilt
+// after its drop reads a worn set rebuilt after the wear record.
 func (p *Pipeline) applyStale() {
 	p.foldMu.Lock()
 	defer p.foldMu.Unlock()
@@ -153,42 +157,48 @@ func (p *Pipeline) applyStale() {
 	p.stale = nil
 	p.staleFlag.Store(false)
 	p.staleMu.Unlock()
-	if len(dirty) == 0 {
-		return
-	}
 
 	// A badge maps to wearers through the assignment, which may alias (two
 	// names nominally assigned one badge), so scan all names per dirty day
 	// rather than trusting the first-wins wearers inverse.
+	windows := make(map[wkey]bool) // dirty window → its mark holds a wear record
 	affected := make(map[string]struct{})
 	for k, wear := range dirty {
 		for _, name := range p.src.Names {
-			if p.src.BadgeFor(name, k.day) != k.id {
-				continue
+			if p.src.BadgeFor(name, k.day) == k.id {
+				w := wkey{name, k.day}
+				windows[w] = windows[w] || wear
+				affected[name] = struct{}{}
 			}
-			w := wkey{name, k.day}
-			p.winContacts.drop(w)
-			p.winActive.drop(w)
-			last := k.day
-			if wear {
-				// The astronaut's worn set changes from this day on, on
-				// whichever badge they wore later.
-				last = p.src.LastDay
-			}
-			for w.day = k.day; w.day <= last; w.day++ {
-				p.winTrack.drop(w)
-				p.winFrames.drop(w)
-				p.winActivity.drop(w)
-			}
-			affected[name] = struct{}{}
 		}
 	}
 	if len(affected) == 0 {
 		return
 	}
 	for name := range affected {
-		p.recordsCache.drop(name)
 		p.wornCache.drop(name)
+	}
+	for w, wear := range windows {
+		p.winContacts.drop(w)
+		p.winActive.drop(w)
+		last := w.day
+		if wear {
+			// The astronaut's worn set changes from this day on, on
+			// whichever badge they wore later.
+			last = p.src.LastDay
+		}
+		for day := w.day; day <= last; day++ {
+			d := wkey{w.name, day}
+			p.winTrack.drop(d)
+			p.winFrames.drop(d)
+			p.winActivity.drop(d)
+		}
+	}
+	if p.foldHook != nil {
+		p.foldHook()
+	}
+	for name := range affected {
+		p.recordsCache.drop(name)
 		p.trackCache.drop(name)
 		p.intervalCache.drop(name)
 		p.framesCache.drop(name)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -349,6 +350,111 @@ func TestWearRecordInvalidatesLaterDays(t *testing.T) {
 	}
 	if want := batchP.Report(); got != want {
 		t.Errorf("following report after the wear record differs from the batch report")
+	}
+}
+
+// gatedViewer wraps a dataset so a test can hold one reader inside a window
+// compute: once armed, the next Iter of the given kind on badge id closes
+// entered and waits for release.
+type gatedViewer struct {
+	*store.Dataset
+	id      store.BadgeID
+	kind    record.Kind
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedViewer) View(id store.BadgeID) (store.View, bool) {
+	v, ok := g.Dataset.View(id)
+	if !ok || id != g.id {
+		return v, ok
+	}
+	return gatedView{v, g}, true
+}
+
+type gatedView struct {
+	store.View
+	g *gatedViewer
+}
+
+func (v gatedView) Iter(from, to time.Duration, k record.Kind) record.Cursor {
+	if k == v.g.kind && v.g.armed.CompareAndSwap(true, false) {
+		close(v.g.entered)
+		<-v.g.release
+	}
+	return v.View.Iter(from, to, k)
+}
+
+// TestWearFoldBesideQuery runs a query beside the fold that applies a wear
+// mark. Analyses that enter after the 0→1 transition do not wait for the
+// fold, so a query can start A's frames before the wear record lands and
+// rebuild A's later frame windows after the fold dropped them. Each rebuilt
+// window must read the worn set as rebuilt after the wear record, so the
+// following report still equals the batch report.
+func TestWearFoldBesideQuery(t *testing.T) {
+	recs := rectifiedFixtureRecords(t)
+	res := missionFixture(t)
+	lastDay := res.Config.Scenario.Days
+	mid := (2 + lastDay) / 2
+
+	ds := store.NewDataset()
+	loadAll(ds, recs)
+	g := &gatedViewer{
+		Dataset: ds,
+		id:      res.Assignment.TrueBadgeFor("A", 2),
+		kind:    record.KindMic,
+		entered: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	src := fixtureSource(t, ds)
+	src.Data = g
+	p, err := NewPipeline(src, WithCorrections(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := p.Follow()
+	defer stop()
+	p.Warm()
+	p.Report()
+
+	// The query misses A's frames and A's day-2 frame window, where the
+	// gate holds it. It calls the unexported frames, as a query that
+	// entered while another one runs the fold: it neither applies marks
+	// nor holds the fold back.
+	p.framesCache.drop("A")
+	p.winFrames.drop(wkey{"A", 2})
+	g.armed.Store(true)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p.frames("A")
+	}()
+	<-g.entered
+
+	at := simtime.StartOfDay(mid) + 23*time.Hour + 30*time.Minute
+	id := res.Assignment.TrueBadgeFor("A", mid)
+	wear := record.NewWear(at, true)
+	ds.Series(id).Append(wear)
+	// Release the query once the fold has dropped A's worn set and later
+	// windows, and let it finish before the astronaut-level drops.
+	p.foldHook = func() {
+		close(g.release)
+		<-done
+	}
+	p.Report()
+	p.foldHook = nil
+	got := p.Report()
+
+	batchDS := store.NewDataset()
+	loadAll(batchDS, recs)
+	batchDS.Series(id).Append(wear)
+	batchP, err := NewPipeline(fixtureSource(t, batchDS), WithCorrections(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := batchP.Report(); got != want {
+		t.Errorf("following report after a fold beside a query differs from the batch report")
 	}
 }
 

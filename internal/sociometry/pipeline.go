@@ -173,8 +173,9 @@ type Pipeline struct {
 	// Window partials: the per-(astronaut, day) fold state a following
 	// pipeline assembles its derivations from (a batch pipeline fills
 	// none; see windowMemo). The track, frames and activity partials are
-	// produced under the astronaut's worn set, so they hold worn windows
-	// only. Each partial folds straight off a window cursor (windowIter) —
+	// produced under the astronaut's worn set, read from wornCache when the
+	// partial is computed, so they hold worn windows only and depend on
+	// wornCache as well as on their window. Each partial folds straight off a window cursor (windowIter) —
 	// raw day record slices are never memoized, so resident memory stays
 	// bounded by the source's cache, not the dataset.
 	winTrack    memo[wkey, []localization.Fix]  // worn localization fixes
@@ -209,6 +210,10 @@ type Pipeline struct {
 	stale     map[staleKey]bool
 	staleFlag atomic.Bool
 	inflight  atomic.Int64
+	// foldHook, when non-nil, runs inside applyStale once the worn sets and
+	// window partials are dropped and before the astronaut-level caches
+	// are: the seam the fold tests use to run a query at that point.
+	foldHook func()
 
 	// tel optionally receives per-stage compute timings (see SetTelemetry).
 	tel *telemetry.Registry
@@ -552,13 +557,12 @@ func (p *Pipeline) track(name string) []localization.Fix {
 		if err != nil {
 			return nil
 		}
-		worn := p.wornRanges(name)
 		// The window divides the day (checked by NewPipeline), so no window
 		// straddles midnight: folding per day gives the windows of one
 		// whole-stream pass, in the same order.
 		return foldWindows(p, &p.winTrack, name, record.KindBeacon,
-			func(dst []localization.Fix, _ wkey, c *record.Cursor) []localization.Fix {
-				return loc.TrackCursor(dst, c, p.locWindow, worn)
+			func(dst []localization.Fix, k wkey, c *record.Cursor) []localization.Fix {
+				return loc.TrackCursor(dst, c, p.locWindow, p.wornRanges(k.name))
 			})
 	})
 }
@@ -592,10 +596,9 @@ func (p *Pipeline) frames(name string) []speech.Frame {
 	p.RectifyClocks() // freezes the corrections before any window is read
 	return p.framesCache.get(name, func(name string) []speech.Frame {
 		defer p.observeStage("frames", time.Now())
-		worn := p.wornRanges(name)
 		return foldWindows(p, &p.winFrames, name, record.KindMic,
-			func(dst []speech.Frame, _ wkey, c *record.Cursor) []speech.Frame {
-				return speech.FramesCursor(dst, c, speech.DefaultConfig(), worn)
+			func(dst []speech.Frame, k wkey, c *record.Cursor) []speech.Frame {
+				return speech.FramesCursor(dst, c, speech.DefaultConfig(), p.wornRanges(k.name))
 			})
 	})
 }
@@ -614,12 +617,11 @@ func (p *Pipeline) activitySamples(name string) []activity.Sample {
 	p.RectifyClocks() // freezes the corrections before any window is read
 	return p.activityCache.get(name, func(name string) []activity.Sample {
 		defer p.observeStage("activity", time.Now())
-		worn := p.wornRanges(name)
 		// activity.DefaultConfig's window divides the day (pinned by a
 		// test), so per-day and whole-stream windows are the same.
 		return foldWindows(p, &p.winActivity, name, record.KindAccel,
-			func(dst []activity.Sample, _ wkey, c *record.Cursor) []activity.Sample {
-				return activity.ClassifyCursor(dst, c, activity.DefaultConfig(), worn)
+			func(dst []activity.Sample, k wkey, c *record.Cursor) []activity.Sample {
+				return activity.ClassifyCursor(dst, c, activity.DefaultConfig(), p.wornRanges(k.name))
 			})
 	})
 }
