@@ -326,7 +326,7 @@ func demoConsensus(m *icares.Mission, reg *telemetry.Registry) {
 		return
 	}
 	fmt.Printf("mission control approves at +%v -> status: %v\n",
-		(decisionAt - now).Round(time.Minute), p.Status())
+		(p.DecidedAt() - now).Round(time.Minute), p.Status())
 }
 
 // demoDay12 replays the day-12 incident: a stale command arriving after the

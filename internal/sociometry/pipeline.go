@@ -175,9 +175,10 @@ type Pipeline struct {
 	// none; see windowMemo). The track, frames and activity partials are
 	// produced under the astronaut's worn set, read from wornCache when the
 	// partial is computed, so they hold worn windows only and depend on
-	// wornCache as well as on their window. Each partial folds straight off a window cursor (windowIter) —
-	// raw day record slices are never memoized, so resident memory stays
-	// bounded by the source's cache, not the dataset.
+	// wornCache as well as on their window. Each partial folds straight
+	// off a window cursor (windowIter) — raw day record slices are never
+	// memoized, so resident memory stays bounded by the source's cache,
+	// not the dataset.
 	winTrack    memo[wkey, []localization.Fix]  // worn localization fixes
 	winFrames   memo[wkey, []speech.Frame]      // worn mic frames
 	winActivity memo[wkey, []activity.Sample]   // worn classified activity windows

@@ -49,17 +49,3 @@ func BenchmarkDaemonIngest(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkRendererRender(b *testing.B) {
-	r := NewRenderer([]AbilityProfile{
-		{Name: "A", Hears: true, Touches: true},
-		FullAbility("B"), FullAbility("C"), FullAbility("D"),
-		FullAbility("E"), FullAbility("F"),
-	})
-	alert := Alert{Severity: Critical, Message: "pressure drop in airlock"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.Render(alert)
-	}
-}

@@ -47,23 +47,6 @@ var reachAllow = map[string]string{
 	"internal/sociometry.Pipeline.MeetingDominance": "EXPERIMENTS.md: C's voice dominated during meetings",
 	"internal/sociometry.WithLocWindow":             "ROADMAP: reports that explain themselves, soak gap; TestOutOfCoreSoak passes it until the default window fits its bound",
 	"internal/store.SegmentStore.SetCacheBlocks":    "ROADMAP: reports that explain themselves, soak gap; TestOutOfCoreSoak runs at a one-block cache, a size no production path uses",
-
-	"internal/support.NewLedger":           "EXPERIMENTS.md: resource ledger",
-	"internal/support.Ledger.Consume":      "EXPERIMENTS.md: resource ledger",
-	"internal/support.Ledger.Resupply":     "EXPERIMENTS.md: resource ledger, re-arms after resupply",
-	"internal/support.Stock.ReservedMin":   "EXPERIMENTS.md: resource ledger, the emergency floor the forecast counts down to",
-	"internal/support.NewResourceWatch":    "EXPERIMENTS.md: resource ledger, shortage forecast",
-	"internal/support.ResourceWatch.Check": "EXPERIMENTS.md: resource ledger, shortage forecast",
-	"internal/support.SuggestReschedule":   "EXPERIMENTS.md: rescheduling advisor",
-	"internal/support.FatiguedFrom":        "EXPERIMENTS.md: rescheduling advisor, fatigue signals from the alert log",
-	"internal/support.TaskSlot.Astronaut":  "EXPERIMENTS.md: rescheduling advisor, the 30-min plan it reschedules",
-	"internal/support.TaskSlot.Start":      "EXPERIMENTS.md: rescheduling advisor, the 30-min plan it reschedules",
-	"internal/support.TaskSlot.Label":      "EXPERIMENTS.md: rescheduling advisor, the 30-min plan it reschedules",
-	"internal/support.TaskSlot.Demanding":  "EXPERIMENTS.md: rescheduling advisor, the 30-min plan it reschedules",
-	"internal/support.NewRenderer":         "EXPERIMENTS.md: ability-based rendering",
-	"internal/support.Renderer.SetProfile": "EXPERIMENTS.md: ability-based rendering",
-	"internal/support.Renderer.Render":     "EXPERIMENTS.md: ability-based rendering",
-	"internal/support.Proposal.DecidedAt":  "EXPERIMENTS.md: consensus approvals, decided in one 40-min round trip",
 }
 
 // reachReasonKinds are the accepted prefixes of a reachAllow reason.
