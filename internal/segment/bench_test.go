@@ -173,7 +173,7 @@ func BenchmarkWarmIter(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer rd.Close()
-	rd.SetCacheBlocks(len(rd.blocks)) // everything cache-resident: decode cost excluded
+	rd.whole = true // everything cache-resident: decode cost excluded
 	recs, _ := segBenchRecords()
 	from, to := recs[0].Local, recs[len(recs)-1].Local+1
 	it := rd.Iter(from, to, 0)

@@ -1,6 +1,8 @@
 package segment
 
 import (
+	"bytes"
+	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -127,7 +129,7 @@ func TestColdReadsLeaveSeriesUnbuilt(t *testing.T) {
 	}
 	recs := randRecords(stats.NewRNG(23), 1000)
 	rd := openBytes(t, writeSegment(t, 2, 100, recs))
-	rd.SetCacheBlocks(len(rd.blocks))
+	rd.whole = true
 	for k := record.KindAccel; k <= record.KindBattery; k++ {
 		if got := scan(t, rd, minT, maxT, k); !sameRecords(got, refKind(recs, k)) {
 			t.Fatalf("kind %v scan = %d records, want %d", k, len(got), len(refKind(recs, k)))
@@ -159,12 +161,13 @@ func TestColdReadsLeaveSeriesUnbuilt(t *testing.T) {
 
 // TestConcurrentSeriesAndTimes runs whole-stream Iter and Times from
 // several goroutines on one cold reader, so blocks build their series
-// arrays while other goroutines read the same blocks' timestamps. Run it
-// under -race.
+// arrays while other goroutines read the same blocks' timestamps, with the
+// reader streaming so blocks are also evicted and re-decoded under them.
+// Run it under -race.
 func TestConcurrentSeriesAndTimes(t *testing.T) {
 	recs := randRecords(stats.NewRNG(29), 2000)
 	rd := openBytes(t, writeSegment(t, 6, 128, recs))
-	rd.SetCacheBlocks(4) // evictions force re-decodes mid-scan too
+	rd.whole = false // streamed: every block switch re-decodes mid-scan too
 	from, to := recs[300].Local, recs[1700].Local
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -195,4 +198,62 @@ func TestConcurrentSeriesAndTimes(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// countingReaderAt counts the reads issued through it; after open, each is
+// one block fetch and decode.
+type countingReaderAt struct {
+	io.ReaderAt
+	reads int
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	c.reads++
+	return c.ReaderAt.ReadAt(p, off)
+}
+
+// TestCacheModeFromIndex pins the cache rule. A reader whose index holds at
+// most cacheBlocks blocks opens whole and decodes each block at most once
+// across every per-kind Iter, Times, First and Last — the report's pass
+// pattern. A longer one streams and never holds more than one decoded
+// block, checked after every batch.
+func TestCacheModeFromIndex(t *testing.T) {
+	recs := randRecords(stats.NewRNG(31), 3000)
+	for _, c := range []struct {
+		blockSize int
+		whole     bool
+	}{{100, true}, {20, false}} {
+		raw := writeSegment(t, 4, c.blockSize, recs)
+		cr := &countingReaderAt{ReaderAt: bytes.NewReader(raw)}
+		rd, err := NewReader(cr, int64(len(raw)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rd.whole != c.whole {
+			t.Fatalf("%d blocks: whole = %v, want %v", len(rd.blocks), rd.whole, c.whole)
+		}
+		cr.reads = 0
+		held := func() {
+			if !c.whole && len(rd.cache) > 1 {
+				t.Fatalf("%d blocks: streaming reader holds %d decoded blocks", len(rd.blocks), len(rd.cache))
+			}
+		}
+		for k := record.KindAccel; k <= record.KindBattery; k++ {
+			it := rd.Iter(minT, maxT, k)
+			for b := it.NextBatch(); b != nil; b = it.NextBatch() {
+				held()
+			}
+		}
+		it := rd.Times(minT, maxT)
+		for b := it.NextBatch(); b != nil; b = it.NextBatch() {
+			held()
+		}
+		rd.First()
+		held()
+		rd.Last()
+		held()
+		if c.whole && cr.reads != len(rd.blocks) {
+			t.Fatalf("%d blocks: whole reader decoded %d blocks, want each once", len(rd.blocks), cr.reads)
+		}
+	}
 }

@@ -2,7 +2,6 @@ package segment
 
 import (
 	"bufio"
-	"container/list"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -16,20 +15,25 @@ import (
 	"icares/internal/record"
 )
 
-// DefaultCacheBlocks is the default capacity of a reader's decoded-block
-// cache. A decoded block of DefaultBlockSize records holds ~330 KB (its
-// kind-grouped columns, kind sequence and timestamps), ~620 KB once a
-// whole-stream Iter has built its series-order array, so a full cache is
-// ~20–38 MiB per badge — the whole point of the out-of-core path is that
-// this, not the file size, bounds resident memory.
-const DefaultCacheBlocks = 64
+// cacheBlocks is the most decoded blocks a reader keeps. A decoded block
+// of DefaultBlockSize records holds ~330 KB (its kind-grouped columns, kind
+// sequence and timestamps), ~620 KB once a whole-stream Iter has built its
+// series-order array, so a full cache is ~20–38 MiB per badge — the whole
+// point of the out-of-core path is that this, not the file size, bounds
+// resident memory.
+const cacheBlocks = 64
 
 // Reader answers store queries out-of-core from one segment file: it keeps
 // only the block index resident, seek-reads exactly the blocks a query
-// overlaps, and holds a small LRU cache of decoded blocks so repeated
-// queries over the same window stay allocation-free. It satisfies the
-// store.View read contract (Iter, Times, Len, First, Last) and is safe for
-// concurrent readers.
+// overlaps, and caches decoded blocks by one rule taken from its index at
+// open. A segment of at most cacheBlocks blocks is cached whole: every block
+// it decodes stays for the reader's lifetime, so the report's one scan per
+// kind decodes each block once and repeated queries stay allocation-free.
+// A longer segment is streamed: the reader keeps only the last block it
+// decoded. An LRU in between gains nothing on a report, whose scans each
+// run longer than the cache, so every block is evicted before the next
+// pass comes back to it. It satisfies the store.View read contract (Iter,
+// Times, Len, First, Last) and is safe for concurrent readers.
 //
 // Salvage follows record.LogReader semantics: a segment whose index frame
 // is lost or corrupt is recovered by a forward scan over the self-framed
@@ -41,8 +45,7 @@ const DefaultCacheBlocks = 64
 // Len is lazily consistent with that query-time salvage: it subtracts the
 // records of every block discovered corrupt so far, so after a full-window
 // Iter has touched every block, Len equals the records it yielded even when
-// blocks were damaged after the index was written. Dropped reports how
-// many indexed records have been lost that way.
+// blocks were damaged after the index was written.
 type Reader struct {
 	r      io.ReaderAt
 	closer io.Closer
@@ -55,21 +58,17 @@ type Reader struct {
 	skipped   int
 	truncated bool
 
+	// whole keeps every decoded block; otherwise cache holds only the last.
+	whole bool
+
 	mu    sync.Mutex
-	cache map[int]*list.Element
-	lru   *list.List // front = most recently used; values are *cacheSlot
-	cap   int
+	cache map[int]*decodedBlock
 	// dropped holds the indexes of blocks discovered corrupt at query time.
-	// It survives LRU eviction so a re-read of the same bad block is never
-	// double-counted; droppedTotal mirrors it in record units.
+	// It outlives a streamed block's slot so a re-read of the same bad
+	// block is never double-counted; droppedTotal mirrors it in record
+	// units.
 	dropped      map[int]struct{}
 	droppedTotal int
-}
-
-// cacheSlot is one cached decoded block.
-type cacheSlot struct {
-	idx   int
-	block *decodedBlock
 }
 
 // Open opens a segment file for out-of-core reads.
@@ -111,9 +110,7 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 		r:       ra,
 		size:    size,
 		badgeID: binary.LittleEndian.Uint16(head[5:7]),
-		cache:   make(map[int]*list.Element),
-		lru:     list.New(),
-		cap:     DefaultCacheBlocks,
+		cache:   make(map[int]*decodedBlock),
 	}
 	if err := r.loadIndex(); err != nil {
 		r.salvageScan()
@@ -121,19 +118,8 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 	for _, m := range r.blocks {
 		r.total += m.count
 	}
+	r.whole = len(r.blocks) <= cacheBlocks
 	return r, nil
-}
-
-// SetCacheBlocks resizes the decoded-block cache (minimum 1). Call before
-// issuing queries; shrinking does not evict already-cached blocks until the
-// next insert.
-func (r *Reader) SetCacheBlocks(n int) {
-	if n < 1 {
-		n = 1
-	}
-	r.mu.Lock()
-	r.cap = n
-	r.mu.Unlock()
 }
 
 // loadIndex parses the tail-anchored index frame. Any inconsistency
@@ -367,21 +353,19 @@ func (r *Reader) CorruptBlocks() int64 {
 // block returns the decoded block i, from cache or by one seek+read. A
 // block that fails its CRC, decode, read, or index entry is cached as
 // corrupt so it is not re-read on every query, and its records are
-// subtracted from Len exactly once (the dropped set outlives
-// cache eviction).
+// subtracted from Len exactly once (the dropped set outlives a streamed
+// block's slot).
 func (r *Reader) block(i int) *decodedBlock {
 	r.mu.Lock()
-	if el, ok := r.cache[i]; ok {
-		r.lru.MoveToFront(el)
-		blk := el.Value.(*cacheSlot).block
-		r.mu.Unlock()
+	blk, ok := r.cache[i]
+	r.mu.Unlock()
+	if ok {
 		return blk
 	}
-	r.mu.Unlock()
 
 	m := &r.blocks[i]
 	frame := make([]byte, m.length)
-	blk := new(decodedBlock)
+	blk = new(decodedBlock)
 	if _, err := r.r.ReadAt(frame, m.offset); err != nil {
 		blk.corrupt = true
 	} else if body, err := checkFrame(frame, tagBlock); err != nil {
@@ -393,9 +377,8 @@ func (r *Reader) block(i int) *decodedBlock {
 	}
 
 	r.mu.Lock()
-	if el, ok := r.cache[i]; ok { // raced with another reader; keep theirs
-		r.lru.MoveToFront(el)
-		blk = el.Value.(*cacheSlot).block
+	if cached, ok := r.cache[i]; ok { // raced with another reader; keep theirs
+		blk = cached
 	} else {
 		if blk.corrupt {
 			if _, seen := r.dropped[i]; !seen {
@@ -406,12 +389,10 @@ func (r *Reader) block(i int) *decodedBlock {
 				r.droppedTotal += m.count
 			}
 		}
-		r.cache[i] = r.lru.PushFront(&cacheSlot{idx: i, block: blk})
-		for r.lru.Len() > r.cap {
-			last := r.lru.Back()
-			delete(r.cache, last.Value.(*cacheSlot).idx)
-			r.lru.Remove(last)
+		if !r.whole {
+			clear(r.cache)
 		}
+		r.cache[i] = blk
 	}
 	r.mu.Unlock()
 	return blk

@@ -221,7 +221,7 @@ func TestQuickSegmentRoundTrip(t *testing.T) {
 		blockSize := 1 + rng.Intn(300)
 		raw := writeSegment(t, uint16(seed), blockSize, recs)
 		rd := openBytes(t, raw)
-		rd.SetCacheBlocks(1 + rng.Intn(4)) // force eviction/re-read traffic
+		rd.whole = rng.Intn(2) == 0 // either cache mode, whatever the block count
 		if !sameRecords(scan(t, rd, minT, maxT, 0), recs) {
 			return false
 		}
@@ -369,6 +369,16 @@ func TestCorruptBlockIsDroppedAndCounted(t *testing.T) {
 	scan(t, rd, minT, maxT, 0)
 	if rd.CorruptBlocks() != 1 {
 		t.Fatalf("CorruptBlocks recounted: %d", rd.CorruptBlocks())
+	}
+	// Nor may a streaming reader, which evicts the block and decodes it
+	// again on every pass.
+	rs := openBytes(t, mut)
+	rs.whole = false
+	for pass := 0; pass < 2; pass++ {
+		scan(t, rs, minT, maxT, 0)
+		if rs.CorruptBlocks() != 1 || rs.Len() != len(want) {
+			t.Fatalf("streaming pass %d: CorruptBlocks = %d, Len = %d; want 1, %d", pass, rs.CorruptBlocks(), rs.Len(), len(want))
+		}
 	}
 }
 

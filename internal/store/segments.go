@@ -139,8 +139,9 @@ func saveOneSegment(dir string, id BadgeID, s *Series, blockSize int) error {
 
 // SegmentStore is a dataset reopened out-of-core from a segment directory:
 // per-badge segment readers answering the same View queries as the
-// in-memory store, while keeping only block indexes and a small
-// decoded-block cache resident. Safe for concurrent readers.
+// in-memory store, while keeping only block indexes and decoded blocks
+// resident: each reader caches its badge whole or streams it one block at
+// a time, by the rule in segment.Reader. Safe for concurrent readers.
 type SegmentStore struct {
 	dir     string
 	readers map[BadgeID]*segment.Reader
@@ -279,14 +280,6 @@ func (ss *SegmentStore) EncodedBytes() int64 {
 		ss.encBytes = n
 	})
 	return ss.encBytes
-}
-
-// SetCacheBlocks resizes every reader's decoded-block cache (minimum 1 per
-// reader) — the knob bounding the store's resident set.
-func (ss *SegmentStore) SetCacheBlocks(n int) {
-	for _, rd := range ss.readers {
-		rd.SetCacheBlocks(n)
-	}
 }
 
 // TotalRecords returns the record count across all badges, from the block

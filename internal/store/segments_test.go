@@ -141,8 +141,20 @@ func TestSaveOpenSegmentsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSegmentsSmallBlocksRoundTrip saves at 7 records a block. Badge 1
+// stays under 64 blocks, so its reader caches it whole; badge 2 runs past
+// 64, so its reader streams. Both must answer like the resident series.
 func TestSegmentsSmallBlocksRoundTrip(t *testing.T) {
 	d := fillDataset(t, 2, 40)
+	long := d.Series(2)
+	for sec := 40; long.Len() <= 64*7; sec++ {
+		at := time.Duration(sec) * time.Second
+		long.Append(record.NewAccel(at, int16(sec), -int16(sec), 1000))
+		long.Append(record.NewMic(at, sec%3 == 0, 50, 0, 0.25))
+	}
+	if d.Series(1).Len() > 64*7 {
+		t.Fatalf("badge 1 holds %d records, more than 64 blocks of 7", d.Series(1).Len())
+	}
 	dir := t.TempDir()
 	if err := d.saveSegments(dir, 7); err != nil {
 		t.Fatalf("saveSegments: %v", err)

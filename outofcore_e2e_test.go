@@ -99,9 +99,10 @@ func writeSoakArchive(tb testing.TB, dir string) {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		// 512-record blocks keep the unit of decode small: the block cache
-		// pins cacheBlocks decoded blocks per reader, so block size is the
-		// lever on resident memory for a 30-reader fleet scan.
+		// 512-record blocks keep the unit of decode small: each badge runs
+		// to well over 64 blocks, so its reader streams and holds one
+		// decoded block at a time, and block size is the lever on resident
+		// memory for a 30-reader fleet scan.
 		sw, err := segment.NewWriter(f, uint16(b), 512)
 		if err != nil {
 			tb.Fatal(err)
@@ -186,9 +187,11 @@ func soakNames() ([]string, map[string]store.BadgeID) {
 	return names, badges
 }
 
-// runSoak opens the archive, runs the full report with a bounded block
-// cache, and returns (peak heap delta during the report, bytes on disk).
-func runSoak(tb testing.TB, dir string) (peakDelta uint64, onDisk int64) {
+// runSoak opens the archive, runs the full report, and returns the peak
+// heap delta sampled during the report, the heap delta still live after
+// it (collected while the pipeline and store are still reachable), and the
+// bytes on disk.
+func runSoak(tb testing.TB, dir string) (peakDelta uint64, retained int64, onDisk int64) {
 	tb.Helper()
 	ss, rep, err := store.OpenSegments(dir)
 	if err != nil {
@@ -198,12 +201,10 @@ func runSoak(tb testing.TB, dir string) (peakDelta uint64, onDisk int64) {
 	if !rep.Clean() {
 		tb.Fatalf("dirty load report: %+v", rep)
 	}
-	// One cached block per reader bounds resident memory across all 30
-	// readers. It is not free: each (astronaut, day) window is read once
-	// per kind, plus once for Times, so a block leaves the cache between
-	// passes and is decoded again. A seed-1, 5-day archive report decodes
-	// 1,549 blocks at one block against 233 at the default cache (6.6x).
-	ss.SetCacheBlocks(1)
+	// Every badge runs past 64 blocks, so every reader streams: one
+	// decoded block each bounds resident memory across all 30 readers. It
+	// is not free: each (astronaut, day) window is read once per kind, plus
+	// once for Times, so a block is decoded again on every pass.
 	onDisk = ss.BytesOnDisk()
 
 	names, badges := soakNames()
@@ -261,7 +262,10 @@ func runSoak(tb testing.TB, dir string) (peakDelta uint64, onDisk int64) {
 	if len(out) == 0 {
 		tb.Fatal("empty report")
 	}
-	return peak.Load() - baseline, onDisk
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(p)
+	return peak.Load() - baseline, int64(ms.HeapAlloc) - int64(baseline), onDisk
 }
 
 func newSoakPipeline(ss *store.SegmentStore, names []string, badges map[string]store.BadgeID) (*sociometry.Pipeline, error) {
@@ -305,10 +309,11 @@ func TestOutOfCoreSoak(t *testing.T) {
 	}
 	dir := t.TempDir()
 	writeSoakArchive(t, dir)
-	peakDelta, onDisk := runSoak(t, dir)
+	peakDelta, retained, onDisk := runSoak(t, dir)
 	frac := float64(peakDelta) / float64(onDisk)
-	t.Logf("soak: %d badges × %d days, %.1f MiB on disk, peak heap delta %.1f MiB (%.1f%% of disk)",
-		soakBadges, soakDays, float64(onDisk)/(1<<20), float64(peakDelta)/(1<<20), 100*frac)
+	t.Logf("soak: %d badges × %d days, %.1f MiB on disk, peak heap delta %.1f MiB (%.1f%% of disk), %.1f MiB (%.1f%%) retained after the report",
+		soakBadges, soakDays, float64(onDisk)/(1<<20), float64(peakDelta)/(1<<20), 100*frac,
+		float64(retained)/(1<<20), 100*float64(retained)/float64(onDisk))
 	if onDisk < 64<<20 {
 		t.Fatalf("archive only %.1f MiB on disk; fixture no longer paper-scale", float64(onDisk)/(1<<20))
 	}
@@ -360,7 +365,7 @@ func BenchmarkOutOfCoreSoak(b *testing.B) {
 	var frac float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		peak, onDisk := runSoak(b, dir)
+		peak, _, onDisk := runSoak(b, dir)
 		frac = float64(peak) / float64(onDisk)
 	}
 	b.ReportMetric(frac, "peak_heap_frac_of_disk")

@@ -46,7 +46,6 @@ var reachAllow = map[string]string{
 	"internal/sociometry.WithMinDwell":              "EXPERIMENTS.md: BenchmarkAblationDwellFilter builds its unfiltered pipeline with it",
 	"internal/sociometry.Pipeline.MeetingDominance": "EXPERIMENTS.md: C's voice dominated during meetings",
 	"internal/sociometry.WithLocWindow":             "ROADMAP: reports that explain themselves, soak gap; TestOutOfCoreSoak passes it until the default window fits its bound",
-	"internal/store.SegmentStore.SetCacheBlocks":    "ROADMAP: reports that explain themselves, soak gap; TestOutOfCoreSoak runs at a one-block cache, a size no production path uses",
 }
 
 // reachReasonKinds are the accepted prefixes of a reachAllow reason.
