@@ -89,8 +89,8 @@ type Input struct {
 }
 
 // Log is the badge's SD card: every record the badge produces is appended
-// to it, in production order. A *store.Series satisfies it; a mission run
-// stages records in a plain slice instead and ingests them in batches.
+// to it, in production order. A mission run gives each badge its
+// *store.Series.
 type Log interface {
 	Append(record.Record)
 }

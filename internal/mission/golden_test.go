@@ -63,10 +63,7 @@ func TestRunGoldenDigest(t *testing.T) {
 // goldenDigestFaults is the sha256 (missionDigest) of a seed-7, two-day
 // mission run under a fault plan — two badge death/reboot windows, one of
 // them spanning several simulated hours, a fleet-wide and a single-badge
-// sync dropout — with lossy BLE and 868 MHz radios. It was computed with the
-// simulator writing every record straight into its store series, before the
-// staged, batched ingest existed, so it pins that records are byte-identical
-// across ingest hand-offs that fall inside a badge's death or reboot.
+// sync dropout — with lossy BLE and 868 MHz radios.
 const goldenDigestFaults = "25a2de46b517ed98e8362c1bd85b79a6c0f6a2637413707b6af8784e966edafd"
 
 func TestRunGoldenDigestFaults(t *testing.T) {

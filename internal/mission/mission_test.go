@@ -362,3 +362,22 @@ func TestRunJournalSpans(t *testing.T) {
 	}
 	want(spans[len(spans)-1], "mission.run", simtime.StartOfDay(FirstDataDay), (days-FirstDataDay+1)*24*time.Hour)
 }
+
+// Run sets the mission_records gauge to the record count of the whole
+// dataset it returns.
+func TestRunIngestLifecycle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("mission run in -short mode")
+	}
+	sc := DefaultScenario(7)
+	sc.Days = 2
+	reg := telemetry.NewRegistry()
+	res, err := Run(Config{Seed: 7, Scenario: sc, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := res.Dataset.TotalRecords()
+	if got := reg.Gauge("mission_records").Value(); got != float64(total) || total == 0 {
+		t.Errorf("mission_records = %v, dataset holds %d records", got, total)
+	}
+}

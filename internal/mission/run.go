@@ -168,12 +168,9 @@ func Run(cfg Config) (*Result, error) {
 	dataset := store.NewDataset()
 	badges := make(map[store.BadgeID]*badge.Badge)
 	var badgeOrder []store.BadgeID
-	var stages []*stage
 	sampling := badge.DefaultSampling()
 	newBadge := func(id uint16, osc *simtime.Oscillator) *badge.Badge {
-		st := &stage{batch: batch{series: dataset.Series(store.BadgeID(id))}}
-		stages = append(stages, st)
-		b := badge.New(id, osc, sampling, st, rng.Split())
+		b := badge.New(id, osc, sampling, dataset.Series(store.BadgeID(id)), rng.Split())
 		badges[store.BadgeID(id)] = b
 		badgeOrder = append(badgeOrder, store.BadgeID(id))
 		net.Add(b)
@@ -226,9 +223,6 @@ func Run(cfg Config) (*Result, error) {
 	start := simtime.StartOfDay(FirstDataDay)
 	end := simtime.StartOfDay(cfg.Scenario.Days + 1)
 	dayStart, spanDay := start, simtime.DayOf(start)
-	// Badges record into their stages; full buffers go into the store on
-	// the ingest goroutine while the simulation runs on.
-	ingest := startIngest(stages)
 	for now := start; now < end; {
 		if d := simtime.DayOf(now); d != spanDay {
 			cfg.endSpan("mission.day", dayStart, now)
@@ -245,7 +239,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	cfg.endSpan("mission.day", dayStart, end)
 	cfg.endSpan("mission.run", start, end)
-	ingest.close()
 	sim.gRecords.Set(float64(dataset.TotalRecords()))
 	return res, nil
 }

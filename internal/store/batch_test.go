@@ -76,14 +76,17 @@ func batchSequence(rng *stats.RNG) []delivery {
 // subscriber sees each non-empty AppendBatch exactly once, with its
 // records in order, and each Append as a batch of one, so both sides
 // deliver the same records in the same order. Reads between batches join
-// and sort on both sides alike.
+// and sort on both sides alike. With reuse, every batch is built in one
+// buffer that is overwritten after each AppendBatch: AppendBatch must not
+// keep recs.
 func TestQuickAppendBatchMatchesAppend(t *testing.T) {
-	f := func(seed uint64) bool {
+	f := func(seed uint64, reuse bool) bool {
 		rng := stats.NewRNG(seed)
 		seq := batchSequence(rng)
 		one, many := NewDataset(), NewDataset()
 		gotOne, gotMany := recorder(one), recorder(many)
 		var sent []batchDelivery // the non-empty batches, in call order
+		var buf []record.Record  // the reused batch buffer
 
 		for i := 0; i < len(seq); {
 			// A batch is a run of consecutive appends to one badge.
@@ -93,13 +96,22 @@ func TestQuickAppendBatchMatchesAppend(t *testing.T) {
 				n = 1 + rng.Intn(24*chunkMin)
 			}
 			var batch []record.Record
+			if reuse {
+				batch = buf[:0]
+			}
 			for ; i < len(seq) && len(batch) < n && seq[i].id == id; i++ {
 				one.Series(id).Append(seq[i].r)
 				batch = append(batch, seq[i].r)
 			}
 			many.Series(id).AppendBatch(batch)
 			if len(batch) > 0 {
-				sent = append(sent, batchDelivery{id, batch})
+				sent = append(sent, batchDelivery{id, slices.Clone(batch)})
+			}
+			if reuse {
+				buf = batch[:cap(batch)]
+				for j := range buf {
+					buf[j] = record.Record{Local: -1, Kind: record.KindWear}
+				}
 			}
 			if rng.Bool(0.1) {
 				_, _ = one.Series(id).All(), many.Series(id).All()

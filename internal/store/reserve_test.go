@@ -10,28 +10,42 @@ import (
 	"icares/internal/stats"
 )
 
-// Once its first chunk exists, a reserved series fed in order in 64-record
-// batches appends into that chunk's capacity and allocates nothing more.
+// Once its first chunk exists, a reserved series with no subscriber, fed
+// in order in 64-record batches or one Append at a time, appends into that
+// chunk's capacity and allocates nothing more: Append builds no batch of
+// one for a publish nobody hears.
 func TestReservedSeriesAppendsWithoutAllocating(t *testing.T) {
 	const batch, batches = 64, 100
 	recs := make([]record.Record, batch*(batches+2))
 	for i := range recs {
 		recs[i] = record.Record{Local: time.Duration(i) * time.Second, Kind: record.KindAccel}
 	}
-	d := NewDataset()
-	d.Reserve(1, len(recs))
-	s := d.Series(1)
-	s.AppendBatch(recs[:batch])
-	next := batch
-	allocs := testing.AllocsPerRun(batches, func() {
-		s.AppendBatch(recs[next : next+batch])
-		next += batch
-	})
-	if allocs != 0 {
-		t.Errorf("%v allocations per reserved in-order batch, want 0", allocs)
-	}
-	if got := s.All(); !slices.Equal(got, recs[:next]) {
-		t.Errorf("reserved series reads %d records, want the %d appended in order", len(got), next)
+	for _, tc := range []struct {
+		name string
+		add  func(*Series, []record.Record)
+	}{
+		{"AppendBatch", (*Series).AppendBatch},
+		{"Append", func(s *Series, recs []record.Record) {
+			for _, r := range recs {
+				s.Append(r)
+			}
+		}},
+	} {
+		d := NewDataset()
+		d.Reserve(1, len(recs))
+		s := d.Series(1)
+		tc.add(s, recs[:batch])
+		next := batch
+		allocs := testing.AllocsPerRun(batches, func() {
+			tc.add(s, recs[next:next+batch])
+			next += batch
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per reserved in-order batch, want 0", tc.name, allocs)
+		}
+		if got := s.All(); !slices.Equal(got, recs[:next]) {
+			t.Errorf("%s: reserved series reads %d records, want the %d appended in order", tc.name, len(got), next)
+		}
 	}
 }
 

@@ -77,9 +77,17 @@ type Series struct {
 }
 
 // Append adds a record to the series and publishes the append to the
-// owning dataset's subscribers.
+// owning dataset's subscribers as a batch of one. The batch is built only
+// when the dataset has a subscriber, so a simulator badge, which appends
+// every record it produces here, allocates nothing per record.
 func (s *Series) Append(r record.Record) {
-	s.AppendBatch([]record.Record{r})
+	s.mu.Lock()
+	s.appendLocked(r)
+	owner, id := s.owner, s.id
+	s.mu.Unlock()
+	if owner != nil && owner.subCount.Load() > 0 {
+		owner.publish(id, []record.Record{r})
+	}
 }
 
 // AppendBatch adds recs to the series in order, with the same result as
