@@ -58,6 +58,7 @@ func ClassifyCursor(dst []Sample, c *record.Cursor, cfg Config, worn record.Rang
 	var xs, ys []float64
 	var magSq float64
 	var curStart time.Duration
+	in := worn.Index()
 	started, keep := false, false
 	flush := func() {
 		if len(xs) < cfg.MinSamples {
@@ -84,7 +85,7 @@ func ClassifyCursor(dst []Sample, c *record.Cursor, cfg Config, worn record.Rang
 			flush()
 			curStart = w
 			started = true
-			keep = worn.Contains(w)
+			keep = in.Contains(w)
 		}
 		if !keep {
 			continue

@@ -267,6 +267,7 @@ func (l *Locator) TrackCursor(dst []Fix, c *record.Cursor, window time.Duration,
 		}
 		cur = cur[:0]
 	}
+	in := worn.Index()
 	started, keep := false, false
 	for b := c.NextBatch(); b != nil; b = c.NextBatch() {
 		for i := range b {
@@ -279,7 +280,7 @@ func (l *Locator) TrackCursor(dst []Fix, c *record.Cursor, window time.Duration,
 				flush()
 				curStart = w
 				started = true
-				keep = worn.Contains(w)
+				keep = in.Contains(w)
 			}
 			if keep {
 				cur = append(cur, Obs{BeaconID: int(r.PeerID), RSSI: float64(r.RSSI())})

@@ -6,7 +6,8 @@
 package proximity
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"icares/internal/habitat"
@@ -28,131 +29,27 @@ func MakePair(a, b string) Pair {
 	return Pair{a, b}
 }
 
-// event is a sweep-line event: someone enters or leaves a room.
-type event struct {
-	at    time.Duration
-	room  habitat.RoomID
-	name  string
-	enter bool
+// Summary is every crew-level co-presence aggregate of one presence map,
+// computed together by Summarize.
+type Summary struct {
+	// Company is, per person, the total time spent in a room together with
+	// at least one other tracked person — the paper's "centrality measured
+	// as amount of time spent accompanied".
+	Company map[string]time.Duration
+	// Pairs is, per unordered pair, the total co-presence time (same room
+	// simultaneously).
+	Pairs map[Pair]time.Duration
+	// Private is co-presence time counted only while the pair was alone
+	// together (exactly two people in the room) — the paper's "talked
+	// privately with each other" comparison for A-F vs D-E.
+	Private map[Pair]time.Duration
+	// Meetings are the maximal spans in which a fixed set of at least two
+	// people shared a room, of any length, ordered by From, then Room.
+	// Membership changes end a meeting and may start a new one.
+	Meetings []Meeting
 }
 
-// sweep walks all presence changes in time order, invoking fn for every
-// homogeneous span [from, to) with the current room occupancy.
-func sweep(p Presence, fn func(from, to time.Duration, occupancy map[habitat.RoomID][]string)) {
-	var events []event
-	for name, ivs := range p {
-		for _, iv := range ivs {
-			if iv.Duration() <= 0 {
-				continue
-			}
-			events = append(events, event{at: iv.From, room: iv.Room, name: name, enter: true})
-			events = append(events, event{at: iv.To, room: iv.Room, name: name, enter: false})
-		}
-	}
-	if len(events) == 0 {
-		return
-	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].at != events[j].at {
-			return events[i].at < events[j].at
-		}
-		// Process leaves before enters at the same instant.
-		return !events[i].enter && events[j].enter
-	})
-
-	occ := make(map[habitat.RoomID]map[string]bool)
-	snapshot := func() map[habitat.RoomID][]string {
-		out := make(map[habitat.RoomID][]string, len(occ))
-		for room, people := range occ {
-			if len(people) == 0 {
-				continue
-			}
-			names := make([]string, 0, len(people))
-			for n := range people {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			out[room] = names
-		}
-		return out
-	}
-
-	i := 0
-	for i < len(events) {
-		at := events[i].at
-		// Apply all events at this instant.
-		for i < len(events) && events[i].at == at {
-			ev := events[i]
-			if occ[ev.room] == nil {
-				occ[ev.room] = make(map[string]bool)
-			}
-			if ev.enter {
-				occ[ev.room][ev.name] = true
-			} else {
-				delete(occ[ev.room], ev.name)
-			}
-			i++
-		}
-		if i < len(events) {
-			fn(at, events[i].at, snapshot())
-		}
-	}
-}
-
-// CompanyTime returns, per person, the total time spent in a room together
-// with at least one other tracked person — the paper's "centrality measured
-// as amount of time spent accompanied".
-func CompanyTime(p Presence) map[string]time.Duration {
-	out := make(map[string]time.Duration, len(p))
-	sweep(p, func(from, to time.Duration, occ map[habitat.RoomID][]string) {
-		span := to - from
-		for _, names := range occ {
-			if len(names) < 2 {
-				continue
-			}
-			for _, n := range names {
-				out[n] += span
-			}
-		}
-	})
-	return out
-}
-
-// PairTime returns, per unordered pair, the total co-presence time (same
-// room simultaneously).
-func PairTime(p Presence) map[Pair]time.Duration {
-	out := make(map[Pair]time.Duration)
-	sweep(p, func(from, to time.Duration, occ map[habitat.RoomID][]string) {
-		span := to - from
-		for _, names := range occ {
-			for i := 0; i < len(names); i++ {
-				for j := i + 1; j < len(names); j++ {
-					out[MakePair(names[i], names[j])] += span
-				}
-			}
-		}
-	})
-	return out
-}
-
-// PrivatePairTime returns co-presence time counted only while the pair was
-// alone together (exactly two people in the room) — the paper's "talked
-// privately with each other" comparison for A-F vs D-E.
-func PrivatePairTime(p Presence) map[Pair]time.Duration {
-	out := make(map[Pair]time.Duration)
-	sweep(p, func(from, to time.Duration, occ map[habitat.RoomID][]string) {
-		span := to - from
-		for _, names := range occ {
-			if len(names) != 2 {
-				continue
-			}
-			out[MakePair(names[0], names[1])] += span
-		}
-	})
-	return out
-}
-
-// Meeting is a maximal period with a fixed set of >= MinSize people in one
+// Meeting is a maximal period with a fixed set of two or more people in one
 // room.
 type Meeting struct {
 	Room         habitat.RoomID
@@ -166,70 +63,151 @@ func (m Meeting) Duration() time.Duration { return m.To - m.From }
 // Private reports whether the meeting had exactly two participants.
 func (m Meeting) Private() bool { return len(m.Participants) == 2 }
 
-// Meetings detects co-presence meetings: spans where a stable group of at
-// least minSize people shared a room for at least minDur. Membership
-// changes end a meeting and may start a new one.
-func Meetings(p Presence, minSize int, minDur time.Duration) []Meeting {
-	if minSize < 2 {
-		minSize = 2
-	}
-	var out []Meeting
-	open := make(map[habitat.RoomID]*Meeting)
-	sweep(p, func(from, to time.Duration, occ map[habitat.RoomID][]string) {
-		seen := make(map[habitat.RoomID]bool, len(occ))
-		for room, names := range occ {
-			seen[room] = true
-			cur := open[room]
-			if len(names) < minSize {
-				if cur != nil {
-					out = append(out, *cur)
-					delete(open, room)
-				}
-				continue
-			}
-			if cur != nil && sameNames(cur.Participants, names) {
-				cur.To = to
-				continue
-			}
-			if cur != nil {
-				out = append(out, *cur)
-			}
-			open[room] = &Meeting{
-				Room: room, From: from, To: to,
-				Participants: append([]string{}, names...),
-			}
-		}
-		for room, cur := range open {
-			if !seen[room] {
-				out = append(out, *cur)
-				delete(open, room)
-			}
-		}
-	})
-	for _, cur := range open {
-		out = append(out, *cur)
-	}
-	// Filter short meetings and order by start time.
-	kept := out[:0]
-	for _, m := range out {
-		if m.Duration() >= minDur {
-			kept = append(kept, m)
-		}
-	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].From < kept[j].From })
-	return kept
+// event is a sweep-line event: person who (an index into the sorted names)
+// enters or leaves a room.
+type event struct {
+	at    time.Duration
+	room  habitat.RoomID
+	who   int
+	enter bool
 }
 
-func sameNames(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
+// occupancy is one room's state during the sweep: who is in it (ascending
+// person indices, so names in sorted order) since when, and, while the
+// events of one instant are applied, who was in it before them.
+type occupancy struct {
+	members []int
+	since   time.Duration
+	before  []int
+	touched bool
+}
+
+// Summarize computes every aggregate of Summary in one time-ordered sweep
+// over all presence changes. A room's occupancy only changes at its own
+// events, so each maximal span of fixed membership is credited once, when
+// it ends, instead of once per span between any two events of the crew.
+// Leaves are applied before enters at the same instant, and membership is
+// compared after all of an instant's events, so someone leaving and
+// re-entering a room at one instant neither ends a meeting nor starts one.
+func Summarize(p Presence) Summary {
+	names := make([]string, 0, len(p))
+	for name := range p {
+		names = append(names, name)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	slices.Sort(names)
+	var events []event
+	for who, name := range names {
+		for _, iv := range p[name] {
+			if iv.Duration() <= 0 {
+				continue
+			}
+			events = append(events,
+				event{at: iv.From, room: iv.Room, who: who, enter: true},
+				event{at: iv.To, room: iv.Room, who: who})
 		}
 	}
-	return true
+	slices.SortFunc(events, func(a, b event) int {
+		switch {
+		case a.at != b.at:
+			return cmp.Compare(a.at, b.at)
+		case a.enter == b.enter:
+			return 0
+		case a.enter:
+			return 1 // leaves before enters at the same instant
+		}
+		return -1
+	})
+
+	n := len(names)
+	company := make([]time.Duration, n)
+	pairs := make([]time.Duration, n*n) // [i*n+j] for i < j
+	private := make([]time.Duration, n*n)
+	var meetings []Meeting
+	// end credits a room's membership for [since, at) and records it as a
+	// meeting when two or more shared the room.
+	end := func(room habitat.RoomID, members []int, since, at time.Duration) {
+		if len(members) < 2 {
+			return
+		}
+		span := at - since
+		m := Meeting{Room: room, From: since, To: at, Participants: make([]string, len(members))}
+		for k, i := range members {
+			company[i] += span
+			m.Participants[k] = names[i]
+			for _, j := range members[k+1:] {
+				pairs[i*n+j] += span
+			}
+		}
+		if len(members) == 2 {
+			private[members[0]*n+members[1]] += span
+		}
+		meetings = append(meetings, m)
+	}
+
+	rooms := make(map[habitat.RoomID]*occupancy)
+	var touched []habitat.RoomID
+	for i := 0; i < len(events); {
+		at := events[i].at
+		for ; i < len(events) && events[i].at == at; i++ {
+			ev := events[i]
+			o := rooms[ev.room]
+			if o == nil {
+				o = new(occupancy)
+				rooms[ev.room] = o
+			}
+			if !o.touched {
+				o.touched = true
+				o.before = append(o.before[:0], o.members...)
+				touched = append(touched, ev.room)
+			}
+			k, in := slices.BinarySearch(o.members, ev.who)
+			switch {
+			case ev.enter && !in:
+				o.members = slices.Insert(o.members, k, ev.who)
+			case !ev.enter && in:
+				o.members = slices.Delete(o.members, k, k+1)
+			}
+		}
+		for _, room := range touched {
+			o := rooms[room]
+			o.touched = false
+			if !slices.Equal(o.before, o.members) {
+				end(room, o.before, o.since, at)
+				o.since = at
+			}
+		}
+		touched = touched[:0]
+	}
+	// Every interval has ended by the last event, so every room is empty
+	// and every meeting closed.
+
+	s := Summary{
+		Company: make(map[string]time.Duration, n),
+		Pairs:   make(map[Pair]time.Duration),
+		Private: make(map[Pair]time.Duration),
+	}
+	for i, name := range names {
+		if company[i] > 0 {
+			s.Company[name] = company[i]
+		}
+		for j := i + 1; j < n; j++ {
+			pair := Pair{name, names[j]}
+			if d := pairs[i*n+j]; d > 0 {
+				s.Pairs[pair] = d
+			}
+			if d := private[i*n+j]; d > 0 {
+				s.Private[pair] = d
+			}
+		}
+	}
+	slices.SortFunc(meetings, func(a, b Meeting) int {
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Room, b.Room)
+	})
+	s.Meetings = meetings
+	return s
 }
 
 // Contact is one face-to-face IR detection between two people at an

@@ -1,6 +1,7 @@
 package record
 
 import (
+	"math"
 	"sort"
 	"time"
 )
@@ -56,7 +57,9 @@ func (s RangeSet) Normalize() RangeSet {
 	}
 	out := make(RangeSet, 0, len(s))
 	for _, r := range s {
-		if r.Duration() > 0 {
+		// Not Duration() > 0: To-From overflows for a range as wide as
+		// [MinInt64, MaxInt64), which must be kept.
+		if r.To > r.From {
 			out = append(out, r)
 		}
 	}
@@ -95,6 +98,37 @@ func (s RangeSet) Contains(t time.Duration) bool {
 		}
 	}
 	return false
+}
+
+// Index returns a forward-moving index over the normalized set, for
+// callers that probe membership at rising times (a time-ordered record
+// stream). Its Contains agrees with the set's.
+func (s RangeSet) Index() RangeIndex {
+	// The first probe positions by binary search, like any probe earlier
+	// than the one before it.
+	return RangeIndex{set: s.Normalize(), last: math.MaxInt64}
+}
+
+// RangeIndex answers membership for ascending probes in amortized O(1): it
+// keeps its place in the normalized set and only ever walks forward, so a
+// run of ascending probes crosses each range once. A probe earlier than the
+// one before it repositions by binary search, so any order stays correct.
+type RangeIndex struct {
+	set  RangeSet // normalized
+	next int      // first range ending after the last probe
+	last time.Duration
+}
+
+// Contains reports whether t lies in any range of the indexed set.
+func (x *RangeIndex) Contains(t time.Duration) bool {
+	if t < x.last {
+		x.next = sort.Search(len(x.set), func(i int) bool { return x.set[i].To > t })
+	}
+	x.last = t
+	for x.next < len(x.set) && x.set[x.next].To <= t {
+		x.next++
+	}
+	return x.next < len(x.set) && x.set[x.next].From <= t
 }
 
 // Clip returns the parts of the set inside the window.

@@ -161,6 +161,45 @@ func TestQuickContainsAgreesWithNormalize(t *testing.T) {
 	}
 }
 
+// Property: on ascending probes, repeats included, over random sets —
+// un-normalized, with empty and inverted ranges, or empty — the forward
+// index agrees with Contains; so it does on a second, shuffled pass that
+// forces it to reposition.
+func TestQuickIndexAgreesWithContains(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := stats.NewRNG(seed)
+		n := rng.Intn(12)
+		s := make(RangeSet, 0, n)
+		for i := 0; i < n; i++ {
+			from := rng.Intn(200)
+			s = append(s, tr(from, from+rng.Intn(80)-30))
+		}
+		var probes []time.Duration
+		for at := -5; at < 230; at += rng.Intn(4) {
+			probes = append(probes, time.Duration(at)*time.Second)
+		}
+		idx := s.Index()
+		for _, d := range probes {
+			if idx.Contains(d) != s.Contains(d) {
+				return false
+			}
+		}
+		for i := len(probes) - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			probes[i], probes[j] = probes[j], probes[i]
+		}
+		for _, d := range probes {
+			if idx.Contains(d) != s.Contains(d) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: Normalize is idempotent and total is preserved under
 // permutation.
 func TestQuickRangeSetInvariants(t *testing.T) {

@@ -145,9 +145,11 @@ func (p *Pipeline) endAnalysis() {
 // from one already due to be dropped: first the affected astronauts' worn
 // sets, then every dirty window partial (and, for a mark holding a wear
 // record, the worn-derived partials of the astronaut's later days), then
-// the astronaut-level caches folding them, then the crew-level presence
-// fold. A partial reads the worn set when it is computed, so one rebuilt
-// after its drop reads a worn set rebuilt after the wear record.
+// the astronaut-level caches folding them, then the two crew-level folds:
+// the crew fold (presence and its co-presence summary, read from the
+// intervals) and the IR pair map (read from the contact windows). A
+// partial reads the worn set when it is computed, so one rebuilt after its
+// drop reads a worn set rebuilt after the wear record.
 func (p *Pipeline) applyStale() {
 	p.foldMu.Lock()
 	defer p.foldMu.Unlock()
@@ -204,5 +206,6 @@ func (p *Pipeline) applyStale() {
 		p.framesCache.drop(name)
 		p.activityCache.drop(name)
 	}
-	p.presenceCache.reset()
+	p.crewCache.reset()
+	p.irCache.reset()
 }

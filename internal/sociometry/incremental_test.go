@@ -598,3 +598,55 @@ func TestWithoutRectificationBothPaths(t *testing.T) {
 		t.Error("a pipeline rewrote the dataset")
 	}
 }
+
+// TestFoldCrewFoldsOncePerGeneration pins the crew-level memos of a
+// following pipeline: repeated reports and face-to-face reads between
+// appends sweep the crew's presence once and build the IR pair map once;
+// one appended non-wear record makes the next report rebuild each once;
+// and that report equals the batch report over the same records.
+func TestFoldCrewFoldsOncePerGeneration(t *testing.T) {
+	recs := rectifiedFixtureRecords(t)
+	res := missionFixture(t)
+	lastDay := res.Config.Scenario.Days
+
+	ds := store.NewDataset()
+	loadAll(ds, recs)
+	p, err := NewPipeline(fixtureSource(t, ds), WithCorrections(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := p.Follow()
+	defer stop()
+
+	counts := func() [2]int64 { return [2]int64{p.crewCache.computeCount(), p.irCache.computeCount()} }
+	for i := 0; i < 3; i++ {
+		p.Report()
+		p.FaceToFace()
+	}
+	if got := counts(); got != [2]int64{1, 1} {
+		t.Errorf("crew and IR folds computed %v times over 3 reports and 3 reads, want [1 1]", got)
+	}
+
+	id := res.Assignment.TrueBadgeFor("A", lastDay)
+	if id == 0 {
+		t.Fatal("A unassigned on last day")
+	}
+	accel := record.NewAccel(simtime.StartOfDay(lastDay)+12*time.Hour, 0, 0, 1000)
+	ds.Series(id).Append(accel)
+	got := p.Report()
+	p.FaceToFace()
+	if c := counts(); c != [2]int64{2, 2} {
+		t.Errorf("crew and IR folds computed %v times after one append, want [2 2]", c)
+	}
+
+	batchDS := store.NewDataset()
+	loadAll(batchDS, recs)
+	batchDS.Series(id).Append(accel)
+	batchP, err := NewPipeline(fixtureSource(t, batchDS), WithCorrections(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := batchP.Report(); got != want {
+		t.Errorf("following report after the append differs from the batch report")
+	}
+}

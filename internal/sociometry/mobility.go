@@ -55,10 +55,5 @@ func (p *Pipeline) MeanSpeedByDay(name string) map[int]float64 {
 // Communities partitions the crew by label propagation on the co-presence
 // graph, ignoring pairs below minWeight of shared time.
 func (p *Pipeline) Communities(minWeight time.Duration) [][]string {
-	return proximity.Communities(
-		proximity.PairTime(p.Presence()),
-		p.src.Names,
-		minWeight,
-		0,
-	)
+	return proximity.Communities(p.crew().summary.Pairs, p.src.Names, minWeight, 0)
 }

@@ -185,12 +185,16 @@ type Pipeline struct {
 	winContacts memo[wkey, []proximity.Contact] // attributed IR contacts
 	winActive   memo[wkey, time.Duration]       // daytime recording coverage (Wear)
 
-	// Memoized per-astronaut derivations, folded from the windows:
+	// Memoized per-astronaut derivations, folded from the windows, and the
+	// two crew-level folds over every astronaut:
 	//
 	//	worn ── frames
-	//	  └─ track ── intervals ── presence
+	//	  └─ track ── intervals ── crew (presence + proximity.Summary)
 	//	  └─ activity
+	//	winContacts ── ir (IR pair time)
 	//
+	// TableI, Pairwise, Communities and Meetings read crew and ir; one sweep
+	// and one IR map serve every query until the live fold drops them.
 	// records backs the public RecordsFor materialization only; no report
 	// derivation reads it (they stream cursors instead).
 	recordsCache  memo[string, []record.Record]
@@ -199,7 +203,8 @@ type Pipeline struct {
 	intervalCache memo[string, []localization.Interval]
 	framesCache   memo[string, []speech.Frame]
 	activityCache memo[string, []activity.Sample]
-	presenceCache memo[struct{}, proximity.Presence]
+	crewCache     memo[struct{}, crewFold]
+	irCache       memo[struct{}, map[proximity.Pair]time.Duration]
 	// wearerCache memoizes the per-day BadgeID→astronaut inverse of
 	// BadgeFor, so IR attribution is O(1) per record instead of O(crew).
 	wearerCache memo[int, map[store.BadgeID]string]

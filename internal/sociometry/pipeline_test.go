@@ -2,12 +2,15 @@ package sociometry
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"icares/internal/habitat"
+	"icares/internal/proximity"
 	"icares/internal/record"
 	"icares/internal/speech"
 	"icares/internal/store"
@@ -77,7 +80,7 @@ func TestConcurrentHammer(t *testing.T) {
 		{"intervals", p.intervalCache.computeCount(), n},
 		{"frames", p.framesCache.computeCount(), n},
 		{"activity", p.activityCache.computeCount(), n},
-		{"presence", p.presenceCache.computeCount(), 1},
+		{"crew", p.crewCache.computeCount(), 1},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s computed %d times, want %d", c.name, c.got, c.want)
@@ -306,5 +309,36 @@ func TestResultsIdenticalAcrossParallelism(t *testing.T) {
 	}
 	if ta, tb := fmt.Sprintf("%+v", seq.TableI()), fmt.Sprintf("%+v", par.TableI()); ta != tb {
 		t.Errorf("Table I differs:\n%s\nvs\n%s", ta, tb)
+	}
+}
+
+// TestResultsDoNotAliasMemos: Pairwise maps and Meetings participants are
+// copies, so a caller that modifies them changes nothing later queries see.
+func TestResultsDoNotAliasMemos(t *testing.T) {
+	p := newFixturePipeline(t)
+	pw := p.Pairwise()
+	ms := p.Meetings(10 * time.Minute)
+	if len(pw.All) == 0 || len(ms) == 0 {
+		t.Fatal("fixture has no pairs or meetings")
+	}
+	wantPW := PairwiseReport{All: maps.Clone(pw.All), Private: maps.Clone(pw.Private), IR: maps.Clone(pw.IR)}
+	wantMS := make([]proximity.Meeting, len(ms))
+	for i, m := range ms {
+		m.Participants = slices.Clone(m.Participants)
+		wantMS[i] = m
+	}
+
+	for pair := range pw.All {
+		pw.All[pair] = -1
+	}
+	pw.All[proximity.MakePair("X", "Y")] = time.Hour
+	ms[0].Participants[0] = "Z"
+	ms[len(ms)-1].Participants = ms[len(ms)-1].Participants[:1]
+
+	if got := p.Pairwise(); !reflect.DeepEqual(got, wantPW) {
+		t.Errorf("Pairwise changed after its result was modified")
+	}
+	if got := p.Meetings(10 * time.Minute); !reflect.DeepEqual(got, wantMS) {
+		t.Errorf("Meetings changed after its result was modified")
 	}
 }

@@ -1,7 +1,9 @@
 package sociometry
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -14,24 +16,37 @@ import (
 	"icares/internal/store"
 )
 
-// Presence assembles the proximity input: per astronaut, the worn-time room
-// intervals. The per-astronaut intervals are derived in parallel and the
-// whole map is memoized (dropped whenever the live fold recomputes a window).
-func (p *Pipeline) Presence() proximity.Presence {
+// crewFold is the crew-level fold: the presence map and every co-presence
+// aggregate of it, summarized in one sweep.
+type crewFold struct {
+	presence proximity.Presence
+	summary  proximity.Summary
+}
+
+// crew returns the memoized crew-level fold. The per-astronaut intervals
+// are derived in parallel. applyStale drops the memo with any window, so
+// the first query after a live append sweeps once and every later one
+// reads the memo.
+func (p *Pipeline) crew() crewFold {
 	p.beginAnalysis()
 	defer p.endAnalysis()
-	return p.presenceCache.get(struct{}{}, func(struct{}) proximity.Presence {
+	return p.crewCache.get(struct{}{}, func(struct{}) crewFold {
 		ivs := make([][]localization.Interval, len(p.src.Names))
 		p.forEach(len(p.src.Names), func(i int) {
 			ivs[i] = p.Intervals(p.src.Names[i])
 		})
-		out := make(proximity.Presence, len(p.src.Names))
+		presence := make(proximity.Presence, len(p.src.Names))
 		for i, name := range p.src.Names {
-			out[name] = ivs[i]
+			presence[name] = ivs[i]
 		}
-		return out
+		return crewFold{presence: presence, summary: proximity.Summarize(presence)}
 	})
 }
+
+// Presence assembles the proximity input: per astronaut, the worn-time room
+// intervals. The map is the memoized crew fold's; callers must not modify
+// it.
+func (p *Pipeline) Presence() proximity.Presence { return p.crew().presence }
 
 // SpeechByDay computes the Fig. 6 series for one astronaut: fraction of
 // worn 15 s intervals with detected speech, per day.
@@ -192,9 +207,8 @@ const companyBasisFraction = 0.6
 func (p *Pipeline) TableI() []TableIRow {
 	p.beginAnalysis()
 	defer p.endAnalysis()
-	presence := p.Presence()
-	company := proximity.CompanyTime(presence)
-	pairTime := proximity.PairTime(presence)
+	c := p.crew()
+	presence, company := c.presence, c.summary.Company
 
 	// Determine who has enough data for company comparisons.
 	tracked := make(map[string]time.Duration, len(p.src.Names))
@@ -221,7 +235,7 @@ func (p *Pipeline) TableI() []TableIRow {
 			authNames = append(authNames, name)
 		}
 	}
-	authority := HITS(pairTime, authNames, 50)
+	authority := HITS(c.summary.Pairs, authNames, 50)
 
 	companyVals := make([]float64, len(p.src.Names))
 	talkingVals := make([]float64, len(p.src.Names))
@@ -269,42 +283,66 @@ type PairwiseReport struct {
 	IR      map[proximity.Pair]time.Duration
 }
 
-// Pairwise computes all three pairwise interaction measures.
+// Pairwise returns all three pairwise interaction measures. The maps are
+// copies of the memoized folds: callers may modify them.
 func (p *Pipeline) Pairwise() PairwiseReport {
 	p.beginAnalysis()
 	defer p.endAnalysis()
-	presence := p.Presence()
+	s := p.crew().summary
 	return PairwiseReport{
-		All:     proximity.PairTime(presence),
-		Private: proximity.PrivatePairTime(presence),
-		IR:      p.irPairTime(),
+		All:     maps.Clone(s.Pairs),
+		Private: maps.Clone(s.Private),
+		IR:      maps.Clone(p.irPairTime()),
 	}
 }
 
-// irPairTime maps IR records through the day-wise assignment to astronaut
-// pairs. The attributed contacts are folded from the per-(astronaut, day)
-// windows (contacts) — each window memoized independently while following,
-// so a live append recomputes one window, not the mission — collected in
-// parallel per astronaut and concatenated in crew order, preserving the
-// sequential contact ordering. Peer attribution inside a window uses the
-// memoized per-day BadgeID→name inverse (wearers), so each IR record costs
-// O(1) instead of an O(crew) scan of BadgeFor.
+// FaceToFace returns the crew's total IR-confirmed interaction time, the
+// sum of Pairwise().IR, read from the memo without copying it.
+func (p *Pipeline) FaceToFace() time.Duration {
+	var total time.Duration
+	for _, d := range p.irPairTime() {
+		total += d
+	}
+	return total
+}
+
+// irPairTime returns the memoized IR pair map, which the live fold drops
+// with the crew fold. IR records map through the day-wise assignment to
+// astronaut pairs. The attributed contacts are folded from the
+// per-(astronaut, day) windows (contacts) — each window memoized
+// independently while following, so a live append recomputes one window,
+// not the mission — collected in parallel per astronaut and concatenated in
+// crew order, preserving the sequential contact ordering. Peer attribution
+// inside a window uses the memoized per-day BadgeID→name inverse (wearers),
+// so each IR record costs O(1) instead of an O(crew) scan of BadgeFor.
 func (p *Pipeline) irPairTime() map[proximity.Pair]time.Duration {
-	perName := make([][]proximity.Contact, len(p.src.Names))
-	p.forEach(len(p.src.Names), func(i int) {
-		perName[i] = p.contacts(p.src.Names[i])
+	p.beginAnalysis()
+	defer p.endAnalysis()
+	return p.irCache.get(struct{}{}, func(struct{}) map[proximity.Pair]time.Duration {
+		perName := make([][]proximity.Contact, len(p.src.Names))
+		p.forEach(len(p.src.Names), func(i int) {
+			perName[i] = p.contacts(p.src.Names[i])
+		})
+		var contacts []proximity.Contact
+		for _, cs := range perName {
+			contacts = append(contacts, cs...)
+		}
+		return proximity.IRPairTime(contacts, 15*time.Second)
 	})
-	var contacts []proximity.Contact
-	for _, cs := range perName {
-		contacts = append(contacts, cs...)
-	}
-	return proximity.IRPairTime(contacts, 15*time.Second)
 }
 
-// Meetings detects crew meetings (>= 2 people, >= minDur) from worn-time
-// presence.
+// Meetings returns the crew meetings (>= 2 people) at least minDur long,
+// from worn-time presence, ordered by start, then room. The slice and each
+// meeting's participants are copies: callers may modify them.
 func (p *Pipeline) Meetings(minDur time.Duration) []proximity.Meeting {
-	return proximity.Meetings(p.Presence(), 2, minDur)
+	var out []proximity.Meeting
+	for _, m := range p.crew().summary.Meetings {
+		if m.Duration() >= minDur {
+			m.Participants = slices.Clone(m.Participants)
+			out = append(out, m)
+		}
+	}
+	return out
 }
 
 // MeetingLoudness returns the crew-mean speech loudness during a meeting —

@@ -47,9 +47,10 @@ type Frame struct {
 // mic stream.
 func FramesCursor(dst []Frame, c *record.Cursor, cfg Config, worn record.RangeSet) []Frame {
 	out := dst
+	in := worn.Index()
 	for c.Next() {
 		r := c.Record()
-		if r.Kind != record.KindMic || !worn.Contains(r.Local) {
+		if r.Kind != record.KindMic || !in.Contains(r.Local) {
 			continue
 		}
 		speech, loud, f0, frac := r.Mic()

@@ -91,17 +91,15 @@ type AnalyticsSnapshot struct {
 // touched windows recompute.
 func (a *Analytics) Snapshot() AnalyticsSnapshot {
 	snap := AnalyticsSnapshot{
-		Records:  a.live.TotalRecords(),
-		Passages: a.pipe.Transitions(nil).Total(),
-		Walking:  make(map[string]float64),
-		Speech:   make(map[string]float64),
+		Records:    a.live.TotalRecords(),
+		Passages:   a.pipe.Transitions(nil).Total(),
+		Walking:    make(map[string]float64),
+		Speech:     make(map[string]float64),
+		FaceToFace: a.pipe.FaceToFace(),
 	}
 	for _, name := range a.pipe.Source().Names {
 		snap.Walking[name] = a.pipe.WalkingFraction(name)
 		snap.Speech[name] = speech.Fraction(a.pipe.Frames(name))
-	}
-	for _, d := range a.pipe.Pairwise().IR {
-		snap.FaceToFace += d
 	}
 	return snap
 }
