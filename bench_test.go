@@ -504,9 +504,9 @@ func BenchmarkIncrementalFold(b *testing.B) {
 		}
 		stop := p.Follow()
 		defer stop()
-		// The first analysis estimates clock corrections and installs
-		// per-series rectifiers, so the appends below land on reference
-		// time — outside the timer, like any warm-up.
+		// NewPipeline fitted the clock corrections over the records live
+		// held before the tail; the warm-up fills every window outside
+		// the timer.
 		p.Warm()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -125,10 +125,10 @@ func (m *Mission) VoiceProfiles() map[string]float64 {
 // dataset under the chosen assignment view.
 //
 // Pipelines are safe for concurrent use and never modify the dataset, which
-// keeps raw device time: each pipeline fits its own clock corrections and
-// reads through rectified views. Building both the TrueAssignment and
-// NominalAssignment views over one Simulate run is supported, and both fit
-// the same corrections.
+// keeps raw device time: each pipeline fits its own clock corrections when
+// it is built and reads through rectified views. Building both the
+// TrueAssignment and NominalAssignment views over one Simulate run is
+// supported, and both fit the same corrections.
 //
 // Options (e.g. sociometry.WithCorrections with an empty map for the
 // timesync ablation) are passed through to the pipeline.
@@ -248,9 +248,17 @@ func (m *Mission) SupportSystem() (*support.Daemon, *support.Replayer) {
 // daemon: every record the daemon ingests (post privacy scrub) folds into a
 // live pipeline over the mission's crew and the chosen assignment view. The
 // analytics own their dataset — the mission's offline store stays untouched
-// by the online path.
-func (m *Mission) LiveAnalytics(d *support.Daemon, view AssignmentView, opts ...sociometry.Option) (*support.Analytics, error) {
-	a, err := support.NewAnalytics(m.source(nil, view), opts...)
+// by the online path. The live pipeline reads through the clock corrections
+// fitted over the mission's complete dataset, the batch pipeline's own, so
+// once every record has arrived its results equal Pipeline(view)'s, however
+// early the first query came.
+func (m *Mission) LiveAnalytics(d *support.Daemon, view AssignmentView) (*support.Analytics, error) {
+	batch, err := m.Pipeline(view)
+	if err != nil {
+		return nil, err
+	}
+	corrections, _ := batch.RectifyClocks()
+	a, err := support.NewAnalytics(m.source(nil, view), corrections)
 	if err != nil {
 		return nil, err
 	}

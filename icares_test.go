@@ -101,6 +101,42 @@ func TestFacadeSupportSystem(t *testing.T) {
 	}
 }
 
+// TestFacadeLiveAnalyticsMatchesBatch pins the live-equals-batch contract
+// of the facade: analytics attached with no options and queried after the
+// first replay step, before any sync record has reached them, end with the batch pipeline's report
+// after the whole mission is replayed through the support system.
+func TestFacadeLiveAnalyticsMatchesBatch(t *testing.T) {
+	m := facadeMission(t)
+	d, feed := m.SupportSystem()
+	a, err := m.LiveAnalytics(d, TrueAssignment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	feed.Step()
+	live := a.Pipeline().Source().Data
+	for _, id := range live.Badges() {
+		v, _ := live.View(id)
+		if it := v.Iter(math.MinInt64, math.MaxInt64, record.KindSync); it.Next() {
+			t.Fatalf("fixture: badge %d delivered a sync record in the first step", id)
+		}
+	}
+	a.Snapshot()
+
+	feed.Run()
+	if feed.Undelivered() != 0 {
+		t.Fatalf("%d records undelivered", feed.Undelivered())
+	}
+	batch, err := m.Pipeline(TrueAssignment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Pipeline().Report() != batch.Report() {
+		t.Error("live analytics report differs from the batch pipeline's")
+	}
+}
+
 // TestSupportSystemChaosAccounting runs the support feed of a two-day
 // mission simulated under a chaos plan: the facade puts the plan between
 // badges and gateway, and every SD-card record ends up either ingested or

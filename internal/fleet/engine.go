@@ -30,7 +30,6 @@ import (
 
 	"icares"
 	"icares/internal/faultplan"
-	"icares/internal/sociometry"
 	"icares/internal/support"
 	"icares/internal/telemetry"
 )
@@ -123,27 +122,12 @@ func newEngine(id string, cfg HabitatConfig) (*engine, error) {
 		mission: m,
 	}
 
-	// Pre-fit the clock corrections on the complete SD-card dataset — the
-	// batch pipeline's own fit — and hand them to the live pipeline. It
-	// would otherwise freeze corrections at its first analysis, fitted on
-	// whatever sync records had trickled in so far, and the final report
-	// would depend on query timing; this way the live report stays
-	// byte-identical to the standalone run no matter when queries land.
-	batch, err := m.Pipeline(icares.TrueAssignment)
-	if err != nil {
-		return nil, fmt.Errorf("habitat %s: %w", id, err)
-	}
-	corrections, err := batch.RectifyClocks()
-	if err != nil {
-		return nil, fmt.Errorf("habitat %s: %w", id, err)
-	}
-
 	d, feed := m.SupportSystem()
 	d.Instrument(reg)
 	d.AttachJournal(journal)
 	feed.Instrument(reg)
 	feed.AttachJournal(journal)
-	a, err := m.LiveAnalytics(d, icares.TrueAssignment, sociometry.WithCorrections(corrections))
+	a, err := m.LiveAnalytics(d, icares.TrueAssignment)
 	if err != nil {
 		return nil, fmt.Errorf("habitat %s: analytics: %w", id, err)
 	}

@@ -11,12 +11,16 @@ type TimeRange struct {
 	From, To time.Duration
 }
 
-// Duration returns the range length (0 for inverted ranges).
+// Duration returns the range length (0 for inverted ranges), saturating at
+// math.MaxInt64 for a range wider than that, such as [MinInt64, MaxInt64).
 func (r TimeRange) Duration() time.Duration {
 	if r.To <= r.From {
 		return 0
 	}
-	return r.To - r.From
+	if d := r.To - r.From; d > 0 {
+		return d
+	}
+	return math.MaxInt64 // To-From wrapped past MaxInt64
 }
 
 // Contains reports whether t lies in [From, To).
@@ -57,8 +61,6 @@ func (s RangeSet) Normalize() RangeSet {
 	}
 	out := make(RangeSet, 0, len(s))
 	for _, r := range s {
-		// Not Duration() > 0: To-From overflows for a range as wide as
-		// [MinInt64, MaxInt64), which must be kept.
 		if r.To > r.From {
 			out = append(out, r)
 		}
@@ -77,11 +79,16 @@ func (s RangeSet) Normalize() RangeSet {
 	return merged
 }
 
-// Total returns the summed duration of the normalized set.
+// Total returns the summed duration of the normalized set, saturating at
+// math.MaxInt64.
 func (s RangeSet) Total() time.Duration {
 	var t time.Duration
 	for _, r := range s.Normalize() {
-		t += r.Duration()
+		d := r.Duration()
+		if t > math.MaxInt64-d {
+			return math.MaxInt64
+		}
+		t += d
 	}
 	return t
 }

@@ -1,6 +1,7 @@
 package record
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -25,6 +26,17 @@ func TestTimeRangeBasics(t *testing.T) {
 	}
 	if tr(20, 10).Duration() != 0 {
 		t.Error("inverted range has duration")
+	}
+	// The all-time range is wider than math.MaxInt64: its length and the
+	// total of any set holding it saturate instead of wrapping negative.
+	all := TimeRange{From: math.MinInt64, To: math.MaxInt64}
+	if got := all.Duration(); got != math.MaxInt64 {
+		t.Errorf("all-time duration = %v, want MaxInt64", got)
+	}
+	for _, s := range []RangeSet{{all}, {all, tr(10, 20)}, {{From: math.MinInt64, To: 0}, {From: 1, To: math.MaxInt64}}} {
+		if got := s.Total(); got != math.MaxInt64 {
+			t.Errorf("%v total = %v, want MaxInt64", s, got)
+		}
 	}
 }
 

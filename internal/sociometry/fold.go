@@ -1,8 +1,6 @@
 package sociometry
 
 import (
-	"slices"
-
 	"icares/internal/record"
 	"icares/internal/simtime"
 	"icares/internal/store"
@@ -48,9 +46,10 @@ type staleKey struct {
 // the subscription. A source without a Subscribe method (a segment archive)
 // never appends; there is nothing to follow.
 //
-// Corrections freeze at the first analysis, fitted on whatever sync records
-// have arrived by then; pass WithCorrections at construction to make live
-// results independent of that timing.
+// The clock corrections stay those NewPipeline fitted on whatever sync
+// records the source held then (none, for a live dataset built empty);
+// pass WithCorrections fitted over complete data to make a live pipeline's
+// results equal the batch pipeline's.
 func (p *Pipeline) Follow() (stop func()) {
 	src, ok := p.src.Data.(interface {
 		Subscribe(func(store.BadgeID, []record.Record)) (cancel func())
@@ -62,65 +61,36 @@ func (p *Pipeline) Follow() (stop func()) {
 	return src.Subscribe(p.markStaleBatch)
 }
 
-// markStale records that a badge received a record. Windows are
-// reference-time days, and personal badges run seconds off, so the day is
-// taken from the record's raw device timestamp after the badge's frozen
-// correction; a mark arriving before the corrections are frozen marks
-// every day of the badge instead. It is the one-record form of
-// markStaleBatch, which Follow uses: both leave the same stale set. Cheap
-// and lock-scoped: safe to call from the source's append path.
-func (p *Pipeline) markStale(id store.BadgeID, r record.Record) {
-	first, last := p.src.FirstDay, p.src.LastDay
-	if p.rectified.Load() {
-		day := simtime.DayOf(p.corrections[id].ToReference(r.Local))
-		if day < first || day > last {
-			// Outside the analysis range: no derivation reads it.
-			return
-		}
-		first, last = day, day
-	}
-	p.markDays(id, first, last, r.Kind == record.KindWear)
-}
-
-// markStaleBatch marks the windows a batch of one badge's records lands in,
-// leaving the stale set markStale would leave record by record. With
-// corrections frozen it takes each record's corrected day and marks once
-// per run of records on equal days, and again for each wear record; before
-// that, one all-days mark covers the whole batch. Corrections only ever go
-// from unfrozen to frozen, so one check serves the batch.
+// markStaleBatch marks the windows a batch of one badge's records lands in.
+// Windows are reference-time days, and personal badges run seconds off, so
+// each record's day is taken from its raw device timestamp after the
+// badge's correction; a record outside the analysis range marks nothing,
+// since no derivation reads it. It marks once per run of records on equal
+// days, and again for each wear record, so the stale set is the one that
+// marking record by record would leave. Cheap and lock-scoped: safe to
+// call from the source's append path.
 func (p *Pipeline) markStaleBatch(id store.BadgeID, recs []record.Record) {
-	if len(recs) == 0 {
-		return
-	}
-	if !p.rectified.Load() {
-		wear := slices.ContainsFunc(recs, func(r record.Record) bool { return r.Kind == record.KindWear })
-		p.markDays(id, p.src.FirstDay, p.src.LastDay, wear)
-		return
-	}
 	c := p.corrections[id]
 	prev := -1 // DayOf is never negative
 	for _, r := range recs {
 		day := simtime.DayOf(c.ToReference(r.Local))
 		wear := r.Kind == record.KindWear
 		if (day != prev || wear) && day >= p.src.FirstDay && day <= p.src.LastDay {
-			p.markDays(id, day, day, wear)
+			p.markDay(staleKey{id, day}, wear)
 		}
 		prev = day
 	}
 }
 
-// markDays marks the badge's windows on days first..last stale, noting
-// whether the mark holds a wear record (a mark once set to hold one keeps
-// it until applied).
-func (p *Pipeline) markDays(id store.BadgeID, first, last int, wear bool) {
+// markDay marks one badge's window on one day stale, noting whether the
+// mark holds a wear record (a mark once set to hold one keeps it until
+// applied).
+func (p *Pipeline) markDay(k staleKey, wear bool) {
 	p.staleMu.Lock()
 	if p.stale == nil {
 		p.stale = make(map[staleKey]bool)
 	}
-	for day := first; day <= last; day++ {
-		k := staleKey{id, day}
-		p.stale[k] = p.stale[k] || wear
-	}
+	p.stale[k] = p.stale[k] || wear
 	p.staleMu.Unlock()
 	p.staleFlag.Store(true)
 }

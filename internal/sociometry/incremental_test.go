@@ -1,6 +1,7 @@
 package sociometry
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -20,9 +21,8 @@ import (
 // rectifiedFixtureRecords returns the fixture mission's records as the
 // pipeline reads them — through the rectified views — per badge. Parity
 // tests replay these into fresh datasets under an empty WithCorrections, so
-// fold-order experiments are isolated from correction estimation (which is
-// deliberately frozen at the first fit and therefore depends on which
-// records have arrived).
+// fold-order experiments are isolated from correction estimation (which
+// NewPipeline fits once, over whatever sync records the source holds then).
 func rectifiedFixtureRecords(t *testing.T) map[store.BadgeID][]record.Record {
 	t.Helper()
 	p := fixturePipeline(t)
@@ -483,12 +483,14 @@ func syntheticSyncSource(offset time.Duration, skew float64) (Source, *store.Dat
 }
 
 // TestRectifyOnIngest pins the live-rectification contract: a record
-// appended after the first analysis froze the corrections stays raw in the
-// dataset, reads rectified through the pipeline's view, and invalidates the
-// window of its reference-time day. The record is placed seconds before
-// midnight in reference time, where the badge's fast clock already reads
-// the next day — outside the analysis range — so marking by the raw
-// timestamp would drop the invalidation and leave the stale window cached.
+// appended to a following pipeline's source stays raw in the dataset,
+// reads rectified through the pipeline's view, and invalidates the window
+// of its reference-time day. The record is placed seconds before midnight
+// in reference time, where the badge's fast clock already reads the next
+// day — outside the analysis range — so marking by the raw timestamp would
+// drop the invalidation and leave the stale window cached. And the
+// corrections are those NewPipeline fitted: sync records appended later,
+// which a refit would follow, change neither them nor a record's time.
 func TestRectifyOnIngest(t *testing.T) {
 	src, ds := syntheticSyncSource(1500*time.Millisecond, 25e-6)
 	p, err := NewPipeline(src)
@@ -525,21 +527,47 @@ func TestRectifyOnIngest(t *testing.T) {
 		t.Errorf("ingested record reads at %v, want rectified %v", got.Local, want)
 	}
 
-	// Before the corrections freeze, a mark cannot know its reference day
-	// and marks every analysed day of the badge.
-	src2, ds2 := syntheticSyncSource(1500*time.Millisecond, 25e-6)
-	src2.LastDay = 4
-	p2, err := NewPipeline(src2)
+	// The rest of day 2's sync exchanges arrive, under a clock that has
+	// since jumped by a minute: a fit over them would differ.
+	fitted, _ := p.RectifyClocks()
+	fitted = maps.Clone(fitted)
+	for h := 12; h < 20; h++ {
+		at := simtime.StartOfDay(2) + time.Duration(h)*time.Hour
+		ds.Series(1).Append(record.NewSync(c.ToLocal(at)+time.Minute, at))
+	}
+	if cors, _ := p.RectifyClocks(); !reflect.DeepEqual(cors, fitted) {
+		t.Errorf("corrections after more sync records = %v, want the construction-time %v", cors, fitted)
+	}
+	refit, err := NewPipeline(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop2 := p2.Follow()
-	defer stop2()
-	ds2.Series(1).Append(record.Record{Local: local, Kind: record.KindAccel})
-	for day := 2; day <= 4; day++ {
-		if _, ok := p2.stale[staleKey{1, day}]; !ok {
-			t.Errorf("pre-freeze mark missed day %d: %v", day, p2.stale)
+	if cors, _ := refit.RectifyClocks(); reflect.DeepEqual(cors, fitted) {
+		t.Fatal("fixture: a fit over every sync record equals the partial fit")
+	}
+	after := p.RecordsFor("A")
+	if len(after) != len(recs)+8 {
+		t.Fatalf("records after the sync records = %d, want %d", len(after), len(recs)+8)
+	}
+	read := make(map[record.Record]int)
+	for _, r := range after {
+		read[r]++
+	}
+	for _, r := range recs {
+		if read[r] == 0 {
+			t.Fatalf("record %+v no longer reads at %v after the sync records", r, r.Local)
 		}
+		read[r]--
+	}
+	fixed, err := NewPipeline(src, WithCorrections(fitted))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(after, fixed.RecordsFor("A")) {
+		t.Error("following pipeline's records differ from a batch pipeline's under its corrections")
+	}
+	if p.Report() != fixed.Report() {
+		t.Error("following pipeline's report differs from a batch pipeline's under its corrections")
 	}
 }
 

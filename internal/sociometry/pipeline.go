@@ -13,9 +13,9 @@
 // # Clock rectification
 //
 // The source always holds raw device time, as the badges' SD cards did.
-// Clock corrections are a value the pipeline owns: fitted once from the
-// source's sync records at the first analysis (or passed in with
-// WithCorrections), then frozen. Every query reads through a per-badge
+// Clock corrections are a value the pipeline owns: NewPipeline fits them
+// from the source's sync records (or takes the WithCorrections map), and
+// they never change after that. Every query reads through a per-badge
 // rectified view (rectview.go) that maps timestamps to reference time on
 // the way out — one path for resident datasets and segment archives alike.
 // Nothing is rewritten in place, so any number of pipelines (e.g. the true
@@ -57,8 +57,10 @@
 // in crew order, so equal seeds give byte-identical reports at any width.
 //
 // Analysis parameters (the dwell filter, the localization window, the
-// speech thresholds) are fixed when the pipeline is built, so a memoized
-// value never goes stale because a parameter changed. The only invalidation
+// speech thresholds) and everything that depends only on the pipeline's
+// inputs (the clock corrections, the locator, the per-day wearer table) are
+// fixed when the pipeline is built, so a memoized value never goes stale
+// because one of them changed. The only invalidation
 // is the live fold's: queries racing it (records arriving via Follow) are
 // safe and see stale-but-consistent memoized values; once appends quiesce,
 // the next analysis folds everything pending in and is exact.
@@ -99,8 +101,8 @@ type Source struct {
 	// BadgeFor maps (astronaut, mission day) to the badge they wore that
 	// day; 0 means none. Using the nominal deployment mapping here
 	// reproduces the paper's swap/reuse confusion; using the corrected
-	// mapping reproduces the fixed analyses. Must be pure: the pipeline
-	// memoizes its day-wise inverse.
+	// mapping reproduces the fixed analyses. Must be pure: NewPipeline
+	// builds its day-wise inverse once.
 	BadgeFor func(name string, day int) store.BadgeID
 	// VoiceProfiles maps astronaut to typical voice fundamental (Hz), for
 	// speaker attribution.
@@ -147,13 +149,9 @@ type Pipeline struct {
 	// 0 means runtime.NumCPU(), 1 forces sequential execution.
 	Parallelism int
 
-	// corrections are the frozen per-badge clock corrections: fitted once
-	// by RectifyClocks, or passed in by WithCorrections. rectified is set
-	// once they are final, so the append path (markStale) can read them
-	// without taking part in the fit.
-	rectOnce    sync.Once
+	// corrections are the per-badge clock corrections, fitted by
+	// NewPipeline or passed in by WithCorrections; never written after.
 	corrections map[store.BadgeID]timesync.Correction
-	rectified   atomic.Bool
 
 	// views caches each badge's rectified read view, built on first use
 	// from the source's raw view (rectview.go) — the one read path of every
@@ -164,11 +162,11 @@ type Pipeline struct {
 	// following is set by Follow; see windowMemo.
 	following atomic.Bool
 
-	// locator is built once per pipeline and shared by every window
-	// computation (it is immutable after construction).
-	locOnce sync.Once
+	// locator is shared by every window computation (it is immutable).
 	locator *localization.Locator
-	locErr  error
+	// wearers holds the BadgeID→astronaut inverse of BadgeFor for each data
+	// day (index day-FirstDay), so IR attribution is O(1) per record.
+	wearers []map[store.BadgeID]string
 
 	// Window partials: the per-(astronaut, day) fold state a following
 	// pipeline assembles its derivations from (a batch pipeline fills
@@ -205,9 +203,6 @@ type Pipeline struct {
 	activityCache memo[string, []activity.Sample]
 	crewCache     memo[struct{}, crewFold]
 	irCache       memo[struct{}, map[proximity.Pair]time.Duration]
-	// wearerCache memoizes the per-day BadgeID→astronaut inverse of
-	// BadgeFor, so IR attribution is O(1) per record instead of O(crew).
-	wearerCache memo[int, map[store.BadgeID]string]
 
 	// Streaming fold state (fold.go): append notifications mark (badge,
 	// day) windows stale; the next top-level analysis applies the marks.
@@ -230,15 +225,16 @@ type Option func(*Pipeline)
 
 // WithCorrections builds the pipeline with the given per-badge clock
 // corrections instead of fitting them from the source's sync records.
-// Badges absent from the map read on their local clocks, so an empty map is
-// the timesync ablation: every cross-badge analysis runs on skewed clocks.
-// A live pipeline passes corrections fitted over complete data, so its
-// results do not depend on which sync records had arrived at its first
-// analysis.
+// Badges absent from the map read on their local clocks, so an empty (or
+// nil) map is the timesync ablation: every cross-badge analysis runs on
+// skewed clocks. A live pipeline, built before its data arrives, passes
+// corrections fitted over complete data.
 func WithCorrections(c map[store.BadgeID]timesync.Correction) Option {
 	return func(p *Pipeline) {
 		p.corrections = maps.Clone(c)
-		p.rectified.Store(true)
+		if p.corrections == nil {
+			p.corrections = map[store.BadgeID]timesync.Correction{}
+		}
 	}
 }
 
@@ -256,7 +252,10 @@ func WithLocWindow(w time.Duration) Option {
 }
 
 // NewPipeline validates the source and builds a pipeline with the paper's
-// default parameters, overridden by opts. Parameters are fixed from then on.
+// default parameters, overridden by opts. It fits the clock corrections
+// from the sync records the source holds now, unless WithCorrections gave
+// them, and builds the locator and the per-day wearer table. All of these
+// are fixed from then on.
 func NewPipeline(src Source, opts ...Option) (*Pipeline, error) {
 	if err := src.validate(); err != nil {
 		return nil, err
@@ -271,6 +270,17 @@ func NewPipeline(src Source, opts ...Option) (*Pipeline, error) {
 	}
 	if p.locWindow <= 0 || (24*time.Hour)%p.locWindow != 0 {
 		return nil, fmt.Errorf("sociometry: localization window %v must be positive and divide the day", p.locWindow)
+	}
+	var err error
+	if p.locator, err = localization.NewLocator(src.Habitat); err != nil {
+		return nil, err
+	}
+	if p.corrections == nil {
+		p.corrections = p.fitCorrections()
+	}
+	p.wearers = make([]map[store.BadgeID]string, src.LastDay-src.FirstDay+1)
+	for i := range p.wearers {
+		p.wearers[i] = p.dayWearers(src.FirstDay + i)
 	}
 	return p, nil
 }
@@ -301,29 +311,21 @@ func (p *Pipeline) Horizon() time.Duration {
 	return simtime.StartOfDay(p.src.LastDay + 1)
 }
 
-// RectifyClocks returns the pipeline's per-badge clock corrections,
-// fitting them on first use: one streaming pass over each badge's sync
-// records. Badges without enough sync observations keep their local clocks
-// (correction identity) — their records remain usable for per-badge
-// analyses. Every analysis calls it implicitly; concurrent callers block
-// until the one fit completes. It never touches the source: queries see
-// reference time through the rectified views.
+// RectifyClocks returns the pipeline's per-badge clock corrections, fixed
+// by NewPipeline (the error is always nil). Badges without enough sync
+// observations keep their local clocks (correction identity) — their
+// records remain usable for per-badge analyses. The source is never
+// touched: queries see reference time through the rectified views.
 //
-// Corrections are frozen once fitted: sync records arriving later (a live
-// fold) do not re-fit, so memoized windows stay consistent and results
-// deterministic. The returned map is shared; callers must not modify it.
+// Sync records arriving later (a live fold) do not re-fit, so memoized
+// windows stay consistent and results deterministic. The returned map is
+// shared; callers must not modify it.
 func (p *Pipeline) RectifyClocks() (map[store.BadgeID]timesync.Correction, error) {
-	p.rectOnce.Do(func() {
-		if p.rectified.Load() {
-			return // passed in by WithCorrections
-		}
-		p.corrections = p.fitCorrections()
-		p.rectified.Store(true)
-	})
 	return p.corrections, nil
 }
 
-// fitCorrections fits each badge's correction from its sync records.
+// fitCorrections fits each badge's correction in one streaming pass over
+// its sync records.
 func (p *Pipeline) fitCorrections() map[store.BadgeID]timesync.Correction {
 	out := make(map[store.BadgeID]timesync.Correction)
 	for _, id := range p.src.Data.Badges() {
@@ -352,12 +354,11 @@ const (
 
 // View returns the badge's rectified read view, or ok == false when the
 // source holds no data for it. The view wraps the source's raw view with
-// the badge's frozen correction (rectview.go) and is cached; a badge that
-// first appears after the corrections were fitted reads on its local
+// the badge's correction (rectview.go) and is cached; a badge that first
+// appears after NewPipeline fitted the corrections reads on its local
 // clock, unless the corrections passed to WithCorrections cover it. The
 // view is live: records later appended to the source read through it.
 func (p *Pipeline) View(id store.BadgeID) (store.View, bool) {
-	cors, _ := p.RectifyClocks()
 	p.viewMu.Lock()
 	defer p.viewMu.Unlock()
 	if v, ok := p.views[id]; ok {
@@ -370,7 +371,7 @@ func (p *Pipeline) View(id store.BadgeID) (store.View, bool) {
 	if p.views == nil {
 		p.views = make(map[store.BadgeID]store.View)
 	}
-	v := rectifyView(raw, cors[id])
+	v := rectifyView(raw, p.corrections[id])
 	p.views[id] = v
 	return v, true
 }
@@ -387,14 +388,6 @@ func (p *Pipeline) sourceBytes() int64 {
 // dayRange returns the [start, end) reference times of a mission day.
 func dayRange(day int) (time.Duration, time.Duration) {
 	return simtime.StartOfDay(day), simtime.StartOfDay(day + 1)
-}
-
-// sharedLocator returns the pipeline's locator, building it on first use.
-func (p *Pipeline) sharedLocator() (*localization.Locator, error) {
-	p.locOnce.Do(func() {
-		p.locator, p.locErr = localization.NewLocator(p.src.Habitat)
-	})
-	return p.locator, p.locErr
 }
 
 // dayView returns the view of the badge the astronaut wore on day
@@ -497,7 +490,6 @@ func (p *Pipeline) RecordsFor(name string) []record.Record {
 }
 
 func (p *Pipeline) recordsFor(name string) []record.Record {
-	p.RectifyClocks() // freezes the corrections before any window is read
 	return p.recordsCache.get(name, func(name string) []record.Record {
 		defer p.observeStage("records", time.Now())
 		// Materialization is what the public accessor promises; the report
@@ -533,7 +525,6 @@ func (p *Pipeline) WornRanges(name string) record.RangeSet {
 }
 
 func (p *Pipeline) wornRanges(name string) record.RangeSet {
-	p.RectifyClocks() // freezes the corrections before any window is read
 	return p.wornCache.get(name, func(name string) record.RangeSet {
 		defer p.observeStage("worn", time.Now())
 		// Worn ranges are a stateful open/close scan across the whole
@@ -556,19 +547,14 @@ func (p *Pipeline) Track(name string) []localization.Fix {
 }
 
 func (p *Pipeline) track(name string) []localization.Fix {
-	p.RectifyClocks() // freezes the corrections before any window is read
 	return p.trackCache.get(name, func(name string) []localization.Fix {
 		defer p.observeStage("track", time.Now())
-		loc, err := p.sharedLocator()
-		if err != nil {
-			return nil
-		}
 		// The window divides the day (checked by NewPipeline), so no window
 		// straddles midnight: folding per day gives the windows of one
 		// whole-stream pass, in the same order.
 		return foldWindows(p, &p.winTrack, name, record.KindBeacon,
 			func(dst []localization.Fix, k wkey, c *record.Cursor) []localization.Fix {
-				return loc.TrackCursor(dst, c, p.locWindow, p.wornRanges(k.name))
+				return p.locator.TrackCursor(dst, c, p.locWindow, p.wornRanges(k.name))
 			})
 	})
 }
@@ -599,7 +585,6 @@ func (p *Pipeline) Frames(name string) []speech.Frame {
 }
 
 func (p *Pipeline) frames(name string) []speech.Frame {
-	p.RectifyClocks() // freezes the corrections before any window is read
 	return p.framesCache.get(name, func(name string) []speech.Frame {
 		defer p.observeStage("frames", time.Now())
 		return foldWindows(p, &p.winFrames, name, record.KindMic,
@@ -620,7 +605,6 @@ func (p *Pipeline) walkingSamples(name string) []activity.Sample {
 }
 
 func (p *Pipeline) activitySamples(name string) []activity.Sample {
-	p.RectifyClocks() // freezes the corrections before any window is read
 	return p.activityCache.get(name, func(name string) []activity.Sample {
 		defer p.observeStage("activity", time.Now())
 		// activity.DefaultConfig's window divides the day (pinned by a
@@ -648,27 +632,25 @@ func (p *Pipeline) contacts(name string) []proximity.Contact {
 		})
 }
 
-// wearers returns the day's BadgeID→astronaut inverse of the assignment,
-// memoized per day. Like the linear BadgeFor scan it replaces, the first
-// astronaut in crew order wins if two names map to one badge.
-func (p *Pipeline) wearers(day int) map[store.BadgeID]string {
-	return p.wearerCache.get(day, func(day int) map[store.BadgeID]string {
-		out := make(map[store.BadgeID]string, len(p.src.Names))
-		for _, name := range p.src.Names {
-			id := p.src.BadgeFor(name, day)
-			if id == 0 {
-				continue
-			}
-			if _, taken := out[id]; !taken {
-				out[id] = name
-			}
+// dayWearers builds the day's BadgeID→astronaut inverse of the assignment.
+// Like the linear BadgeFor scan it replaces, the first astronaut in crew
+// order wins if two names map to one badge.
+func (p *Pipeline) dayWearers(day int) map[store.BadgeID]string {
+	out := make(map[store.BadgeID]string, len(p.src.Names))
+	for _, name := range p.src.Names {
+		id := p.src.BadgeFor(name, day)
+		if id == 0 {
+			continue
 		}
-		return out
-	})
+		if _, taken := out[id]; !taken {
+			out[id] = name
+		}
+	}
+	return out
 }
 
-// wearerOf inverts BadgeFor for one day.
+// wearerOf inverts BadgeFor for one data day.
 func (p *Pipeline) wearerOf(id store.BadgeID, day int) (string, bool) {
-	name, ok := p.wearers(day)[id]
+	name, ok := p.wearers[day-p.src.FirstDay][id]
 	return name, ok
 }

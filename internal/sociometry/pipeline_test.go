@@ -157,8 +157,8 @@ func TestWithMinDwell(t *testing.T) {
 	}
 }
 
-// TestWearerInverseMatchesLinearScan pins the memoized per-day
-// BadgeID→astronaut map against the linear BadgeFor scan it replaced,
+// TestWearerInverseMatchesLinearScan pins the per-day BadgeID→astronaut
+// table NewPipeline builds against the linear BadgeFor scan it replaced,
 // including its first-in-crew-order-wins tie-break.
 func TestWearerInverseMatchesLinearScan(t *testing.T) {
 	p := fixturePipeline(t)

@@ -313,8 +313,9 @@ func (p *Pipeline) FaceToFace() time.Duration {
 // independently while following, so a live append recomputes one window,
 // not the mission — collected in parallel per astronaut and concatenated in
 // crew order, preserving the sequential contact ordering. Peer attribution
-// inside a window uses the memoized per-day BadgeID→name inverse (wearers),
-// so each IR record costs O(1) instead of an O(crew) scan of BadgeFor.
+// inside a window uses the per-day BadgeID→name table NewPipeline built
+// (wearers), so each IR record costs O(1) instead of an O(crew) scan of
+// BadgeFor.
 func (p *Pipeline) irPairTime() map[proximity.Pair]time.Duration {
 	p.beginAnalysis()
 	defer p.endAnalysis()

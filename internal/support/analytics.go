@@ -7,6 +7,7 @@ import (
 	"icares/internal/sociometry"
 	"icares/internal/speech"
 	"icares/internal/store"
+	"icares/internal/timesync"
 )
 
 // Analytics couples the support daemon to the sociometric pipeline's
@@ -30,11 +31,14 @@ type Analytics struct {
 // NewAnalytics builds a live analytics instance for the given source. The
 // source's Data is ignored: analytics own a fresh dataset that fills
 // through Ingest, so the mission's offline store is never mutated by the
-// online path. Options are passed to the pipeline.
-func NewAnalytics(src sociometry.Source, opts ...sociometry.Option) (*Analytics, error) {
+// online path. The pipeline reads through the given clock corrections:
+// the live dataset starts empty, so there is nothing to fit them from, and
+// corrections fitted over the complete data make the live results equal
+// the batch pipeline's. Nil is the timesync ablation.
+func NewAnalytics(src sociometry.Source, corrections map[store.BadgeID]timesync.Correction) (*Analytics, error) {
 	live := store.NewDataset()
 	src.Data = live
-	p, err := sociometry.NewPipeline(src, opts...)
+	p, err := sociometry.NewPipeline(src, sociometry.WithCorrections(corrections))
 	if err != nil {
 		return nil, err
 	}

@@ -68,25 +68,25 @@ func TestAnalyticsMatchesBatchPipeline(t *testing.T) {
 	res := analyticsMission(t)
 	src := analyticsSource(res)
 
-	d := NewDaemon()
-	a, err := NewAnalytics(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	d.AttachAnalytics(a)
-	// Replay the raw dataset through the daemon over the offload path
-	// before the first live analysis fits the corrections.
-	r := NewReplayer(d, res.Dataset, simtime.StartOfDay(res.Config.Scenario.Days+1), res.Assignment.TrueWearerOf)
-	if n := r.Run(); n != res.Dataset.TotalRecords() || r.Undelivered() != 0 {
-		t.Fatalf("replayed %d of %d records, %d undelivered", n, res.Dataset.TotalRecords(), r.Undelivered())
-	}
-
 	batchSrc := analyticsSource(res)
 	batchSrc.Data = res.Dataset
 	batch, err := sociometry.NewPipeline(batchSrc)
 	if err != nil {
 		t.Fatal(err)
+	}
+	cors, _ := batch.RectifyClocks()
+
+	d := NewDaemon()
+	a, err := NewAnalytics(src, cors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	d.AttachAnalytics(a)
+	// Replay the raw dataset through the daemon over the offload path.
+	r := NewReplayer(d, res.Dataset, simtime.StartOfDay(res.Config.Scenario.Days+1), res.Assignment.TrueWearerOf)
+	if n := r.Run(); n != res.Dataset.TotalRecords() || r.Undelivered() != 0 {
+		t.Fatalf("replayed %d of %d records, %d undelivered", n, res.Dataset.TotalRecords(), r.Undelivered())
 	}
 
 	liveReport := a.Pipeline().Report()
@@ -115,8 +115,15 @@ func TestAnalyticsMatchesBatchPipeline(t *testing.T) {
 // ingestion exactly.
 func TestAnalyticsIncrementalSnapshots(t *testing.T) {
 	res := analyticsMission(t)
+	batchSrc := analyticsSource(res)
+	batchSrc.Data = res.Dataset
+	batch, err := sociometry.NewPipeline(batchSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cors, _ := batch.RectifyClocks()
 	d := NewDaemon()
-	a, err := NewAnalytics(analyticsSource(res))
+	a, err := NewAnalytics(analyticsSource(res), cors)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +170,7 @@ func TestAnalyticsRespectsPrivacyScrub(t *testing.T) {
 		LastDay:  1,
 	}
 	d := NewDaemon()
-	a, err := NewAnalytics(src, sociometry.WithCorrections(nil))
+	a, err := NewAnalytics(src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +229,7 @@ func TestAlertsIndependentOfBatching(t *testing.T) {
 		for _, name := range mission.Names()[:2] {
 			d.Privacy().Suppress(name, simtime.StartOfDay(2)+9*time.Hour, simtime.StartOfDay(2)+11*time.Hour)
 		}
-		a, err := NewAnalytics(analyticsSource(res), sociometry.WithCorrections(nil))
+		a, err := NewAnalytics(analyticsSource(res), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
