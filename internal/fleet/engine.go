@@ -218,10 +218,12 @@ func (e *engine) run() {
 	}
 }
 
-// report renders the habitat's live sociometric report. Must run on the
-// worker goroutine (it folds pending windows); the result for a
-// completed habitat is byte-identical to the standalone batch report
-// over the same seed, days, and tick.
+// report returns the habitat's live sociometric report. Must run on the
+// worker goroutine (it folds pending windows). The pipeline renders it
+// once per fold generation, so a report between two ingest steps is a
+// memo read of one shared string. The result for a completed habitat is
+// byte-identical to the standalone batch report over the same seed,
+// days, and tick.
 func (e *engine) report() string {
 	return e.analytics.Pipeline().Report()
 }

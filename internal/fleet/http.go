@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -286,7 +287,7 @@ func (f *Fleet) dispatch(w http.ResponseWriter, r *http.Request, req Request, ae
 		}
 		w.Header().Set("Content-Type", "text/markdown; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write([]byte(report))
+		_, _ = io.WriteString(w, report)
 
 	case RouteAlerts:
 		alerts, err := f.Alerts(ctx, req.Habitat)

@@ -67,8 +67,9 @@ func (p *Pipeline) Follow() (stop func()) {
 // badge's correction; a record outside the analysis range marks nothing,
 // since no derivation reads it. It marks once per run of records on equal
 // days, and again for each wear record, so the stale set is the one that
-// marking record by record would leave. Cheap and lock-scoped: safe to
-// call from the source's append path.
+// marking record by record would leave. Any non-empty batch raises the
+// stale flag, marked or not, because the report's encoded volume counts
+// it. Cheap and lock-scoped: safe to call from the source's append path.
 func (p *Pipeline) markStaleBatch(id store.BadgeID, recs []record.Record) {
 	c := p.corrections[id]
 	prev := -1 // DayOf is never negative
@@ -79,6 +80,9 @@ func (p *Pipeline) markStaleBatch(id store.BadgeID, recs []record.Record) {
 			p.markDay(staleKey{id, day}, wear)
 		}
 		prev = day
+	}
+	if len(recs) > 0 {
+		p.staleFlag.Store(true)
 	}
 }
 
@@ -117,12 +121,17 @@ func (p *Pipeline) endAnalysis() {
 // record, the worn-derived partials of the astronaut's later days), then
 // the astronaut-level caches folding them, then the two crew-level folds:
 // the crew fold (presence and its co-presence summary, read from the
-// intervals) and the IR pair map (read from the contact windows). A
-// partial reads the worn set when it is computed, so one rebuilt after its
-// drop reads a worn set rebuilt after the wear record.
+// intervals) and the IR pair map (read from the contact windows), and
+// last the rendered report, which reads every other cache. A partial
+// reads the worn set when it is computed, so one rebuilt after its drop
+// reads a worn set rebuilt after the wear record. A report rendered beside
+// the fold is orphaned by that last drop. The report drops on every fold,
+// even one whose marks dirty no window: its encoded volume counts every
+// appended record.
 func (p *Pipeline) applyStale() {
 	p.foldMu.Lock()
 	defer p.foldMu.Unlock()
+	defer p.reportCache.reset()
 
 	p.staleMu.Lock()
 	dirty := p.stale

@@ -636,14 +636,7 @@ func TestFoldCrewFoldsOncePerGeneration(t *testing.T) {
 	recs := rectifiedFixtureRecords(t)
 	res := missionFixture(t)
 	lastDay := res.Config.Scenario.Days
-
-	ds := store.NewDataset()
-	loadAll(ds, recs)
-	p, err := NewPipeline(fixtureSource(t, ds), WithCorrections(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := p.Follow()
+	p, ds, stop := followingFixture(t, recs)
 	defer stop()
 
 	counts := func() [2]int64 { return [2]int64{p.crewCache.computeCount(), p.irCache.computeCount()} }
@@ -667,14 +660,175 @@ func TestFoldCrewFoldsOncePerGeneration(t *testing.T) {
 		t.Errorf("crew and IR folds computed %v times after one append, want [2 2]", c)
 	}
 
+	if want := batchReport(t, recs, map[store.BadgeID][]record.Record{id: {accel}}); got != want {
+		t.Errorf("following report after the append differs from the batch report")
+	}
+}
+
+// followingFixture builds a following pipeline over the fixture's records
+// under an empty WithCorrections. The caller stops it.
+func followingFixture(t *testing.T, recs map[store.BadgeID][]record.Record) (*Pipeline, *store.Dataset, func()) {
+	t.Helper()
+	ds := store.NewDataset()
+	loadAll(ds, recs)
+	p, err := NewPipeline(fixtureSource(t, ds), WithCorrections(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, ds, p.Follow()
+}
+
+// batchReport renders the report of a batch pipeline over the fixture's
+// records plus extra, appended per badge after them.
+func batchReport(t *testing.T, recs, extra map[store.BadgeID][]record.Record) string {
+	t.Helper()
+	ds := store.NewDataset()
+	loadAll(ds, recs)
+	loadAll(ds, extra)
+	p, err := NewPipeline(fixtureSource(t, ds), WithCorrections(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Report()
+}
+
+// unwearMid returns a wear record that takes A's badge off at noon of the
+// fixture's middle day, and that badge. It moves A's worn set and so the
+// worn-derived derivations the report reads.
+func unwearMid(t *testing.T) (store.BadgeID, record.Record) {
+	t.Helper()
+	res := missionFixture(t)
+	mid := (2 + res.Config.Scenario.Days) / 2
+	id := res.Assignment.TrueBadgeFor("A", mid)
+	if id == 0 {
+		t.Fatal("A unassigned on the middle day")
+	}
+	return id, record.NewWear(simtime.StartOfDay(mid)+12*time.Hour, false)
+}
+
+// TestFoldReportRendersOncePerGeneration pins the report memo: repeated
+// reports of a following pipeline render once; one appended record that
+// changes the report makes the next report render once more, equal to the
+// batch report over the same records; a batch pipeline renders once too.
+func TestFoldReportRendersOncePerGeneration(t *testing.T) {
+	recs := rectifiedFixtureRecords(t)
+	p, ds, stop := followingFixture(t, recs)
+	defer stop()
+
+	old := p.Report()
+	for i := 0; i < 2; i++ {
+		if p.Report() != old {
+			t.Fatal("repeated reports differ")
+		}
+	}
+	if c := p.reportCache.computeCount(); c != 1 {
+		t.Errorf("report rendered %d times over 3 calls, want 1", c)
+	}
+
+	id, wear := unwearMid(t)
+	ds.Series(id).Append(wear)
+	got := p.Report()
+	if got == old {
+		t.Fatal("report unchanged by the appended wear record")
+	}
+	if p.Report() != got {
+		t.Error("repeated reports after the append differ")
+	}
+	if c := p.reportCache.computeCount(); c != 2 {
+		t.Errorf("report rendered %d times after one append, want 2", c)
+	}
+	if want := batchReport(t, recs, map[store.BadgeID][]record.Record{id: {wear}}); got != want {
+		t.Error("following report after the append differs from the batch report")
+	}
+
 	batchDS := store.NewDataset()
 	loadAll(batchDS, recs)
-	batchDS.Series(id).Append(accel)
 	batchP, err := NewPipeline(fixtureSource(t, batchDS), WithCorrections(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := batchP.Report(); got != want {
-		t.Errorf("following report after the append differs from the batch report")
+	if batchP.Report() != batchP.Report() {
+		t.Error("repeated batch reports differ")
+	}
+	if c := batchP.reportCache.computeCount(); c != 1 {
+		t.Errorf("batch report rendered %d times over 2 calls, want 1", c)
+	}
+}
+
+// TestFoldReportBesideFold renders a report beside the fold, through the
+// foldHook seam: after the window drops and before the astronaut-level
+// drops, where the report reads a mix of old and new caches. That render
+// must not outlive the fold: the report after it equals the batch report.
+func TestFoldReportBesideFold(t *testing.T) {
+	recs := rectifiedFixtureRecords(t)
+	p, ds, stop := followingFixture(t, recs)
+	defer stop()
+	old := p.Report()
+
+	id, wear := unwearMid(t)
+	ds.Series(id).Append(wear)
+	// The hook runs inside the outer Report's fold, so this Report enters
+	// as a nested analysis: it neither applies marks nor waits for them.
+	p.foldHook = func() { p.Report() }
+	p.Report()
+	p.foldHook = nil
+	got := p.Report()
+
+	want := batchReport(t, recs, map[store.BadgeID][]record.Record{id: {wear}})
+	if want == old {
+		t.Fatal("the wear record leaves the batch report unchanged")
+	}
+	if got != want {
+		t.Error("following report after a report beside the fold differs from the batch report")
+	}
+}
+
+// TestFoldReportSeesUnmarkedAppends appends records that mark no fold
+// window: on a badge no astronaut wears, then after the last data day.
+// No derivation reads them, but the report's encoded volume counts them,
+// so each append must still drop the report.
+func TestFoldReportSeesUnmarkedAppends(t *testing.T) {
+	recs := rectifiedFixtureRecords(t)
+	res := missionFixture(t)
+	lastDay := res.Config.Scenario.Days
+	p, ds, stop := followingFixture(t, recs)
+	defer stop()
+	prev := p.Report()
+
+	// envRun returns env records from start on, enough to move the
+	// report's encoded volume (printed to 0.1 MiB).
+	envRun := func(start time.Duration) []record.Record {
+		var out []record.Record
+		for n := 0; n < 1<<17; {
+			r := record.NewEnv(start+time.Duration(len(out))*time.Second, 21, 1013, 300)
+			sz, err := record.EncodedSize(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += sz
+			out = append(out, r)
+		}
+		return out
+	}
+	spare := ds.Badges()[len(ds.Badges())-1] + 1
+	extra := make(map[store.BadgeID][]record.Record)
+	for _, step := range []struct {
+		name string
+		id   store.BadgeID
+		recs []record.Record
+	}{
+		{"unworn badge", spare, envRun(simtime.StartOfDay(3))},
+		{"after the last day", res.Assignment.TrueBadgeFor("A", lastDay), envRun(simtime.StartOfDay(lastDay + 1))},
+	} {
+		ds.Series(step.id).AppendBatch(step.recs)
+		extra[step.id] = append(extra[step.id], step.recs...)
+		got := p.Report()
+		if got == prev {
+			t.Fatalf("%s: report unchanged by %d appended records", step.name, len(step.recs))
+		}
+		if want := batchReport(t, recs, extra); got != want {
+			t.Errorf("%s: following report differs from the batch report", step.name)
+		}
+		prev = got
 	}
 }

@@ -183,16 +183,19 @@ type Pipeline struct {
 	winContacts memo[wkey, []proximity.Contact] // attributed IR contacts
 	winActive   memo[wkey, time.Duration]       // daytime recording coverage (Wear)
 
-	// Memoized per-astronaut derivations, folded from the windows, and the
-	// two crew-level folds over every astronaut:
+	// Memoized per-astronaut derivations, folded from the windows, the two
+	// crew-level folds over every astronaut, and the rendered report on
+	// top of them all:
 	//
-	//	worn ── frames
-	//	  └─ track ── intervals ── crew (presence + proximity.Summary)
-	//	  └─ activity
-	//	winContacts ── ir (IR pair time)
+	//	worn ── frames ─────────────────────────────────────────────────┐
+	//	  └─ track ── intervals ── crew (presence + proximity.Summary) ─┼── report
+	//	  └─ activity ──────────────────────────────────────────────────┤
+	//	winContacts ── ir (IR pair time) ───────────────────────────────┘
 	//
 	// TableI, Pairwise, Communities and Meetings read crew and ir; one sweep
 	// and one IR map serve every query until the live fold drops them.
+	// report holds Report's document, rendered from every other memo (and
+	// the source's encoded size), so it is the last cache the fold drops.
 	// records backs the public RecordsFor materialization only; no report
 	// derivation reads it (they stream cursors instead).
 	recordsCache  memo[string, []record.Record]
@@ -203,6 +206,7 @@ type Pipeline struct {
 	activityCache memo[string, []activity.Sample]
 	crewCache     memo[struct{}, crewFold]
 	irCache       memo[struct{}, map[proximity.Pair]time.Duration]
+	reportCache   memo[struct{}, string]
 
 	// Streaming fold state (fold.go): append notifications mark (badge,
 	// day) windows stale; the next top-level analysis applies the marks.
@@ -294,7 +298,8 @@ func (p *Pipeline) Source() Source { return p.src }
 // the per-stage profile of the analysis engine. Because derivations are
 // compute-once, each (stage, astronaut) contributes one observation per
 // cache fill; a window the live fold recomputes contributes again. Set it
-// before the first analysis: it is read without synchronization.
+// before the first analysis: it is read without synchronization. A warm
+// report is one memo read and records no stage observations.
 func (p *Pipeline) SetTelemetry(reg *telemetry.Registry) { p.tel = reg }
 
 // observeStage records one stage computation's wall time.

@@ -16,9 +16,18 @@ import (
 // per-astronaut derivations are warmed concurrently and the independent
 // sections render in parallel; the document is assembled in fixed section
 // order, so equal seeds give byte-identical reports at any Parallelism.
+//
+// The render is memoized per fold generation: repeated calls return the
+// same string until an append to a followed source is folded in, and the
+// next call after that renders once more.
 func (p *Pipeline) Report() string {
 	p.beginAnalysis()
 	defer p.endAnalysis()
+	return p.reportCache.get(struct{}{}, func(struct{}) string { return p.render() })
+}
+
+// render builds the report from the pipeline's derivations.
+func (p *Pipeline) render() string {
 	p.Warm()
 	sections := []func(*strings.Builder){
 		p.reportDataset,

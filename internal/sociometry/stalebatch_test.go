@@ -13,7 +13,8 @@ import (
 )
 
 // Property: marking random batches with markStaleBatch leaves exactly the
-// stale set (and stale flag) that markStale leaves record by record. The
+// stale set (and stale flag, which every record raises, marked or not)
+// that markStale leaves record by record. The
 // batches cluster around midnights, so many of them cross a day boundary
 // in raw or in corrected time, and they reach days before, inside and
 // after the analysis range. About one record in ten is a wear record, so
@@ -69,12 +70,14 @@ func TestQuickMarkStaleBatchMatchesMarkStale(t *testing.T) {
 }
 
 // markStale is the one-record reference form of markStaleBatch: it marks
-// the record's reference-time day, if that is a data day.
+// the record's reference-time day, if that is a data day, and raises the
+// stale flag either way.
 func markStale(p *Pipeline, id store.BadgeID, r record.Record) {
 	day := simtime.DayOf(p.corrections[id].ToReference(r.Local))
 	if day >= p.src.FirstDay && day <= p.src.LastDay {
 		p.markDay(staleKey{id, day}, r.Kind == record.KindWear)
 	}
+	p.staleFlag.Store(true)
 }
 
 // sameStale compares two pipelines' pending marks; a nil and an empty
