@@ -1,20 +1,20 @@
-// Command badgectl inspects on-badge SD-card log files (.icr) — the framed
-// format a badge writes and a deployment would pull off physical badges
-// after a mission — and compressed segment files (.seg, the dataset archive
-// cmd/icares writes with -segout), dispatching on the file extension.
+// Command badgectl inspects segment files (.seg): the compressed per-badge
+// dataset archive cmd/icares writes with -segout and cmd/habitatd with
+// -segdir.
 //
 // Usage:
 //
 //	badgectl stats  <dir|file>   per-badge record counts and time spans
 //	badgectl dump   <file>       print records as text (use -n to limit)
 //	badgectl verify <dir|file>   re-read everything, report corruption
+//
+// Flags come before the subcommand: badgectl -n 5 dump FILE.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -41,25 +41,25 @@ func run(args []string) error {
 		return err
 	}
 	rest := fs.Args()
-	if len(rest) < 2 {
+	if len(rest) != 2 {
 		return errors.New("usage: badgectl [-n N] stats|dump|verify <path>")
 	}
 	cmd, path := rest[0], rest[1]
 	switch cmd {
 	case "stats":
-		return forEachLog(path, statsOne)
+		return forEachSegment(path, statsOne)
 	case "dump":
 		return dumpOne(path, *limit)
 	case "verify":
-		return forEachLog(path, verifyOne)
+		return forEachSegment(path, verifyOne)
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
 }
 
-// forEachLog applies fn to the file, or to every .icr and .seg file in a
+// forEachSegment applies fn to the file, or to every .seg file in a
 // directory.
-func forEachLog(path string, fn func(string) error) error {
+func forEachSegment(path string, fn func(string) error) error {
 	info, err := os.Stat(path)
 	if err != nil {
 		return err
@@ -73,10 +73,7 @@ func forEachLog(path string, fn func(string) error) error {
 	}
 	found := false
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if ext := filepath.Ext(e.Name()); ext != ".icr" && ext != ".seg" {
+		if e.IsDir() || filepath.Ext(e.Name()) != ".seg" {
 			continue
 		}
 		found = true
@@ -85,88 +82,41 @@ func forEachLog(path string, fn func(string) error) error {
 		}
 	}
 	if !found {
-		return fmt.Errorf("no .icr or .seg files in %s", path)
+		return fmt.Errorf("no .seg files in %s", path)
 	}
 	return nil
 }
 
-// recSource is the read shape stats/dump/verify share: a record stream plus
-// the salvage counters, satisfied by the framed-log reader and by an adapter
-// over the out-of-core segment reader.
-type recSource interface {
-	Next() (record.Record, error) // io.EOF at clean end
-	BadgeID() uint16
-	Skipped() int
-	Truncated() bool
-}
-
-// segSource streams a segment through its block iterator so even a dump of
-// a multi-GiB segment holds only the cached blocks resident.
-type segSource struct {
-	rd *segment.Reader
-	it record.Cursor
-}
-
-func (s *segSource) Next() (record.Record, error) {
-	if !s.it.Next() {
-		return record.Record{}, io.EOF
+// openSegment opens the .seg file at path and a cursor over all its
+// records. A segment read cannot fail past its header: damage found on the
+// way is counted by the reader (Skipped, CorruptBlocks, Truncated) once the
+// cursor is drained.
+func openSegment(path string) (*segment.Reader, record.Cursor, error) {
+	if filepath.Ext(path) != ".seg" {
+		return nil, record.Cursor{}, fmt.Errorf("%s: not a segment file (want .seg)", path)
 	}
-	return s.it.Record(), nil
-}
-
-func (s *segSource) BadgeID() uint16 { return s.rd.BadgeID() }
-
-// Skipped folds in blocks whose CRC failed at read time: like skipped log
-// frames, they are damage the read path survived.
-func (s *segSource) Skipped() int    { return s.rd.Skipped() + int(s.rd.CorruptBlocks()) }
-func (s *segSource) Truncated() bool { return s.rd.Truncated() }
-
-func openLog(path string) (recSource, func() error, error) {
-	if filepath.Ext(path) == ".seg" {
-		rd, err := segment.Open(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		src := &segSource{rd: rd, it: rd.Iter(math.MinInt64, math.MaxInt64, 0)}
-		return src, rd.Close, nil
-	}
-	f, err := os.Open(path)
+	rd, err := segment.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, record.Cursor{}, err
 	}
-	lr, err := record.NewLogReader(f)
-	if err != nil {
-		cerr := f.Close()
-		if cerr != nil {
-			return nil, nil, errors.Join(err, cerr)
-		}
-		return nil, nil, err
-	}
-	return lr, f.Close, nil
+	return rd, rd.Iter(math.MinInt64, math.MaxInt64, 0), nil
 }
 
-func statsOne(path string) (err error) {
-	lr, closeFn, err := openLog(path)
+// damaged counts what a drained read survived: blocks dropped by the
+// open-time salvage scan plus blocks whose CRC or decode failed at read
+// time.
+func damaged(rd *segment.Reader) int { return rd.Skipped() + int(rd.CorruptBlocks()) }
+
+func statsOne(path string) error {
+	rd, it, err := openSegment(path)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := closeFn(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-
 	counts := make(map[record.Kind]int)
 	var first, last time.Duration
 	n := 0
-	for {
-		rec, rerr := lr.Next()
-		if errors.Is(rerr, io.EOF) {
-			break
-		}
-		if rerr != nil {
-			return rerr
-		}
+	for ; it.Next(); n++ {
+		rec := it.Record()
 		if n == 0 || rec.Local < first {
 			first = rec.Local
 		}
@@ -174,13 +124,12 @@ func statsOne(path string) (err error) {
 			last = rec.Local
 		}
 		counts[rec.Kind]++
-		n++
 	}
-	fmt.Printf("%s: badge %d, %d records", filepath.Base(path), lr.BadgeID(), n)
-	if lr.Skipped() > 0 {
-		fmt.Printf(" (%d corrupt frames skipped)", lr.Skipped())
+	fmt.Printf("%s: badge %d, %d records", filepath.Base(path), rd.BadgeID(), n)
+	if d := damaged(rd); d > 0 {
+		fmt.Printf(" (%d corrupt frames skipped)", d)
 	}
-	if lr.Truncated() {
+	if rd.Truncated() {
 		fmt.Printf(" (truncated mid-frame; tail lost)")
 	}
 	fmt.Println()
@@ -197,36 +146,24 @@ func statsOne(path string) (err error) {
 	for _, k := range kinds {
 		fmt.Printf("  %-9s %9d\n", k, counts[k])
 	}
-	return nil
+	return rd.Close()
 }
 
-func dumpOne(path string, limit int) (err error) {
-	lr, closeFn, err := openLog(path)
+// dumpOne prints the first limit records (all of them if limit is 0),
+// noting the limit only when a record beyond it was left unprinted.
+func dumpOne(path string, limit int) error {
+	rd, it, err := openSegment(path)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := closeFn(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	n := 0
-	for {
-		rec, rerr := lr.Next()
-		if errors.Is(rerr, io.EOF) {
-			break
-		}
-		if rerr != nil {
-			return rerr
-		}
-		fmt.Println(formatRecord(rec))
-		n++
-		if limit > 0 && n >= limit {
+	for n := 0; it.Next(); n++ {
+		if limit > 0 && n == limit {
 			fmt.Printf("... (limited to %d; use -n 0 for all)\n", limit)
 			break
 		}
+		fmt.Println(formatRecord(it.Record()))
 	}
-	return nil
+	return rd.Close()
 }
 
 func formatRecord(r record.Record) string {
@@ -258,38 +195,26 @@ func formatRecord(r record.Record) string {
 	}
 }
 
-func verifyOne(path string) (err error) {
-	lr, closeFn, err := openLog(path)
+func verifyOne(path string) error {
+	rd, it, err := openSegment(path)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := closeFn(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
 	n := 0
 	outOfOrder := 0
 	var prev time.Duration
-	for {
-		rec, rerr := lr.Next()
-		if errors.Is(rerr, io.EOF) {
-			break
-		}
-		if rerr != nil {
-			return rerr
-		}
+	for ; it.Next(); n++ {
+		rec := it.Record()
 		if n > 0 && rec.Local < prev {
 			outOfOrder++
 		}
 		prev = rec.Local
-		n++
 	}
 	var problems []string
-	if lr.Skipped() > 0 {
-		problems = append(problems, fmt.Sprintf("%d corrupt frames", lr.Skipped()))
+	if d := damaged(rd); d > 0 {
+		problems = append(problems, fmt.Sprintf("%d corrupt frames", d))
 	}
-	if lr.Truncated() {
+	if rd.Truncated() {
 		problems = append(problems, "truncated mid-frame")
 	}
 	status := "OK"
@@ -298,5 +223,5 @@ func verifyOne(path string) (err error) {
 	}
 	fmt.Printf("%s: %d records, %d out-of-order timestamps, %s\n",
 		filepath.Base(path), n, outOfOrder, status)
-	return nil
+	return rd.Close()
 }

@@ -1,18 +1,17 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"icares/internal/record"
 	"icares/internal/segment"
+	"icares/internal/simtime"
 )
 
 // badgeRecords returns a time-ordered, mixed-kind record stream for one
@@ -32,47 +31,44 @@ func badgeRecords(id uint16) []record.Record {
 	return recs
 }
 
-// writeBadgeFiles writes badges 1..3 as framed .icr logs into icrDir and as
-// .seg segments, in blocks of 16 records, into segDir.
-func writeBadgeFiles(t *testing.T, icrDir, segDir string) {
+// writeSegment writes recs as badge id's segment, in blocks of 16 records,
+// to dir/badge-NNN.seg and returns its path.
+func writeSegment(t *testing.T, dir string, id uint16, recs []record.Record) string {
 	t.Helper()
-	for id := uint16(1); id <= 3; id++ {
-		recs := badgeRecords(id)
-		var icr, seg bytes.Buffer
-		lw, err := record.NewLogWriter(&icr, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sw, err := segment.NewWriter(&seg, id, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range recs {
-			if err := lw.Append(r); err != nil {
-				t.Fatal(err)
-			}
-			if err := sw.Append(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := lw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := sw.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		name := fmt.Sprintf("badge-%03d", id)
-		if err := os.WriteFile(filepath.Join(icrDir, name+".icr"), icr.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(segDir, name+".seg"), seg.Bytes(), 0o644); err != nil {
+	path := filepath.Join(dir, fmt.Sprintf("badge-%03d.seg", id))
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := segment.NewWriter(f, id, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := sw.Append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := sw.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
-// runOut calls run with args and returns what it printed to stdout.
-func runOut(t *testing.T, args ...string) string {
+// writeBadgeFiles writes badges 1..3 of badgeRecords as segments into dir.
+func writeBadgeFiles(t *testing.T, dir string) {
+	t.Helper()
+	for id := uint16(1); id <= 3; id++ {
+		writeSegment(t, dir, id, badgeRecords(id))
+	}
+}
+
+// runCapture calls run with args and returns what it printed to stdout and
+// the error it returned.
+func runCapture(t *testing.T, args ...string) (string, error) {
 	t.Helper()
 	f, err := os.CreateTemp(t.TempDir(), "stdout")
 	if err != nil {
@@ -83,9 +79,6 @@ func runOut(t *testing.T, args ...string) string {
 	os.Stdout = f
 	runErr := run(args)
 	os.Stdout = stdout
-	if runErr != nil {
-		t.Fatalf("run %v: %v", args, runErr)
-	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		t.Fatal(err)
 	}
@@ -93,69 +86,181 @@ func runOut(t *testing.T, args ...string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(out)
+	return string(out), runErr
 }
 
-var statsLine = regexp.MustCompile(`(?m)^badge-\d+\.(?:icr|seg): badge (\d+), (\d+) records$`)
-
-// badgeCounts parses the per-badge record counts out of stats output.
-func badgeCounts(t *testing.T, out string) map[string]string {
+// runOut calls run with args, fails the test if it errs, and returns what
+// it printed to stdout.
+func runOut(t *testing.T, args ...string) string {
 	t.Helper()
-	counts := make(map[string]string)
-	for _, m := range statsLine.FindAllStringSubmatch(out, -1) {
-		counts[m[1]] = m[2]
-	}
-	if len(counts) != 3 {
-		t.Fatalf("stats reported %d badges, want 3:\n%s", len(counts), out)
-	}
-	return counts
-}
-
-// The same records written as framed SD-card logs and as segments must
-// read back identically: equal per-badge counts, spans and kind breakdowns.
-func TestStatsAgreeAcrossFormats(t *testing.T) {
-	icrDir, segDir := t.TempDir(), t.TempDir()
-	writeBadgeFiles(t, icrDir, segDir)
-
-	icrOut := runOut(t, "stats", icrDir)
-	segOut := runOut(t, "stats", segDir)
-	icrCounts, segCounts := badgeCounts(t, icrOut), badgeCounts(t, segOut)
-	for id, n := range icrCounts {
-		if segCounts[id] != n {
-			t.Errorf("badge %s: .seg has %s records, .icr has %s", id, segCounts[id], n)
-		}
-	}
-	if strings.ReplaceAll(icrOut, ".icr:", ".seg:") != segOut {
-		t.Errorf("stats differ between formats:\n.icr:\n%s\n.seg:\n%s", icrOut, segOut)
-	}
-}
-
-// Bit rot mid-segment must be reported by verify, not fail the read.
-func TestVerifyReportsSegmentDamage(t *testing.T) {
-	icrDir, segDir := t.TempDir(), t.TempDir()
-	writeBadgeFiles(t, icrDir, segDir)
-	path := filepath.Join(segDir, "badge-002.seg")
-	raw, err := os.ReadFile(path)
+	out, err := runCapture(t, args...)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("run %v: %v", args, err)
 	}
-	raw[len(raw)/2] ^= 0x40
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return out
+}
 
-	out := runOut(t, "verify", segDir)
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("verify printed %d lines, want 3:\n%s", len(lines), out)
+// stats must report, for every badge, the count, span and per-kind
+// breakdown of the records the generator wrote.
+func TestStatsMatchGenerator(t *testing.T) {
+	dir := t.TempDir()
+	writeBadgeFiles(t, dir)
+
+	var want strings.Builder
+	for id := uint16(1); id <= 3; id++ {
+		recs := badgeRecords(id)
+		counts := make(map[record.Kind]int)
+		for _, r := range recs {
+			counts[r.Kind]++
+		}
+		first, last := recs[0].Local, recs[len(recs)-1].Local
+		fmt.Fprintf(&want, "badge-%03d.seg: badge %d, %d records\n", id, id, len(recs))
+		fmt.Fprintf(&want, "  span: day %d %s .. day %d %s\n",
+			simtime.DayOf(first), simtime.ClockString(first),
+			simtime.DayOf(last), simtime.ClockString(last))
+		for _, k := range []record.Kind{record.KindAccel, record.KindMic, record.KindBeacon} {
+			fmt.Fprintf(&want, "  %-9s %9d\n", k, counts[k])
+		}
 	}
-	for _, line := range lines {
-		damaged := strings.HasPrefix(line, "badge-002.seg:")
-		if ok := strings.HasSuffix(line, ", OK"); ok == damaged {
-			t.Errorf("verify line %q: damaged = %v", line, damaged)
+	if got := runOut(t, "stats", dir); got != want.String() {
+		t.Errorf("stats:\n%s\nwant:\n%s", got, want.String())
+	}
+}
+
+// An unlimited dump prints every generated record, in order.
+func TestDumpPrintsEveryRecord(t *testing.T) {
+	dir := t.TempDir()
+	writeBadgeFiles(t, dir)
+
+	var want strings.Builder
+	for _, r := range badgeRecords(2) {
+		want.WriteString(formatRecord(r) + "\n")
+	}
+	if got := runOut(t, "-n", "0", "dump", filepath.Join(dir, "badge-002.seg")); got != want.String() {
+		t.Errorf("dump -n 0 printed %d lines, want %d",
+			strings.Count(got, "\n"), strings.Count(want.String(), "\n"))
+	}
+}
+
+// The limit note appears only when a record beyond the limit exists.
+func TestDumpLimitNote(t *testing.T) {
+	recs := badgeRecords(1)[:5]
+	path := writeSegment(t, t.TempDir(), 1, recs)
+	const note = "... (limited to"
+	for _, tc := range []struct {
+		limit, lines int
+		note         bool
+	}{
+		{limit: 5, lines: 5, note: false},
+		{limit: 4, lines: 4, note: true},
+	} {
+		out := runOut(t, "-n", fmt.Sprint(tc.limit), "dump", path)
+		lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+		if got := strings.HasPrefix(lines[len(lines)-1], note); got != tc.note {
+			t.Errorf("-n %d: limit note = %v, want %v:\n%s", tc.limit, got, tc.note, out)
 		}
-		if damaged && !strings.Contains(line, "1 corrupt frames") {
-			t.Errorf("verify line %q does not report the corrupt block", line)
+		if tc.note {
+			lines = lines[:len(lines)-1]
 		}
+		if len(lines) != tc.lines {
+			t.Errorf("-n %d: %d records printed, want %d", tc.limit, len(lines), tc.lines)
+		}
+		for i, line := range lines {
+			if line != formatRecord(recs[i]) {
+				t.Errorf("-n %d: line %d = %q, want %q", tc.limit, i, line, formatRecord(recs[i]))
+			}
+		}
+	}
+}
+
+// Input that is not a segment, and arguments past the path, fail with an
+// error that says what is wrong instead of a decode error.
+func TestRejectsBadInput(t *testing.T) {
+	dir := t.TempDir()
+	seg := writeSegment(t, dir, 1, badgeRecords(1))
+	notes := filepath.Join(dir, "notes.txt")
+	if err := os.WriteFile(notes, []byte("not a segment\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"dump of a directory", []string{"dump", dir}, dir},
+		{"stats of a non-.seg file", []string{"stats", notes}, notes},
+		{"flag after the subcommand", []string{"dump", "-n", "5", seg}, "usage: badgectl"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, err := runCapture(t, tc.args...)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("run %v: error %v, want one naming %q", tc.args, err, tc.want)
+			}
+			if out != "" {
+				t.Errorf("run %v printed %q", tc.args, out)
+			}
+		})
+	}
+}
+
+// Bit rot mid-segment and a segment cut short must be reported by verify
+// and stats, for the damaged badge only, not fail the read.
+func TestVerifyReportsSegmentDamage(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func([]byte) []byte
+		verify string // in the damaged badge's verify line
+		stats  string // in the damaged badge's stats line
+	}{
+		{
+			name:   "flipped byte",
+			damage: func(raw []byte) []byte { raw[len(raw)/2] ^= 0x40; return raw },
+			verify: "1 corrupt frames",
+			stats:  "(1 corrupt frames skipped)",
+		},
+		{
+			name:   "cut to two thirds",
+			damage: func(raw []byte) []byte { return raw[:len(raw)*2/3] },
+			verify: "truncated mid-frame",
+			stats:  "(truncated mid-frame; tail lost)",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeBadgeFiles(t, dir)
+			path := filepath.Join(dir, "badge-002.seg")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.damage(raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			out := runOut(t, "verify", dir)
+			lines := strings.Split(strings.TrimSpace(out), "\n")
+			if len(lines) != 3 {
+				t.Fatalf("verify printed %d lines, want 3:\n%s", len(lines), out)
+			}
+			for _, line := range lines {
+				damaged := strings.HasPrefix(line, "badge-002.seg:")
+				if ok := strings.HasSuffix(line, ", OK"); ok == damaged {
+					t.Errorf("verify line %q: damaged = %v", line, damaged)
+				}
+				if damaged && !strings.Contains(line, tc.verify) {
+					t.Errorf("verify line %q does not report %q", line, tc.verify)
+				}
+			}
+
+			for _, line := range strings.Split(runOut(t, "stats", dir), "\n") {
+				if !strings.HasPrefix(line, "badge-") {
+					continue
+				}
+				damaged := strings.HasPrefix(line, "badge-002.seg:")
+				if got := strings.Contains(line, tc.stats); got != damaged {
+					t.Errorf("stats line %q: reports %q = %v, damaged = %v", line, tc.stats, got, damaged)
+				}
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package record
 
 import (
-	"bytes"
 	"testing"
 	"time"
 )
@@ -45,27 +44,6 @@ func BenchmarkDecodeFrame(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkLogWriterThroughput(b *testing.B) {
-	recs := benchRecords()
-	var buf bytes.Buffer
-	lw, err := NewLogWriter(&buf, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := lw.Append(recs[i%len(recs)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if err := lw.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(buf.Len()) / int64(b.N))
 }
 
 func BenchmarkRangeSetNormalize(b *testing.B) {

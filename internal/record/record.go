@@ -1,8 +1,10 @@
 // Package record defines the on-badge data format: the typed sensor records
-// a badge writes to its SD card and the framed binary encoding used for the
-// log files. The paper's badges store "frequently sampled raw data ... on an
-// on-board SD card for offline analyses"; this package is the schema of that
-// data and the codec the offline pipeline reads it back with.
+// a badge writes to its SD card (its store.Series) and the framed binary
+// encoding of one record. The paper's badges store "frequently sampled raw
+// data ... on an on-board SD card for offline analyses"; this package is the
+// schema of that data. The frame is the unit of byte accounting (EncodedSize,
+// an archive manifest's framed_bytes) and of the fault plans' corruption
+// wrapper; the on-disk dataset format is the segment (package segment).
 //
 // Wire format of one frame:
 //

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
+	"hash/crc32"
 	"math"
 	"reflect"
 	"testing"
@@ -103,7 +103,7 @@ func TestDecodePayloadTrailingBytes(t *testing.T) {
 	payload = append(payload, 0xAA)
 	bad := appendUvarint(nil, uint64(len(payload)))
 	bad = append(bad, payload...)
-	crc := crcOf(payload)
+	crc := crc32.ChecksumIEEE(payload)
 	bad = append(bad, byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24))
 	if _, _, err := DecodeFrame(bad); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("trailing bytes: %v", err)
@@ -121,122 +121,6 @@ func uvarint(b []byte) (uint64, int) {
 		s += 7
 	}
 	return 0, 0
-}
-
-func TestLogRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	lw, err := NewLogWriter(&buf, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sampleRecords()
-	for _, r := range want {
-		if err := lw.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := lw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	lr, err := NewLogReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lr.BadgeID() != 42 {
-		t.Errorf("badge ID = %d", lr.BadgeID())
-	}
-	got, err := readAll(lr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("log round trip mismatch:\n got %d records\nwant %d", len(got), len(want))
-	}
-	if lr.Skipped() != 0 {
-		t.Errorf("skipped = %d", lr.Skipped())
-	}
-}
-
-func TestLogReaderSkipsCorruptFrame(t *testing.T) {
-	var buf bytes.Buffer
-	lw, err := NewLogWriter(&buf, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := sampleRecords()
-	for _, r := range recs {
-		if err := lw.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := lw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	// Flip a bit inside the second frame's payload (after the 7-byte
-	// header and first frame).
-	firstFrame, err := AppendFrame(nil, recs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := 7 + len(firstFrame) + 3
-	raw[idx] ^= 0x01
-
-	lr, err := NewLogReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := readAll(lr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs)-1 {
-		t.Errorf("read %d records, want %d", len(got), len(recs)-1)
-	}
-	if lr.Skipped() != 1 {
-		t.Errorf("skipped = %d, want 1", lr.Skipped())
-	}
-}
-
-func TestLogReaderBadHeader(t *testing.T) {
-	if _, err := NewLogReader(bytes.NewReader([]byte("XXXX\x01\x00\x00"))); !errors.Is(err, ErrBadHeader) {
-		t.Errorf("bad magic: %v", err)
-	}
-	if _, err := NewLogReader(bytes.NewReader([]byte("ICR1\x09\x00\x00"))); !errors.Is(err, ErrBadHeader) {
-		t.Errorf("bad version: %v", err)
-	}
-	if _, err := NewLogReader(bytes.NewReader([]byte("IC"))); !errors.Is(err, ErrBadHeader) {
-		t.Errorf("short header: %v", err)
-	}
-}
-
-func TestLogReaderTruncatedTail(t *testing.T) {
-	var buf bytes.Buffer
-	lw, err := NewLogWriter(&buf, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range sampleRecords() {
-		if err := lw.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := lw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	lr, err := NewLogReader(bytes.NewReader(raw[:len(raw)-3]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := readAll(lr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(sampleRecords())-1 {
-		t.Errorf("truncated tail read %d records", len(got))
-	}
 }
 
 func TestEncodedSizeMatchesAppendFrame(t *testing.T) {
@@ -378,31 +262,6 @@ func TestQuickDecodeGarbage(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestEmptyLogReadAll(t *testing.T) {
-	var buf bytes.Buffer
-	lw, err := NewLogWriter(&buf, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	lr, err := NewLogReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := readAll(lr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("empty log returned %d records", len(got))
-	}
-	if _, err := lr.Next(); !errors.Is(err, io.EOF) {
-		t.Errorf("Next on empty log: %v", err)
 	}
 }
 

@@ -35,8 +35,8 @@ const cacheBlocks = 64
 // pass comes back to it. It satisfies the store.View read contract (Iter,
 // Times, Len, First, Last) and is safe for concurrent readers.
 //
-// Salvage follows record.LogReader semantics: a segment whose index frame
-// is lost or corrupt is recovered by a forward scan over the self-framed
+// Salvage keeps every readable record: a segment whose index frame is
+// lost or corrupt is recovered by a forward scan over the self-framed
 // blocks (Skipped counts corrupt blocks dropped, Truncated reports a
 // mid-frame tail), and a block that fails its CRC, decode, read, or index
 // entry at query time is dropped for the reader's lifetime (reopen to

@@ -17,8 +17,7 @@
 //	[4]byte  tail magic "ISGE"
 //
 // Each block frame is self-delimiting, so a file whose index was lost or
-// corrupted can still be salvaged by a forward scan (the same contract as
-// record.LogReader):
+// corrupted can still be salvaged by a forward scan:
 //
 //	byte     block tag (0xB1)
 //	uvarint  body length

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"math"
 	"slices"
 	"sort"
@@ -284,28 +283,22 @@ func TestSeriesUnsizedAccounting(t *testing.T) {
 	}
 }
 
-func TestSeriesEncodedBytesMatchesLogWriter(t *testing.T) {
-	// The O(1) accounting must agree with what the framed log writer
-	// actually emits, minus the fixed 7-byte log header.
+func TestSeriesEncodedBytesMatchesFrames(t *testing.T) {
+	// The O(1) accounting must agree with the bytes the frame codec
+	// actually emits for the same records.
 	var s Series
 	rng := stats.NewRNG(9)
 	for i := 0; i < 500; i++ {
 		s.Append(record.NewSync(time.Duration(rng.Intn(100000))*time.Millisecond, time.Duration(rng.Uint64()%uint64(14*24*time.Hour))))
 	}
-	var buf bytes.Buffer
-	lw, err := record.NewLogWriter(&buf, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var frames []byte
 	for _, r := range s.All() {
-		if err := lw.Append(r); err != nil {
+		var err error
+		if frames, err = record.AppendFrame(frames, r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := lw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := s.EncodedBytes(), int64(buf.Len())-7; got != want {
+	if got, want := s.EncodedBytes(), int64(len(frames)); got != want {
 		t.Errorf("EncodedBytes = %d, framed bytes = %d", got, want)
 	}
 }

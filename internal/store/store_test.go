@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -161,25 +160,18 @@ func TestLoadMissingDir(t *testing.T) {
 }
 
 func TestLoadEmptyDir(t *testing.T) {
-	// A directory of framed .icr badge logs holds no segments: the .seg
+	// A directory of bare record frames holds no segments: the .seg
 	// archive is the only dataset format OpenSegments reads.
-	var log bytes.Buffer
-	lw, err := record.NewLogWriter(&log, 1)
+	frame, err := record.AppendFrame(nil, mkRec(time.Second, record.KindAccel))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lw.Append(mkRec(time.Second, record.KindAccel)); err != nil {
-		t.Fatal(err)
-	}
-	if err := lw.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "badge-001.icr"), log.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "badge-001.bin"), frame, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := OpenSegments(dir); !errors.Is(err, ErrNoData) {
-		t.Errorf("dir of .icr logs: %v, want ErrNoData", err)
+		t.Errorf("dir without .seg files: %v, want ErrNoData", err)
 	}
 }
 

@@ -35,9 +35,6 @@ var reachAllow = map[string]string{
 	"internal/habitat.Builder.AddDoor":     "fixture: custom floor plans for the DESIGN.md wall-prefilter and localization-kernel properties",
 	"internal/habitat.Builder.PlaceBeacon": "fixture: custom floor plans for the DESIGN.md wall-prefilter and localization-kernel properties",
 	"internal/habitat.Builder.Build":       "fixture: custom floor plans for the DESIGN.md wall-prefilter and localization-kernel properties",
-	"internal/record.NewLogWriter":         "fixture: writes the .icr badge logs that badgectl and the record tests read (DESIGN.md, .icr format)",
-	"internal/record.LogWriter.Append":     "fixture: writes the .icr badge logs that badgectl and the record tests read (DESIGN.md, .icr format)",
-	"internal/record.LogWriter.Flush":      "fixture: writes the .icr badge logs that badgectl and the record tests read (DESIGN.md, .icr format)",
 	"internal/fleet.HabitatConfig.Faults":  "fixture: the chaos habitat whose live stream TestEngineStreamGolden pins, and the chaos member of the fleet isolation runs (DESIGN.md, fleet)",
 	"internal/fleet.Config.QueueDepth":     "fixture: the fleet tests shrink the queue to reach ErrBusy (DESIGN.md, fleet backpressure)",
 	"internal/fleet.Config.RequestTimeout": "fixture: the fleet tests shorten the deadline to reach ErrDeadline (DESIGN.md, fleet backpressure)",
